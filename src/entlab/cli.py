@@ -6,10 +6,11 @@ checkpoint schedule), limit (assemble the limit operator), resonances
 shift lattice), stacking-test (direct vs block-companion evaluation),
 continuous (semigroup averages vs the continuous limit).
 
-Every run hashes its normalized config (FNV-1a 64) and stamps the hash into
-each record, so result files are traceable to the exact configuration that
-produced them.  A one-object JSON summary goes to stdout; records go to
---out in the chosen --format.
+Every run hashes the normalized fields of its config that change results
+(FNV-1a 64) and stamps the hash into each record, so result files are
+traceable to the exact configuration that produced them; where the records
+go (out, format) is not hashed.  A one-object JSON summary goes to stdout;
+records go to --out in the chosen --format.
 
 Exit codes: 0 success, 2 config validation, 3 budget refusal, 4 numerical
 failure, 1 anything else (IO, unexpected).
@@ -20,12 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class ExperimentConfig:
     strategy: str
     tolerance: float
     budget: float | None
-    threads: int
     out: str | None
     format: str
     data: dict
@@ -96,44 +95,64 @@ def _expect(cond: bool, path: str, msg: str):
         _fail(path, msg)
 
 
-def _norm_angle(raw, path: str) -> str:
+def _int(raw, path: str) -> int:
+    _expect(
+        isinstance(raw, int) and not isinstance(raw, bool),
+        path,
+        f"must be an integer, got {raw!r}",
+    )
+    return raw
+
+
+def _number(raw, path: str) -> float:
+    _expect(
+        isinstance(raw, (int, float)) and not isinstance(raw, bool)
+        and math.isfinite(raw),
+        path,
+        f"must be a finite number, got {raw!r}",
+    )
+    return float(raw)
+
+
+def _positive_ints(raw, key: str) -> list[int]:
+    """Nonempty list of positive integers at $.key, sorted and deduplicated."""
+    values = raw.get(key)
+    _expect(isinstance(values, list) and values, f"$.{key}", "must be a nonempty list")
+    for i, n in enumerate(values):
+        _expect(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+            f"$.{key}[{i}]",
+            f"checkpoints are positive integers, got {n!r}",
+        )
+    return sorted(set(values))
+
+
+def _norm_exact(raw, path: str, clock) -> str:
+    """Canonical 'p/q' of an angle or frequency; warns when reduce moved the value."""
     try:
-        fr = operators.parse_angle(raw if not isinstance(raw, list) else tuple(raw))
-    except BadAngleError as exc:
+        literal = clock.literal(tuple(raw) if isinstance(raw, list) else raw)
+    except clock.exact_error as exc:
         _fail(path, str(exc))
+    fr = clock.reduce(literal)
     canon = f"{fr.numerator}/{fr.denominator}"
     # warn only when the mod-1 wrap moved the value, not on respellings
-    try:
-        literal = Fraction(raw.strip()) if isinstance(raw, str) else (
-            Fraction(int(raw[0]), int(raw[1])) if isinstance(raw, list) else Fraction(raw)
-        )
-    except (ValueError, ZeroDivisionError, TypeError):
-        literal = fr
     if literal != fr:
-        warnings.warn(f"{path}: angle {raw!r} normalized to {canon!r}", stacklevel=2)
+        warnings.warn(
+            f"{path}: {clock.exact_noun} {raw!r} normalized to {canon!r}", stacklevel=2
+        )
     return canon
-
-
-def _norm_frequency(raw, path: str) -> str:
-    if isinstance(raw, list):
-        raw = tuple(raw)
-    try:
-        fr = cont._parse_frequency(raw)
-    except (ValidationError, ValueError, TypeError) as exc:
-        _fail(path, f"bad frequency {raw!r}: {exc}")
-    return f"{fr.numerator}/{fr.denominator}"
 
 
 def _norm_complex(raw, path: str) -> list[float]:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return [float(raw), 0.0]
+        return [_number(raw, path), 0.0]
     if isinstance(raw, list) and len(raw) == 2:
-        try:
-            return [float(raw[0]), float(raw[1])]
-        except (TypeError, ValueError):
-            pass
+        return [_number(raw[0], f"{path}[0]"), _number(raw[1], f"{path}[1]")]
     if isinstance(raw, dict) and set(raw) <= {"re", "im"}:
-        return [float(raw.get("re", 0.0)), float(raw.get("im", 0.0))]
+        return [
+            _number(raw.get("re", 0.0), f"{path}.re"),
+            _number(raw.get("im", 0.0), f"{path}.im"),
+        ]
     _fail(path, f"expected a number, [re, im] pair or {{re, im}}, got {raw!r}")
 
 
@@ -147,41 +166,50 @@ def _norm_basis(raw, path: str) -> dict:
         path,
         f"basis type must be 'orthonormal' or 'similarity', got {btype!r}",
     )
-    out = {"type": btype, "seed": int(raw.get("seed", 0))}
+    out = {"type": btype, "seed": _int(raw.get("seed", 0), f"{path}.seed")}
     if btype == "similarity":
-        out["condition_cap"] = float(raw.get("condition_cap", 50.0))
+        out["condition_cap"] = _number(
+            raw.get("condition_cap", 50.0), f"{path}.condition_cap"
+        )
         _expect(out["condition_cap"] >= 1.0, path, "condition_cap must be >= 1")
     extra = set(raw) - {"type", "seed", "condition_cap"}
     _expect(not extra, path, f"unknown basis fields {sorted(extra)}")
     return out
 
 
-def _norm_operator(raw, path: str, *, continuous: bool) -> dict:
+def _system_spec(kind: str):
+    """(members key, exact-values key, clock, synthesize, assemble) of a system kind."""
+    if kind == "continuous":
+        return (
+            "generators", "frequencies", cont.CONTINUOUS,
+            cont.synth_semigroup, cont.make_continuous_system,
+        )
+    return (
+        "operators", "angles", operators.DISCRETE,
+        operators.synth_operator, entangle.make_system,
+    )
+
+
+def _norm_operator(raw, path: str, keyword: str, clock) -> dict:
     _expect(isinstance(raw, dict), path, "operator spec must be an object")
-    keyword = "frequencies" if continuous else "angles"
     known = {keyword, "stable", "basis"}
     extra = set(raw) - known
     _expect(not extra, path, f"unknown fields {sorted(extra)}; expected {sorted(known)}")
-    angles = raw.get(keyword, [])
-    _expect(isinstance(angles, list), f"{path}.{keyword}", "must be a list")
-    if continuous:
-        norm_ang = [
-            _norm_frequency(a, f"{path}.{keyword}[{i}]") for i, a in enumerate(angles)
-        ]
-    else:
-        norm_ang = [
-            _norm_angle(a, f"{path}.{keyword}[{i}]") for i, a in enumerate(angles)
-        ]
+    exacts = raw.get(keyword, [])
+    _expect(isinstance(exacts, list), f"{path}.{keyword}", "must be a list")
+    norm_exact = [
+        _norm_exact(a, f"{path}.{keyword}[{i}]", clock) for i, a in enumerate(exacts)
+    ]
     stable = raw.get("stable", [])
     _expect(isinstance(stable, list), f"{path}.stable", "must be a list")
     norm_stable = [
         _norm_complex(s, f"{path}.stable[{i}]") for i, s in enumerate(stable)
     ]
     _expect(
-        len(norm_ang) + len(norm_stable) > 0, path, "needs at least one eigenvalue"
+        len(norm_exact) + len(norm_stable) > 0, path, "needs at least one eigenvalue"
     )
     return {
-        keyword: norm_ang,
+        keyword: norm_exact,
         "stable": norm_stable,
         "basis": _norm_basis(raw.get("basis"), f"{path}.basis"),
     }
@@ -195,15 +223,14 @@ def _norm_connector(raw, path: str) -> dict:
     if ctype == "identity":
         _expect(set(raw) <= {"type"}, path, "identity takes no other fields")
         return {"type": "identity"}
-    if ctype == "haar":
-        return {"type": "haar", "seed": int(raw.get("seed", 0))}
+    fields = {"haar": {"type", "seed"}, "gaussian": {"type", "seed", "scale"}}
+    _expect(ctype in fields, path, f"unknown connector type {ctype!r}")
+    extra = set(raw) - fields[ctype]
+    _expect(not extra, path, f"unknown {ctype} fields {sorted(extra)}")
+    out = {"type": ctype, "seed": _int(raw.get("seed", 0), f"{path}.seed")}
     if ctype == "gaussian":
-        return {
-            "type": "gaussian",
-            "seed": int(raw.get("seed", 0)),
-            "scale": float(raw.get("scale", 1.0)),
-        }
-    _fail(path, f"unknown connector type {ctype!r}")
+        out["scale"] = _number(raw.get("scale", 1.0), f"{path}.scale")
+    return out
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -211,7 +238,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Angles and frequencies are reduced to canonical 'p/q' strings before the
     config is hashed, so equivalent spellings ('2/4' vs '1/2') and key order
-    produce the same FNV-1a hash.
+    produce the same FNV-1a hash.  The hash covers the fields that change
+    results; out and format are left out of it.
     """
     try:
         raw = json.loads(text)
@@ -224,7 +252,7 @@ def parse_config(text: str) -> ExperimentConfig:
     _expect(kind in KINDS, "$.kind", f"must be one of {list(KINDS)}, got {kind!r}")
 
     data: dict = {"kind": kind}
-    data["seed"] = int(raw.get("seed", 0))
+    data["seed"] = _int(raw.get("seed", 0), "$.seed")
     strategy = raw.get("strategy", "presum")
     _expect(
         strategy in ("naive", "cached", "presum"),
@@ -232,19 +260,14 @@ def parse_config(text: str) -> ExperimentConfig:
         f"must be naive|cached|presum, got {strategy!r}",
     )
     data["strategy"] = strategy
-    data["tolerance"] = float(raw.get("tolerance", 1e-8))
+    data["tolerance"] = _number(raw.get("tolerance", 1e-8), "$.tolerance")
     _expect(data["tolerance"] > 0, "$.tolerance", "must be positive")
     budget = raw.get("budget", 1e8)
-    data["budget"] = None if budget is None else float(budget)
-    data["threads"] = int(raw.get("threads", 1))
-    _expect(data["threads"] >= 1, "$.threads", "must be >= 1")
+    data["budget"] = None if budget is None else _number(budget, "$.budget")
     fmt = raw.get("format", "csv")
     _expect(fmt in ("csv", "json"), "$.format", f"must be csv|json, got {fmt!r}")
-    data["format"] = fmt
     out = raw.get("out")
     _expect(out is None or isinstance(out, str), "$.out", "must be a string path")
-    if out is not None:
-        data["out"] = out
 
     needs_system = kind in ("converge", "limit", "resonances", "stacking-test")
     if needs_system or kind == "continuous":
@@ -255,7 +278,7 @@ def parse_config(text: str) -> ExperimentConfig:
         except (NotSurjectiveError, EmptyAlphaError) as exc:
             _fail("$.alpha", str(exc))
         data["alpha"] = [int(v) for v in alpha]
-        key = "generators" if kind == "continuous" else "operators"
+        key, keyword, clock, _, _ = _system_spec(kind)
         ops = raw.get(key)
         _expect(isinstance(ops, list), f"$.{key}", "must be a list")
         _expect(
@@ -264,7 +287,7 @@ def parse_config(text: str) -> ExperimentConfig:
             f"alpha has m={part.m} positions, got {len(ops)} entries",
         )
         data[key] = [
-            _norm_operator(o, f"$.{key}[{i}]", continuous=(kind == "continuous"))
+            _norm_operator(o, f"$.{key}[{i}]", keyword, clock)
             for i, o in enumerate(ops)
         ]
         conns = raw.get("connectors")
@@ -279,35 +302,13 @@ def parse_config(text: str) -> ExperimentConfig:
                 _norm_connector(c, f"$.connectors[{i}]") for i, c in enumerate(conns)
             ]
         if "state_seed" in raw and raw["state_seed"] is not None:
-            data["state_seed"] = int(raw["state_seed"])
+            data["state_seed"] = _int(raw["state_seed"], "$.state_seed")
 
     if kind in ("converge", "stacking-test"):
-        sched = raw.get("schedule")
-        _expect(
-            isinstance(sched, list) and sched, "$.schedule", "must be a nonempty list"
-        )
-        for i, n in enumerate(sched):
-            _expect(
-                isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-                f"$.schedule[{i}]",
-                f"checkpoints are positive integers, got {n!r}",
-            )
-        data["schedule"] = sorted(set(int(n) for n in sched))
+        data["schedule"] = _positive_ints(raw, "schedule")
 
     if kind == "counterexample":
-        sched = raw.get("checkpoints")
-        _expect(
-            isinstance(sched, list) and sched,
-            "$.checkpoints",
-            "must be a nonempty list",
-        )
-        for i, n in enumerate(sched):
-            _expect(
-                isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-                f"$.checkpoints[{i}]",
-                f"checkpoints are positive integers, got {n!r}",
-            )
-        data["checkpoints"] = sorted(set(int(n) for n in sched))
+        data["checkpoints"] = _positive_ints(raw, "checkpoints")
         window = raw.get("window", 64)
         _expect(
             isinstance(window, int) and not isinstance(window, bool) and window >= 0,
@@ -325,12 +326,8 @@ def parse_config(text: str) -> ExperimentConfig:
         )
         hs = []
         for i, t in enumerate(horizons):
-            _expect(
-                isinstance(t, (int, float)) and not isinstance(t, bool) and t > 0,
-                f"$.horizons[{i}]",
-                f"horizons are positive numbers, got {t!r}",
-            )
-            hs.append(float(t))
+            hs.append(_number(t, f"$.horizons[{i}]"))
+            _expect(hs[-1] > 0, f"$.horizons[{i}]", f"horizons are positive, got {t!r}")
         data["horizons"] = sorted(set(hs))
         quad = raw.get("quadrature", {})
         _expect(isinstance(quad, dict), "$.quadrature", "must be an object")
@@ -348,10 +345,16 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"must be 'auto' or an integer >= 2, got {points!r}",
             )
         data["quadrature"] = {"scheme": scheme, "points": points}
-        data["richardson"] = bool(raw.get("richardson", True))
+        richardson = raw.get("richardson", True)
+        _expect(
+            isinstance(richardson, bool),
+            "$.richardson",
+            f"must be true or false, got {richardson!r}",
+        )
+        data["richardson"] = richardson
 
     known_top = {
-        "kind", "seed", "strategy", "tolerance", "budget", "threads", "format",
+        "kind", "seed", "strategy", "tolerance", "budget", "format",
         "out", "alpha", "operators", "generators", "connectors", "state_seed",
         "schedule", "checkpoints", "window", "horizons", "quadrature", "richardson",
     }
@@ -365,9 +368,8 @@ def parse_config(text: str) -> ExperimentConfig:
         strategy=data["strategy"],
         tolerance=data["tolerance"],
         budget=data["budget"],
-        threads=data["threads"],
-        out=data.get("out"),
-        format=data["format"],
+        out=out,
+        format=fmt,
         data=data,
         config_hash=fnv1a64(canonical.encode("utf-8")),
     )
@@ -392,36 +394,22 @@ def _build_connectors(specs, d: int, seed: int):
     return out
 
 
-def _build_discrete(cfg: ExperimentConfig) -> entangle.EntangledSystem:
-    ops = []
-    for spec in cfg.data["operators"]:
-        stable = [complex(re, im) for re, im in spec["stable"]]
-        ops.append(
-            operators.synth_operator(spec["angles"], stable, _build_basis(spec["basis"]))
+def _build_system(cfg: ExperimentConfig):
+    """EntangledSystem, or ContinuousSystem for kind 'continuous', from cfg.data."""
+    key, keyword, _, synth, make = _system_spec(cfg.kind)
+    members = [
+        synth(
+            spec[keyword],
+            [complex(re, im) for re, im in spec["stable"]],
+            _build_basis(spec["basis"]),
         )
-    d = ops[0].dim
+        for spec in cfg.data[key]
+    ]
     conn_specs = cfg.data.get(
-        "connectors", [{"type": "identity"}] * (len(ops) - 1)
+        "connectors", [{"type": "identity"}] * (len(members) - 1)
     )
-    conns = _build_connectors(conn_specs, d, cfg.seed)
-    return entangle.make_system(cfg.data["alpha"], ops, conns)
-
-
-def _build_continuous(cfg: ExperimentConfig) -> cont.ContinuousSystem:
-    sgs = []
-    for spec in cfg.data["generators"]:
-        stable = [complex(re, im) for re, im in spec["stable"]]
-        sgs.append(
-            cont.synth_semigroup(
-                spec["frequencies"], stable, _build_basis(spec["basis"])
-            )
-        )
-    d = sgs[0].dim
-    conn_specs = cfg.data.get(
-        "connectors", [{"type": "identity"}] * (len(sgs) - 1)
-    )
-    conns = _build_connectors(conn_specs, d, cfg.seed)
-    return cont.make_continuous_system(cfg.data["alpha"], sgs, conns)
+    conns = _build_connectors(conn_specs, members[0].dim, cfg.seed)
+    return make(cfg.data["alpha"], members, conns)
 
 
 def _state(cfg: ExperimentConfig, d: int):
@@ -450,15 +438,8 @@ def _norms(diff) -> tuple[float, float]:
     return float(np.linalg.norm(diff)), linalg.spectral_norm(diff)
 
 
-def _checkpoint_map(cfg: ExperimentConfig, items, work):
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(work, items))
-    return [work(item) for item in items]
-
-
 def _run_converge(cfg: ExperimentConfig):
-    system = _build_discrete(cfg)
+    system = _build_system(cfg)
     x = _state(cfg, system.dim)
     limit = spectral_limit.limit_operator(system, cfg.tolerance)
     reference = limit if x is None else limit @ x
@@ -471,8 +452,7 @@ def _run_converge(cfg: ExperimentConfig):
         err_f, err_o = _norms(avg - reference)
         return _record(cfg, n, err_f, err_o, 1e3 * (time.perf_counter() - t0))
 
-    records = _checkpoint_map(cfg, cfg.data["schedule"], work)
-    records.sort(key=lambda r: r["checkpoint"])
+    records = [work(n) for n in cfg.data["schedule"]]
     summary = {
         "verifies": "mean ergodic convergence of entangled Cesaro averages",
         "limit_frobenius_norm": float(np.linalg.norm(limit)),
@@ -502,7 +482,7 @@ def _serialize_tuples(tuples):
 
 
 def _run_limit(cfg: ExperimentConfig):
-    system = _build_discrete(cfg)
+    system = _build_system(cfg)
     t0 = time.perf_counter()
     limit = spectral_limit.limit_operator(system, cfg.tolerance)
     ms = 1e3 * (time.perf_counter() - t0)
@@ -521,7 +501,7 @@ def _run_limit(cfg: ExperimentConfig):
 
 
 def _run_resonances(cfg: ExperimentConfig):
-    system = _build_discrete(cfg)
+    system = _build_system(cfg)
     t0 = time.perf_counter()
     spectra = [spectral_limit.unimodular_spectrum(op) for op in system.operators]
     tuples = spectral_limit.resonant_tuples(
@@ -561,7 +541,7 @@ def _run_counterexample(cfg: ExperimentConfig):
 
 
 def _run_stacking(cfg: ExperimentConfig):
-    system = _build_discrete(cfg)
+    system = _build_system(cfg)
     st = entangle.stacked_system(system)
     x = _state(cfg, system.dim)
 
@@ -576,14 +556,13 @@ def _run_stacking(cfg: ExperimentConfig):
         err_f, err_o = _norms(direct - via)
         return _record(cfg, n, err_f, err_o, 1e3 * (time.perf_counter() - t0))
 
-    records = _checkpoint_map(cfg, cfg.data["schedule"], work)
-    records.sort(key=lambda r: r["checkpoint"])
+    records = [work(n) for n in cfg.data["schedule"]]
     summary = {"verifies": "block companion dilation identity"}
     return records, summary
 
 
 def _run_continuous(cfg: ExperimentConfig):
-    system = _build_continuous(cfg)
+    system = _build_system(cfg)
     x = _state(cfg, system.dim)
     limit = cont.continuous_limit_operator(system, cfg.tolerance)
     reference = limit if x is None else limit @ x
@@ -604,8 +583,7 @@ def _run_continuous(cfg: ExperimentConfig):
         estimates[t] = {"points": avg.points, "richardson": avg.error_estimate}
         return _record(cfg, t, err_f, err_o, 1e3 * (time.perf_counter() - t0))
 
-    records = _checkpoint_map(cfg, cfg.data["horizons"], work)
-    records.sort(key=lambda r: r["checkpoint"])
+    records = [work(t) for t in cfg.data["horizons"]]
     summary = {
         "verifies": "continuous-time mean ergodic convergence",
         "limit_frobenius_norm": float(np.linalg.norm(limit)),
@@ -668,7 +646,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="records file (default entlab-<kind>.<format>)")
         p.add_argument("--format", default=None, choices=("csv", "json"))
         p.add_argument("--budget", default=None, type=float, help="cost budget override")
-        p.add_argument("--threads", default=None, type=int, help="checkpoint parallelism")
     args = parser.parse_args(argv)
 
     try:
@@ -685,9 +662,9 @@ def main(argv=None) -> int:
                 f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}"
             )
         if args.budget is not None:
-            cfg = ExperimentConfig(**{**cfg.__dict__, "budget": args.budget})
-        if args.threads is not None:
-            cfg = ExperimentConfig(**{**cfg.__dict__, "threads": args.threads})
+            cfg = ExperimentConfig(
+                **{**cfg.__dict__, "budget": _number(args.budget, "--budget")}
+            )
         if args.format is not None:
             cfg = ExperimentConfig(**{**cfg.__dict__, "format": args.format})
         if args.out is not None:

@@ -11,23 +11,35 @@ constraint "product equals one" traded for "frequencies sum to zero exactly"
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .entangle import Partition, lattice_chain_mean, make_partition, MEMORY_CAP_BYTES
+from .entangle import (
+    MEMORY_CAP_BYTES,
+    Partition,
+    _validate_system,
+    lattice_chain_mean,
+)
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
     NotBoundedSemigroupError,
     ValidationError,
 )
-from .operators import Certificate, _basis_pair
-from .spectral_limit import resonant_tuples
-from . import operators as _ops
+from .operators import (
+    Certificate,
+    Clock,
+    PowerBoundReport,
+    _bound_report,
+    _read_matrix,
+    _require_bounded,
+    _synthesize,
+    _verdict,
+)
+from .spectral_limit import _assemble_limit
 
 TWO_PI = 2.0 * np.pi
 AXIS_BAND = 1e-8  # |Re lambda| below this counts as on the imaginary axis
@@ -41,6 +53,48 @@ class FrequencyPoint:
     multiplicity: int
     exact: Fraction | None = None
 
+    def key(self):
+        """Deterministic sort key: exact frequency when present, else the float."""
+        return (0, self.exact) if self.exact is not None else (1, self.frequency)
+
+
+class _ContinuousClock(Clock):
+    """Continuous time, where the spectral core differs from discrete time.
+
+    Boundary eigenvalues are 2*pi*i*phi with phi not reduced mod 1 (e^{2 pi i
+    phi t} tells phi from phi + 1 for real t); stable means Re z < 0 and the
+    boundary band is |Re z| <= AXIS_BAND; block resonance is additive.
+    """
+
+    noun = "generator"
+    exact_noun = "frequency"
+    exact_error = ValidationError
+    unbounded_error = NotBoundedSemigroupError
+    additive = True  # block resonance: frequencies sum to exactly 0
+    edge = 0.0
+    band = AXIS_BAND
+    size = staticmethod(np.real)
+    size_name = "spectral abscissa"
+    boundary_name = "the imaginary axis"
+    stable_region = "in the open left half-plane"
+
+    def reduce(self, fr: Fraction) -> Fraction:
+        return fr
+
+    def eigenvalue(self, fr: Fraction) -> complex:
+        return self.entry_value(float(fr))
+
+    def entry_value(self, entry) -> complex:
+        """resonant_tuples lists frequencies here."""
+        return TWO_PI * 1j * float(entry)
+
+    def point(self, value: complex, multiplicity: int, exact: Fraction | None):
+        freq = float(exact) if exact is not None else value.imag / TWO_PI
+        return FrequencyPoint(freq, multiplicity, exact)
+
+
+CONTINUOUS = _ContinuousClock()
+
 
 @dataclass(eq=False)
 class Semigroup:
@@ -50,6 +104,7 @@ class Semigroup:
     certificate: Certificate | None
     growth_bound_estimate: float
     frequency_points: tuple[FrequencyPoint, ...]
+    _checked: tuple | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -59,28 +114,10 @@ class Semigroup:
         """T(t) = exp(tB); t may be a scalar or a 1-D array of times."""
         return linalg.expm(self.generator, t)
 
-    @cached_property
+    @property
     def spectral_verdict(self) -> tuple[bool, str | None]:
         """(ok, reason): spectrum in the closed left half-plane, axis part semisimple."""
-        if self.certificate is not None:
-            return True, None
-        dec = linalg.eig(self.generator)
-        worst = float(np.max(dec.values.real)) if dec.values.size else 0.0
-        if worst > AXIS_BAND:
-            return False, f"spectral abscissa {worst:.6e} in the right half-plane"
-        for center, members in linalg.cluster_eigenvalues(dec.values, 1e-6):
-            if abs(center.real) > AXIS_BAND or members.size == 1:
-                continue
-            spread = float(np.max(np.abs(dec.values[members] - center)))
-            scale = max(1.0, float(np.linalg.norm(self.generator)))
-            zero_tol = max(1e-8, 10.0 * spread) * scale
-            s = np.linalg.svd(
-                self.generator - center * np.eye(self.dim), compute_uv=False
-            )
-            geo = self.dim - int(np.count_nonzero(s > zero_tol))
-            if geo < members.size:
-                return False, "defective eigenvalue cluster on the imaginary axis"
-        return True, None
+        return _verdict(self.generator, self.certificate, self._checked, CONTINUOUS)
 
 
 def synth_semigroup(frequencies, stable, basis) -> Semigroup:
@@ -92,74 +129,15 @@ def synth_semigroup(frequencies, stable, basis) -> Semigroup:
     stable : complex numbers with strictly negative real part.
     basis : OrthonormalBasis or RandomSimilarity.
     """
-    exacts = tuple(_parse_frequency(f) for f in frequencies)
-    stable_vals = tuple(complex(s) for s in stable)
-    for s in stable_vals:
-        if s.real >= 0.0:
-            raise ValidationError(
-                f"stable generator eigenvalue {s!r} must have Re < 0"
-            )
-    dim = len(exacts) + len(stable_vals)
-    if dim == 0:
-        raise DimensionMismatchError("generator needs at least one eigenvalue")
-    if dim > linalg.DIM_CAP:
-        raise DimensionMismatchError(f"dimension {dim} exceeds cap {linalg.DIM_CAP}")
-    eigs = np.array(
-        [TWO_PI * 1j * float(f) for f in exacts] + list(stable_vals),
-        dtype=np.complex128,
-    )
-    s, s_inv = _basis_pair(basis, dim)
-    gen = (s * eigs[np.newaxis, :]) @ s_inv
-    sv = np.linalg.svd(s, compute_uv=False)
-    bound = float(sv[0] / sv[-1])
-    counts: dict[Fraction, int] = {}
-    for f in exacts:
-        counts[f] = counts.get(f, 0) + 1
-    points = tuple(
-        FrequencyPoint(float(f), mult, f) for f, mult in sorted(counts.items())
-    )
-    cert = Certificate(s, eigs, s_inv, exacts)
-    return Semigroup(gen, cert, bound, points)
-
-
-def _parse_frequency(f) -> Fraction:
-    if isinstance(f, bool):
-        raise ValidationError(f"not a frequency: {f!r}")
-    if isinstance(f, Fraction):
-        return f
-    if isinstance(f, int):
-        return Fraction(f)
-    if isinstance(f, str):
-        try:
-            return Fraction(f.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse frequency {f!r}") from exc
-    if isinstance(f, tuple) and len(f) == 2:
-        return Fraction(int(f[0]), int(f[1]))
-    raise ValidationError(
-        f"frequency {f!r} must be an exact rational (float rejected)"
-    )
+    return Semigroup(*_synthesize(frequencies, stable, basis, CONTINUOUS))
 
 
 def semigroup_from_generator(
     b, tol: float = 1e-9, axis_band: float = AXIS_BAND
 ) -> Semigroup:
-    """Wrap a raw generator; frequencies are read off the eigensolver."""
+    """Wrap a raw generator; one eig call yields frequencies, bound and verdict."""
     arr = linalg.as_matrix(b, square=True, name="generator")
-    dec = linalg.eig(arr, tol)
-    points = []
-    for center, members in linalg.cluster_eigenvalues(dec.values, 1e-8):
-        if abs(center.real) <= axis_band:
-            points.append(
-                FrequencyPoint(float(center.imag / TWO_PI), int(members.size), None)
-            )
-    points.sort(key=lambda p: p.frequency)
-    worst = float(np.max(dec.values.real)) if dec.values.size else 0.0
-    if worst <= AXIS_BAND and np.isfinite(dec.condition_estimate):
-        bound = float(dec.condition_estimate)
-    else:
-        bound = float("inf")
-    return Semigroup(arr, None, bound, tuple(points))
+    return Semigroup(arr, None, *_read_matrix(arr, tol, axis_band, CONTINUOUS))
 
 
 def as_semigroup(b) -> Semigroup:
@@ -168,15 +146,7 @@ def as_semigroup(b) -> Semigroup:
     return semigroup_from_generator(b)
 
 
-@dataclass(frozen=True)
-class BoundedSemigroupReport:
-    passed: bool
-    bound: float
-    measured_max: float
-    reason: str | None = None
-
-
-def certify_bounded_semigroup(sg, t_probe=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0)) -> BoundedSemigroupReport:
+def certify_bounded_semigroup(sg, t_probe=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0)) -> PowerBoundReport:
     """Spectral certificate plus measured ||T(t)|| on a probe grid.
 
     passed is the spectral criterion (closed left half-plane, semisimple
@@ -184,16 +154,10 @@ def certify_bounded_semigroup(sg, t_probe=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0)) -> Bo
     diagonalization is available, else the measured maximum.
     """
     sg = as_semigroup(sg)
-    ok, reason = sg.spectral_verdict
     measured = 0.0
     for t in t_probe:
         measured = max(measured, linalg.spectral_norm(sg.value(float(t))))
-    if not ok:
-        return BoundedSemigroupReport(False, float("inf"), measured, reason)
-    bound = sg.growth_bound_estimate
-    if not np.isfinite(bound):
-        bound = measured
-    return BoundedSemigroupReport(True, float(max(bound, measured)), measured, None)
+    return _bound_report(sg, sg.growth_bound_estimate, measured)
 
 
 def frequency_spectrum(sg, tol: float = AXIS_BAND) -> tuple[FrequencyPoint, ...]:
@@ -249,28 +213,13 @@ class ContinuousSystem:
 
 
 def make_continuous_system(alpha, generators, connectors=None) -> ContinuousSystem:
-    part = alpha if isinstance(alpha, Partition) else make_partition(alpha)
+    """Assemble a ContinuousSystem; generators may be Semigroups or raw matrices.
+
+    Validated like make_system, except that boundedness is checked when the
+    system is evaluated, not here.
+    """
     sgs = tuple(as_semigroup(b) for b in generators)
-    if len(sgs) != part.m:
-        raise DimensionMismatchError(
-            f"partition has m={part.m} positions but {len(sgs)} generators given"
-        )
-    d = sgs[0].dim
-    for sg in sgs:
-        if sg.dim != d:
-            raise DimensionMismatchError("generators must share one dimension")
-    if connectors is None:
-        conns = tuple(np.eye(d, dtype=np.complex128) for _ in range(part.m - 1))
-    else:
-        conns = tuple(
-            linalg.as_matrix(c, square=True, name=f"connector[{i}]")
-            for i, c in enumerate(connectors)
-        )
-    if len(conns) != part.m - 1:
-        raise DimensionMismatchError(f"need {part.m - 1} connectors, got {len(conns)}")
-    for c in conns:
-        if c.shape != (d, d):
-            raise DimensionMismatchError("connector dimension mismatch")
+    part, conns = _validate_system(alpha, sgs, connectors, CONTINUOUS.noun)
     return ContinuousSystem(part, sgs, conns)
 
 
@@ -283,28 +232,41 @@ class ContinuousAverage:
     points: int
 
 
-def _single_grid_average(system, t, quad: QuadratureSpec, x, budget):
+def _check_grid(system, quad: QuadratureSpec, budget):
+    """Refuse the grid before any node or exponential is computed.
+
+    Documented cost model: ~20 products per exponential node and operator,
+    plus one chain-step product per lattice point and position.  Memory: the
+    semigroup stacks, and for Gauss-Legendre the Q x Q float64 matrix whose
+    eigenvalues are the nodes.
+    """
     part = system.partition
-    m, d = part.m, system.dim
-    blocks = part.blocks
-    q = quad.points
-    singles = {a for a, pos in blocks.items() if len(pos) == 1}
-    k_eff = len(blocks) - len(singles)
-    # documented cost model: ~20 products per exponential node and operator,
-    # plus one chain-step product per lattice point and position
+    m, d, q = part.m, system.dim, quad.points
+    k_eff = sum(1 for pos in part.blocks.values() if len(pos) > 1)
     cost = 20.0 * m * q + float(q) ** k_eff * (2 * m - 1)
     if budget is not None and cost > budget:
         raise BudgetExceededError(
             f"estimated cost {cost:.3e} exceeds budget {budget:.3e} "
             f"(Q={q}, lattice axes={k_eff})"
         )
-    distinct = {id(system.semigroups[j].generator) for j in range(m)}
+    distinct = {id(sg.generator) for sg in system.semigroups}
     mem = len(distinct) * q * d * d * 16
     if mem > MEMORY_CAP_BYTES:
         raise BudgetExceededError(
             f"semigroup stacks would need {mem / 2**30:.2f} GiB"
         )
+    if quad.scheme == "gauss-legendre" and 8 * q * q > MEMORY_CAP_BYTES:
+        raise BudgetExceededError(
+            f"Gauss-Legendre nodes for Q={q} need a {8 * q * q / 2**30:.2f} GiB "
+            f"matrix (cap {MEMORY_CAP_BYTES / 2**30:.0f} GiB); use the midpoint rule"
+        )
 
+
+def _single_grid_average(system, t, quad: QuadratureSpec, x):
+    part = system.partition
+    m = part.m
+    singles = {a for a, pos in part.blocks.items() if len(pos) == 1}
+    q = quad.points
     s_nodes, w_nodes = quad.nodes(t)
     uniform = quad.scheme == "midpoint"
     stacks: dict[int, np.ndarray] = {}
@@ -352,21 +314,19 @@ def continuous_entangled_average(
     Sampling well below the fastest frequency aliases the oscillation; keep
     Q at 20 or more points per period (see suggest_points).
     """
-    for j, sg in enumerate(system.semigroups):
-        ok, reason = sg.spectral_verdict
-        if not ok:
-            raise NotBoundedSemigroupError(f"generator {j + 1}: {reason}")
+    _require_bounded(system.semigroups, CONTINUOUS)
     if x is not None:
         x = np.asarray(x, dtype=np.complex128)
         if x.shape != (system.dim,):
             raise DimensionMismatchError(
                 f"state has shape {x.shape}, expected ({system.dim},)"
             )
-    value = _single_grid_average(system, float(t), quad, x, budget)
+    fine = QuadratureSpec(quad.scheme, 2 * quad.points)
+    _check_grid(system, fine if richardson else quad, budget)
+    value = _single_grid_average(system, float(t), quad, x)
     est = None
     if richardson:
-        fine = QuadratureSpec(quad.scheme, 2 * quad.points)
-        value2 = _single_grid_average(system, float(t), fine, x, budget)
+        value2 = _single_grid_average(system, float(t), fine, x)
         est = float(np.linalg.norm(value - value2))
     return ContinuousAverage(value, est, quad.points)
 
@@ -387,46 +347,10 @@ def continuous_limit_operator(system: ContinuousSystem, tol: float = 1e-8) -> np
     cancel exactly) of P_m A_{m-1} ... A_1 P_1 with P_j the spectral
     projection of B_j at 2*pi*i*phi_j.
     """
-    freq_lists = []
-    for j, sg in enumerate(system.semigroups):
-        ok, reason = sg.spectral_verdict
-        if not ok:
-            raise NotBoundedSemigroupError(f"generator {j + 1}: {reason}")
-        freq_lists.append(
-            [
-                (p.exact if p.exact is not None else p.frequency)
-                for p in sg.frequency_points
-            ]
-        )
-    tuples = resonant_tuples(
-        freq_lists, system.partition, tol, additive=True
-    )
-    d = system.dim
-    out = np.zeros((d, d), dtype=np.complex128)
-    cache: dict = {}
-
-    def proj(j: int, entry, fr):
-        key = (j, fr if fr is not None else entry)
-        if key in cache:
-            return cache[key]
-        sg = system.semigroups[j]
-        if sg.certificate is not None and fr is not None:
-            mask = np.array([a == fr for a in sg.certificate.angles] +
-                            [False] * (d - len(sg.certificate.angles)))
-            p = (sg.certificate.basis * mask[np.newaxis, :]) @ sg.certificate.basis_inv
-        else:
-            target = TWO_PI * 1j * (float(fr) if fr is not None else float(entry))
-            band = 1e-8 * (1.0 + abs(target))
-            p = _ops.schur_spectral_projection(
-                sg.generator, lambda z: abs(z - target) <= band
-            )
-        cache[key] = p
-        return p
-
-    m = system.partition.m
-    for tup in tuples:
-        cur = proj(m - 1, tup.entries[m - 1], tup.exact[m - 1])
-        for j in range(m - 2, -1, -1):
-            cur = cur @ system.connectors[j] @ proj(j, tup.entries[j], tup.exact[j])
-        out = out + cur
-    return out
+    sgs = system.semigroups
+    spectra = [
+        [p.exact if p.exact is not None else p.frequency for p in sg.frequency_points]
+        for sg in sgs
+    ]
+    matrices = [sg.generator for sg in sgs]
+    return _assemble_limit(system, sgs, matrices, spectra, tol, CONTINUOUS)

@@ -39,11 +39,10 @@ from .errors import (
     DimensionMismatchError,
     EmptyAlphaError,
     NotInvertibleError,
-    NotPowerBoundedError,
     NotSurjectiveError,
     ValidationError,
 )
-from .operators import SpectralOperator, as_operator
+from .operators import DISCRETE, SpectralOperator, _require_bounded, as_operator
 
 MEMORY_CAP_BYTES = 2 << 30  # refuse power stacks beyond 2 GiB
 
@@ -111,27 +110,22 @@ class EntangledSystem:
         return self.operators[0].dim
 
 
-def make_system(alpha, operators, connectors=None) -> EntangledSystem:
-    """Assemble and validate an EntangledSystem.
+def _validate_system(alpha, members, connectors, noun: str):
+    """Partition and connectors of a system whose positions hold members.
 
-    alpha may be a Partition or a sequence of block ids.  operators are
-    SpectralOperators or raw matrices (wrapped via the eigensolver);
-    connectors default to identities.
+    Shared by make_system and make_continuous_system: alpha may be a
+    Partition or a sequence of block ids, there must be one member per
+    position, all of one dimension d, and m-1 connectors of shape (d, d),
+    identities when connectors is None.
     """
     part = alpha if isinstance(alpha, Partition) else make_partition(alpha)
-    ops = tuple(as_operator(t) for t in operators)
-    if len(ops) != part.m:
+    if len(members) != part.m:
         raise DimensionMismatchError(
-            f"partition has m={part.m} positions but {len(ops)} operators given"
+            f"partition has m={part.m} positions but {len(members)} {noun}s given"
         )
-    d = ops[0].dim
-    for op in ops:
-        if op.dim != d:
-            raise DimensionMismatchError("operators must share one dimension")
-    for j, op in enumerate(ops):
-        ok, reason = op.spectral_verdict
-        if not ok:
-            raise NotPowerBoundedError(f"operator {j + 1}: {reason}")
+    d = members[0].dim
+    if any(member.dim != d for member in members):
+        raise DimensionMismatchError(f"{noun}s must share one dimension")
     if connectors is None:
         conns = tuple(np.eye(d, dtype=np.complex128) for _ in range(part.m - 1))
     else:
@@ -143,9 +137,22 @@ def make_system(alpha, operators, connectors=None) -> EntangledSystem:
         raise DimensionMismatchError(
             f"need {part.m - 1} connectors, got {len(conns)}"
         )
-    for c in conns:
-        if c.shape != (d, d):
-            raise DimensionMismatchError("connector dimension mismatch")
+    if any(c.shape != (d, d) for c in conns):
+        raise DimensionMismatchError("connector dimension mismatch")
+    return part, conns
+
+
+def make_system(alpha, operators, connectors=None) -> EntangledSystem:
+    """Assemble and validate an EntangledSystem.
+
+    alpha may be a Partition or a sequence of block ids.  operators are
+    SpectralOperators or raw matrices (wrapped via the eigensolver);
+    connectors default to identities.  Every operator must pass the
+    power-boundedness verdict.
+    """
+    ops = tuple(as_operator(t) for t in operators)
+    part, conns = _validate_system(alpha, ops, connectors, DISCRETE.noun)
+    _require_bounded(ops, DISCRETE)
     return EntangledSystem(part, ops, conns)
 
 

@@ -1,10 +1,9 @@
 """Dense linear-algebra kernels the rest of the package builds on.
 
-Eigendecomposition and the matrix exponential delegate to LAPACK/SciPy behind
-small wrappers that add validation, residual checks and error mapping.  The
-spectral norm is a self-contained power iteration with a deterministic seeded
-start; tests compare it against the SVD route.  Haar unitaries come from QR of
-a complex Gaussian matrix with the usual phase fix on the diagonal of R.
+Eigendecomposition, the matrix exponential and the spectral norm delegate to
+LAPACK/SciPy behind small wrappers that add validation, residual checks and
+error mapping.  Haar unitaries come from QR of a complex Gaussian matrix with
+the usual phase fix on the diagonal of R.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ DIM_CAP = 512
 # squaring past ~17 squarings of headroom; exp overflows double range anyway
 # near ||tB|| ~ 700 for non-normal B, so the cap is generous.
 EXPM_NORM_CAP = 1.0e5
-
-_POWER_ITER_SEED = 0xA3C59  # arbitrary fixed constant, documented as such
 
 
 def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -59,14 +56,15 @@ class EigDecomposition:
     right_vectors : (d, d) columns are unit-norm right eigenvectors.
     condition_estimate : 2-norm condition of the eigenvector matrix
         (np.inf when it is singular to working precision).
-    semisimple_unimodular : True when every eigenvalue cluster on the unit
-        circle has geometric multiplicity equal to its algebraic multiplicity.
+    semisimple_boundary : True when every eigenvalue cluster on the spectral
+        boundary (the unit circle unless the caller chose another) has
+        geometric multiplicity equal to its algebraic multiplicity.
     """
 
     values: np.ndarray
     right_vectors: np.ndarray
     condition_estimate: float
-    semisimple_unimodular: bool
+    semisimple_boundary: bool
 
 
 def cluster_eigenvalues(values, tol: float = 1e-8):
@@ -107,15 +105,20 @@ def _workspace_rank(a: np.ndarray, zero_tol: float) -> int:
     return int(np.count_nonzero(s > zero_tol))
 
 
-def eig(a, tol: float = 1e-9, *, unimod_band: float = 1e-8) -> EigDecomposition:
+def _on_unit_circle(z: complex) -> bool:
+    return abs(abs(z) - 1.0) <= 1e-8
+
+
+def eig(a, tol: float = 1e-9, *, on_boundary=_on_unit_circle) -> EigDecomposition:
     """Eigendecomposition with a residual check and a semisimplicity verdict.
 
     The residual guarantee is ||A v_i - lambda_i v_i||_2 <= tol * ||A||_F for
     every returned pair; LAPACK failure or a residual above the bound raises
-    NonConvergenceError.  Semisimplicity is decided per unit-circle cluster by
-    comparing the cluster size with d - rank(A - center*I); clusters are formed
-    at a coarser tolerance (1e-6) than the residual check because defective
-    eigenvalues split at the sqrt-of-eps scale.
+    NonConvergenceError.  Semisimplicity is decided per boundary cluster (a
+    cluster whose center passes on_boundary; by default the unit circle to
+    1e-8) by comparing the cluster size with d - rank(A - center*I); clusters
+    are formed at a coarser tolerance (1e-6) than the residual check because
+    defective eigenvalues split at the sqrt-of-eps scale.
     """
     arr = as_matrix(a, square=True)
     d = arr.shape[0]
@@ -138,7 +141,7 @@ def eig(a, tol: float = 1e-9, *, unimod_band: float = 1e-8) -> EigDecomposition:
 
     semisimple = True
     for center, members in cluster_eigenvalues(values, tol=1e-6):
-        if abs(abs(center) - 1.0) > unimod_band:
+        if not on_boundary(center):
             continue
         alg = members.size
         if alg == 1:
@@ -176,38 +179,9 @@ def expm(b, t=1.0) -> np.ndarray:
     return sla.expm(ts[:, np.newaxis, np.newaxis] * arr[np.newaxis, :, :])
 
 
-def spectral_norm(a, tol: float = 1e-10, max_iter: int = 2000) -> float:
-    """Largest singular value by power iteration on A^H A.
-
-    The starting vector is drawn from a fixed-seed CounterRng, so repeated
-    calls are bit-identical.  Convergence is declared when successive Rayleigh
-    quotients of A^H A agree to tol * max(1, current); running out of
-    iterations raises NonConvergenceError.
-    """
-    arr = as_matrix(a)
-    m = arr.conj().T @ arr
-    d = m.shape[0]
-    rng = CounterRng(_POWER_ITER_SEED + d)
-    v = rng.complex_normal((d,))
-    nv = np.linalg.norm(v)
-    if nv == 0.0:  # cannot happen with Box-Muller output, kept for safety
-        v = np.ones(d, dtype=np.complex128)
-        nv = np.sqrt(d)
-    v = v / nv
-    prev = -1.0
-    for _ in range(max_iter):
-        w = m @ v
-        rq = float(np.real(np.vdot(v, w)))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(rq - prev) <= tol * max(1.0, abs(rq)):
-            return float(np.sqrt(max(rq, 0.0)))
-        prev = rq
-    raise NonConvergenceError(
-        f"power iteration did not stabilize in {max_iter} iterations"
-    )
+def spectral_norm(a) -> float:
+    """Largest singular value (LAPACK SVD)."""
+    return float(np.linalg.norm(as_matrix(a), 2))
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:

@@ -15,9 +15,9 @@ decoupling, or Cesaro partial means).  Tests compare them.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -37,36 +37,36 @@ UNIMOD_BAND = 1e-8   # distance from the unit circle that still counts as on it
 CLUSTER_TOL = 1e-8   # eigenvalue matching tolerance for float spectra
 
 
+def _parse_exact(x, noun: str = "angle", error=BadAngleError) -> Fraction:
+    """Exact rational from a Fraction, an int, an (int, int) pair or a 'p/q' string.
+
+    Floats are rejected: a value that is not exactly rational has no place in
+    the resonance arithmetic, and silently rationalizing one would hide that.
+    Pair members must be integers too: (1.5, 2) is refused, not truncated.
+    """
+    if isinstance(x, float):
+        raise error(f"float {noun} {x!r} rejected; pass an exact rational like '1/3'")
+    try:
+        if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
+            return Fraction(x)
+        if isinstance(x, str):
+            return Fraction(x.strip())
+        if isinstance(x, tuple) and len(x) == 2 and all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in x
+        ):
+            return Fraction(int(x[0]), int(x[1]))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise error(f"cannot parse {noun} {x!r}") from exc
+    raise error(f"cannot parse {noun} {x!r}")
+
+
 def parse_angle(x) -> Fraction:
     """Exact angle as a Fraction of a full turn, normalized into [0, 1).
 
-    Accepts Fraction, int, (p, q) pairs and 'p/q' strings.  Floats are
-    rejected: an angle that is not exactly rational has no place in the
-    resonance arithmetic, and silently rationalizing one would hide that.
+    Accepts Fraction, int, (p, q) integer pairs and 'p/q' strings; floats are
+    rejected (see _parse_exact).
     """
-    if isinstance(x, bool):
-        raise BadAngleError(f"not an angle: {x!r}")
-    if isinstance(x, Fraction):
-        fr = x
-    elif isinstance(x, int):
-        fr = Fraction(x)
-    elif isinstance(x, float):
-        raise BadAngleError(
-            f"float angle {x!r} rejected; pass an exact rational like '1/3'"
-        )
-    elif isinstance(x, str):
-        try:
-            fr = Fraction(x.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadAngleError(f"cannot parse angle {x!r}") from exc
-    elif isinstance(x, tuple) and len(x) == 2:
-        try:
-            fr = Fraction(int(x[0]), int(x[1]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadAngleError(f"cannot parse angle {x!r}") from exc
-    else:
-        raise BadAngleError(f"cannot parse angle {x!r}")
-    return fr % 1
+    return _parse_exact(x) % 1
 
 
 def angle_value(fr: Fraction) -> complex:
@@ -97,7 +97,7 @@ class Certificate:
     basis: np.ndarray
     eigenvalues: np.ndarray
     basis_inv: np.ndarray
-    angles: tuple = ()  # parallel to the unimodular prefix of eigenvalues
+    angles: tuple = ()  # exact values parallel to the boundary prefix of eigenvalues
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,75 @@ class RandomSimilarity:
     condition_cap: float = 50.0
 
 
+class Clock:
+    """Discrete time: powers T^n, boundary eigenvalues e^{2 pi i theta}.
+
+    The spectral core in this module (synthesis, the raw-matrix read, the
+    boundedness verdict, projections) and the limit assembly in
+    spectral_limit are written once against these members; continuous time
+    overrides them.  size and edge place an eigenvalue z: stable when
+    size(z) < edge, on the boundary when |size(z) - edge| <= band.
+    """
+
+    noun = "operator"
+    exact_noun = "angle"
+    exact_error = BadAngleError
+    unbounded_error = NotPowerBoundedError
+    additive = False  # block resonance: eigenvalues multiply to exactly 1
+    edge = 1.0
+    band = UNIMOD_BAND
+    size = staticmethod(np.abs)
+    size_name = "spectral radius"
+    boundary_name = "the unit circle"
+    stable_region = "inside the open unit disk"
+
+    def literal(self, x) -> Fraction:
+        """Exact value as written; reduce gives the canonical one."""
+        return _parse_exact(x, self.exact_noun, self.exact_error)
+
+    def reduce(self, fr: Fraction) -> Fraction:
+        return fr % 1
+
+    def eigenvalue(self, fr: Fraction) -> complex:
+        return angle_value(fr)
+
+    def entry_value(self, entry) -> complex:
+        """Eigenvalue of a resonance entry (resonant_tuples lists eigenvalues here)."""
+        return complex(entry)
+
+    def point(self, value: complex, multiplicity: int, exact: Fraction | None):
+        return SpectralPoint(value, multiplicity, exact)
+
+    def on_boundary(self, z) -> bool:
+        return abs(self.size(z) - self.edge) <= self.band
+
+
+DISCRETE = Clock()
+
+
+def _verdict(matrix, certificate, checked, clock: Clock) -> tuple[bool, str | None]:
+    """(ok, reason) of the spectral criterion for one operator or generator.
+
+    A certificate passes by construction (stable part enforced, diagonal
+    form).  A raw matrix answers from the verdict its wrapping eig stored in
+    checked = (matrix copy, verdict), and is decomposed again only when the
+    matrix was changed in place since.
+    """
+    if certificate is not None:
+        return True, None
+    if checked is None or not np.array_equal(matrix, checked[0]):
+        checked = _read_matrix(matrix, 1e-9, clock.band, clock)[2]
+    return checked[1]
+
+
+def _require_bounded(members, clock: Clock):
+    """Raise the clock's unbounded error for the first member failing its verdict."""
+    for j, member in enumerate(members):
+        ok, reason = member.spectral_verdict
+        if not ok:
+            raise clock.unbounded_error(f"{clock.noun} {j + 1}: {reason}")
+
+
 @dataclass(eq=False)
 class SpectralOperator:
     """Matrix plus spectral bookkeeping.  Treat instances as immutable."""
@@ -123,24 +192,16 @@ class SpectralOperator:
     certificate: Certificate | None
     power_bound_estimate: float
     unimodular_spectrum: tuple[SpectralPoint, ...]
+    _checked: tuple | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
+    @property
     def spectral_verdict(self) -> tuple[bool, str | None]:
         """(ok, reason): spectrum in the closed disk, unit-circle part semisimple."""
-        if self.certificate is not None:
-            # construction enforces |stable| < 1 and a diagonal form
-            return True, None
-        dec = linalg.eig(self.matrix)
-        radius = float(np.max(np.abs(dec.values))) if dec.values.size else 0.0
-        if radius > 1.0 + UNIMOD_BAND:
-            return False, f"spectral radius {radius:.6e} outside the closed unit disk"
-        if not dec.semisimple_unimodular:
-            return False, "defective eigenvalue cluster on the unit circle"
-        return True, None
+        return _verdict(self.matrix, self.certificate, self._checked, DISCRETE)
 
 
 def _basis_pair(spec, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,6 +223,65 @@ def _basis_pair(spec, dim: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValidationError(f"unknown basis spec {spec!r}")
 
 
+def _synthesize(exact_values, stable, basis, clock: Clock):
+    """S diag(boundary, stable) S^{-1} -> (matrix, certificate, bound, points).
+
+    The boundary eigenvalues come from exact values (angles or frequencies), the
+    certificate lists them first, and the bound is cond_2(S), which caps
+    ||T^n|| (or ||T(t)||) for all n (t).
+    """
+    exacts = tuple(clock.reduce(clock.literal(v)) for v in exact_values)
+    stable_vals = tuple(complex(s) for s in stable)
+    for s in stable_vals:
+        if not clock.size(s) < clock.edge:
+            raise ValidationError(
+                f"stable eigenvalue {s!r} is not {clock.stable_region}"
+            )
+    dim = len(exacts) + len(stable_vals)
+    if dim == 0:
+        raise DimensionMismatchError(f"{clock.noun} needs at least one eigenvalue")
+    if dim > linalg.DIM_CAP:
+        raise DimensionMismatchError(f"dimension {dim} exceeds cap {linalg.DIM_CAP}")
+
+    eigs = np.array(
+        [clock.eigenvalue(f) for f in exacts] + list(stable_vals), dtype=np.complex128
+    )
+    s, s_inv = _basis_pair(basis, dim)
+    matrix = (s * eigs[np.newaxis, :]) @ s_inv
+    sv = np.linalg.svd(s, compute_uv=False)
+    points = tuple(
+        clock.point(clock.eigenvalue(f), mult, f)
+        for f, mult in sorted(Counter(exacts).items())
+    )
+    return matrix, Certificate(s, eigs, s_inv, exacts), float(sv[0] / sv[-1]), points
+
+
+def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock):
+    """One eig of a raw matrix -> (bound, boundary points, checked verdict).
+
+    Eigenvalues within CLUSTER_TOL of each other are merged; a cluster is a
+    boundary point when its center lies within band of the boundary.  The
+    bound is cond_2 of the eigenvector matrix when the spectrum is in the
+    closed stable region, else inf.  The verdict is returned with a copy of
+    the matrix it was computed for (see _verdict).
+    """
+    dec = linalg.eig(arr, tol, on_boundary=clock.on_boundary)
+    points = [
+        clock.point(center, int(members.size), None)
+        for center, members in linalg.cluster_eigenvalues(dec.values, CLUSTER_TOL)
+        if abs(clock.size(center) - clock.edge) <= band
+    ]
+    points.sort(key=lambda p: p.key())
+    worst = float(np.max(clock.size(dec.values)))
+    bound, verdict = float(dec.condition_estimate), (True, None)
+    if worst > clock.edge + clock.band:
+        bound = float("inf")
+        verdict = False, f"{clock.size_name} {worst:.6e} beyond {clock.boundary_name}"
+    elif not dec.semisimple_boundary:
+        verdict = False, f"defective eigenvalue cluster on {clock.boundary_name}"
+    return bound, tuple(points), (arr.copy(), verdict)
+
+
 def synth_operator(angles, stable, basis) -> SpectralOperator:
     """Operator with exact unit-circle eigenvalues e^{2 pi i a} and stable part.
 
@@ -172,57 +292,20 @@ def synth_operator(angles, stable, basis) -> SpectralOperator:
     The certificate keeps S, S^{-1} and the eigenvalue list, unimodular part
     first, so downstream projections can be assembled exactly.
     """
-    fr_angles = tuple(parse_angle(a) for a in angles)
-    stable_vals = tuple(complex(s) for s in stable)
-    for s in stable_vals:
-        if abs(s) >= 1.0:
-            raise ValidationError(f"stable eigenvalue {s!r} not inside the open disk")
-    dim = len(fr_angles) + len(stable_vals)
-    if dim == 0:
-        raise DimensionMismatchError("operator needs at least one eigenvalue")
-    if dim > linalg.DIM_CAP:
-        raise DimensionMismatchError(f"dimension {dim} exceeds cap {linalg.DIM_CAP}")
-
-    eigs = np.array(
-        [angle_value(a) for a in fr_angles] + list(stable_vals), dtype=np.complex128
-    )
-    s, s_inv = _basis_pair(basis, dim)
-    matrix = (s * eigs[np.newaxis, :]) @ s_inv
-
-    sv = np.linalg.svd(s, compute_uv=False)
-    bound = float(sv[0] / sv[-1])
-
-    counts: dict[Fraction, int] = {}
-    for a in fr_angles:
-        counts[a] = counts.get(a, 0) + 1
-    points = tuple(
-        SpectralPoint(angle_value(a), mult, a) for a, mult in sorted(counts.items())
-    )
-    cert = Certificate(s, eigs, s_inv, fr_angles)
-    return SpectralOperator(matrix, cert, bound, points)
+    return SpectralOperator(*_synthesize(angles, stable, basis, DISCRETE))
 
 
 def from_matrix(a, tol: float = 1e-9) -> SpectralOperator:
     """Wrap a raw matrix; the unimodular spectrum is read off the eigensolver.
 
-    Eigenvalues within CLUSTER_TOL of each other are merged; a cluster counts
-    as unimodular when its center is within UNIMOD_BAND of the circle.  No
-    certificate is attached, so downstream exact-angle arithmetic is
-    unavailable and projections go through the Schur route.
+    One eig call yields the unimodular spectrum (clusters merged at
+    CLUSTER_TOL, centers within UNIMOD_BAND of the circle), the power bound
+    and the boundedness verdict.  No certificate is attached, so downstream
+    exact-angle arithmetic is unavailable and projections go through the
+    Schur route.
     """
     arr = linalg.as_matrix(a, square=True)
-    dec = linalg.eig(arr, tol)
-    points = []
-    for center, members in linalg.cluster_eigenvalues(dec.values, CLUSTER_TOL):
-        if abs(abs(center) - 1.0) <= UNIMOD_BAND:
-            points.append(SpectralPoint(center, int(members.size), None))
-    points.sort(key=SpectralPoint.key)
-    radius = float(np.max(np.abs(dec.values)))
-    if radius <= 1.0 + UNIMOD_BAND and np.isfinite(dec.condition_estimate):
-        bound = float(dec.condition_estimate)
-    else:
-        bound = float("inf")
-    return SpectralOperator(arr, None, bound, tuple(points))
+    return SpectralOperator(arr, None, *_read_matrix(arr, tol, UNIMOD_BAND, DISCRETE))
 
 
 def as_operator(t) -> SpectralOperator:
@@ -234,10 +317,20 @@ def as_operator(t) -> SpectralOperator:
 
 @dataclass(frozen=True)
 class PowerBoundReport:
+    """Verdict plus bound of certify_power_bounded and certify_bounded_semigroup."""
+
     passed: bool
     bound: float
     measured_max: float
     reason: str | None = None
+
+
+def _bound_report(member, estimate: float, measured: float) -> PowerBoundReport:
+    ok, reason = member.spectral_verdict
+    if not ok:
+        return PowerBoundReport(False, float("inf"), measured, reason)
+    bound = estimate if np.isfinite(estimate) else measured
+    return PowerBoundReport(True, float(max(bound, measured)), measured, None)
 
 
 def certify_power_bounded(op, n_max: int = 64) -> PowerBoundReport:
@@ -249,18 +342,12 @@ def certify_power_bounded(op, n_max: int = 64) -> PowerBoundReport:
     (the basis condition number), otherwise the measured maximum.
     """
     op = as_operator(op)
-    ok, reason = op.spectral_verdict
     power = np.eye(op.dim, dtype=np.complex128)
     measured = 0.0
     for _ in range(n_max):
         power = op.matrix @ power
         measured = max(measured, linalg.spectral_norm(power))
-    if not ok:
-        return PowerBoundReport(False, float("inf"), measured, reason)
-    bound = op.power_bound_estimate
-    if not np.isfinite(bound):
-        bound = measured
-    return PowerBoundReport(True, float(max(bound, measured)), measured, None)
+    return _bound_report(op, op.power_bound_estimate, measured)
 
 
 def schur_spectral_projection(a, select) -> np.ndarray:
@@ -331,6 +418,28 @@ def jdl_split(op, tol: float = 1e-9) -> JdlSplit:
     return JdlSplit(p_r, np.eye(op.dim, dtype=np.complex128) - p_r)
 
 
+def _boundary_projection(matrix, certificate, value: complex, exact=None):
+    """Spectral projection of matrix at the boundary eigenvalue value.
+
+    With a certificate it is S diag(mask) S^{-1}, the mask picking
+    eigenvalues by exact value (angle or frequency) when exact is given, else
+    within CLUSTER_TOL * max(1, |value|) of value; without one it is the
+    Schur projection for the same band.
+    """
+    band = CLUSTER_TOL * max(1.0, abs(value))
+    if certificate is None:
+        return schur_spectral_projection(matrix, lambda z: abs(z - value) <= band)
+    eigs = certificate.eigenvalues
+    if exact is not None and certificate.angles:
+        mask = np.zeros(eigs.size, dtype=bool)
+        mask[: len(certificate.angles)] = [a == exact for a in certificate.angles]
+    else:
+        mask = np.abs(eigs - value) <= band
+    if not np.any(mask):
+        return np.zeros((eigs.size, eigs.size), dtype=np.complex128)
+    return (certificate.basis * mask[np.newaxis, :]) @ certificate.basis_inv
+
+
 def _parse_target(lam) -> tuple[complex, Fraction | None]:
     if isinstance(lam, (Fraction, str)) or (
         isinstance(lam, tuple) and len(lam) == 2
@@ -372,23 +481,9 @@ def mean_ergodic_projection(op, lam, mode: str = "spectral", n: int | None = Non
     if mode != "spectral":
         raise ValidationError(f"unknown mode {mode!r}")
 
-    if op.certificate is not None:
-        eigs = op.certificate.eigenvalues
-        if fr is not None and op.certificate.angles:
-            mask = np.zeros(eigs.size, dtype=bool)
-            for i, a in enumerate(op.certificate.angles):
-                mask[i] = a == fr
-        else:
-            mask = np.abs(eigs - value) <= CLUSTER_TOL
-        if not np.any(mask):
-            return np.zeros((op.dim, op.dim), dtype=np.complex128)
-        return (op.certificate.basis * mask[np.newaxis, :]) @ op.certificate.basis_inv
-
-    hit = any(
+    hit = op.certificate is not None or any(
         abs(p.value - value) <= CLUSTER_TOL for p in op.unimodular_spectrum
     )
     if not hit:
         return np.zeros((op.dim, op.dim), dtype=np.complex128)
-    return schur_spectral_projection(
-        op.matrix, lambda z: abs(z - value) <= CLUSTER_TOL
-    )
+    return _boundary_projection(op.matrix, op.certificate, value, fr)

@@ -25,15 +25,15 @@ import numpy as np
 
 from . import linalg
 from .entangle import EntangledSystem, Partition, make_partition
-from .errors import (
-    EmptySequenceError,
-    NotPowerBoundedError,
-    ValidationError,
-)
+from .errors import EmptySequenceError, ValidationError
 from .operators import (
+    DISCRETE,
+    Clock,
     SpectralOperator,
     SpectralPoint,
-    mean_ergodic_projection,
+    _boundary_projection,
+    _read_matrix,
+    _require_bounded,
     parse_angle,
     angle_value,
 )
@@ -52,13 +52,7 @@ def unimodular_spectrum(t, tol: float = DEFAULT_TOL) -> tuple[SpectralPoint, ...
     if isinstance(t, SpectralOperator):
         return t.unimodular_spectrum
     arr = linalg.as_matrix(t, square=True)
-    dec = linalg.eig(arr)
-    points = []
-    for center, members in linalg.cluster_eigenvalues(dec.values, DEFAULT_TOL):
-        if abs(abs(center) - 1.0) <= tol:
-            points.append(SpectralPoint(center, int(members.size), None))
-    points.sort(key=SpectralPoint.key)
-    return tuple(points)
+    return _read_matrix(arr, 1e-9, tol, DISCRETE)[1]
 
 
 @dataclass(frozen=True)
@@ -312,6 +306,39 @@ def resonant_tuples(
     return tuple(out)
 
 
+def _assemble_limit(system, members, matrices, spectra, tol: float, clock: Clock):
+    """Sum over resonant tuples of P_m A_{m-1} ... A_1 P_1, for either clock.
+
+    system gives the partition and connectors; members carry the verdict and
+    certificate of each position, matrices its operator or generator, spectra
+    its boundary points as resonant_tuples takes them.  P_j is the spectral
+    projection of position j at the tuple's eigenvalue, cached per (position,
+    exact value or float entry).
+    """
+    _require_bounded(members, clock)
+    partition, connectors = system.partition, system.connectors
+    tuples = resonant_tuples(spectra, partition, tol, additive=clock.additive)
+    d = matrices[0].shape[0]
+    out = np.zeros((d, d), dtype=np.complex128)
+    cache: dict = {}
+
+    def proj(j: int, entry, fr):
+        key = (j, fr if fr is not None else entry)
+        if key not in cache:
+            cache[key] = _boundary_projection(
+                matrices[j], members[j].certificate, clock.entry_value(entry), fr
+            )
+        return cache[key]
+
+    m = partition.m
+    for tup in tuples:
+        cur = proj(m - 1, tup.entries[m - 1], tup.exact[m - 1])
+        for j in range(m - 2, -1, -1):
+            cur = cur @ connectors[j] @ proj(j, tup.entries[j], tup.exact[j])
+        out = out + cur
+    return out
+
+
 def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The norm limit of the entangled averages.
 
@@ -321,31 +348,9 @@ def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndar
     to pass the power-boundedness certificate; an empty resonance set gives
     the zero matrix (the averages die in norm).
     """
-    for j, op in enumerate(system.operators):
-        ok, reason = op.spectral_verdict
-        if not ok:
-            raise NotPowerBoundedError(f"operator {j + 1}: {reason}")
-    spectra = [unimodular_spectrum(op, tol) for op in system.operators]
-    tuples = resonant_tuples(spectra, system.partition, tol)
-    d = system.dim
-    out = np.zeros((d, d), dtype=np.complex128)
-    cache: dict = {}
-
-    def proj(j: int, entry, fr):
-        key = (j, fr if fr is not None else entry)
-        if key not in cache:
-            cache[key] = mean_ergodic_projection(
-                system.operators[j], fr if fr is not None else entry, "spectral"
-            )
-        return cache[key]
-
-    m = system.partition.m
-    for tup in tuples:
-        cur = proj(m - 1, tup.entries[m - 1], tup.exact[m - 1])
-        for j in range(m - 2, -1, -1):
-            cur = cur @ system.connectors[j] @ proj(j, tup.entries[j], tup.exact[j])
-        out = out + cur
-    return out
+    ops = system.operators
+    spectra = [op.unimodular_spectrum for op in ops]
+    return _assemble_limit(system, ops, [op.matrix for op in ops], spectra, tol, DISCRETE)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """End-to-end tests for the command-line interface.
 
 Covers config parsing with error paths, hash canonicalization, record
-emission, every experiment kind through main(), exit codes and thread
-determinism.  FNV-1a reference digests are the published test vectors.
+emission, every experiment kind through main(), and exit codes, including a
+malformed value anywhere in a config.  FNV-1a reference digests are the published test vectors.
 """
 
 import csv
@@ -130,6 +130,15 @@ def test_wrapped_angle_warns_and_hashes_canonically():
     assert cfg.config_hash == parse_config(json.dumps(base)).config_hash
 
 
+def test_config_hash_ignores_where_records_go():
+    plain = parse_config(json.dumps(_converge_config()))
+    for over in ({"format": "json"}, {"out": "elsewhere.csv"},
+                 {"format": "json", "out": "r.json"}):
+        cfg = parse_config(json.dumps(_converge_config(**over)))
+        assert cfg.config_hash == plain.config_hash
+    assert cfg.format == "json" and cfg.out == "r.json"  # still honored
+
+
 def test_config_hash_changes_with_content():
     a = parse_config(json.dumps(_converge_config(seed=1)))
     b = parse_config(json.dumps(_converge_config(seed=2)))
@@ -145,7 +154,6 @@ def test_parse_config_defaults():
     assert cfg.strategy == "presum"
     assert cfg.tolerance == 1e-8
     assert cfg.budget == 1e8
-    assert cfg.threads == 1
     assert cfg.format == "csv"
     assert cfg.out is None
     assert cfg.data["schedule"] == [16, 64, 256]
@@ -167,7 +175,6 @@ def test_parse_config_invalid_json_reports_position():
         (lambda c: c.update(kind="warp"), "$.kind"),
         (lambda c: c.update(strategy="turbo"), "$.strategy"),
         (lambda c: c.update(tolerance=-1.0), "$.tolerance"),
-        (lambda c: c.update(threads=0), "$.threads"),
         (lambda c: c.update(format="xml"), "$.format"),
         (lambda c: c.update(alpha=[1, 3]), "$.alpha"),
         (lambda c: c.update(alpha=[]), "$.alpha"),
@@ -386,21 +393,6 @@ def test_main_state_seed_gives_vector_records(tmp_path, capsys):
     assert float(rows[0]["error_fro"]) == float(rows[0]["error_op"])
 
 
-def test_main_threads_do_not_change_results(tmp_path, capsys):
-    cfg_path = _write(tmp_path, _converge_config(schedule=[8, 16, 32, 64]))
-    one = str(tmp_path / "one.csv")
-    two = str(tmp_path / "two.csv")
-    assert main(["converge", "--config", cfg_path, "--out", one]) == 0
-    assert main(["converge", "--config", cfg_path, "--out", two, "--threads", "3"]) == 0
-    capsys.readouterr()
-
-    def errors(path):
-        with open(path, newline="") as fh:
-            return [(r["checkpoint"], r["error_fro"], r["error_op"]) for r in csv.DictReader(fh)]
-
-    assert errors(one) == errors(two)
-
-
 def test_main_json_format_override(tmp_path, capsys):
     cfg_path = _write(tmp_path, _converge_config(schedule=[8]))
     out_path = str(tmp_path / "r.json")
@@ -475,3 +467,84 @@ def test_run_experiment_summary_envelope():
     assert summary["config_hash"] == cfg.config_hash
     assert summary["records"] == len(records) == 1
     assert set(records[0]) == set(CSV_HEADER)
+
+
+# ------------------------------------------------------- malformed values
+
+
+def _set_basis_seed(c):
+    c["operators"][0]["basis"]["seed"] = "x"
+
+
+@pytest.mark.parametrize(
+    "make, mutate, path",
+    [
+        (_continuous_config, lambda c: c["generators"][0].update(frequencies=[[1, 0]]),
+         "$.generators[0].frequencies[0]"),
+        (_continuous_config, lambda c: c["generators"][0].update(frequencies=[[1.5, 2]]),
+         "$.generators[0].frequencies[0]"),
+        (_converge_config, lambda c: c["operators"][0].update(angles=[[1.5, 2]]),
+         "$.operators[0].angles[0]"),
+        (_converge_config, lambda c: c.update(seed="abc"), "$.seed"),
+        (_converge_config, lambda c: c.update(seed=1.5), "$.seed"),
+        (_converge_config, lambda c: c.update(tolerance="abc"), "$.tolerance"),
+        (_converge_config, lambda c: c.update(tolerance=float("nan")), "$.tolerance"),
+        (_converge_config, lambda c: c.update(tolerance=float("inf")), "$.tolerance"),
+        (_converge_config, _set_basis_seed, "$.operators[0].basis.seed"),
+        (_converge_config, lambda c: c.update(budget="abc"), "$.budget"),
+        (_converge_config, lambda c: c.update(budget=float("nan")), "$.budget"),
+        (_converge_config, lambda c: c.update(budget=float("inf")), "$.budget"),
+        (_converge_config, lambda c: c.update(budget=float("-inf")), "$.budget"),
+        (_converge_config, lambda c: c.update(connectors=[{"type": "haar", "seed": "x"}]),
+         "$.connectors[0].seed"),
+        (_converge_config,
+         lambda c: c.update(connectors=[{"type": "gaussian", "scale": "big"}]),
+         "$.connectors[0].scale"),
+        (_converge_config, lambda c: c.update(state_seed="x"), "$.state_seed"),
+        (_converge_config,
+         lambda c: c.update(connectors=[{"type": "haar", "seed": 2, "bogus": 1}]),
+         "$.connectors[0]"),
+        (_converge_config,
+         lambda c: c.update(connectors=[{"type": "gaussian", "seed": 2, "bogus": 1}]),
+         "$.connectors[0]"),
+        (_continuous_config, lambda c: c.update(richardson="no"), "$.richardson"),
+        (_converge_config, lambda c: c.update(threads=2), "unknown fields ['threads']"),
+    ],
+)
+def test_main_malformed_value_exits_2_with_its_path(tmp_path, capsys, make, mutate, path):
+    cfg = make()
+    mutate(cfg)
+    kind = cfg["kind"]
+    rc = main([kind, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert path in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_main_rejects_non_finite_budget_flag(tmp_path, capsys):
+    cfg_path = _write(tmp_path, _converge_config())
+    rc = main(["converge", "--config", cfg_path, "--budget", "nan",
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+def test_main_gauss_legendre_node_matrix_refused_before_allocation(
+    tmp_path, capsys, monkeypatch
+):
+    # t=2000 with 'auto' points asks for Q=20000 (a 3.0 GiB node matrix),
+    # and Richardson doubles it; the cost budget alone would let it run
+    def never(q):
+        raise AssertionError(f"leggauss({q}) called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
+    cfg = _continuous_config(
+        horizons=[2000.0], quadrature={"scheme": "gauss-legendre", "points": "auto"}
+    )
+    rc = main(["continuous", "--config", _write(tmp_path, cfg),
+               "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Gauss-Legendre" in err

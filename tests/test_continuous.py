@@ -296,6 +296,23 @@ def test_budget_refusal_for_oversized_grid():
         continuous_entangled_average(sys_, 1.0, QuadratureSpec("midpoint", 10 ** 6), budget=1e6)
 
 
+def test_gauss_legendre_node_matrix_refused_before_allocation(monkeypatch):
+    def never(q):
+        raise AssertionError(f"leggauss({q}) called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
+    sg1 = synth_semigroup(["1/2"], [-1.0], OrthonormalBasis(seed=26))
+    sg2 = synth_semigroup(["-1/2"], [-1.0], OrthonormalBasis(seed=27))
+    sys_ = make_continuous_system([1, 1], [sg1, sg2])
+    # Q=12000 alone needs a 1.07 GiB node matrix; Richardson's Q=24000 needs 4.3
+    with pytest.raises(BudgetExceededError, match="Gauss-Legendre"):
+        continuous_entangled_average(sys_, 1.0, QuadratureSpec("gauss-legendre", 12000))
+    with pytest.raises(BudgetExceededError, match="Gauss-Legendre"):
+        continuous_entangled_average(
+            sys_, 1.0, QuadratureSpec("gauss-legendre", 20000), richardson=False
+        )
+
+
 def test_average_requires_bounded_semigroups():
     bad = semigroup_from_generator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     part_ok = semigroup_from_generator(np.diag([-1.0, -2.0 + 0j]))

@@ -68,7 +68,7 @@ def test_as_matrix_rejects_complex_nan_in_imag_part():
 def test_eig_diagonal_matrix_exact():
     dec = linalg.eig(np.diag([2.0, -1.0, 0.5]))
     assert sorted(dec.values.real) == pytest.approx([-1.0, 0.5, 2.0])
-    assert dec.semisimple_unimodular  # the only unimodular eigenvalue (-1) is simple
+    assert dec.semisimple_boundary  # the only unimodular eigenvalue (-1) is simple
     assert dec.condition_estimate < 10
 
 
@@ -81,27 +81,34 @@ def test_eig_rotation_pair():
     got = sorted(dec.values, key=lambda z: z.imag)
     assert got[0] == pytest.approx(np.exp(-1j * theta), abs=1e-12)
     assert got[1] == pytest.approx(np.exp(1j * theta), abs=1e-12)
-    assert dec.semisimple_unimodular
+    assert dec.semisimple_boundary
 
 
 def test_eig_flags_defective_unimodular_cluster():
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     dec = linalg.eig(jordan)
-    assert not dec.semisimple_unimodular
+    assert not dec.semisimple_boundary
 
 
 def test_eig_defective_strictly_inside_disk_is_fine():
     jordan = np.array([[0.5, 1.0], [0.0, 0.5]])
     dec = linalg.eig(jordan)
     # defectiveness away from the circle does not poison the flag
-    assert dec.semisimple_unimodular
+    assert dec.semisimple_boundary
+
+
+def test_eig_boundary_test_comes_from_the_caller():
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]])  # defective at 0
+    assert linalg.eig(jordan).semisimple_boundary  # 0 is off the unit circle
+    dec = linalg.eig(jordan, on_boundary=lambda z: abs(z.real) <= 1e-8)
+    assert not dec.semisimple_boundary  # but on the imaginary axis
 
 
 def test_eig_semisimple_repeated_unimodular():
     s = _random_matrix(3, 4) + 3 * np.eye(4)
     t = s @ np.diag([1.0, 1.0, 1j, 0.3]) @ np.linalg.inv(s)
     dec = linalg.eig(t)
-    assert dec.semisimple_unimodular
+    assert dec.semisimple_boundary
     ones = [v for v in dec.values if abs(v - 1.0) < 1e-8]
     assert len(ones) == 2
 
@@ -201,7 +208,7 @@ def test_spectral_norm_zero_matrix():
 
 
 def test_spectral_norm_handles_degenerate_top_singular_value():
-    # two equal top singular values: power iteration on A^H A still converges
+    # two equal top singular values
     u = linalg.haar_unitary(4, seed=8)
     a = u @ np.diag([2.0, 2.0, 1.0, 0.5])
     assert linalg.spectral_norm(a) == pytest.approx(2.0, rel=1e-9)
