@@ -67,6 +67,7 @@ from .spectral_limit import (
     ResonantTuple,
     kvn_diagnostic,
     limit_operator,
+    limit_operator_with_tuples,
     resonant_tuples,
     unimodular_spectrum,
 )
@@ -77,6 +78,7 @@ from .shiftlab import (
     counterexample_A,
     divergence_experiment,
     finite_section,
+    iter_divergence,
     shift_apply,
 )
 from .continuous import (

@@ -20,8 +20,11 @@ from . import linalg
 from .entangle import (
     MEMORY_CAP_BYTES,
     Partition,
+    _contract,
+    _refuse_beyond,
+    _stack_bytes,
     _validate_system,
-    lattice_chain_mean,
+    plan_chain,
 )
 from .errors import (
     BudgetExceededError,
@@ -236,25 +239,20 @@ def _check_grid(system, quad: QuadratureSpec, budget):
     """Refuse the grid before any node or exponential is computed.
 
     Documented cost model: ~20 products per exponential node and operator,
-    plus one chain-step product per lattice point and position.  Memory: the
-    semigroup stacks, and for Gauss-Legendre the Q x Q float64 matrix whose
-    eigenvalues are the nodes.
+    plus the contraction plan's cost with one product per node for each
+    singleton block.  Memory: the semigroup stacks plus two working buffers,
+    and for Gauss-Legendre the Q x Q float64 matrix whose eigenvalues are the
+    nodes.
     """
     part = system.partition
-    m, d, q = part.m, system.dim, quad.points
-    k_eff = sum(1 for pos in part.blocks.values() if len(pos) > 1)
-    cost = 20.0 * m * q + float(q) ** k_eff * (2 * m - 1)
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(
-            f"estimated cost {cost:.3e} exceeds budget {budget:.3e} "
-            f"(Q={q}, lattice axes={k_eff})"
-        )
-    distinct = {id(sg.generator) for sg in system.semigroups}
-    mem = len(distinct) * q * d * d * 16
-    if mem > MEMORY_CAP_BYTES:
-        raise BudgetExceededError(
-            f"semigroup stacks would need {mem / 2**30:.2f} GiB"
-        )
+    q = quad.points
+    plan = plan_chain(part)
+    generators = [sg.generator for sg in system.semigroups]
+    _refuse_beyond(
+        20.0 * part.m * q + plan.cost(q, q), budget,
+        _stack_bytes(generators, range(part.m), q),
+        f"Q={q}, lattice axes={len(plan.crossing)}", "raise the budget or lower Q",
+    )
     if quad.scheme == "gauss-legendre" and 8 * q * q > MEMORY_CAP_BYTES:
         raise BudgetExceededError(
             f"Gauss-Legendre nodes for Q={q} need a {8 * q * q / 2**30:.2f} GiB "
@@ -263,33 +261,23 @@ def _check_grid(system, quad: QuadratureSpec, budget):
 
 
 def _single_grid_average(system, t, quad: QuadratureSpec, x):
-    part = system.partition
-    m = part.m
-    singles = {a for a, pos in part.blocks.items() if len(pos) == 1}
-    q = quad.points
+    """The contraction plan on one grid: every block reads the same nodes."""
     s_nodes, w_nodes = quad.nodes(t)
-    uniform = quad.scheme == "midpoint"
     stacks: dict[int, np.ndarray] = {}
 
-    def stack_for(j: int) -> np.ndarray:
+    def stack(j: int) -> np.ndarray:
         key = id(system.semigroups[j].generator)
         if key not in stacks:
             stacks[key] = system.semigroups[j].value(s_nodes)
         return stacks[key]
 
-    factors = []
-    weights: dict[int, np.ndarray] = {}
-    for j in range(m):
-        a = part.alpha[j]
-        if a in singles:
-            st = stack_for(j)
-            factors.append(("fixed", np.tensordot(w_nodes, st, axes=1) / t))
-        else:
-            factors.append(("stack", a, stack_for(j)))
-            if not uniform:
-                weights[a] = w_nodes / t
-    return lattice_chain_mean(
-        factors, list(system.connectors), q, x=x, weights=weights or None
+    def single(j: int) -> np.ndarray:
+        return np.tensordot(w_nodes, stack(j), axes=1) / t
+
+    part = system.partition
+    return _contract(
+        plan_chain(part), part, list(system.connectors), quad.points, stack, single,
+        x=x, weights=None if quad.scheme == "midpoint" else w_nodes / t,
     )
 
 
@@ -305,11 +293,11 @@ def continuous_entangled_average(
 
     All positions sharing a block read their semigroup at the same node of
     one shared 1-D grid; each distinct generator is exponentiated once per
-    grid (batched), and singleton blocks are pre-integrated so the lattice
-    only runs over entangled axes.  With richardson=True the average is
-    recomputed on a doubled grid and the difference reported as the error
-    estimate for the returned (requested-Q) value; the doubled run roughly
-    triples the cost.
+    grid (batched), and the grid sums follow the contraction plan
+    (entangle.plan_chain), so only crossing blocks walk the Q^k lattice.
+    With richardson=True the average is recomputed on a doubled grid and the
+    difference reported as the error estimate for the returned (requested-Q)
+    value; the doubled run roughly triples the cost.
 
     Sampling well below the fastest frequency aliases the oscillation; keep
     Q at 20 or more points per period (see suggest_points).
@@ -353,4 +341,4 @@ def continuous_limit_operator(system: ContinuousSystem, tol: float = 1e-8) -> np
         for sg in sgs
     ]
     matrices = [sg.generator for sg in sgs]
-    return _assemble_limit(system, sgs, matrices, spectra, tol, CONTINUOUS)
+    return _assemble_limit(system, sgs, matrices, spectra, tol, CONTINUOUS)[0]

@@ -10,17 +10,21 @@ connecting operators.  Positions sharing a block are entangled: they are
 driven by the same lattice variable, which is what makes the average refuse
 to factor into a product of one-variable means.
 
-Three evaluation strategies share one lattice walker:
+Two evaluation strategies:
 
 * ``naive``   recomputes every operator power per lattice tuple (binary
   powering, nothing cached).  Slow on purpose; it is the reference route.
-* ``cached``  precomputes the full power stack T_j, T_j^2, ..., T_j^n for
-  every position and walks the lattice with batched matmuls.
-* ``presum``  pre-averages every position whose block contains only that
-  position (the average factorizes across singleton blocks exactly), then
-  walks the reduced lattice over the remaining axes.  Default.
+* ``presum``  the contraction planner, default.  A block whose positions are
+  adjacent once the blocks nested inside it are collapsed reduces exactly to
+  one fixed matrix: a singleton block to the power mean (1/n) sum T^j, built
+  by binary doubling, and a block of r positions to the mean over j of
+  T_q^j G ... G T_p^j, one batched product over power stacks (themselves
+  built by doubling) with G the fixed products between its positions.  So
+  alpha = [1, 2, 2, 1] is first M = (1/n) sum T_3^j A_2 T_2^j, then
+  (1/n) sum T_4^j A_3 M A_1 T_1^j: O(n) instead of O(n^2).  Only crossing
+  blocks such as [1, 2, 1, 2] are left to the lattice walk.
 
-The walker vectorizes the innermost lattice axis through numpy batched
+The lattice walk vectorizes the innermost lattice axis through numpy batched
 matmuls and runs the remaining axes as Python loops, accumulating slices
 with Kahan compensation.  Costs are estimated before running and checked
 against a budget; see ``entangled_average`` for the formulas.
@@ -171,23 +175,33 @@ class _Kahan:
 
 
 def _power_stack(t: np.ndarray, n: int) -> np.ndarray:
-    """Stack [T, T^2, ..., T^n] built by repeated left multiplication."""
+    """Stack [T, T^2, ..., T^n] built by doubling: out[k:2k] = T^k @ out[:k]."""
     d = t.shape[0]
     out = np.empty((n, d, d), dtype=np.complex128)
     out[0] = t
-    for i in range(1, n):
-        out[i] = t @ out[i - 1]
+    k = 1
+    while k < n:
+        step = min(k, n - k)
+        np.matmul(out[k - 1], out[:step], out=out[k : k + step])
+        k += step
     return out
 
 
-def _streamed_power_mean(t: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) sum_{j=1..n} T^j without materializing the stack."""
-    acc = _Kahan(t.shape)
+def _power_sum(t: np.ndarray, n: int) -> np.ndarray:
+    """T + T^2 + ... + T^n by binary doubling of (S_j, T^j), O(log n) products.
+
+    Reading n's bits from the top: S_2j = S_j + T^j S_j and T^2j = T^j T^j,
+    then for a set bit T^(2j+1) = T T^2j and S_(2j+1) = S_2j + T^(2j+1).
+    """
+    s = np.zeros_like(t, dtype=np.complex128)
     p = np.eye(t.shape[0], dtype=np.complex128)
-    for _ in range(n):
-        p = t @ p
-        acc.add(p)
-    return acc.s / n
+    for bit in bin(n)[2:]:
+        s = s + p @ s
+        p = p @ p
+        if bit == "1":
+            p = t @ p
+            s = s + p
+    return s
 
 
 def _apply(f: np.ndarray, cur: np.ndarray, vector: bool) -> np.ndarray:
@@ -202,7 +216,7 @@ def _apply(f: np.ndarray, cur: np.ndarray, vector: bool) -> np.ndarray:
 
 
 def lattice_chain_mean(factors, connectors, n: int, *, x=None, weights=None):
-    """Weighted lattice mean of chain products, the shared evaluation core.
+    """Weighted lattice mean of chain products: the planner's crossing remainder.
 
     factors : list of m entries, one per chain position, either
         ("fixed", M) with M of shape (d, d), or
@@ -213,8 +227,7 @@ def lattice_chain_mean(factors, connectors, n: int, *, x=None, weights=None):
     x : optional state vector; when given the chains act on x and the result
         is a vector, otherwise the full operator mean is returned.
     weights : optional dict axis -> (n,) nonnegative weights summing to 1.
-        Omitted axes use the uniform mean (sum then one division, which is
-        what the discrete strategies rely on for bit-stable comparisons).
+        Omitted axes use the uniform mean (sum then one division).
 
     The last axis (highest id) is evaluated as one batched matmul sweep; the
     remaining axes run as Python loops with Kahan-compensated accumulation of
@@ -277,52 +290,172 @@ def lattice_chain_mean(factors, connectors, n: int, *, x=None, weights=None):
     return total.s / div
 
 
-def _estimate_cost(strategy: str, n: int, m: int, k_eff: int) -> float:
+@dataclass(frozen=True)
+class Plan:
+    """How a chain is contracted: nested blocks collapse, crossing ones do not.
+
+    spans : the positions of each collapsed block, in collapse order.  A
+        block collapses once its positions are adjacent among the positions
+        of blocks not yet collapsed; collapsing never breaks another block's
+        adjacency, so the order does not change the result.
+    crossing : the blocks left over, walked on the lattice.
+    stacked : the positions that need a power stack, i.e. those of every
+        block holding two or more positions.
+    """
+
+    spans: tuple[tuple[int, ...], ...]
+    crossing: tuple[int, ...]
+    stacked: tuple[int, ...]
+    remaining: int  # positions left to the lattice walk
+
+    def cost(self, n: int, single: float) -> float:
+        """Chain-step products: n (2r - 1) per collapsed r-position block,
+        `single` per singleton block, n^k_cross (2 m_cross - 1) for the rest."""
+        total = sum(n * (2 * len(s) - 1) if len(s) > 1 else single for s in self.spans)
+        if self.crossing:
+            total += float(n) ** len(self.crossing) * (2 * self.remaining - 1)
+        return total
+
+
+def plan_chain(part: Partition) -> Plan:
+    """Collapse order and crossing remainder of a partition (no numerics)."""
+    blocks = part.blocks
+    live = list(range(part.m))
+    pending = sorted(blocks)
+    spans = []
+    progress = True
+    while progress:
+        progress = False
+        for a in list(pending):
+            first, last = live.index(blocks[a][0]), live.index(blocks[a][-1])
+            if last - first == len(blocks[a]) - 1:
+                spans.append(blocks[a])
+                del live[first : last + 1]
+                pending.remove(a)
+                progress = True
+    stacked = tuple(j for j in range(part.m) if len(blocks[part.alpha[j]]) > 1)
+    return Plan(tuple(spans), tuple(pending), stacked, len(live))
+
+
+def _contract(plan: Plan, part: Partition, connectors, n, stack, single, *, x=None, weights=None):
+    """Evaluate the mean of a chain by its plan.
+
+    stack(j) gives the (n, d, d) samples T_j^1..T_j^n (or T_j at quadrature
+    nodes) of position j, single(j) the weighted mean of position j alone;
+    weights is the (n,) weight vector shared by every block, None for the
+    uniform mean.  A collapsed block at positions p_1 < ... < p_r becomes
+    one fixed matrix, the mean over n of T_(p_r)^n G_(r-1) ... G_1 T_(p_1)^n
+    with G_i the fixed products between its positions, and is merged with
+    its fixed neighbours.  What is left, if anything, goes to
+    lattice_chain_mean; x, when given, is applied last.
+    """
+
+    def mean(batch):
+        if weights is None:
+            return batch.sum(axis=0) / n
+        return np.tensordot(weights, batch, axes=1)
+
+    def locate(j):
+        return next(i for i, e in enumerate(chain) if isinstance(e, int) and e == j)
+
+    # rightmost factor first: T_1, A_1, T_2, ..., T_m; ints are positions
+    chain: list = [0]
+    for j in range(1, part.m):
+        chain += [connectors[j - 1], j]
+    for span in plan.spans:
+        lo, hi = locate(span[0]), locate(span[-1])
+        entries = chain[lo : hi + 1]  # p_1, G_1, p_2, ..., G_(r-1), p_r
+        if len(entries) == 1:
+            fixed = single(entries[0])
+        else:
+            cur = stack(entries[0])
+            half, full = np.empty_like(cur), np.empty_like(cur)  # working buffers
+            for g, j in zip(entries[1::2], entries[2::2]):
+                np.matmul(g, cur, out=half)
+                cur = np.matmul(stack(j), half, out=full)
+            fixed = mean(cur)
+        # positions alternate with fixed factors, so both neighbours are fixed
+        if hi + 1 < len(chain):
+            hi += 1
+            fixed = chain[hi] @ fixed
+        if lo > 0:
+            lo -= 1
+            fixed = fixed @ chain[lo]
+        chain[lo : hi + 1] = [fixed]
+
+    if len(chain) == 1:
+        return chain[0] if x is None else chain[0] @ x
+    right = chain.pop(0) if not isinstance(chain[0], int) else None
+    left = chain.pop() if not isinstance(chain[-1], int) else None
+    factors = [("stack", part.alpha[j], stack(j)) for j in chain[::2]]
+    if x is not None and right is not None:
+        x = right @ x
+    out = lattice_chain_mean(
+        factors, chain[1::2], n, x=x,
+        weights=None if weights is None else {a: weights for a in plan.crossing},
+    )
+    if x is None and right is not None:
+        out = out @ right
+    return out if left is None else left @ out
+
+
+def _estimate_cost(strategy: str, n: int, part: Partition) -> float:
     """Documented cost model, in units of one chain-step product.
 
     naive  : n^k * (2m - 1 + m * ceil(log2 n))
-    cached : m*n + n^k_eff * (2m - 1)       (k_eff = k, all axes kept)
-    presum : m*n + n^k_eff * (2m - 1)       (k_eff = non-singleton blocks)
+    presum : the plan's cost, with 3 bit_length(n) products per singleton
     """
     if strategy == "naive":
-        return float(n) ** k_eff * (2 * m - 1 + m * max(1, int(np.ceil(np.log2(max(n, 2))))))
-    return m * n + float(n) ** k_eff * (2 * m - 1)
+        m, k = part.m, part.k
+        return float(n) ** k * (2 * m - 1 + m * max(1, int(np.ceil(np.log2(max(n, 2))))))
+    return plan_chain(part).cost(n, 3 * n.bit_length())
 
 
-def _check_budget(strategy, n, m, k_eff, d, stacked_positions, budget):
-    if budget is not None:
-        cost = _estimate_cost(strategy, n, m, k_eff)
-        if cost > budget:
-            raise BudgetExceededError(
-                f"estimated cost {cost:.3e} exceeds budget {budget:.3e} "
-                f"(strategy={strategy}, n={n}, lattice axes={k_eff}); "
-                "raise the budget, lower n, or switch strategy"
-            )
-    mem = stacked_positions * n * d * d * 16
-    if mem > MEMORY_CAP_BYTES:
+def _refuse_beyond(cost, budget, stack_bytes, detail: str, remedy: str):
+    """BudgetExceededError before any work if cost or stack memory is too large."""
+    if budget is not None and cost > budget:
         raise BudgetExceededError(
-            f"power stacks would need {mem / 2**30:.2f} GiB "
-            f"(cap {MEMORY_CAP_BYTES / 2**30:.0f} GiB); "
-            "use strategy='naive' or reduce n"
+            f"estimated cost {cost:.3e} exceeds budget {budget:.3e} ({detail}); {remedy}"
         )
+    if stack_bytes > MEMORY_CAP_BYTES:
+        raise BudgetExceededError(
+            f"power stacks would need {stack_bytes / 2**30:.2f} GiB "
+            f"(cap {MEMORY_CAP_BYTES / 2**30:.0f} GiB, {detail}); {remedy}"
+        )
+
+
+def _stack_bytes(mats, positions, n: int) -> int:
+    """One (n, d, d) complex stack per distinct matrix, plus two working buffers.
+
+    A collapsed block's batched product alternates between two (n, d, d)
+    arrays, and identical matrix objects share one stack.
+    """
+    if not positions:
+        return 0
+    d = mats[0].shape[0]
+    return (len({id(mats[j]) for j in positions}) + 2) * n * d * d * 16
+
+
+_REMEDY = "raise the budget, lower n, or switch strategy"
 
 
 def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget):
     m = part.m
     d = mats[0].shape[0]
-    blocks = part.blocks
 
     if strategy == "naive":
-        _check_budget("naive", n, m, part.k, d, 0, budget)
+        _refuse_beyond(
+            _estimate_cost("naive", n, part), budget, 0,
+            f"strategy=naive, n={n}, lattice axes={part.k}", _REMEDY,
+        )
         vector = x is not None
         out_shape = (d,) if vector else (d, d)
         total = _Kahan(out_shape)
         xv = None if x is None else np.asarray(x, dtype=np.complex128)
         for combo in itertools.product(range(1, n + 1), repeat=part.k):
-            powers = {a: combo[a - 1] for a in blocks}
             cur = xv
             for j in range(m):
-                f = np.linalg.matrix_power(mats[j], powers[part.alpha[j]])
+                f = np.linalg.matrix_power(mats[j], combo[part.alpha[j] - 1])
                 if j == 0:
                     cur = _apply(f, xv, True) if vector else f
                 else:
@@ -331,34 +464,29 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
             total.add(cur)
         return total.s / float(n) ** part.k
 
-    if strategy == "cached":
-        averaged: set[int] = set()
-    elif strategy == "presum":
-        averaged = {a for a, pos in blocks.items() if len(pos) == 1}
-    else:
+    if strategy != "presum":
         raise ValidationError(f"unknown strategy {strategy!r}")
-
-    active = [a for a in sorted(blocks) if a not in averaged]
-    k_eff = len(active)
-    # identical matrix objects share one stack, so count distinct ones
-    distinct = {id(mats[j]) for j in range(m) if part.alpha[j] in active}
-    _check_budget(strategy, n, m, k_eff, d, len(distinct), budget)
-
+    plan = plan_chain(part)
+    _refuse_beyond(
+        _estimate_cost("presum", n, part), budget, _stack_bytes(mats, plan.stacked, n),
+        f"strategy=presum, n={n}, lattice axes={len(plan.crossing)}", _REMEDY,
+    )
     stacks: dict[int, np.ndarray] = {}
     means: dict[int, np.ndarray] = {}
-    factors = []
-    for j in range(m):
-        a = part.alpha[j]
+
+    def stack(j):
         key = id(mats[j])
-        if a in averaged:
-            if key not in means:
-                means[key] = _streamed_power_mean(mats[j], n)
-            factors.append(("fixed", means[key]))
-        else:
-            if key not in stacks:
-                stacks[key] = _power_stack(mats[j], n)
-            factors.append(("stack", a, stacks[key]))
-    return lattice_chain_mean(factors, connectors, n, x=x)
+        if key not in stacks:
+            stacks[key] = _power_stack(mats[j], n)
+        return stacks[key]
+
+    def single(j):
+        key = id(mats[j])
+        if key not in means:
+            means[key] = _power_sum(mats[j], n) / n
+        return means[key]
+
+    return _contract(plan, part, connectors, n, stack, single, x=x)
 
 
 def entangled_average(
@@ -374,18 +502,19 @@ def entangled_average(
     (one batched matmul row, or one matvec when x is given):
 
         naive  : n^k * (2m - 1 + m ceil(log2 n))
-        cached : m n + n^k       * (2m - 1)
-        presum : m n + n^k_eff   * (2m - 1)
+        presum : sum over collapsed blocks of n (2r - 1)   (r positions, r >= 2)
+                 + 3 bit_length(n) per singleton block
+                 + n^k_cross * (2 m_cross - 1)
 
-    with k_eff the number of blocks holding two or more positions.  Estimates
-    above `budget` raise BudgetExceededError before any work happens, as does
-    a power-stack footprint beyond 2 GiB.  budget=None disables the cost
-    check (the memory cap stays).
+    with k_cross the blocks that cross (no nesting order collapses them) and
+    m_cross their positions; for nested alpha the cost is linear in n.
+    Estimates above `budget` raise BudgetExceededError before any work
+    happens, as do power stacks (plus two working buffers) beyond 2 GiB.
+    budget=None disables the cost check (the memory cap stays).
 
     With x given the chains act on x and a vector is returned; otherwise the
-    operator mean itself.  Strategies agree to ~1e-10 relative; presum is
-    exact (not just convergent) for bijective alpha since the average then
-    factorizes across positions.
+    operator mean itself.  The strategies agree to ~1e-10 relative; presum
+    is exact at every n, not just convergent, since it reorders finite sums.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"depth n must be a positive integer, got {n!r}")

@@ -135,13 +135,15 @@ def counterexample_A(v: SparseZVector, f=BLOCK_SEQUENCE) -> SparseZVector:
     return SparseZVector(out)
 
 
-def divergence_experiment(checkpoints, f=BLOCK_SEQUENCE):
-    """Exact Cesaro means of <U^n A U^n e_0, e_0> at the given checkpoints.
+def iter_divergence(checkpoints, f=BLOCK_SEQUENCE):
+    """Exact Cesaro means of <U^n A U^n e_0, e_0>, yielded as the sweep goes.
 
     Evaluates the operator chain directly on basis vectors with integer
-    coefficients and returns [(N, Fraction mean)] sorted by N.  The closed
+    coefficients, in one sweep over n = 1..max(checkpoints), and yields
+    (N, Fraction mean) the moment N is reached, in increasing N.  The closed
     block-counting form (N - ones(N)) / N is deliberately not used here; it
-    is the independent cross-check in the tests.
+    is the independent cross-check in the tests.  The checkpoints are
+    validated when iteration starts.
     """
     ns = sorted({int(c) for c in checkpoints})
     if not ns:
@@ -149,17 +151,19 @@ def divergence_experiment(checkpoints, f=BLOCK_SEQUENCE):
     if ns[0] < 1:
         raise ValidationError("checkpoints must be >= 1")
     e0 = SparseZVector.basis(0)
-    out = []
     running = 0
     next_idx = 0
     for n in range(1, ns[-1] + 1):
         w = shift_apply(counterexample_A(shift_apply(e0, n), f), n)
-        term = w.inner(e0)
-        running += term
+        running += w.inner(e0)
         if n == ns[next_idx]:
-            out.append((n, Fraction(running, n)))
+            yield n, Fraction(running, n)
             next_idx += 1
-    return out
+
+
+def divergence_experiment(checkpoints, f=BLOCK_SEQUENCE):
+    """[(N, Fraction mean)] at the given checkpoints, sorted by N (iter_divergence)."""
+    return list(iter_divergence(checkpoints, f))
 
 
 def finite_section(apply_fn, window: int) -> np.ndarray:

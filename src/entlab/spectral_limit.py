@@ -313,7 +313,7 @@ def _assemble_limit(system, members, matrices, spectra, tol: float, clock: Clock
     certificate of each position, matrices its operator or generator, spectra
     its boundary points as resonant_tuples takes them.  P_j is the spectral
     projection of position j at the tuple's eigenvalue, cached per (position,
-    exact value or float entry).
+    exact value or float entry).  Returns (limit, tuples).
     """
     _require_bounded(members, clock)
     partition, connectors = system.partition, system.connectors
@@ -336,7 +336,7 @@ def _assemble_limit(system, members, matrices, spectra, tol: float, clock: Clock
         for j in range(m - 2, -1, -1):
             cur = cur @ connectors[j] @ proj(j, tup.entries[j], tup.exact[j])
         out = out + cur
-    return out
+    return out, tuples
 
 
 def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -348,6 +348,11 @@ def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndar
     to pass the power-boundedness certificate; an empty resonance set gives
     the zero matrix (the averages die in norm).
     """
+    return limit_operator_with_tuples(system, tol)[0]
+
+
+def limit_operator_with_tuples(system: EntangledSystem, tol: float = DEFAULT_TOL):
+    """(limit_operator(system, tol), the resonant tuples it summed over)."""
     ops = system.operators
     spectra = [op.unimodular_spectrum for op in ops]
     return _assemble_limit(system, ops, [op.matrix for op in ops], spectra, tol, DISCRETE)

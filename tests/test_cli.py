@@ -8,10 +8,12 @@ malformed value anywhere in a config.  FNV-1a reference digests are the publishe
 import csv
 import json
 import re
+import time
 
 import numpy as np
 import pytest
 
+from entlab import shiftlab, spectral_limit
 from entlab.cli import (
     CSV_HEADER,
     emit_results,
@@ -413,6 +415,83 @@ def test_main_default_out_name(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "entlab-converge.csv").exists()
 
 
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_main_limit_enumerates_resonant_tuples_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = spectral_limit.resonant_tuples
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_limit, "resonant_tuples", counting)
+    cfg = _converge_config(kind="limit")
+    del cfg["schedule"]
+    rc = main(["limit", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "r.csv")])
+    assert rc == 0
+    assert len(json.loads(capsys.readouterr().out)["resonant_tuples"]) == 2
+    assert len(calls) == 1
+
+
+def test_main_counterexample_rows_time_their_own_stretch_of_one_sweep(
+    tmp_path, capsys, monkeypatch
+):
+    sweeps = []
+    original = shiftlab.iter_divergence
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(shiftlab, "iter_divergence", counting)
+    monkeypatch.setattr(
+        shiftlab, "divergence_experiment",
+        lambda *a, **k: pytest.fail("the CLI must sweep once, through iter_divergence"),
+    )
+    cfg = {"kind": "counterexample", "checkpoints": [1, 2, 3, 4000], "window": 4}
+    out_path = str(tmp_path / "r.csv")
+    t0 = time.perf_counter()
+    rc = main(["counterexample", "--config", _write(tmp_path, cfg), "--out", out_path])
+    wall_ms = 1e3 * (time.perf_counter() - t0)
+    assert rc == 0
+    capsys.readouterr()
+    assert sweeps == [1]
+    times = [float(r["runtime_ms"]) for r in _rows(out_path)]
+    assert len(set(times)) > 1
+    # cumulative stamps would add up to about four sweeps
+    assert sum(times) <= wall_ms
+    assert times[-1] > times[0]
+    assert all(r["strategy"] == "" for r in _rows(out_path))
+
+
+@pytest.mark.parametrize(
+    "make, kind, strategy",
+    [
+        (_converge_config, "converge", "presum"),
+        (lambda: _converge_config(kind="stacking-test", schedule=[8]), "stacking-test", "presum"),
+        (_converge_config, "limit", ""),
+        (_converge_config, "resonances", ""),
+        (_continuous_config, "continuous", ""),
+        (lambda: {"kind": "counterexample", "checkpoints": [4]}, "counterexample", ""),
+    ],
+)
+def test_rows_carry_a_strategy_only_where_one_runs(tmp_path, capsys, make, kind, strategy):
+    cfg = make()
+    cfg["kind"] = kind
+    if kind in ("limit", "resonances"):
+        del cfg["schedule"]
+    out_path = str(tmp_path / "r.csv")
+    rc = main([kind, "--config", _write(tmp_path, cfg), "--out", out_path])
+    assert rc == 0
+    capsys.readouterr()
+    rows = _rows(out_path)
+    assert rows and all(r["strategy"] == strategy for r in rows)
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -509,6 +588,7 @@ def _set_basis_seed(c):
          "$.connectors[0]"),
         (_continuous_config, lambda c: c.update(richardson="no"), "$.richardson"),
         (_converge_config, lambda c: c.update(threads=2), "unknown fields ['threads']"),
+        (_converge_config, lambda c: c.update(strategy="cached"), "$.strategy"),
     ],
 )
 def test_main_malformed_value_exits_2_with_its_path(tmp_path, capsys, make, mutate, path):

@@ -158,7 +158,7 @@ def test_all_strategies_match_brute_reference(alpha):
     sys_ = _unitary_system(alpha, d=3, seed=40 + len(alpha))
     n = 5
     ref = _brute_average(sys_, n)
-    for strategy in ("naive", "cached", "presum"):
+    for strategy in ("naive", "presum"):
         got = entangled_average(sys_, n, strategy=strategy)
         assert np.linalg.norm(got - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
 
@@ -173,7 +173,7 @@ def test_strategies_agree_with_nonnormal_operators():
     conns = [CounterRng(9).complex_normal((3, 3)) / 3.0]
     sys_ = make_system([1, 1], ops, conns)
     ref = _brute_average(sys_, 6)
-    for strategy in ("naive", "cached", "presum"):
+    for strategy in ("naive", "presum"):
         got = entangled_average(sys_, 6, strategy=strategy)
         assert np.linalg.norm(got - ref) <= 1e-10
 
@@ -193,10 +193,8 @@ def test_unknown_strategy_rejected():
 def test_strategy_agreement_property(seed, alpha, n):
     sys_ = _unitary_system(alpha, d=2, seed=seed, connectors="haar")
     a = entangled_average(sys_, n, strategy="naive")
-    b = entangled_average(sys_, n, strategy="cached")
-    c = entangled_average(sys_, n, strategy="presum")
+    b = entangled_average(sys_, n, strategy="presum")
     assert np.linalg.norm(a - b) <= 1e-10
-    assert np.linalg.norm(b - c) <= 1e-10
 
 
 # ------------------------------------------------------------- vector mode
@@ -207,7 +205,7 @@ def test_vector_mode_matches_operator_mode():
     x = CounterRng(5).complex_normal((4,))
     x = x / np.linalg.norm(x)
     full = entangled_average(sys_, 6)
-    for strategy in ("naive", "cached", "presum"):
+    for strategy in ("naive", "presum"):
         vec = entangled_average(sys_, 6, x=x, strategy=strategy)
         assert vec.shape == (4,)
         assert np.linalg.norm(vec - full @ x) <= 1e-12
@@ -255,15 +253,16 @@ def test_budget_none_disables_cost_check():
 def test_memory_cap_refusal_mentions_footprint():
     sys_ = _unitary_system([1, 1], d=32, seed=62)
     with pytest.raises(BudgetExceededError, match="GiB"):
-        entangled_average(sys_, 10_000_000, strategy="cached", budget=None)
+        entangled_average(sys_, 10_000_000, strategy="presum", budget=None)
 
 
 def test_naive_strategy_costs_more_than_presum():
     from entlab.entangle import _estimate_cost
 
-    assert _estimate_cost("naive", 100, 3, 2) > _estimate_cost("presum", 100, 3, 2)
-    # presum on singleton blocks is linear in n
-    assert _estimate_cost("presum", 10_000, 2, 0) < 1e5
+    part = make_partition([1, 2, 1])
+    assert _estimate_cost("naive", 100, part) > _estimate_cost("presum", 100, part)
+    # presum on singleton blocks costs O(log n)
+    assert _estimate_cost("presum", 10_000, make_partition([1, 2])) < 1e5
 
 
 # ---------------------------------------------------------------- stacking
