@@ -2,11 +2,14 @@
 
 The discrete lattice mean is replaced by (1/t^k) times an iterated integral
 over [0, t]^k, approximated on a shared one-dimensional quadrature grid: all
-positions driven by the same block read the semigroup at the same node.  The
-limit object mirrors the discrete one with the unit circle traded for the
-imaginary axis: eigenvalues 2*pi*i*phi with real frequency phi, and the block
-constraint "product equals one" traded for "frequencies sum to zero exactly"
-(resonance for every t, not only t in a lattice).
+positions driven by the same block read the semigroup at the same node.  A
+midpoint grid is the orbit of e^{(h/2)B} under powers of e^{hB}, built by
+the doubling stack builder of discrete time; a Gauss-Legendre grid is one
+batched expm over its nodes.  The limit object mirrors the discrete one with
+the unit circle traded for the imaginary axis: eigenvalues 2*pi*i*phi with
+real frequency phi, and the block constraint "product equals one" traded for
+"frequencies sum to zero exactly" (resonance for every t, not only t in a
+lattice).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .entangle import (
     MEMORY_CAP_BYTES,
     Partition,
     _contract,
+    _power_stack,
     _refuse_beyond,
     _stack_bytes,
     _validate_system,
@@ -238,8 +242,10 @@ class ContinuousAverage:
 def _check_grid(system, quad: QuadratureSpec, budget):
     """Refuse the grid before any node or exponential is computed.
 
-    Documented cost model: ~20 products per exponential node and operator,
-    plus the contraction plan's cost with one product per node for each
+    Documented cost model, per distinct generator: on the midpoint grid two
+    exponentials of ~20 products each plus Q products for the orbit of
+    e^{hB}; on the Gauss-Legendre grid ~20 products per node.  Added to that
+    is the contraction plan's cost with one product per node for each
     singleton block.  Memory: the semigroup stacks plus two working buffers,
     and for Gauss-Legendre the Q x Q float64 matrix whose eigenvalues are the
     nodes.
@@ -248,8 +254,9 @@ def _check_grid(system, quad: QuadratureSpec, budget):
     q = quad.points
     plan = plan_chain(part)
     generators = [sg.generator for sg in system.semigroups]
+    per_generator = 2 * 20.0 + q if quad.scheme == "midpoint" else 20.0 * q
     _refuse_beyond(
-        20.0 * part.m * q + plan.cost(q, q), budget,
+        len({id(g) for g in generators}) * per_generator + plan.cost(q, q), budget,
         _stack_bytes(generators, range(part.m), q),
         f"Q={q}, lattice axes={len(plan.crossing)}", "raise the budget or lower Q",
     )
@@ -261,14 +268,32 @@ def _check_grid(system, quad: QuadratureSpec, budget):
 
 
 def _single_grid_average(system, t, quad: QuadratureSpec, x):
-    """The contraction plan on one grid: every block reads the same nodes."""
+    """The contraction plan on one grid: every block reads the same nodes.
+
+    Midpoint nodes are s_i = (i + 1/2) h, so the stack T(s_i) is the orbit
+    (e^{hB})^i e^{(h/2)B}: two exponentials and Q products, with the
+    exponential's norm cap checked at the largest node before any stack is
+    built.  Gauss-Legendre nodes are not equispaced and take one batched
+    expm over the nodes.
+    """
     s_nodes, w_nodes = quad.nodes(t)
+    q = len(s_nodes)
+    midpoint = quad.scheme == "midpoint"
+    h = t / q
+    if midpoint:
+        for sg in system.semigroups:
+            linalg.check_expm_horizon(sg.generator, s_nodes[-1])
     stacks: dict[int, np.ndarray] = {}
 
     def stack(j: int) -> np.ndarray:
-        key = id(system.semigroups[j].generator)
+        sg = system.semigroups[j]
+        key = id(sg.generator)
         if key not in stacks:
-            stacks[key] = system.semigroups[j].value(s_nodes)
+            if midpoint:
+                half, step = sg.value(np.array([h / 2, h]))
+                stacks[key] = _power_stack(step, q, start=half)
+            else:
+                stacks[key] = sg.value(s_nodes)
         return stacks[key]
 
     def single(j: int) -> np.ndarray:
@@ -276,8 +301,8 @@ def _single_grid_average(system, t, quad: QuadratureSpec, x):
 
     part = system.partition
     return _contract(
-        plan_chain(part), part, list(system.connectors), quad.points, stack, single,
-        x=x, weights=None if quad.scheme == "midpoint" else w_nodes / t,
+        plan_chain(part), part, list(system.connectors), q, stack, single,
+        x=x, weights=None if midpoint else w_nodes / t,
     )
 
 
@@ -292,8 +317,10 @@ def continuous_entangled_average(
     """(1/t^k) times the iterated integral of the semigroup chain over [0,t]^k.
 
     All positions sharing a block read their semigroup at the same node of
-    one shared 1-D grid; each distinct generator is exponentiated once per
-    grid (batched), and the grid sums follow the contraction plan
+    one shared 1-D grid.  Each distinct generator is exponentiated once per
+    grid: on the midpoint grid at h/2 and h only, the nodes following as
+    powers of e^{hB}; on the Gauss-Legendre grid at every node in one
+    batched call.  The grid sums follow the contraction plan
     (entangle.plan_chain), so only crossing blocks walk the Q^k lattice.
     With richardson=True the average is recomputed on a doubled grid and the
     difference reported as the error estimate for the returned (requested-Q)

@@ -174,16 +174,24 @@ class _Kahan:
         self.s = t
 
 
-def _power_stack(t: np.ndarray, n: int) -> np.ndarray:
-    """Stack [T, T^2, ..., T^n] built by doubling: out[k:2k] = T^k @ out[:k]."""
-    d = t.shape[0]
-    out = np.empty((n, d, d), dtype=np.complex128)
-    out[0] = t
+def _power_stack(t: np.ndarray, n: int, start=None) -> np.ndarray:
+    """Orbit [X, T X, ..., T^(n-1) X] built by doubling: out[k:2k] = T^k @ out[:k].
+
+    X defaults to T, giving the powers [T, T^2, ..., T^n], where T^k is read
+    back as out[k-1]; for any other start T^k is kept by squaring, log2(n)
+    products more.  The continuous midpoint grid passes X = e^{(h/2)B} and
+    T = e^{hB}.
+    """
+    p = np.asarray(t, dtype=np.complex128)
+    out = np.empty((n,) + p.shape, dtype=np.complex128)
+    out[0] = p if start is None else start
     k = 1
     while k < n:
         step = min(k, n - k)
-        np.matmul(out[k - 1], out[:step], out=out[k : k + step])
+        np.matmul(p, out[:step], out=out[k : k + step])
         k += step
+        if k < n:
+            p = out[k - 1] if start is None else p @ p
     return out
 
 

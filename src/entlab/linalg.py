@@ -155,6 +155,18 @@ def eig(a, tol: float = 1e-9, *, on_boundary=_on_unit_circle) -> EigDecompositio
     return EigDecomposition(values, vectors, cond, semisimple)
 
 
+def check_expm_horizon(arr: np.ndarray, t_max: float) -> None:
+    """OverflowError when t_max * ||B||_1 exceeds EXPM_NORM_CAP.
+
+    arr is an already validated square matrix.  expm runs this on its
+    largest |t|; callers that build exp(tB) from products of shorter steps
+    run it on their largest t before the first product.
+    """
+    norm = t_max * float(np.linalg.norm(arr, 1))
+    if norm > EXPM_NORM_CAP:
+        raise OverflowError(f"||t*B||_1 = {norm:.3e} exceeds cap {EXPM_NORM_CAP:.1e}")
+
+
 def expm(b, t=1.0) -> np.ndarray:
     """exp(t*B) by SciPy's Pade scaling-and-squaring.
 
@@ -166,12 +178,7 @@ def expm(b, t=1.0) -> np.ndarray:
     ts = np.asarray(t, dtype=np.float64)
     if ts.ndim > 1:
         raise DimensionMismatchError("t must be a scalar or 1-D array")
-    norm1 = float(np.linalg.norm(arr, 1))
-    worst = float(np.max(np.abs(ts))) if ts.size else 0.0
-    if worst * norm1 > EXPM_NORM_CAP:
-        raise OverflowError(
-            f"||t*B||_1 = {worst * norm1:.3e} exceeds cap {EXPM_NORM_CAP:.1e}"
-        )
+    check_expm_horizon(arr, float(np.max(np.abs(ts))) if ts.size else 0.0)
     if ts.ndim == 0:
         return sla.expm(float(ts) * arr)
     if ts.size == 0:

@@ -468,6 +468,23 @@ def test_main_counterexample_rows_time_their_own_stretch_of_one_sweep(
     assert all(r["strategy"] == "" for r in _rows(out_path))
 
 
+def test_main_resonances_rows_share_one_enumeration_time(tmp_path, capsys):
+    cfg = _converge_config(kind="resonances")
+    del cfg["schedule"]
+    out_path = str(tmp_path / "r.csv")
+    t0 = time.perf_counter()
+    rc = main(["resonances", "--config", _write(tmp_path, cfg), "--out", out_path])
+    wall_ms = 1e3 * (time.perf_counter() - t0)
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    total = summary["enumeration_ms"]
+    times = [float(r["runtime_ms"]) for r in _rows(out_path)]
+    assert len(times) == summary["count"] == 2
+    assert sum(times) <= wall_ms
+    # each row is its share, so the rows add up to one enumeration, not count x
+    assert sum(times) == pytest.approx(total, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "make, kind, strategy",
     [

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from entlab import linalg
+from entlab import continuous, entangle, linalg
 from entlab.continuous import (
     QuadratureSpec,
     certify_bounded_semigroup,
@@ -328,6 +329,98 @@ def test_expm_horizon_overflow_propagates():
     sys_ = make_continuous_system([1], [sg])
     with pytest.raises(OverflowError):
         continuous_entangled_average(sys_, 1.0e9, QuadratureSpec("midpoint", 8))
+
+
+# -------------------------------------------------------- midpoint orbits
+
+
+def _orbit_generators():
+    """Orthonormal, cap-1e3 similarity and raw defective stable generators."""
+    rot = np.array([[0.0, -np.pi], [np.pi, 0.0]])  # frequency 1/2
+    jordan = np.array([[-0.5, 1.0], [0.0, -0.5]])
+    raw = np.block([[jordan, np.zeros((2, 2))], [np.zeros((2, 2)), rot]])
+    return {
+        "orthonormal": synth_semigroup(["1/2", "0"], [-0.3 + 0.9j], OrthonormalBasis(301)),
+        "similarity": synth_semigroup(
+            ["1/2", "0", "1/3"], [-0.3 + 0.9j, -1.0], RandomSimilarity(7, 1e3)
+        ),
+        "jordan": semigroup_from_generator(raw),
+    }
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 1000])
+@pytest.mark.parametrize("kind", ["orthonormal", "similarity", "jordan"])
+def test_midpoint_orbit_stack_matches_expm_at_the_nodes(monkeypatch, kind, q):
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(entangle._power_stack(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(continuous, "_power_stack", recording)
+    sg = _orbit_generators()[kind]
+    t = 10.0
+    quad = QuadratureSpec("midpoint", q)
+    continuous_entangled_average(
+        make_continuous_system([1, 1], [sg, sg]), t, quad, richardson=False
+    )
+    assert len(built) == 1  # one stack per distinct generator
+    s_nodes, _ = quad.nodes(t)
+    ref = linalg.expm(sg.generator, s_nodes)
+    assert float(np.max(np.linalg.norm(built[0] - ref, axis=(1, 2)))) <= 1e-10
+
+
+def test_midpoint_grid_exponentiates_two_matrices_per_generator(monkeypatch):
+    matrices = []
+    original = scipy.linalg.expm
+
+    def counting(a, *args, **kwargs):
+        matrices.append(1 if np.ndim(a) == 2 else len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    sg1 = synth_semigroup(["1/2", "0"], [-0.3 + 0.9j], OrthonormalBasis(301))
+    sg2 = synth_semigroup(["1/2", "0"], [-0.2 - 0.5j], OrthonormalBasis(302))
+    conn = linalg.haar_unitary(3, seed=303)
+    sys_ = make_continuous_system([1, 2, 2, 1], [sg1, sg2, sg2, sg1], [conn] * 3)
+    out = continuous_entangled_average(sys_, 20.0, QuadratureSpec("midpoint", 400))
+    assert out.error_estimate is not None  # Richardson ran: two grids
+    # 2 distinct generators x 2 grids x (e^{(h/2)B}, e^{hB}), not one per node
+    assert sum(matrices) <= 2 * 2 * 2
+
+
+def test_midpoint_horizon_is_checked_before_any_stack(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("stack built before the horizon check")
+
+    monkeypatch.setattr(continuous, "_power_stack", never)
+    monkeypatch.setattr(scipy.linalg, "expm", never)
+    sg = synth_semigroup(["1/2"], [-1.0], OrthonormalBasis(seed=28))
+    sys_ = make_continuous_system([1], [sg])
+    # pi <= ||B||_1 <= sqrt(2) pi, so the cap 1e5 is passed at the largest of
+    # 8 nodes of t = 4e4 (t - h/2 = 3.75e4) but not at the step h = 5e3
+    with pytest.raises(OverflowError):
+        continuous_entangled_average(
+            sys_, 4.0e4, QuadratureSpec("midpoint", 8), richardson=False
+        )
+
+
+def test_midpoint_cost_counts_two_exponentials_and_q_products_per_generator():
+    sg1 = synth_semigroup(["1/2"], [], OrthonormalBasis(seed=26))
+    sg2 = synth_semigroup(["-1/2"], [], OrthonormalBasis(seed=27))
+    # Richardson's fine grid Q=2e6: 2 generators x (2 x 20 + Q) + 3 Q for the
+    # collapsed [1, 1] block
+    with pytest.raises(BudgetExceededError, match="estimated cost 1.000e\\+07"):
+        continuous_entangled_average(
+            make_continuous_system([1, 1], [sg1, sg2]), 1.0,
+            QuadratureSpec("midpoint", 10**6), budget=1e6,
+        )
+    # one generator read at both positions is exponentiated once
+    with pytest.raises(BudgetExceededError, match="estimated cost 8.000e\\+06"):
+        continuous_entangled_average(
+            make_continuous_system([1, 1], [sg1, sg1]), 1.0,
+            QuadratureSpec("midpoint", 10**6), budget=1e6,
+        )
 
 
 # ------------------------------------------------------------ limit operator

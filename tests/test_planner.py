@@ -154,6 +154,36 @@ def test_doubled_stack_and_sum_match_sequential_products(n, similarity):
     assert float(np.abs(_power_sum(t, n) - seq.sum(axis=0)).max()) <= 1e-13 * n * scale
 
 
+def _stack_reading_powers_back(t, n):
+    """The powers builder before orbits: T^k read back as out[k - 1]."""
+    out = np.empty((n,) + t.shape, dtype=np.complex128)
+    out[0] = t
+    k = 1
+    while k < n:
+        step = min(k, n - k)
+        np.matmul(out[k - 1], out[:step], out=out[k : k + step])
+        k += step
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+@pytest.mark.parametrize("similarity", [False, True])
+def test_power_stack_without_start_is_bitwise_the_powers_builder(n, similarity):
+    basis = RandomSimilarity(5, 5.0) if similarity else OrthonormalBasis(5)
+    t = synth_operator(["1/3", "1/7"], [0.95j, -0.5], basis).matrix
+    assert np.array_equal(_power_stack(t, n), _stack_reading_powers_back(t, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+def test_power_stack_from_start_is_the_orbit(n):
+    t = synth_operator(["1/3", "1/7"], [0.95j, -0.5], RandomSimilarity(6, 5.0)).matrix
+    x = CounterRng(7).complex_normal(t.shape)
+    orbit = _power_stack(t, n, start=x)
+    seq = np.concatenate([x[np.newaxis], _sequential_powers(t, n)[:-1] @ x])
+    scale = max(1.0, float(np.abs(seq).max()))
+    assert float(np.abs(orbit - seq).max()) <= 1e-12 * scale
+
+
 # ------------------------------------------------------------ continuous
 
 
