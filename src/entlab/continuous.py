@@ -190,6 +190,11 @@ class QuadratureSpec:
     scheme: str = "midpoint"
     points: int = 64
 
+    def __post_init__(self):
+        q = self.points
+        if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
+            raise ValidationError(f"quadrature points must be an integer, got {q!r}")
+
     def nodes(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         if self.points < 2:
             raise ValidationError("need at least 2 quadrature points")

@@ -226,10 +226,9 @@ def _apply(f: np.ndarray, cur: np.ndarray, vector: bool) -> np.ndarray:
 def lattice_chain_mean(factors, connectors, n: int, *, x=None, weights=None):
     """Weighted lattice mean of chain products: the planner's crossing remainder.
 
-    factors : list of m entries, one per chain position, either
-        ("fixed", M) with M of shape (d, d), or
-        ("stack", axis, S) with S of shape (n, d, d); positions sharing an
-        axis are driven by the same lattice variable.
+    factors : list of m entries ("stack", axis, S), one per chain position,
+        with S of shape (n, d, d); positions sharing an axis are driven by
+        the same lattice variable.
     connectors : m-1 matrices interleaved between positions.
     n : lattice edge length (stacks must have leading dimension n).
     x : optional state vector; when given the chains act on x and the result
@@ -242,34 +241,23 @@ def lattice_chain_mean(factors, connectors, n: int, *, x=None, weights=None):
     the batched slices.
     """
     vector = x is not None
-    axes = sorted({spec[1] for spec in factors if spec[0] == "stack"})
-    vec_axis = axes[-1] if axes else None
+    axes = sorted({axis for _, axis, _ in factors})
+    vec_axis = axes[-1]
     outer_axes = axes[:-1]
     w = weights or {}
 
     def chain(idx):
-        cur = x if vector else None
-        for j, spec in enumerate(factors):
-            if spec[0] == "fixed":
-                f = spec[1]
-            else:
-                _, axis, stack = spec
-                f = stack if axis == vec_axis else stack[idx[axis]]
+        for j, (_, axis, stack) in enumerate(factors):
+            f = stack if axis == vec_axis else stack[idx[axis]]
             if j == 0:
-                if vector:
-                    cur = _apply(f, np.asarray(x, dtype=np.complex128), True)
-                else:
-                    cur = f if f.ndim == 3 else f.copy()
+                cur = _apply(f, np.asarray(x, dtype=np.complex128), True) if vector else f
             else:
                 cur = _apply(connectors[j - 1], cur, vector)
                 cur = _apply(f, cur, vector)
         return cur
 
-    d = factors[0][1].shape[-1] if factors[0][0] == "fixed" else factors[0][2].shape[-1]
+    d = factors[0][2].shape[-1]
     out_shape = (d,) if vector else (d, d)
-
-    if not axes:
-        return chain({})
 
     total = _Kahan(out_shape)
     uniform_outer = [a for a in outer_axes if a not in w]
@@ -277,9 +265,7 @@ def lattice_chain_mean(factors, connectors, n: int, *, x=None, weights=None):
     for combo in itertools.product(range(n), repeat=len(outer_axes)):
         idx = dict(zip(outer_axes, combo))
         cur = chain(idx)
-        if cur.ndim == len(out_shape):  # vec_axis absent from every factor
-            slice_val = cur  # cannot happen for valid systems, kept defensive
-        elif vec_w is None:
+        if vec_w is None:
             slice_val = cur.sum(axis=0)
         else:
             slice_val = np.tensordot(vec_w, cur, axes=1)
@@ -524,7 +510,7 @@ def entangled_average(
     operator mean itself.  The strategies agree to ~1e-10 relative; presum
     is exact at every n, not just convergent, since it reorders finite sums.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"depth n must be a positive integer, got {n!r}")
     if x is not None:
         x = np.asarray(x, dtype=np.complex128)
@@ -600,7 +586,7 @@ def stacked_average(
     chain exactly, so the two routes agree to roundoff; the acceptance suite
     checks a 1e-12 relative residual.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"depth n must be a positive integer, got {n!r}")
     m, d = st.m, st.block_dim
     part = st.partition
@@ -629,22 +615,17 @@ def multiple_ergodic_average(
 ):
     """Mean of u^j a_1 u^j a_2 ... a_k u^{-k j} over j = 1..n.
 
-    weights is the list [a_1, ..., a_k].  The product is rewritten as a fully
-    entangled chain on one index block: T_1 = u^{-k} at the rightmost
-    position, T_2 = ... = T_{k+1} = u, connectors [a_k, ..., a_1].
+    weights is the list [a_1, ..., a_k]: the generalized power average with
+    every slot on one index block, i.e. one fully entangled chain with
+    T_1 = u^{-k} at the rightmost position, T_2 = ... = T_{k+1} = u and
+    connectors [a_k, ..., a_1].
     """
-    u = linalg.as_matrix(u, square=True, name="u")
-    a_list = [linalg.as_matrix(a, square=True, name=f"weights[{i}]")
-              for i, a in enumerate(weights)]
-    if not a_list:
+    weights = list(weights)
+    if not weights:
         raise DimensionMismatchError("need at least one weight operator")
-    k = len(a_list)
-    u_inv = _inverse(u)
-    t1 = np.linalg.matrix_power(u_inv, k)
-    ops = [t1] + [u] * k
-    conns = list(reversed(a_list))
-    system = make_system([1] * (k + 1), ops, conns)
-    return entangled_average(system, n, strategy=strategy, x=x, budget=budget)
+    return generalized_power_average(
+        u, weights, [1] * len(weights), n, strategy=strategy, x=x, budget=budget
+    )
 
 
 def generalized_power_average(

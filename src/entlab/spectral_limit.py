@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,32 +79,24 @@ class ResonantTuple:
 def _normalize_entry(e, additive: bool):
     """Return (float_entry, exact_fraction_or_none)."""
     if isinstance(e, SpectralPoint):
-        if e.angle is not None:
-            return (float(e.angle), e.angle) if additive else (
-                angle_value(e.angle),
-                e.angle,
-            )
-        if additive:
-            raise ValidationError(
-                "additive mode needs real frequencies, not unit-circle points "
-                "without exact angles"
-            )
-        return complex(e.value), None
-    if isinstance(e, Fraction) or isinstance(e, str) or (
-        isinstance(e, int) and not isinstance(e, bool)
-    ):
-        if additive:
-            fr = Fraction(e) if not isinstance(e, str) else Fraction(e.strip())
-            return float(fr), fr
-        fr = parse_angle(e)
-        return angle_value(fr), fr
-    if additive:
-        val = float(e)
+        fr = e.angle
+        if fr is None:
+            if additive:
+                raise ValidationError(
+                    "additive mode needs real frequencies, not unit-circle points "
+                    "without exact angles"
+                )
+            return complex(e.value), None
+    elif isinstance(e, (Fraction, str)) or (isinstance(e, int) and not isinstance(e, bool)):
+        fr = Fraction(e) if additive else parse_angle(e)
+    elif additive:
+        return float(e), None
+    else:
+        val = complex(e)
+        if abs(abs(val) - 1.0) > 1e-6:
+            raise ValidationError(f"entry {e!r} is far from the unit circle")
         return val, None
-    val = complex(e)
-    if abs(abs(val) - 1.0) > 1e-6:
-        raise ValidationError(f"entry {e!r} is far from the unit circle")
-    return val, None
+    return (float(fr) if additive else angle_value(fr)), fr
 
 
 def _combine(vals, additive: bool):
@@ -113,10 +106,6 @@ def _combine(vals, additive: bool):
     for v in vals:
         out *= v
     return out
-
-
-def _residual(agg, additive: bool) -> float:
-    return abs(agg) if additive else abs(agg - 1.0)
 
 
 def _angle_of(agg, additive: bool) -> float:
@@ -130,105 +119,71 @@ def _block_solutions(cands, *, additive, tol, mitm_threshold):
     """Solve one block: index tuples into cands with their residuals.
 
     cands : list (one per block position) of lists of (entry, exact) pairs.
-    Uses exact Fraction arithmetic when every candidate in the block carries
-    an exact value, brute force below mitm_threshold combinations, and a
-    meet-in-the-middle split above it.
+    A tuple whose picked entries are all exact is decided by Fraction
+    arithmetic (residual 0), any other by its float residual.  Up to
+    mitm_threshold combinations every tuple is scored; above it right halves
+    are filed under a key and each left half looks up its complement.  The
+    key is the exact sum (mod 1 in discrete time) when the whole block is
+    exact, so a match is a hit, and otherwise the float cell of width tol
+    (or the rounding of a half-sum, if wider), whose matches and +-2
+    neighbours (wrapping at 1) are scored.  Solutions come in lexicographic
+    index order.
     """
     sizes = [len(c) for c in cands]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total == 0:
-        return []
-    all_exact = all(fr is not None for c in cands for (_, fr) in c)
 
-    if all_exact:
-        def accept_exact(frs):
-            s = sum(frs, Fraction(0))
-            return (s == 0) if additive else (s % 1 == 0)
-
-        if total <= mitm_threshold:
-            out = []
-            for combo in itertools.product(*(range(s) for s in sizes)):
-                frs = [cands[i][ci][1] for i, ci in enumerate(combo)]
-                if accept_exact(frs):
-                    out.append((combo, 0.0))
-            return out
-        # meet in the middle on exact partial sums
-        half = len(cands) // 2
-        right: dict[Fraction, list[tuple]] = {}
-        for combo in itertools.product(*(range(s) for s in sizes[half:])):
-            s = sum(
-                (cands[half + i][ci][1] for i, ci in enumerate(combo)),
-                Fraction(0),
-            )
-            key = s if additive else s % 1
-            right.setdefault(key, []).append(combo)
-        out = []
-        for combo in itertools.product(*(range(s) for s in sizes[:half])):
-            s = sum((cands[i][ci][1] for i, ci in enumerate(combo)), Fraction(0))
-            want = -s if additive else (-s) % 1
-            for rcombo in right.get(want, ()):
-                out.append((combo + rcombo, 0.0))
-        out.sort(key=lambda t: t[0])
-        return out
-
-    # float route; a tuple whose selected entries all carry exact values is
-    # still decided by Fraction arithmetic, so mixed blocks report residual 0
-    # for exact hits and both strategies score every tuple identically
-    entries = [[c[0] for c in cl] for cl in cands]
+    def exact_sum(picks):
+        s = sum((fr for _, fr in picks), Fraction(0))
+        return s if additive else s % 1
 
     def score(combo):
-        frs = [cands[i][ci][1] for i, ci in enumerate(combo)]
-        if all(fr is not None for fr in frs):
-            s = sum(frs, Fraction(0))
-            hit = (s == 0) if additive else (s % 1 == 0)
-            return 0.0, hit
-        agg = _combine([entries[i][ci] for i, ci in enumerate(combo)], additive)
-        r = _residual(agg, additive)
+        picks = [cands[i][ci] for i, ci in enumerate(combo)]
+        if all(fr is not None for _, fr in picks):
+            return 0.0, exact_sum(picks) == 0
+        agg = _combine([e for e, _ in picks], additive)
+        r = abs(agg) if additive else abs(agg - 1.0)
         return r, r <= tol
 
-    if total <= mitm_threshold:
-        out = []
-        for combo in itertools.product(*(range(s) for s in sizes)):
+    out = []
+    if math.prod(sizes) <= mitm_threshold:
+        for combo in itertools.product(*map(range, sizes)):
             r, hit = score(combo)
             if hit:
                 out.append((combo, r))
         return out
 
-    # meet in the middle: bucket right halves by angle (turns) or sum, walk
-    # each left half's neighborhood, rescore candidate tuples via score()
     half = len(cands) // 2
+    exact = all(fr is not None for c in cands for _, fr in c)
     # |e^{2 pi i theta} - 1| <= tol forces |theta| <~ tol / (2 pi); be generous
-    width = max(tol, 1e-15)
-    n_buckets = int(math.ceil(1.0 / width)) if not additive else None
-    right: dict[int, list[tuple]] = {}
-    for combo in itertools.product(*(range(s) for s in sizes[half:])):
-        agg = _combine([entries[half + i][ci] for i, ci in enumerate(combo)], additive)
-        b = int(math.floor(_angle_of(agg, additive) / width))
-        if n_buckets is not None:
-            # theta right below 1 can round to 1.0 exactly; keep keys in range
-            b %= n_buckets
-        right.setdefault(b, []).append(combo)
-    out = []
-    for combo in itertools.product(*(range(s) for s in sizes[:half])):
-        agg = _combine([entries[i][ci] for i, ci in enumerate(combo)], additive)
-        theta = _angle_of(agg, additive)
-        target = -theta if additive else (-theta) % 1.0
-        base = int(math.floor(target / width))
-        seen = set()
-        for off in (-2, -1, 0, 1, 2):
-            b = base + off
-            if n_buckets is not None:
-                b %= n_buckets
-            if b in seen:
-                continue
-            seen.add(b)
-            for rcombo in right.get(b, ()):
-                full = combo + rcombo
-                r, hit = score(full)
+    scale = sum(max((abs(e) for e, _ in c), default=0.0) for c in cands) if additive else 1.0
+    width = max(tol, 1e-15, 4 * sys.float_info.epsilon * scale)
+    n_cells = math.ceil(1.0 / width)
+
+    def place(combo, lo):
+        """Where a half-tuple sits on the constraint line or circle."""
+        picks = [cands[lo + i][ci] for i, ci in enumerate(combo)]
+        if exact:
+            return exact_sum(picks)
+        return _angle_of(_combine([e for e, _ in picks], additive), additive)
+
+    def cell(v, off=0):
+        if exact:
+            return v
+        b = math.floor(v / width) + off
+        # wrap at 1: the first and last cells are neighbours, and theta
+        # right below 1 can round to 1.0 exactly
+        return b if additive else b % n_cells
+
+    right: dict = {}
+    for combo in itertools.product(*map(range, sizes[half:])):
+        right.setdefault(cell(place(combo, half)), []).append(combo)
+    for combo in itertools.product(*map(range, sizes[:half])):
+        v = place(combo, 0)
+        target = -v if additive else (-v) % 1
+        for key in {cell(target, off) for off in ((0,) if exact else (-2, -1, 0, 1, 2))}:
+            for rcombo in right.get(key, ()):
+                r, hit = (0.0, True) if exact else score(combo + rcombo)
                 if hit:
-                    out.append((full, r))
+                    out.append((combo + rcombo, r))
     out.sort(key=lambda t: t[0])
     return out
 
@@ -257,7 +212,9 @@ def resonant_tuples(
     The constraint factorizes across blocks, so each block is solved on its
     own (meet-in-the-middle above mitm_threshold combinations) and solutions
     are combined as a Cartesian product.  Tuples whose worst float residual
-    lands in (FRAGILE_BAND, tol] are flagged fragile.
+    lands in (FRAGILE_BAND, tol] are flagged fragile.  Tuples are ordered
+    position by position by candidate key (exact value first, then position
+    on the constraint circle); ties keep block-by-block enumeration order.
     """
     part = alpha if isinstance(alpha, Partition) else make_partition(alpha)
     spectra = list(spectra)
@@ -265,40 +222,34 @@ def resonant_tuples(
         raise ValidationError(
             f"got {len(spectra)} spectra for m={part.m} positions"
         )
-    norm: list[list[tuple]] = []
-    for sp in spectra:
-        if isinstance(sp, SpectralOperator):
-            pts = sp.unimodular_spectrum
-        else:
-            pts = tuple(sp)
-        norm.append([_normalize_entry(e, additive) for e in pts])
+    norm = [
+        [_normalize_entry(e, additive) for e in
+         (sp.unimodular_spectrum if isinstance(sp, SpectralOperator) else sp)]
+        for sp in spectra
+    ]
 
     blocks = part.blocks
-    per_block: dict[int, list] = {}
-    for a in sorted(blocks):
-        cands = [norm[j] for j in blocks[a]]
-        per_block[a] = _block_solutions(
-            cands, additive=additive, tol=tol, mitm_threshold=mitm_threshold
+    block_ids = sorted(blocks)
+    per_block = []
+    for a in block_ids:
+        sols = _block_solutions(
+            [norm[j] for j in blocks[a]], additive=additive, tol=tol,
+            mitm_threshold=mitm_threshold,
         )
-        if not per_block[a]:
+        if not sols:
             return ()
+        per_block.append(sols)
 
     out = []
-    block_ids = sorted(blocks)
-    for picks in itertools.product(*(per_block[a] for a in block_ids)):
-        entries: list = [None] * part.m
-        exact: list = [None] * part.m
-        residuals = []
-        fragile = False
-        for a, (combo, resid) in zip(block_ids, picks):
-            residuals.append(resid)
-            if FRAGILE_BAND < resid <= tol:
-                fragile = True
-            for pos_idx, ci in zip(blocks[a], combo):
-                entries[pos_idx], exact[pos_idx] = norm[pos_idx][ci]
-        out.append(
-            ResonantTuple(tuple(entries), tuple(exact), tuple(residuals), fragile)
-        )
+    for picks in itertools.product(*per_block):
+        picked = [0] * part.m
+        for a, (combo, _) in zip(block_ids, picks):
+            for j, ci in zip(blocks[a], combo):
+                picked[j] = ci
+        residuals = tuple(r for _, r in picks)
+        entries, exact = zip(*(norm[j][ci] for j, ci in enumerate(picked)))
+        fragile = any(FRAGILE_BAND < r <= tol for r in residuals)
+        out.append(ResonantTuple(entries, exact, residuals, fragile))
     out.sort(key=lambda t: tuple(
         (0, fr) if fr is not None else (1, _angle_of(e, additive))
         for e, fr in zip(t.entries, t.exact)

@@ -194,6 +194,19 @@ def test_quadrature_validation():
         QuadratureSpec("simpson", 4).nodes(1.0)
 
 
+@pytest.mark.parametrize("points", [2.5, "64", True])
+def test_quadrature_points_must_be_an_integer(points):
+    # 2.5 used to run 2 nodes while reporting 2.5 (and 5 on the Richardson
+    # grid), "64" escaped as a TypeError, True ran as 1 point
+    with pytest.raises(ValidationError, match="integer"):
+        QuadratureSpec("midpoint", points)
+
+
+def test_quadrature_points_accept_numpy_integers():
+    s, w = QuadratureSpec("midpoint", np.int64(4)).nodes(2.0)
+    assert len(s) == len(w) == 4
+
+
 # ------------------------------------------------------------------ averages
 
 

@@ -139,9 +139,11 @@ def test_single_operator_mean_matches_geometric_sum():
 
 def test_depth_validation():
     sys_ = make_system([1], [np.eye(2)])
-    for bad in (0, -3, 2.5, "8"):
+    for bad in (0, -3, 2.5, "8", True):
         with pytest.raises(ValidationError):
             entangled_average(sys_, bad)
+    with pytest.raises(ValidationError):
+        stacked_average(stacked_system(sys_), True)
 
 
 def test_state_shape_validation():

@@ -6,6 +6,8 @@ constraints; the limit operator against projections assembled by hand from
 the known eigenbasis; the meet-in-the-middle path against the brute path.
 """
 
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +207,97 @@ def test_mitm_brute_agreement_property(spectra):
     assert brute == mitm
     for t in brute:
         assert sum(t.exact) % 1 == 0
+
+
+def _entry(fr, kind, additive, jitter):
+    """One spectrum entry at exact value fr: the Fraction itself, or its float
+    frequency or unit-circle point, moved by jitter (frequency units or turns)."""
+    if kind == "exact":
+        return fr
+    if additive:
+        return float(fr) + jitter
+    return cmath.exp(2j * math.pi * (float(fr) + jitter))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([[1, 1], [1, 1, 1], [1, 1, 1, 1], [1, 2, 1], [1, 2, 2, 1], [1, 2, 1, 2]]),
+    st.booleans(),
+    st.sampled_from(["exact", "float", "mixed"]),
+    st.sampled_from([1e-8, 1e-15]),
+    st.data(),
+)
+def test_mitm_and_brute_force_give_identical_tuples(alpha, additive, kind, tol, data):
+    lo, hi = (-2, 2) if additive else (0, 1)
+    entry = st.tuples(
+        st.fractions(min_value=lo, max_value=hi, max_denominator=4),
+        st.sampled_from(["exact", "float"]) if kind == "mixed" else st.just(kind),
+        st.sampled_from([0.0, 0.0, 1e-12, -3e-10, 1e-9]),
+    )
+    spectra = [
+        [_entry(fr, k, additive, jitter) for fr, k, jitter in
+         data.draw(st.lists(entry, min_size=1, max_size=4))]
+        for _ in alpha
+    ]
+    brute = resonant_tuples(spectra, alpha, tol, additive=additive, mitm_threshold=10 ** 9)
+    mitm = resonant_tuples(spectra, alpha, tol, additive=additive, mitm_threshold=0)
+    # dataclass equality compares entries, exact values, residuals, fragile
+    # flags and, through the tuple, the order
+    assert brute == mitm
+
+
+def test_mitm_finds_float_sum_just_below_one_turn():
+    # the right half's angle is 1 - 1e-10 turns, in the last cell of the
+    # circle; the left half's complement is 0, in the first
+    right = [cmath.exp(1j * math.pi), cmath.exp(2j * math.pi * (0.5 - 1e-10))]
+    assert (cmath.phase(right[0] * right[1]) / (2 * math.pi)) % 1.0 > 1 - 1e-8
+    spectra = [[1.0 + 0.0j], [right[0]], [right[1]]]
+    brute = resonant_tuples(spectra, [1, 1, 1], mitm_threshold=10 ** 9)
+    mitm = resonant_tuples(spectra, [1, 1, 1], mitm_threshold=0)
+    assert len(brute) == 1 and brute[0].fragile
+    assert mitm == brute
+
+
+def test_mitm_keys_exact_frequencies_where_floats_cannot_resolve_tol():
+    base = [Fraction(1000) + Fraction(1, q) for q in (3, 7, 11)]
+    spectra = [base, base, sorted({-(a + b) for a in base for b in base})]
+    brute = resonant_tuples(spectra, [1, 1, 1], 1e-15, additive=True, mitm_threshold=10 ** 9)
+    mitm = resonant_tuples(spectra, [1, 1, 1], 1e-15, additive=True, mitm_threshold=0)
+    assert len(brute) == 9  # every (a, b) pair meets its own -(a + b) only
+    assert mitm == brute
+    # in floats these tuples miss the tolerance: only exact arithmetic sees them
+    assert max(abs(math.fsum(float(f) for f in t.exact)) for t in brute) > 1e-15
+
+
+def test_mitm_cells_outlast_rounding_of_large_frequencies():
+    # a lies just below half a unit in the last place of 1000 and b just
+    # above it, so 1000 + a and -(1000 + b) round apart by a whole unit
+    # (1.1e-13), 100 cells of width tol, though the tuple sums to -8e-16
+    a = 2.0 ** -44 - 5e-16
+    b = a + 8e-16
+    spectra = [[1000.0], [a], [-1000.0], [-b]]
+    brute = resonant_tuples(spectra, [1, 1, 1, 1], 1e-15, additive=True, mitm_threshold=10 ** 9)
+    mitm = resonant_tuples(spectra, [1, 1, 1, 1], 1e-15, additive=True, mitm_threshold=0)
+    assert len(brute) == 1
+    assert mitm == brute
+
+
+def test_tuples_sorted_by_candidate_key_with_ties_in_input_order():
+    # equal angles 1/4 on two different floats: the fragile one comes first
+    # in the input, so first among the ties
+    near = complex(0.0, 1.0 + 1e-9)
+    spectra = [["1/2", near, "0", 1j, "1/2"], [-1j, "0", "1/2"]]
+    for threshold in (0, 10 ** 9):
+        tuples = resonant_tuples(spectra, [1, 1], mitm_threshold=threshold)
+        assert [t.exact for t in tuples] == [
+            (Fraction(0), Fraction(0)),
+            (Fraction(1, 2), Fraction(1, 2)),
+            (Fraction(1, 2), Fraction(1, 2)),
+            (None, None),
+            (None, None),
+        ]
+        assert [t.entries[0] for t in tuples[3:]] == [near, 1j]
+        assert [t.fragile for t in tuples[3:]] == [True, False]
 
 
 # ------------------------------------------------------------ limit operator
