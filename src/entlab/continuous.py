@@ -95,6 +95,12 @@ class _ContinuousClock(Clock):
         """resonant_tuples lists frequencies here."""
         return TWO_PI * 1j * float(entry)
 
+    def resonance_entry(self, point):
+        """A point's exact frequency when known, else its float frequency."""
+        return point.exact if point.exact is not None else point.frequency
+
+    value_key = resonance_entry
+
     def point(self, value: complex, multiplicity: int, exact: Fraction | None):
         freq = float(exact) if exact is not None else value.imag / TWO_PI
         return FrequencyPoint(freq, multiplicity, exact)
@@ -365,12 +371,10 @@ def continuous_limit_operator(system: ContinuousSystem, tol: float = 1e-8) -> np
 
     Sum over additively resonant frequency tuples (each block's frequencies
     cancel exactly) of P_m A_{m-1} ... A_1 P_1 with P_j the spectral
-    projection of B_j at 2*pi*i*phi_j.
+    projection of B_j at 2*pi*i*phi_j, contracted over boundary eigen-indices
+    as in the discrete limit (spectral_limit._assemble_limit).
     """
     sgs = system.semigroups
-    spectra = [
-        [p.exact if p.exact is not None else p.frequency for p in sg.frequency_points]
-        for sg in sgs
-    ]
     matrices = [sg.generator for sg in sgs]
-    return _assemble_limit(system, sgs, matrices, spectra, tol, CONTINUOUS)[0]
+    points = [sg.frequency_points for sg in sgs]
+    return _assemble_limit(system, sgs, matrices, points, tol, CONTINUOUS)[0]

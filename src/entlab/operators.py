@@ -151,6 +151,15 @@ class Clock:
         """Eigenvalue of a resonance entry (resonant_tuples lists eigenvalues here)."""
         return complex(entry)
 
+    def resonance_entry(self, point):
+        """What resonant_tuples takes for one boundary point: the point itself."""
+        return point
+
+    def value_key(self, point):
+        """The point's exact value when known, else its float value: what
+        resonant_tuples puts in exact, else in entries, for the point."""
+        return point.angle if point.angle is not None else point.value
+
     def point(self, value: complex, multiplicity: int, exact: Fraction | None):
         return SpectralPoint(value, multiplicity, exact)
 
@@ -350,41 +359,39 @@ def certify_power_bounded(op, n_max: int = 64) -> PowerBoundReport:
     return _bound_report(op, op.power_bound_estimate, measured)
 
 
-def schur_spectral_projection(a, select) -> np.ndarray:
-    """Spectral projection onto the invariant subspace of selected eigenvalues.
+def _schur_split(arr: np.ndarray, select):
+    """Sorted complex Schur form with the selected eigenvalues leading.
 
-    Sorted complex Schur form puts the selected cluster in the leading block
-    T11; the coupling Y solves the Sylvester equation T11 Y - Y T22 = T12 and
-    the projection is Z [[I, Y], [0, 0]] Z^H.  Raises SpectralFailureError
-    when the selected and complementary clusters are too close to decouple.
+    Returns (t11, right, left): arr = Z [[T11, T12], [0, T22]] Z^H with the k
+    selected eigenvalues in T11, right = Z[:, :k] and left = [I, Y] Z^H with
+    Y solving T11 Y - Y T22 = T12, so right @ left is the spectral projection
+    onto the selected part.  Raises SpectralFailureError when the selected
+    and complementary clusters are too close to decouple.
     """
-    arr = linalg.as_matrix(a, square=True)
     d = arr.shape[0]
-
-    def pred(z):
-        return bool(select(complex(z)))
-
-    t, z, sdim = sla.schur(arr, output="complex", sort=pred)
+    t, z, sdim = sla.schur(arr, output="complex", sort=select)
     k = int(sdim)
-    if k == 0:
-        return np.zeros((d, d), dtype=np.complex128)
-    if k == d:
-        return np.eye(d, dtype=np.complex128)
     t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
-    inside = np.diagonal(t11)
-    outside = np.diagonal(t22)
-    gap = float(np.min(np.abs(inside[:, None] - outside[None, :])))
-    if gap < 1e-10:
-        raise SpectralFailureError(
-            f"eigenvalue clusters separated by only {gap:.3e}; projection unstable"
-        )
-    try:
-        y = sla.solve_sylvester(t11, -t22, t12)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralFailureError(f"Sylvester decoupling failed: {exc}") from exc
-    top = np.hstack([np.eye(k, dtype=np.complex128), y])
-    p = z[:, :k] @ top @ z.conj().T
-    return p
+    y = np.zeros((k, d - k), dtype=np.complex128)
+    if 0 < k < d:
+        gap = float(np.min(np.abs(np.diagonal(t11)[:, None] - np.diagonal(t22)[None, :])))
+        if gap < 1e-10:
+            raise SpectralFailureError(
+                f"eigenvalue clusters separated by only {gap:.3e}; projection unstable"
+            )
+        try:
+            y = sla.solve_sylvester(t11, -t22, t12)
+        except np.linalg.LinAlgError as exc:
+            raise SpectralFailureError(f"Sylvester decoupling failed: {exc}") from exc
+    return t11, z[:, :k], np.hstack([np.eye(k, dtype=np.complex128), y]) @ z.conj().T
+
+
+def schur_spectral_projection(a, select) -> np.ndarray:
+    """Spectral projection Z [[I, Y], [0, 0]] Z^H onto the invariant subspace
+    of the eigenvalues select accepts (see _schur_split)."""
+    arr = linalg.as_matrix(a, square=True)
+    _, right, left = _schur_split(arr, lambda e: bool(select(complex(e))))
+    return right @ left
 
 
 @dataclass(frozen=True)
@@ -418,26 +425,47 @@ def jdl_split(op, tol: float = 1e-9) -> JdlSplit:
     return JdlSplit(p_r, np.eye(op.dim, dtype=np.complex128) - p_r)
 
 
-def _boundary_projection(matrix, certificate, value: complex, exact=None):
-    """Spectral projection of matrix at the boundary eigenvalue value.
+def _boundary_basis(matrix, certificate, values, exacts):
+    """(right, left, group): d x r and r x d boundary bases at the values.
 
-    With a certificate it is S diag(mask) S^{-1}, the mask picking
-    eigenvalues by exact value (angle or frequency) when exact is given, else
-    within CLUSTER_TOL * max(1, |value|) of value; without one it is the
-    Schur projection for the same band.
+    group, a nondecreasing list, gives the index in values of each of the r
+    eigen-indices; the spectral projection at values[v] is right[:, idx] @
+    left[idx, :] over the idx with group[idx] == v.  An eigenvalue belongs to
+    a value by exact value when exacts gives one and the certificate lists
+    them, else within CLUSTER_TOL * max(1, |value|).  With a certificate the
+    bases are columns of S and rows of S^{-1}; without one, one sorted Schur
+    form puts all the values' clusters first (see _schur_split), and for
+    more than one value the eig V diag(mu) V^{-1} of T11 splits them: right
+    Z_1 V, left V^{-1} [I, Y] Z^H.
     """
-    band = CLUSTER_TOL * max(1.0, abs(value))
+    bands = [CLUSTER_TOL * max(1.0, abs(v)) for v in values]
     if certificate is None:
-        return schur_spectral_projection(matrix, lambda z: abs(z - value) <= band)
-    eigs = certificate.eigenvalues
-    if exact is not None and certificate.angles:
-        mask = np.zeros(eigs.size, dtype=bool)
-        mask[: len(certificate.angles)] = [a == exact for a in certificate.angles]
-    else:
-        mask = np.abs(eigs - value) <= band
-    if not np.any(mask):
-        return np.zeros((eigs.size, eigs.size), dtype=np.complex128)
-    return (certificate.basis * mask[np.newaxis, :]) @ certificate.basis_inv
+        t11, right, left = _schur_split(
+            matrix, lambda e: any(abs(e - v) <= b for v, b in zip(values, bands))
+        )
+        if len(values) == 1:
+            return right, left, [0] * t11.shape[0]
+        mu, vecs = np.linalg.eig(t11)
+        dist = np.abs(mu[:, None] - np.asarray(values)[None, :]) / np.asarray(bands)
+        group = np.argmin(dist, axis=1)
+        order = np.argsort(group, kind="stable")
+        vecs = vecs[:, order]
+        return right @ vecs, np.linalg.solve(vecs, left), group[order].tolist()
+    idx, group = [], []
+    for v, (value, exact, band) in enumerate(zip(values, exacts, bands)):
+        if exact is not None and certificate.angles:
+            hits = [i for i, a in enumerate(certificate.angles) if a == exact]
+        else:
+            hits = np.flatnonzero(np.abs(certificate.eigenvalues - value) <= band).tolist()
+        idx += hits
+        group += [v] * len(hits)
+    return certificate.basis.take(idx, axis=1), certificate.basis_inv.take(idx, axis=0), group
+
+
+def _boundary_projection(matrix, certificate, value: complex, exact=None):
+    """Spectral projection of matrix at one boundary value (see _boundary_basis)."""
+    right, left, _ = _boundary_basis(matrix, certificate, [value], [exact])
+    return right @ left
 
 
 def _parse_target(lam) -> tuple[complex, Fraction | None]:

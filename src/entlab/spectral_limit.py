@@ -1,12 +1,14 @@
 """Limit objects for entangled averages.
 
 The limit of an entangled Cesaro mean is a finite sum over resonant tuples of
-unit-circle eigenvalues: one eigenvalue per chain position, constrained block
-by block so that the eigenvalues sharing a lattice variable multiply to one.
-Each surviving tuple contributes the sandwich of mean ergodic projections
-through the connectors.  Everything here is about enumerating those tuples
-honestly (exactly when angles are exact rationals, with a declared tolerance
-and a fragility flag otherwise) and assembling the sum.
+boundary eigenvalues, one per chain position, constrained block by block so
+that the eigenvalues sharing a lattice variable multiply to one (in
+continuous time: their frequencies sum to zero).  Tuples are enumerated
+honestly: exactly when angles are exact rationals, with a declared tolerance
+and a fragility flag otherwise.  Each contributes P_m A_{m-1} ... A_1 P_1;
+since P_j = R_j[:, idx] L_j[idx, :] for boundary bases R_j, L_j, the sum is
+one contraction R_m W L_1 of the 0/1 resonance weight W over boundary
+eigen-indices against the cores L_{j+1} A_j R_j.
 
 The Koopman-von Neumann diagnostic at the end is the scalar companion: it
 inspects a nonnegative sequence for Cesaro smallness and proposes a density-
@@ -24,15 +26,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import entangle, linalg
 from .entangle import EntangledSystem, Partition, make_partition
-from .errors import EmptySequenceError, ValidationError
+from .errors import BudgetExceededError, EmptySequenceError, ValidationError
 from .operators import (
     DISCRETE,
     Clock,
     SpectralOperator,
     SpectralPoint,
-    _boundary_projection,
+    _boundary_basis,
     _read_matrix,
     _require_bounded,
     parse_angle,
@@ -77,7 +79,7 @@ class ResonantTuple:
 
 
 def _normalize_entry(e, additive: bool):
-    """Return (float_entry, exact_fraction_or_none)."""
+    """Return (float_entry, exact_fraction_or_none); non-finite floats are refused."""
     if isinstance(e, SpectralPoint):
         fr = e.angle
         if fr is None:
@@ -86,17 +88,19 @@ def _normalize_entry(e, additive: bool):
                     "additive mode needs real frequencies, not unit-circle points "
                     "without exact angles"
                 )
-            return complex(e.value), None
+            val = complex(e.value)
     elif isinstance(e, (Fraction, str)) or (isinstance(e, int) and not isinstance(e, bool)):
         fr = Fraction(e) if additive else parse_angle(e)
-    elif additive:
-        return float(e), None
     else:
-        val = complex(e)
-        if abs(abs(val) - 1.0) > 1e-6:
-            raise ValidationError(f"entry {e!r} is far from the unit circle")
-        return val, None
-    return (float(fr) if additive else angle_value(fr)), fr
+        fr = None
+        val = float(e) if additive else complex(e)
+    if fr is not None:
+        return (float(fr) if additive else angle_value(fr)), fr
+    if not cmath.isfinite(val):
+        raise ValidationError(f"entry {e!r} is not finite")
+    if not additive and abs(abs(val) - 1.0) > 1e-6:
+        raise ValidationError(f"entry {e!r} is far from the unit circle")
+    return val, None
 
 
 def _combine(vals, additive: bool):
@@ -257,37 +261,63 @@ def resonant_tuples(
     return tuple(out)
 
 
-def _assemble_limit(system, members, matrices, spectra, tol: float, clock: Clock):
+def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock):
     """Sum over resonant tuples of P_m A_{m-1} ... A_1 P_1, for either clock.
 
-    system gives the partition and connectors; members carry the verdict and
-    certificate of each position, matrices its operator or generator, spectra
-    its boundary points as resonant_tuples takes them.  P_j is the spectral
-    projection of position j at the tuple's eigenvalue, cached per (position,
-    exact value or float entry).  Returns (limit, tuples).
+    members carry each position's verdict and certificate, matrices its
+    operator or generator, points its boundary points.  The values of
+    position j that occur in some tuple get local indices and one boundary
+    basis (R_j, L_j, group_j).  A 0/1 weight W over value indices marks the
+    tuples; it is expanded to eigen-indices when a value has several, refused
+    beyond entangle.MEMORY_CAP_BYTES before any factorization, and multiplied
+    in place by the cores C_j = L_{j+1} A_j R_j.  The limit is R_m (W summed
+    over the inner positions) L_1.  Returns (limit, tuples).
     """
     _require_bounded(members, clock)
     partition, connectors = system.partition, system.connectors
+    spectra = [[clock.resonance_entry(p) for p in pts] for pts in points]
     tuples = resonant_tuples(spectra, partition, tol, additive=clock.additive)
-    d = matrices[0].shape[0]
-    out = np.zeros((d, d), dtype=np.complex128)
-    cache: dict = {}
+    d, m = matrices[0].shape[0], partition.m
+    if not tuples:
+        return np.zeros((d, d), dtype=np.complex128), tuples
 
-    def proj(j: int, entry, fr):
-        key = (j, fr if fr is not None else entry)
-        if key not in cache:
-            cache[key] = _boundary_projection(
-                matrices[j], members[j].certificate, clock.entry_value(entry), fr
-            )
-        return cache[key]
+    # per position: exact value, else float entry -> (local index, entry, exact)
+    index: list[dict] = [{} for _ in range(m)]
+    cells = [
+        [ix.setdefault(fr if fr is not None else e, (len(ix), e, fr))[0]
+         for e, fr in ((tup.entries[j], tup.exact[j]) for tup in tuples)]
+        for j, ix in enumerate(index)
+    ]
+    ranks = [
+        sum(p.multiplicity for p in pts if clock.value_key(p) in ix)
+        for ix, pts in zip(index, points)
+    ]
+    need = 16 * math.prod(ranks)
+    if need > entangle.MEMORY_CAP_BYTES:
+        per = ", ".join(f"position {j}: {r}" for j, r in enumerate(ranks, start=1))
+        raise BudgetExceededError(
+            f"the limit weight needs {need:,} bytes over boundary eigen-indices "
+            f"({per}), above the cap of {entangle.MEMORY_CAP_BYTES:,} bytes"
+        )
 
-    m = partition.m
-    for tup in tuples:
-        cur = proj(m - 1, tup.entries[m - 1], tup.exact[m - 1])
-        for j in range(m - 2, -1, -1):
-            cur = cur @ connectors[j] @ proj(j, tup.entries[j], tup.exact[j])
-        out = out + cur
-    return out, tuples
+    bases = [
+        _boundary_basis(matrices[j], members[j].certificate,
+                        [clock.entry_value(e) for _, e, _ in ix.values()],
+                        [fr for _, _, fr in ix.values()])
+        for j, ix in enumerate(index)
+    ]
+    weight = np.zeros([len(ix) for ix in index], dtype=np.complex128)
+    weight[tuple(cells)] = 1.0
+    groups = [group for _, _, group in bases]
+    if any(g != list(range(len(ix))) for g, ix in zip(groups, index)):
+        weight = weight[np.ix_(*groups)]
+    for j in range(m - 1):
+        core = bases[j + 1][1] @ connectors[j] @ bases[j][0]
+        view = [1] * m
+        view[j], view[j + 1] = core.shape[::-1]
+        weight *= core.T.reshape(view)
+    inner = np.diag(weight) if m == 1 else weight.sum(axis=tuple(range(1, m - 1))).T
+    return bases[m - 1][0] @ inner @ bases[0][1], tuples
 
 
 def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -295,9 +325,10 @@ def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndar
 
     Sum over resonant tuples of
         P_m(lam_m) A_{m-1} P_{m-1}(lam_{m-1}) ... A_1 P_1(lam_1)
-    with P_j the mean ergodic projection of T_j at lam_j.  Requires every T_j
-    to pass the power-boundedness certificate; an empty resonance set gives
-    the zero matrix (the averages die in norm).
+    with P_j the mean ergodic projection of T_j at lam_j, evaluated as one
+    contraction over boundary eigen-indices (see _assemble_limit).  Requires
+    every T_j to pass the power-boundedness certificate; an empty resonance
+    set gives the zero matrix (the averages die in norm).
     """
     return limit_operator_with_tuples(system, tol)[0]
 
@@ -305,8 +336,8 @@ def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndar
 def limit_operator_with_tuples(system: EntangledSystem, tol: float = DEFAULT_TOL):
     """(limit_operator(system, tol), the resonant tuples it summed over)."""
     ops = system.operators
-    spectra = [op.unimodular_spectrum for op in ops]
-    return _assemble_limit(system, ops, [op.matrix for op in ops], spectra, tol, DISCRETE)
+    points = [op.unimodular_spectrum for op in ops]
+    return _assemble_limit(system, ops, [op.matrix for op in ops], points, tol, DISCRETE)
 
 
 @dataclass(frozen=True)

@@ -12,20 +12,38 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import linalg
+from entlab import entangle, linalg
+from entlab.continuous import (
+    CONTINUOUS,
+    continuous_limit_operator,
+    make_continuous_system,
+    semigroup_from_generator,
+    synth_semigroup,
+)
 from entlab.entangle import entangled_average, make_system
 from entlab.errors import (
+    BudgetExceededError,
     EmptySequenceError,
     NotPowerBoundedError,
     ValidationError,
 )
-from entlab.operators import OrthonormalBasis, from_matrix, synth_operator
+from entlab.operators import (
+    OrthonormalBasis,
+    RandomSimilarity,
+    SpectralPoint,
+    _boundary_projection,
+    from_matrix,
+    mean_ergodic_projection,
+    synth_operator,
+)
 from entlab.spectral_limit import (
     kvn_diagnostic,
     limit_operator,
+    limit_operator_with_tuples,
     resonant_tuples,
     unimodular_spectrum,
 )
@@ -143,6 +161,22 @@ def test_fragile_flag_marks_near_threshold_residuals():
 def test_entry_far_from_circle_rejected():
     with pytest.raises(ValidationError):
         resonant_tuples([[0.5 + 0.0j], [1.0 + 0.0j]], [1, 1])
+
+
+@pytest.mark.parametrize(
+    "spectra, additive",
+    [
+        ([[complex("nan"), 1.0], [1.0]], False),
+        ([[float("nan"), 0.5], [-0.5]], True),
+        ([[float("inf"), 0.5], [-0.5]], True),
+        ([[complex("inf"), 1.0], [1.0]], False),
+        ([[SpectralPoint(complex("nan"), 1)], [1.0]], False),
+    ],
+)
+def test_non_finite_entries_refused(spectra, additive):
+    # a NaN entry used to be accepted and to never resonate
+    with pytest.raises(ValidationError, match="not finite"):
+        resonant_tuples(spectra, [1, 1], additive=additive)
 
 
 def test_spectra_count_must_match_alpha():
@@ -372,6 +406,188 @@ def test_limit_operator_respects_multiplicity():
     lim = limit_operator(sys_)
     # T x T resonates on (0,0), (1/2,1/2): P_0 + P_half = I here
     assert np.allclose(lim, np.eye(3), atol=1e-12)
+
+
+# ------------------------------------ limit kernel vs tuple-by-tuple sum
+
+# boundary values per position (angles in turns, or frequencies); 1/2 twice is
+# a multiplicity-2 cluster, as in the benchmark's limit system a
+DISCRETE_VALUES = (
+    ["0", "1/4", "1/2", "1/2"],
+    ["0", "3/4", "1/2", "1/2"],
+    ["0", "1/4", "3/4", "1/2"],
+)
+CONTINUOUS_VALUES = (
+    ["0", "1/2", "-1/2", "-1/2"],
+    ["0", "-1/2", "1/2", "1/2"],
+    ["0", "3/2", "-3/2", "1/2"],
+)
+STABLE = {False: [0.4 - 0.2j, -0.6], True: [-0.3 + 0.7j, -0.8]}
+CASES = (
+    ([1, 2, 1, 2], ["cert", "raw", "raw", "cert"]),  # crossing; exact and float per block
+    ([1, 2, 2, 1], ["raw", "cert", "raw", "cert"]),  # nested
+    ([1, 1], ["raw", "raw"]),
+    ([1, 1], ["cert", "cert"]),
+    ([1, 1, 1], ["cert", "raw", "cert"]),
+    ([1], ["raw"]),
+    ([1, 1], ["jordan", "cert"]),  # defective stable part
+)
+
+
+def _raw_matrix(boundary, stable, seed, jordan=False):
+    """S J S^{-1} for a random non-normal S, with J = diag(boundary, stable),
+    or with the stable part one Jordan block at stable[0] when jordan is set."""
+    rng = np.random.default_rng(seed)
+    d = len(boundary) + len(stable)
+    s = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    if jordan:
+        stable = [stable[0]] * len(stable)
+    j = np.diag(np.array(list(boundary) + list(stable), dtype=np.complex128))
+    if jordan:
+        j += np.diag([0.0] * len(boundary) + [1.0] * (len(stable) - 1), k=1)
+    return s @ j @ np.linalg.inv(s)
+
+
+def _member(kind, values, continuous, seed):
+    stable = STABLE[continuous]
+    if kind == "cert":
+        synth = synth_semigroup if continuous else synth_operator
+        return synth(values, stable, RandomSimilarity(seed, 5.0))
+    if continuous:
+        boundary = [CONTINUOUS.eigenvalue(Fraction(v)) for v in values]
+    else:
+        boundary = [cmath.exp(2j * math.pi * float(Fraction(v))) for v in values]
+    raw = _raw_matrix(boundary, stable, seed, jordan=kind == "jordan")
+    return (semigroup_from_generator if continuous else from_matrix)(raw)
+
+
+def _chain_sum(tuples, connectors, project):
+    """Sum over tuples of P_m A_{m-1} ... A_1 P_1, one chain per tuple."""
+    out = 0
+    for tup in tuples:
+        m = len(tup.entries)
+        cur = project(m - 1, tup)
+        for j in range(m - 2, -1, -1):
+            cur = cur @ connectors[j] @ project(j, tup)
+        out = out + cur
+    return out
+
+
+def _discrete_oracle(sys_):
+    ops = sys_.operators
+    tuples = resonant_tuples([op.unimodular_spectrum for op in ops], sys_.partition)
+
+    def project(j, tup):
+        fr = tup.exact[j]
+        return mean_ergodic_projection(ops[j], fr if fr is not None else tup.entries[j])
+
+    return _chain_sum(tuples, sys_.connectors, project), tuples
+
+
+def _continuous_oracle(sys_):
+    sgs = sys_.semigroups
+    spectra = [[CONTINUOUS.resonance_entry(p) for p in sg.frequency_points] for sg in sgs]
+    tuples = resonant_tuples(spectra, sys_.partition, additive=True)
+
+    def project(j, tup):
+        return _boundary_projection(sgs[j].generator, sgs[j].certificate,
+                                    CONTINUOUS.entry_value(tup.entries[j]), tup.exact[j])
+
+    return _chain_sum(tuples, sys_.connectors, project), tuples
+
+
+@pytest.mark.parametrize("continuous", [False, True], ids=["discrete", "continuous"])
+@pytest.mark.parametrize("alpha, kinds", CASES)
+def test_limit_kernel_matches_tuple_by_tuple_sum(alpha, kinds, continuous):
+    table = CONTINUOUS_VALUES if continuous else DISCRETE_VALUES
+    members = [_member(k, table[j % 3], continuous, 700 + j) for j, k in enumerate(kinds)]
+    conns = [linalg.haar_unitary(6, seed=710 + j) for j in range(len(alpha) - 1)]
+    if continuous:
+        sys_ = make_continuous_system(alpha, members, conns or None)
+        got = continuous_limit_operator(sys_)
+        want, tuples = _continuous_oracle(sys_)
+    else:
+        sys_ = make_system(alpha, members, conns or None)
+        got, got_tuples = limit_operator_with_tuples(sys_)
+        want, tuples = _discrete_oracle(sys_)
+        assert got_tuples == tuples
+    assert any(fr is None for t in tuples for fr in t.exact) == (kinds != ["cert"] * len(kinds))
+    assert np.linalg.norm(want) > 0.1
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["cert", "raw"])
+def test_limit_kernel_empty_resonance_is_zero_in_both_clocks(kind, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("no resonant tuple, so no projection is needed")
+
+    monkeypatch.setattr(scipy.linalg, "schur", never)
+    op = _member(kind, ["1/3", "1/4"], False, 720)
+    lim = limit_operator(make_system([1], [op]))
+    assert lim.shape == (4, 4) and not np.any(lim)
+    sg = _member(kind, ["1/3", "-1/4"], True, 721)
+    lim = continuous_limit_operator(make_continuous_system([1], [sg]))
+    assert lim.shape == (4, 4) and not np.any(lim)
+
+
+def _many_tuples_system():
+    """alpha = [1, 1, 1] over raw matrices with angles j/6: 36 resonant tuples,
+    each value of each position in 6 of them."""
+    angles = [str(Fraction(a, 6)) for a in range(6)]
+    ops = [_member("raw", angles, False, 730 + j) for j in range(3)]
+    conns = [linalg.haar_unitary(8, seed=740 + j) for j in range(2)]
+    return make_system([1, 1, 1], ops, conns)
+
+
+@pytest.fixture
+def schur_calls(monkeypatch):
+    calls = []
+    original = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    return calls
+
+
+def test_limit_kernel_factors_each_position_once(schur_calls):
+    sys_ = _many_tuples_system()
+    lim, tuples = limit_operator_with_tuples(sys_)
+    assert len(tuples) == 36
+    assert len(schur_calls) <= sys_.partition.m
+    want, _ = _discrete_oracle(sys_)
+    assert np.linalg.norm(lim - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_limit_weight_beyond_memory_cap_refused_before_any_factorization(
+    schur_calls, monkeypatch
+):
+    sys_ = _many_tuples_system()
+    need = 16 * 6 ** 3  # six boundary eigen-indices per position
+    monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", need - 1)
+    with pytest.raises(BudgetExceededError) as info:
+        limit_operator(sys_)
+    assert "position 1: 6, position 2: 6, position 3: 6" in str(info.value)
+    assert f"{need:,} bytes" in str(info.value)
+    assert schur_calls == []
+    monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", need)
+    limit_operator(sys_)
+    assert len(schur_calls) == 3
+
+
+def test_continuous_limit_weight_counts_certified_frequencies(monkeypatch):
+    # tuples (0, 0), (1/3, -1/3), (-1/3, 1/3): three indices per position
+    # (thirds, whose floats are not equal to the exact keys)
+    sgs = [synth_semigroup(["0", "1/3", "-1/3"], [-0.5], OrthonormalBasis(750 + j))
+           for j in range(2)]
+    sys_ = make_continuous_system([1, 1], sgs, [linalg.haar_unitary(4, seed=752)])
+    monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", 16 * 9 - 1)
+    with pytest.raises(BudgetExceededError, match="position 1: 3, position 2: 3"):
+        continuous_limit_operator(sys_)
+    monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", 16 * 9)
+    assert np.linalg.norm(continuous_limit_operator(sys_)) > 0
 
 
 # --------------------------------------------------------------- diagnostic
