@@ -99,8 +99,6 @@ class _ContinuousClock(Clock):
         """A point's exact frequency when known, else its float frequency."""
         return point.exact if point.exact is not None else point.frequency
 
-    value_key = resonance_entry
-
     def point(self, value: complex, multiplicity: int, exact: Fraction | None):
         freq = float(exact) if exact is not None else value.imag / TWO_PI
         return FrequencyPoint(freq, multiplicity, exact)
@@ -204,8 +202,8 @@ class QuadratureSpec:
     def nodes(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         if self.points < 2:
             raise ValidationError("need at least 2 quadrature points")
-        if not (t > 0):
-            raise ValidationError(f"horizon t must be positive, got {t!r}")
+        if not 0 < t < np.inf:
+            raise ValidationError(f"horizon t must be positive and finite, got {t!r}")
         q = int(self.points)
         if self.scheme == "midpoint":
             s = (np.arange(q) + 0.5) * (t / q)

@@ -407,6 +407,8 @@ def _estimate_cost(strategy: str, n: int, part: Partition) -> float:
 
 def _refuse_beyond(cost, budget, stack_bytes, detail: str, remedy: str):
     """BudgetExceededError before any work if cost or stack memory is too large."""
+    if budget is not None and np.isnan(budget):
+        raise ValidationError("budget must be a number or None, got nan")
     if budget is not None and cost > budget:
         raise BudgetExceededError(
             f"estimated cost {cost:.3e} exceeds budget {budget:.3e} ({detail}); {remedy}"
@@ -504,7 +506,8 @@ def entangled_average(
     m_cross their positions; for nested alpha the cost is linear in n.
     Estimates above `budget` raise BudgetExceededError before any work
     happens, as do power stacks (plus two working buffers) beyond 2 GiB.
-    budget=None disables the cost check (the memory cap stays).
+    budget=None disables the cost check (the memory cap stays); a NaN
+    budget raises ValidationError.
 
     With x given the chains act on x and a vector is returned; otherwise the
     operator mean itself.  The strategies agree to ~1e-10 relative; presum

@@ -155,11 +155,6 @@ class Clock:
         """What resonant_tuples takes for one boundary point: the point itself."""
         return point
 
-    def value_key(self, point):
-        """The point's exact value when known, else its float value: what
-        resonant_tuples puts in exact, else in entries, for the point."""
-        return point.angle if point.angle is not None else point.value
-
     def point(self, value: complex, multiplicity: int, exact: Fraction | None):
         return SpectralPoint(value, multiplicity, exact)
 
@@ -274,6 +269,8 @@ def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock):
     closed stable region, else inf.  The verdict is returned with a copy of
     the matrix it was computed for (see _verdict).
     """
+    if not 0 < band < np.inf:
+        raise ValidationError(f"boundary band must be positive and finite, got {band!r}")
     dec = linalg.eig(arr, tol, on_boundary=clock.on_boundary)
     points = [
         clock.point(center, int(members.size), None)
@@ -402,7 +399,7 @@ class JdlSplit:
     p_s: np.ndarray
 
 
-def jdl_split(op, tol: float = 1e-9) -> JdlSplit:
+def jdl_split(op) -> JdlSplit:
     """Projection pair separating unit-circle eigenspace from the stable rest.
 
     Requires the power-boundedness certificate; in finite dimension the stable

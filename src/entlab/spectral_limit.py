@@ -17,6 +17,7 @@ one index set along which the sequence tends to zero.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -70,12 +71,15 @@ class ResonantTuple:
         arithmetic reports 0.0.
     fragile : True when some float-mode residual lies in (FRAGILE_BAND, tol],
         close enough to the cut that a different tolerance could flip it.
+    index : per position, the index of the picked entry in that position's
+        spectrum as given (a SpectralOperator's unimodular_spectrum).
     """
 
     entries: tuple
     exact: tuple
     residuals: tuple[float, ...]
     fragile: bool
+    index: tuple[int, ...]
 
 
 def _normalize_entry(e, additive: bool):
@@ -216,16 +220,17 @@ def resonant_tuples(
     The constraint factorizes across blocks, so each block is solved on its
     own (meet-in-the-middle above mitm_threshold combinations) and solutions
     are combined as a Cartesian product.  Tuples whose worst float residual
-    lands in (FRAGILE_BAND, tol] are flagged fragile.  Tuples are ordered
-    position by position by candidate key (exact value first, then position
-    on the constraint circle); ties keep block-by-block enumeration order.
+    lands in (FRAGILE_BAND, tol] are flagged fragile.  Each position's
+    candidates are ranked once by key (exact value first, then position on
+    the constraint circle; equal keys tie) and tuples are stably sorted by
+    rank vector, so ties keep block-by-block enumeration order.
     """
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tolerance must be positive and finite, got {tol!r}")
     part = alpha if isinstance(alpha, Partition) else make_partition(alpha)
     spectra = list(spectra)
     if len(spectra) != part.m:
-        raise ValidationError(
-            f"got {len(spectra)} spectra for m={part.m} positions"
-        )
+        raise ValidationError(f"got {len(spectra)} spectra for m={part.m} positions")
     norm = [
         [_normalize_entry(e, additive) for e in
          (sp.unimodular_spectrum if isinstance(sp, SpectralOperator) else sp)]
@@ -236,42 +241,44 @@ def resonant_tuples(
     block_ids = sorted(blocks)
     per_block = []
     for a in block_ids:
-        sols = _block_solutions(
-            [norm[j] for j in blocks[a]], additive=additive, tol=tol,
-            mitm_threshold=mitm_threshold,
-        )
+        sols = _block_solutions([norm[j] for j in blocks[a]], additive=additive, tol=tol,
+                                mitm_threshold=mitm_threshold)
         if not sols:
             return ()
         per_block.append(sols)
 
-    out = []
+    ranks = []
+    for cands in norm:
+        keys = [(0, fr) if fr is not None else (1, _angle_of(e, additive)) for e, fr in cands]
+        ordered = sorted(keys)
+        ranks.append([bisect.bisect_left(ordered, key) for key in keys])
+    rows = []
     for picks in itertools.product(*per_block):
-        picked = [0] * part.m
+        index = [0] * part.m
         for a, (combo, _) in zip(block_ids, picks):
             for j, ci in zip(blocks[a], combo):
-                picked[j] = ci
-        residuals = tuple(r for _, r in picks)
-        entries, exact = zip(*(norm[j][ci] for j, ci in enumerate(picked)))
-        fragile = any(FRAGILE_BAND < r <= tol for r in residuals)
-        out.append(ResonantTuple(entries, exact, residuals, fragile))
-    out.sort(key=lambda t: tuple(
-        (0, fr) if fr is not None else (1, _angle_of(e, additive))
-        for e, fr in zip(t.entries, t.exact)
-    ))
-    return tuple(out)
+                index[j] = ci
+        rows.append((index, tuple(r for _, r in picks)))
+    rows.sort(key=lambda row: list(map(list.__getitem__, ranks, row[0])))  # ranks[j][index[j]]
+    # every residual is at most tol, so fragile means one exceeds FRAGILE_BAND
+    return tuple(
+        ResonantTuple(*zip(*map(list.__getitem__, norm, index)), res,
+                      max(res) > FRAGILE_BAND, tuple(index))
+        for index, res in rows
+    )
 
 
 def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock):
     """Sum over resonant tuples of P_m A_{m-1} ... A_1 P_1, for either clock.
 
     members carry each position's verdict and certificate, matrices its
-    operator or generator, points its boundary points.  The values of
-    position j that occur in some tuple get local indices and one boundary
-    basis (R_j, L_j, group_j).  A 0/1 weight W over value indices marks the
-    tuples; it is expanded to eigen-indices when a value has several, refused
-    beyond entangle.MEMORY_CAP_BYTES before any factorization, and multiplied
-    in place by the cores C_j = L_{j+1} A_j R_j.  The limit is R_m (W summed
-    over the inner positions) L_1.  Returns (limit, tuples).
+    operator or generator, points its boundary points.  The points of
+    position j that some tuple picks (t.index) get local indices and one
+    boundary basis (R_j, L_j, group_j).  A 0/1 weight W over local indices
+    marks the tuples; it is expanded to eigen-indices when a point has
+    several, refused beyond entangle.MEMORY_CAP_BYTES before any factorization,
+    and multiplied in place by the cores C_j = L_{j+1} A_j R_j.  The limit is
+    R_m (W summed over the inner positions) L_1.  Returns (limit, tuples).
     """
     _require_bounded(members, clock)
     partition, connectors = system.partition, system.connectors
@@ -281,17 +288,12 @@ def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock)
     if not tuples:
         return np.zeros((d, d), dtype=np.complex128), tuples
 
-    # per position: exact value, else float entry -> (local index, entry, exact)
-    index: list[dict] = [{} for _ in range(m)]
-    cells = [
-        [ix.setdefault(fr if fr is not None else e, (len(ix), e, fr))[0]
-         for e, fr in ((tup.entries[j], tup.exact[j]) for tup in tuples)]
-        for j, ix in enumerate(index)
-    ]
-    ranks = [
-        sum(p.multiplicity for p in pts if clock.value_key(p) in ix)
-        for ix, pts in zip(index, points)
-    ]
+    # per position: the picked point indices, ascending, and each tuple's local index
+    cols = list(zip(*(t.index for t in tuples)))
+    picked = [sorted(set(col)) for col in cols]
+    local = [{i: v for v, i in enumerate(used)} for used in picked]
+    cells = tuple([loc[i] for i in col] for loc, col in zip(local, cols))
+    ranks = [sum(pts[i].multiplicity for i in used) for pts, used in zip(points, picked)]
     need = 16 * math.prod(ranks)
     if need > entangle.MEMORY_CAP_BYTES:
         per = ", ".join(f"position {j}: {r}" for j, r in enumerate(ranks, start=1))
@@ -300,16 +302,15 @@ def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock)
             f"({per}), above the cap of {entangle.MEMORY_CAP_BYTES:,} bytes"
         )
 
-    bases = [
-        _boundary_basis(matrices[j], members[j].certificate,
-                        [clock.entry_value(e) for _, e, _ in ix.values()],
-                        [fr for _, _, fr in ix.values()])
-        for j, ix in enumerate(index)
-    ]
-    weight = np.zeros([len(ix) for ix in index], dtype=np.complex128)
-    weight[tuple(cells)] = 1.0
+    bases = []
+    for j, used in enumerate(picked):
+        entries, exacts = zip(*(_normalize_entry(spectra[j][i], clock.additive) for i in used))
+        bases.append(_boundary_basis(matrices[j], members[j].certificate,
+                                     [clock.entry_value(e) for e in entries], exacts))
+    weight = np.zeros([len(used) for used in picked], dtype=np.complex128)
+    weight[cells] = 1.0
     groups = [group for _, _, group in bases]
-    if any(g != list(range(len(ix))) for g, ix in zip(groups, index)):
+    if any(g != list(range(len(used))) for g, used in zip(groups, picked)):
         weight = weight[np.ix_(*groups)]
     for j in range(m - 1):
         core = bases[j + 1][1] @ connectors[j] @ bases[j][0]

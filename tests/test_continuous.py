@@ -160,6 +160,13 @@ def test_frequency_spectrum_refuses_unbounded_semigroup():
         frequency_spectrum(np.diag([1.0]))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+def test_frequency_spectrum_band_must_be_positive_and_finite(tol):
+    # a NaN band used to read no frequencies at all
+    with pytest.raises(ValidationError, match="band"):
+        frequency_spectrum(np.diag([0.0, -1.0]), tol=tol)
+
+
 # ---------------------------------------------------------------- quadrature
 
 
@@ -192,6 +199,16 @@ def test_quadrature_validation():
         QuadratureSpec("midpoint", 4).nodes(0.0)
     with pytest.raises(ValidationError):
         QuadratureSpec("simpson", 4).nodes(1.0)
+
+
+@pytest.mark.parametrize("t", [float("inf"), float("nan")])
+def test_horizon_must_be_finite(t):
+    # an infinite horizon used to return a NaN value and a NaN error estimate
+    with pytest.raises(ValidationError, match="horizon"):
+        QuadratureSpec("midpoint", 8).nodes(t)
+    system = make_continuous_system([1], [synth_semigroup(["0"], [], OrthonormalBasis(1))])
+    with pytest.raises(ValidationError, match="horizon"):
+        continuous_entangled_average(system, t, QuadratureSpec("midpoint", 8))
 
 
 @pytest.mark.parametrize("points", [2.5, "64", True])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import entangle, linalg
+from entlab import continuous, entangle, linalg
 from entlab.cli import main
 from entlab.continuous import (
     QuadratureSpec,
@@ -35,7 +35,7 @@ from entlab.entangle import (
     stacked_average,
     stacked_system,
 )
-from entlab.errors import BudgetExceededError
+from entlab.errors import BudgetExceededError, ValidationError
 from entlab.operators import OrthonormalBasis, RandomSimilarity, synth_operator
 from entlab.rng import CounterRng
 
@@ -236,6 +236,30 @@ def test_crossing_alpha_at_depth_1e5_refused_before_work(monkeypatch):
     _forbid_work(monkeypatch)
     with pytest.raises(BudgetExceededError, match="lattice axes=2"):
         entangled_average(sys_, 100_000)
+
+
+@pytest.mark.parametrize("strategy, n", [("presum", 100_000), ("naive", 64)])
+def test_nan_budget_refused_before_work(monkeypatch, strategy, n):
+    # NaN compares False with every cost, so it used to pass the budget check
+    sys_ = _pair_system([1, 2, 1, 2])
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValidationError, match="budget"):
+        entangled_average(sys_, n, strategy=strategy, budget=float("nan"))
+    with pytest.raises(ValidationError, match="budget"):
+        stacked_average(stacked_system(sys_), n, strategy=strategy, budget=float("nan"))
+
+
+def test_continuous_nan_budget_refused_before_work(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(continuous, "_single_grid_average", never)
+    sgs = [synth_semigroup(["0"], [-0.5], OrthonormalBasis(j)) for j in range(4)]
+    conns = [linalg.haar_unitary(2, seed=400 + j) for j in range(3)]
+    system = make_continuous_system([1, 2, 1, 2], sgs, conns)
+    with pytest.raises(ValidationError, match="budget"):
+        continuous_entangled_average(system, 100.0, QuadratureSpec("midpoint", 100_000),
+                                     budget=float("nan"))
 
 
 def _config(alpha, path):

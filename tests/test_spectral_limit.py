@@ -41,6 +41,8 @@ from entlab.operators import (
     synth_operator,
 )
 from entlab.spectral_limit import (
+    FRAGILE_BAND,
+    _normalize_entry,
     kvn_diagnostic,
     limit_operator,
     limit_operator_with_tuples,
@@ -276,8 +278,11 @@ def test_mitm_and_brute_force_give_identical_tuples(alpha, additive, kind, tol, 
     brute = resonant_tuples(spectra, alpha, tol, additive=additive, mitm_threshold=10 ** 9)
     mitm = resonant_tuples(spectra, alpha, tol, additive=additive, mitm_threshold=0)
     # dataclass equality compares entries, exact values, residuals, fragile
-    # flags and, through the tuple, the order
+    # flags, point indices and, through the tuple, the order
     assert brute == mitm
+    for t in brute:
+        for j, sp in enumerate(spectra):
+            assert _normalize_entry(sp[t.index[j]], additive) == (t.entries[j], t.exact[j])
 
 
 def test_mitm_finds_float_sum_just_below_one_turn():
@@ -332,6 +337,45 @@ def test_tuples_sorted_by_candidate_key_with_ties_in_input_order():
         ]
         assert [t.entries[0] for t in tuples[3:]] == [near, 1j]
         assert [t.fragile for t in tuples[3:]] == [True, False]
+
+
+def test_interleaved_blocks_order_float_ties_by_enumeration():
+    # alpha=[1,2,1,2]: block 1 is positions 1 and 3, block 2 positions 2 and
+    # 4.  Both candidates at position 1 sit at angle 1/4, a tie; the first is
+    # off the circle by 5e-9, so its block-1 residual is 5e-9 (fragile) and
+    # the second's is 0.  Ties keep enumeration order: block 1's solutions
+    # outermost, so each rank vector holds the fragile tuple, then its twin.
+    near = complex(0.0, 1.0 + 5e-9)
+    spectra = [[near, 1j], ["1/2", -1.0], [-1j], [-1.0, "1/2"]]
+    for threshold in (0, 10 ** 9):
+        tuples = resonant_tuples(spectra, [1, 2, 1, 2], mitm_threshold=threshold)
+        assert [t.index for t in tuples] == [
+            (0, 0, 0, 1), (1, 0, 0, 1),
+            (0, 0, 0, 0), (1, 0, 0, 0),
+            (0, 1, 0, 1), (1, 1, 0, 1),
+            (0, 1, 0, 0), (1, 1, 0, 0),
+        ]
+        assert [t.fragile for t in tuples] == [True, False] * 4
+        assert [t.entries[0] for t in tuples] == [near, 1j] * 4
+        assert all(FRAGILE_BAND < t.residuals[0] <= 1e-8 for t in tuples[::2])
+        assert all(t.residuals[0] == 0.0 for t in tuples[1::2])
+        assert [t.exact[1] is None for t in tuples] == [False] * 4 + [True] * 4
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+@pytest.mark.parametrize("threshold", [0, 10 ** 9])
+def test_resonance_tolerance_must_be_positive_and_finite(tol, threshold):
+    with pytest.raises(ValidationError, match="tolerance"):
+        resonant_tuples([[1.0, -1.0], [1.0, -1.0]], [1, 1], tol, mitm_threshold=threshold)
+
+
+def test_nan_tolerances_refused_before_resonance_turns_off():
+    t = from_matrix(np.diag([1.0, -1.0]))
+    assert np.allclose(limit_operator(make_system([1, 1], [t, t])), np.eye(2))
+    with pytest.raises(ValidationError, match="tolerance"):
+        limit_operator(make_system([1, 1], [t, t]), tol=float("nan"))
+    with pytest.raises(ValidationError, match="band"):
+        unimodular_spectrum(np.diag([1.0, -1.0, 0.5]), tol=float("nan"))
 
 
 # ------------------------------------------------------------ limit operator
@@ -588,6 +632,19 @@ def test_continuous_limit_weight_counts_certified_frequencies(monkeypatch):
         continuous_limit_operator(sys_)
     monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", 16 * 9)
     assert np.linalg.norm(continuous_limit_operator(sys_)) > 0
+
+
+def test_limit_weight_counts_picked_points_by_multiplicity(monkeypatch):
+    # resonant tuples (0, 0) and (1/2, 1/2): position 1 picks angle 0
+    # (multiplicity 2) and 1/2 (multiplicity 1), never 1/4 (multiplicity 3)
+    ops = [synth_operator(["0", "0", "1/2", "1/4", "1/4", "1/4"], [0.3], OrthonormalBasis(760)),
+           synth_operator(["0", "1/2"], [0.3] * 5, OrthonormalBasis(761))]
+    sys_ = make_system([1, 1], ops, [linalg.haar_unitary(7, seed=762)])
+    monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", 16 * 3 * 2 - 1)
+    with pytest.raises(BudgetExceededError, match="position 1: 3, position 2: 2"):
+        limit_operator(sys_)
+    monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", 16 * 3 * 2)
+    assert np.linalg.norm(limit_operator(sys_)) > 0
 
 
 # --------------------------------------------------------------- diagnostic
