@@ -25,7 +25,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -439,22 +439,30 @@ def _norms(diff) -> tuple[float, float]:
     return float(np.linalg.norm(diff)), linalg.spectral_norm(diff)
 
 
+def _sweep(cfg: ExperimentConfig, points, diff, strategy: str = "") -> list[dict]:
+    """One record per checkpoint p, timing diff(p), the result minus its reference."""
+    records = []
+    for p in points:
+        t0 = time.perf_counter()
+        err_f, err_o = _norms(diff(p))
+        ms = 1e3 * (time.perf_counter() - t0)
+        records.append(_record(cfg, p, err_f, err_o, ms, strategy))
+    return records
+
+
 def _run_converge(cfg: ExperimentConfig):
     system = _build_system(cfg)
     x = _state(cfg, system.dim)
     limit = spectral_limit.limit_operator(system, cfg.tolerance)
     reference = limit if x is None else limit @ x
 
-    def work(n: int) -> dict:
-        t0 = time.perf_counter()
+    def diff(n: int):
         avg = entangle.entangled_average(
             system, n, strategy=cfg.strategy, x=x, budget=cfg.budget
         )
-        err_f, err_o = _norms(avg - reference)
-        ms = 1e3 * (time.perf_counter() - t0)
-        return _record(cfg, n, err_f, err_o, ms, cfg.strategy)
+        return avg - reference
 
-    records = [work(n) for n in cfg.data["schedule"]]
+    records = _sweep(cfg, cfg.data["schedule"], diff, cfg.strategy)
     summary = {
         "verifies": "mean ergodic convergence of entangled Cesaro averages",
         "limit_frobenius_norm": float(np.linalg.norm(limit)),
@@ -501,9 +509,8 @@ def _run_limit(cfg: ExperimentConfig):
 def _run_resonances(cfg: ExperimentConfig):
     system = _build_system(cfg)
     t0 = time.perf_counter()
-    spectra = [spectral_limit.unimodular_spectrum(op) for op in system.operators]
     tuples = spectral_limit.resonant_tuples(
-        spectra, system.partition, cfg.tolerance
+        system.operators, system.partition, cfg.tolerance
     )
     ms = 1e3 * (time.perf_counter() - t0)
     # one enumeration yields every row, so each row carries an equal share
@@ -547,19 +554,11 @@ def _run_stacking(cfg: ExperimentConfig):
     st = entangle.stacked_system(system)
     x = _state(cfg, system.dim)
 
-    def work(n: int) -> dict:
-        t0 = time.perf_counter()
-        direct = entangle.entangled_average(
-            system, n, strategy=cfg.strategy, x=x, budget=cfg.budget
-        )
-        via = entangle.stacked_average(
-            st, n, strategy=cfg.strategy, x=x, budget=cfg.budget
-        )
-        err_f, err_o = _norms(direct - via)
-        ms = 1e3 * (time.perf_counter() - t0)
-        return _record(cfg, n, err_f, err_o, ms, cfg.strategy)
+    def diff(n: int):
+        kw = dict(strategy=cfg.strategy, x=x, budget=cfg.budget)
+        return entangle.entangled_average(system, n, **kw) - entangle.stacked_average(st, n, **kw)
 
-    records = [work(n) for n in cfg.data["schedule"]]
+    records = _sweep(cfg, cfg.data["schedule"], diff, cfg.strategy)
     summary = {"verifies": "block companion dilation identity"}
     return records, summary
 
@@ -572,21 +571,18 @@ def _run_continuous(cfg: ExperimentConfig):
     quad_cfg = cfg.data["quadrature"]
     estimates = {}
 
-    def work(t: float) -> dict:
+    def diff(t: float):
         points = quad_cfg["points"]
         if points == "auto":
             points = cont.suggest_points(system, t)
-        quad = cont.QuadratureSpec(quad_cfg["scheme"], points)
-        t0 = time.perf_counter()
         avg = cont.continuous_entangled_average(
-            system, t, quad, x=x, budget=cfg.budget,
-            richardson=cfg.data["richardson"],
+            system, t, cont.QuadratureSpec(quad_cfg["scheme"], points), x=x,
+            budget=cfg.budget, richardson=cfg.data["richardson"],
         )
-        err_f, err_o = _norms(avg.value - reference)
         estimates[t] = {"points": avg.points, "richardson": avg.error_estimate}
-        return _record(cfg, t, err_f, err_o, 1e3 * (time.perf_counter() - t0))
+        return avg.value - reference
 
-    records = [work(t) for t in cfg.data["horizons"]]
+    records = _sweep(cfg, cfg.data["horizons"], diff)
     summary = {
         "verifies": "continuous-time mean ergodic convergence",
         "limit_frobenius_norm": float(np.linalg.norm(limit)),
@@ -665,13 +661,9 @@ def main(argv=None) -> int:
                 f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}"
             )
         if args.budget is not None:
-            cfg = ExperimentConfig(
-                **{**cfg.__dict__, "budget": _number(args.budget, "--budget")}
-            )
-        if args.format is not None:
-            cfg = ExperimentConfig(**{**cfg.__dict__, "format": args.format})
-        if args.out is not None:
-            cfg = ExperimentConfig(**{**cfg.__dict__, "out": args.out})
+            _number(args.budget, "--budget")  # argparse gave a float; refuse nan and inf
+        cfg = replace(cfg, **{k: getattr(args, k) for k in ("budget", "format", "out")
+                              if getattr(args, k) is not None})
         records, summary = run_experiment(cfg)
         out_path = cfg.out or f"entlab-{cfg.kind}.{cfg.format}"
         emit_results(records, cfg.format, out_path)
@@ -679,8 +671,6 @@ def main(argv=None) -> int:
         print(json.dumps(summary, indent=2))
         return 0
     except (
-        ParseError,
-        ValidationError,
         ConfigError,
         NotSurjectiveError,
         EmptyAlphaError,

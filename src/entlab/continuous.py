@@ -24,15 +24,16 @@ from .entangle import (
     MEMORY_CAP_BYTES,
     Partition,
     _contract,
+    _per_matrix,
     _power_stack,
     _refuse_beyond,
     _stack_bytes,
+    _state,
     _validate_system,
     plan_chain,
 )
 from .errors import (
     BudgetExceededError,
-    DimensionMismatchError,
     NotBoundedSemigroupError,
     ValidationError,
 )
@@ -181,9 +182,7 @@ def frequency_spectrum(sg, tol: float = AXIS_BAND) -> tuple[FrequencyPoint, ...]
     """
     if not isinstance(sg, Semigroup):
         sg = semigroup_from_generator(sg, axis_band=tol)
-    ok, reason = sg.spectral_verdict
-    if not ok:
-        raise NotBoundedSemigroupError(reason)
+    _require_bounded([sg], CONTINUOUS)
     return sg.frequency_points
 
 
@@ -202,8 +201,7 @@ class QuadratureSpec:
     def nodes(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         if self.points < 2:
             raise ValidationError("need at least 2 quadrature points")
-        if not 0 < t < np.inf:
-            raise ValidationError(f"horizon t must be positive and finite, got {t!r}")
+        linalg._positive_finite(t, "horizon t")
         q = int(self.points)
         if self.scheme == "midpoint":
             s = (np.arange(q) + 0.5) * (t / q)
@@ -292,18 +290,14 @@ def _single_grid_average(system, t, quad: QuadratureSpec, x):
     if midpoint:
         for sg in system.semigroups:
             linalg.check_expm_horizon(sg.generator, s_nodes[-1])
-    stacks: dict[int, np.ndarray] = {}
 
-    def stack(j: int) -> np.ndarray:
-        sg = system.semigroups[j]
-        key = id(sg.generator)
-        if key not in stacks:
-            if midpoint:
-                half, step = sg.value(np.array([h / 2, h]))
-                stacks[key] = _power_stack(step, q, start=half)
-            else:
-                stacks[key] = sg.value(s_nodes)
-        return stacks[key]
+    def grid(b: np.ndarray) -> np.ndarray:
+        if midpoint:
+            half, step = linalg.expm(b, np.array([h / 2, h]))
+            return _power_stack(step, q, start=half)
+        return linalg.expm(b, s_nodes)
+
+    stack = _per_matrix([sg.generator for sg in system.semigroups], grid)
 
     def single(j: int) -> np.ndarray:
         return np.tensordot(w_nodes, stack(j), axes=1) / t
@@ -339,12 +333,7 @@ def continuous_entangled_average(
     Q at 20 or more points per period (see suggest_points).
     """
     _require_bounded(system.semigroups, CONTINUOUS)
-    if x is not None:
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (system.dim,):
-            raise DimensionMismatchError(
-                f"state has shape {x.shape}, expected ({system.dim},)"
-            )
+    x = _state(x, system.dim)
     fine = QuadratureSpec(quad.scheme, 2 * quad.points)
     _check_grid(system, fine if richardson else quad, budget)
     value = _single_grid_average(system, float(t), quad, x)
@@ -356,11 +345,14 @@ def continuous_entangled_average(
 
 
 def suggest_points(system: ContinuousSystem, t: float, per_period: float = 20.0) -> int:
-    """Grid size putting per_period nodes on the fastest spectral oscillation."""
-    fmax = 0.0
-    for sg in system.semigroups:
-        for p in sg.frequency_points:
-            fmax = max(fmax, abs(p.frequency))
+    """Grid size putting per_period nodes on the fastest spectral oscillation.
+
+    t and per_period must be positive and finite, else ValidationError.
+    """
+    linalg._positive_finite(t, "horizon t")
+    linalg._positive_finite(per_period, "per_period")
+    fmax = max((abs(p.frequency) for sg in system.semigroups for p in sg.frequency_points),
+               default=0.0)
     return max(2, int(np.ceil(per_period * t * fmax)))
 
 

@@ -432,6 +432,19 @@ def _stack_bytes(mats, positions, n: int) -> int:
     return (len({id(mats[j]) for j in positions}) + 2) * n * d * d * 16
 
 
+def _per_matrix(mats, build):
+    """j -> build(mats[j]), built once per distinct matrix object (by id)."""
+    built: dict[int, np.ndarray] = {}
+
+    def get(j: int) -> np.ndarray:
+        key = id(mats[j])
+        if key not in built:
+            built[key] = build(mats[j])
+        return built[key]
+
+    return get
+
+
 _REMEDY = "raise the budget, lower n, or switch strategy"
 
 
@@ -447,13 +460,11 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
         vector = x is not None
         out_shape = (d,) if vector else (d, d)
         total = _Kahan(out_shape)
-        xv = None if x is None else np.asarray(x, dtype=np.complex128)
         for combo in itertools.product(range(1, n + 1), repeat=part.k):
-            cur = xv
             for j in range(m):
                 f = np.linalg.matrix_power(mats[j], combo[part.alpha[j] - 1])
                 if j == 0:
-                    cur = _apply(f, xv, True) if vector else f
+                    cur = _apply(f, x, True) if vector else f
                 else:
                     cur = _apply(connectors[j - 1], cur, vector)
                     cur = _apply(f, cur, vector)
@@ -467,22 +478,26 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
         _estimate_cost("presum", n, part), budget, _stack_bytes(mats, plan.stacked, n),
         f"strategy=presum, n={n}, lattice axes={len(plan.crossing)}", _REMEDY,
     )
-    stacks: dict[int, np.ndarray] = {}
-    means: dict[int, np.ndarray] = {}
-
-    def stack(j):
-        key = id(mats[j])
-        if key not in stacks:
-            stacks[key] = _power_stack(mats[j], n)
-        return stacks[key]
-
-    def single(j):
-        key = id(mats[j])
-        if key not in means:
-            means[key] = _power_sum(mats[j], n) / n
-        return means[key]
-
+    stack = _per_matrix(mats, lambda t: _power_stack(t, n))
+    single = _per_matrix(mats, lambda t: _power_sum(t, n) / n)
     return _contract(plan, part, connectors, n, stack, single, x=x)
+
+
+def _depth(n) -> int:
+    """n as a Python int; ValidationError unless it is a positive integer."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"depth n must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def _state(x, d: int):
+    """x as a complex (d,) vector, or None when x is None."""
+    if x is None:
+        return None
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape != (d,):
+        raise DimensionMismatchError(f"state has shape {x.shape}, expected ({d},)")
+    return x
 
 
 def entangled_average(
@@ -513,18 +528,9 @@ def entangled_average(
     operator mean itself.  The strategies agree to ~1e-10 relative; presum
     is exact at every n, not just convergent, since it reorders finite sums.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"depth n must be a positive integer, got {n!r}")
-    if x is not None:
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (system.dim,):
-            raise DimensionMismatchError(
-                f"state has shape {x.shape}, expected ({system.dim},)"
-            )
     mats = [op.matrix for op in system.operators]
-    return _evaluate_discrete(
-        mats, list(system.connectors), system.partition, int(n), strategy, x, budget
-    )
+    return _evaluate_discrete(mats, list(system.connectors), system.partition, _depth(n),
+                              strategy, _state(x, system.dim), budget)
 
 
 @dataclass(frozen=True)
@@ -589,20 +595,16 @@ def stacked_average(
     chain exactly, so the two routes agree to roundoff; the acceptance suite
     checks a 1e-12 relative residual.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"depth n must be a positive integer, got {n!r}")
+    n = _depth(n)
     m, d = st.m, st.block_dim
     part = st.partition
     mats = [st.script_t] * (m - 1) + [st.script_s]
     conns = [st.script_a] * (m - 1)
-    big_x = None
+    x, big_x = _state(x, d), None
     if x is not None:
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (d,):
-            raise DimensionMismatchError(f"state has shape {x.shape}, expected ({d},)")
         big_x = np.zeros(m * d, dtype=np.complex128)
         big_x[:d] = x
-    out = _evaluate_discrete(mats, conns, part, int(n), strategy, big_x, budget)
+    out = _evaluate_discrete(mats, conns, part, n, strategy, big_x, budget)
     if x is not None:
         return out[(m - 1) * d :]
     return out[(m - 1) * d :, :d]
@@ -659,12 +661,15 @@ def generalized_power_average(
         )
     u_inv = _inverse(u)
     counts = {a: len(pos) for a, pos in part.blocks.items()}
+    # one wrapped operator (one eig) per distinct matrix: u and each u^{-c}
+    inv_powers = {c: as_operator(np.linalg.matrix_power(u_inv, c)) for c in set(counts.values())}
     # positions 1..k (chain order, rightmost first): u^{-c_a} driven by block a
-    ops = [np.linalg.matrix_power(u_inv, counts[a]) for a in range(1, k + 1)]
+    ops = [inv_powers[counts[a]] for a in range(1, k + 1)]
     beta = list(range(1, k + 1))
     # positions k+1..k+m: u driven by block alpha(m), alpha(m-1), ..., alpha(1)
+    u_op = as_operator(u)
     for j in range(m, 0, -1):
-        ops.append(u)
+        ops.append(u_op)
         beta.append(part.alpha[j - 1])
     # connectors, right to left: I x (k-1), then a_m, a_{m-1}, ..., a_1
     d = u.shape[0]

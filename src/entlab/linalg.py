@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionMismatchError, NonConvergenceError
+from .errors import DimensionMismatchError, NonConvergenceError, ValidationError
 from .rng import CounterRng
 
 # Dense eig above this size is slow enough to be a foot-gun in an interactive
@@ -70,39 +70,36 @@ class EigDecomposition:
 def cluster_eigenvalues(values, tol: float = 1e-8):
     """Group eigenvalues by single-linkage at distance tol.
 
-    Returns a list of (center, indices) with center the mean of the cluster,
-    sorted by (real, imag) of the center for determinism.
+    Values i and j are linked when |v_i - v_j| <= tol.  Each value takes the
+    least label among its linked values (then that label's label) until no
+    label changes, so it ends labelled by the least index of its cluster.
+    Returns a list of (center, indices), indices ascending and center their
+    mean, sorted by (real, imag) of the center for determinism.
     """
     vals = np.asarray(values, dtype=np.complex128)
     n = vals.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    near = np.abs(vals[:, np.newaxis] - vals[np.newaxis, :]) <= tol
+    np.fill_diagonal(near, True)
+    label = np.arange(n)
+    while True:
+        nxt = np.where(near, label, n).min(axis=1, initial=n)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
     out = []
-    for idx in groups.values():
-        members = np.array(idx, dtype=np.intp)
+    for root in np.unique(label):
+        members = np.flatnonzero(label == root)
         out.append((complex(vals[members].mean()), members))
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
 
 
-def _workspace_rank(a: np.ndarray, zero_tol: float) -> int:
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > zero_tol))
+def _positive_finite(value, name: str):
+    """value itself; ValidationError unless it is positive and finite."""
+    if value is None or not 0 < value < np.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def _on_unit_circle(z: complex) -> bool:
@@ -118,8 +115,10 @@ def eig(a, tol: float = 1e-9, *, on_boundary=_on_unit_circle) -> EigDecompositio
     cluster whose center passes on_boundary; by default the unit circle to
     1e-8) by comparing the cluster size with d - rank(A - center*I); clusters
     are formed at a coarser tolerance (1e-6) than the residual check because
-    defective eigenvalues split at the sqrt-of-eps scale.
+    defective eigenvalues split at the sqrt-of-eps scale.  A tol that is not
+    positive and finite raises ValidationError.
     """
+    _positive_finite(tol, "tolerance")
     arr = as_matrix(a, square=True)
     d = arr.shape[0]
     try:
@@ -136,8 +135,7 @@ def eig(a, tol: float = 1e-9, *, on_boundary=_on_unit_circle) -> EigDecompositio
                 f"eigenpair residual {worst:.3e} exceeds {tol:.1e} * ||A||"
             )
 
-    sv = np.linalg.svd(vectors, compute_uv=False)
-    cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+    cond = float(np.linalg.cond(vectors))
 
     semisimple = True
     for center, members in cluster_eigenvalues(values, tol=1e-6):
@@ -148,7 +146,7 @@ def eig(a, tol: float = 1e-9, *, on_boundary=_on_unit_circle) -> EigDecompositio
             continue
         spread = float(np.max(np.abs(values[members] - center)))
         zero_tol = max(1e-8, 10.0 * spread) * max(1.0, scale)
-        geo = d - _workspace_rank(arr - center * np.eye(d), zero_tol)
+        geo = d - np.linalg.matrix_rank(arr - center * np.eye(d), tol=zero_tol)
         if geo < alg:
             semisimple = False
             break

@@ -219,8 +219,7 @@ def _basis_pair(spec, dim: int) -> tuple[np.ndarray, np.ndarray]:
         eye = np.eye(dim)
         for _ in range(60):
             s = eye + c * z
-            sv = np.linalg.svd(s, compute_uv=False)
-            if sv[-1] > 0 and sv[0] / sv[-1] <= spec.condition_cap:
+            if np.linalg.cond(s) <= spec.condition_cap:
                 return s, np.linalg.solve(s, eye)
             c *= 0.5
         raise ValidationError("could not meet the similarity condition cap")
@@ -252,12 +251,11 @@ def _synthesize(exact_values, stable, basis, clock: Clock):
     )
     s, s_inv = _basis_pair(basis, dim)
     matrix = (s * eigs[np.newaxis, :]) @ s_inv
-    sv = np.linalg.svd(s, compute_uv=False)
     points = tuple(
         clock.point(clock.eigenvalue(f), mult, f)
         for f, mult in sorted(Counter(exacts).items())
     )
-    return matrix, Certificate(s, eigs, s_inv, exacts), float(sv[0] / sv[-1]), points
+    return matrix, Certificate(s, eigs, s_inv, exacts), float(np.linalg.cond(s)), points
 
 
 def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock):
@@ -269,8 +267,7 @@ def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock):
     closed stable region, else inf.  The verdict is returned with a copy of
     the matrix it was computed for (see _verdict).
     """
-    if not 0 < band < np.inf:
-        raise ValidationError(f"boundary band must be positive and finite, got {band!r}")
+    linalg._positive_finite(band, "boundary band")
     dec = linalg.eig(arr, tol, on_boundary=clock.on_boundary)
     points = [
         clock.point(center, int(members.size), None)
@@ -407,9 +404,7 @@ def jdl_split(op) -> JdlSplit:
     the reversible range is similar to a diagonal unitary.
     """
     op = as_operator(op)
-    ok, reason = op.spectral_verdict
-    if not ok:
-        raise NotPowerBoundedError(reason)
+    _require_bounded([op], DISCRETE)
     if op.certificate is not None:
         mask = (np.abs(np.abs(op.certificate.eigenvalues) - 1.0) <= UNIMOD_BAND)
         p_r = (op.certificate.basis * mask[np.newaxis, :]) @ op.certificate.basis_inv
@@ -493,9 +488,7 @@ def mean_ergodic_projection(op, lam, mode: str = "spectral", n: int | None = Non
     if mode == "cesaro":
         if n is None or n < 1:
             raise ValidationError("cesaro mode needs a depth n >= 1")
-        ok, reason = op.spectral_verdict
-        if not ok:
-            raise NotPowerBoundedError(reason)
+        _require_bounded([op], DISCRETE)
         m = np.conj(value) * op.matrix
         # Horner form of sum_{j=1..n} M^j without storing powers
         g = m.copy()

@@ -108,12 +108,7 @@ def _normalize_entry(e, additive: bool):
 
 
 def _combine(vals, additive: bool):
-    if additive:
-        return math.fsum(vals)
-    out = 1.0 + 0.0j
-    for v in vals:
-        out *= v
-    return out
+    return math.fsum(vals) if additive else math.prod(vals, start=1.0 + 0.0j)
 
 
 def _angle_of(agg, additive: bool) -> float:
@@ -225,8 +220,7 @@ def resonant_tuples(
     the constraint circle; equal keys tie) and tuples are stably sorted by
     rank vector, so ties keep block-by-block enumeration order.
     """
-    if not 0 < tol < math.inf:
-        raise ValidationError(f"tolerance must be positive and finite, got {tol!r}")
+    linalg._positive_finite(tol, "tolerance")
     part = alpha if isinstance(alpha, Partition) else make_partition(alpha)
     spectra = list(spectra)
     if len(spectra) != part.m:
@@ -380,7 +374,8 @@ def kvn_diagnostic(
     decreasing) find the least K_j past which the running density of
     {n : a_n <= eps_j} stays above 1 - 2^{-j}, then use level j's membership
     on [K_j, K_{j+1}).  Levels that never reach their density target truncate
-    the ladder.
+    the ladder.  A NaN, infinite or out-of-range threshold, epsilon or
+    sample_step raises ValidationError.
     """
     a = np.asarray(seq, dtype=np.float64)
     if a.ndim != 1 or a.size == 0:
@@ -389,68 +384,43 @@ def kvn_diagnostic(
         raise ValidationError("sequence must be finite and nonnegative")
     if mode not in ("discrete", "continuous"):
         raise ValidationError(f"unknown mode {mode!r}")
+    unit = 1
     if mode == "continuous":
-        if sample_step is None or not (sample_step > 0):
-            raise ValidationError("continuous mode needs sample_step > 0")
-        unit = float(sample_step)
-    else:
-        unit = 1
+        unit = float(linalg._positive_finite(sample_step, "sample_step"))
+    if not 0 <= threshold < math.inf:
+        raise ValidationError(f"threshold must be nonnegative and finite, got {threshold!r}")
     eps_list = sorted({float(e) for e in epsilons}, reverse=True)
-    if not eps_list or eps_list[-1] <= 0:
-        raise ValidationError("epsilons must be positive")
+    if not eps_list or not all(0 < e < math.inf for e in eps_list):
+        raise ValidationError(f"epsilons must be positive and finite, got {epsilons!r}")
 
     length = a.size
     cum = np.cumsum(a)
-    checkpoints = []
-    p = 1
-    while p < length:
-        checkpoints.append(p)
-        p *= 2
-    checkpoints.append(length)
+    checkpoints = [1 << i for i in range((length - 1).bit_length())] + [length]
     means = tuple(float(cum[c - 1] / c) for c in checkpoints)
     cesaro_null = bool(means[-1] <= threshold)
 
     counts = np.arange(1, length + 1, dtype=np.float64)
-    ladder = []
-    level_members = []
-    for eps in eps_list:
-        member = a <= eps
-        ladder.append((eps, float(np.count_nonzero(member) / length)))
-        level_members.append(member)
+    level_members = [a <= eps for eps in eps_list]
+    ladder = [(eps, float(np.count_nonzero(member) / length))
+              for eps, member in zip(eps_list, level_members)]
 
     # staircase: K_j = least index past which running density stays high
     starts = []
-    prev_k = 1
     for j, member in enumerate(level_members, start=1):
         dens = np.cumsum(member) / counts
         sufmin = np.minimum.accumulate(dens[::-1])[::-1]
-        ok = np.nonzero(sufmin >= 1.0 - 2.0 ** (-j))[0]
-        k = None
-        if ok.size:
-            k = max(int(ok[0]) + 1, prev_k)  # 1-based
-        if k is None or k > length:
+        ok = np.flatnonzero(sufmin >= 1.0 - 2.0 ** (-j))
+        if not ok.size:
             break
-        starts.append(k)
-        prev_k = k
+        starts.append(max(int(ok[0]) + 1, starts[-1] if starts else 1))  # 1-based
     chosen = np.zeros(length, dtype=bool)
-    if starts:
-        bounds = starts + [length + 1]
-        # coarsest level also covers the head before K_1
-        chosen[: starts[0] - 1] = level_members[0][: starts[0] - 1]
-        for j in range(len(starts)):
-            lo, hi = bounds[j], bounds[j + 1]
-            chosen[lo - 1 : hi - 1] = level_members[j][lo - 1 : hi - 1]
-    runs = []
-    i = 0
-    while i < length:
-        if chosen[i]:
-            j = i
-            while j + 1 < length and chosen[j + 1]:
-                j += 1
-            runs.append(((i + 1) * unit, (j + 1) * unit))
-            i = j + 1
-        else:
-            i += 1
+    # level j covers [K_j, K_{j+1}); the coarsest also covers the head before K_1
+    bounds = [1] + starts[1:] + [length + 1]
+    for member, lo, hi in zip(level_members[: len(starts)], bounds, bounds[1:]):
+        chosen[lo - 1 : hi - 1] = member[lo - 1 : hi - 1]
+    # run edges alternate: the 0-based start, then one past the 0-based end
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], chosen, [False])))).tolist()
+    runs = [((lo + 1) * unit, hi * unit) for lo, hi in zip(edges[::2], edges[1::2])]
 
     return KvnReport(
         cesaro_null,

@@ -319,6 +319,27 @@ def test_suggest_points_scales_with_fastest_frequency():
     assert suggest_points(flat, 100.0) == 2
 
 
+def _one_frequency_system():
+    sg = synth_semigroup(["1/2"], [-1.0], OrthonormalBasis(seed=24))
+    return make_continuous_system([1], [sg])
+
+
+def test_suggest_points_refuses_nan_per_period():
+    with pytest.raises(ValidationError, match="per_period"):  # not int()'s ValueError
+        suggest_points(_one_frequency_system(), 10.0, per_period=float("nan"))
+
+
+def test_suggest_points_refuses_infinite_horizon():
+    with pytest.raises(ValidationError, match="horizon"):  # not int()'s OverflowError
+        suggest_points(_one_frequency_system(), float("inf"))
+
+
+@pytest.mark.parametrize("per_period", [0.0, -5.0])
+def test_suggest_points_refuses_per_period_that_is_not_positive(per_period):
+    with pytest.raises(ValidationError, match="per_period"):  # not a silent 2 points
+        suggest_points(_one_frequency_system(), 10.0, per_period=per_period)
+
+
 def test_budget_refusal_for_oversized_grid():
     sg1 = synth_semigroup(["1/2"], [], OrthonormalBasis(seed=26))
     sg2 = synth_semigroup(["-1/2"], [], OrthonormalBasis(seed=27))

@@ -351,6 +351,19 @@ def test_multiple_ergodic_average_single_weight():
     assert np.linalg.norm(multiple_ergodic_average(u, [a], n) - total / n) <= 1e-10
 
 
+@pytest.mark.parametrize("alpha", [[1, 2, 1, 2], [1, 1, 2, 2], [1, 2, 2, 1], [1, 1, 2]])
+def test_generalized_power_average_wraps_each_distinct_matrix_once(alpha, monkeypatch):
+    calls = []
+    eig = linalg.eig
+    monkeypatch.setattr(linalg, "eig", lambda *a, **kw: calls.append(1) or eig(*a, **kw))
+    d = 2
+    u = linalg.haar_unitary(d, seed=96)
+    weights = [linalg.haar_unitary(d, seed=97 + i) for i in range(len(alpha))]
+    generalized_power_average(u, weights, alpha, 3)
+    sizes = {alpha.count(a) for a in set(alpha)}
+    assert len(calls) == 1 + len(sizes)  # u, and u^{-c} per distinct block size c
+
+
 def test_multiple_ergodic_average_needs_weights_and_invertible_u():
     u = linalg.haar_unitary(2, seed=95)
     with pytest.raises(DimensionMismatchError):

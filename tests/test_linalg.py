@@ -6,13 +6,17 @@ exponential.  The power-iteration norm is checked against SVD, never
 against itself.
 """
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entlab import linalg
-from entlab.errors import DimensionMismatchError, NonConvergenceError
+from entlab.continuous import semigroup_from_generator
+from entlab.errors import DimensionMismatchError, NonConvergenceError, ValidationError
+from entlab.operators import from_matrix
 from entlab.rng import CounterRng
 
 
@@ -118,6 +122,22 @@ def test_eig_residual_bound_is_enforced():
     dec = linalg.eig(a)
     res = a @ dec.right_vectors - dec.right_vectors * dec.values[None, :]
     assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(a) + 1e-14
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize(
+    "wrap",
+    [linalg.eig, lambda a, tol: from_matrix(a, tol=tol),
+     lambda a, tol: semigroup_from_generator(a, tol=tol)],
+    ids=["eig", "from_matrix", "semigroup_from_generator"],
+)
+def test_tolerance_that_is_not_positive_and_finite_is_refused(wrap, tol):
+    a = _random_matrix(31, 6)
+    with pytest.raises(NonConvergenceError):
+        wrap(a, 1e-30)  # the residual guard is live for this matrix
+    # with a NaN tolerance the residual test would be false and let any pair through
+    with pytest.raises(ValidationError, match="tolerance"):
+        wrap(a, tol)
 
 
 def test_eig_rejects_nonsquare():
@@ -271,3 +291,57 @@ def test_cluster_eigenvalues_deterministic_order():
     out1 = linalg.cluster_eigenvalues(vals)
     out2 = linalg.cluster_eigenvalues(list(reversed(vals)))
     assert [c for c, _ in out1] == [c for c, _ in out2]
+
+
+def _linked_groups(vals, tol):
+    """Single-linkage clusters by breadth-first search over every pair: the reference."""
+    seen, groups = set(), []
+    for start in range(len(vals)):
+        if start in seen:
+            continue
+        seen.add(start)
+        group, frontier = [], [start]
+        while frontier:
+            i = frontier.pop()
+            group.append(i)
+            for j in range(len(vals)):
+                if j not in seen and abs(vals[i] - vals[j]) <= tol:
+                    seen.add(j)
+                    frontier.append(j)
+        groups.append(sorted(group))
+    return groups
+
+
+@st.composite
+def _planted_spectra(draw):
+    """Random points, each followed by a chain of near-duplicates, then shuffled.
+
+    Every chain link is a step of 0, 0.3, 0.6 or 0.9 tol in a random
+    direction, so a chain of five values spans several tol and only merges
+    through its links, which takes several rounds of label propagation.
+    """
+    tol = draw(st.sampled_from([1e-8, 1e-6]))
+    coord = st.floats(min_value=-2.0, max_value=2.0)
+    vals = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        z = complex(draw(coord), draw(coord))
+        vals.append(z)
+        for _ in range(draw(st.integers(min_value=0, max_value=5))):
+            step = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9])) * tol
+            z += step * cmath.exp(1j * draw(st.floats(min_value=0.0, max_value=6.3)))
+            vals.append(z)
+    order = draw(st.permutations(range(len(vals))))
+    return [vals[i] for i in order], tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planted_spectra())
+def test_cluster_eigenvalues_matches_pairwise_search(case):
+    vals, tol = case
+    arr = np.asarray(vals, dtype=np.complex128)
+    want = sorted(
+        ((complex(arr[g].mean()), g) for g in _linked_groups(vals, tol)),
+        key=lambda cg: (cg[0].real, cg[0].imag, cg[1][0]),
+    )
+    got = linalg.cluster_eigenvalues(vals, tol)
+    assert [(c, list(g)) for c, g in got] == want

@@ -40,7 +40,8 @@ from entlab.operators import OrthonormalBasis, RandomSimilarity, synth_operator
 from entlab.rng import CounterRng
 
 NESTED = [[1, 2, 2, 1], [1, 2, 3, 3, 2, 1], [2, 1, 2, 2]]
-CROSSING = [[1, 2, 1, 2], [1, 2, 1, 3, 3, 2]]
+# a singleton block at either end leaves a fixed factor right or left of the walk
+CROSSING = [[1, 2, 1, 2], [1, 2, 1, 3, 3, 2], [3, 1, 2, 1, 2], [1, 2, 1, 2, 3]]
 BIJECTIVE = [[2, 3, 1]]
 
 

@@ -726,3 +726,22 @@ def test_kvn_input_validation():
         kvn_diagnostic([1.0], mode="continuous")  # sample_step missing
     with pytest.raises(ValidationError):
         kvn_diagnostic([1.0], epsilons=[0.0])
+
+
+def test_kvn_refuses_nan_threshold():
+    # every comparison with NaN is false, so cesaro_null would read False for any sequence
+    assert kvn_diagnostic([0.0] * 10).cesaro_null
+    with pytest.raises(ValidationError, match="threshold"):
+        kvn_diagnostic([0.0] * 10, threshold=float("nan"))
+
+
+def test_kvn_refuses_nan_epsilon():
+    # a NaN epsilon would give a (nan, 0.0) rung on the ladder
+    with pytest.raises(ValidationError, match="epsilons"):
+        kvn_diagnostic([0.0] * 10, epsilons=(0.5, float("nan")))
+
+
+def test_kvn_refuses_infinite_sample_step():
+    # an infinite step would put every checkpoint at inf
+    with pytest.raises(ValidationError, match="sample_step"):
+        kvn_diagnostic([0.0] * 10, mode="continuous", sample_step=float("inf"))
