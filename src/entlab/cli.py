@@ -255,9 +255,9 @@ def parse_config(text: str) -> ExperimentConfig:
     data["seed"] = _int(raw.get("seed", 0), "$.seed")
     strategy = raw.get("strategy", "presum")
     _expect(
-        strategy in ("naive", "presum"),
+        strategy in entangle.STRATEGIES,
         "$.strategy",
-        f"must be naive|presum, got {strategy!r}",
+        f"must be {'|'.join(entangle.STRATEGIES)}, got {strategy!r}",
     )
     data["strategy"] = strategy
     data["tolerance"] = _number(raw.get("tolerance", 1e-8), "$.tolerance")

@@ -347,13 +347,21 @@ def continuous_entangled_average(
 def suggest_points(system: ContinuousSystem, t: float, per_period: float = 20.0) -> int:
     """Grid size putting per_period nodes on the fastest spectral oscillation.
 
-    t and per_period must be positive and finite, else ValidationError.
+    t and per_period must be positive and finite, else ValidationError; a
+    grid size per_period * t * f_max beyond the float range raises
+    BudgetExceededError, as any grid too large to run does.
     """
     linalg._positive_finite(t, "horizon t")
     linalg._positive_finite(per_period, "per_period")
     fmax = max((abs(p.frequency) for sg in system.semigroups for p in sg.frequency_points),
                default=0.0)
-    return max(2, int(np.ceil(per_period * t * fmax)))
+    points = per_period * t * fmax
+    if not np.isfinite(points):
+        raise BudgetExceededError(
+            f"grid of {per_period:g} points per period over t={t:g} at frequency "
+            f"{float(fmax):g} is beyond the float range"
+        )
+    return max(2, int(np.ceil(points)))
 
 
 def continuous_limit_operator(system: ContinuousSystem, tol: float = 1e-8) -> np.ndarray:

@@ -10,11 +10,21 @@ connecting operators.  Positions sharing a block are entangled: they are
 driven by the same lattice variable, which is what makes the average refuse
 to factor into a product of one-variable means.
 
-Two evaluation strategies:
+Three evaluation strategies:
 
+* ``spectral`` the closed form, default.  When every T_j carries a
+  certificate T_j = S_j diag(lam_j) S_j^{-1}, the mean is
+  S_m (sum over inner eigen-indices of W * prod_j C_j) S_1^{-1} with cores
+  C_j = S_{j+1}^{-1} A_j S_j.  W factorizes over the blocks of alpha; a
+  block contributes g_n(z) = (1/n) sum_{k=1..n} z^k, z the product of its
+  eigenvalues, so the cost does not depend on n.  The limit operator is the
+  same contraction with g replaced by the resonance indicator
+  (``_eigen_contraction`` serves both).  Without a certificate on every
+  position, or when the dense weight would exceed the memory cap, it falls
+  back to ``presum``.
 * ``naive``   recomputes every operator power per lattice tuple (binary
   powering, nothing cached).  Slow on purpose; it is the reference route.
-* ``presum``  the contraction planner, default.  A block whose positions are
+* ``presum``  the contraction planner.  A block whose positions are
   adjacent once the blocks nested inside it are collapsed reduces exactly to
   one fixed matrix: a singleton block to the power mean (1/n) sum T^j, built
   by binary doubling, and a block of r positions to the mean over j of
@@ -32,7 +42,9 @@ against a budget; see ``entangled_average`` for the formulas.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +61,7 @@ from .errors import (
 from .operators import DISCRETE, SpectralOperator, _require_bounded, as_operator
 
 MEMORY_CAP_BYTES = 2 << 30  # refuse power stacks beyond 2 GiB
+STRATEGIES = ("naive", "presum", "spectral")
 
 
 @dataclass(frozen=True)
@@ -393,15 +406,20 @@ def _contract(plan: Plan, part: Partition, connectors, n, stack, single, *, x=No
     return out if left is None else left @ out
 
 
-def _estimate_cost(strategy: str, n: int, part: Partition) -> float:
-    """Documented cost model, in units of one chain-step product.
+def _estimate_cost(strategy: str, n: int, part: Partition, d: int = 1) -> float:
+    """Documented cost model, in units of one chain-step product (d^3 flops).
 
-    naive  : n^k * (2m - 1 + m * ceil(log2 n))
-    presum : the plan's cost, with 3 bit_length(n) products per singleton
+    naive    : n^k * (2m - 1 + m * ceil(log2 n))
+    presum   : the plan's cost, with 3 bit_length(n) products per singleton
+    spectral : m + 1 products for the cores and the two basis changes, plus
+               d^m (m + k) / d^3 for the weight's k block factors and m - 1
+               core factors over d^m eigen-index tuples
     """
+    m, k = part.m, part.k
     if strategy == "naive":
-        m, k = part.m, part.k
         return float(n) ** k * (2 * m - 1 + m * max(1, int(np.ceil(np.log2(max(n, 2))))))
+    if strategy == "spectral":
+        return m + 1 + float(d) ** (m - 3) * (m + k)
     return plan_chain(part).cost(n, 3 * n.bit_length())
 
 
@@ -448,9 +466,110 @@ def _per_matrix(mats, build):
 _REMEDY = "raise the budget, lower n, or switch strategy"
 
 
-def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget):
+def _eigen_contraction(weight, rights, lefts, connectors):
+    """R_m (sum over the inner eigen-indices of W * prod_j C_j) L_1.
+
+    weight W has one axis per chain position; axis j runs over the columns
+    of rights[j] (d x r_j), which lefts[j] (r_j x d) inverts on its range.
+    The cores C_j = L_{j+1} A_j R_j multiply W in place, the axes of the
+    positions 2..m-1 are summed, and what is left, indexed by the outer
+    eigen-indices (i_m, i_1), is mapped back by R_m and L_1.  The entangled
+    mean and its limit differ only in W.  lefts[0] may have any number of
+    columns (a state L_1 x as one column gives the mean applied to x).
+    """
+    m = weight.ndim
+    for j in range(m - 1):
+        core = lefts[j + 1] @ connectors[j] @ rights[j]
+        view = [1] * m
+        view[j], view[j + 1] = core.shape[::-1]
+        weight *= core.T.reshape(view)
+    inner = np.diag(weight) if m == 1 else weight.sum(axis=tuple(range(1, m - 1))).T
+    return rights[m - 1] @ inner @ lefts[0]
+
+
+def _cesaro_weight(certificates, n: int) -> np.ndarray:
+    """g_n(z) = (1/n) sum_{k=1..n} z^k over one block's eigen-index grid.
+
+    Axis i of the grid runs over the eigenvalues of certificates[i] and z is
+    the product of one eigenvalue per axis.  A cell whose eigen-indices all
+    fall in the certificates' boundary prefixes, and whose exact angles sum
+    to 0 mod 1, is resonant and gets g_n = 1 exactly: the float product of
+    its eigenvalues is 1 + O(eps), which n log z would turn into a phase.
+    Elsewhere g_n = z (1 - z^n) / (n (1 - z)), with z^n the product of the
+    eigenvalues' own n-th powers (exact angles n theta mod 1 on the
+    boundary), and for |1 - z| < 1/2 the cancellation-free
+    z expm1(n log z) / (n expm1(log z)).
+    """
+    z = np.ones((), dtype=np.complex128)
+    z_n = np.ones((), dtype=np.complex128)
+    inv_n = 1 / n  # float for any int n
+    # exponent for stable eigenvalues: beyond 2^64 each |lam|^n, |lam| <= 1 - 2^-53,
+    # has underflowed to 0 already
+    n_cap = float(min(n, 2**64))
+    for cert in certificates:
+        r = len(cert.angles)
+        powers = np.empty_like(cert.eigenvalues)
+        powers[:r] = [cmath.exp(2j * math.pi * float(n * a % 1)) for a in cert.angles]
+        powers[r:] = cert.eigenvalues[r:] ** n_cap
+        z = np.multiply.outer(z, cert.eigenvalues)
+        z_n = np.multiply.outer(z_n, powers)
+
+    g = np.empty(z.shape, dtype=np.complex128)
+    near = np.abs(1.0 - z) < 0.5
+    far = ~near
+    g[far] = z[far] * (1.0 - z_n[far]) / (1.0 - z[far]) * inv_n
+    log_z = np.log(z[near])
+    # |z| <= 1 for certified operators; a product of unit values can round past it
+    log_z.real = np.minimum(log_z.real, 0.0)
+    num = z[near] * np.expm1(n_cap * log_z) * inv_n
+    den = np.expm1(log_z)
+    g[near] = np.divide(num, den, out=np.ones_like(num), where=den != 0)  # z == 1.0: g = 1
+
+    angle_lists = [cert.angles for cert in certificates]
+    if all(angle_lists):
+        # exact resonance over the boundary prefixes, in integers over a common denominator
+        common = math.lcm(*(a.denominator for angles in angle_lists for a in angles))
+        dtype = np.int64 if len(angle_lists) * common < 2**63 else object
+        total = np.zeros((), dtype=dtype)
+        for angles in angle_lists:
+            total = np.add.outer(total, np.array([a.numerator * (common // a.denominator)
+                                                  for a in angles], dtype=dtype))
+        prefix = g[tuple(slice(len(angles)) for angles in angle_lists)]
+        prefix[total % common == 0] = 1.0
+    return g
+
+
+def _spectral_mean(certificates, connectors, part: Partition, n: int, x):
+    """The mean at depth n from the certificates' eigenbases (see _eigen_contraction)."""
+    m = part.m
+    weight = np.ones([cert.eigenvalues.size for cert in certificates], dtype=np.complex128)
+    for positions in part.blocks.values():
+        view = [1] * m
+        for j in positions:
+            view[j] = weight.shape[j]
+        weight *= _cesaro_weight([certificates[j] for j in positions], n).reshape(view)
+    lefts = [cert.basis_inv for cert in certificates]
+    if x is not None:
+        lefts[0] = (lefts[0] @ x)[:, np.newaxis]
+    out = _eigen_contraction(weight, [cert.basis for cert in certificates], lefts, connectors)
+    return out if x is None else out[:, 0]
+
+
+def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget,
+                       certificates=()):
     m = part.m
     d = mats[0].shape[0]
+
+    if strategy == "spectral":
+        weight_bytes = 16 * float(d) ** m
+        if (len(certificates) == m and all(c is not None for c in certificates)
+                and weight_bytes <= MEMORY_CAP_BYTES):
+            _refuse_beyond(
+                _estimate_cost("spectral", n, part, d), budget, 0,
+                f"strategy=spectral, n={n}, eigen-index tuples={d}^{m}", _REMEDY,
+            )
+            return _spectral_mean(certificates, connectors, part, n, x)
+        strategy = "presum"
 
     if strategy == "naive":
         _refuse_beyond(
@@ -472,7 +591,7 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
         return total.s / float(n) ** part.k
 
     if strategy != "presum":
-        raise ValidationError(f"unknown strategy {strategy!r}")
+        raise ValidationError(f"unknown strategy {strategy!r}, expected {'|'.join(STRATEGIES)}")
     plan = plan_chain(part)
     _refuse_beyond(
         _estimate_cost("presum", n, part), budget, _stack_bytes(mats, plan.stacked, n),
@@ -503,7 +622,7 @@ def _state(x, d: int):
 def entangled_average(
     system: EntangledSystem,
     n: int,
-    strategy: str = "presum",
+    strategy: str = "spectral",
     x=None,
     budget: float | None = 1e8,
 ):
@@ -512,17 +631,23 @@ def entangled_average(
     Cost is estimated up front in units of one d x d chain-step product
     (one batched matmul row, or one matvec when x is given):
 
-        naive  : n^k * (2m - 1 + m ceil(log2 n))
-        presum : sum over collapsed blocks of n (2r - 1)   (r positions, r >= 2)
-                 + 3 bit_length(n) per singleton block
-                 + n^k_cross * (2 m_cross - 1)
+        naive    : n^k * (2m - 1 + m ceil(log2 n))
+        presum   : sum over collapsed blocks of n (2r - 1)   (r positions, r >= 2)
+                   + 3 bit_length(n) per singleton block
+                   + n^k_cross * (2 m_cross - 1)
+        spectral : m + 1 + d^m (m + k) / d^3, independent of n
 
     with k_cross the blocks that cross (no nesting order collapses them) and
-    m_cross their positions; for nested alpha the cost is linear in n.
+    m_cross their positions; for nested alpha the presum cost is linear in n.
     Estimates above `budget` raise BudgetExceededError before any work
     happens, as do power stacks (plus two working buffers) beyond 2 GiB.
     budget=None disables the cost check (the memory cap stays); a NaN
     budget raises ValidationError.
+
+    spectral runs when every operator carries a certificate and the dense
+    d^m eigen-index weight fits under the memory cap; otherwise it falls
+    back to presum, guards included.  It decides resonance from exact
+    angles, so it reaches n = 2^40 and beyond in one call.
 
     With x given the chains act on x and a vector is returned; otherwise the
     operator mean itself.  The strategies agree to ~1e-10 relative; presum
@@ -530,7 +655,8 @@ def entangled_average(
     """
     mats = [op.matrix for op in system.operators]
     return _evaluate_discrete(mats, list(system.connectors), system.partition, _depth(n),
-                              strategy, _state(x, system.dim), budget)
+                              strategy, _state(x, system.dim), budget,
+                              [op.certificate for op in system.operators])
 
 
 @dataclass(frozen=True)
@@ -593,7 +719,8 @@ def stacked_average(
     the (m, 1) block of the result (or the block-m component when x is given,
     embedded into block 1 first).  Summand-by-summand this matches the direct
     chain exactly, so the two routes agree to roundoff; the acceptance suite
-    checks a 1e-12 relative residual.
+    checks a 1e-12 relative residual.  The stacked matrices carry no
+    certificate, so strategy="spectral" runs presum here.
     """
     n = _depth(n)
     m, d = st.m, st.block_dim

@@ -271,15 +271,17 @@ def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock)
     boundary basis (R_j, L_j, group_j).  A 0/1 weight W over local indices
     marks the tuples; it is expanded to eigen-indices when a point has
     several, refused beyond entangle.MEMORY_CAP_BYTES before any factorization,
-    and multiplied in place by the cores C_j = L_{j+1} A_j R_j.  The limit is
-    R_m (W summed over the inner positions) L_1.  Returns (limit, tuples).
+    and contracted against the cores C_j = L_{j+1} A_j R_j by the kernel the
+    spectral finite-n mean uses (entangle._eigen_contraction): the limit is
+    R_m (W * prod_j C_j summed over the inner positions) L_1.  Returns
+    (limit, tuples).
     """
     _require_bounded(members, clock)
     partition, connectors = system.partition, system.connectors
     spectra = [[clock.resonance_entry(p) for p in pts] for pts in points]
     tuples = resonant_tuples(spectra, partition, tol, additive=clock.additive)
-    d, m = matrices[0].shape[0], partition.m
     if not tuples:
+        d = matrices[0].shape[0]
         return np.zeros((d, d), dtype=np.complex128), tuples
 
     # per position: the picked point indices, ascending, and each tuple's local index
@@ -303,16 +305,10 @@ def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock)
                                      [clock.entry_value(e) for e in entries], exacts))
     weight = np.zeros([len(used) for used in picked], dtype=np.complex128)
     weight[cells] = 1.0
-    groups = [group for _, _, group in bases]
+    rights, lefts, groups = zip(*bases)
     if any(g != list(range(len(used))) for g, used in zip(groups, picked)):
         weight = weight[np.ix_(*groups)]
-    for j in range(m - 1):
-        core = bases[j + 1][1] @ connectors[j] @ bases[j][0]
-        view = [1] * m
-        view[j], view[j + 1] = core.shape[::-1]
-        weight *= core.T.reshape(view)
-    inner = np.diag(weight) if m == 1 else weight.sum(axis=tuple(range(1, m - 1))).T
-    return bases[m - 1][0] @ inner @ bases[0][1], tuples
+    return entangle._eigen_contraction(weight, rights, lefts, connectors), tuples
 
 
 def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -171,6 +171,25 @@ def test_parse_config_invalid_json_reports_position():
         parse_config("{ not json")
 
 
+def test_strategy_field_accepts_spectral_and_names_every_strategy():
+    assert parse_config(json.dumps(_converge_config(strategy="spectral"))).strategy == "spectral"
+    with pytest.raises(ValidationError, match=re.escape("must be naive|presum|spectral")):
+        parse_config(json.dumps(_converge_config(strategy="turbo")))
+
+
+def test_cli_spectral_converge_reaches_depth_2_pow_40(tmp_path, capsys):
+    cfg = _converge_config(strategy="spectral", schedule=[16, 2**40])
+    out_path = str(tmp_path / "r.csv")
+    rc = main(["converge", "--config", _write(tmp_path, cfg), "--out", out_path])
+    assert rc == 0
+    capsys.readouterr()
+    rows = {int(r["checkpoint"]): r for r in _rows(out_path)}
+    assert set(rows) == {16, 2**40}
+    assert all(r["strategy"] == "spectral" for r in rows.values())
+    # the non-resonant part decays as 1/N; at N = 16 it is still visible
+    assert float(rows[2**40]["error_fro"]) < 1e-9 < float(rows[16]["error_fro"])
+
+
 @pytest.mark.parametrize(
     "mutate, path_fragment",
     [
@@ -551,6 +570,15 @@ def test_exit_4_on_numerical_overflow(tmp_path, capsys):
     rc = main(["continuous", "--config", cfg_path, "--out", str(tmp_path / "r.csv")])
     assert rc == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_exit_3_on_auto_grid_beyond_the_float_range(tmp_path, capsys):
+    # per_period * t * f_max overflows to inf: refused like any oversized grid
+    cfg_path = _write(tmp_path, _continuous_config(horizons=[1e307]))
+    rc = main(["continuous", "--config", cfg_path, "--out", str(tmp_path / "r.csv")])
+    assert rc == 3
+    assert "budget refused" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 # ------------------------------------------------------------ run_experiment

@@ -334,6 +334,12 @@ def test_suggest_points_refuses_infinite_horizon():
         suggest_points(_one_frequency_system(), float("inf"))
 
 
+def test_suggest_points_refuses_a_grid_beyond_the_float_range():
+    # both inputs are finite, their product with the frequency is not
+    with pytest.raises(BudgetExceededError, match="float range"):  # not int()'s OverflowError
+        suggest_points(_one_frequency_system(), 1e200, per_period=1e200)
+
+
 @pytest.mark.parametrize("per_period", [0.0, -5.0])
 def test_suggest_points_refuses_per_period_that_is_not_positive(per_period):
     with pytest.raises(ValidationError, match="per_period"):  # not a silent 2 points

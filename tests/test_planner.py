@@ -1,11 +1,16 @@
-"""Differential tests for the contraction planner behind strategy="presum".
+"""Differential tests for the contraction planner behind strategy="presum"
+and the closed form behind strategy="spectral".
 
 The planner reorders the finite lattice sum, so it must agree with the
 `naive` strategy (every lattice tuple, powers recomputed by repeated
 squaring) to roundoff at every depth, on nested, crossing and bijective
-index maps alike.  The stacked form, the doubled power stacks and the
-doubled power sums are checked against their direct counterparts, and the
-continuous grid evaluator against the full weighted lattice over its nodes.
+index maps alike; so must the closed form, which sums the same lattice in
+the certificates' eigenbases.  The closed form is also checked where its
+weight is hard to evaluate: at N = 2^40 against the limit operator, and at
+an eigenvalue 1e-12 from 1.  The stacked form, the doubled power stacks and
+the doubled power sums are checked against their direct counterparts, and
+the continuous grid evaluator against the full weighted lattice over its
+nodes.
 """
 
 import json
@@ -38,6 +43,7 @@ from entlab.entangle import (
 from entlab.errors import BudgetExceededError, ValidationError
 from entlab.operators import OrthonormalBasis, RandomSimilarity, synth_operator
 from entlab.rng import CounterRng
+from entlab.spectral_limit import limit_operator
 
 NESTED = [[1, 2, 2, 1], [1, 2, 3, 3, 2, 1], [2, 1, 2, 2]]
 # a singleton block at either end leaves a fixed factor right or left of the walk
@@ -107,9 +113,10 @@ def test_planner_matches_naive(seed, alpha, d, n, similarity, vector):
         x = CounterRng(seed + 1).complex_normal((d,))
         x = x / np.linalg.norm(x)
     ref = entangled_average(sys_, n, strategy="naive", x=x, budget=None)
-    got = entangled_average(sys_, n, strategy="presum", x=x)
-    assert got.shape == ref.shape
-    assert _rel(got, ref) <= 1e-10
+    for strategy in ("presum", "spectral"):
+        got = entangled_average(sys_, n, strategy=strategy, x=x)
+        assert got.shape == ref.shape
+        assert _rel(got, ref) <= 1e-10, strategy
 
 
 @settings(max_examples=20, deadline=None)
@@ -129,6 +136,55 @@ def test_stacked_planner_matches_direct(seed, alpha, n, similarity, vector):
     direct = entangled_average(sys_, n, x=x)
     via = stacked_average(stacked_system(sys_), n, x=x)
     assert _rel(via, direct) <= 1e-12
+
+
+# ------------------------------------------------- the closed-form weight
+
+
+# the five pinned systems of acceptance gate 3: alpha, then per operator
+# (angles, stable eigenvalues, basis), then connector seeds
+PINNED = [
+    ([1], [(["0/1"], [0.5, -0.3 + 0.2j], OrthonormalBasis(101))], []),
+    ([1, 1], [(["1/3"], [0.6j, -0.4, 0.2 - 0.3j], OrthonormalBasis(102)),
+              (["2/3", "0/1"], [0.5, -0.5j], OrthonormalBasis(103))], [201]),
+    ([1, 2], [(["1/2", "0/1"], [0.7, -0.2 + 0.4j, 0.3j], OrthonormalBasis(104)),
+              (["1/4", "0/1"], [0.8, -0.6, 0.1 + 0.1j], OrthonormalBasis(105))], [202]),
+    ([1, 2, 1], [(["1/6"], [0.5, -0.3, 0.4j], OrthonormalBasis(106)),
+                 (["1/2", "1/3"], [0.6, -0.5j], OrthonormalBasis(107)),
+                 (["5/6", "0/1"], [0.7j, -0.4], OrthonormalBasis(108))], [203, 204]),
+    ([1, 2, 2, 1], [(["1/4"], [0.5, -0.2j, 0.3], OrthonormalBasis(109)),
+                    (["1/3", "0/1"], [0.6j, -0.3], RandomSimilarity(110, 5.0)),
+                    (["2/3"], [0.4, 0.2 - 0.2j, -0.5], OrthonormalBasis(111)),
+                    (["3/4", "1/2"], [0.7, -0.1 + 0.3j], OrthonormalBasis(112))],
+     [205, 206, 207]),
+]
+
+
+@pytest.mark.parametrize("alpha, specs, conn_seeds", PINNED, ids=[f"sys{i}" for i in range(1, 6)])
+def test_spectral_average_at_depth_2_pow_40_is_the_limit(alpha, specs, conn_seeds):
+    # resonant eigenvalue products are 1 + O(eps) in floats; read as a float
+    # product, N log z turns that into a phase of order 1e-4 at this depth
+    ops = [synth_operator(*spec) for spec in specs]
+    system = make_system(alpha, ops, [linalg.haar_unitary(ops[0].dim, s) for s in conn_seeds])
+    avg = entangled_average(system, 2**40)
+    lim = limit_operator(system)
+    scale = float(np.linalg.norm(lim))
+    if scale == 0.0:
+        assert float(np.linalg.norm(avg)) <= 1e-9
+    else:
+        assert float(np.linalg.norm(avg - lim)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("alpha", [[1], [1, 1], [1, 2, 2, 1]])
+def test_spectral_weight_near_one_matches_presum(alpha):
+    # g_N(z) for z = 1 - 1e-12: 1 - z^N and N (1 - z) both cancel, expm1 does not
+    ops = [synth_operator(["1/2"], [1 - 1e-12, 0.3j], OrthonormalBasis(60 + j))
+           for j in range(len(alpha))]
+    conns = [linalg.haar_unitary(3, seed=70 + j) for j in range(len(alpha) - 1)]
+    sys_ = make_system(alpha, ops, conns)
+    got = entangled_average(sys_, 2048, strategy="spectral")
+    ref = entangled_average(sys_, 2048, strategy="presum")
+    assert _rel(got, ref) <= 1e-10
 
 
 # ------------------------------------------------------ doubled products
@@ -223,13 +279,14 @@ def test_nested_alpha_runs_at_depth_1e5_under_default_budget():
     assert np.all(np.isfinite(out))
 
 
-def _forbid_work(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("work started before the budget check")
+def _never(*args, **kwargs):
+    raise AssertionError("work started before the budget check")
 
-    monkeypatch.setattr(entangle, "_power_stack", never)
-    monkeypatch.setattr(entangle, "_power_sum", never)
-    monkeypatch.setattr(entangle, "lattice_chain_mean", never)
+
+def _forbid_work(monkeypatch):
+    monkeypatch.setattr(entangle, "_power_stack", _never)
+    monkeypatch.setattr(entangle, "_power_sum", _never)
+    monkeypatch.setattr(entangle, "lattice_chain_mean", _never)
 
 
 def test_crossing_alpha_at_depth_1e5_refused_before_work(monkeypatch):
@@ -261,6 +318,44 @@ def test_continuous_nan_budget_refused_before_work(monkeypatch):
     with pytest.raises(ValidationError, match="budget"):
         continuous_entangled_average(system, 100.0, QuadratureSpec("midpoint", 100_000),
                                      budget=float("nan"))
+
+
+def _certified_system(alpha, d=3):
+    ops = [synth_operator(["0", "1/2"], [0.5j] * (d - 2), OrthonormalBasis(500 + j))
+           for j in range(len(alpha))]
+    conns = [linalg.haar_unitary(d, seed=600 + j) for j in range(len(alpha) - 1)]
+    return make_system(alpha, ops, conns)
+
+
+def test_certified_crossing_alpha_at_depth_1e5_runs_under_default_budget(monkeypatch):
+    sys_ = _certified_system([1, 2, 1, 2])
+    with pytest.raises(BudgetExceededError, match="lattice axes=2"):
+        entangled_average(sys_, 100_000, strategy="presum")
+    _forbid_work(monkeypatch)
+    out = entangled_average(sys_, 100_000)
+    assert _rel(out, limit_operator(sys_)) <= 1e-4
+
+
+def test_spectral_nan_budget_refused_before_work(monkeypatch):
+    sys_ = _certified_system([1, 2, 1, 2])
+    _forbid_work(monkeypatch)
+    monkeypatch.setattr(entangle, "_spectral_mean", _never)
+    with pytest.raises(ValidationError, match="budget"):
+        entangled_average(sys_, 100, budget=float("nan"))
+
+
+def test_spectral_falls_back_to_presum_above_the_memory_cap(monkeypatch):
+    sys_ = _certified_system([1, 2, 2, 1], d=4)
+    monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", 16 * 4**4 - 1)  # the weight, not the stacks
+    monkeypatch.setattr(entangle, "_spectral_mean", _never)
+    got = entangled_average(sys_, 2)
+    assert np.array_equal(got, entangled_average(sys_, 2, strategy="presum"))
+
+
+@pytest.mark.parametrize("alpha", [[1, 2, 2, 1], [1, 2, 1, 2]])
+def test_uncertified_system_gets_the_presum_result_bit_for_bit(alpha):
+    sys_ = _pair_system(alpha)
+    assert np.array_equal(entangled_average(sys_, 5), entangled_average(sys_, 5, strategy="presum"))
 
 
 def _config(alpha, path):
