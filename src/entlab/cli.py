@@ -253,7 +253,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     data: dict = {"kind": kind}
     data["seed"] = _int(raw.get("seed", 0), "$.seed")
-    strategy = raw.get("strategy", "presum")
+    strategy = raw.get("strategy", "spectral")
     _expect(
         strategy in entangle.STRATEGIES,
         "$.strategy",
@@ -471,24 +471,15 @@ def _run_converge(cfg: ExperimentConfig):
 
 
 def _serialize_tuples(tuples):
-    out = []
-    for tup in tuples:
-        entry_list = []
-        for e, fr in zip(tup.entries, tup.exact):
-            if fr is not None:
-                entry_list.append({"angle": f"{fr.numerator}/{fr.denominator}"})
-            elif isinstance(e, complex):
-                entry_list.append({"value": [e.real, e.imag]})
-            else:
-                entry_list.append({"value": float(e)})
-        out.append(
-            {
-                "entries": entry_list,
-                "residuals": [float(r) for r in tup.residuals],
-                "fragile": tup.fragile,
-            }
-        )
-    return out
+    """Resonant tuples as JSON; CLI systems are synthesized, so every entry is an exact angle."""
+    return [
+        {
+            "entries": [{"angle": f"{fr.numerator}/{fr.denominator}"} for fr in tup.exact],
+            "residuals": [float(r) for r in tup.residuals],
+            "fragile": tup.fragile,
+        }
+        for tup in tuples
+    ]
 
 
 def _run_limit(cfg: ExperimentConfig):

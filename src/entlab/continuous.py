@@ -303,10 +303,7 @@ def _single_grid_average(system, t, quad: QuadratureSpec, x):
         return np.tensordot(w_nodes, stack(j), axes=1) / t
 
     part = system.partition
-    return _contract(
-        plan_chain(part), part, list(system.connectors), q, stack, single,
-        x=x, weights=None if midpoint else w_nodes / t,
-    )
+    return _contract(plan_chain(part), part, list(system.connectors), stack, single, w_nodes / t, x)
 
 
 def continuous_entangled_average(
@@ -341,7 +338,7 @@ def continuous_entangled_average(
     if richardson:
         value2 = _single_grid_average(system, float(t), fine, x)
         est = float(np.linalg.norm(value - value2))
-    return ContinuousAverage(value, est, quad.points)
+    return ContinuousAverage(value if x is None else value[:, 0], est, quad.points)
 
 
 def suggest_points(system: ContinuousSystem, t: float, per_period: float = 20.0) -> int:

@@ -34,10 +34,14 @@ Three evaluation strategies:
   (1/n) sum T_4^j A_3 M A_1 T_1^j: O(n) instead of O(n^2).  Only crossing
   blocks such as [1, 2, 1, 2] are left to the lattice walk.
 
-The lattice walk vectorizes the innermost lattice axis through numpy batched
-matmuls and runs the remaining axes as Python loops, accumulating slices
-with Kahan compensation.  Costs are estimated before running and checked
-against a budget; see ``entangled_average`` for the formulas.
+Every finite sum is a weighted mean with one (n,) weight vector shared by
+all blocks: 1/n per index in discrete time, w_i/t per quadrature node in
+continuous time.  A state x travels as one d x 1 column, the right-hand side
+of the chain.  The lattice walk vectorizes the innermost lattice axis through
+numpy batched matmuls and reduces it by one weighted sum; the remaining axes
+run as Python loops whose weighted slices are accumulated with Kahan
+compensation.  Costs are estimated before running and checked against a
+budget; see ``entangled_average`` for the formulas.
 """
 
 from __future__ import annotations
@@ -174,11 +178,10 @@ def make_system(alpha, operators, connectors=None) -> EntangledSystem:
 
 
 class _Kahan:
-    """Elementwise compensated accumulator for complex arrays."""
+    """Elementwise compensated accumulator for complex arrays; starts at 0."""
 
-    def __init__(self, shape):
-        self.s = np.zeros(shape, dtype=np.complex128)
-        self._c = np.zeros(shape, dtype=np.complex128)
+    def __init__(self):
+        self.s = self._c = 0j
 
     def add(self, v):
         y = v - self._c
@@ -225,76 +228,44 @@ def _power_sum(t: np.ndarray, n: int) -> np.ndarray:
     return s
 
 
-def _apply(f: np.ndarray, cur: np.ndarray, vector: bool) -> np.ndarray:
-    """Left-multiply cur by factor f with batch broadcasting.
+def _chain(factors, connectors):
+    """The ordered product F_m A_(m-1) ... A_1 F_1, batched over leading axes.
 
-    Operator mode: cur is (..., d, d).  Vector mode: cur is (..., d) and the
-    trailing axis is treated as a column.
+    F_1 may already carry a state as one column, (..., d, 1), and the
+    product is then the chain applied to it.
     """
-    if vector:
-        return np.matmul(f, cur[..., np.newaxis])[..., 0]
-    return np.matmul(f, cur)
+    cur = factors[0]
+    for a, f in zip(connectors, factors[1:]):
+        cur = f @ (a @ cur)
+    return cur
 
 
-def lattice_chain_mean(factors, connectors, n: int, *, x=None, weights=None):
+def lattice_chain_mean(factors, connectors, n: int, weights):
     """Weighted lattice mean of chain products: the planner's crossing remainder.
 
     factors : list of m entries ("stack", axis, S), one per chain position,
         with S of shape (n, d, d); positions sharing an axis are driven by
-        the same lattice variable.
+        the same lattice variable.  The first stack may be (n, d, 1), a
+        state already applied, and the mean is then a d x 1 column.
     connectors : m-1 matrices interleaved between positions.
     n : lattice edge length (stacks must have leading dimension n).
-    x : optional state vector; when given the chains act on x and the result
-        is a vector, otherwise the full operator mean is returned.
-    weights : optional dict axis -> (n,) nonnegative weights summing to 1.
-        Omitted axes use the uniform mean (sum then one division).
+    weights : (n,) weights shared by every axis; 1/n each for the uniform
+        mean, the quadrature weights over t on a grid.
 
-    The last axis (highest id) is evaluated as one batched matmul sweep; the
-    remaining axes run as Python loops with Kahan-compensated accumulation of
-    the batched slices.
+    The last axis (highest id) is evaluated as one batched matmul sweep and
+    reduced by one weighted sum; the remaining axes run as Python loops that
+    scale each slice by their weights and accumulate it with Kahan
+    compensation.
     """
-    vector = x is not None
     axes = sorted({axis for _, axis, _ in factors})
-    vec_axis = axes[-1]
-    outer_axes = axes[:-1]
-    w = weights or {}
-
-    def chain(idx):
-        for j, (_, axis, stack) in enumerate(factors):
-            f = stack if axis == vec_axis else stack[idx[axis]]
-            if j == 0:
-                cur = _apply(f, np.asarray(x, dtype=np.complex128), True) if vector else f
-            else:
-                cur = _apply(connectors[j - 1], cur, vector)
-                cur = _apply(f, cur, vector)
-        return cur
-
-    d = factors[0][2].shape[-1]
-    out_shape = (d,) if vector else (d, d)
-
-    total = _Kahan(out_shape)
-    uniform_outer = [a for a in outer_axes if a not in w]
-    vec_w = w.get(vec_axis)
-    for combo in itertools.product(range(n), repeat=len(outer_axes)):
-        idx = dict(zip(outer_axes, combo))
-        cur = chain(idx)
-        if vec_w is None:
-            slice_val = cur.sum(axis=0)
-        else:
-            slice_val = np.tensordot(vec_w, cur, axes=1)
-        scale = 1.0
-        for a in outer_axes:
-            if a in w:
-                scale *= w[a][idx[a]]
-        if scale != 1.0:
-            slice_val = slice_val * scale
-        total.add(slice_val)
-    div = 1.0
-    if vec_w is None:
-        div *= n
-    for _ in uniform_outer:
-        div *= n
-    return total.s / div
+    inner, outer = axes[-1], axes[:-1]
+    total = _Kahan()
+    for combo in itertools.product(range(n), repeat=len(outer)):
+        idx = dict(zip(outer, combo))
+        cur = _chain([s if axis == inner else s[idx[axis]] for _, axis, s in factors], connectors)
+        scale = math.prod(weights[i] for i in combo)
+        total.add(np.tensordot(weights, cur, axes=1) * scale)
+    return total.s
 
 
 @dataclass(frozen=True)
@@ -344,29 +315,26 @@ def plan_chain(part: Partition) -> Plan:
     return Plan(tuple(spans), tuple(pending), stacked, len(live))
 
 
-def _contract(plan: Plan, part: Partition, connectors, n, stack, single, *, x=None, weights=None):
-    """Evaluate the mean of a chain by its plan.
+def _contract(plan: Plan, part: Partition, connectors, stack, single, weights, x=None):
+    """Evaluate the weighted mean of a chain by its plan.
 
     stack(j) gives the (n, d, d) samples T_j^1..T_j^n (or T_j at quadrature
     nodes) of position j, single(j) the weighted mean of position j alone;
-    weights is the (n,) weight vector shared by every block, None for the
-    uniform mean.  A collapsed block at positions p_1 < ... < p_r becomes
-    one fixed matrix, the mean over n of T_(p_r)^n G_(r-1) ... G_1 T_(p_1)^n
-    with G_i the fixed products between its positions, and is merged with
-    its fixed neighbours.  What is left, if anything, goes to
-    lattice_chain_mean; x, when given, is applied last.
+    weights is the (n,) weight vector shared by every block.  A collapsed
+    block at positions p_1 < ... < p_r becomes one fixed matrix, the weighted
+    sum over n of T_(p_r)^n G_(r-1) ... G_1 T_(p_1)^n with G_i the fixed
+    products between its positions, and is merged with its fixed neighbours.
+    A state x, given as a d x 1 column, is the rightmost fixed factor of the
+    chain and is merged like any other.  What is left, if anything, goes to
+    lattice_chain_mean: a fixed factor on its right is applied once, to the
+    first stack when it holds the state and to the mean otherwise.
     """
-
-    def mean(batch):
-        if weights is None:
-            return batch.sum(axis=0) / n
-        return np.tensordot(weights, batch, axes=1)
 
     def locate(j):
         return next(i for i, e in enumerate(chain) if isinstance(e, int) and e == j)
 
-    # rightmost factor first: T_1, A_1, T_2, ..., T_m; ints are positions
-    chain: list = [0]
+    # rightmost factor first: x, T_1, A_1, T_2, ..., T_m; ints are positions
+    chain: list = [0] if x is None else [x, 0]
     for j in range(1, part.m):
         chain += [connectors[j - 1], j]
     for span in plan.spans:
@@ -380,7 +348,7 @@ def _contract(plan: Plan, part: Partition, connectors, n, stack, single, *, x=No
             for g, j in zip(entries[1::2], entries[2::2]):
                 np.matmul(g, cur, out=half)
                 cur = np.matmul(stack(j), half, out=full)
-            fixed = mean(cur)
+            fixed = np.tensordot(weights, cur, axes=1)
         # positions alternate with fixed factors, so both neighbours are fixed
         if hi + 1 < len(chain):
             hi += 1
@@ -391,17 +359,15 @@ def _contract(plan: Plan, part: Partition, connectors, n, stack, single, *, x=No
         chain[lo : hi + 1] = [fixed]
 
     if len(chain) == 1:
-        return chain[0] if x is None else chain[0] @ x
+        return chain[0]
     right = chain.pop(0) if not isinstance(chain[0], int) else None
     left = chain.pop() if not isinstance(chain[-1], int) else None
     factors = [("stack", part.alpha[j], stack(j)) for j in chain[::2]]
-    if x is not None and right is not None:
-        x = right @ x
-    out = lattice_chain_mean(
-        factors, chain[1::2], n, x=x,
-        weights=None if weights is None else {a: weights for a in plan.crossing},
-    )
-    if x is None and right is not None:
+    if x is not None:  # right holds the state
+        factors[0] = factors[0][:2] + (factors[0][2] @ right,)
+        right = None
+    out = lattice_chain_mean(factors, chain[1::2], len(weights), weights)
+    if right is not None:
         out = out @ right
     return out if left is None else left @ out
 
@@ -550,9 +516,19 @@ def _spectral_mean(certificates, connectors, part: Partition, n: int, x):
         weight *= _cesaro_weight([certificates[j] for j in positions], n).reshape(view)
     lefts = [cert.basis_inv for cert in certificates]
     if x is not None:
-        lefts[0] = (lefts[0] @ x)[:, np.newaxis]
-    out = _eigen_contraction(weight, [cert.basis for cert in certificates], lefts, connectors)
-    return out if x is None else out[:, 0]
+        lefts[0] = lefts[0] @ x
+    return _eigen_contraction(weight, [cert.basis for cert in certificates], lefts, connectors)
+
+
+def _spectral_bytes(part: Partition, d: int) -> float:
+    """Peak bytes of the spectral route: the dense d^m weight and its temporaries.
+
+    _cesaro_weight keeps z, z^n, g, two masks and up to four temporaries over
+    one block's eigen-index grid, under 128 bytes per cell; the broadcast
+    products take one numpy buffer, and the bases and cores m d x d matrices.
+    """
+    grid = max(float(d) ** len(positions) for positions in part.blocks.values())
+    return 16 * (float(d) ** part.m + part.m * d * d + np.getbufsize()) + 128 * grid
 
 
 def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget,
@@ -561,9 +537,8 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
     d = mats[0].shape[0]
 
     if strategy == "spectral":
-        weight_bytes = 16 * float(d) ** m
         if (len(certificates) == m and all(c is not None for c in certificates)
-                and weight_bytes <= MEMORY_CAP_BYTES):
+                and _spectral_bytes(part, d) <= MEMORY_CAP_BYTES):
             _refuse_beyond(
                 _estimate_cost("spectral", n, part, d), budget, 0,
                 f"strategy=spectral, n={n}, eigen-index tuples={d}^{m}", _REMEDY,
@@ -576,18 +551,12 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
             _estimate_cost("naive", n, part), budget, 0,
             f"strategy=naive, n={n}, lattice axes={part.k}", _REMEDY,
         )
-        vector = x is not None
-        out_shape = (d,) if vector else (d, d)
-        total = _Kahan(out_shape)
+        total = _Kahan()
         for combo in itertools.product(range(1, n + 1), repeat=part.k):
-            for j in range(m):
-                f = np.linalg.matrix_power(mats[j], combo[part.alpha[j] - 1])
-                if j == 0:
-                    cur = _apply(f, x, True) if vector else f
-                else:
-                    cur = _apply(connectors[j - 1], cur, vector)
-                    cur = _apply(f, cur, vector)
-            total.add(cur)
+            powers = [np.linalg.matrix_power(t, combo[a - 1]) for t, a in zip(mats, part.alpha)]
+            if x is not None:
+                powers[0] = powers[0] @ x
+            total.add(_chain(powers, connectors))
         return total.s / float(n) ** part.k
 
     if strategy != "presum":
@@ -599,7 +568,7 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
     )
     stack = _per_matrix(mats, lambda t: _power_stack(t, n))
     single = _per_matrix(mats, lambda t: _power_sum(t, n) / n)
-    return _contract(plan, part, connectors, n, stack, single, x=x)
+    return _contract(plan, part, connectors, stack, single, np.broadcast_to(1 / n, (n,)), x)
 
 
 def _depth(n) -> int:
@@ -610,13 +579,17 @@ def _depth(n) -> int:
 
 
 def _state(x, d: int):
-    """x as a complex (d,) vector, or None when x is None."""
+    """A (d,) state x as a complex d x 1 column, or None when x is None.
+
+    A state travels through the evaluators as one column, the right-hand
+    side of the chain; callers squeeze the result back to (d,) once.
+    """
     if x is None:
         return None
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (d,):
         raise DimensionMismatchError(f"state has shape {x.shape}, expected ({d},)")
-    return x
+    return x[:, np.newaxis]
 
 
 def entangled_average(
@@ -654,9 +627,10 @@ def entangled_average(
     is exact at every n, not just convergent, since it reorders finite sums.
     """
     mats = [op.matrix for op in system.operators]
-    return _evaluate_discrete(mats, list(system.connectors), system.partition, _depth(n),
-                              strategy, _state(x, system.dim), budget,
-                              [op.certificate for op in system.operators])
+    x = _state(x, system.dim)
+    out = _evaluate_discrete(mats, list(system.connectors), system.partition, _depth(n),
+                             strategy, x, budget, [op.certificate for op in system.operators])
+    return out if x is None else out[:, 0]
 
 
 @dataclass(frozen=True)
@@ -709,7 +683,7 @@ def stacked_system(system: EntangledSystem) -> StackedSystem:
 def stacked_average(
     st: StackedSystem,
     n: int,
-    strategy: str = "presum",
+    strategy: str = "spectral",
     x=None,
     budget: float | None = 1e8,
 ):
@@ -727,21 +701,18 @@ def stacked_average(
     part = st.partition
     mats = [st.script_t] * (m - 1) + [st.script_s]
     conns = [st.script_a] * (m - 1)
-    x, big_x = _state(x, d), None
-    if x is not None:
-        big_x = np.zeros(m * d, dtype=np.complex128)
-        big_x[:d] = x
-    out = _evaluate_discrete(mats, conns, part, n, strategy, big_x, budget)
-    if x is not None:
-        return out[(m - 1) * d :]
-    return out[(m - 1) * d :, :d]
+    x = _state(x, d)
+    if x is not None:  # embedded into block 1
+        x = np.concatenate([x, np.zeros(((m - 1) * d, 1), dtype=np.complex128)])
+    out = _evaluate_discrete(mats, conns, part, n, strategy, x, budget)[(m - 1) * d :, :d]
+    return out if x is None else out[:, 0]
 
 
 def multiple_ergodic_average(
     u,
     weights,
     n: int,
-    strategy: str = "presum",
+    strategy: str = "spectral",
     x=None,
     budget: float | None = 1e8,
 ):
@@ -765,7 +736,7 @@ def generalized_power_average(
     weights,
     alpha,
     n: int,
-    strategy: str = "presum",
+    strategy: str = "spectral",
     x=None,
     budget: float | None = 1e8,
 ):

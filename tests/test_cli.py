@@ -22,7 +22,10 @@ from entlab.cli import (
     parse_config,
     run_experiment,
 )
+from entlab.entangle import entangled_average, make_system
 from entlab.errors import ParseError, ValidationError
+from entlab.operators import OrthonormalBasis, RandomSimilarity, synth_operator
+from entlab.rng import CounterRng
 
 # --------------------------------------------------------------- reference
 
@@ -153,7 +156,7 @@ def test_config_hash_changes_with_content():
 def test_parse_config_defaults():
     cfg = parse_config(json.dumps(_converge_config()))
     assert cfg.kind == "converge"
-    assert cfg.strategy == "presum"
+    assert cfg.strategy == "spectral"
     assert cfg.tolerance == 1e-8
     assert cfg.budget == 1e8
     assert cfg.format == "csv"
@@ -439,6 +442,43 @@ def _rows(path):
         return list(csv.DictReader(fh))
 
 
+def test_main_converge_reads_every_operator_and_connector_form(tmp_path, capsys):
+    # scalar and {re, im} stable values, a similarity basis and a missing one
+    # (orthonormal, seed 0), gaussian and explicit identity connectors
+    seed = 11
+    cfg = {
+        "kind": "converge",
+        "seed": seed,
+        "alpha": [1, 2, 1],
+        "operators": [
+            {"angles": ["0", "1/3"], "stable": [0.5],
+             "basis": {"type": "similarity", "seed": 4, "condition_cap": 10.0}},
+            {"angles": ["1/2"], "stable": [{"re": 0.2, "im": -0.3}, {"im": 0.4}]},
+            {"angles": ["0"], "stable": [[0.1, 0.1], -0.3],
+             "basis": {"type": "similarity", "seed": 9}},
+        ],
+        "connectors": [{"type": "gaussian", "seed": 5, "scale": 0.7}, {"type": "identity"}],
+        "schedule": [8, 64],
+    }
+    out_path = str(tmp_path / "r.csv")
+    rc = main(["converge", "--config", _write(tmp_path, cfg), "--out", out_path])
+    assert rc == 0
+    capsys.readouterr()
+
+    d = 3
+    ops = [
+        synth_operator(["0", "1/3"], [0.5], RandomSimilarity(4, 10.0)),
+        synth_operator(["1/2"], [0.2 - 0.3j, 0.4j], OrthonormalBasis(0)),
+        synth_operator(["0"], [0.1 + 0.1j, -0.3], RandomSimilarity(9, 50.0)),
+    ]
+    gaussian = CounterRng(5 ^ seed).complex_normal((d, d)) * (0.7 / np.sqrt(d))
+    system = make_system([1, 2, 1], ops, [gaussian, np.eye(d)])
+    limit = spectral_limit.limit_operator(system)
+    for row, n in zip(_rows(out_path), [8, 64]):
+        err = np.linalg.norm(entangled_average(system, n) - limit)
+        assert float(row["error_fro"]) == pytest.approx(err, rel=1e-12)
+
+
 def test_main_limit_enumerates_resonant_tuples_once(tmp_path, capsys, monkeypatch):
     calls = []
     original = spectral_limit.resonant_tuples
@@ -507,8 +547,8 @@ def test_main_resonances_rows_share_one_enumeration_time(tmp_path, capsys):
 @pytest.mark.parametrize(
     "make, kind, strategy",
     [
-        (_converge_config, "converge", "presum"),
-        (lambda: _converge_config(kind="stacking-test", schedule=[8]), "stacking-test", "presum"),
+        (_converge_config, "converge", "spectral"),
+        (lambda: _converge_config(kind="stacking-test", schedule=[8]), "stacking-test", "spectral"),
         (_converge_config, "limit", ""),
         (_converge_config, "resonances", ""),
         (_continuous_config, "continuous", ""),
@@ -555,7 +595,7 @@ def test_exit_2_on_kind_mismatch(tmp_path, capsys):
 
 
 def test_exit_3_on_budget_refusal(tmp_path, capsys):
-    cfg_path = _write(tmp_path, _converge_config())
+    cfg_path = _write(tmp_path, _converge_config(strategy="presum"))
     rc = main(["converge", "--config", cfg_path, "--budget", "10"])
     assert rc == 3
     assert "budget refused" in capsys.readouterr().err
@@ -634,6 +674,8 @@ def _set_basis_seed(c):
         (_continuous_config, lambda c: c.update(richardson="no"), "$.richardson"),
         (_converge_config, lambda c: c.update(threads=2), "unknown fields ['threads']"),
         (_converge_config, lambda c: c.update(strategy="cached"), "$.strategy"),
+        (_converge_config, lambda c: c["operators"][1].update(stable=[{"re": 0.1, "phase": 2.0}]),
+         "$.operators[1].stable[0]"),
     ],
 )
 def test_main_malformed_value_exits_2_with_its_path(tmp_path, capsys, make, mutate, path):

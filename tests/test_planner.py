@@ -14,6 +14,7 @@ nodes.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,21 @@ def test_planner_matches_naive(seed, alpha, d, n, similarity, vector):
         got = entangled_average(sys_, n, strategy=strategy, x=x)
         assert got.shape == ref.shape
         assert _rel(got, ref) <= 1e-10, strategy
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["operator", "state"])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("alpha", CROSSING)
+def test_walk_with_fixed_factors_matches_naive(alpha, n, vector):
+    # every crossing shape in both modes: a fixed factor right of the walk
+    # enters the first stack for a state and multiplies the mean otherwise
+    d = 3
+    sys_ = _random_system(alpha, d, 17, True)
+    x = CounterRng(18).complex_normal((d,)) if vector else None
+    ref = entangled_average(sys_, n, strategy="naive", x=x, budget=None)
+    got = entangled_average(sys_, n, strategy="presum", x=x)
+    assert got.shape == ref.shape
+    assert _rel(got, ref) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -258,8 +274,7 @@ def test_grid_planner_matches_full_weighted_lattice(alpha, scheme):
     got = continuous_entangled_average(sys_, t, quad, richardson=False).value
     s_nodes, w_nodes = quad.nodes(t)
     factors = [("stack", a, sg.value(s_nodes)) for a, sg in zip(alpha, sgs)]
-    weights = {a: w_nodes / t for a in set(alpha)}
-    ref = lattice_chain_mean(factors, conns, q, weights=weights)
+    ref = lattice_chain_mean(factors, conns, q, weights=w_nodes / t)
     assert _rel(got, ref) <= 1e-12
 
 
@@ -352,13 +367,37 @@ def test_spectral_falls_back_to_presum_above_the_memory_cap(monkeypatch):
     assert np.array_equal(got, entangled_average(sys_, 2, strategy="presum"))
 
 
+@pytest.mark.parametrize("alpha", [[1, 1, 1, 1], [1, 2, 3, 4]])
+def test_spectral_peak_memory_stays_under_the_counted_bytes(alpha):
+    # one block spanning every position: its grid's temporaries are ~7x the weight
+    d = 12
+    sys_ = _certified_system(alpha, d)
+    entangled_average(sys_, 1000)  # numpy's one-time allocations happen here
+    tracemalloc.start()
+    try:
+        entangled_average(sys_, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * d ** len(alpha) < peak <= entangle._spectral_bytes(sys_.partition, d)
+
+
+def test_spectral_falls_back_when_the_weight_fits_but_its_temporaries_do_not(monkeypatch):
+    sys_ = _certified_system([1, 1, 1], d=10)
+    # the weight is 16 kB and the presum stacks 32 kB; the spectral peak is ~130 kB
+    monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", 4 * 16 * 10**3)
+    monkeypatch.setattr(entangle, "_spectral_mean", _never)
+    got = entangled_average(sys_, 4)
+    assert np.array_equal(got, entangled_average(sys_, 4, strategy="presum"))
+
+
 @pytest.mark.parametrize("alpha", [[1, 2, 2, 1], [1, 2, 1, 2]])
 def test_uncertified_system_gets_the_presum_result_bit_for_bit(alpha):
     sys_ = _pair_system(alpha)
     assert np.array_equal(entangled_average(sys_, 5), entangled_average(sys_, 5, strategy="presum"))
 
 
-def _config(alpha, path):
+def _config(alpha, path, **over):
     op = {"angles": ["0"], "stable": [[0.5, 0.0]], "basis": {"type": "orthonormal", "seed": 3}}
     cfg = {
         "kind": "converge",
@@ -367,18 +406,30 @@ def _config(alpha, path):
                       for j in range(len(alpha))],
         "connectors": [{"type": "haar", "seed": j} for j in range(len(alpha) - 1)],
         "schedule": [100_000],
+        **over,
     }
     path.write_text(json.dumps(cfg))
     return str(path)
 
 
 def test_cli_crossing_alpha_at_depth_1e5_exits_3(tmp_path, capsys, monkeypatch):
-    cfg_path = _config([1, 2, 1, 2], tmp_path / "cfg.json")
+    cfg_path = _config([1, 2, 1, 2], tmp_path / "cfg.json", strategy="presum")
     _forbid_work(monkeypatch)
     rc = main(["converge", "--config", cfg_path, "--out", str(tmp_path / "r.csv")])
     assert rc == 3
     assert "budget refused" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_cli_default_strategy_runs_certified_crossing_alpha_at_depth_1e5(tmp_path, capsys,
+                                                                         monkeypatch):
+    # the default is spectral: no stack, power sum or lattice point is needed
+    cfg_path = _config([1, 2, 1, 2], tmp_path / "cfg.json")
+    _forbid_work(monkeypatch)
+    rc = main(["converge", "--config", cfg_path, "--out", str(tmp_path / "r.csv")])
+    assert rc == 0
+    capsys.readouterr()
+    assert (tmp_path / "r.csv").exists()
 
 
 def test_cli_nested_alpha_at_depth_1e5_runs(tmp_path, capsys):
