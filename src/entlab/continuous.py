@@ -372,4 +372,4 @@ def continuous_limit_operator(system: ContinuousSystem, tol: float = 1e-8) -> np
     sgs = system.semigroups
     matrices = [sg.generator for sg in sgs]
     points = [sg.frequency_points for sg in sgs]
-    return _assemble_limit(system, sgs, matrices, points, tol, CONTINUOUS)[0]
+    return _assemble_limit(system, sgs, matrices, points, tol, CONTINUOUS)

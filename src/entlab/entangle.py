@@ -453,6 +453,22 @@ def _eigen_contraction(weight, rights, lefts, connectors):
     return rights[m - 1] @ inner @ lefts[0]
 
 
+def _exact_sums(axes, common: int, additive: bool = False) -> np.ndarray:
+    """Sums of one exact value per axis over their grid, as integers over common.
+
+    axes hold Fractions (or ints) whose denominators divide common.  In
+    discrete time the sums are reduced mod common, so a cell is 0 exactly when
+    its angles sum to 0 mod 1; in additive mode (frequencies) exactly when
+    they sum to 0.  The grid is int64 when every sum fits, else Python ints.
+    """
+    cols = [[a.numerator * (common // a.denominator) for a in axis] for axis in axes]
+    dtype = np.int64 if sum(max(map(abs, col), default=0) for col in cols) < 2**63 else object
+    total = np.zeros((), dtype=dtype)
+    for col in cols:
+        total = np.add.outer(total, np.array(col, dtype=dtype))
+    return total if additive else total % common
+
+
 def _cesaro_weight(certificates, n: int) -> np.ndarray:
     """g_n(z) = (1/n) sum_{k=1..n} z^k over one block's eigen-index grid.
 
@@ -464,7 +480,9 @@ def _cesaro_weight(certificates, n: int) -> np.ndarray:
     Elsewhere g_n = z (1 - z^n) / (n (1 - z)), with z^n the product of the
     eigenvalues' own n-th powers (exact angles n theta mod 1 on the
     boundary), and for |1 - z| < 1/2 the cancellation-free
-    z expm1(n log z) / (n expm1(log z)).
+    z expm1(n log z) / (n expm1(log z)).  Each branch is computed in place on
+    its own masked copies, so at most about four complex grids are alive at
+    once (see _spectral_bytes).
     """
     z = np.ones((), dtype=np.complex128)
     z_n = np.ones((), dtype=np.complex128)
@@ -480,28 +498,40 @@ def _cesaro_weight(certificates, n: int) -> np.ndarray:
         z = np.multiply.outer(z, cert.eigenvalues)
         z_n = np.multiply.outer(z_n, powers)
 
-    g = np.empty(z.shape, dtype=np.complex128)
     near = np.abs(1.0 - z) < 0.5
     far = ~near
-    g[far] = z[far] * (1.0 - z_n[far]) / (1.0 - z[far]) * inv_n
-    log_z = np.log(z[near])
+    g = np.empty(z.shape, dtype=np.complex128)
+    # far: z (1 - z^n) / (1 - z) / n; z^n is needed nowhere else
+    num = z_n[far]
+    del z_n
+    zf = z[far]
+    np.subtract(1.0, num, out=num)
+    np.multiply(zf, num, out=num)
+    np.subtract(1.0, zf, out=zf)
+    np.divide(num, zf, out=num)
+    np.multiply(num, inv_n, out=num)
+    g[far] = num
+    del num, zf
+    # near: z expm1(n log z) / (n expm1(log z)), with g = 1 at z == 1.0
+    zn = z[near]
+    del z
+    log_z = np.log(zn)
     # |z| <= 1 for certified operators; a product of unit values can round past it
-    log_z.real = np.minimum(log_z.real, 0.0)
-    num = z[near] * np.expm1(n_cap * log_z) * inv_n
-    den = np.expm1(log_z)
-    g[near] = np.divide(num, den, out=np.ones_like(num), where=den != 0)  # z == 1.0: g = 1
+    np.minimum(log_z.real, 0.0, out=log_z.real)
+    num = np.multiply(n_cap, log_z)
+    np.expm1(num, out=num)
+    np.multiply(zn, num, out=num)
+    np.multiply(num, inv_n, out=num)
+    den = np.expm1(log_z, out=log_z)
+    zn.fill(1.0)
+    g[near] = np.divide(num, den, out=zn, where=den != 0)
 
     angle_lists = [cert.angles for cert in certificates]
     if all(angle_lists):
-        # exact resonance over the boundary prefixes, in integers over a common denominator
+        # exact resonance over the boundary prefixes
         common = math.lcm(*(a.denominator for angles in angle_lists for a in angles))
-        dtype = np.int64 if len(angle_lists) * common < 2**63 else object
-        total = np.zeros((), dtype=dtype)
-        for angles in angle_lists:
-            total = np.add.outer(total, np.array([a.numerator * (common // a.denominator)
-                                                  for a in angles], dtype=dtype))
         prefix = g[tuple(slice(len(angles)) for angles in angle_lists)]
-        prefix[total % common == 0] = 1.0
+        prefix[_exact_sums(angle_lists, common) == 0] = 1.0
     return g
 
 
@@ -523,12 +553,13 @@ def _spectral_mean(certificates, connectors, part: Partition, n: int, x):
 def _spectral_bytes(part: Partition, d: int) -> float:
     """Peak bytes of the spectral route: the dense d^m weight and its temporaries.
 
-    _cesaro_weight keeps z, z^n, g, two masks and up to four temporaries over
-    one block's eigen-index grid, under 128 bytes per cell; the broadcast
-    products take one numpy buffer, and the bases and cores m d x d matrices.
+    Over one block's eigen-index grid _cesaro_weight keeps at most four
+    complex arrays and two masks alive (z, z^n and g, and the masked copies
+    of one branch), 66 bytes per cell, counted as 72; the broadcast products
+    take one numpy buffer, and the bases and cores m d x d matrices.
     """
     grid = max(float(d) ** len(positions) for positions in part.blocks.values())
-    return 16 * (float(d) ** part.m + part.m * d * d + np.getbufsize()) + 128 * grid
+    return 16 * (float(d) ** part.m + part.m * d * d + np.getbufsize()) + 72 * grid
 
 
 def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget,

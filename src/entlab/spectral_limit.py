@@ -17,9 +17,8 @@ one index set along which the sequence tends to zero.
 
 from __future__ import annotations
 
-import bisect
 import cmath
-import itertools
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -107,10 +106,6 @@ def _normalize_entry(e, additive: bool):
     return val, None
 
 
-def _combine(vals, additive: bool):
-    return math.fsum(vals) if additive else math.prod(vals, start=1.0 + 0.0j)
-
-
 def _angle_of(agg, additive: bool) -> float:
     """Position of the aggregate on its constraint circle, in turns."""
     if additive:
@@ -118,77 +113,237 @@ def _angle_of(agg, additive: bool) -> float:
     return (cmath.phase(agg) / (2 * math.pi)) % 1.0
 
 
+def _fsum(terms) -> np.ndarray:
+    """math.fsum over the cells of broadcast term arrays, bit for bit.
+
+    CPython's algorithm: Shewchuk's nonoverlapping partials, summed from the
+    top until the sum turns inexact, then the half-even fix-up against the
+    next partial down.  Each term gets one partial slot; a zero partial,
+    which fsum would drop, passes through every step unchanged.
+    """
+    partials = []
+    for x in terms:
+        x = np.asarray(x, dtype=np.float64)
+        for j, y in enumerate(partials):
+            swap = np.abs(x) < np.abs(y)
+            x, y = np.where(swap, y, x), np.where(swap, x, y)
+            hi = x + y
+            partials[j] = y - (hi - x)
+            x = hi
+        partials.append(x)
+    hi = partials.pop() if partials else np.zeros(())
+    lo = below = np.zeros(hi.shape)
+    broke = seen = np.zeros(hi.shape, dtype=bool)
+    for y in reversed(partials):
+        take = broke & ~seen & (y != 0)  # the first nonzero partial below the break
+        below = np.where(take, y, below)
+        seen = seen | take
+        s = hi + y
+        go = ~broke
+        hi, lo = np.where(go, s, hi), np.where(go, y - (s - hi), lo)
+        broke = broke | (go & (lo != 0))
+    y = lo * 2.0
+    x = hi + y
+    fix = (((lo < 0) & (below < 0)) | ((lo > 0) & (below > 0))) & (x - hi == y)
+    hi = np.where(fix, x, hi)
+    if not np.isfinite(hi).all():
+        raise OverflowError("intermediate overflow in fsum")
+    return hi
+
+
+def _aggregate(values, additive: bool):
+    """Per cell, the left-to-right sum or product of one value per position.
+
+    values broadcast against each other.  Sums are exactly rounded (_fsum);
+    products start from 1 + 0j and multiply as CPython multiplies complex
+    numbers, (a c - b d) + (a d + b c) i, in separate real operations, so each
+    cell equals math.prod(values, start=1+0j) bit for bit (numpy's complex
+    multiply need not).  Returns the sum, or the product as (re, im).
+    """
+    if additive:
+        return _fsum(values)
+    re, im = 1.0, 0.0
+    for v in values:
+        re, im = re * v.real - im * v.imag, re * v.imag + im * v.real
+    return np.asarray(re), np.asarray(im)
+
+
+def _score(values, exact, exact_hit, *, additive: bool, tol: float):
+    """(hit, residual) per cell of broadcast per-position arrays.
+
+    A cell whose picks are all exact (every mask in exact set) is decided by
+    exact_hit with residual 0, any other by its float residual <= tol:
+    |sum| or |prod - 1| (see _aggregate).  exact_hit is None when no entry
+    is exact.
+    """
+    agg = _aggregate(values, additive)
+    res = np.abs(agg) if additive else np.hypot(agg[0] - 1.0, agg[1])
+    if exact_hit is None:
+        return res <= tol, res
+    all_exact = functools.reduce(np.logical_and, exact)
+    res[all_exact] = 0.0
+    return np.where(all_exact, exact_hit, res <= tol), res
+
+
+def _grid(arrays):
+    """Per-axis arrays reshaped to broadcast over their grid (C order)."""
+    k = len(arrays)
+    return [a.reshape([1] * i + [-1] + [1] * (k - 1 - i)) for i, a in enumerate(arrays)]
+
+
+def _unravel(flat, shape) -> list:
+    """Per-axis indices of flat grid indices; a grid of no axes has one cell."""
+    return list(np.unravel_index(flat, shape)) if shape else []
+
+
+def _pairs(left_keys, right_keys):
+    """(left, right) flat indices with equal keys: by left, then by right index."""
+    order = np.argsort(right_keys, kind="stable")
+    ranked = right_keys[order]
+    lo = np.searchsorted(ranked, left_keys, "left")
+    count = np.searchsorted(ranked, left_keys, "right") - lo
+    left = np.repeat(np.arange(len(left_keys)), count)
+    start = np.repeat(lo - np.cumsum(count) + count, count)
+    return left, order[start + np.arange(len(left))]
+
+
 def _block_solutions(cands, *, additive, tol, mitm_threshold):
-    """Solve one block: index tuples into cands with their residuals.
+    """Solve one block: (columns, residuals) of its resonant combinations.
 
     cands : list (one per block position) of lists of (entry, exact) pairs.
-    A tuple whose picked entries are all exact is decided by Fraction
-    arithmetic (residual 0), any other by its float residual.  Up to
-    mitm_threshold combinations every tuple is scored; above it right halves
-    are filed under a key and each left half looks up its complement.  The
-    key is the exact sum (mod 1 in discrete time) when the whole block is
-    exact, so a match is a hit, and otherwise the float cell of width tol
-    (or the rounding of a half-sum, if wider), whose matches and +-2
-    neighbours (wrapping at 1) are scored.  Solutions come in lexicographic
-    index order.
+    Returns one index array into cands per position and the residuals, in
+    lexicographic order of the combinations.  A combination whose picks are
+    all exact is decided in integers: the exact values as numerators over
+    one common denominator, summed (mod it in discrete time;
+    entangle._exact_sums), with residual 0.  Any other is decided by its
+    float residual, |prod - 1| or |sum| of its entries taken in position
+    order (_aggregate), against tol.
+
+    Up to mitm_threshold combinations the whole grid is decided at once.
+    Above it the block splits into a left and a right half, and each half's
+    grid is placed on the constraint line or circle: by its exact sum when
+    the whole block is exact, so that equal keys are hits, and otherwise by
+    the float cell of width tol (or the rounding of a half-sum, if wider).
+    Right keys are sorted once, each left half's complement (in float mode
+    also its +-2 neighbouring cells, wrapping at 1) is looked up with
+    searchsorted, and the pairs found are decided as above.  Memory stays at
+    the size of the halves and the pairs.
     """
     sizes = [len(c) for c in cands]
+    fracs = [[0 if fr is None else fr for _, fr in c] for c in cands]
+    common = math.lcm(*(fr.denominator for axis in fracs for fr in axis))
+    exact = [[fr is not None for _, fr in c] for c in cands]
+    has_exact = any(map(any, exact))
+    all_exact = all(map(all, exact))
+    if not all_exact:
+        exact = [np.array(e, dtype=bool) for e in exact]
+        values = [np.array([e for e, _ in c], dtype=np.float64 if additive else np.complex128)
+                  for c in cands]
 
-    def exact_sum(picks):
-        s = sum((fr for _, fr in picks), Fraction(0))
-        return s if additive else s % 1
-
-    def score(combo):
-        picks = [cands[i][ci] for i, ci in enumerate(combo)]
-        if all(fr is not None for _, fr in picks):
-            return 0.0, exact_sum(picks) == 0
-        agg = _combine([e for e, _ in picks], additive)
-        r = abs(agg) if additive else abs(agg - 1.0)
-        return r, r <= tol
-
-    out = []
     if math.prod(sizes) <= mitm_threshold:
-        for combo in itertools.product(*map(range, sizes)):
-            r, hit = score(combo)
-            if hit:
-                out.append((combo, r))
-        return out
+        exact_hit = entangle._exact_sums(fracs, common, additive) == 0 if has_exact else None
+        if all_exact:
+            hit = exact_hit
+        else:
+            hit, res = _score(_grid(values), _grid(exact), exact_hit, additive=additive, tol=tol)
+        cols = np.nonzero(hit)
+        return cols, np.zeros(len(cols[0])) if all_exact else res[cols]
 
     half = len(cands) // 2
-    exact = all(fr is not None for c in cands for _, fr in c)
-    # |e^{2 pi i theta} - 1| <= tol forces |theta| <~ tol / (2 pi); be generous
-    scale = sum(max((abs(e) for e, _ in c), default=0.0) for c in cands) if additive else 1.0
-    width = max(tol, 1e-15, 4 * sys.float_info.epsilon * scale)
-    n_cells = math.ceil(1.0 / width)
+    shapes = (sizes[:half], sizes[half:])
+    if has_exact:
+        left_sum, right_sum = (entangle._exact_sums(part, common, additive).ravel()
+                               for part in (fracs[:half], fracs[half:]))
+        if left_sum.dtype != right_sum.dtype:
+            left_sum, right_sum = left_sum.astype(object), right_sum.astype(object)
+        complement = -left_sum if additive else -left_sum % common
+    if all_exact:
+        right_keys, keys = right_sum, [complement]
+    else:
+        # |e^{2 pi i theta} - 1| <= tol forces |theta| <~ tol / (2 pi); be generous
+        scale = sum(max((abs(e) for e, _ in c), default=0.0) for c in cands) if additive else 1.0
+        width = max(tol, 1e-15, 4 * sys.float_info.epsilon * scale)
+        n_cells = math.ceil(1.0 / width)
 
-    def place(combo, lo):
-        """Where a half-tuple sits on the constraint line or circle."""
-        picks = [cands[lo + i][ci] for i, ci in enumerate(combo)]
-        if exact:
-            return exact_sum(picks)
-        return _angle_of(_combine([e for e, _ in picks], additive), additive)
+        def place(arrays, shape):
+            """Where each half-tuple of the grid sits on the constraint line or circle."""
+            agg = _aggregate(_grid(arrays), additive)
+            if not additive:
+                agg = np.arctan2(agg[1], agg[0]) / (2 * math.pi) % 1.0
+            return np.broadcast_to(agg, shape).ravel()
 
-    def cell(v, off=0):
-        if exact:
-            return v
-        b = math.floor(v / width) + off
-        # wrap at 1: the first and last cells are neighbours, and theta
-        # right below 1 can round to 1.0 exactly
-        return b if additive else b % n_cells
+        v = place(values[:half], shapes[0])
+        cells = [np.floor(x / width).astype(np.int64)
+                 for x in (place(values[half:], shapes[1]), -v if additive else -v % 1)]
+        if additive:
+            right_keys, keys = cells[0], [cells[1] + off for off in (-2, -1, 0, 1, 2)]
+        else:
+            # wrap at 1: the first and last cells are neighbours, and theta
+            # right below 1 can round to 1.0 exactly; a cell is looked up once
+            right_keys, keys = cells[0] % n_cells, []
+            for off in (-2, -1, 0, 1, 2):
+                key = (cells[1] + off) % n_cells
+                keys.append(np.where(np.any([key == k for k in keys], axis=0), -1, key))
+    found = [_pairs(key, right_keys) for key in keys]
+    li = np.concatenate([lo for lo, _ in found])
+    ri = np.concatenate([r for _, r in found])
+    if not all_exact:
+        digits = _unravel(li, shapes[0]) + _unravel(ri, shapes[1])
+        exact_hit = right_sum[ri] == complement[li] if has_exact else None
+        hit, res = _score([a[d] for a, d in zip(values, digits)],
+                          [e[d] for e, d in zip(exact, digits)],
+                          exact_hit, additive=additive, tol=tol)
+        li, ri, res = li[hit], ri[hit], res[hit]
+    order = np.lexsort((ri, li))
+    li, ri = li[order], ri[order]
+    cols = _unravel(li, shapes[0]) + _unravel(ri, shapes[1])
+    return cols, np.zeros(len(li)) if all_exact else res[order]
 
-    right: dict = {}
-    for combo in itertools.product(*map(range, sizes[half:])):
-        right.setdefault(cell(place(combo, half)), []).append(combo)
-    for combo in itertools.product(*map(range, sizes[:half])):
-        v = place(combo, 0)
-        target = -v if additive else (-v) % 1
-        for key in {cell(target, off) for off in ((0,) if exact else (-2, -1, 0, 1, 2))}:
-            for rcombo in right.get(key, ()):
-                r, hit = (0.0, True) if exact else score(combo + rcombo)
-                if hit:
-                    out.append((combo + rcombo, r))
-    out.sort(key=lambda t: t[0])
-    return out
+
+def _resonant_index(spectra, part: Partition, tol, additive: bool, mitm_threshold: int):
+    """(normalized entries, index, residuals) of the resonant tuples, in order.
+
+    index holds one int array per position and residuals one float array
+    per block, each with one entry per tuple.  See resonant_tuples for the
+    order.
+    """
+    linalg._positive_finite(tol, "tolerance")
+    spectra = list(spectra)
+    if len(spectra) != part.m:
+        raise ValidationError(f"got {len(spectra)} spectra for m={part.m} positions")
+    norm = [
+        [_normalize_entry(e, additive) for e in
+         (sp.unimodular_spectrum if isinstance(sp, SpectralOperator) else sp)]
+        for sp in spectra
+    ]
+    blocks = [positions for _, positions in sorted(part.blocks.items())]
+    per_block = []
+    for positions in blocks:
+        cols, res = _block_solutions([norm[j] for j in positions], additive=additive, tol=tol,
+                                     mitm_threshold=mitm_threshold)
+        if not len(res):
+            return norm, [np.zeros(0, dtype=np.intp)] * part.m, [res] * len(blocks)
+        per_block.append((cols, res))
+
+    # the Cartesian product of the blocks' solutions, in itertools.product order
+    picks = np.unravel_index(np.arange(math.prod(len(res) for _, res in per_block)),
+                             [len(res) for _, res in per_block])
+    index = [None] * part.m
+    residuals = []
+    for pick, positions, (cols, res) in zip(picks, blocks, per_block):
+        for j, col in zip(positions, cols):
+            index[j] = col[pick]
+        residuals.append(res[pick])
+    if len(picks[0]) > 1:
+        ranks = []
+        for cands, col in zip(norm, index):
+            keys = [(0, fr) if fr is not None else (1, _angle_of(e, additive)) for e, fr in cands]
+            first = {key: r for r, key in reversed(list(enumerate(sorted(keys))))}  # ties share
+            ranks.append(np.array([first[key] for key in keys])[col])
+        order = np.lexsort(ranks[::-1])  # stable: equal rank vectors keep product order
+        index = [col[order] for col in index]
+        residuals = [res[order] for res in residuals]
+    return norm, index, residuals
 
 
 def resonant_tuples(
@@ -207,88 +362,60 @@ def resonant_tuples(
     alpha : Partition or block-id sequence.
     tol : float-route acceptance |prod - 1| <= tol (multiplicative) or
         |sum| <= tol (additive); candidates with every exact angle available
-        are decided by Fraction arithmetic instead and report residual 0.
+        are decided by exact integer arithmetic instead and report residual 0.
     additive : False for unit-circle products (discrete time), True for
         frequency sums (continuous time, where resonance for all t means the
         frequencies cancel exactly, not modulo 1).
 
     The constraint factorizes across blocks, so each block is solved on its
-    own (meet-in-the-middle above mitm_threshold combinations) and solutions
-    are combined as a Cartesian product.  Tuples whose worst float residual
-    lands in (FRAGILE_BAND, tol] are flagged fragile.  Each position's
-    candidates are ranked once by key (exact value first, then position on
-    the constraint circle; equal keys tie) and tuples are stably sorted by
-    rank vector, so ties keep block-by-block enumeration order.
+    own (_block_solutions: its whole grid up to mitm_threshold combinations,
+    meet-in-the-middle above) and solutions are combined as a Cartesian
+    product.  Tuples whose worst float residual lands in (FRAGILE_BAND, tol]
+    are flagged fragile.  Each position's candidates are ranked once by key
+    (exact value first, then position on the constraint circle; equal keys
+    tie) and tuples are stably sorted by rank vector, so ties keep
+    block-by-block enumeration order.
     """
-    linalg._positive_finite(tol, "tolerance")
     part = alpha if isinstance(alpha, Partition) else make_partition(alpha)
-    spectra = list(spectra)
-    if len(spectra) != part.m:
-        raise ValidationError(f"got {len(spectra)} spectra for m={part.m} positions")
-    norm = [
-        [_normalize_entry(e, additive) for e in
-         (sp.unimodular_spectrum if isinstance(sp, SpectralOperator) else sp)]
-        for sp in spectra
-    ]
-
-    blocks = part.blocks
-    block_ids = sorted(blocks)
-    per_block = []
-    for a in block_ids:
-        sols = _block_solutions([norm[j] for j in blocks[a]], additive=additive, tol=tol,
-                                mitm_threshold=mitm_threshold)
-        if not sols:
-            return ()
-        per_block.append(sols)
-
-    ranks = []
-    for cands in norm:
-        keys = [(0, fr) if fr is not None else (1, _angle_of(e, additive)) for e, fr in cands]
-        ordered = sorted(keys)
-        ranks.append([bisect.bisect_left(ordered, key) for key in keys])
-    rows = []
-    for picks in itertools.product(*per_block):
-        index = [0] * part.m
-        for a, (combo, _) in zip(block_ids, picks):
-            for j, ci in zip(blocks[a], combo):
-                index[j] = ci
-        rows.append((index, tuple(r for _, r in picks)))
-    rows.sort(key=lambda row: list(map(list.__getitem__, ranks, row[0])))  # ranks[j][index[j]]
+    norm, index, residuals = _resonant_index(spectra, part, tol, additive, mitm_threshold)
+    index = [col.tolist() for col in index]
+    entries, exacts = (zip(*([cands[i][f] for i in col] for cands, col in zip(norm, index)))
+                       for f in (0, 1))
     # every residual is at most tol, so fragile means one exceeds FRAGILE_BAND
     return tuple(
-        ResonantTuple(*zip(*map(list.__getitem__, norm, index)), res,
-                      max(res) > FRAGILE_BAND, tuple(index))
-        for index, res in rows
+        ResonantTuple(e, x, res, max(res) > FRAGILE_BAND, idx)
+        for e, x, res, idx in zip(entries, exacts, zip(*(r.tolist() for r in residuals)),
+                                  zip(*index))
     )
 
 
-def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock):
+def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock, index=None):
     """Sum over resonant tuples of P_m A_{m-1} ... A_1 P_1, for either clock.
 
     members carry each position's verdict and certificate, matrices its
-    operator or generator, points its boundary points.  The points of
-    position j that some tuple picks (t.index) get local indices and one
-    boundary basis (R_j, L_j, group_j).  A 0/1 weight W over local indices
-    marks the tuples; it is expanded to eigen-indices when a point has
-    several, refused beyond entangle.MEMORY_CAP_BYTES before any factorization,
-    and contracted against the cores C_j = L_{j+1} A_j R_j by the kernel the
-    spectral finite-n mean uses (entangle._eigen_contraction): the limit is
-    R_m (W * prod_j C_j summed over the inner positions) L_1.  Returns
-    (limit, tuples).
+    operator or generator, points its boundary points.  index holds the
+    resonant tuples' point indices, one array per position with one entry
+    per tuple (enumerated here when not given).  The points of position j that some tuple picks get local
+    indices and one boundary basis (R_j, L_j, group_j).  A 0/1 weight W over
+    local indices marks the tuples; it is expanded to eigen-indices when a
+    point has several, refused beyond entangle.MEMORY_CAP_BYTES before any
+    factorization, and contracted against the cores C_j = L_{j+1} A_j R_j by
+    the kernel the spectral finite-n mean uses (entangle._eigen_contraction):
+    the limit is R_m (W * prod_j C_j summed over the inner positions) L_1.
     """
     _require_bounded(members, clock)
     partition, connectors = system.partition, system.connectors
     spectra = [[clock.resonance_entry(p) for p in pts] for pts in points]
-    tuples = resonant_tuples(spectra, partition, tol, additive=clock.additive)
-    if not tuples:
+    if index is None:
+        index = _resonant_index(spectra, partition, tol, clock.additive, 100_000)[1]
+    if not len(index[0]):
         d = matrices[0].shape[0]
-        return np.zeros((d, d), dtype=np.complex128), tuples
+        return np.zeros((d, d), dtype=np.complex128)
 
     # per position: the picked point indices, ascending, and each tuple's local index
-    cols = list(zip(*(t.index for t in tuples)))
-    picked = [sorted(set(col)) for col in cols]
-    local = [{i: v for v, i in enumerate(used)} for used in picked]
-    cells = tuple([loc[i] for i in col] for loc, col in zip(local, cols))
+    used = [np.flatnonzero(np.bincount(col)) for col in index]
+    cells = tuple(np.searchsorted(u, col) for u, col in zip(used, index))
+    picked = [u.tolist() for u in used]
     ranks = [sum(pts[i].multiplicity for i in used) for pts, used in zip(points, picked)]
     need = 16 * math.prod(ranks)
     if need > entangle.MEMORY_CAP_BYTES:
@@ -308,7 +435,7 @@ def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock)
     rights, lefts, groups = zip(*bases)
     if any(g != list(range(len(used))) for g, used in zip(groups, picked)):
         weight = weight[np.ix_(*groups)]
-    return entangle._eigen_contraction(weight, rights, lefts, connectors), tuples
+    return entangle._eigen_contraction(weight, rights, lefts, connectors)
 
 
 def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -321,14 +448,20 @@ def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndar
     every T_j to pass the power-boundedness certificate; an empty resonance
     set gives the zero matrix (the averages die in norm).
     """
-    return limit_operator_with_tuples(system, tol)[0]
-
-
-def limit_operator_with_tuples(system: EntangledSystem, tol: float = DEFAULT_TOL):
-    """(limit_operator(system, tol), the resonant tuples it summed over)."""
     ops = system.operators
     points = [op.unimodular_spectrum for op in ops]
     return _assemble_limit(system, ops, [op.matrix for op in ops], points, tol, DISCRETE)
+
+
+def limit_operator_with_tuples(system: EntangledSystem, tol: float = DEFAULT_TOL):
+    """(limit_operator(system, tol), the ResonantTuples it summed over)."""
+    ops = system.operators
+    points = [op.unimodular_spectrum for op in ops]
+    _require_bounded(ops, DISCRETE)  # before enumerating, as in limit_operator
+    tuples = resonant_tuples(points, system.partition, tol)
+    index = np.array([t.index for t in tuples], dtype=np.intp).reshape(len(tuples), len(ops)).T
+    limit = _assemble_limit(system, ops, [op.matrix for op in ops], points, tol, DISCRETE, index)
+    return limit, tuples
 
 
 @dataclass(frozen=True)

@@ -602,6 +602,15 @@ def test_exit_3_on_budget_refusal(tmp_path, capsys):
     assert not (tmp_path / "entlab-converge.csv").exists()
 
 
+def test_exit_3_on_counterexample_checkpoint_from_2_pow_53(tmp_path, capsys):
+    cfg = {"kind": "counterexample", "checkpoints": [8, 2**53], "window": 4}
+    out_path = tmp_path / "r.csv"
+    rc = main(["counterexample", "--config", _write(tmp_path, cfg), "--out", str(out_path)])
+    assert rc == 3
+    assert "2^53" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_exit_4_on_numerical_overflow(tmp_path, capsys):
     cfg = _continuous_config(
         horizons=[1.0e9], quadrature={"scheme": "midpoint", "points": 8}

@@ -382,6 +382,21 @@ def test_spectral_peak_memory_stays_under_the_counted_bytes(alpha):
     assert 16 * d ** len(alpha) < peak <= entangle._spectral_bytes(sys_.partition, d)
 
 
+def test_spectral_peak_for_one_wide_block_stays_under_six_weights():
+    # alpha = [1] * 6 at d = 10: one block over a 10^6-cell grid, 16 MB per
+    # complex array; g is computed in place on masked copies
+    d, alpha = 10, [1] * 6
+    sys_ = _certified_system(alpha, d)
+    entangled_average(sys_, 1000)
+    tracemalloc.start()
+    try:
+        entangled_average(sys_, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= entangle._spectral_bytes(sys_.partition, d) < 6 * 16 * d ** len(alpha)
+
+
 def test_spectral_falls_back_when_the_weight_fits_but_its_temporaries_do_not(monkeypatch):
     sys_ = _certified_system([1, 1, 1], d=10)
     # the weight is 16 kB and the presum stacks 32 kB; the spectral peak is ~130 kB

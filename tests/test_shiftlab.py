@@ -16,16 +16,20 @@ from hypothesis import strategies as st
 
 from entlab import linalg
 from entlab.errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     EmptySequenceError,
     ValidationError,
 )
 from entlab.shiftlab import (
     BLOCK_SEQUENCE,
+    MAX_CHECKPOINT,
+    SWEEP_CHUNK,
     SparseZVector,
     counterexample_A,
     divergence_experiment,
     finite_section,
+    iter_divergence,
     shift_apply,
 )
 
@@ -246,3 +250,68 @@ def test_divergence_accepts_custom_sequence():
 
     got = divergence_experiment([1, 5, 9], f=Zero())
     assert [mean for _, mean in got] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, Fraction(4), "4"])
+def test_divergence_refuses_checkpoints_that_are_not_integers(bad):
+    with pytest.raises(ValidationError, match="integers"):
+        divergence_experiment([bad, 8])
+
+
+def test_divergence_accepts_numpy_integer_checkpoints():
+    assert divergence_experiment([np.int64(4)]) == divergence_experiment([4])
+
+
+@pytest.mark.parametrize("top", [MAX_CHECKPOINT, MAX_CHECKPOINT + 1, 2**64])
+def test_divergence_refuses_checkpoints_from_2_pow_53_before_any_work(top):
+    assert MAX_CHECKPOINT == 2**53
+    with pytest.raises(BudgetExceededError, match="2\\^53"):
+        next(iter_divergence([1, top]))  # validation precedes the first term
+
+
+def test_block_sequence_array_form_matches_bit_lengths_up_to_2_pow_53():
+    ns = sorted({n for k in range(1, 54) for n in (2**k - 1, 2**k, 2**k + 1)
+                 if 1 <= n < MAX_CHECKPOINT})
+    got = BLOCK_SEQUENCE.values(np.array(ns, dtype=np.int64))
+    assert got.tolist() == [BLOCK_SEQUENCE(n) for n in ns]
+
+
+def test_divergence_matches_closed_form_at_2_pow_20_and_across_step_boundaries():
+    edges = [j * SWEEP_CHUNK + off for j in (1, 2, 7) for off in (-1, 0, 1)]
+    checkpoints = edges + [2**20 - 1, 2**20]
+    for n, mean in divergence_experiment(checkpoints):
+        assert mean == Fraction(n - BLOCK_SEQUENCE.ones_count(n), n), n
+
+
+def _sparse_vector_means(checkpoints, f):
+    """<U^n A U^n e_0, e_0> applied on SparseZVectors, one n at a time."""
+    e0 = SparseZVector.basis(0)
+    running, out = 0, []
+    for n in range(1, max(checkpoints) + 1):
+        running += shift_apply(counterexample_A(shift_apply(e0, n), f), n).inner(e0)
+        if n in checkpoints:
+            out.append((n, Fraction(running, n)))
+    return out
+
+
+def test_divergence_with_custom_sequence_matches_the_sparse_vector_chain():
+    class EveryThird:
+        def __call__(self, n):
+            return int(n % 3 == 0)
+
+    class Signed:  # values other than 0 and 1 send e_{-n} elsewhere
+        def __call__(self, n):
+            return (-1) ** n * (n % 4)
+
+    checkpoints = [1, 5, SWEEP_CHUNK, SWEEP_CHUNK + 1, 300]
+    for f in (EveryThird(), Signed(), BLOCK_SEQUENCE):
+        assert divergence_experiment(checkpoints, f=f) == _sparse_vector_means(checkpoints, f)
+
+
+def test_divergence_refuses_a_sequence_with_non_integer_values():
+    class Half:
+        def __call__(self, n):
+            return 0.5
+
+    with pytest.raises(ValidationError, match="integer values"):
+        divergence_experiment([3], f=Half())

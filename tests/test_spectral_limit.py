@@ -7,6 +7,7 @@ the known eigenbasis; the meet-in-the-middle path against the brute path.
 """
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import entangle, linalg
+from entlab import entangle, linalg, spectral_limit
 from entlab.continuous import (
     CONTINUOUS,
     continuous_limit_operator,
@@ -24,7 +25,7 @@ from entlab.continuous import (
     semigroup_from_generator,
     synth_semigroup,
 )
-from entlab.entangle import entangled_average, make_system
+from entlab.entangle import entangled_average, make_partition, make_system
 from entlab.errors import (
     BudgetExceededError,
     EmptySequenceError,
@@ -283,6 +284,129 @@ def test_mitm_and_brute_force_give_identical_tuples(alpha, additive, kind, tol, 
     for t in brute:
         for j, sp in enumerate(spectra):
             assert _normalize_entry(sp[t.index[j]], additive) == (t.entries[j], t.exact[j])
+
+
+def _per_tuple_reference(spectra, alpha, tol, additive):
+    """{index: residuals} from one combination at a time: Fraction sums when
+    every pick is exact, else math.fsum or math.prod(start=1+0j) residuals."""
+    norm = [[_normalize_entry(e, additive) for e in sp] for sp in spectra]
+    part = make_partition(alpha)
+    per_block = []
+    for positions in (part.blocks[a] for a in sorted(part.blocks)):
+        sols = {}
+        for combo in itertools.product(*(range(len(norm[j])) for j in positions)):
+            picks = [norm[j][i] for j, i in zip(positions, combo)]
+            if all(fr is not None for _, fr in picks):
+                total = sum(fr for _, fr in picks)
+                if (total if additive else total % 1) == 0:
+                    sols[combo] = 0.0
+                continue
+            vals = [e for e, _ in picks]
+            r = abs(math.fsum(vals)) if additive else abs(math.prod(vals, start=1 + 0j) - 1.0)
+            if r <= tol:
+                sols[combo] = r
+        per_block.append((positions, sols))
+    out = {}
+    for picks in itertools.product(*(sols.items() for _, sols in per_block)):
+        index = [0] * part.m
+        for (positions, _), (combo, _) in zip(per_block, picks):
+            for j, i in zip(positions, combo):
+                index[j] = i
+        out[tuple(index)] = tuple(r for _, r in picks)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([[1], [1, 1], [1, 1, 1], [1, 2, 1], [1, 1, 1, 1], [1, 2, 1, 2]]),
+    st.booleans(),
+    st.sampled_from(["float", "mixed"]),
+    st.sampled_from([0, 10 ** 9]),
+    st.data(),
+)
+def test_array_residuals_match_per_tuple_prod_and_fsum_bit_for_bit(
+    alpha, additive, kind, threshold, data
+):
+    lo, hi = (-3, 3) if additive else (0, 1)
+    entry = st.tuples(
+        st.fractions(min_value=lo, max_value=hi, max_denominator=6),
+        st.sampled_from(["exact", "float"]) if kind == "mixed" else st.just("float"),
+        st.sampled_from([0.0, 1e-12, -3e-10, 2e-9, -7e-9, 1e-16]),
+    )
+    spectra = [
+        [_entry(fr, k, additive, jitter) for fr, k, jitter in
+         data.draw(st.lists(entry, min_size=1, max_size=5))]
+        for _ in alpha
+    ]
+    got = resonant_tuples(spectra, alpha, 1e-8, additive=additive, mitm_threshold=threshold)
+    # == on floats is bitwise here: residuals are finite and nonnegative
+    assert {t.index: t.residuals for t in got} == _per_tuple_reference(
+        spectra, alpha, 1e-8, additive)
+
+
+@pytest.mark.parametrize("threshold", [0, 10 ** 9])
+def test_large_float_grid_residuals_match_math_prod(threshold):
+    # 40^3 cells: long enough arrays for numpy's vectorized loops to run
+    q = 40
+    rng = np.random.default_rng(11)
+    spectra = [[cmath.exp(2j * math.pi * a / q) for a in rng.permutation(q)] for _ in range(3)]
+    got = resonant_tuples(spectra, [1, 1, 1], mitm_threshold=threshold)
+    assert len(got) == q * q
+    for t in got:
+        assert t.residuals == (abs(math.prod(t.entries, start=1 + 0j) - 1.0),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from(
+    [1e-16, 1.0, 1e16, -1e16, 0.1, -0.3, 2.0**-60, 0.0, -0.0]), min_size=0, max_size=5),
+    min_size=1, max_size=6))
+def test_fsum_rows_match_math_fsum(rows):
+    width = max(map(len, rows))
+    cols = [np.array([row[i] if i < len(row) else 0.0 for row in rows]) for i in range(width)]
+    got = spectral_limit._fsum(cols) if cols else np.zeros(len(rows))
+    want = [math.fsum(row) for row in rows]
+    assert [abs(g) for g in np.broadcast_to(got, (len(rows),)).tolist()] == [abs(w) for w in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.complex_numbers(max_magnitude=4.0), min_size=1, max_size=5),
+                min_size=1, max_size=6))
+def test_product_rows_match_math_prod(rows):
+    width = max(map(len, rows))
+    cols = [np.array([row[i] if i < len(row) else 1.0 for row in rows], dtype=np.complex128)
+            for i in range(width)]
+    re, im = spectral_limit._aggregate(cols, False)
+    want = [math.prod(row + [1.0] * (width - len(row)), start=1 + 0j) for row in rows]
+    assert re.tolist() == [w.real for w in want] and im.tolist() == [w.imag for w in want]
+
+
+@pytest.mark.parametrize("threshold", [0, 10 ** 9])
+@pytest.mark.parametrize("additive", [False, True])
+def test_index_arrays_are_the_tuples_columns(threshold, additive):
+    if additive:
+        spectra = [["0", "1/3", "-1/3", "1/2"], [0.0, "-1/3", "-1/2"], ["1/3", "0", "-1/6"],
+                   ["1/6", "0", 0.5]]
+    else:
+        spectra = [["0", "1/3", "2/3", "1/2"], [1.0 + 0.0j, "2/3", "1/2"], ["1/3", "0", "1/6"],
+                   ["1/2", "0"]]
+    part = make_partition([1, 2, 1, 2])
+    tuples = resonant_tuples(spectra, part, additive=additive, mitm_threshold=threshold)
+    _, index, residuals = spectral_limit._resonant_index(spectra, part, 1e-8, additive, threshold)
+    assert len(tuples) >= 4
+    assert [col.tolist() for col in index] == [list(c) for c in zip(*(t.index for t in tuples))]
+    assert [r.tolist() for r in residuals] == [list(c) for c in zip(*(t.residuals for t in tuples))]
+
+
+def test_limit_from_index_arrays_equals_limit_from_tuples():
+    # limit_operator enumerates index arrays; limit_operator_with_tuples reads
+    # them off the ResonantTuples
+    for sys_ in (_many_tuples_system(),
+                 make_system([1, 2, 2, 1], [_member(k, DISCRETE_VALUES[j % 3], False, 760 + j)
+                                            for j, k in enumerate(["raw", "cert", "raw", "cert"])],
+                             [linalg.haar_unitary(6, seed=770 + j) for j in range(3)])):
+        lim, tuples = limit_operator_with_tuples(sys_)
+        assert len(tuples) > 1
+        assert np.array_equal(limit_operator(sys_), lim)
 
 
 def test_mitm_finds_float_sum_just_below_one_turn():
