@@ -2,8 +2,9 @@
 
 Eigendecomposition, the matrix exponential and the spectral norm delegate to
 LAPACK/SciPy behind small wrappers that add validation, residual checks and
-error mapping.  Haar unitaries come from QR of a complex Gaussian matrix with
-the usual phase fix on the diagonal of R.
+error mapping; expm imports scipy.linalg when called, so importing the
+package does not load SciPy.  Haar unitaries come from QR of a complex
+Gaussian matrix with the usual phase fix on the diagonal of R.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionMismatchError, NonConvergenceError, ValidationError
 from .rng import CounterRng
@@ -87,10 +87,12 @@ def cluster_eigenvalues(values, tol: float = 1e-8):
         if np.array_equal(nxt, label):
             break
         label = nxt
-    out = []
-    for root in np.unique(label):
-        members = np.flatnonzero(label == root)
-        out.append((complex(vals[members].mean()), members))
+    roots, first, counts = np.unique(label, return_index=True, return_counts=True)
+    centers, members = vals[first], list(first[:, np.newaxis])  # a singleton's mean is itself
+    for k in np.flatnonzero(counts > 1).tolist():
+        members[k] = np.flatnonzero(label == roots[k])
+        centers[k] = vals[members[k]].mean()
+    out = list(zip(centers.tolist(), members))
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
 
@@ -161,7 +163,7 @@ def check_expm_horizon(arr: np.ndarray, t_max: float) -> None:
     run it on their largest t before the first product.
     """
     norm = t_max * float(np.linalg.norm(arr, 1))
-    if norm > EXPM_NORM_CAP:
+    if not norm <= EXPM_NORM_CAP:  # a NaN norm fails this too
         raise OverflowError(f"||t*B||_1 = {norm:.3e} exceeds cap {EXPM_NORM_CAP:.1e}")
 
 
@@ -169,14 +171,18 @@ def expm(b, t=1.0) -> np.ndarray:
     """exp(t*B) by SciPy's Pade scaling-and-squaring.
 
     t may be a scalar or a 1-D array of times; the array form returns a
-    (len(t), d, d) stack evaluated in one batched call.  Inputs whose scaled
-    1-norm max|t| * ||B||_1 exceeds EXPM_NORM_CAP raise OverflowError.
+    (len(t), d, d) stack evaluated in one batched call.  A NaN or infinite
+    time raises ValidationError; inputs whose scaled 1-norm max|t| * ||B||_1
+    exceeds EXPM_NORM_CAP raise OverflowError, both before SciPy is loaded.
     """
     arr = as_matrix(b, square=True)
     ts = np.asarray(t, dtype=np.float64)
     if ts.ndim > 1:
         raise DimensionMismatchError("t must be a scalar or 1-D array")
+    if not np.all(np.isfinite(ts)):
+        raise ValidationError("expm times must be finite")
     check_expm_horizon(arr, float(np.max(np.abs(ts))) if ts.size else 0.0)
+    import scipy.linalg as sla
     if ts.ndim == 0:
         return sla.expm(float(ts) * arr)
     if ts.size == 0:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import linalg
 from .errors import (
@@ -360,8 +359,10 @@ def _schur_split(arr: np.ndarray, select):
     selected eigenvalues in T11, right = Z[:, :k] and left = [I, Y] Z^H with
     Y solving T11 Y - Y T22 = T12, so right @ left is the spectral projection
     onto the selected part.  Raises SpectralFailureError when the selected
-    and complementary clusters are too close to decouple.
+    and complementary clusters are too close to decouple.  Imports SciPy
+    here, so that only raw splits load it.
     """
+    import scipy.linalg as sla
     d = arr.shape[0]
     t, z, sdim = sla.schur(arr, output="complex", sort=select)
     k = int(sdim)

@@ -1,0 +1,83 @@
+"""Which runs load SciPy.
+
+Only the matrix exponential and the Schur split of a raw operator need
+scipy.linalg, and each imports it when called.  Each case runs in a fresh
+interpreter with src/ on the path and reports the scipy modules it loaded:
+importing the package and the certified runs must load none, and a
+continuous run and a raw limit must still load scipy.linalg, which shows the
+import moved into the functions rather than went missing.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_CERTIFIED_LIMIT = """
+from entlab import OrthonormalBasis, limit_operator, make_system, synth_operator
+ops = [synth_operator(["0", "1/3"], [0.4], OrthonormalBasis(5)),
+       synth_operator(["0", "2/3"], [0.3], OrthonormalBasis(6))]
+assert limit_operator(make_system([1, 1], ops)).shape == (3, 3)
+"""
+
+_RAW_LIMIT = """
+import numpy as np
+from entlab import from_matrix, limit_operator, make_system
+op = from_matrix(np.diag([1.0, -1.0, 0.5]))
+assert limit_operator(make_system([1], [op])).shape == (3, 3)
+"""
+
+_REFUSED_EXPM = """
+import numpy as np
+from entlab import ValidationError, expm
+for t in (float("nan"), [1.0, float("nan")], float("inf")):
+    try:
+        expm(np.eye(2), t)
+    except ValidationError:
+        continue
+    raise AssertionError(f"expm accepted t={t!r}")
+"""
+
+
+def _cli(kind):
+    config = ROOT / "configs" / f"{kind}.json"
+    return (f"from entlab.cli import main\n"
+            f"assert main([{kind!r}, '--config', {str(config)!r}, '--out', 'out.csv']) == 0\n")
+
+
+def _scipy_modules(code, cwd):
+    """Names of the scipy modules a fresh interpreter holds after running code."""
+    probe = code + (
+        "\nimport sys, json\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param("import entlab\n", id="import"),
+    pytest.param(_cli("converge"), id="cli-converge"),
+    pytest.param(_cli("counterexample"), id="cli-counterexample"),
+    pytest.param(_CERTIFIED_LIMIT, id="certified-limit"),
+    pytest.param(_REFUSED_EXPM, id="refused-expm"),
+])
+def test_run_leaves_scipy_unloaded(code, tmp_path):
+    assert _scipy_modules(code, tmp_path) == []
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param(_cli("continuous"), id="cli-continuous"),
+    pytest.param(_RAW_LIMIT, id="raw-limit"),
+])
+def test_run_that_needs_scipy_still_loads_it(code, tmp_path):
+    assert "scipy.linalg" in _scipy_modules(code, tmp_path)

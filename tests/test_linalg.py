@@ -209,6 +209,19 @@ def test_expm_refuses_overflow_scale():
         linalg.expm(b, 1.0e9)
 
 
+@pytest.mark.parametrize("t", [
+    float("nan"),
+    np.array([1.0, float("nan")]),
+    float("inf"),
+    -float("inf"),
+    [0.5, float("inf")],
+])
+def test_expm_refuses_non_finite_time(t):
+    # NaN fails every comparison, so the norm cap alone would let it through
+    with pytest.raises(ValidationError):
+        linalg.expm(np.diag([1.0, -1.0]), t)
+
+
 # ------------------------------------------------------------ spectral_norm
 
 
@@ -345,3 +358,43 @@ def test_cluster_eigenvalues_matches_pairwise_search(case):
     )
     got = linalg.cluster_eigenvalues(vals, tol)
     assert [(c, list(g)) for c, g in got] == want
+
+
+def _cluster_by_loop(vals, tol):
+    """Group by one flatnonzero and one mean per cluster, after the label
+    propagation of cluster_eigenvalues: the reference for its grouping."""
+    vals = np.asarray(vals, dtype=np.complex128)
+    n = vals.size
+    near = np.abs(vals[:, np.newaxis] - vals[np.newaxis, :]) <= tol
+    np.fill_diagonal(near, True)
+    label = np.arange(n)
+    while True:
+        nxt = np.where(near, label, n).min(axis=1, initial=n)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    out = []
+    for root in np.unique(label):
+        members = np.flatnonzero(label == root)
+        out.append((complex(vals[members].mean()), members))
+    out.sort(key=lambda t: (t[0].real, t[0].imag))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cluster_eigenvalues_mostly_singletons_match_loop_bytes(seed):
+    rng = CounterRng(seed)
+    d = 8 + 6 * seed
+    vals = rng.complex_normal((d,))
+    # a few values on the circle, each with near copies a few tol away
+    k = seed % 7
+    vals[:k] = np.exp(2j * np.pi * np.arange(k) / 5)
+    vals[k:2 * k] = vals[:k] + 3e-9
+    vals = vals[np.argsort(rng.uniform(d))]
+    want = _cluster_by_loop(vals, 1e-8)
+    got = linalg.cluster_eigenvalues(vals, 1e-8)
+    assert len(got) == len(want)
+    for (c, g), (wc, wg) in zip(got, want):
+        assert c == wc and type(c) is complex
+        assert g.dtype == wg.dtype and g.shape == wg.shape and g.tobytes() == wg.tobytes()
