@@ -259,6 +259,11 @@ def parse_config(text: str) -> ExperimentConfig:
         "$.strategy",
         f"must be {'|'.join(entangle.STRATEGIES)}, got {strategy!r}",
     )
+    _expect(
+        not (kind == "continuous" and strategy == "naive"),
+        "$.strategy",
+        "continuous time has no naive route; use spectral or presum",
+    )
     data["strategy"] = strategy
     data["tolerance"] = _number(raw.get("tolerance", 1e-8), "$.tolerance")
     _expect(data["tolerance"] > 0, "$.tolerance", "must be positive")
@@ -568,12 +573,12 @@ def _run_continuous(cfg: ExperimentConfig):
             points = cont.suggest_points(system, t)
         avg = cont.continuous_entangled_average(
             system, t, cont.QuadratureSpec(quad_cfg["scheme"], points), x=x,
-            budget=cfg.budget, richardson=cfg.data["richardson"],
+            budget=cfg.budget, richardson=cfg.data["richardson"], strategy=cfg.strategy,
         )
         estimates[t] = {"points": avg.points, "richardson": avg.error_estimate}
         return avg.value - reference
 
-    records = _sweep(cfg, cfg.data["horizons"], diff)
+    records = _sweep(cfg, cfg.data["horizons"], diff, cfg.strategy)
     summary = {
         "verifies": "continuous-time mean ergodic convergence",
         "limit_frobenius_norm": float(np.linalg.norm(limit)),

@@ -2,10 +2,14 @@
 
 The discrete lattice mean is replaced by (1/t^k) times an iterated integral
 over [0, t]^k, approximated on a shared one-dimensional quadrature grid: all
-positions driven by the same block read the semigroup at the same node.  A
-midpoint grid is the orbit of e^{(h/2)B} under powers of e^{hB}, built by
-the doubling stack builder of discrete time; a Gauss-Legendre grid is one
-batched expm over its nodes.  The limit object mirrors the discrete one with
+positions driven by the same block read the semigroup at the same node.
+With a certificate on every generator the rule is one scalar weight per
+block, (1/t) sum_i w_i e^{mu s_i}, in the eigen-index contraction of
+discrete time (entangle._spectral_mean), and no exponential of a matrix is
+taken.  Otherwise the grid route samples each generator: a midpoint grid is
+the orbit of e^{(h/2)B} under powers of e^{hB}, built by the doubling stack
+builder of discrete time; a Gauss-Legendre grid is one batched expm over its
+nodes.  The limit object mirrors the discrete one with
 the unit circle traded for the imaginary axis: eigenvalues 2*pi*i*phi with
 real frequency phi, and the block constraint "product equals one" traded for
 "frequencies sum to zero exactly" (resonance for every t, not only t in a
@@ -22,11 +26,16 @@ import numpy as np
 from . import linalg
 from .entangle import (
     MEMORY_CAP_BYTES,
+    STRATEGIES,
     Partition,
     _contract,
+    _estimate_cost,
     _per_matrix,
     _power_stack,
     _refuse_beyond,
+    _resonant_to_one,
+    _spectral_bytes,
+    _spectral_mean,
     _stack_bytes,
     _state,
     _validate_system,
@@ -246,50 +255,71 @@ class ContinuousAverage:
     points: int
 
 
-def _check_grid(system, quad: QuadratureSpec, budget):
-    """Refuse the grid before any node or exponential is computed.
+_CHUNK_CELLS = 1 << 14  # exponentials per chunk of the node sum: nodes times block-grid cells
 
-    Documented cost model, per distinct generator: on the midpoint grid two
-    exponentials of ~20 products each plus Q products for the orbit of
-    e^{hB}; on the Gauss-Legendre grid ~20 products per node.  Added to that
-    is the contraction plan's cost with one product per node for each
-    singleton block.  Memory: the semigroup stacks plus two working buffers,
-    and for Gauss-Legendre the Q x Q float64 matrix whose eigenvalues are the
-    nodes.
+
+def _quadrature_weight(certificates, s_nodes, weights) -> np.ndarray:
+    """g(mu) = sum_i weights_i e^{mu s_i} over one block's eigen-index grid.
+
+    Axis i runs over the eigenvalues of certificates[i] and mu is the sum of
+    one eigenvalue per axis; weights are the rule's w_i / t.  The node sum
+    runs in chunks of at most max(cells, _CHUNK_CELLS) exponentials, so its
+    memory follows the block grid, not Q.  A cell whose exact frequencies
+    sum to 0 gets exactly 1.
     """
-    part = system.partition
-    q = quad.points
-    plan = plan_chain(part)
-    generators = [sg.generator for sg in system.semigroups]
-    per_generator = 2 * 20.0 + q if quad.scheme == "midpoint" else 20.0 * q
-    _refuse_beyond(
-        len({id(g) for g in generators}) * per_generator + plan.cost(q, q), budget,
-        _stack_bytes(generators, range(part.m), q),
-        f"Q={q}, lattice axes={len(plan.crossing)}", "raise the budget or lower Q",
+    mu = np.zeros((), dtype=np.complex128)
+    for cert in certificates:
+        mu = np.add.outer(mu, cert.eigenvalues)
+    cells = mu.ravel()
+    g = np.zeros(cells.shape, dtype=np.complex128)
+    step = max(1, _CHUNK_CELLS // cells.size)
+    for lo in range(0, len(s_nodes), step):
+        chunk = np.multiply.outer(s_nodes[lo : lo + step], cells)
+        g += weights[lo : lo + step] @ np.exp(chunk, out=chunk)
+    return _resonant_to_one(g.reshape(mu.shape), certificates, additive=True)
+
+
+def _quadrature_bytes(part: Partition, d: int) -> float:
+    """Peak bytes of the spectral route: the discrete count plus the node sum's.
+
+    _spectral_bytes counts 72 bytes per block-grid cell, and mu, g and two
+    one-node chunks take 64.  Chunks of several nodes hold at most
+    _CHUNK_CELLS exponentials each, and two are alive across one step of
+    the loop; the broadcast product that fills one iterates through two
+    numpy buffers.
+    """
+    return _spectral_bytes(part, d) + 32 * (_CHUNK_CELLS + np.getbufsize())
+
+
+def _checked_nodes(system, t, quad: QuadratureSpec):
+    """The rule's nodes and weights on [0, t], once every generator passes the
+    exponential's norm cap at the largest node and before any weight is built."""
+    s_nodes, w_nodes = quad.nodes(t)
+    for sg in system.semigroups:
+        linalg.check_expm_horizon(sg.generator, s_nodes[-1])
+    return s_nodes, w_nodes
+
+
+def _spectral_grid_average(system, t, quad: QuadratureSpec, x):
+    """The quadrature rule as one block weight in the certificates' eigenbases."""
+    s_nodes, w_nodes = _checked_nodes(system, t, quad)
+    return _spectral_mean(
+        [sg.certificate for sg in system.semigroups], list(system.connectors), system.partition,
+        lambda block: _quadrature_weight(block, s_nodes, w_nodes / t), x,
     )
-    if quad.scheme == "gauss-legendre" and 8 * q * q > MEMORY_CAP_BYTES:
-        raise BudgetExceededError(
-            f"Gauss-Legendre nodes for Q={q} need a {8 * q * q / 2**30:.2f} GiB "
-            f"matrix (cap {MEMORY_CAP_BYTES / 2**30:.0f} GiB); use the midpoint rule"
-        )
 
 
 def _single_grid_average(system, t, quad: QuadratureSpec, x):
     """The contraction plan on one grid: every block reads the same nodes.
 
     Midpoint nodes are s_i = (i + 1/2) h, so the stack T(s_i) is the orbit
-    (e^{hB})^i e^{(h/2)B}: two exponentials and Q products, with the
-    exponential's norm cap checked at the largest node before any stack is
-    built.  Gauss-Legendre nodes are not equispaced and take one batched
-    expm over the nodes.
+    (e^{hB})^i e^{(h/2)B}: two exponentials and Q products.  Gauss-Legendre
+    nodes are not equispaced and take one batched expm over the nodes.
     """
-    s_nodes, w_nodes = quad.nodes(t)
+    s_nodes, w_nodes = _checked_nodes(system, t, quad)
     q = len(s_nodes)
     midpoint = quad.scheme == "midpoint"
     h = t / q
-    if midpoint:
-        for sg in system.semigroups:
-            linalg.check_expm_horizon(sg.generator, s_nodes[-1])
 
     def grid(b: np.ndarray) -> np.ndarray:
         if midpoint:
@@ -306,6 +336,57 @@ def _single_grid_average(system, t, quad: QuadratureSpec, x):
     return _contract(plan_chain(part), part, list(system.connectors), stack, single, w_nodes / t, x)
 
 
+def _grid_route(system, quad: QuadratureSpec, budget, strategy: str):
+    """The route for this grid, refused before any node or weight is computed.
+
+    spectral runs when every generator carries a certificate and its grids
+    fit under the memory cap; otherwise it falls back to presum.  Documented
+    cost model, in units of one d x d product:
+
+    spectral : Q sum_blocks d^r / d^3 for the node sums over each block's
+               d^r eigen-index grid, plus the discrete spectral contraction
+    presum   : per distinct generator, on the midpoint grid two exponentials
+               of ~20 products each plus Q products for the orbit of e^{hB};
+               on the Gauss-Legendre grid ~20 products per node.  Added to
+               that is the contraction plan's cost with one product per node
+               for each singleton block; memory is the semigroup stacks plus
+               two working buffers.
+
+    Either way Gauss-Legendre needs the Q x Q float64 matrix whose
+    eigenvalues are the nodes.
+    """
+    if strategy == "naive":
+        raise ValidationError("continuous time has no naive route; use spectral or presum")
+    if strategy not in STRATEGIES:
+        raise ValidationError(f"unknown strategy {strategy!r}, expected spectral|presum")
+    part, d, q = system.partition, system.dim, quad.points
+    remedy = "raise the budget or lower Q"
+    if (strategy == "spectral" and all(sg.certificate is not None for sg in system.semigroups)
+            and _quadrature_bytes(part, d) <= MEMORY_CAP_BYTES):
+        cells = sum(float(d) ** len(positions) for positions in part.blocks.values())
+        _refuse_beyond(
+            q * cells / d**3 + _estimate_cost("spectral", q, part, d), budget, 0,
+            f"strategy=spectral, Q={q}, eigen-index tuples={d}^{part.m}", remedy,
+        )
+        route = _spectral_grid_average
+    else:
+        plan = plan_chain(part)
+        generators = [sg.generator for sg in system.semigroups]
+        per_generator = 2 * 20.0 + q if quad.scheme == "midpoint" else 20.0 * q
+        _refuse_beyond(
+            len({id(g) for g in generators}) * per_generator + plan.cost(q, q), budget,
+            _stack_bytes(generators, range(part.m), q),
+            f"Q={q}, lattice axes={len(plan.crossing)}", remedy,
+        )
+        route = _single_grid_average
+    if quad.scheme == "gauss-legendre" and 8 * q * q > MEMORY_CAP_BYTES:
+        raise BudgetExceededError(
+            f"Gauss-Legendre nodes for Q={q} need a {8 * q * q / 2**30:.2f} GiB "
+            f"matrix (cap {MEMORY_CAP_BYTES / 2**30:.0f} GiB); use the midpoint rule"
+        )
+    return route
+
+
 def continuous_entangled_average(
     system: ContinuousSystem,
     t: float,
@@ -313,15 +394,30 @@ def continuous_entangled_average(
     x=None,
     budget: float | None = 1e8,
     richardson: bool = True,
+    strategy: str = "spectral",
 ) -> ContinuousAverage:
     """(1/t^k) times the iterated integral of the semigroup chain over [0,t]^k.
 
     All positions sharing a block read their semigroup at the same node of
-    one shared 1-D grid.  Each distinct generator is exponentiated once per
-    grid: on the midpoint grid at h/2 and h only, the nodes following as
-    powers of e^{hB}; on the Gauss-Legendre grid at every node in one
-    batched call.  The grid sums follow the contraction plan
-    (entangle.plan_chain), so only crossing blocks walk the Q^k lattice.
+    one shared 1-D grid.  strategy names the route, as in discrete time:
+
+    * ``spectral`` (default): when every generator carries a certificate,
+      T(s) = S diag(e^{lam s}) S^{-1} turns the rule into one scalar weight
+      per block, g(mu) = (1/t) sum_i w_i e^{mu s_i} with mu the sum of the
+      block's generator eigenvalues, contracted over eigen-indices like the
+      discrete mean (entangle._spectral_mean).  No matrix exponential, no
+      stack and no Q^k lattice walk.  Cells whose exact frequencies cancel
+      get exactly 1.  Uncertified generators, or grids over the memory cap,
+      fall back to presum.
+    * ``presum``: the grid route.  Each distinct generator is exponentiated
+      once per grid: on the midpoint grid at h/2 and h only, the nodes
+      following as powers of e^{hB}; on the Gauss-Legendre grid at every
+      node in one batched call.  The grid sums follow the contraction plan
+      (entangle.plan_chain), so only crossing blocks walk the Q^k lattice.
+
+    Both routes evaluate the same rule; ``naive`` is refused with
+    ValidationError.  Costs are estimated and refused before any work (see
+    _grid_route), as is a largest node past the exponential's norm cap.
     With richardson=True the average is recomputed on a doubled grid and the
     difference reported as the error estimate for the returned (requested-Q)
     value; the doubled run roughly triples the cost.
@@ -332,11 +428,11 @@ def continuous_entangled_average(
     _require_bounded(system.semigroups, CONTINUOUS)
     x = _state(x, system.dim)
     fine = QuadratureSpec(quad.scheme, 2 * quad.points)
-    _check_grid(system, fine if richardson else quad, budget)
-    value = _single_grid_average(system, float(t), quad, x)
+    route = _grid_route(system, fine if richardson else quad, budget, strategy)
+    value = route(system, float(t), quad, x)
     est = None
     if richardson:
-        value2 = _single_grid_average(system, float(t), fine, x)
+        value2 = route(system, float(t), fine, x)
         est = float(np.linalg.norm(value - value2))
     return ContinuousAverage(value if x is None else value[:, 0], est, quad.points)
 

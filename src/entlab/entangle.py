@@ -19,9 +19,10 @@ Three evaluation strategies:
   block contributes g_n(z) = (1/n) sum_{k=1..n} z^k, z the product of its
   eigenvalues, so the cost does not depend on n.  The limit operator is the
   same contraction with g replaced by the resonance indicator
-  (``_eigen_contraction`` serves both).  Without a certificate on every
-  position, or when the dense weight would exceed the memory cap, it falls
-  back to ``presum``.
+  (``_eigen_contraction`` serves both), and the continuous mean is
+  ``_spectral_mean`` with g replaced by the quadrature rule's node sum.
+  Without a certificate on every position, or when the dense weight would
+  exceed the memory cap, it falls back to ``presum``.
 * ``naive``   recomputes every operator power per lattice tuple (binary
   powering, nothing cached).  Slow on purpose; it is the reference route.
 * ``presum``  the contraction planner.  A block whose positions are
@@ -525,25 +526,39 @@ def _cesaro_weight(certificates, n: int) -> np.ndarray:
     den = np.expm1(log_z, out=log_z)
     zn.fill(1.0)
     g[near] = np.divide(num, den, out=zn, where=den != 0)
+    return _resonant_to_one(g, certificates)
 
+
+def _resonant_to_one(g, certificates, additive: bool = False) -> np.ndarray:
+    """g with exactly 1 on the block grid's resonant cells.
+
+    A cell is resonant when its eigen-indices all fall in the certificates'
+    boundary prefixes and their exact values sum to 0 (mod 1 for angles,
+    exactly in additive mode for frequencies).  Its float eigenvalues only
+    resonate to O(eps), which a long horizon would turn into a phase.
+    """
     angle_lists = [cert.angles for cert in certificates]
     if all(angle_lists):
-        # exact resonance over the boundary prefixes
         common = math.lcm(*(a.denominator for angles in angle_lists for a in angles))
         prefix = g[tuple(slice(len(angles)) for angles in angle_lists)]
-        prefix[_exact_sums(angle_lists, common) == 0] = 1.0
+        prefix[_exact_sums(angle_lists, common, additive) == 0] = 1.0
     return g
 
 
-def _spectral_mean(certificates, connectors, part: Partition, n: int, x):
-    """The mean at depth n from the certificates' eigenbases (see _eigen_contraction)."""
+def _spectral_mean(certificates, connectors, part: Partition, block_weight, x):
+    """The mean from the certificates' eigenbases (see _eigen_contraction).
+
+    block_weight(certs) is one block's weight over its eigen-index grid, one
+    axis per certificate: g_n for the discrete mean at depth n, the
+    quadrature's node sum for the continuous one.
+    """
     m = part.m
     weight = np.ones([cert.eigenvalues.size for cert in certificates], dtype=np.complex128)
     for positions in part.blocks.values():
         view = [1] * m
         for j in positions:
             view[j] = weight.shape[j]
-        weight *= _cesaro_weight([certificates[j] for j in positions], n).reshape(view)
+        weight *= block_weight([certificates[j] for j in positions]).reshape(view)
     lefts = [cert.basis_inv for cert in certificates]
     if x is not None:
         lefts[0] = lefts[0] @ x
@@ -574,7 +589,8 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
                 _estimate_cost("spectral", n, part, d), budget, 0,
                 f"strategy=spectral, n={n}, eigen-index tuples={d}^{m}", _REMEDY,
             )
-            return _spectral_mean(certificates, connectors, part, n, x)
+            return _spectral_mean(certificates, connectors, part,
+                                  lambda block: _cesaro_weight(block, n), x)
         strategy = "presum"
 
     if strategy == "naive":

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from entlab import shiftlab, spectral_limit
+from entlab import continuous, shiftlab, spectral_limit
 from entlab.cli import (
     CSV_HEADER,
     emit_results,
@@ -405,6 +405,29 @@ def test_main_continuous_auto_points(tmp_path, capsys):
     assert errs[32.0] < errs[8.0]  # longer horizon, closer to the limit
 
 
+def test_main_continuous_runs_the_configured_strategy(tmp_path, capsys, monkeypatch):
+    seen = []
+    original = continuous.continuous_entangled_average
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["strategy"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(continuous, "continuous_entangled_average", recording)
+    errs = {}
+    for strategy in ("spectral", "presum"):
+        out_path = str(tmp_path / f"{strategy}.csv")
+        cfg_path = _write(tmp_path, _continuous_config(strategy=strategy))
+        assert main(["continuous", "--config", cfg_path, "--out", out_path]) == 0
+        rows = _rows(out_path)
+        assert all(r["strategy"] == strategy for r in rows)
+        errs[strategy] = np.array([float(r["error_fro"]) for r in rows])
+    capsys.readouterr()
+    assert seen == ["spectral"] * 2 + ["presum"] * 2  # one call per horizon
+    # two routes to one quadrature value
+    assert np.allclose(errs["spectral"], errs["presum"], rtol=1e-10, atol=0)
+
+
 def test_main_state_seed_gives_vector_records(tmp_path, capsys):
     cfg_path = _write(tmp_path, _converge_config(state_seed=9, schedule=[32]))
     out_path = str(tmp_path / "r.csv")
@@ -551,7 +574,7 @@ def test_main_resonances_rows_share_one_enumeration_time(tmp_path, capsys):
         (lambda: _converge_config(kind="stacking-test", schedule=[8]), "stacking-test", "spectral"),
         (_converge_config, "limit", ""),
         (_converge_config, "resonances", ""),
-        (_continuous_config, "continuous", ""),
+        (_continuous_config, "continuous", "spectral"),
         (lambda: {"kind": "counterexample", "checkpoints": [4]}, "counterexample", ""),
     ],
 )
@@ -681,6 +704,7 @@ def _set_basis_seed(c):
          lambda c: c.update(connectors=[{"type": "gaussian", "seed": 2, "bogus": 1}]),
          "$.connectors[0]"),
         (_continuous_config, lambda c: c.update(richardson="no"), "$.richardson"),
+        (_continuous_config, lambda c: c.update(strategy="naive"), "$.strategy"),
         (_converge_config, lambda c: c.update(threads=2), "unknown fields ['threads']"),
         (_converge_config, lambda c: c.update(strategy="cached"), "$.strategy"),
         (_converge_config, lambda c: c["operators"][1].update(stable=[{"re": 0.1, "phase": 2.0}]),

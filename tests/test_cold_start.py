@@ -3,9 +3,10 @@
 Only the matrix exponential and the Schur split of a raw operator need
 scipy.linalg, and each imports it when called.  Each case runs in a fresh
 interpreter with src/ on the path and reports the scipy modules it loaded:
-importing the package and the certified runs must load none, and a
-continuous run and a raw limit must still load scipy.linalg, which shows the
-import moved into the functions rather than went missing.
+importing the package and the certified runs, continuous ones included, must
+load none, and a continuous run on a raw generator and a raw limit must still
+load scipy.linalg, which shows the import moved into the functions rather
+than went missing.
 """
 
 import json
@@ -30,6 +31,15 @@ import numpy as np
 from entlab import from_matrix, limit_operator, make_system
 op = from_matrix(np.diag([1.0, -1.0, 0.5]))
 assert limit_operator(make_system([1], [op])).shape == (3, 3)
+"""
+
+_RAW_CONTINUOUS = """
+import numpy as np
+from entlab import QuadratureSpec, continuous_entangled_average, make_continuous_system
+from entlab import semigroup_from_generator
+sg = semigroup_from_generator(np.array([[0.0, -np.pi], [np.pi, 0.0]]))
+system = make_continuous_system([1, 1], [sg, sg])
+assert continuous_entangled_average(system, 2.0, QuadratureSpec("midpoint", 16)).value.shape == (2, 2)
 """
 
 _REFUSED_EXPM = """
@@ -68,6 +78,7 @@ def _scipy_modules(code, cwd):
     pytest.param("import entlab\n", id="import"),
     pytest.param(_cli("converge"), id="cli-converge"),
     pytest.param(_cli("counterexample"), id="cli-counterexample"),
+    pytest.param(_cli("continuous"), id="cli-continuous"),
     pytest.param(_CERTIFIED_LIMIT, id="certified-limit"),
     pytest.param(_REFUSED_EXPM, id="refused-expm"),
 ])
@@ -76,7 +87,7 @@ def test_run_leaves_scipy_unloaded(code, tmp_path):
 
 
 @pytest.mark.parametrize("code", [
-    pytest.param(_cli("continuous"), id="cli-continuous"),
+    pytest.param(_RAW_CONTINUOUS, id="raw-continuous"),
     pytest.param(_RAW_LIMIT, id="raw-limit"),
 ])
 def test_run_that_needs_scipy_still_loads_it(code, tmp_path):

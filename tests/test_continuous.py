@@ -8,6 +8,7 @@ and G_ij = 1 on vanishing exponents.  It never touches the quadrature
 code, so agreement is a real test of the grid evaluator.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -419,7 +420,7 @@ def test_midpoint_orbit_stack_matches_expm_at_the_nodes(monkeypatch, kind, q):
     t = 10.0
     quad = QuadratureSpec("midpoint", q)
     continuous_entangled_average(
-        make_continuous_system([1, 1], [sg, sg]), t, quad, richardson=False
+        make_continuous_system([1, 1], [sg, sg]), t, quad, richardson=False, strategy="presum"
     )
     assert len(built) == 1  # one stack per distinct generator
     s_nodes, _ = quad.nodes(t)
@@ -440,7 +441,9 @@ def test_midpoint_grid_exponentiates_two_matrices_per_generator(monkeypatch):
     sg2 = synth_semigroup(["1/2", "0"], [-0.2 - 0.5j], OrthonormalBasis(302))
     conn = linalg.haar_unitary(3, seed=303)
     sys_ = make_continuous_system([1, 2, 2, 1], [sg1, sg2, sg2, sg1], [conn] * 3)
-    out = continuous_entangled_average(sys_, 20.0, QuadratureSpec("midpoint", 400))
+    out = continuous_entangled_average(
+        sys_, 20.0, QuadratureSpec("midpoint", 400), strategy="presum"
+    )
     assert out.error_estimate is not None  # Richardson ran: two grids
     # 2 distinct generators x 2 grids x (e^{(h/2)B}, e^{hB}), not one per node
     assert sum(matrices) <= 2 * 2 * 2
@@ -470,14 +473,128 @@ def test_midpoint_cost_counts_two_exponentials_and_q_products_per_generator():
     with pytest.raises(BudgetExceededError, match="estimated cost 1.000e\\+07"):
         continuous_entangled_average(
             make_continuous_system([1, 1], [sg1, sg2]), 1.0,
-            QuadratureSpec("midpoint", 10**6), budget=1e6,
+            QuadratureSpec("midpoint", 10**6), budget=1e6, strategy="presum",
         )
     # one generator read at both positions is exponentiated once
     with pytest.raises(BudgetExceededError, match="estimated cost 8.000e\\+06"):
         continuous_entangled_average(
             make_continuous_system([1, 1], [sg1, sg1]), 1.0,
-            QuadratureSpec("midpoint", 10**6), budget=1e6,
+            QuadratureSpec("midpoint", 10**6), budget=1e6, strategy="presum",
         )
+
+
+# ---------------------------------------------------------- spectral route
+
+
+def _route_system(alpha, basis):
+    """Certified generators of dimension 3, one per position, and Haar connectors."""
+    make = {"orthonormal": OrthonormalBasis, "similarity": lambda seed: RandomSimilarity(seed, 1e3)}
+    sgs = [synth_semigroup([f"{j}/2", "0"], [-0.3 + 0.9j * (-1) ** j], make[basis](310 + j))
+           for j in range(len(alpha))]
+    conns = [linalg.haar_unitary(3, seed=320 + j) for j in range(len(alpha) - 1)]
+    return make_continuous_system(alpha, sgs, conns)
+
+
+@pytest.mark.parametrize("state", [False, True], ids=["operator", "state"])
+@pytest.mark.parametrize("basis", ["orthonormal", "similarity"])
+@pytest.mark.parametrize("scheme", ["midpoint", "gauss-legendre"])
+@pytest.mark.parametrize("alpha", [[1], [1, 1], [1, 2], [1, 2, 1], [1, 2, 1, 2], [1, 2, 2, 1]])
+def test_spectral_route_matches_the_grid_route(alpha, scheme, basis, state):
+    sys_ = _route_system(alpha, basis)
+    x = CounterRng(9).complex_normal((3,)) if state else None
+    quad = QuadratureSpec(scheme, 12 if len(alpha) == 4 else 40)
+    spectral = continuous_entangled_average(sys_, 3.0, quad, x=x)
+    presum = continuous_entangled_average(sys_, 3.0, quad, x=x, strategy="presum")
+    scale = float(np.linalg.norm(presum.value))
+    assert np.linalg.norm(spectral.value - presum.value) <= 1e-12 * scale
+    # each estimate is the norm of a difference of two values that agree to 1e-12
+    assert abs(spectral.error_estimate - presum.error_estimate) <= 2e-12 * scale
+
+
+@pytest.mark.parametrize("cause", ["raw generator", "memory cap"])
+def test_spectral_route_falls_back_to_the_grid_route_bit_for_bit(monkeypatch, cause):
+    sg = _orbit_generators()["jordan" if cause == "raw generator" else "orthonormal"]
+    sys_ = make_continuous_system([1, 2, 1], [sg, sg, sg])
+    if cause == "memory cap":
+        limit = continuous._quadrature_bytes(sys_.partition, sys_.dim) - 1
+        monkeypatch.setattr(continuous, "MEMORY_CAP_BYTES", limit)
+    quad = QuadratureSpec("midpoint", 30)
+    presum = continuous_entangled_average(sys_, 4.0, quad, strategy="presum")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the spectral route ran")
+
+    monkeypatch.setattr(continuous, "_spectral_grid_average", never)
+    got = continuous_entangled_average(sys_, 4.0, quad)
+    assert np.array_equal(got.value, presum.value)
+    assert got.error_estimate == presum.error_estimate
+
+
+def test_resonant_cell_weight_is_exactly_one():
+    # 1/6 + 4/6 - 5/6 = 0 exactly, but the float eigenvalues sum to ~9e-16 i,
+    # which nodes out to s = 1e4 turn into a phase
+    sgs = [synth_semigroup([f], [-0.5], OrthonormalBasis(330 + j))
+           for j, f in enumerate(["1/6", "4/6", "-5/6"])]
+    certs = [sg.certificate for sg in sgs]
+    assert certs[0].eigenvalues[0] + certs[1].eigenvalues[0] + certs[2].eigenvalues[0] != 0
+    s_nodes, w_nodes = QuadratureSpec("midpoint", 4000).nodes(1.0e4)
+    g = continuous._quadrature_weight(certs, s_nodes, w_nodes / 1.0e4)
+    assert g[0, 0, 0] == 1.0
+    mu = certs[0].eigenvalues[1] + certs[1].eigenvalues[0] + certs[2].eigenvalues[0]
+    assert abs(g[1, 0, 0] - np.sum(w_nodes * np.exp(mu * s_nodes)) / 1.0e4) <= 1e-12
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda s: continuous_entangled_average(s, 1.0e9, QuadratureSpec("midpoint", 8)),
+     OverflowError, "exceeds cap"),
+    (lambda s: continuous_entangled_average(s, 1.0, QuadratureSpec("midpoint", 10**5), budget=1e3),
+     BudgetExceededError, "strategy=spectral"),
+    (lambda s: continuous_entangled_average(s, 1.0, QuadratureSpec("gauss-legendre", 12000)),
+     BudgetExceededError, "Gauss-Legendre"),
+])
+def test_spectral_route_refuses_before_any_weight(monkeypatch, call, error, match):
+    def never(*args, **kwargs):
+        raise AssertionError("weight built before the refusal")
+
+    monkeypatch.setattr(continuous, "_quadrature_weight", never)
+    with pytest.raises(error, match=match):
+        call(_route_system([1, 2, 1], "orthonormal"))
+
+
+def test_spectral_cost_counts_q_node_sums_per_grid_cell():
+    sg1 = synth_semigroup(["1/2"], [-1.0], OrthonormalBasis(seed=26))
+    sg2 = synth_semigroup(["-1/2"], [-1.0], OrthonormalBasis(seed=27))
+    # Richardson's fine grid Q=2e6 over the [1, 1] block's 2^2 cells, per d^3
+    # products: 2e6 x 4 / 8, plus 3 + 2^-1 x 3 for the contraction
+    with pytest.raises(BudgetExceededError, match="estimated cost 1.000e\\+06 .*Q=2000000"):
+        continuous_entangled_average(
+            make_continuous_system([1, 1], [sg1, sg2]), 1.0,
+            QuadratureSpec("midpoint", 10**6), budget=1e5,
+        )
+
+
+@pytest.mark.parametrize("strategy, match", [("naive", "no naive route"), ("turbo", "unknown")])
+def test_strategy_without_a_continuous_route_is_refused(strategy, match):
+    with pytest.raises(ValidationError, match=match):
+        continuous_entangled_average(_one_frequency_system(), 1.0, strategy=strategy)
+
+
+@pytest.mark.parametrize("alpha, q", [([1, 1, 1], 400), ([1, 1, 1, 1], 4)])
+def test_spectral_peak_memory_stays_under_the_counted_bytes(alpha, q):
+    # d^r = 1728 cells take 9 nodes per chunk; 20736 cells exceed a chunk alone
+    d = 12
+    sgs = [synth_semigroup(["0", "1/2"], [-0.5] * (d - 2), OrthonormalBasis(340 + j))
+           for j in range(len(alpha))]
+    sys_ = make_continuous_system(alpha, sgs)
+    quad = QuadratureSpec("midpoint", q)
+    continuous_entangled_average(sys_, 2.0, quad)  # numpy's one-time allocations happen here
+    tracemalloc.start()
+    try:
+        continuous_entangled_average(sys_, 2.0, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * d ** len(alpha) < peak <= continuous._quadrature_bytes(sys_.partition, d)
 
 
 # ------------------------------------------------------------ limit operator
