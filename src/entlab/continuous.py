@@ -172,12 +172,17 @@ def certify_bounded_semigroup(sg, t_probe=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0)) -> Po
 
     passed is the spectral criterion (closed left half-plane, semisimple
     imaginary-axis clusters); bound is the certified sup when a
-    diagonalization is available, else the measured maximum.
+    diagonalization is available, else the measured maximum.  T(t) belongs
+    to the semigroup only for t >= 0, so a probe time that is not positive
+    and finite, or no probe time, raises ValidationError before any work.
     """
     sg = as_semigroup(sg)
+    probes = [float(linalg._positive_finite(t, "probe time t")) for t in t_probe]
+    if not probes:
+        raise ValidationError("need at least one probe time t")
     measured = 0.0
-    for t in t_probe:
-        measured = max(measured, linalg.spectral_norm(sg.value(float(t))))
+    for t in probes:
+        measured = max(measured, linalg.spectral_norm(sg.value(t)))
     return _bound_report(sg, sg.growth_bound_estimate, measured)
 
 
@@ -303,9 +308,12 @@ def _checked_nodes(system, t, quad: QuadratureSpec):
 def _spectral_grid_average(system, t, quad: QuadratureSpec, x):
     """The quadrature rule as one block weight in the certificates' eigenbases."""
     s_nodes, w_nodes = _checked_nodes(system, t, quad)
+    certificates = [sg.certificate for sg in system.semigroups]
     return _spectral_mean(
-        [sg.certificate for sg in system.semigroups], list(system.connectors), system.partition,
-        lambda block: _quadrature_weight(block, s_nodes, w_nodes / t), x,
+        [cert.basis for cert in certificates], [cert.basis_inv for cert in certificates],
+        list(system.connectors), system.partition,
+        lambda block: _quadrature_weight([certificates[j] for j in block], s_nodes, w_nodes / t),
+        x,
     )
 
 

@@ -17,12 +17,12 @@ Three evaluation strategies:
   S_m (sum over inner eigen-indices of W * prod_j C_j) S_1^{-1} with cores
   C_j = S_{j+1}^{-1} A_j S_j.  W factorizes over the blocks of alpha; a
   block contributes g_n(z) = (1/n) sum_{k=1..n} z^k, z the product of its
-  eigenvalues, so the cost does not depend on n.  The limit operator is the
-  same contraction with g replaced by the resonance indicator
-  (``_eigen_contraction`` serves both), and the continuous mean is
-  ``_spectral_mean`` with g replaced by the quadrature rule's node sum.
-  Without a certificate on every position, or when the dense weight would
-  exceed the memory cap, it falls back to ``presum``.
+  eigenvalues, so the cost does not depend on n.  ``_spectral_mean`` is
+  the one contraction: the continuous mean passes the quadrature rule's
+  node sum as the block weight, and both limits the 0/1 resonance indicator
+  over boundary eigen-indices.  Without a certificate on every position, or
+  when the dense weight would exceed the memory cap, it falls back to
+  ``presum``.
 * ``naive``   recomputes every operator power per lattice tuple (binary
   powering, nothing cached).  Slow on purpose; it is the reference route.
 * ``presum``  the contraction planner.  A block whose positions are
@@ -433,27 +433,6 @@ def _per_matrix(mats, build):
 _REMEDY = "raise the budget, lower n, or switch strategy"
 
 
-def _eigen_contraction(weight, rights, lefts, connectors):
-    """R_m (sum over the inner eigen-indices of W * prod_j C_j) L_1.
-
-    weight W has one axis per chain position; axis j runs over the columns
-    of rights[j] (d x r_j), which lefts[j] (r_j x d) inverts on its range.
-    The cores C_j = L_{j+1} A_j R_j multiply W in place, the axes of the
-    positions 2..m-1 are summed, and what is left, indexed by the outer
-    eigen-indices (i_m, i_1), is mapped back by R_m and L_1.  The entangled
-    mean and its limit differ only in W.  lefts[0] may have any number of
-    columns (a state L_1 x as one column gives the mean applied to x).
-    """
-    m = weight.ndim
-    for j in range(m - 1):
-        core = lefts[j + 1] @ connectors[j] @ rights[j]
-        view = [1] * m
-        view[j], view[j + 1] = core.shape[::-1]
-        weight *= core.T.reshape(view)
-    inner = np.diag(weight) if m == 1 else weight.sum(axis=tuple(range(1, m - 1))).T
-    return rights[m - 1] @ inner @ lefts[0]
-
-
 def _exact_sums(axes, common: int, additive: bool = False) -> np.ndarray:
     """Sums of one exact value per axis over their grid, as integers over common.
 
@@ -545,24 +524,32 @@ def _resonant_to_one(g, certificates, additive: bool = False) -> np.ndarray:
     return g
 
 
-def _spectral_mean(certificates, connectors, part: Partition, block_weight, x):
-    """The mean from the certificates' eigenbases (see _eigen_contraction).
+def _spectral_mean(rights, lefts, connectors, part: Partition, block_weight, x=None):
+    """R_m (sum over the inner eigen-indices of W * prod_j C_j) L_1.
 
-    block_weight(certs) is one block's weight over its eigen-index grid, one
-    axis per certificate: g_n for the discrete mean at depth n, the
-    quadrature's node sum for the continuous one.
+    lefts[j] (r_j x d) inverts rights[j] (d x r_j), an eigenbasis of position
+    j or its boundary part, on its range.  W, with one axis of length r_j per
+    position, is the product over the blocks of alpha of
+    block_weight(positions), the block's weight over its positions' axes: g_n
+    for the discrete mean, the quadrature's node sum for the continuous one,
+    the 0/1 resonance indicator for both limits.  The cores
+    C_j = L_{j+1} A_j R_j multiply W in place and the inner axes are summed.
+    A state x, one column, gives the mean applied to x through L_1 x.
     """
     m = part.m
-    weight = np.ones([cert.eigenvalues.size for cert in certificates], dtype=np.complex128)
+    weight = np.ones([right.shape[1] for right in rights], dtype=np.complex128)
     for positions in part.blocks.values():
         view = [1] * m
         for j in positions:
             view[j] = weight.shape[j]
-        weight *= block_weight([certificates[j] for j in positions]).reshape(view)
-    lefts = [cert.basis_inv for cert in certificates]
-    if x is not None:
-        lefts[0] = lefts[0] @ x
-    return _eigen_contraction(weight, [cert.basis for cert in certificates], lefts, connectors)
+        weight *= block_weight(positions).reshape(view)
+    for j in range(m - 1):
+        core = lefts[j + 1] @ connectors[j] @ rights[j]
+        view = [1] * m
+        view[j], view[j + 1] = core.shape[::-1]
+        weight *= core.T.reshape(view)
+    inner = np.diag(weight) if m == 1 else weight.sum(axis=tuple(range(1, m - 1))).T
+    return rights[m - 1] @ inner @ (lefts[0] if x is None else lefts[0] @ x)
 
 
 def _spectral_bytes(part: Partition, d: int) -> float:
@@ -589,8 +576,11 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
                 _estimate_cost("spectral", n, part, d), budget, 0,
                 f"strategy=spectral, n={n}, eigen-index tuples={d}^{m}", _REMEDY,
             )
-            return _spectral_mean(certificates, connectors, part,
-                                  lambda block: _cesaro_weight(block, n), x)
+            return _spectral_mean(
+                [cert.basis for cert in certificates], [cert.basis_inv for cert in certificates],
+                connectors, part,
+                lambda block: _cesaro_weight([certificates[j] for j in block], n), x,
+            )
         strategy = "presum"
 
     if strategy == "naive":
@@ -616,13 +606,6 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
     stack = _per_matrix(mats, lambda t: _power_stack(t, n))
     single = _per_matrix(mats, lambda t: _power_sum(t, n) / n)
     return _contract(plan, part, connectors, stack, single, np.broadcast_to(1 / n, (n,)), x)
-
-
-def _depth(n) -> int:
-    """n as a Python int; ValidationError unless it is a positive integer."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"depth n must be a positive integer, got {n!r}")
-    return int(n)
 
 
 def _state(x, d: int):
@@ -675,8 +658,9 @@ def entangled_average(
     """
     mats = [op.matrix for op in system.operators]
     x = _state(x, system.dim)
-    out = _evaluate_discrete(mats, list(system.connectors), system.partition, _depth(n),
-                             strategy, x, budget, [op.certificate for op in system.operators])
+    n = linalg._positive_int(n, "depth n")
+    out = _evaluate_discrete(mats, list(system.connectors), system.partition, n, strategy,
+                             x, budget, [op.certificate for op in system.operators])
     return out if x is None else out[:, 0]
 
 
@@ -743,7 +727,7 @@ def stacked_average(
     checks a 1e-12 relative residual.  The stacked matrices carry no
     certificate, so strategy="spectral" runs presum here.
     """
-    n = _depth(n)
+    n = linalg._positive_int(n, "depth n")
     m, d = st.m, st.block_dim
     part = st.partition
     mats = [st.script_t] * (m - 1) + [st.script_s]

@@ -104,6 +104,13 @@ def _positive_finite(value, name: str):
     return value
 
 
+def _positive_int(value, name: str, error=ValidationError) -> int:
+    """value as a Python int; error unless it is a positive integer (not a bool)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _on_unit_circle(z: complex) -> bool:
     return abs(abs(z) - 1.0) <= 1e-8
 
@@ -202,8 +209,7 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     the phase of the matching diagonal entry of R so the distribution is
     exactly Haar rather than QR-convention dependent.
     """
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise DimensionMismatchError(f"dim must be a positive integer, got {dim!r}")
+    dim = _positive_int(dim, "dim", DimensionMismatchError)
     if dim > DIM_CAP:
         raise DimensionMismatchError(f"dim {dim} exceeds cap {DIM_CAP}")
     rng = CounterRng(seed)

@@ -344,6 +344,7 @@ def certify_power_bounded(op, n_max: int = 64) -> PowerBoundReport:
     (the basis condition number), otherwise the measured maximum.
     """
     op = as_operator(op)
+    n_max = linalg._positive_int(n_max, "n_max")
     power = np.eye(op.dim, dtype=np.complex128)
     measured = 0.0
     for _ in range(n_max):
@@ -487,8 +488,7 @@ def mean_ergodic_projection(op, lam, mode: str = "spectral", n: int | None = Non
     value, fr = _parse_target(lam)
 
     if mode == "cesaro":
-        if n is None or n < 1:
-            raise ValidationError("cesaro mode needs a depth n >= 1")
+        n = linalg._positive_int(n, "cesaro depth n")
         _require_bounded([op], DISCRETE)
         m = np.conj(value) * op.matrix
         # Horner form of sum_{j=1..n} M^j without storing powers

@@ -6,9 +6,9 @@ that the eigenvalues sharing a lattice variable multiply to one (in
 continuous time: their frequencies sum to zero).  Tuples are enumerated
 honestly: exactly when angles are exact rationals, with a declared tolerance
 and a fragility flag otherwise.  Each contributes P_m A_{m-1} ... A_1 P_1;
-since P_j = R_j[:, idx] L_j[idx, :] for boundary bases R_j, L_j, the sum is
-one contraction R_m W L_1 of the 0/1 resonance weight W over boundary
-eigen-indices against the cores L_{j+1} A_j R_j.
+with P_j = R_j[:, idx] L_j[idx, :] for boundary bases R_j, L_j, the sum is
+the spectral mean's contraction (entangle._spectral_mean) with each block's
+0/1 resonance indicator where the mean has g_n: its n -> infinity case.
 
 The Koopman-von Neumann diagnostic at the end is the scalar companion: it
 inspects a nonnegative sequence for Cesaro smallness and proposes a density-
@@ -43,6 +43,7 @@ from .operators import (
 
 DEFAULT_TOL = 1e-8
 FRAGILE_BAND = 1e-10
+MITM_THRESHOLD = 100_000  # combinations per block above which the meet-in-the-middle runs
 
 
 def unimodular_spectrum(t, tol: float = DEFAULT_TOL) -> tuple[SpectralPoint, ...]:
@@ -352,7 +353,7 @@ def resonant_tuples(
     tol: float = DEFAULT_TOL,
     *,
     additive: bool = False,
-    mitm_threshold: int = 100_000,
+    mitm_threshold: int = MITM_THRESHOLD,
 ) -> tuple[ResonantTuple, ...]:
     """Enumerate resonant tuples block by block.
 
@@ -389,34 +390,35 @@ def resonant_tuples(
     )
 
 
-def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock, index=None):
+def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock):
     """Sum over resonant tuples of P_m A_{m-1} ... A_1 P_1, for either clock.
 
     members carry each position's verdict and certificate, matrices its
-    operator or generator, points its boundary points.  index holds the
-    resonant tuples' point indices, one array per position with one entry
-    per tuple (enumerated here when not given).  The points of position j that some tuple picks get local
-    indices and one boundary basis (R_j, L_j, group_j).  A 0/1 weight W over
-    local indices marks the tuples; it is expanded to eigen-indices when a
-    point has several, refused beyond entangle.MEMORY_CAP_BYTES before any
-    factorization, and contracted against the cores C_j = L_{j+1} A_j R_j by
-    the kernel the spectral finite-n mean uses (entangle._eigen_contraction):
-    the limit is R_m (W * prod_j C_j summed over the inner positions) L_1.
+    operator or generator, points its boundary points.  The tuples are the
+    Cartesian product of the blocks' solutions, so the product is never
+    formed: each block is solved once (_block_solutions), and a block with
+    no solution gives the zero matrix.  The points of position j that its
+    block picks get one boundary basis (R_j, L_j, group_j), and each block's
+    0/1 indicator, expanded to eigen-indices by group, is its weight in
+    entangle._spectral_mean.  The dense weight is refused beyond
+    entangle.MEMORY_CAP_BYTES; both exits come before any factorization.
     """
     _require_bounded(members, clock)
-    partition, connectors = system.partition, system.connectors
-    spectra = [[clock.resonance_entry(p) for p in pts] for pts in points]
-    if index is None:
-        index = _resonant_index(spectra, partition, tol, clock.additive, 100_000)[1]
-    if not len(index[0]):
-        d = matrices[0].shape[0]
-        return np.zeros((d, d), dtype=np.complex128)
+    linalg._positive_finite(tol, "tolerance")
+    norm = [[_normalize_entry(clock.resonance_entry(p), clock.additive) for p in pts]
+            for pts in points]
+    part = system.partition
+    used, cells = [None] * part.m, {}
+    for positions in part.blocks.values():
+        cols, _ = _block_solutions([norm[j] for j in positions], additive=clock.additive,
+                                   tol=tol, mitm_threshold=MITM_THRESHOLD)
+        if not len(cols[0]):
+            return np.zeros(matrices[0].shape, dtype=np.complex128)
+        for j, col in zip(positions, cols):
+            used[j] = np.flatnonzero(np.bincount(col)).tolist()
+        cells[positions] = tuple(np.searchsorted(used[j], col) for j, col in zip(positions, cols))
 
-    # per position: the picked point indices, ascending, and each tuple's local index
-    used = [np.flatnonzero(np.bincount(col)) for col in index]
-    cells = tuple(np.searchsorted(u, col) for u, col in zip(used, index))
-    picked = [u.tolist() for u in used]
-    ranks = [sum(pts[i].multiplicity for i in used) for pts, used in zip(points, picked)]
+    ranks = [sum(pts[i].multiplicity for i in picked) for pts, picked in zip(points, used)]
     need = 16 * math.prod(ranks)
     if need > entangle.MEMORY_CAP_BYTES:
         per = ", ".join(f"position {j}: {r}" for j, r in enumerate(ranks, start=1))
@@ -425,17 +427,19 @@ def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock,
             f"({per}), above the cap of {entangle.MEMORY_CAP_BYTES:,} bytes"
         )
 
-    bases = []
-    for j, used in enumerate(picked):
-        entries, exacts = zip(*(_normalize_entry(spectra[j][i], clock.additive) for i in used))
-        bases.append(_boundary_basis(matrices[j], members[j].certificate,
-                                     [clock.entry_value(e) for e in entries], exacts))
-    weight = np.zeros([len(used) for used in picked], dtype=np.complex128)
-    weight[cells] = 1.0
-    rights, lefts, groups = zip(*bases)
-    if any(g != list(range(len(used))) for g, used in zip(groups, picked)):
-        weight = weight[np.ix_(*groups)]
-    return entangle._eigen_contraction(weight, rights, lefts, connectors)
+    rights, lefts, groups = zip(*(
+        _boundary_basis(matrices[j], members[j].certificate,
+                        [clock.entry_value(norm[j][i][0]) for i in picked],
+                        [norm[j][i][1] for i in picked])
+        for j, picked in enumerate(used)
+    ))
+
+    def indicator(positions):  # bool: a byte per cell, cast exactly to 0 or 1 in the product
+        block = np.zeros([len(used[j]) for j in positions], dtype=bool)
+        block[cells[positions]] = True
+        return block[np.ix_(*(groups[j] for j in positions))]
+
+    return entangle._spectral_mean(rights, lefts, system.connectors, part, indicator)
 
 
 def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -454,14 +458,9 @@ def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndar
 
 
 def limit_operator_with_tuples(system: EntangledSystem, tol: float = DEFAULT_TOL):
-    """(limit_operator(system, tol), the ResonantTuples it summed over)."""
-    ops = system.operators
-    points = [op.unimodular_spectrum for op in ops]
-    _require_bounded(ops, DISCRETE)  # before enumerating, as in limit_operator
-    tuples = resonant_tuples(points, system.partition, tol)
-    index = np.array([t.index for t in tuples], dtype=np.intp).reshape(len(tuples), len(ops)).T
-    limit = _assemble_limit(system, ops, [op.matrix for op in ops], points, tol, DISCRETE, index)
-    return limit, tuples
+    """(limit_operator(system, tol), the ResonantTuples it sums over)."""
+    return limit_operator(system, tol), resonant_tuples(
+        [op.unimodular_spectrum for op in system.operators], system.partition, tol)
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,16 @@ def test_certify_bounded_semigroup_right_half_plane_fails():
     assert "abscissa" in rep.reason
 
 
+def test_certify_bounded_semigroup_refuses_probe_times_outside_the_semigroup():
+    # T(-1) = e^{-B} is no member of the semigroup: its norm is 1.35 here
+    sg = synth_semigroup(["0", "1/2"], [-0.3], OrthonormalBasis(1))
+    # an empty probe grid would report measured_max = 0.0
+    for bad in ((-1.0,), (0.0,), (1.0, float("nan")), (float("inf"),), ()):
+        with pytest.raises(ValidationError, match="probe time"):
+            certify_bounded_semigroup(sg, t_probe=bad)
+    assert certify_bounded_semigroup(sg).measured_max == pytest.approx(1.0, abs=1e-12)
+
+
 def test_frequency_spectrum_from_raw_generator():
     b = np.diag([TWO_PI * 0.5j, -1.0 + 0j])
     pts = frequency_spectrum(b)

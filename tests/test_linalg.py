@@ -275,8 +275,9 @@ def test_haar_unitary_eigenvalue_phases_spread():
 
 
 def test_haar_unitary_rejects_bad_dim():
-    with pytest.raises(DimensionMismatchError):
-        linalg.haar_unitary(0, seed=1)
+    for bad in (0, -2, 2.5, True, None):
+        with pytest.raises(DimensionMismatchError):
+            linalg.haar_unitary(bad, seed=1)
 
 
 # --------------------------------------------------------------- clustering

@@ -144,6 +144,11 @@ def test_certify_power_bounded_unitary():
     assert rep.measured_max == pytest.approx(1.0, abs=1e-9)
     assert rep.bound >= rep.measured_max
     assert rep.reason is None
+    assert certify_power_bounded(u, n_max=np.int64(1)).measured_max == pytest.approx(1.0, abs=1e-9)
+    # an empty sweep (n_max = 0 or below) would report measured_max = 0.0
+    for bad in (0, -3, 2.5, True, None):
+        with pytest.raises(ValidationError):
+            certify_power_bounded(u, n_max=bad)
 
 
 def test_certify_power_bounded_defective_jordan_fails_with_reason():
@@ -323,8 +328,9 @@ def test_projection_cesaro_route_at_nontrivial_angle():
 
 def test_projection_cesaro_needs_depth_and_boundedness():
     op = synth_operator(["0"], [], OrthonormalBasis(seed=20))
-    with pytest.raises(ValidationError):
-        mean_ergodic_projection(op, "0", mode="cesaro")
+    for bad in (None, 0, -3, 2.5, True, "8"):
+        with pytest.raises(ValidationError):
+            mean_ergodic_projection(op, "0", mode="cesaro", n=bad)
     with pytest.raises(NotPowerBoundedError):
         mean_ergodic_projection(
             np.array([[1.0, 1.0], [0.0, 1.0]]), "0", mode="cesaro", n=8

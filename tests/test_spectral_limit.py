@@ -771,6 +771,30 @@ def test_limit_weight_counts_picked_points_by_multiplicity(monkeypatch):
     assert np.linalg.norm(limit_operator(sys_)) > 0
 
 
+def test_limit_sums_block_by_block_without_the_tuple_product(monkeypatch):
+    # the crossing case: two blocks, each with several solutions, so the
+    # resonant tuples are their Cartesian product; the limit never forms it
+    alpha, kinds = CASES[0]
+    conns = [linalg.haar_unitary(6, seed=710 + j) for j in range(len(alpha) - 1)]
+    cases = []
+    for continuous, table in ((False, DISCRETE_VALUES), (True, CONTINUOUS_VALUES)):
+        members = [_member(k, table[j % 3], continuous, 700 + j) for j, k in enumerate(kinds)]
+        make, oracle = ((make_continuous_system, _continuous_oracle) if continuous
+                        else (make_system, _discrete_oracle))
+        sys_ = make(alpha, members, conns)
+        want, tuples = oracle(sys_)
+        assert len(tuples) > 1 and np.linalg.norm(want) > 0.1
+        cases.append((continuous_limit_operator if continuous else limit_operator, sys_, want))
+
+    def never(*args, **kwargs):
+        raise AssertionError("the limit enumerated the resonant tuples")
+
+    monkeypatch.setattr(spectral_limit, "_resonant_index", never)
+    for limit, sys_, want in cases:
+        got = limit(sys_)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 # --------------------------------------------------------------- diagnostic
 
 
