@@ -114,15 +114,16 @@ def _number(raw, path: str) -> float:
     return float(raw)
 
 
-def _positive_ints(raw, key: str) -> list[int]:
-    """Nonempty list of positive integers at $.key, sorted and deduplicated."""
+def _positive_ints(raw, key: str, noun: str) -> list[int]:
+    """Nonempty list of positive integers at $.key, sorted and deduplicated;
+    a refusal calls the entries noun."""
     values = raw.get(key)
     _expect(isinstance(values, list) and values, f"$.{key}", "must be a nonempty list")
     for i, n in enumerate(values):
         _expect(
             isinstance(n, int) and not isinstance(n, bool) and n >= 1,
             f"$.{key}[{i}]",
-            f"checkpoints are positive integers, got {n!r}",
+            f"{noun} are positive integers, got {n!r}",
         )
     return sorted(set(values))
 
@@ -310,10 +311,10 @@ def parse_config(text: str) -> ExperimentConfig:
             data["state_seed"] = _int(raw["state_seed"], "$.state_seed")
 
     if kind in ("converge", "stacking-test"):
-        data["schedule"] = _positive_ints(raw, "schedule")
+        data["schedule"] = _positive_ints(raw, "schedule", "depths")
 
     if kind == "counterexample":
-        data["checkpoints"] = _positive_ints(raw, "checkpoints")
+        data["checkpoints"] = _positive_ints(raw, "checkpoints", "checkpoints")
         window = raw.get("window", 64)
         _expect(
             isinstance(window, int) and not isinstance(window, bool) and window >= 0,

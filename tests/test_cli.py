@@ -223,6 +223,18 @@ def test_parse_config_error_paths(mutate, path_fragment):
         parse_config(json.dumps(cfg))
 
 
+@pytest.mark.parametrize("raw, message", [
+    (_converge_config(schedule=[16, 0]), "$.schedule[1]: depths are positive integers, got 0"),
+    (_converge_config(kind="stacking-test", schedule=[-2]),
+     "$.schedule[0]: depths are positive integers, got -2"),
+    ({"kind": "counterexample", "checkpoints": [4, 0]},
+     "$.checkpoints[1]: checkpoints are positive integers, got 0"),
+])
+def test_parse_config_positive_int_refusals_name_their_entries(raw, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_config(json.dumps(raw))
+
+
 def test_parse_config_operator_needs_an_eigenvalue():
     cfg = _converge_config()
     cfg["operators"][0] = {"angles": [], "stable": []}
@@ -734,12 +746,12 @@ def test_main_rejects_non_finite_budget_flag(tmp_path, capsys):
 def test_main_gauss_legendre_node_matrix_refused_before_allocation(
     tmp_path, capsys, monkeypatch
 ):
-    # t=2000 with 'auto' points asks for Q=20000 (a 3.0 GiB node matrix),
+    # t=2000 with 'auto' points asks for Q=20000 (past the 2^14-node cap),
     # and Richardson doubles it; the cost budget alone would let it run
     def never(q):
-        raise AssertionError(f"leggauss({q}) called")
+        raise AssertionError(f"_gauss_legendre({q}) called")
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
+    monkeypatch.setattr(continuous, "_gauss_legendre", never)
     cfg = _continuous_config(
         horizons=[2000.0], quadrature={"scheme": "gauss-legendre", "points": "auto"}
     )

@@ -8,7 +8,9 @@ and G_ij = 1 on vanishing exponents.  It never touches the quadrature
 code, so agreement is a real test of the grid evaluator.
 """
 
+import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +32,7 @@ from entlab.continuous import (
 from entlab.errors import (
     BudgetExceededError,
     DimensionMismatchError,
+    NonConvergenceError,
     NotBoundedSemigroupError,
     ValidationError,
 )
@@ -196,6 +199,43 @@ def test_gauss_legendre_nodes_and_weights():
     assert np.sum(w) == pytest.approx(3.0)
     # degree 2Q-1 = 9 polynomial integrated exactly
     assert np.sum(w * s ** 9) == pytest.approx(3.0 ** 10 / 10.0, rel=1e-13)
+
+
+def _gauss_legendre_remainder(q: int, omega: np.ndarray) -> np.ndarray:
+    """Bound on the Q-point rule's error for e^{i omega x} on [-1, 1].
+
+    The remainder 2^{2Q+1} (Q!)^4 / ((2Q+1) ((2Q)!)^3) f^{(2Q)}(xi) applied to
+    the real and imaginary parts, each with |f^{(2Q)}| <= omega^{2Q}.
+    """
+    log_c = ((2 * q + 1) * math.log(2) + 4 * math.lgamma(q + 1)
+             - math.log(2 * q + 1) - 3 * math.lgamma(2 * q + 1))
+    return math.sqrt(2) * np.exp(log_c + 2 * q * np.log(omega))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 64, 250, 251, 500, 1000])
+def test_gauss_legendre_rule_from_newton_on_the_recurrence(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x, w = continuous._gauss_legendre(q)
+    assert len(x) == len(w) == q
+    assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(w > 0) and abs(np.sum(w) - 2.0) <= 1e-14
+    # int_{-1}^{1} e^{i omega x} dx = 2 sin(omega) / omega, up to the rule's own
+    # remainder, which is below 1e-60 at omega = Q/2 once Q >= 64
+    omega = np.linspace(0.0, q / 2, 65)[1:]
+    got = np.exp(1j * np.outer(omega, x)) @ w
+    assert np.all(np.abs(got - 2 * np.sin(omega) / omega)
+                  <= 1e-14 + _gauss_legendre_remainder(q, omega))
+    if q <= 100:
+        reference, _ = np.polynomial.legendre.leggauss(q)  # test oracle only
+        assert np.max(np.abs(x - reference)) <= 1e-14
+
+
+def test_gauss_legendre_newton_that_never_reaches_rounding_is_an_error(monkeypatch):
+    monkeypatch.setattr(continuous, "_NEWTON_STEP_TOL", -1.0)
+    with pytest.raises(NonConvergenceError, match="Q=7"):
+        continuous._gauss_legendre(7)
 
 
 def test_midpoint_integrates_linear_functions_exactly():
@@ -367,13 +407,13 @@ def test_budget_refusal_for_oversized_grid():
 
 def test_gauss_legendre_node_matrix_refused_before_allocation(monkeypatch):
     def never(q):
-        raise AssertionError(f"leggauss({q}) called")
+        raise AssertionError(f"_gauss_legendre({q}) called")
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
+    monkeypatch.setattr(continuous, "_gauss_legendre", never)
     sg1 = synth_semigroup(["1/2"], [-1.0], OrthonormalBasis(seed=26))
     sg2 = synth_semigroup(["-1/2"], [-1.0], OrthonormalBasis(seed=27))
     sys_ = make_continuous_system([1, 1], [sg1, sg2])
-    # Q=12000 alone needs a 1.07 GiB node matrix; Richardson's Q=24000 needs 4.3
+    # Q=12000 alone is under the 2^14-node cap; Richardson's Q=24000 is not
     with pytest.raises(BudgetExceededError, match="Gauss-Legendre"):
         continuous_entangled_average(sys_, 1.0, QuadratureSpec("gauss-legendre", 12000))
     with pytest.raises(BudgetExceededError, match="Gauss-Legendre"):
