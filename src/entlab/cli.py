@@ -179,16 +179,10 @@ def _norm_basis(raw, path: str) -> dict:
 
 
 def _system_spec(kind: str):
-    """(members key, exact-values key, clock, synthesize, assemble) of a system kind."""
+    """(members key, exact-values key, clock) of a system kind."""
     if kind == "continuous":
-        return (
-            "generators", "frequencies", cont.CONTINUOUS,
-            cont.synth_semigroup, cont.make_continuous_system,
-        )
-    return (
-        "operators", "angles", operators.DISCRETE,
-        operators.synth_operator, entangle.make_system,
-    )
+        return "generators", "frequencies", cont.CONTINUOUS
+    return "operators", "angles", operators.DISCRETE
 
 
 def _norm_operator(raw, path: str, keyword: str, clock) -> dict:
@@ -275,8 +269,7 @@ def parse_config(text: str) -> ExperimentConfig:
     out = raw.get("out")
     _expect(out is None or isinstance(out, str), "$.out", "must be a string path")
 
-    needs_system = kind in ("converge", "limit", "resonances", "stacking-test")
-    if needs_system or kind == "continuous":
+    if kind != "counterexample":  # every other kind runs on a system, of either clock
         alpha = raw.get("alpha")
         _expect(isinstance(alpha, list) and alpha, "$.alpha", "must be a nonempty list")
         try:
@@ -284,7 +277,7 @@ def parse_config(text: str) -> ExperimentConfig:
         except (NotSurjectiveError, EmptyAlphaError) as exc:
             _fail("$.alpha", str(exc))
         data["alpha"] = [int(v) for v in alpha]
-        key, keyword, clock, _, _ = _system_spec(kind)
+        key, keyword, clock = _system_spec(kind)
         ops = raw.get(key)
         _expect(isinstance(ops, list), f"$.{key}", "must be a list")
         _expect(
@@ -401,21 +394,22 @@ def _build_connectors(specs, d: int, seed: int):
 
 
 def _build_system(cfg: ExperimentConfig):
-    """EntangledSystem, or ContinuousSystem for kind 'continuous', from cfg.data."""
-    key, keyword, _, synth, make = _system_spec(cfg.kind)
-    members = [
-        synth(
+    """The EntangledSystem of cfg.data; its synthesized members are bounded by construction."""
+    key, keyword, clock = _system_spec(cfg.kind)
+    members = tuple(
+        operators._synthesize(
             spec[keyword],
             [complex(re, im) for re, im in spec["stable"]],
             _build_basis(spec["basis"]),
+            clock,
         )
         for spec in cfg.data[key]
-    ]
+    )
     conn_specs = cfg.data.get(
         "connectors", [{"type": "identity"}] * (len(members) - 1)
     )
     conns = _build_connectors(conn_specs, members[0].dim, cfg.seed)
-    return make(cfg.data["alpha"], members, conns)
+    return entangle._validate_system(cfg.data["alpha"], members, conns)
 
 
 def _state(cfg: ExperimentConfig, d: int):

@@ -1,5 +1,10 @@
 """Continuous-time entangled averages for matrix semigroups T(s) = exp(sB).
 
+A generator is a SpectralOperator on the CONTINUOUS clock (Semigroup names
+that class), and make_continuous_system builds an EntangledSystem of them
+(ContinuousSystem names that class).  Operators and systems of discrete time
+are refused here with ValidationError, as discrete time refuses generators.
+
 The discrete lattice mean is replaced by (1/t^k) times an iterated integral
 over [0, t]^k, approximated on a shared one-dimensional quadrature grid: all
 positions driven by the same block read the semigroup at the same node.
@@ -9,16 +14,15 @@ discrete time (entangle._spectral_mean), and no exponential of a matrix is
 taken.  Otherwise the grid route samples each generator: a midpoint grid is
 the orbit of e^{(h/2)B} under powers of e^{hB}, built by the doubling stack
 builder of discrete time; a Gauss-Legendre grid is one batched expm over its
-nodes.  The limit object mirrors the discrete one with
-the unit circle traded for the imaginary axis: eigenvalues 2*pi*i*phi with
-real frequency phi, and the block constraint "product equals one" traded for
-"frequencies sum to zero exactly" (resonance for every t, not only t in a
-lattice).
+nodes.  The limit is limit_operator's, with the unit circle traded for the
+imaginary axis: eigenvalues 2*pi*i*phi with real frequency phi, and the
+block constraint "product equals one" traded for "frequencies sum to zero
+exactly" (resonance for every t, not only t in a lattice).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +31,7 @@ from . import linalg
 from .entangle import (
     MEMORY_CAP_BYTES,
     STRATEGIES,
+    EntangledSystem,
     Partition,
     _contract,
     _estimate_cost,
@@ -48,16 +53,16 @@ from .errors import (
     ValidationError,
 )
 from .operators import (
-    Certificate,
     Clock,
     PowerBoundReport,
+    SpectralOperator,
     _bound_report,
+    _on_clock,
     _read_matrix,
     _require_bounded,
     _synthesize,
-    _verdict,
 )
-from .spectral_limit import _assemble_limit
+from .spectral_limit import limit_operator
 
 TWO_PI = 2.0 * np.pi
 AXIS_BAND = 1e-8  # |Re lambda| below this counts as on the imaginary axis
@@ -118,31 +123,11 @@ class _ContinuousClock(Clock):
 CONTINUOUS = _ContinuousClock()
 
 
-@dataclass(eq=False)
-class Semigroup:
-    """Generator plus spectral bookkeeping.  Treat instances as immutable."""
-
-    generator: np.ndarray
-    certificate: Certificate | None
-    growth_bound_estimate: float
-    frequency_points: tuple[FrequencyPoint, ...]
-    _checked: tuple | None = field(default=None, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.generator.shape[0]
-
-    def value(self, t) -> np.ndarray:
-        """T(t) = exp(tB); t may be a scalar or a 1-D array of times."""
-        return linalg.expm(self.generator, t)
-
-    @property
-    def spectral_verdict(self) -> tuple[bool, str | None]:
-        """(ok, reason): spectrum in the closed left half-plane, axis part semisimple."""
-        return _verdict(self.generator, self.certificate, self._checked, CONTINUOUS)
+Semigroup = SpectralOperator
+ContinuousSystem = EntangledSystem
 
 
-def synth_semigroup(frequencies, stable, basis) -> Semigroup:
+def synth_semigroup(frequencies, stable, basis) -> SpectralOperator:
     """Generator with exact imaginary-axis eigenvalues 2*pi*i*phi.
 
     frequencies : exact rational cycles per unit time (Fraction / 'p/q' /
@@ -151,20 +136,21 @@ def synth_semigroup(frequencies, stable, basis) -> Semigroup:
     stable : complex numbers with strictly negative real part.
     basis : OrthonormalBasis or RandomSimilarity.
     """
-    return Semigroup(*_synthesize(frequencies, stable, basis, CONTINUOUS))
+    return _synthesize(frequencies, stable, basis, CONTINUOUS)
 
 
 def semigroup_from_generator(
     b, tol: float = 1e-9, axis_band: float = AXIS_BAND
-) -> Semigroup:
+) -> SpectralOperator:
     """Wrap a raw generator; one eig call yields frequencies, bound and verdict."""
-    arr = linalg.as_matrix(b, square=True, name="generator")
-    return Semigroup(arr, None, *_read_matrix(arr, tol, axis_band, CONTINUOUS))
+    return _read_matrix(linalg.as_matrix(b, square=True, name="generator"), tol, axis_band,
+                        CONTINUOUS)
 
 
-def as_semigroup(b) -> Semigroup:
-    if isinstance(b, Semigroup):
-        return b
+def as_semigroup(b) -> SpectralOperator:
+    """A raw generator wrapped, or a generator as given; operators are refused."""
+    if isinstance(b, SpectralOperator):
+        return _on_clock([b], CONTINUOUS)[0]
     return semigroup_from_generator(b)
 
 
@@ -181,24 +167,20 @@ def certify_bounded_semigroup(sg, t_probe=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0)) -> Po
     probes = [float(linalg._positive_finite(t, "probe time t")) for t in t_probe]
     if not probes:
         raise ValidationError("need at least one probe time t")
-    measured = 0.0
-    for t in probes:
-        measured = max(measured, linalg.spectral_norm(sg.value(t)))
-    return _bound_report(sg, sg.growth_bound_estimate, measured)
+    return _bound_report(sg, max(linalg.spectral_norm(sg.value(t)) for t in probes))
 
 
 def frequency_spectrum(sg, tol: float = AXIS_BAND) -> tuple[FrequencyPoint, ...]:
     """Imaginary-axis frequencies of the generator, exact when synthesized.
 
     tol widens the band around the axis when reading a raw generator; a
-    Semigroup answers from its stored bookkeeping.  Fails the
-    bounded-semigroup certificate loudly instead of reporting frequencies of
-    a blowing-up semigroup.
+    generator answers from its stored bookkeeping, and an operator of
+    discrete time is refused.  Fails the bounded-semigroup certificate loudly
+    instead of reporting frequencies of a blowing-up semigroup.
     """
-    if not isinstance(sg, Semigroup):
+    if not isinstance(sg, SpectralOperator):
         sg = semigroup_from_generator(sg, axis_band=tol)
-    _require_bounded([sg], CONTINUOUS)
-    return sg.frequency_points
+    return _require_bounded(_on_clock([sg], CONTINUOUS))[0].frequency_points
 
 
 @dataclass(frozen=True)
@@ -281,28 +263,13 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x, x[::-1][mirror]]), np.concatenate([w, w[::-1][mirror]])
 
 
-@dataclass(frozen=True)
-class ContinuousSystem:
-    """Partition plus semigroups B_1..B_m and connectors A_1..A_{m-1}."""
-
-    partition: Partition
-    semigroups: tuple[Semigroup, ...]
-    connectors: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.semigroups[0].dim
-
-
-def make_continuous_system(alpha, generators, connectors=None) -> ContinuousSystem:
-    """Assemble a ContinuousSystem; generators may be Semigroups or raw matrices.
+def make_continuous_system(alpha, generators, connectors=None) -> EntangledSystem:
+    """Assemble an EntangledSystem of generators, given as such or as raw matrices.
 
     Validated like make_system, except that boundedness is checked when the
     system is evaluated, not here.
     """
-    sgs = tuple(as_semigroup(b) for b in generators)
-    part, conns = _validate_system(alpha, sgs, connectors, CONTINUOUS.noun)
-    return ContinuousSystem(part, sgs, conns)
+    return _validate_system(alpha, tuple(as_semigroup(b) for b in generators), connectors)
 
 
 @dataclass(frozen=True)
@@ -451,7 +418,7 @@ def _grid_route(system, quad: QuadratureSpec, budget, strategy: str):
 
 
 def continuous_entangled_average(
-    system: ContinuousSystem,
+    system: EntangledSystem,
     t: float,
     quad: QuadratureSpec = QuadratureSpec(),
     x=None,
@@ -488,7 +455,7 @@ def continuous_entangled_average(
     Sampling well below the fastest frequency aliases the oscillation; keep
     Q at 20 or more points per period (see suggest_points).
     """
-    _require_bounded(system.semigroups, CONTINUOUS)
+    _require_bounded(_on_clock(system.operators, CONTINUOUS))
     x = _state(x, system.dim)
     fine = QuadratureSpec(quad.scheme, 2 * quad.points)
     route = _grid_route(system, fine if richardson else quad, budget, strategy)
@@ -500,7 +467,7 @@ def continuous_entangled_average(
     return ContinuousAverage(value if x is None else value[:, 0], est, quad.points)
 
 
-def suggest_points(system: ContinuousSystem, t: float, per_period: float = 20.0) -> int:
+def suggest_points(system: EntangledSystem, t: float, per_period: float = 20.0) -> int:
     """Grid size putting per_period nodes on the fastest spectral oscillation.
 
     t and per_period must be positive and finite, else ValidationError; a
@@ -509,8 +476,8 @@ def suggest_points(system: ContinuousSystem, t: float, per_period: float = 20.0)
     """
     linalg._positive_finite(t, "horizon t")
     linalg._positive_finite(per_period, "per_period")
-    fmax = max((abs(p.frequency) for sg in system.semigroups for p in sg.frequency_points),
-               default=0.0)
+    generators = _on_clock(system.operators, CONTINUOUS)
+    fmax = max((abs(p.frequency) for sg in generators for p in sg.frequency_points), default=0.0)
     points = per_period * t * fmax
     if not np.isfinite(points):
         raise BudgetExceededError(
@@ -520,15 +487,13 @@ def suggest_points(system: ContinuousSystem, t: float, per_period: float = 20.0)
     return max(2, int(np.ceil(points)))
 
 
-def continuous_limit_operator(system: ContinuousSystem, tol: float = 1e-8) -> np.ndarray:
+def continuous_limit_operator(system: EntangledSystem, tol: float = 1e-8) -> np.ndarray:
     """t -> infinity limit of the continuous entangled averages.
 
-    Sum over additively resonant frequency tuples (each block's frequencies
-    cancel exactly) of P_m A_{m-1} ... A_1 P_1 with P_j the spectral
-    projection of B_j at 2*pi*i*phi_j, contracted over boundary eigen-indices
-    as in the discrete limit (spectral_limit._assemble_limit).
+    limit_operator for a system of generators: the sum over additively
+    resonant frequency tuples (each block's frequencies cancel exactly) of
+    P_m A_{m-1} ... A_1 P_1, with P_j the spectral projection of B_j at
+    2*pi*i*phi_j.  A system of discrete time is refused.
     """
-    sgs = system.semigroups
-    matrices = [sg.generator for sg in sgs]
-    points = [sg.frequency_points for sg in sgs]
-    return _assemble_limit(system, sgs, matrices, points, tol, CONTINUOUS)
+    _on_clock(system.operators, CONTINUOUS)
+    return limit_operator(system, tol)

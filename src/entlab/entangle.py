@@ -63,7 +63,7 @@ from .errors import (
     NotSurjectiveError,
     ValidationError,
 )
-from .operators import DISCRETE, SpectralOperator, _require_bounded, as_operator
+from .operators import DISCRETE, SpectralOperator, _on_clock, _require_bounded, as_operator
 
 MEMORY_CAP_BYTES = 2 << 30  # refuse power stacks beyond 2 GiB
 STRATEGIES = ("naive", "presum", "spectral")
@@ -121,7 +121,7 @@ def make_partition(alpha) -> Partition:
 
 @dataclass(frozen=True)
 class EntangledSystem:
-    """Partition plus operators T_1..T_m and connectors A_1..A_{m-1}."""
+    """Partition plus operators (or generators) T_1..T_m and connectors A_1..A_{m-1}."""
 
     partition: Partition
     operators: tuple[SpectralOperator, ...]
@@ -131,23 +131,26 @@ class EntangledSystem:
     def dim(self) -> int:
         return self.operators[0].dim
 
+    clock = property(lambda self: self.operators[0].clock)
+    semigroups = property(lambda self: self.operators)  # the members' continuous-time name
 
-def _validate_system(alpha, members, connectors, noun: str):
-    """Partition and connectors of a system whose positions hold members.
 
-    Shared by make_system and make_continuous_system: alpha may be a
-    Partition or a sequence of block ids, there must be one member per
+def _validate_system(alpha, members, connectors) -> EntangledSystem:
+    """The system of members at the positions of alpha, validated.
+
+    Shared by make_system, make_continuous_system and the CLI: alpha may be
+    a Partition or a sequence of block ids, there must be one member per
     position, all of one dimension d, and m-1 connectors of shape (d, d),
     identities when connectors is None.
     """
     part = alpha if isinstance(alpha, Partition) else make_partition(alpha)
     if len(members) != part.m:
         raise DimensionMismatchError(
-            f"partition has m={part.m} positions but {len(members)} {noun}s given"
+            f"partition has m={part.m} positions but {len(members)} members given"
         )
     d = members[0].dim
     if any(member.dim != d for member in members):
-        raise DimensionMismatchError(f"{noun}s must share one dimension")
+        raise DimensionMismatchError(f"{members[0].clock.noun}s must share one dimension")
     if connectors is None:
         conns = tuple(np.eye(d, dtype=np.complex128) for _ in range(part.m - 1))
     else:
@@ -161,21 +164,20 @@ def _validate_system(alpha, members, connectors, noun: str):
         )
     if any(c.shape != (d, d) for c in conns):
         raise DimensionMismatchError("connector dimension mismatch")
-    return part, conns
+    return EntangledSystem(part, members, conns)
 
 
 def make_system(alpha, operators, connectors=None) -> EntangledSystem:
     """Assemble and validate an EntangledSystem.
 
     alpha may be a Partition or a sequence of block ids.  operators are
-    SpectralOperators or raw matrices (wrapped via the eigensolver);
-    connectors default to identities.  Every operator must pass the
-    power-boundedness verdict.
+    SpectralOperators or raw matrices (wrapped via the eigensolver), not
+    generators; connectors default to identities.  Every operator must pass
+    the power-boundedness verdict.
     """
-    ops = tuple(as_operator(t) for t in operators)
-    part, conns = _validate_system(alpha, ops, connectors, DISCRETE.noun)
-    _require_bounded(ops, DISCRETE)
-    return EntangledSystem(part, ops, conns)
+    system = _validate_system(alpha, tuple(as_operator(t) for t in operators), connectors)
+    _require_bounded(system.operators)
+    return system
 
 
 class _Kahan:
@@ -656,7 +658,7 @@ def entangled_average(
     operator mean itself.  The strategies agree to ~1e-10 relative; presum
     is exact at every n, not just convergent, since it reorders finite sums.
     """
-    mats = [op.matrix for op in system.operators]
+    mats = [op.matrix for op in _on_clock(system.operators, DISCRETE)]
     x = _state(x, system.dim)
     n = linalg._positive_int(n, "depth n")
     out = _evaluate_discrete(mats, list(system.connectors), system.partition, n, strategy,
@@ -689,7 +691,8 @@ class StackedSystem:
 
 
 def stacked_system(system: EntangledSystem) -> StackedSystem:
-    """Build the block companion form of an entangled system."""
+    """Build the block companion form of an entangled system of discrete time."""
+    _on_clock(system.operators, DISCRETE)
     m, d = system.partition.m, system.dim
     big = m * d
     if big > linalg.DIM_CAP:

@@ -1,11 +1,14 @@
-"""Power-bounded operators with spectral bookkeeping.
+"""Power-bounded operators with spectral bookkeeping, on either clock.
 
-A SpectralOperator is a square matrix plus optional exact provenance: when the
-matrix was synthesized as S diag(unimodular, stable) S^{-1} the certificate
-stores S, the eigenvalues and S^{-1}, and every unit-circle eigenvalue carries
-an exact rational angle (a Fraction of a full turn).  Operators wrapped from a
-raw matrix get a floating-point unimodular spectrum from the eigensolver and
-no certificate.
+A SpectralOperator is a square matrix on a Clock plus optional exact
+provenance: an operator T with boundary the unit circle on DISCRETE (the
+default), a generator B of e^{tB} with boundary the imaginary axis on
+continuous.CONTINUOUS; each clock's entry points refuse the other's with
+ValidationError (_on_clock).  When the matrix was synthesized as
+S diag(boundary, stable) S^{-1} the certificate stores S, the eigenvalues and
+S^{-1}, and every boundary eigenvalue carries an exact rational (an angle, a
+Fraction of a full turn, or a frequency).  Matrices wrapped raw get a
+floating-point boundary spectrum from the eigensolver and no certificate.
 
 Two routes exist for every spectral quantity on purpose: the certificate route
 (exact diagonal bookkeeping) and the matrix route (Schur form with Sylvester
@@ -164,47 +167,62 @@ class Clock:
 DISCRETE = Clock()
 
 
-def _verdict(matrix, certificate, checked, clock: Clock) -> tuple[bool, str | None]:
-    """(ok, reason) of the spectral criterion for one operator or generator.
-
-    A certificate passes by construction (stable part enforced, diagonal
-    form).  A raw matrix answers from the verdict its wrapping eig stored in
-    checked = (matrix copy, verdict), and is decomposed again only when the
-    matrix was changed in place since.
-    """
-    if certificate is not None:
-        return True, None
-    if checked is None or not np.array_equal(matrix, checked[0]):
-        checked = _read_matrix(matrix, 1e-9, clock.band, clock)[2]
-    return checked[1]
-
-
-def _require_bounded(members, clock: Clock):
-    """Raise the clock's unbounded error for the first member failing its verdict."""
+def _require_bounded(members):
+    """members, unless one fails its verdict: then its clock's unbounded error."""
     for j, member in enumerate(members):
         ok, reason = member.spectral_verdict
         if not ok:
-            raise clock.unbounded_error(f"{clock.noun} {j + 1}: {reason}")
+            raise member.clock.unbounded_error(f"{member.clock.noun} {j + 1}: {reason}")
+    return members
+
+
+def _on_clock(members, clock: Clock):
+    """members, once each lives on clock: the other clock's would get answers
+    for the wrong boundary (powers of a generator), so ValidationError."""
+    for member in members:
+        if member.clock is not clock:
+            raise ValidationError(f"{member.clock.noun} given where {clock.noun}s are expected")
+    return members
 
 
 @dataclass(eq=False)
 class SpectralOperator:
-    """Matrix plus spectral bookkeeping.  Treat instances as immutable."""
+    """Matrix plus spectral bookkeeping on its clock.  Treat instances as immutable."""
 
     matrix: np.ndarray
     certificate: Certificate | None
     power_bound_estimate: float
-    unimodular_spectrum: tuple[SpectralPoint, ...]
+    unimodular_spectrum: tuple  # SpectralPoints; FrequencyPoints on the continuous clock
     _checked: tuple | None = field(default=None, repr=False)
+    clock: Clock = DISCRETE
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    # the fields' names on the continuous clock, where the matrix is a generator
+    generator = property(lambda self: self.matrix)
+    growth_bound_estimate = property(lambda self: self.power_bound_estimate)
+    frequency_points = property(lambda self: self.unimodular_spectrum)
+
+    def value(self, t) -> np.ndarray:
+        """T(t) = exp(tB) of a generator; t may be a scalar or a 1-D array of times."""
+        return linalg.expm(self.matrix, t)
+
     @property
     def spectral_verdict(self) -> tuple[bool, str | None]:
-        """(ok, reason): spectrum in the closed disk, unit-circle part semisimple."""
-        return _verdict(self.matrix, self.certificate, self._checked, DISCRETE)
+        """(ok, reason): spectrum in the closed stable region, boundary part semisimple.
+
+        A certificate passes by construction; a raw matrix answers from the
+        verdict its wrapping eig stored in _checked = (matrix copy, verdict),
+        and is decomposed again only when the matrix was changed in place.
+        """
+        if self.certificate is not None:
+            return True, None
+        checked = self._checked
+        if checked is None or not np.array_equal(self.matrix, checked[0]):
+            checked = _read_matrix(self.matrix, 1e-9, self.clock.band, self.clock)._checked
+        return checked[1]
 
 
 def _basis_pair(spec, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,8 +243,8 @@ def _basis_pair(spec, dim: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValidationError(f"unknown basis spec {spec!r}")
 
 
-def _synthesize(exact_values, stable, basis, clock: Clock):
-    """S diag(boundary, stable) S^{-1} -> (matrix, certificate, bound, points).
+def _synthesize(exact_values, stable, basis, clock: Clock) -> SpectralOperator:
+    """S diag(boundary, stable) S^{-1} as an operator on clock, with its certificate.
 
     The boundary eigenvalues come from exact values (angles or frequencies), the
     certificate lists them first, and the bound is cond_2(S), which caps
@@ -254,17 +272,18 @@ def _synthesize(exact_values, stable, basis, clock: Clock):
         clock.point(clock.eigenvalue(f), mult, f)
         for f, mult in sorted(Counter(exacts).items())
     )
-    return matrix, Certificate(s, eigs, s_inv, exacts), float(np.linalg.cond(s)), points
+    cert = Certificate(s, eigs, s_inv, exacts)
+    return SpectralOperator(matrix, cert, float(np.linalg.cond(s)), points, clock=clock)
 
 
-def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock):
-    """One eig of a raw matrix -> (bound, boundary points, checked verdict).
+def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock) -> SpectralOperator:
+    """One eig of a raw matrix -> an uncertified SpectralOperator on clock.
 
     Eigenvalues within CLUSTER_TOL of each other are merged; a cluster is a
     boundary point when its center lies within band of the boundary.  The
     bound is cond_2 of the eigenvector matrix when the spectrum is in the
-    closed stable region, else inf.  The verdict is returned with a copy of
-    the matrix it was computed for (see _verdict).
+    closed stable region, else inf.  The verdict is stored with a copy of
+    the matrix it was computed for (see SpectralOperator.spectral_verdict).
     """
     linalg._positive_finite(band, "boundary band")
     dec = linalg.eig(arr, tol, on_boundary=clock.on_boundary)
@@ -281,7 +300,7 @@ def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock):
         verdict = False, f"{clock.size_name} {worst:.6e} beyond {clock.boundary_name}"
     elif not dec.semisimple_boundary:
         verdict = False, f"defective eigenvalue cluster on {clock.boundary_name}"
-    return bound, tuple(points), (arr.copy(), verdict)
+    return SpectralOperator(arr, None, bound, tuple(points), (arr.copy(), verdict), clock)
 
 
 def synth_operator(angles, stable, basis) -> SpectralOperator:
@@ -294,7 +313,7 @@ def synth_operator(angles, stable, basis) -> SpectralOperator:
     The certificate keeps S, S^{-1} and the eigenvalue list, unimodular part
     first, so downstream projections can be assembled exactly.
     """
-    return SpectralOperator(*_synthesize(angles, stable, basis, DISCRETE))
+    return _synthesize(angles, stable, basis, DISCRETE)
 
 
 def from_matrix(a, tol: float = 1e-9) -> SpectralOperator:
@@ -306,14 +325,13 @@ def from_matrix(a, tol: float = 1e-9) -> SpectralOperator:
     exact-angle arithmetic is unavailable and projections go through the
     Schur route.
     """
-    arr = linalg.as_matrix(a, square=True)
-    return SpectralOperator(arr, None, *_read_matrix(arr, tol, UNIMOD_BAND, DISCRETE))
+    return _read_matrix(linalg.as_matrix(a, square=True), tol, UNIMOD_BAND, DISCRETE)
 
 
 def as_operator(t) -> SpectralOperator:
-    """Coerce a matrix-like or SpectralOperator into a SpectralOperator."""
+    """Coerce a matrix-like or SpectralOperator into an operator; generators are refused."""
     if isinstance(t, SpectralOperator):
-        return t
+        return _on_clock([t], DISCRETE)[0]
     return from_matrix(t)
 
 
@@ -327,10 +345,11 @@ class PowerBoundReport:
     reason: str | None = None
 
 
-def _bound_report(member, estimate: float, measured: float) -> PowerBoundReport:
+def _bound_report(member, measured: float) -> PowerBoundReport:
     ok, reason = member.spectral_verdict
     if not ok:
         return PowerBoundReport(False, float("inf"), measured, reason)
+    estimate = member.power_bound_estimate
     bound = estimate if np.isfinite(estimate) else measured
     return PowerBoundReport(True, float(max(bound, measured)), measured, None)
 
@@ -350,7 +369,7 @@ def certify_power_bounded(op, n_max: int = 64) -> PowerBoundReport:
     for _ in range(n_max):
         power = op.matrix @ power
         measured = max(measured, linalg.spectral_norm(power))
-    return _bound_report(op, op.power_bound_estimate, measured)
+    return _bound_report(op, measured)
 
 
 def _schur_split(arr: np.ndarray, select):
@@ -406,7 +425,7 @@ def jdl_split(op) -> JdlSplit:
     the reversible range is similar to a diagonal unitary.
     """
     op = as_operator(op)
-    _require_bounded([op], DISCRETE)
+    _require_bounded([op])
     if op.certificate is not None:
         mask = (np.abs(np.abs(op.certificate.eigenvalues) - 1.0) <= UNIMOD_BAND)
         p_r = (op.certificate.basis * mask[np.newaxis, :]) @ op.certificate.basis_inv
@@ -489,7 +508,7 @@ def mean_ergodic_projection(op, lam, mode: str = "spectral", n: int | None = Non
 
     if mode == "cesaro":
         n = linalg._positive_int(n, "cesaro depth n")
-        _require_bounded([op], DISCRETE)
+        _require_bounded([op])
         m = np.conj(value) * op.matrix
         # Horner form of sum_{j=1..n} M^j without storing powers
         g = m.copy()

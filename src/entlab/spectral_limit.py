@@ -31,14 +31,14 @@ from .entangle import EntangledSystem, Partition, make_partition
 from .errors import BudgetExceededError, EmptySequenceError, ValidationError
 from .operators import (
     DISCRETE,
-    Clock,
     SpectralOperator,
     SpectralPoint,
     _boundary_basis,
     _read_matrix,
     _require_bounded,
-    parse_angle,
     angle_value,
+    as_operator,
+    parse_angle,
 )
 
 DEFAULT_TOL = 1e-8
@@ -50,13 +50,12 @@ def unimodular_spectrum(t, tol: float = DEFAULT_TOL) -> tuple[SpectralPoint, ...
     """Unit-circle eigenvalues of t, merged into clusters, sorted by phase.
 
     SpectralOperators answer from their stored bookkeeping (exact angles when
-    synthesized).  Raw matrices go through the eigensolver; a cluster counts
-    as unimodular when its center is within tol of the circle.
+    synthesized), generators are refused.  Raw matrices go through the
+    eigensolver; a cluster counts as unimodular when its center is within tol.
     """
     if isinstance(t, SpectralOperator):
-        return t.unimodular_spectrum
-    arr = linalg.as_matrix(t, square=True)
-    return _read_matrix(arr, 1e-9, tol, DISCRETE)[1]
+        return as_operator(t).unimodular_spectrum
+    return _read_matrix(linalg.as_matrix(t, square=True), 1e-9, tol, DISCRETE).unimodular_spectrum
 
 
 @dataclass(frozen=True)
@@ -301,6 +300,31 @@ def _block_solutions(cands, *, additive, tol, mitm_threshold):
     return cols, np.zeros(len(li)) if all_exact else res[order]
 
 
+def _solve_blocks(norm, part: Partition, tol, additive: bool, mitm_threshold: int):
+    """[(positions, columns, residuals)] of each block in block-id order, from one
+    _block_solutions each; None once a block has none, since then nothing resonates."""
+    solutions = []
+    for _, positions in sorted(part.blocks.items()):
+        cols, res = _block_solutions([norm[j] for j in positions], additive=additive, tol=tol,
+                                     mitm_threshold=mitm_threshold)
+        if not len(res):
+            return None
+        solutions.append((positions, cols, res))
+    return solutions
+
+
+def _normalized(spectra, additive: bool) -> list:
+    """Each position's entries as _normalize_entry returns them; a SpectralOperator's are its
+    boundary points as its clock lists them, refused unless additive matches the clock."""
+    for sp in spectra:
+        if isinstance(sp, SpectralOperator) and sp.clock.additive != additive:
+            raise ValidationError(f"{sp.clock.noun} given with additive={additive}")
+    return [[_normalize_entry(e, additive) for e in
+             ([sp.clock.resonance_entry(p) for p in sp.unimodular_spectrum]
+              if isinstance(sp, SpectralOperator) else sp)]
+            for sp in spectra]
+
+
 def _resonant_index(spectra, part: Partition, tol, additive: bool, mitm_threshold: int):
     """(normalized entries, index, residuals) of the resonant tuples, in order.
 
@@ -312,26 +336,17 @@ def _resonant_index(spectra, part: Partition, tol, additive: bool, mitm_threshol
     spectra = list(spectra)
     if len(spectra) != part.m:
         raise ValidationError(f"got {len(spectra)} spectra for m={part.m} positions")
-    norm = [
-        [_normalize_entry(e, additive) for e in
-         (sp.unimodular_spectrum if isinstance(sp, SpectralOperator) else sp)]
-        for sp in spectra
-    ]
-    blocks = [positions for _, positions in sorted(part.blocks.items())]
-    per_block = []
-    for positions in blocks:
-        cols, res = _block_solutions([norm[j] for j in positions], additive=additive, tol=tol,
-                                     mitm_threshold=mitm_threshold)
-        if not len(res):
-            return norm, [np.zeros(0, dtype=np.intp)] * part.m, [res] * len(blocks)
-        per_block.append((cols, res))
+    norm = _normalized(spectra, additive)
+    solutions = _solve_blocks(norm, part, tol, additive, mitm_threshold)
+    if solutions is None:
+        return norm, [np.zeros(0, dtype=np.intp)] * part.m, [np.zeros(0)] * part.k
 
     # the Cartesian product of the blocks' solutions, in itertools.product order
-    picks = np.unravel_index(np.arange(math.prod(len(res) for _, res in per_block)),
-                             [len(res) for _, res in per_block])
+    picks = np.unravel_index(np.arange(math.prod(len(res) for _, _, res in solutions)),
+                             [len(res) for _, _, res in solutions])
     index = [None] * part.m
     residuals = []
-    for pick, positions, (cols, res) in zip(picks, blocks, per_block):
+    for pick, (positions, cols, res) in zip(picks, solutions):
         for j, col in zip(positions, cols):
             index[j] = col[pick]
         residuals.append(res[pick])
@@ -357,7 +372,8 @@ def resonant_tuples(
 ) -> tuple[ResonantTuple, ...]:
     """Enumerate resonant tuples block by block.
 
-    spectra : one entry per chain position; a SpectralOperator, an iterable
+    spectra : one entry per chain position; a SpectralOperator (a generator
+        in additive mode, else an operator; the other is refused), an iterable
         of SpectralPoints, or an iterable of raw values (complex eigenvalues,
         or exact angles; real frequencies in additive mode).
     alpha : Partition or block-id sequence.
@@ -390,35 +406,30 @@ def resonant_tuples(
     )
 
 
-def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock):
+def _assemble_limit(system: EntangledSystem, norm, solutions) -> np.ndarray:
     """Sum over resonant tuples of P_m A_{m-1} ... A_1 P_1, for either clock.
 
-    members carry each position's verdict and certificate, matrices its
-    operator or generator, points its boundary points.  The tuples are the
+    norm holds each position's normalized boundary points and solutions each
+    block's columns into them (see _solve_blocks).  The tuples are the
     Cartesian product of the blocks' solutions, so the product is never
-    formed: each block is solved once (_block_solutions), and a block with
-    no solution gives the zero matrix.  The points of position j that its
-    block picks get one boundary basis (R_j, L_j, group_j), and each block's
-    0/1 indicator, expanded to eigen-indices by group, is its weight in
-    entangle._spectral_mean.  The dense weight is refused beyond
-    entangle.MEMORY_CAP_BYTES; both exits come before any factorization.
+    formed, and a block with no solution gives the zero matrix.  The points
+    of position j that its block picks get one boundary basis (R_j, L_j,
+    group_j), and each block's 0/1 indicator, expanded to eigen-indices by
+    group, is its weight in entangle._spectral_mean.  The dense weight is
+    refused beyond entangle.MEMORY_CAP_BYTES; both exits come before any
+    factorization.
     """
-    _require_bounded(members, clock)
-    linalg._positive_finite(tol, "tolerance")
-    norm = [[_normalize_entry(clock.resonance_entry(p), clock.additive) for p in pts]
-            for pts in points]
-    part = system.partition
+    ops, part, clock = system.operators, system.partition, system.clock
+    if solutions is None:
+        return np.zeros(ops[0].matrix.shape, dtype=np.complex128)
     used, cells = [None] * part.m, {}
-    for positions in part.blocks.values():
-        cols, _ = _block_solutions([norm[j] for j in positions], additive=clock.additive,
-                                   tol=tol, mitm_threshold=MITM_THRESHOLD)
-        if not len(cols[0]):
-            return np.zeros(matrices[0].shape, dtype=np.complex128)
+    for positions, cols, _ in solutions:
         for j, col in zip(positions, cols):
             used[j] = np.flatnonzero(np.bincount(col)).tolist()
         cells[positions] = tuple(np.searchsorted(used[j], col) for j, col in zip(positions, cols))
 
-    ranks = [sum(pts[i].multiplicity for i in picked) for pts, picked in zip(points, used)]
+    ranks = [sum(op.unimodular_spectrum[i].multiplicity for i in picked)
+             for op, picked in zip(ops, used)]
     need = 16 * math.prod(ranks)
     if need > entangle.MEMORY_CAP_BYTES:
         per = ", ".join(f"position {j}: {r}" for j, r in enumerate(ranks, start=1))
@@ -428,10 +439,10 @@ def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock)
         )
 
     rights, lefts, groups = zip(*(
-        _boundary_basis(matrices[j], members[j].certificate,
+        _boundary_basis(op.matrix, op.certificate,
                         [clock.entry_value(norm[j][i][0]) for i in picked],
                         [norm[j][i][1] for i in picked])
-        for j, picked in enumerate(used)
+        for j, (op, picked) in enumerate(zip(ops, used))
     ))
 
     def indicator(positions):  # bool: a byte per cell, cast exactly to 0 or 1 in the product
@@ -443,24 +454,30 @@ def _assemble_limit(system, members, matrices, points, tol: float, clock: Clock)
 
 
 def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The norm limit of the entangled averages.
+    """The norm limit of the entangled averages, on the system's clock.
 
     Sum over resonant tuples of
         P_m(lam_m) A_{m-1} P_{m-1}(lam_{m-1}) ... A_1 P_1(lam_1)
     with P_j the mean ergodic projection of T_j at lam_j, evaluated as one
     contraction over boundary eigen-indices (see _assemble_limit).  Requires
-    every T_j to pass the power-boundedness certificate; an empty resonance
-    set gives the zero matrix (the averages die in norm).
+    every T_j to live on one clock and pass its boundedness certificate; an
+    empty resonance set gives the zero matrix (the averages die in norm).
     """
-    ops = system.operators
-    points = [op.unimodular_spectrum for op in ops]
-    return _assemble_limit(system, ops, [op.matrix for op in ops], points, tol, DISCRETE)
+    ops, additive = _require_bounded(system.operators), system.clock.additive
+    linalg._positive_finite(tol, "tolerance")
+    norm = _normalized(ops, additive)
+    solutions = _solve_blocks(norm, system.partition, tol, additive, MITM_THRESHOLD)
+    return _assemble_limit(system, norm, solutions)
 
 
 def limit_operator_with_tuples(system: EntangledSystem, tol: float = DEFAULT_TOL):
-    """(limit_operator(system, tol), the ResonantTuples it sums over)."""
-    return limit_operator(system, tol), resonant_tuples(
-        [op.unimodular_spectrum for op in system.operators], system.partition, tol)
+    """(limit_operator(system, tol), the ResonantTuples it sums over), one solve per block."""
+    ops, part = _require_bounded(system.operators), system.partition
+    tuples = resonant_tuples(ops, part, tol, additive=system.clock.additive)
+    index = np.array([t.index for t in tuples], dtype=np.intp).reshape(-1, part.m).T
+    blocks = [(positions, index[list(positions)], None) for positions in part.blocks.values()]
+    norm = _normalized(ops, system.clock.additive)
+    return _assemble_limit(system, norm, blocks if tuples else None), tuples
 
 
 @dataclass(frozen=True)
