@@ -8,11 +8,15 @@ ValidationError (_on_clock).  When the matrix was synthesized as
 S diag(boundary, stable) S^{-1} the certificate stores S, the eigenvalues and
 S^{-1}, and every boundary eigenvalue carries an exact rational (an angle, a
 Fraction of a full turn, or a frequency).  Matrices wrapped raw get a
-floating-point boundary spectrum from the eigensolver and no certificate.
+floating-point boundary spectrum from the eigensolver and no certificate, and
+keep that eig (values, vectors V, cond_2(V)) with the verdict.
 
-Two routes exist for every spectral quantity on purpose: the certificate route
-(exact diagonal bookkeeping) and the matrix route (Schur form with Sylvester
-decoupling, or Cesaro partial means).  Tests compare them.
+Spectral projections take one of three routes (_boundary_basis): the
+certificate (exact diagonal bookkeeping, columns of S and rows of S^{-1}); a
+raw operator's stored eigenbasis, when cond_2(V) <= EIGENBASIS_COND_CAP
+(columns of V, rows of V^{-1} from one solve); otherwise a Schur form with
+Sylvester decoupling, the one route that loads SciPy.  Cesaro partial means
+are kept as an independent route, and tests compare them all.
 """
 
 from __future__ import annotations
@@ -206,7 +210,13 @@ class SpectralOperator:
     frequency_points = property(lambda self: self.unimodular_spectrum)
 
     def value(self, t) -> np.ndarray:
-        """T(t) = exp(tB) of a generator; t may be a scalar or a 1-D array of times."""
+        """T(t) = exp(tB) of a generator; t may be a scalar or a 1-D array of times.
+
+        An operator of discrete time has powers, not a value at time t:
+        ValidationError.
+        """
+        if self.clock is DISCRETE:
+            raise ValidationError("value(t) = exp(tB) needs a generator, not an operator")
         return linalg.expm(self.matrix, t)
 
     @property
@@ -214,15 +224,23 @@ class SpectralOperator:
         """(ok, reason): spectrum in the closed stable region, boundary part semisimple.
 
         A certificate passes by construction; a raw matrix answers from the
-        verdict its wrapping eig stored in _checked = (matrix copy, verdict),
-        and is decomposed again only when the matrix was changed in place.
+        verdict its wrapping eig stored (see _current_read).
         """
         if self.certificate is not None:
             return True, None
+        return self._current_read()[1]
+
+    def _current_read(self) -> tuple:
+        """(matrix copy, verdict, linalg.EigDecomposition) of the matrix as it is now.
+
+        _read_matrix stores this triple in _checked; it is read again only
+        when the matrix was changed in place, so neither the verdict nor the
+        eigenbasis outlives the matrix it was computed for.
+        """
         checked = self._checked
         if checked is None or not np.array_equal(self.matrix, checked[0]):
             checked = _read_matrix(self.matrix, 1e-9, self.clock.band, self.clock)._checked
-        return checked[1]
+        return checked
 
 
 def _basis_pair(spec, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,8 +300,9 @@ def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock) -> Spec
     Eigenvalues within CLUSTER_TOL of each other are merged; a cluster is a
     boundary point when its center lies within band of the boundary.  The
     bound is cond_2 of the eigenvector matrix when the spectrum is in the
-    closed stable region, else inf.  The verdict is stored with a copy of
-    the matrix it was computed for (see SpectralOperator.spectral_verdict).
+    closed stable region, else inf.  The verdict and the decomposition
+    (values, vectors and cond_2 of the vectors) are stored with a copy of the
+    matrix they were computed for (see SpectralOperator._current_read).
     """
     linalg._positive_finite(band, "boundary band")
     dec = linalg.eig(arr, tol, on_boundary=clock.on_boundary)
@@ -300,7 +319,7 @@ def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock) -> Spec
         verdict = False, f"{clock.size_name} {worst:.6e} beyond {clock.boundary_name}"
     elif not dec.semisimple_boundary:
         verdict = False, f"defective eigenvalue cluster on {clock.boundary_name}"
-    return SpectralOperator(arr, None, bound, tuple(points), (arr.copy(), verdict), clock)
+    return SpectralOperator(arr, None, bound, tuple(points), (arr.copy(), verdict, dec), clock)
 
 
 def synth_operator(angles, stable, basis) -> SpectralOperator:
@@ -321,9 +340,11 @@ def from_matrix(a, tol: float = 1e-9) -> SpectralOperator:
 
     One eig call yields the unimodular spectrum (clusters merged at
     CLUSTER_TOL, centers within UNIMOD_BAND of the circle), the power bound
-    and the boundedness verdict.  No certificate is attached, so downstream
-    exact-angle arithmetic is unavailable and projections go through the
-    Schur route.
+    and the boundedness verdict, and the operator keeps its eigenvalues,
+    eigenvectors V and cond_2(V).  No certificate is attached, so exact-angle
+    arithmetic is unavailable; projections read V and rows of V^{-1} when
+    cond_2(V) <= EIGENBASIS_COND_CAP, and go through a Schur split otherwise
+    (see _boundary_basis).
     """
     return _read_matrix(linalg.as_matrix(a, square=True), tol, UNIMOD_BAND, DISCRETE)
 
@@ -432,52 +453,88 @@ def jdl_split(op) -> JdlSplit:
     elif not op.unimodular_spectrum:
         p_r = np.zeros((op.dim, op.dim), dtype=np.complex128)
     else:
-        p_r = schur_spectral_projection(
-            op.matrix, lambda lam: abs(lam) >= 1.0 - UNIMOD_BAND
-        )
+        points = op.unimodular_spectrum
+        right, left, _ = _boundary_basis(op, [p.value for p in points], [None] * len(points),
+                                         [p.multiplicity for p in points])
+        p_r = right @ left
     return JdlSplit(p_r, np.eye(op.dim, dtype=np.complex128) - p_r)
 
 
-def _boundary_basis(matrix, certificate, values, exacts):
-    """(right, left, group): d x r and r x d boundary bases at the values.
+# Largest cond_2(V) of a raw operator's stored eigenvectors V (unit columns)
+# at which _boundary_basis reads its projections off V and V^{-1}.  Swept at
+# d = 16 (boundary 1, i, -1 twice, -i; S = U diag(geomspace(1, c)) W with
+# Haar U, W; worst of 5 seeds) against the projection at -1 built from the
+# exact S: both routes err by about c^2 * eps up to c = 1e4 (this route
+# 2.8e-12 at 1e3, 1.8e-10 at 1e4; the Schur split 2.9e-12, 1.2e-10), and at
+# 1e5 by 1.2e-8 and 2.7e-8; from c = 1e6 the double eigenvalue splits past
+# CLUSTER_TOL, so neither route resolves it (the Schur split errs by 1.0).
+# The defective stable parts in the tests read cond_2(V) of 7.8e7 to 1.8e8,
+# and fall back.
+EIGENBASIS_COND_CAP = 1e6
+
+
+def _boundary_basis(op, values, exacts, mults):
+    """(right, left, group): d x r and r x d boundary bases of op at the values.
 
     group, a nondecreasing list, gives the index in values of each of the r
     eigen-indices; the spectral projection at values[v] is right[:, idx] @
     left[idx, :] over the idx with group[idx] == v.  An eigenvalue belongs to
     a value by exact value when exacts gives one and the certificate lists
-    them, else within CLUSTER_TOL * max(1, |value|).  With a certificate the
-    bases are columns of S and rows of S^{-1}; without one, one sorted Schur
-    form puts all the values' clusters first (see _schur_split), and for
-    more than one value the eig V diag(mu) V^{-1} of T11 splits them: right
-    Z_1 V, left V^{-1} [I, Y] Z^H.
+    them, else within CLUSTER_TOL * max(1, |value|).  Three routes:
+
+    - certificate: columns of S and rows of S^{-1};
+    - stored eigenbasis, for a raw operator whose eig (see _current_read)
+      has cond_2(V) <= EIGENBASIS_COND_CAP and matches mults[v] eigenvalues
+      to each values[v]: columns of V, and the rows of V^{-1} from one solve
+      against the matching unit vectors;
+    - Schur, for any other raw operator: one sorted Schur form puts all the
+      values' clusters first (see _schur_split), and for more than one value
+      the eig W diag(mu) W^{-1} of T11 splits them: right Z_1 W, left
+      W^{-1} [I, Y] Z^H.
     """
     bands = [CLUSTER_TOL * max(1.0, abs(v)) for v in values]
-    if certificate is None:
-        t11, right, left = _schur_split(
-            matrix, lambda e: any(abs(e - v) <= b for v, b in zip(values, bands))
-        )
-        if len(values) == 1:
-            return right, left, [0] * t11.shape[0]
-        mu, vecs = np.linalg.eig(t11)
-        dist = np.abs(mu[:, None] - np.asarray(values)[None, :]) / np.asarray(bands)
-        group = np.argmin(dist, axis=1)
-        order = np.argsort(group, kind="stable")
-        vecs = vecs[:, order]
-        return right @ vecs, np.linalg.solve(vecs, left), group[order].tolist()
+    cert = op.certificate
+    if cert is None:
+        dec = op._current_read()[2]
+        if not dec.condition_estimate <= EIGENBASIS_COND_CAP:  # inf or NaN fall back too
+            return _schur_basis(op.matrix, values, bands)
+    eigenvalues = dec.values if cert is None else cert.eigenvalues
     idx, group = [], []
     for v, (value, exact, band) in enumerate(zip(values, exacts, bands)):
-        if exact is not None and certificate.angles:
-            hits = [i for i, a in enumerate(certificate.angles) if a == exact]
+        if exact is not None and cert is not None and cert.angles:
+            hits = [i for i, a in enumerate(cert.angles) if a == exact]
         else:
-            hits = np.flatnonzero(np.abs(certificate.eigenvalues - value) <= band).tolist()
+            hits = np.flatnonzero(np.abs(eigenvalues - value) <= band).tolist()
+        if cert is None and len(hits) != mults[v]:
+            return _schur_basis(op.matrix, values, bands)
         idx += hits
         group += [v] * len(hits)
-    return certificate.basis.take(idx, axis=1), certificate.basis_inv.take(idx, axis=0), group
+    if cert is not None:
+        return cert.basis.take(idx, axis=1), cert.basis_inv.take(idx, axis=0), group
+    vecs = dec.right_vectors
+    unit = np.eye(op.dim, dtype=np.complex128)[:, idx]
+    return vecs[:, idx], np.linalg.solve(vecs.T, unit).T, group
 
 
-def _boundary_projection(matrix, certificate, value: complex, exact=None):
-    """Spectral projection of matrix at one boundary value (see _boundary_basis)."""
-    right, left, _ = _boundary_basis(matrix, certificate, [value], [exact])
+def _schur_basis(matrix, values, bands):
+    """_boundary_basis's Schur route (see there)."""
+    t11, right, left = _schur_split(
+        matrix, lambda e: any(abs(e - v) <= b for v, b in zip(values, bands))
+    )
+    if len(values) == 1:
+        return right, left, [0] * t11.shape[0]
+    mu, vecs = np.linalg.eig(t11)
+    dist = np.abs(mu[:, None] - np.asarray(values)[None, :]) / np.asarray(bands)
+    group = np.argmin(dist, axis=1)
+    order = np.argsort(group, kind="stable")
+    vecs = vecs[:, order]
+    return right @ vecs, np.linalg.solve(vecs, left), group[order].tolist()
+
+
+def _boundary_projection(op, value: complex, exact, mult: int):
+    """Spectral projection of op at one boundary value of multiplicity mult
+    (see _boundary_basis)."""
+    right, left, _ = _boundary_basis(op, [value], [exact], [mult])
     return right @ left
 
 
@@ -498,7 +555,9 @@ def mean_ergodic_projection(op, lam, mode: str = "spectral", n: int | None = Non
 
     lam may be a complex number on the unit circle or an exact angle (Fraction,
     'p/q' string, (p, q) tuple, int).  mode 'spectral' assembles the projection
-    from the certificate or the Schur route and is exact up to linear algebra;
+    from the certificate, from a raw operator's stored eigenbasis, or from a
+    Schur split when that basis is ill-conditioned (see _boundary_basis), and
+    is exact up to linear algebra;
     mode 'cesaro' returns the partial mean (1/n) sum_{j=1..n} (conj(lambda) T)^j,
     which converges to the same projection at rate O(1/n) and is kept as the
     independent route for tests.  Off-spectrum lam gives the zero matrix.
@@ -519,9 +578,8 @@ def mean_ergodic_projection(op, lam, mode: str = "spectral", n: int | None = Non
     if mode != "spectral":
         raise ValidationError(f"unknown mode {mode!r}")
 
-    hit = op.certificate is not None or any(
-        abs(p.value - value) <= CLUSTER_TOL for p in op.unimodular_spectrum
-    )
-    if not hit:
+    mult = sum(p.multiplicity for p in op.unimodular_spectrum
+               if abs(p.value - value) <= CLUSTER_TOL)
+    if op.certificate is None and not mult:
         return np.zeros((op.dim, op.dim), dtype=np.complex128)
-    return _boundary_projection(op.matrix, op.certificate, value, fr)
+    return _boundary_projection(op, value, fr, mult)

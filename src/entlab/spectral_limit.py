@@ -84,13 +84,10 @@ class ResonantTuple:
 def _normalize_entry(e, additive: bool):
     """Return (float_entry, exact_fraction_or_none); non-finite floats are refused."""
     if isinstance(e, SpectralPoint):
+        if additive:  # an angle is a turn of the circle, not a frequency
+            raise ValidationError("additive mode needs real frequencies, not unit-circle points")
         fr = e.angle
         if fr is None:
-            if additive:
-                raise ValidationError(
-                    "additive mode needs real frequencies, not unit-circle points "
-                    "without exact angles"
-                )
             val = complex(e.value)
     elif isinstance(e, (Fraction, str)) or (isinstance(e, int) and not isinstance(e, bool)):
         fr = Fraction(e) if additive else parse_angle(e)
@@ -428,8 +425,9 @@ def _assemble_limit(system: EntangledSystem, norm, solutions) -> np.ndarray:
             used[j] = np.flatnonzero(np.bincount(col)).tolist()
         cells[positions] = tuple(np.searchsorted(used[j], col) for j, col in zip(positions, cols))
 
-    ranks = [sum(op.unimodular_spectrum[i].multiplicity for i in picked)
+    mults = [[op.unimodular_spectrum[i].multiplicity for i in picked]
              for op, picked in zip(ops, used)]
+    ranks = [sum(m) for m in mults]
     need = 16 * math.prod(ranks)
     if need > entangle.MEMORY_CAP_BYTES:
         per = ", ".join(f"position {j}: {r}" for j, r in enumerate(ranks, start=1))
@@ -439,9 +437,8 @@ def _assemble_limit(system: EntangledSystem, norm, solutions) -> np.ndarray:
         )
 
     rights, lefts, groups = zip(*(
-        _boundary_basis(op.matrix, op.certificate,
-                        [clock.entry_value(norm[j][i][0]) for i in picked],
-                        [norm[j][i][1] for i in picked])
+        _boundary_basis(op, [clock.entry_value(norm[j][i][0]) for i in picked],
+                        [norm[j][i][1] for i in picked], mults[j])
         for j, (op, picked) in enumerate(zip(ops, used))
     ))
 

@@ -558,7 +558,9 @@ def test_main_counterexample_rows_time_their_own_stretch_of_one_sweep(
     assert len(set(times)) > 1
     # cumulative stamps would add up to about four sweeps
     assert sum(times) <= wall_ms
-    assert times[-1] > times[0]
+    # the long stretch against the warm one-term rows: the first row also
+    # pays for a cache-cold first step, which can outlast a whole stretch
+    assert times[-1] > min(times[1:-1])
     assert all(r["strategy"] == "" for r in _rows(out_path))
 
 

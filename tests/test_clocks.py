@@ -116,6 +116,14 @@ def test_wrong_clock_is_refused_by_name(entry, kind):
         WRONG_CLOCK[entry](op, sg, ds, cs)
 
 
+@pytest.mark.parametrize("kind", ["cert", "raw"])
+def test_value_at_time_t_is_refused_for_an_operator(kind):
+    op = _op() if kind == "cert" else from_matrix(_op().matrix)
+    with pytest.raises(ValidationError, match="needs a generator"):
+        op.value(1.0)
+    assert np.allclose(_sg().value(0.0), np.eye(3), atol=1e-15)
+
+
 def _two_block_system(continuous: bool):
     """alpha = [1, 2, 1, 2] with certified and raw members, several tuples per block."""
     if continuous:

@@ -3,10 +3,12 @@
 Only the matrix exponential and the Schur split of a raw operator need
 scipy.linalg, and each imports it when called.  Each case runs in a fresh
 interpreter with src/ on the path and reports the scipy modules it loaded:
-importing the package and the certified runs, continuous ones included, must
-load none, and a continuous run on a raw generator and a raw limit must still
-load scipy.linalg, which shows the import moved into the functions rather
-than went missing.
+importing the package, the certified runs, continuous ones included, and a
+limit of a well-conditioned raw operator (projected in its stored
+eigenbasis) must load none; a continuous run on a raw generator and a raw
+limit that needs the Schur split (a defective stable part) must still load
+scipy.linalg, which shows the import moved into the functions rather than
+went missing.
 """
 
 import json
@@ -29,8 +31,20 @@ assert limit_operator(make_system([1, 1], ops)).shape == (3, 3)
 _RAW_LIMIT = """
 import numpy as np
 from entlab import from_matrix, limit_operator, make_system
-op = from_matrix(np.diag([1.0, -1.0, 0.5]))
-assert limit_operator(make_system([1], [op])).shape == (3, 3)
+a = np.diag([1.0, -1.0, 0.5, 0.5])
+a[2, 3] = 1.0  # a Jordan block in the stable part: the eigenbasis is singular
+lim = limit_operator(make_system([1], [from_matrix(a)]))
+assert np.allclose(lim, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
+"""
+
+_RAW_LIMIT_D128 = """
+import numpy as np
+from entlab import from_matrix, limit_operator, make_system
+from entlab.linalg import haar_unitary
+q = haar_unitary(128, 3)
+lam = np.concatenate([[1.0, -1.0], 0.9 * np.exp(2j * np.pi * np.arange(126) / 126)])
+lim = limit_operator(make_system([1], [from_matrix((q * lam) @ q.conj().T)]))
+assert np.allclose(lim, np.outer(q[:, 0], q[:, 0].conj()), atol=1e-12)
 """
 
 _RAW_CONTINUOUS = """
@@ -81,6 +95,7 @@ def _scipy_modules(code, cwd):
     pytest.param(_cli("continuous"), id="cli-continuous"),
     pytest.param(_CERTIFIED_LIMIT, id="certified-limit"),
     pytest.param(_REFUSED_EXPM, id="refused-expm"),
+    pytest.param(_RAW_LIMIT_D128, id="raw-limit-d128"),
 ])
 def test_run_leaves_scipy_unloaded(code, tmp_path):
     assert _scipy_modules(code, tmp_path) == []

@@ -17,7 +17,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import entangle, linalg, spectral_limit
+from entlab import entangle, linalg, operators, spectral_limit
 from entlab.continuous import (
     CONTINUOUS,
     continuous_limit_operator,
@@ -38,6 +38,7 @@ from entlab.operators import (
     SpectralPoint,
     _boundary_projection,
     from_matrix,
+    jdl_split,
     mean_ergodic_projection,
     synth_operator,
 )
@@ -180,6 +181,16 @@ def test_non_finite_entries_refused(spectra, additive):
     # a NaN entry used to be accepted and to never resonate
     with pytest.raises(ValidationError, match="not finite"):
         resonant_tuples(spectra, [1, 1], additive=additive)
+
+
+def test_additive_mode_refuses_unit_circle_points_even_with_exact_angles():
+    # an angle is a turn of the circle: read as a frequency it used to give
+    # one tuple, (0, 0), where the multiplicative call finds two
+    points = synth_operator(["0", "1/2"], [0.5], OrthonormalBasis(seed=11)).unimodular_spectrum
+    assert all(p.angle is not None for p in points)
+    assert len(resonant_tuples([points, points], [1, 1])) == 2
+    with pytest.raises(ValidationError, match="additive mode needs real frequencies"):
+        resonant_tuples([points, points], [1, 1], additive=True)
 
 
 def test_spectra_count_must_match_alpha():
@@ -658,8 +669,8 @@ def _continuous_oracle(sys_):
     tuples = resonant_tuples(spectra, sys_.partition, additive=True)
 
     def project(j, tup):
-        return _boundary_projection(sgs[j].generator, sgs[j].certificate,
-                                    CONTINUOUS.entry_value(tup.entries[j]), tup.exact[j])
+        return _boundary_projection(sgs[j], CONTINUOUS.entry_value(tup.entries[j]), tup.exact[j],
+                                    sgs[j].frequency_points[tup.index[j]].multiplicity)
 
     return _chain_sum(tuples, sys_.connectors, project), tuples
 
@@ -720,6 +731,20 @@ def schur_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def basis_calls(monkeypatch):
+    """Boundary-basis factorizations of the limit: one Schur split or one solve each."""
+    calls = []
+    original = spectral_limit._boundary_basis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_limit, "_boundary_basis", counting)
+    return calls
+
+
 def test_limit_kernel_factors_each_position_once(schur_calls):
     sys_ = _many_tuples_system()
     lim, tuples = limit_operator_with_tuples(sys_)
@@ -730,7 +755,7 @@ def test_limit_kernel_factors_each_position_once(schur_calls):
 
 
 def test_limit_weight_beyond_memory_cap_refused_before_any_factorization(
-    schur_calls, monkeypatch
+    basis_calls, monkeypatch
 ):
     sys_ = _many_tuples_system()
     need = 16 * 6 ** 3  # six boundary eigen-indices per position
@@ -739,10 +764,10 @@ def test_limit_weight_beyond_memory_cap_refused_before_any_factorization(
         limit_operator(sys_)
     assert "position 1: 6, position 2: 6, position 3: 6" in str(info.value)
     assert f"{need:,} bytes" in str(info.value)
-    assert schur_calls == []
+    assert basis_calls == []
     monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", need)
     limit_operator(sys_)
-    assert len(schur_calls) == 3
+    assert len(basis_calls) == 3
 
 
 def test_continuous_limit_weight_counts_certified_frequencies(monkeypatch):
@@ -793,6 +818,109 @@ def test_limit_sums_block_by_block_without_the_tuple_product(monkeypatch):
     for limit, sys_, want in cases:
         got = limit(sys_)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# ------------------------------------------ route choice for raw operators
+
+
+def _similar(values, cond, seed, jordan=False):
+    """(S, S^{-1}, S J S^{-1}) with cond_2(S) = cond, S^{-1} exact up to rounding,
+    and J = diag(values), or with one Jordan block at values[-2] in place of
+    the last two entries."""
+    d = len(values)
+    sv = np.geomspace(1.0, cond, d)
+    u, w = linalg.haar_unitary(d, seed), linalg.haar_unitary(d, seed + 1)
+    s, s_inv = (u * sv) @ w, (w.conj().T / sv) @ u.conj().T
+    j = np.diag(np.asarray(values, dtype=np.complex128))
+    if jordan:
+        j[-1, -1], j[-2, -1] = j[-2, -2], 1.0
+    return s, s_inv, s @ j @ s_inv
+
+
+def _exact_limit(alpha, exact_values, bases, conns, additive):
+    """The limit summed tuple by tuple from projections S[:, i] S^{-1}[i, :]
+    over the eigen-indices i whose exact value the tuple picks (the boundary
+    values lead each S's columns)."""
+    tuples = resonant_tuples([list(dict.fromkeys(v)) for v in exact_values], alpha,
+                             additive=additive)
+
+    def project(j, tup):
+        s, s_inv = bases[j]
+        idx = [i for i, v in enumerate(exact_values[j]) if Fraction(v) == tup.exact[j]]
+        return s[:, idx] @ s_inv[idx, :]
+
+    return _chain_sum(tuples, conns, project)
+
+
+def _route_case(continuous, cond, jordan=False):
+    """A raw alpha = [1, 1] system over S_j J_j S_j^{-1} with cond_2(S_j) = cond,
+    its exact limit, and the pairs (S_j, S_j^{-1})."""
+    table = CONTINUOUS_VALUES if continuous else DISCRETE_VALUES
+    stable = STABLE[continuous] * 2
+    wrap = semigroup_from_generator if continuous else from_matrix
+    members, bases = [], []
+    for j, values in enumerate(table[:2]):
+        if continuous:
+            boundary = [CONTINUOUS.eigenvalue(Fraction(v)) for v in values]
+        else:
+            boundary = [cmath.exp(2j * math.pi * float(Fraction(v))) for v in values]
+        s, s_inv, a = _similar(boundary + stable, cond, 800 + 2 * j, jordan)
+        members.append(wrap(a))
+        bases.append((s, s_inv))
+    conns = [linalg.haar_unitary(8, seed=810)]
+    make = make_continuous_system if continuous else make_system
+    want = _exact_limit([1, 1], table[:2], bases, conns, continuous)
+    return make([1, 1], members, conns), want, bases
+
+
+@pytest.mark.parametrize("continuous", [False, True], ids=["discrete", "continuous"])
+def test_well_conditioned_raw_operator_projects_in_its_stored_eigenbasis(continuous,
+                                                                       monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a well-conditioned raw operator needs no Schur split")
+
+    monkeypatch.setattr(scipy.linalg, "schur", never)
+    sys_, want, bases = _route_case(continuous, 1e3)
+    for member in sys_.operators:
+        assert 1e2 < member._checked[2].condition_estimate <= operators.EIGENBASIS_COND_CAP
+    assert np.linalg.norm(want) > 0.1
+    got = (continuous_limit_operator if continuous else limit_operator)(sys_)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+    if not continuous:
+        op, (s, s_inv) = sys_.operators[0], bases[0]
+        for angle, idx in (("0", [0]), ("1/4", [1]), ("1/2", [2, 3])):
+            p = mean_ergodic_projection(op, angle)
+            exact = s[:, idx] @ s_inv[idx, :]
+            assert np.linalg.norm(p - exact) <= 1e-9 * np.linalg.norm(exact)
+        p_r = jdl_split(op).p_r
+        exact = s[:, :4] @ s_inv[:4, :]
+        assert np.linalg.norm(p_r - exact) <= 1e-9 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("continuous", [False, True], ids=["discrete", "continuous"])
+def test_defective_stable_raw_operator_falls_back_to_schur(continuous, schur_calls):
+    sys_, want, _ = _route_case(continuous, 10.0, jordan=True)
+    for member in sys_.operators:
+        assert member.spectral_verdict == (True, None)
+        assert member._checked[2].condition_estimate > operators.EIGENBASIS_COND_CAP
+    got = (continuous_limit_operator if continuous else limit_operator)(sys_)
+    assert len(schur_calls) == 2
+    assert np.linalg.norm(want) > 0.1
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_matrix_changed_in_place_never_reuses_the_stale_eigenbasis():
+    boundary = [cmath.exp(2j * math.pi * float(Fraction(v))) for v in DISCRETE_VALUES[0]]
+    values = boundary + STABLE[False] * 2
+    _, _, a = _similar(values, 10.0, 820)
+    s, s_inv, b = _similar(values, 10.0, 830)  # same spectrum, another eigenbasis
+    op = from_matrix(a)
+    stale = mean_ergodic_projection(op, "0")
+    op.matrix[...] = b
+    exact = s[:, [0]] @ s_inv[[0], :]
+    assert np.linalg.norm(stale - exact) > 0.1
+    for got in (mean_ergodic_projection(op, "0"), limit_operator(make_system([1], [op]))):
+        assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 # --------------------------------------------------------------- diagnostic
