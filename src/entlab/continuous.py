@@ -8,16 +8,17 @@ are refused here with ValidationError, as discrete time refuses generators.
 The discrete lattice mean is replaced by (1/t^k) times an iterated integral
 over [0, t]^k, approximated on a shared one-dimensional quadrature grid: all
 positions driven by the same block read the semigroup at the same node.
-With a certificate on every generator the rule is one scalar weight per
-block, (1/t) sum_i w_i e^{mu s_i}, in the eigen-index contraction of
-discrete time (entangle._spectral_mean), and no exponential of a matrix is
-taken.  Otherwise the grid route samples each generator: a midpoint grid is
-the orbit of e^{(h/2)B} under powers of e^{hB}, built by the doubling stack
-builder of discrete time; a Gauss-Legendre grid is one batched expm over its
-nodes.  The limit is limit_operator's, with the unit circle traded for the
-imaginary axis: eigenvalues 2*pi*i*phi with real frequency phi, and the
-block constraint "product equals one" traded for "frequencies sum to zero
-exactly" (resonance for every t, not only t in a lattice).
+The midpoint rule is discrete time: with h = t/Q it is e^{-hB_m/2} times
+the depth-Q Cesaro mean of the operators e^{hB_j} with connectors
+A_j e^{-hB_j/2} (_midpoint_average).  A Gauss-Legendre rule with a
+certificate on every generator is one scalar weight per block,
+(1/t) sum_i w_i e^{mu s_i}, in the contraction of discrete time
+(entangle._spectral_mean); otherwise one batched expm over its nodes
+samples each generator.  The limit is limit_operator's, with the unit
+circle traded for the imaginary axis: eigenvalues 2*pi*i*phi with real
+frequency phi, and the block constraint "product equals one" traded for
+"frequencies sum to zero exactly" (resonance for every t, not only t in a
+lattice).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .entangle import (
     Partition,
     _contract,
     _estimate_cost,
+    _evaluate_discrete,
     _per_matrix,
-    _power_stack,
     _refuse_beyond,
     _resonant_to_one,
     _spectral_bytes,
@@ -195,11 +196,15 @@ class QuadratureSpec:
         if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
             raise ValidationError(f"quadrature points must be an integer, got {q!r}")
 
-    def nodes(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def _size(self, t: float) -> int:
+        """Q, once Q >= 2 and the horizon t is positive and finite."""
         if self.points < 2:
             raise ValidationError("need at least 2 quadrature points")
         linalg._positive_finite(t, "horizon t")
-        q = int(self.points)
+        return int(self.points)
+
+    def nodes(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        q = self._size(t)
         if self.scheme == "midpoint":
             s = (np.arange(q) + 0.5) * (t / q)
             w = np.full(q, t / q)
@@ -302,7 +307,7 @@ def _quadrature_weight(certificates, s_nodes, weights) -> np.ndarray:
     for lo in range(0, len(s_nodes), step):
         chunk = np.multiply.outer(s_nodes[lo : lo + step], cells)
         g += weights[lo : lo + step] @ np.exp(chunk, out=chunk)
-    return _resonant_to_one(g.reshape(mu.shape), certificates, additive=True)
+    return _resonant_to_one(g.reshape(mu.shape), [c.angles for c in certificates], additive=True)
 
 
 def _quadrature_bytes(part: Partition, d: int) -> float:
@@ -317,18 +322,16 @@ def _quadrature_bytes(part: Partition, d: int) -> float:
     return _spectral_bytes(part, d) + 32 * (_CHUNK_CELLS + np.getbufsize())
 
 
-def _checked_nodes(system, t, quad: QuadratureSpec):
-    """The rule's nodes and weights on [0, t], once every generator passes the
-    exponential's norm cap at the largest node and before any weight is built."""
-    s_nodes, w_nodes = quad.nodes(t)
+def _check_horizon(system, last: float):
+    """Every generator within the exponential's norm cap at the last node, before any work."""
     for sg in system.semigroups:
-        linalg.check_expm_horizon(sg.generator, s_nodes[-1])
-    return s_nodes, w_nodes
+        linalg.check_expm_horizon(sg.generator, last)
 
 
 def _spectral_grid_average(system, t, quad: QuadratureSpec, x):
     """The quadrature rule as one block weight in the certificates' eigenbases."""
-    s_nodes, w_nodes = _checked_nodes(system, t, quad)
+    s_nodes, w_nodes = quad.nodes(t)
+    _check_horizon(system, s_nodes[-1])
     certificates = [sg.certificate for sg in system.semigroups]
     return _spectral_mean(
         [cert.basis for cert in certificates], [cert.basis_inv for cert in certificates],
@@ -339,24 +342,11 @@ def _spectral_grid_average(system, t, quad: QuadratureSpec, x):
 
 
 def _single_grid_average(system, t, quad: QuadratureSpec, x):
-    """The contraction plan on one grid: every block reads the same nodes.
-
-    Midpoint nodes are s_i = (i + 1/2) h, so the stack T(s_i) is the orbit
-    (e^{hB})^i e^{(h/2)B}: two exponentials and Q products.  Gauss-Legendre
-    nodes are not equispaced and take one batched expm over the nodes.
-    """
-    s_nodes, w_nodes = _checked_nodes(system, t, quad)
-    q = len(s_nodes)
-    midpoint = quad.scheme == "midpoint"
-    h = t / q
-
-    def grid(b: np.ndarray) -> np.ndarray:
-        if midpoint:
-            half, step = linalg.expm(b, np.array([h / 2, h]))
-            return _power_stack(step, q, start=half)
-        return linalg.expm(b, s_nodes)
-
-    stack = _per_matrix([sg.generator for sg in system.semigroups], grid)
+    """The contraction plan on a Gauss-Legendre grid: every block reads the
+    same nodes, and each generator is sampled by one batched expm over them."""
+    s_nodes, w_nodes = quad.nodes(t)
+    _check_horizon(system, s_nodes[-1])
+    stack = _per_matrix([g.generator for g in system.semigroups], lambda b: linalg.expm(b, s_nodes))
 
     def single(j: int) -> np.ndarray:
         return np.tensordot(w_nodes, stack(j), axes=1) / t
@@ -365,30 +355,52 @@ def _single_grid_average(system, t, quad: QuadratureSpec, x):
     return _contract(plan_chain(part), part, list(system.connectors), stack, single, w_nodes / t, x)
 
 
+def _step_pair(sg, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{hB}, e^{-hB/2}) of a generator: from its certificate, else one batched expm."""
+    c, steps = sg.certificate, (h, -h / 2)
+    return tuple(linalg.expm(sg.generator, np.array(steps)) if c is None
+                 else [(c.basis * np.exp(c.eigenvalues * s)) @ c.basis_inv for s in steps])
+
+
+def _midpoint_average(system, t, quad: QuadratureSpec, x, budget, strategy):
+    """The midpoint rule as discrete time: with h = t/Q, T(s_i) = D P^{i+1} at
+    s_i = (i + 1/2) h for P = e^{hB} and D = e^{-hB/2}, so the rule is D_m
+    times the depth-Q mean of the operators P_j with connectors A_j D_j,
+    refused or run by entangle._evaluate_discrete with the exact step h for
+    the spectral weight.  The norm cap is checked at t - h/2, not on nodes."""
+    q = quad._size(t)
+    h = Fraction(t) / q
+    _check_horizon(system, t - t / (2 * q))
+    steps = _per_matrix(system.semigroups, lambda sg: _step_pair(sg, float(h)))
+    mats, halves = zip(*(steps(j) for j in range(system.partition.m)))
+    conns = [a @ half for a, half in zip(system.connectors, halves)]
+    return halves[-1] @ _evaluate_discrete(list(mats), conns, system.partition, q, strategy, x,
+                                           budget, [sg.certificate for sg in system.semigroups], h)
+
+
 def _grid_route(system, quad: QuadratureSpec, budget, strategy: str):
     """The route for this grid, refused before any node or weight is computed.
 
-    spectral runs when every generator carries a certificate and its grids
-    fit under the memory cap; otherwise it falls back to presum.  Documented
-    cost model, in units of one d x d product:
+    A midpoint grid is discrete time (_midpoint_average), refused in its run
+    by the discrete cost model at depth Q.  A Gauss-Legendre grid takes
+    spectral when every generator carries a certificate and its grids fit
+    under the memory cap, else presum.  Cost, in d x d products:
 
     spectral : Q sum_blocks d^r / d^3 for the node sums over each block's
                d^r eigen-index grid, plus the discrete spectral contraction
-    presum   : per distinct generator, on the midpoint grid two exponentials
-               of ~20 products each plus Q products for the orbit of e^{hB};
-               on the Gauss-Legendre grid ~20 products per node.  Added to
-               that is the contraction plan's cost with one product per node
-               for each singleton block; memory is the semigroup stacks plus
-               two working buffers.
+    presum   : ~20 products per node and distinct generator for the batched
+               expm, plus the plan's cost with one product per node for each
+               singleton block; memory is the stacks plus two working buffers.
 
-    Either way a Gauss-Legendre rule takes about Q^2/2 recurrence steps per
-    Newton pass to find its nodes (_gauss_legendre), so grids of more than
-    GAUSS_LEGENDRE_MAX_POINTS nodes are refused.
+    Its nodes take about Q^2/2 recurrence steps per Newton pass, so grids of
+    more than GAUSS_LEGENDRE_MAX_POINTS nodes are refused.
     """
     if strategy == "naive":
         raise ValidationError("continuous time has no naive route; use spectral or presum")
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}, expected spectral|presum")
+    if quad.scheme == "midpoint":
+        return lambda system, t, quad, x: _midpoint_average(system, t, quad, x, budget, strategy)
     part, d, q = system.partition, system.dim, quad.points
     remedy = "raise the budget or lower Q"
     if (strategy == "spectral" and all(sg.certificate is not None for sg in system.semigroups)
@@ -402,9 +414,8 @@ def _grid_route(system, quad: QuadratureSpec, budget, strategy: str):
     else:
         plan = plan_chain(part)
         generators = [sg.generator for sg in system.semigroups]
-        per_generator = 2 * 20.0 + q if quad.scheme == "midpoint" else 20.0 * q
         _refuse_beyond(
-            len({id(g) for g in generators}) * per_generator + plan.cost(q, q), budget,
+            len({id(g) for g in generators}) * 20.0 * q + plan.cost(q, q), budget,
             _stack_bytes(generators, range(part.m), q),
             f"Q={q}, lattice axes={len(plan.crossing)}", remedy,
         )
@@ -429,41 +440,37 @@ def continuous_entangled_average(
     """(1/t^k) times the iterated integral of the semigroup chain over [0,t]^k.
 
     All positions sharing a block read their semigroup at the same node of
-    one shared 1-D grid.  strategy names the route, as in discrete time:
+    one shared 1-D grid.  The midpoint rule is discrete time
+    (_midpoint_average): with h = t/Q it is e^{-hB_m/2} times the depth-Q
+    mean of the operators e^{hB_j} with connectors A_j e^{-hB_j/2}, under
+    entangled_average's strategies, cost model and guards.  On the spectral
+    route a cell whose exact frequencies alias (sum phi h an integer,
+    sum phi = 0 among them) gets g_Q = 1, and the half steps give it its
+    true value (-1)^{sum phi h}.  On a Gauss-Legendre grid, ``spectral``
+    (default) turns the rule into one scalar weight per block when every
+    generator carries a certificate, g(mu) = (1/t) sum_i w_i e^{mu s_i} with
+    mu the sum of the block's eigenvalues, contracted like the discrete mean
+    (entangle._spectral_mean): no matrix exponential and no Q^k lattice
+    walk, and exactly 1 where the exact frequencies cancel.  Uncertified
+    generators, or grids over the memory cap, fall back to ``presum``: one
+    batched expm per distinct generator, grid sums by entangle.plan_chain.
 
-    * ``spectral`` (default): when every generator carries a certificate,
-      T(s) = S diag(e^{lam s}) S^{-1} turns the rule into one scalar weight
-      per block, g(mu) = (1/t) sum_i w_i e^{mu s_i} with mu the sum of the
-      block's generator eigenvalues, contracted over eigen-indices like the
-      discrete mean (entangle._spectral_mean).  No matrix exponential, no
-      stack and no Q^k lattice walk.  Cells whose exact frequencies cancel
-      get exactly 1.  Uncertified generators, or grids over the memory cap,
-      fall back to presum.
-    * ``presum``: the grid route.  Each distinct generator is exponentiated
-      once per grid: on the midpoint grid at h/2 and h only, the nodes
-      following as powers of e^{hB}; on the Gauss-Legendre grid at every
-      node in one batched call.  The grid sums follow the contraction plan
-      (entangle.plan_chain), so only crossing blocks walk the Q^k lattice.
-
-    Both routes evaluate the same rule; ``naive`` is refused with
-    ValidationError.  Costs are estimated and refused before any work (see
-    _grid_route), as is a largest node past the exponential's norm cap.
-    With richardson=True the average is recomputed on a doubled grid and the
-    difference reported as the error estimate for the returned (requested-Q)
-    value; the doubled run roughly triples the cost.
+    ``naive`` is refused with ValidationError.  Q, t, costs (_grid_route) and
+    a last node past the exponential's norm cap are refused before any work;
+    with richardson=True the doubled grid, whose difference from the
+    requested one is the error estimate (at about 3x the cost), runs first.
 
     Sampling well below the fastest frequency aliases the oscillation; keep
     Q at 20 or more points per period (see suggest_points).
     """
     _require_bounded(_on_clock(system.operators, CONTINUOUS))
     x = _state(x, system.dim)
+    quad._size(t)  # Q and t are refused before the doubled grid runs
     fine = QuadratureSpec(quad.scheme, 2 * quad.points)
     route = _grid_route(system, fine if richardson else quad, budget, strategy)
-    value = route(system, float(t), quad, x)
-    est = None
-    if richardson:
-        value2 = route(system, float(t), fine, x)
-        est = float(np.linalg.norm(value - value2))
+    grids = [fine, quad] if richardson else [quad]  # the doubled grid's refusals come first
+    *finer, value = [route(system, float(t), grid, x) for grid in grids]
+    est = float(np.linalg.norm(value - finer[0])) if richardson else None
     return ContinuousAverage(value if x is None else value[:, 0], est, quad.points)
 
 

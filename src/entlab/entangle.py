@@ -18,11 +18,11 @@ Three evaluation strategies:
   C_j = S_{j+1}^{-1} A_j S_j.  W factorizes over the blocks of alpha; a
   block contributes g_n(z) = (1/n) sum_{k=1..n} z^k, z the product of its
   eigenvalues, so the cost does not depend on n.  ``_spectral_mean`` is
-  the one contraction: the continuous mean passes the quadrature rule's
-  node sum as the block weight, and both limits the 0/1 resonance indicator
-  over boundary eigen-indices.  Without a certificate on every position, or
-  when the dense weight would exceed the memory cap, it falls back to
-  ``presum``.
+  the one contraction: the midpoint rule is this mean of the steps e^{hB},
+  Gauss-Legendre passes its node sum as the block weight, and both limits
+  the 0/1 resonance indicator over boundary eigen-indices.  Without a
+  certificate on every position, or when the dense weight would exceed the
+  memory cap, it falls back to ``presum``.
 * ``naive``   recomputes every operator power per lattice tuple (binary
   powering, nothing cached).  Slow on purpose; it is the reference route.
 * ``presum``  the contraction planner.  A block whose positions are
@@ -193,24 +193,17 @@ class _Kahan:
         self.s = t
 
 
-def _power_stack(t: np.ndarray, n: int, start=None) -> np.ndarray:
-    """Orbit [X, T X, ..., T^(n-1) X] built by doubling: out[k:2k] = T^k @ out[:k].
-
-    X defaults to T, giving the powers [T, T^2, ..., T^n], where T^k is read
-    back as out[k-1]; for any other start T^k is kept by squaring, log2(n)
-    products more.  The continuous midpoint grid passes X = e^{(h/2)B} and
-    T = e^{hB}.
-    """
+def _power_stack(t: np.ndarray, n: int) -> np.ndarray:
+    """Powers [T, T^2, ..., T^n] by doubling: out[k:2k] = T^k @ out[:k], with T^k
+    read back as out[k-1].  A midpoint grid stacks its step e^{hB} here too."""
     p = np.asarray(t, dtype=np.complex128)
     out = np.empty((n,) + p.shape, dtype=np.complex128)
-    out[0] = p if start is None else start
+    out[0] = p
     k = 1
     while k < n:
         step = min(k, n - k)
-        np.matmul(p, out[:step], out=out[k : k + step])
+        np.matmul(out[k - 1], out[:step], out=out[k : k + step])
         k += step
-        if k < n:
-            p = out[k - 1] if start is None else p @ p
     return out
 
 
@@ -441,17 +434,18 @@ def _exact_sums(axes, common: int, additive: bool = False) -> np.ndarray:
     axes hold Fractions (or ints) whose denominators divide common.  In
     discrete time the sums are reduced mod common, so a cell is 0 exactly when
     its angles sum to 0 mod 1; in additive mode (frequencies) exactly when
-    they sum to 0.  The grid is int64 when every sum fits, else Python ints.
+    they sum to 0.  The grid is int64 when common and every sum fit, else ints.
     """
     cols = [[a.numerator * (common // a.denominator) for a in axis] for axis in axes]
-    dtype = np.int64 if sum(max(map(abs, col), default=0) for col in cols) < 2**63 else object
+    fits = max(common, sum(max(map(abs, col), default=0) for col in cols)) < 2**63
+    dtype = np.int64 if fits else object
     total = np.zeros((), dtype=dtype)
     for col in cols:
         total = np.add.outer(total, np.array(col, dtype=dtype))
     return total if additive else total % common
 
 
-def _cesaro_weight(certificates, n: int) -> np.ndarray:
+def _cesaro_weight(certificates, n: int, h=None) -> np.ndarray:
     """g_n(z) = (1/n) sum_{k=1..n} z^k over one block's eigen-index grid.
 
     Axis i of the grid runs over the eigenvalues of certificates[i] and z is
@@ -465,22 +459,36 @@ def _cesaro_weight(certificates, n: int) -> np.ndarray:
     z expm1(n log z) / (n expm1(log z)).  Each branch is computed in place on
     its own masked copies, so at most about four complex grids are alive at
     once (see _spectral_bytes).
+
+    With an exact step h the certificates are generators', read as e^{hB}:
+    angles phi h mod 1 (aliased frequencies are resonant), and log z the sum
+    of the exponents lam h on the principal branch, not the log of a rounded
+    e^{lam h}, which would lose |lam h| digits as h goes to 0.
     """
-    z = np.ones((), dtype=np.complex128)
+    z = np.ones((), dtype=np.complex128) if h is None else np.zeros((), dtype=np.complex128)
     z_n = np.ones((), dtype=np.complex128)
     inv_n = 1 / n  # float for any int n
     # exponent for stable eigenvalues: beyond 2^64 each |lam|^n, |lam| <= 1 - 2^-53,
     # has underflowed to 0 already
     n_cap = float(min(n, 2**64))
-    for cert in certificates:
-        r = len(cert.angles)
-        powers = np.empty_like(cert.eigenvalues)
-        powers[:r] = [cmath.exp(2j * math.pi * float(n * a % 1)) for a in cert.angles]
-        powers[r:] = cert.eigenvalues[r:] ** n_cap
-        z = np.multiply.outer(z, cert.eigenvalues)
+    angle_lists = [c.angles if h is None else [a * h % 1 for a in c.angles] for c in certificates]
+    for cert, angles in zip(certificates, angle_lists):
+        values, r = cert.eigenvalues, len(angles)
+        if h is not None:  # values are the exponents, the boundary ones from exact angles
+            values = np.concatenate([2j * math.pi * np.array(angles, float), values[r:] * float(h)])
+        powers = np.empty_like(values)
+        powers[:r] = [cmath.exp(2j * math.pi * float(n * a % 1)) for a in angles]
+        powers[r:] = values[r:] ** n_cap if h is None else np.exp(values[r:] * n_cap)
+        z = np.multiply.outer(z, values) if h is None else np.add.outer(z, values)
         z_n = np.multiply.outer(z_n, powers)
 
-    near = np.abs(1.0 - z) < 0.5
+    if h is None:
+        near = np.abs(1.0 - z) < 0.5
+    else:  # z holds log z: take the principal branch, keep it where near, then exponentiate
+        z.imag -= 2 * math.pi * np.round(z.imag / (2 * math.pi))
+        near = np.abs(np.expm1(z)) < 0.5
+        log_near = z[near]
+        np.exp(z, out=z)
     far = ~near
     g = np.empty(z.shape, dtype=np.complex128)
     # far: z (1 - z^n) / (1 - z) / n; z^n is needed nowhere else
@@ -497,7 +505,7 @@ def _cesaro_weight(certificates, n: int) -> np.ndarray:
     # near: z expm1(n log z) / (n expm1(log z)), with g = 1 at z == 1.0
     zn = z[near]
     del z
-    log_z = np.log(zn)
+    log_z = np.log(zn) if h is None else log_near
     # |z| <= 1 for certified operators; a product of unit values can round past it
     np.minimum(log_z.real, 0.0, out=log_z.real)
     num = np.multiply(n_cap, log_z)
@@ -507,18 +515,18 @@ def _cesaro_weight(certificates, n: int) -> np.ndarray:
     den = np.expm1(log_z, out=log_z)
     zn.fill(1.0)
     g[near] = np.divide(num, den, out=zn, where=den != 0)
-    return _resonant_to_one(g, certificates)
+    return _resonant_to_one(g, angle_lists)
 
 
-def _resonant_to_one(g, certificates, additive: bool = False) -> np.ndarray:
+def _resonant_to_one(g, angle_lists, additive: bool = False) -> np.ndarray:
     """g with exactly 1 on the block grid's resonant cells.
 
-    A cell is resonant when its eigen-indices all fall in the certificates'
-    boundary prefixes and their exact values sum to 0 (mod 1 for angles,
-    exactly in additive mode for frequencies).  Its float eigenvalues only
-    resonate to O(eps), which a long horizon would turn into a phase.
+    A cell is resonant when its eigen-indices all fall in the boundary
+    prefixes, whose exact values angle_lists[i] holds for axis i, and these
+    sum to 0 (mod 1 for angles, exactly in additive mode for frequencies).
+    Its float eigenvalues only resonate to O(eps), which a long horizon
+    would turn into a phase.
     """
-    angle_lists = [cert.angles for cert in certificates]
     if all(angle_lists):
         common = math.lcm(*(a.denominator for angles in angle_lists for a in angles))
         prefix = g[tuple(slice(len(angles)) for angles in angle_lists)]
@@ -567,7 +575,7 @@ def _spectral_bytes(part: Partition, d: int) -> float:
 
 
 def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget,
-                       certificates=()):
+                       certificates=(), h=None):
     m = part.m
     d = mats[0].shape[0]
 
@@ -581,7 +589,7 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
             return _spectral_mean(
                 [cert.basis for cert in certificates], [cert.basis_inv for cert in certificates],
                 connectors, part,
-                lambda block: _cesaro_weight([certificates[j] for j in block], n), x,
+                lambda block: _cesaro_weight([certificates[j] for j in block], n, h), x,
             )
         strategy = "presum"
 

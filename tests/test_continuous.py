@@ -402,7 +402,9 @@ def test_budget_refusal_for_oversized_grid():
     sg2 = synth_semigroup(["-1/2"], [], OrthonormalBasis(seed=27))
     sys_ = make_continuous_system([1, 1], [sg1, sg2])
     with pytest.raises(BudgetExceededError):
-        continuous_entangled_average(sys_, 1.0, QuadratureSpec("midpoint", 10 ** 6), budget=1e6)
+        continuous_entangled_average(
+            sys_, 1.0, QuadratureSpec("midpoint", 10 ** 6), budget=1e6, strategy="presum"
+        )
 
 
 def test_gauss_legendre_node_matrix_refused_before_allocation(monkeypatch):
@@ -456,26 +458,38 @@ def _orbit_generators():
     }
 
 
+def _node_sum(system, t, q):
+    """The midpoint rule summed directly: (1/t) sum over the lattice of the
+    weighted chains T_m(s_i) A_(m-1) ... T_1(s_j), with T(s) from expm at
+    the nodes."""
+    s_nodes, w_nodes = QuadratureSpec("midpoint", q).nodes(t)
+    factors = [("stack", a, linalg.expm(sg.generator, s_nodes))
+               for a, sg in zip(system.partition.alpha, system.semigroups)]
+    return entangle.lattice_chain_mean(factors, list(system.connectors), q, w_nodes / t)
+
+
 @pytest.mark.parametrize("q", [2, 3, 7, 1000])
 @pytest.mark.parametrize("kind", ["orthonormal", "similarity", "jordan"])
-def test_midpoint_orbit_stack_matches_expm_at_the_nodes(monkeypatch, kind, q):
+def test_midpoint_average_matches_the_node_sum_of_expm(monkeypatch, kind, q):
     built = []
 
     def recording(*args, **kwargs):
-        built.append(entangle._power_stack(*args, **kwargs))
+        built.append(original(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(continuous, "_power_stack", recording)
+    original = entangle._power_stack
+    monkeypatch.setattr(entangle, "_power_stack", recording)
     sg = _orbit_generators()[kind]
     t = 10.0
-    quad = QuadratureSpec("midpoint", q)
-    continuous_entangled_average(
-        make_continuous_system([1, 1], [sg, sg]), t, quad, richardson=False, strategy="presum"
-    )
-    assert len(built) == 1  # one stack per distinct generator
-    s_nodes, _ = quad.nodes(t)
-    ref = linalg.expm(sg.generator, s_nodes)
-    assert float(np.max(np.linalg.norm(built[0] - ref, axis=(1, 2)))) <= 1e-10
+    sys_ = make_continuous_system([1, 1], [sg, sg])
+    ref = _node_sum(sys_, t, q)
+    for strategy in ("spectral", "presum"):
+        built.clear()
+        got = continuous_entangled_average(
+            sys_, t, QuadratureSpec("midpoint", q), richardson=False, strategy=strategy
+        )
+        assert np.linalg.norm(got.value - ref) <= 1e-10 * np.linalg.norm(ref), strategy
+    assert len(built) == 1  # presum stacks e^{hB} once for the generator read at both positions
 
 
 def test_midpoint_grid_exponentiates_two_matrices_per_generator(monkeypatch):
@@ -503,7 +517,8 @@ def test_midpoint_horizon_is_checked_before_any_stack(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("stack built before the horizon check")
 
-    monkeypatch.setattr(continuous, "_power_stack", never)
+    monkeypatch.setattr(entangle, "_power_stack", never)
+    monkeypatch.setattr(continuous, "_evaluate_discrete", never)
     monkeypatch.setattr(scipy.linalg, "expm", never)
     sg = synth_semigroup(["1/2"], [-1.0], OrthonormalBasis(seed=28))
     sys_ = make_continuous_system([1], [sg])
@@ -515,21 +530,35 @@ def test_midpoint_horizon_is_checked_before_any_stack(monkeypatch):
         )
 
 
-def test_midpoint_cost_counts_two_exponentials_and_q_products_per_generator():
+def test_midpoint_cost_is_the_discrete_presum_cost_at_the_fine_q():
     sg1 = synth_semigroup(["1/2"], [], OrthonormalBasis(seed=26))
     sg2 = synth_semigroup(["-1/2"], [], OrthonormalBasis(seed=27))
-    # Richardson's fine grid Q=2e6: 2 generators x (2 x 20 + Q) + 3 Q for the
-    # collapsed [1, 1] block
-    with pytest.raises(BudgetExceededError, match="estimated cost 1.000e\\+07"):
+    # Richardson's fine grid Q=2e6 is refused as discrete depth n=2e6: 3 n
+    # products for the collapsed [1, 1] block, whether or not the two
+    # positions read one generator; the exponentials e^{hB} are not counted
+    assert entangle._estimate_cost("presum", 2 * 10**6, entangle.make_partition([1, 1])) == 6e6
+    for pair in ([sg1, sg2], [sg1, sg1]):
+        with pytest.raises(BudgetExceededError,
+                           match="estimated cost 6.000e\\+06 .*strategy=presum, n=2000000"):
+            continuous_entangled_average(
+                make_continuous_system([1, 1], pair), 1.0,
+                QuadratureSpec("midpoint", 10**6), budget=1e6, strategy="presum",
+            )
+
+
+def test_midpoint_fine_grid_is_refused_before_the_coarse_grid_runs(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("stack or power sum built before the refusal")
+
+    monkeypatch.setattr(entangle, "_power_stack", never)
+    monkeypatch.setattr(entangle, "_power_sum", never)
+    sg1 = synth_semigroup(["1/2"], [], OrthonormalBasis(seed=26))
+    sg2 = synth_semigroup(["-1/2"], [], OrthonormalBasis(seed=27))
+    # Q=1e6 alone costs 3e6 and would pass; Richardson's Q=2e6 costs 6e6
+    with pytest.raises(BudgetExceededError, match="n=2000000"):
         continuous_entangled_average(
             make_continuous_system([1, 1], [sg1, sg2]), 1.0,
-            QuadratureSpec("midpoint", 10**6), budget=1e6, strategy="presum",
-        )
-    # one generator read at both positions is exponentiated once
-    with pytest.raises(BudgetExceededError, match="estimated cost 8.000e\\+06"):
-        continuous_entangled_average(
-            make_continuous_system([1, 1], [sg1, sg1]), 1.0,
-            QuadratureSpec("midpoint", 10**6), budget=1e6, strategy="presum",
+            QuadratureSpec("midpoint", 10**6), budget=5e6, strategy="presum",
         )
 
 
@@ -566,8 +595,8 @@ def test_spectral_route_falls_back_to_the_grid_route_bit_for_bit(monkeypatch, ca
     sg = _orbit_generators()["jordan" if cause == "raw generator" else "orthonormal"]
     sys_ = make_continuous_system([1, 2, 1], [sg, sg, sg])
     if cause == "memory cap":
-        limit = continuous._quadrature_bytes(sys_.partition, sys_.dim) - 1
-        monkeypatch.setattr(continuous, "MEMORY_CAP_BYTES", limit)
+        limit = entangle._spectral_bytes(sys_.partition, sys_.dim) - 1
+        monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", limit)
     quad = QuadratureSpec("midpoint", 30)
     presum = continuous_entangled_average(sys_, 4.0, quad, strategy="presum")
 
@@ -575,6 +604,7 @@ def test_spectral_route_falls_back_to_the_grid_route_bit_for_bit(monkeypatch, ca
         raise AssertionError("the spectral route ran")
 
     monkeypatch.setattr(continuous, "_spectral_grid_average", never)
+    monkeypatch.setattr(entangle, "_spectral_mean", never)
     got = continuous_entangled_average(sys_, 4.0, quad)
     assert np.array_equal(got.value, presum.value)
     assert got.error_estimate == presum.error_estimate
@@ -597,7 +627,8 @@ def test_resonant_cell_weight_is_exactly_one():
 @pytest.mark.parametrize("call, error, match", [
     (lambda s: continuous_entangled_average(s, 1.0e9, QuadratureSpec("midpoint", 8)),
      OverflowError, "exceeds cap"),
-    (lambda s: continuous_entangled_average(s, 1.0, QuadratureSpec("midpoint", 10**5), budget=1e3),
+    (lambda s: continuous_entangled_average(s, 1.0, QuadratureSpec("gauss-legendre", 4000),
+                                            budget=1e3),
      BudgetExceededError, "strategy=spectral"),
     (lambda s: continuous_entangled_average(s, 1.0, QuadratureSpec("gauss-legendre", 12000)),
      BudgetExceededError, "Gauss-Legendre"),
@@ -607,6 +638,7 @@ def test_spectral_route_refuses_before_any_weight(monkeypatch, call, error, matc
         raise AssertionError("weight built before the refusal")
 
     monkeypatch.setattr(continuous, "_quadrature_weight", never)
+    monkeypatch.setattr(entangle, "_cesaro_weight", never)
     with pytest.raises(error, match=match):
         call(_route_system([1, 2, 1], "orthonormal"))
 
@@ -614,12 +646,13 @@ def test_spectral_route_refuses_before_any_weight(monkeypatch, call, error, matc
 def test_spectral_cost_counts_q_node_sums_per_grid_cell():
     sg1 = synth_semigroup(["1/2"], [-1.0], OrthonormalBasis(seed=26))
     sg2 = synth_semigroup(["-1/2"], [-1.0], OrthonormalBasis(seed=27))
-    # Richardson's fine grid Q=2e6 over the [1, 1] block's 2^2 cells, per d^3
-    # products: 2e6 x 4 / 8, plus 3 + 2^-1 x 3 for the contraction
-    with pytest.raises(BudgetExceededError, match="estimated cost 1.000e\\+06 .*Q=2000000"):
+    # Richardson's fine Gauss-Legendre grid Q=10^4 over the [1, 1] block's
+    # 2^2 cells, per d^3 products: 10^4 x 4 / 8, plus 3 + 2^-1 x 3 for the
+    # contraction
+    with pytest.raises(BudgetExceededError, match="estimated cost 5.004e\\+03 .*Q=10000"):
         continuous_entangled_average(
             make_continuous_system([1, 1], [sg1, sg2]), 1.0,
-            QuadratureSpec("midpoint", 10**6), budget=1e5,
+            QuadratureSpec("gauss-legendre", 5000), budget=1e3,
         )
 
 
@@ -636,7 +669,7 @@ def test_spectral_peak_memory_stays_under_the_counted_bytes(alpha, q):
     sgs = [synth_semigroup(["0", "1/2"], [-0.5] * (d - 2), OrthonormalBasis(340 + j))
            for j in range(len(alpha))]
     sys_ = make_continuous_system(alpha, sgs)
-    quad = QuadratureSpec("midpoint", q)
+    quad = QuadratureSpec("gauss-legendre", q)
     continuous_entangled_average(sys_, 2.0, quad)  # numpy's one-time allocations happen here
     tracemalloc.start()
     try:
@@ -645,6 +678,110 @@ def test_spectral_peak_memory_stays_under_the_counted_bytes(alpha, q):
     finally:
         tracemalloc.stop()
     assert 16 * d ** len(alpha) < peak <= continuous._quadrature_bytes(sys_.partition, d)
+
+
+# ------------------------------------------------------ midpoint as discrete time
+
+
+def _gate8_system():
+    """Acceptance gate 8's two certified generators on the block [1, 1]."""
+    sg1 = synth_semigroup(["1/2", "0"], [-0.3 + 0.9j], OrthonormalBasis(301))
+    sg2 = synth_semigroup(["1/2", "0"], [-0.2 - 0.5j], OrthonormalBasis(302))
+    return make_continuous_system([1, 1], [sg1, sg2], [linalg.haar_unitary(3, seed=303)])
+
+
+def _midpoint_reference(system, t, q):
+    """The midpoint rule on a [1, 1] system in the eigenbases, from the exponents.
+
+    A cell with exponent x = (mu + lam) h weighs
+    (1/Q) sum_i e^{x (i + 1/2)} = e^{x/2} expm1(Q x) / (Q expm1(x)), and 1 at
+    x = 0, with x formed in floats and never exponentiated before expm1.
+    """
+    c1, c2 = (sg.certificate for sg in system.semigroups)
+    w = np.array([[1.0 if x == 0 else np.exp(x / 2) * np.expm1(q * x) / (q * np.expm1(x))
+                   for x in row] for row in np.add.outer(c2.eigenvalues, c1.eigenvalues) * (t / q)])
+    core = c2.basis_inv @ system.connectors[0] @ c1.basis
+    return c2.basis @ (core * w) @ c1.basis_inv
+
+
+@pytest.mark.parametrize("strategy", ["spectral", "presum"])
+@pytest.mark.parametrize("freqs", [("1/2", "1/2"), ("1/11", "10/11")])
+def test_aliased_midpoint_cell_is_resonant_and_keeps_its_sign(freqs, strategy):
+    # t = Q = 16: h = 1 and the two frequencies alias, sum phi h = 1; every
+    # node then reads e^{2 pi i (i + 1/2)} = -1 on that cell.  For 1/11 and
+    # 10/11 the float exponents sum to 2 pi i + 9e-16 i, not to 2 pi i
+    sgs = [synth_semigroup([f], [-0.5], OrthonormalBasis(350 + j)) for j, f in enumerate(freqs)]
+    sys_ = make_continuous_system([1, 1], sgs, [linalg.haar_unitary(2, seed=352)])
+    weight = entangle._cesaro_weight([sg.certificate for sg in sgs], 16, Fraction(1))
+    assert weight[0, 0] == 1.0
+    ref = _node_sum(sys_, 16.0, 16)
+    got = continuous_entangled_average(
+        sys_, 16.0, QuadratureSpec("midpoint", 16), richardson=False, strategy=strategy
+    )
+    assert np.linalg.norm(got.value - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("q", [10, 10**3, 10**5, 10**6])
+def test_midpoint_spectral_route_keeps_its_digits_as_h_goes_to_zero(q):
+    # h = 0.1 ... 1e-6: log z is taken from the exponents mu h, not from a
+    # rounded e^{mu h}, whose log would lose |mu h| digits
+    sys_ = _gate8_system()
+    ref = _midpoint_reference(sys_, 1.0, q)
+    got = continuous_entangled_average(sys_, 1.0, QuadratureSpec("midpoint", q), richardson=False)
+    assert np.linalg.norm(got.value - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("t", [0.1, 1 / 3])
+@pytest.mark.parametrize("alpha, q", [([1, 1], 1000), ([1, 1, 1], 12)])
+def test_midpoint_at_a_non_dyadic_horizon(alpha, q, t):
+    # Fraction(t) has denominator 2^55 or 2^54, so the step angles phi t / Q
+    # mod 1 have denominators near 2^55 Q, past int64 once summed over a block
+    sgs = [synth_semigroup(["1/2", "-1/3", "0"], [-0.4 + 0.3j], OrthonormalBasis(360 + j))
+           for j in range(len(alpha))]
+    conns = [linalg.haar_unitary(4, seed=370 + j) for j in range(len(alpha) - 1)]
+    sys_ = make_continuous_system(alpha, sgs, conns)
+    assert Fraction(t).denominator >= 2**54
+    ref = _node_sum(sys_, t, q)
+    for strategy in ("spectral", "presum"):
+        got = continuous_entangled_average(
+            sys_, t, QuadratureSpec("midpoint", q), richardson=False, strategy=strategy
+        )
+        assert np.linalg.norm(got.value - ref) <= 1e-12 * np.linalg.norm(ref), strategy
+
+
+def test_midpoint_at_a_billion_nodes_builds_nothing_of_length_q():
+    # certified: the default budget admits it (the cost does not depend on Q),
+    # and neither the horizon check nor the weight allocates per node
+    sys_ = _gate8_system()
+    continuous_entangled_average(sys_, 100.0, QuadratureSpec("midpoint", 1000))
+    tracemalloc.start()
+    try:
+        got = continuous_entangled_average(sys_, 100.0, QuadratureSpec("midpoint", 10**9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    ref = _midpoint_reference(sys_, 100.0, 10**9)
+    assert np.linalg.norm(got.value - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert got.error_estimate <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [[1, 1, 1], [1, 1, 1, 1]])
+def test_midpoint_peak_memory_stays_under_the_discrete_count(alpha):
+    # the step weight keeps log z on the near cells instead of z: no grid more
+    d = 12
+    sgs = [synth_semigroup(["0", "1/2"], [-0.5 + 0.1j * k for k in range(d - 2)],
+                           OrthonormalBasis(340 + j)) for j in range(len(alpha))]
+    sys_ = make_continuous_system(alpha, sgs)
+    quad = QuadratureSpec("midpoint", 400)
+    continuous_entangled_average(sys_, 2.0, quad)  # numpy's one-time allocations happen here
+    tracemalloc.start()
+    try:
+        continuous_entangled_average(sys_, 2.0, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * d ** len(alpha) < peak <= entangle._spectral_bytes(sys_.partition, d)
 
 
 # ------------------------------------------------------------ limit operator

@@ -9,8 +9,8 @@ the certificates' eigenbases.  The closed form is also checked where its
 weight is hard to evaluate: at N = 2^40 against the limit operator, and at
 an eigenvalue 1e-12 from 1.  The stacked form, the doubled power stacks and
 the doubled power sums are checked against their direct counterparts, and
-the continuous grid evaluator against the full weighted lattice over its
-nodes.
+the continuous grid evaluator and both routes of the midpoint rule, which
+runs as discrete time, against the full weighted lattice over the nodes.
 """
 
 import json
@@ -247,16 +247,6 @@ def test_power_stack_without_start_is_bitwise_the_powers_builder(n, similarity):
     assert np.array_equal(_power_stack(t, n), _stack_reading_powers_back(t, n))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
-def test_power_stack_from_start_is_the_orbit(n):
-    t = synth_operator(["1/3", "1/7"], [0.95j, -0.5], RandomSimilarity(6, 5.0)).matrix
-    x = CounterRng(7).complex_normal(t.shape)
-    orbit = _power_stack(t, n, start=x)
-    seq = np.concatenate([x[np.newaxis], _sequential_powers(t, n)[:-1] @ x])
-    scale = max(1.0, float(np.abs(seq).max()))
-    assert float(np.abs(orbit - seq).max()) <= 1e-12 * scale
-
-
 # ------------------------------------------------------------ continuous
 
 
@@ -276,6 +266,49 @@ def test_grid_planner_matches_full_weighted_lattice(alpha, scheme):
     factors = [("stack", a, sg.value(s_nodes)) for a, sg in zip(alpha, sgs)]
     ref = lattice_chain_mean(factors, conns, q, weights=w_nodes / t)
     assert _rel(got, ref) <= 1e-12
+
+
+def _random_generators(alpha, d, seed, similarity):
+    """Generators with exact frequencies (denominators <= 6, some beyond 1 in
+    size) and stable eigenvalues in Re < -0.05, with Gaussian connectors."""
+    rng = CounterRng(seed)
+    sgs = []
+    for j in range(len(alpha)):
+        n_axis = 1 + int(rng.integers(1, d)[0])
+        den = rng.integers(n_axis, 6) + 1
+        freqs = [f"{int(p) - 6}/{int(q)}" for p, q in zip(rng.integers(n_axis, 13), den)]
+        stable = -0.05 - rng.uniform(d - n_axis) + 2j * rng.uniform(d - n_axis) - 1j
+        basis = (RandomSimilarity(seed + 31 * j, 5.0) if similarity
+                 else OrthonormalBasis(seed + 31 * j))
+        sgs.append(synth_semigroup(freqs, list(stable), basis))
+    conns = [rng.complex_normal((d, d)) / np.sqrt(d) for _ in range(len(alpha) - 1)]
+    return make_continuous_system(alpha, sgs, conns)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    alpha=st.sampled_from([[1], [1, 1], [1, 2, 1], [1, 2, 2, 1], [2, 1, 2, 2], [1, 2, 1, 2],
+                           [1, 1, 2], [2, 3, 1]]),
+    d=st.integers(min_value=2, max_value=4),
+    q=st.integers(min_value=2, max_value=12),
+    t=st.one_of(st.sampled_from([0.1, 1 / 3, 2 / 3, 1.0]),
+                st.floats(min_value=0.05, max_value=4.0)),
+    similarity=st.booleans(),
+)
+def test_midpoint_routes_match_the_node_sum(seed, alpha, d, q, t, similarity):
+    # the midpoint rule as discrete time on both routes, against the weighted
+    # lattice over the nodes with T(s_i) from expm; non-dyadic t gives step
+    # angles with denominators near 2^55 Q
+    sys_ = _random_generators(alpha, d, seed, similarity)
+    s_nodes, w_nodes = QuadratureSpec("midpoint", q).nodes(t)
+    factors = [("stack", a, sg.value(s_nodes)) for a, sg in zip(alpha, sys_.semigroups)]
+    ref = lattice_chain_mean(factors, list(sys_.connectors), q, weights=w_nodes / t)
+    for strategy in ("spectral", "presum"):
+        got = continuous_entangled_average(
+            sys_, t, QuadratureSpec("midpoint", q), richardson=False, strategy=strategy
+        ).value
+        assert _rel(got, ref) <= 1e-10, strategy
 
 
 # --------------------------------------------------------------- budgets
