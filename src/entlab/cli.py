@@ -394,22 +394,21 @@ def _build_connectors(specs, d: int, seed: int):
 
 
 def _build_system(cfg: ExperimentConfig):
-    """The EntangledSystem of cfg.data; its synthesized members are bounded by construction."""
+    """The system of cfg.data, built by the public constructors of its clock."""
     key, keyword, clock = _system_spec(cfg.kind)
-    members = tuple(
-        operators._synthesize(
-            spec[keyword],
-            [complex(re, im) for re, im in spec["stable"]],
-            _build_basis(spec["basis"]),
-            clock,
-        )
+    continuous = clock is cont.CONTINUOUS
+    synth = cont.synth_semigroup if continuous else operators.synth_operator
+    members = [
+        synth(spec[keyword], [complex(re, im) for re, im in spec["stable"]],
+              _build_basis(spec["basis"]))
         for spec in cfg.data[key]
-    )
+    ]
     conn_specs = cfg.data.get(
         "connectors", [{"type": "identity"}] * (len(members) - 1)
     )
     conns = _build_connectors(conn_specs, members[0].dim, cfg.seed)
-    return entangle._validate_system(cfg.data["alpha"], members, conns)
+    make = cont.make_continuous_system if continuous else entangle.make_system
+    return make(cfg.data["alpha"], members, conns)
 
 
 def _state(cfg: ExperimentConfig, d: int):

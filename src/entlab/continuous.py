@@ -10,11 +10,12 @@ over [0, t]^k, approximated on a shared one-dimensional quadrature grid: all
 positions driven by the same block read the semigroup at the same node.
 The midpoint rule is discrete time: with h = t/Q it is e^{-hB_m/2} times
 the depth-Q Cesaro mean of the operators e^{hB_j} with connectors
-A_j e^{-hB_j/2} (_midpoint_average).  A Gauss-Legendre rule with a
-certificate on every generator is one scalar weight per block,
-(1/t) sum_i w_i e^{mu s_i}, in the contraction of discrete time
-(entangle._spectral_mean); otherwise one batched expm over its nodes
-samples each generator.  The limit is limit_operator's, with the unit
+A_j e^{-hB_j/2} (_midpoint_average).  A Gauss-Legendre rule
+(_gauss_legendre_average) with a certificate on every generator is one
+scalar weight per block, (1/t) sum_i w_i e^{mu s_i}, in the contraction of
+discrete time (entangle._spectral_mean); otherwise one batched expm over
+its nodes samples each generator.  Each rule refuses its grid, then runs
+it, in one function.  The limit is limit_operator's, with the unit
 circle traded for the imaginary axis: eigenvalues 2*pi*i*phi with real
 frequency phi, and the block constraint "product equals one" traded for
 "frequencies sum to zero exactly" (resonance for every t, not only t in a
@@ -28,9 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import entangle, linalg
 from .entangle import (
-    MEMORY_CAP_BYTES,
     STRATEGIES,
     EntangledSystem,
     Partition,
@@ -192,6 +192,8 @@ class QuadratureSpec:
     points: int = 64
 
     def __post_init__(self):
+        if self.scheme not in ("midpoint", "gauss-legendre"):
+            raise ValidationError(f"unknown quadrature scheme {self.scheme!r}")
         q = self.points
         if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
             raise ValidationError(f"quadrature points must be an integer, got {q!r}")
@@ -209,10 +211,8 @@ class QuadratureSpec:
             s = (np.arange(q) + 0.5) * (t / q)
             w = np.full(q, t / q)
             return s, w
-        if self.scheme == "gauss-legendre":
-            x, wx = _gauss_legendre(q)
-            return (x + 1.0) * (t / 2.0), wx * (t / 2.0)
-        raise ValidationError(f"unknown quadrature scheme {self.scheme!r}")
+        x, wx = _gauss_legendre(q)
+        return (x + 1.0) * (t / 2.0), wx * (t / 2.0)
 
 
 # Larger rules are refused: their nodes take ~Q^2/2 recurrence steps per Newton
@@ -328,33 +328,6 @@ def _check_horizon(system, last: float):
         linalg.check_expm_horizon(sg.generator, last)
 
 
-def _spectral_grid_average(system, t, quad: QuadratureSpec, x):
-    """The quadrature rule as one block weight in the certificates' eigenbases."""
-    s_nodes, w_nodes = quad.nodes(t)
-    _check_horizon(system, s_nodes[-1])
-    certificates = [sg.certificate for sg in system.semigroups]
-    return _spectral_mean(
-        [cert.basis for cert in certificates], [cert.basis_inv for cert in certificates],
-        list(system.connectors), system.partition,
-        lambda block: _quadrature_weight([certificates[j] for j in block], s_nodes, w_nodes / t),
-        x,
-    )
-
-
-def _single_grid_average(system, t, quad: QuadratureSpec, x):
-    """The contraction plan on a Gauss-Legendre grid: every block reads the
-    same nodes, and each generator is sampled by one batched expm over them."""
-    s_nodes, w_nodes = quad.nodes(t)
-    _check_horizon(system, s_nodes[-1])
-    stack = _per_matrix([g.generator for g in system.semigroups], lambda b: linalg.expm(b, s_nodes))
-
-    def single(j: int) -> np.ndarray:
-        return np.tensordot(w_nodes, stack(j), axes=1) / t
-
-    part = system.partition
-    return _contract(plan_chain(part), part, list(system.connectors), stack, single, w_nodes / t, x)
-
-
 def _step_pair(sg, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(e^{hB}, e^{-hB/2}) of a generator: from its certificate, else one batched expm."""
     c, steps = sg.certificate, (h, -h / 2)
@@ -378,54 +351,55 @@ def _midpoint_average(system, t, quad: QuadratureSpec, x, budget, strategy):
                                            budget, [sg.certificate for sg in system.semigroups], h)
 
 
-def _grid_route(system, quad: QuadratureSpec, budget, strategy: str):
-    """The route for this grid, refused before any node or weight is computed.
+def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy):
+    """The Gauss-Legendre rule, refused before its nodes are computed, then run.
 
-    A midpoint grid is discrete time (_midpoint_average), refused in its run
-    by the discrete cost model at depth Q.  A Gauss-Legendre grid takes
-    spectral when every generator carries a certificate and its grids fit
-    under the memory cap, else presum.  Cost, in d x d products:
+    Its nodes take about Q^2/2 recurrence steps per Newton pass, so grids of
+    more than GAUSS_LEGENDRE_MAX_POINTS nodes are refused first.  The rule
+    takes spectral when every generator carries a certificate and its grids
+    fit under entangle.MEMORY_CAP_BYTES, else presum.  Cost, in d x d products:
 
     spectral : Q sum_blocks d^r / d^3 for the node sums over each block's
                d^r eigen-index grid, plus the discrete spectral contraction
     presum   : ~20 products per node and distinct generator for the batched
                expm, plus the plan's cost with one product per node for each
                singleton block; memory is the stacks plus two working buffers.
-
-    Its nodes take about Q^2/2 recurrence steps per Newton pass, so grids of
-    more than GAUSS_LEGENDRE_MAX_POINTS nodes are refused.
     """
-    if strategy == "naive":
-        raise ValidationError("continuous time has no naive route; use spectral or presum")
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"unknown strategy {strategy!r}, expected spectral|presum")
-    if quad.scheme == "midpoint":
-        return lambda system, t, quad, x: _midpoint_average(system, t, quad, x, budget, strategy)
     part, d, q = system.partition, system.dim, quad.points
+    if q > GAUSS_LEGENDRE_MAX_POINTS:
+        raise BudgetExceededError(
+            f"Gauss-Legendre nodes for Q={q} take ~{q * q / 2:.2e} recurrence steps "
+            f"per Newton pass (cap Q={GAUSS_LEGENDRE_MAX_POINTS}); use the midpoint rule"
+        )
     remedy = "raise the budget or lower Q"
-    if (strategy == "spectral" and all(sg.certificate is not None for sg in system.semigroups)
-            and _quadrature_bytes(part, d) <= MEMORY_CAP_BYTES):
+    certificates = [sg.certificate for sg in system.semigroups]
+    spectral = (strategy == "spectral" and all(c is not None for c in certificates)
+                and _quadrature_bytes(part, d) <= entangle.MEMORY_CAP_BYTES)
+    if spectral:
         cells = sum(float(d) ** len(positions) for positions in part.blocks.values())
         _refuse_beyond(
             q * cells / d**3 + _estimate_cost("spectral", q, part, d), budget, 0,
             f"strategy=spectral, Q={q}, eigen-index tuples={d}^{part.m}", remedy,
         )
-        route = _spectral_grid_average
     else:
-        plan = plan_chain(part)
-        generators = [sg.generator for sg in system.semigroups]
+        plan, generators = plan_chain(part), [sg.generator for sg in system.semigroups]
         _refuse_beyond(
             len({id(g) for g in generators}) * 20.0 * q + plan.cost(q, q), budget,
             _stack_bytes(generators, range(part.m), q),
             f"Q={q}, lattice axes={len(plan.crossing)}", remedy,
         )
-        route = _single_grid_average
-    if quad.scheme == "gauss-legendre" and q > GAUSS_LEGENDRE_MAX_POINTS:
-        raise BudgetExceededError(
-            f"Gauss-Legendre nodes for Q={q} take ~{q * q / 2:.2e} recurrence steps "
-            f"per Newton pass (cap Q={GAUSS_LEGENDRE_MAX_POINTS}); use the midpoint rule"
+    s_nodes, w_nodes = quad.nodes(t)
+    _check_horizon(system, s_nodes[-1])
+    if spectral:
+        return _spectral_mean(
+            [c.basis for c in certificates], [c.basis_inv for c in certificates],
+            list(system.connectors), part,
+            lambda block: _quadrature_weight([certificates[j] for j in block], s_nodes, w_nodes / t),
+            x,
         )
-    return route
+    stack = _per_matrix(generators, lambda b: linalg.expm(b, s_nodes))
+    return _contract(plan, part, list(system.connectors), stack,
+                     lambda j: np.tensordot(w_nodes, stack(j), axes=1) / t, w_nodes / t, x)
 
 
 def continuous_entangled_average(
@@ -455,10 +429,12 @@ def continuous_entangled_average(
     generators, or grids over the memory cap, fall back to ``presum``: one
     batched expm per distinct generator, grid sums by entangle.plan_chain.
 
-    ``naive`` is refused with ValidationError.  Q, t, costs (_grid_route) and
-    a last node past the exponential's norm cap are refused before any work;
-    with richardson=True the doubled grid, whose difference from the
-    requested one is the error estimate (at about 3x the cost), runs first.
+    ``naive`` and unknown strategies are refused with ValidationError.  Q, t,
+    costs and a last node past the exponential's norm cap are refused before
+    any work, each rule's in the function that runs it; with richardson=True
+    the doubled grid, whose difference from the requested one is the error
+    estimate (at about 3x the cost), runs first, and since cost and memory
+    only grow with Q its refusals cover the requested grid's.
 
     Sampling well below the fastest frequency aliases the oscillation; keep
     Q at 20 or more points per period (see suggest_points).
@@ -466,10 +442,13 @@ def continuous_entangled_average(
     _require_bounded(_on_clock(system.operators, CONTINUOUS))
     x = _state(x, system.dim)
     quad._size(t)  # Q and t are refused before the doubled grid runs
-    fine = QuadratureSpec(quad.scheme, 2 * quad.points)
-    route = _grid_route(system, fine if richardson else quad, budget, strategy)
-    grids = [fine, quad] if richardson else [quad]  # the doubled grid's refusals come first
-    *finer, value = [route(system, float(t), grid, x) for grid in grids]
+    if strategy == "naive":
+        raise ValidationError("continuous time has no naive route; use spectral or presum")
+    if strategy not in STRATEGIES:
+        raise ValidationError(f"unknown strategy {strategy!r}, expected spectral|presum")
+    average = _midpoint_average if quad.scheme == "midpoint" else _gauss_legendre_average
+    grids = [QuadratureSpec(quad.scheme, 2 * quad.points), quad] if richardson else [quad]
+    *finer, value = [average(system, float(t), grid, x, budget, strategy) for grid in grids]
     est = float(np.linalg.norm(value - finer[0])) if richardson else None
     return ContinuousAverage(value if x is None else value[:, 0], est, quad.points)
 

@@ -425,9 +425,6 @@ def _per_matrix(mats, build):
     return get
 
 
-_REMEDY = "raise the budget, lower n, or switch strategy"
-
-
 def _exact_sums(axes, common: int, additive: bool = False) -> np.ndarray:
     """Sums of one exact value per axis over their grid, as integers over common.
 
@@ -578,13 +575,15 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
                        certificates=(), h=None):
     m = part.m
     d = mats[0].shape[0]
+    depth = "n" if h is None else "Q"  # a midpoint grid's depth is its Q
+    remedy = f"raise the budget, lower {depth}, or switch strategy"
 
     if strategy == "spectral":
         if (len(certificates) == m and all(c is not None for c in certificates)
                 and _spectral_bytes(part, d) <= MEMORY_CAP_BYTES):
             _refuse_beyond(
                 _estimate_cost("spectral", n, part, d), budget, 0,
-                f"strategy=spectral, n={n}, eigen-index tuples={d}^{m}", _REMEDY,
+                f"strategy=spectral, {depth}={n}, eigen-index tuples={d}^{m}", remedy,
             )
             return _spectral_mean(
                 [cert.basis for cert in certificates], [cert.basis_inv for cert in certificates],
@@ -596,7 +595,7 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
     if strategy == "naive":
         _refuse_beyond(
             _estimate_cost("naive", n, part), budget, 0,
-            f"strategy=naive, n={n}, lattice axes={part.k}", _REMEDY,
+            f"strategy=naive, {depth}={n}, lattice axes={part.k}", remedy,
         )
         total = _Kahan()
         for combo in itertools.product(range(1, n + 1), repeat=part.k):
@@ -611,7 +610,7 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
     plan = plan_chain(part)
     _refuse_beyond(
         _estimate_cost("presum", n, part), budget, _stack_bytes(mats, plan.stacked, n),
-        f"strategy=presum, n={n}, lattice axes={len(plan.crossing)}", _REMEDY,
+        f"strategy=presum, {depth}={n}, lattice axes={len(plan.crossing)}", remedy,
     )
     stack = _per_matrix(mats, lambda t: _power_stack(t, n))
     single = _per_matrix(mats, lambda t: _power_sum(t, n) / n)

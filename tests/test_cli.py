@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from entlab import continuous, shiftlab, spectral_limit
+from entlab import continuous, entangle, operators, shiftlab, spectral_limit
 from entlab.cli import (
     CSV_HEADER,
     emit_results,
@@ -415,6 +415,26 @@ def test_main_continuous_auto_points(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     errs = {float(r["checkpoint"]): float(r["error_fro"]) for r in rows}
     assert errs[32.0] < errs[8.0]  # longer horizon, closer to the limit
+
+
+@pytest.mark.parametrize("kind, calls", [
+    ("converge", ["synth_operator", "synth_operator", "make_system"]),
+    ("continuous", ["synth_semigroup", "synth_semigroup", "make_continuous_system"]),
+])
+def test_main_builds_systems_through_the_public_constructors(tmp_path, capsys, monkeypatch,
+                                                             kind, calls):
+    seen = []
+    for module, name in [(operators, "synth_operator"), (entangle, "make_system"),
+                         (continuous, "synth_semigroup"), (continuous, "make_continuous_system")]:
+        def recording(*args, _name=name, _original=getattr(module, name), **kwargs):
+            seen.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    cfg = _converge_config() if kind == "converge" else _continuous_config()
+    assert main([kind, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    assert seen == calls
 
 
 def test_main_continuous_runs_the_configured_strategy(tmp_path, capsys, monkeypatch):

@@ -243,6 +243,12 @@ def test_midpoint_integrates_linear_functions_exactly():
     assert np.sum(w * s) == pytest.approx(12.5, rel=1e-14)
 
 
+def test_unknown_scheme_is_refused_at_construction():
+    # refused before any budget check or grid, not when nodes are asked for
+    with pytest.raises(ValidationError, match="unknown quadrature scheme 'simpson'"):
+        QuadratureSpec("simpson", 64)
+
+
 def test_quadrature_validation():
     with pytest.raises(ValidationError):
         QuadratureSpec("midpoint", 1).nodes(1.0)
@@ -501,16 +507,19 @@ def test_midpoint_grid_exponentiates_two_matrices_per_generator(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "expm", counting)
-    sg1 = synth_semigroup(["1/2", "0"], [-0.3 + 0.9j], OrthonormalBasis(301))
-    sg2 = synth_semigroup(["1/2", "0"], [-0.2 - 0.5j], OrthonormalBasis(302))
+    # raw generators: certified ones would take both steps from their certificates
+    sg1, sg2 = (
+        semigroup_from_generator(synth_semigroup(["1/2", "0"], [z], OrthonormalBasis(seed)).generator)
+        for z, seed in [(-0.3 + 0.9j, 301), (-0.2 - 0.5j, 302)]
+    )
     conn = linalg.haar_unitary(3, seed=303)
     sys_ = make_continuous_system([1, 2, 2, 1], [sg1, sg2, sg2, sg1], [conn] * 3)
     out = continuous_entangled_average(
         sys_, 20.0, QuadratureSpec("midpoint", 400), strategy="presum"
     )
     assert out.error_estimate is not None  # Richardson ran: two grids
-    # 2 distinct generators x 2 grids x (e^{(h/2)B}, e^{hB}), not one per node
-    assert sum(matrices) <= 2 * 2 * 2
+    # 2 distinct generators x 2 grids x (e^{-(h/2)B}, e^{hB}), not one per node
+    assert sum(matrices) == 2 * 2 * 2
 
 
 def test_midpoint_horizon_is_checked_before_any_stack(monkeypatch):
@@ -533,13 +542,13 @@ def test_midpoint_horizon_is_checked_before_any_stack(monkeypatch):
 def test_midpoint_cost_is_the_discrete_presum_cost_at_the_fine_q():
     sg1 = synth_semigroup(["1/2"], [], OrthonormalBasis(seed=26))
     sg2 = synth_semigroup(["-1/2"], [], OrthonormalBasis(seed=27))
-    # Richardson's fine grid Q=2e6 is refused as discrete depth n=2e6: 3 n
+    # Richardson's fine grid Q=2e6 is refused at discrete depth 2e6: 3 Q
     # products for the collapsed [1, 1] block, whether or not the two
     # positions read one generator; the exponentials e^{hB} are not counted
     assert entangle._estimate_cost("presum", 2 * 10**6, entangle.make_partition([1, 1])) == 6e6
     for pair in ([sg1, sg2], [sg1, sg1]):
         with pytest.raises(BudgetExceededError,
-                           match="estimated cost 6.000e\\+06 .*strategy=presum, n=2000000"):
+                           match="estimated cost 6.000e\\+06 .*strategy=presum, Q=2000000"):
             continuous_entangled_average(
                 make_continuous_system([1, 1], pair), 1.0,
                 QuadratureSpec("midpoint", 10**6), budget=1e6, strategy="presum",
@@ -555,7 +564,7 @@ def test_midpoint_fine_grid_is_refused_before_the_coarse_grid_runs(monkeypatch):
     sg1 = synth_semigroup(["1/2"], [], OrthonormalBasis(seed=26))
     sg2 = synth_semigroup(["-1/2"], [], OrthonormalBasis(seed=27))
     # Q=1e6 alone costs 3e6 and would pass; Richardson's Q=2e6 costs 6e6
-    with pytest.raises(BudgetExceededError, match="n=2000000"):
+    with pytest.raises(BudgetExceededError, match="Q=2000000"):
         continuous_entangled_average(
             make_continuous_system([1, 1], [sg1, sg2]), 1.0,
             QuadratureSpec("midpoint", 10**6), budget=5e6, strategy="presum",
@@ -578,7 +587,7 @@ def _route_system(alpha, basis):
 @pytest.mark.parametrize("basis", ["orthonormal", "similarity"])
 @pytest.mark.parametrize("scheme", ["midpoint", "gauss-legendre"])
 @pytest.mark.parametrize("alpha", [[1], [1, 1], [1, 2], [1, 2, 1], [1, 2, 1, 2], [1, 2, 2, 1]])
-def test_spectral_route_matches_the_grid_route(alpha, scheme, basis, state):
+def test_spectral_route_matches_presum(alpha, scheme, basis, state):
     sys_ = _route_system(alpha, basis)
     x = CounterRng(9).complex_normal((3,)) if state else None
     quad = QuadratureSpec(scheme, 12 if len(alpha) == 4 else 40)
@@ -591,19 +600,20 @@ def test_spectral_route_matches_the_grid_route(alpha, scheme, basis, state):
 
 
 @pytest.mark.parametrize("cause", ["raw generator", "memory cap"])
-def test_spectral_route_falls_back_to_the_grid_route_bit_for_bit(monkeypatch, cause):
+@pytest.mark.parametrize("scheme", ["midpoint", "gauss-legendre"])
+def test_spectral_route_falls_back_to_presum_bit_for_bit(monkeypatch, scheme, cause):
     sg = _orbit_generators()["jordan" if cause == "raw generator" else "orthonormal"]
     sys_ = make_continuous_system([1, 2, 1], [sg, sg, sg])
     if cause == "memory cap":
-        limit = entangle._spectral_bytes(sys_.partition, sys_.dim) - 1
-        monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", limit)
-    quad = QuadratureSpec("midpoint", 30)
+        need = entangle._spectral_bytes if scheme == "midpoint" else continuous._quadrature_bytes
+        monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", need(sys_.partition, sys_.dim) - 1)
+    quad = QuadratureSpec(scheme, 30)
     presum = continuous_entangled_average(sys_, 4.0, quad, strategy="presum")
 
     def never(*args, **kwargs):
         raise AssertionError("the spectral route ran")
 
-    monkeypatch.setattr(continuous, "_spectral_grid_average", never)
+    monkeypatch.setattr(continuous, "_quadrature_weight", never)
     monkeypatch.setattr(entangle, "_spectral_mean", never)
     got = continuous_entangled_average(sys_, 4.0, quad)
     assert np.array_equal(got.value, presum.value)

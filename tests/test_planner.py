@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import continuous, entangle, linalg
+from entlab import entangle, linalg
 from entlab.cli import main
 from entlab.continuous import (
     QuadratureSpec,
@@ -359,7 +359,8 @@ def test_continuous_nan_budget_refused_before_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("work started before the budget check")
 
-    monkeypatch.setattr(continuous, "_single_grid_average", never)
+    for name in ("_power_stack", "_cesaro_weight", "_spectral_mean"):
+        monkeypatch.setattr(entangle, name, never)
     sgs = [synth_semigroup(["0"], [-0.5], OrthonormalBasis(j)) for j in range(4)]
     conns = [linalg.haar_unitary(2, seed=400 + j) for j in range(3)]
     system = make_continuous_system([1, 2, 1, 2], sgs, conns)
