@@ -8,9 +8,9 @@ are refused here with ValidationError, as discrete time refuses generators.
 The discrete lattice mean is replaced by (1/t^k) times an iterated integral
 over [0, t]^k, approximated on a shared one-dimensional quadrature grid: all
 positions driven by the same block read the semigroup at the same node.
-The midpoint rule is discrete time: with h = t/Q it is e^{-hB_m/2} times
-the depth-Q Cesaro mean of the operators e^{hB_j} with connectors
-A_j e^{-hB_j/2} (_midpoint_average).  A Gauss-Legendre rule
+The midpoint rule is discrete time: with h = t/Q it is e^{hB_m/2} times
+the depth-Q Cesaro mean over the powers 0..Q-1 of the operators e^{hB_j}
+with connectors A_j e^{hB_j/2} (_midpoint_average).  A Gauss-Legendre rule
 (_gauss_legendre_average) with a certificate on every generator is one
 scalar weight per block, (1/t) sum_i w_i e^{mu s_i}, in the contraction of
 discrete time (entangle._spectral_mean); otherwise one batched expm over
@@ -329,18 +329,20 @@ def _check_horizon(system, last: float):
 
 
 def _step_pair(sg, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{hB}, e^{-hB/2}) of a generator: from its certificate, else one batched expm."""
-    c, steps = sg.certificate, (h, -h / 2)
+    """(e^{hB}, e^{hB/2}) of a generator: from its certificate, else one batched expm."""
+    c, steps = sg.certificate, (h, h / 2)
     return tuple(linalg.expm(sg.generator, np.array(steps)) if c is None
                  else [(c.basis * np.exp(c.eigenvalues * s)) @ c.basis_inv for s in steps])
 
 
 def _midpoint_average(system, t, quad: QuadratureSpec, x, budget, strategy):
-    """The midpoint rule as discrete time: with h = t/Q, T(s_i) = D P^{i+1} at
-    s_i = (i + 1/2) h for P = e^{hB} and D = e^{-hB/2}, so the rule is D_m
-    times the depth-Q mean of the operators P_j with connectors A_j D_j,
-    refused or run by entangle._evaluate_discrete with the exact step h for
-    the spectral weight.  The norm cap is checked at t - h/2, not on nodes."""
+    """The midpoint rule as discrete time: with h = t/Q, T(s_i) = E P^i at
+    s_i = (i + 1/2) h for P = e^{hB} and E = e^{hB/2}, so the rule is E_m
+    times the depth-Q mean over k = 0..Q-1 of the operators P_j with
+    connectors A_j E_j, refused or run by entangle._evaluate_discrete with
+    the exact step h for the spectral weight.  E, not e^{-hB/2}, which would
+    amplify rounding by e^{|Re lam| h/2} on a stiff generator.  The norm cap
+    is checked at t - h/2, not on nodes."""
     q = quad._size(t)
     h = Fraction(t) / q
     _check_horizon(system, t - t / (2 * q))
@@ -388,8 +390,8 @@ def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy
             _stack_bytes(generators, range(part.m), q),
             f"Q={q}, lattice axes={len(plan.crossing)}", remedy,
         )
+    _check_horizon(system, t)  # t bounds the last node, which is not computed yet
     s_nodes, w_nodes = quad.nodes(t)
-    _check_horizon(system, s_nodes[-1])
     if spectral:
         return _spectral_mean(
             [c.basis for c in certificates], [c.basis_inv for c in certificates],
@@ -415,14 +417,15 @@ def continuous_entangled_average(
 
     All positions sharing a block read their semigroup at the same node of
     one shared 1-D grid.  The midpoint rule is discrete time
-    (_midpoint_average): with h = t/Q it is e^{-hB_m/2} times the depth-Q
-    mean of the operators e^{hB_j} with connectors A_j e^{-hB_j/2}, under
-    entangled_average's strategies, cost model and guards.  On the spectral
-    route a cell whose exact frequencies alias (sum phi h an integer,
-    sum phi = 0 among them) gets g_Q = 1, and the half steps give it its
-    true value (-1)^{sum phi h}.  On a Gauss-Legendre grid, ``spectral``
-    (default) turns the rule into one scalar weight per block when every
-    generator carries a certificate, g(mu) = (1/t) sum_i w_i e^{mu s_i} with
+    (_midpoint_average): with h = t/Q it is e^{hB_m/2} times the depth-Q
+    mean over the powers 0..Q-1 of the operators e^{hB_j} with connectors
+    A_j e^{hB_j/2}, under entangled_average's strategies, cost model and
+    guards.  On the spectral route a cell whose exact frequencies alias
+    (sum phi h an integer, sum phi = 0 among them) gets g_Q = 1, and the
+    half steps give it its true value (-1)^{sum phi h}.  On a Gauss-Legendre
+    grid, ``spectral`` (default) turns the rule into one scalar weight per
+    block when every generator carries a certificate,
+    g(mu) = (1/t) sum_i w_i e^{mu s_i} with
     mu the sum of the block's eigenvalues, contracted like the discrete mean
     (entangle._spectral_mean): no matrix exponential and no Q^k lattice
     walk, and exactly 1 where the exact frequencies cancel.  Uncertified
@@ -430,11 +433,12 @@ def continuous_entangled_average(
     batched expm per distinct generator, grid sums by entangle.plan_chain.
 
     ``naive`` and unknown strategies are refused with ValidationError.  Q, t,
-    costs and a last node past the exponential's norm cap are refused before
-    any work, each rule's in the function that runs it; with richardson=True
-    the doubled grid, whose difference from the requested one is the error
-    estimate (at about 3x the cost), runs first, and since cost and memory
-    only grow with Q its refusals cover the requested grid's.
+    costs and a last node past the exponential's norm cap (for Gauss-Legendre
+    the horizon t, which bounds it) are refused before any work, each rule's
+    in the function that runs it; with richardson=True the doubled grid,
+    whose difference from the requested one is the error estimate (at about
+    3x the cost), runs first, and since cost and memory only grow with Q its
+    refusals cover the requested grid's.
 
     Sampling well below the fastest frequency aliases the oscillation; keep
     Q at 20 or more points per period (see suggest_points).

@@ -18,11 +18,12 @@ Three evaluation strategies:
   C_j = S_{j+1}^{-1} A_j S_j.  W factorizes over the blocks of alpha; a
   block contributes g_n(z) = (1/n) sum_{k=1..n} z^k, z the product of its
   eigenvalues, so the cost does not depend on n.  ``_spectral_mean`` is
-  the one contraction: the midpoint rule is this mean of the steps e^{hB},
-  Gauss-Legendre passes its node sum as the block weight, and both limits
-  the 0/1 resonance indicator over boundary eigen-indices.  Without a
-  certificate on every position, or when the dense weight would exceed the
-  memory cap, it falls back to ``presum``.
+  the one contraction: the midpoint rule is this mean of the steps e^{hB}
+  over the powers 0..Q-1 (times e^{hB/2} factors), Gauss-Legendre passes
+  its node sum as the block weight, and both limits the 0/1 resonance
+  indicator over boundary eigen-indices.  Without a certificate on every
+  position, or when the dense weight would exceed the memory cap, it falls
+  back to ``presum``.
 * ``naive``   recomputes every operator power per lattice tuple (binary
   powering, nothing cached).  Slow on purpose; it is the reference route.
 * ``presum``  the contraction planner.  A block whose positions are
@@ -193,16 +194,20 @@ class _Kahan:
         self.s = t
 
 
-def _power_stack(t: np.ndarray, n: int) -> np.ndarray:
-    """Powers [T, T^2, ..., T^n] by doubling: out[k:2k] = T^k @ out[:k], with T^k
-    read back as out[k-1].  A midpoint grid stacks its step e^{hB} here too."""
+def _power_stack(t: np.ndarray, n: int, first: int = 1) -> np.ndarray:
+    """Powers [T^first, ..., T^(first+n-1)], first 0 or 1, by doubling: over the
+    powers from T, out[k:2k] = T^k @ out[:k], with T^k read back as out[k-1].
+    A midpoint grid stacks [I, P, ..., P^(Q-1)] of its step P = e^{hB} (first=0)."""
     p = np.asarray(t, dtype=np.complex128)
     out = np.empty((n,) + p.shape, dtype=np.complex128)
-    out[0] = p
+    if not first:
+        out[0] = np.eye(p.shape[0])
+    powers = out[1 - first :]
+    powers[:1] = p
     k = 1
-    while k < n:
-        step = min(k, n - k)
-        np.matmul(out[k - 1], out[:step], out=out[k : k + step])
+    while k < len(powers):
+        step = min(k, len(powers) - k)
+        np.matmul(powers[k - 1], powers[:step], out=powers[k : k + step])
         k += step
     return out
 
@@ -457,10 +462,12 @@ def _cesaro_weight(certificates, n: int, h=None) -> np.ndarray:
     its own masked copies, so at most about four complex grids are alive at
     once (see _spectral_bytes).
 
-    With an exact step h the certificates are generators', read as e^{hB}:
-    angles phi h mod 1 (aliased frequencies are resonant), and log z the sum
-    of the exponents lam h on the principal branch, not the log of a rounded
-    e^{lam h}, which would lose |lam h| digits as h goes to 0.
+    With an exact step h the certificates are generators', read as e^{hB},
+    and the mean runs over k = 0..n-1, the midpoint rule's powers:
+    g = (1 - z^n) / (n (1 - z)), near z = 1 expm1(n log z) / (n expm1(log z)),
+    with angles phi h mod 1 (aliased frequencies are resonant) and log z the
+    sum of the exponents lam h on the principal branch, not the log of a
+    rounded e^{lam h}, which would lose |lam h| digits as h goes to 0.
     """
     z = np.ones((), dtype=np.complex128) if h is None else np.zeros((), dtype=np.complex128)
     z_n = np.ones((), dtype=np.complex128)
@@ -488,18 +495,19 @@ def _cesaro_weight(certificates, n: int, h=None) -> np.ndarray:
         np.exp(z, out=z)
     far = ~near
     g = np.empty(z.shape, dtype=np.complex128)
-    # far: z (1 - z^n) / (1 - z) / n; z^n is needed nowhere else
+    # far: z (1 - z^n) / (1 - z) / n, no leading z with h; z^n is needed nowhere else
     num = z_n[far]
     del z_n
     zf = z[far]
     np.subtract(1.0, num, out=num)
-    np.multiply(zf, num, out=num)
+    if h is None:
+        np.multiply(zf, num, out=num)
     np.subtract(1.0, zf, out=zf)
     np.divide(num, zf, out=num)
     np.multiply(num, inv_n, out=num)
     g[far] = num
     del num, zf
-    # near: z expm1(n log z) / (n expm1(log z)), with g = 1 at z == 1.0
+    # near: z expm1(n log z) / (n expm1(log z)), no leading z with h; g = 1 at z == 1.0
     zn = z[near]
     del z
     log_z = np.log(zn) if h is None else log_near
@@ -507,7 +515,8 @@ def _cesaro_weight(certificates, n: int, h=None) -> np.ndarray:
     np.minimum(log_z.real, 0.0, out=log_z.real)
     num = np.multiply(n_cap, log_z)
     np.expm1(num, out=num)
-    np.multiply(zn, num, out=num)
+    if h is None:
+        np.multiply(zn, num, out=num)
     np.multiply(num, inv_n, out=num)
     den = np.expm1(log_z, out=log_z)
     zn.fill(1.0)
@@ -612,8 +621,12 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
         _estimate_cost("presum", n, part), budget, _stack_bytes(mats, plan.stacked, n),
         f"strategy=presum, {depth}={n}, lattice axes={len(plan.crossing)}", remedy,
     )
-    stack = _per_matrix(mats, lambda t: _power_stack(t, n))
-    single = _per_matrix(mats, lambda t: _power_sum(t, n) / n)
+    if h is None:
+        stack = _per_matrix(mats, lambda t: _power_stack(t, n))
+        single = _per_matrix(mats, lambda t: _power_sum(t, n) / n)
+    else:  # a midpoint grid's mean runs over P^0 .. P^(Q-1)
+        stack = _per_matrix(mats, lambda t: _power_stack(t, n, first=0))
+        single = _per_matrix(mats, lambda t: (np.eye(d) + _power_sum(t, n - 1)) / n)
     return _contract(plan, part, connectors, stack, single, np.broadcast_to(1 / n, (n,)), x)
 
 

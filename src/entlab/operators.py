@@ -9,7 +9,8 @@ S diag(boundary, stable) S^{-1} the certificate stores S, the eigenvalues and
 S^{-1}, and every boundary eigenvalue carries an exact rational (an angle, a
 Fraction of a full turn, or a frequency).  Matrices wrapped raw get a
 floating-point boundary spectrum from the eigensolver and no certificate, and
-keep that eig (values, vectors V, cond_2(V)) with the verdict.
+keep that eig (values, vectors V, cond_2(V)) with the verdict.  Operators are
+immutable: every array they hold is read-only, so their bookkeeping never goes stale.
 
 Spectral projections take one of three routes (_boundary_basis): the
 certificate (exact diagonal bookkeeping, columns of S and rows of S^{-1}); a
@@ -189,16 +190,28 @@ def _on_clock(members, clock: Clock):
     return members
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SpectralOperator:
-    """Matrix plus spectral bookkeeping on its clock.  Treat instances as immutable."""
+    """Matrix plus spectral bookkeeping on its clock, an immutable value."""
 
     matrix: np.ndarray
     certificate: Certificate | None
     power_bound_estimate: float
     unimodular_spectrum: tuple  # SpectralPoints; FrequencyPoints on the continuous clock
-    _checked: tuple | None = field(default=None, repr=False)
+    _checked: tuple | None = field(default=None, repr=False)  # raw: (verdict, EigDecomposition)
     clock: Clock = DISCRETE
+
+    def __post_init__(self):
+        """Refuse a raw operator without its eig, then make every array read-only."""
+        cert, dec = self.certificate, None if self._checked is None else self._checked[1]
+        if cert is None and dec is None:
+            raise ValidationError("a raw operator needs its eig: build it with from_matrix "
+                                  "or semigroup_from_generator")
+        arrays = [self.matrix]
+        arrays += [] if cert is None else [cert.basis, cert.eigenvalues, cert.basis_inv]
+        arrays += [] if dec is None else [dec.values, dec.right_vectors]
+        for arr in arrays:
+            arr.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -224,23 +237,9 @@ class SpectralOperator:
         """(ok, reason): spectrum in the closed stable region, boundary part semisimple.
 
         A certificate passes by construction; a raw matrix answers from the
-        verdict its wrapping eig stored (see _current_read).
+        verdict its wrapping eig stored.
         """
-        if self.certificate is not None:
-            return True, None
-        return self._current_read()[1]
-
-    def _current_read(self) -> tuple:
-        """(matrix copy, verdict, linalg.EigDecomposition) of the matrix as it is now.
-
-        _read_matrix stores this triple in _checked; it is read again only
-        when the matrix was changed in place, so neither the verdict nor the
-        eigenbasis outlives the matrix it was computed for.
-        """
-        checked = self._checked
-        if checked is None or not np.array_equal(self.matrix, checked[0]):
-            checked = _read_matrix(self.matrix, 1e-9, self.clock.band, self.clock)._checked
-        return checked
+        return (True, None) if self.certificate is not None else self._checked[0]
 
 
 def _basis_pair(spec, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,11 +299,11 @@ def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock) -> Spec
     Eigenvalues within CLUSTER_TOL of each other are merged; a cluster is a
     boundary point when its center lies within band of the boundary.  The
     bound is cond_2 of the eigenvector matrix when the spectrum is in the
-    closed stable region, else inf.  The verdict and the decomposition
-    (values, vectors and cond_2 of the vectors) are stored with a copy of the
-    matrix they were computed for (see SpectralOperator._current_read).
+    closed stable region, else inf.  The operator holds its own copy of arr and
+    the verdict and decomposition (values, vectors, cond_2 of the vectors) of it.
     """
     linalg._positive_finite(band, "boundary band")
+    arr = arr.copy()
     dec = linalg.eig(arr, tol, on_boundary=clock.on_boundary)
     points = [
         clock.point(center, int(members.size), None)
@@ -319,7 +318,7 @@ def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock) -> Spec
         verdict = False, f"{clock.size_name} {worst:.6e} beyond {clock.boundary_name}"
     elif not dec.semisimple_boundary:
         verdict = False, f"defective eigenvalue cluster on {clock.boundary_name}"
-    return SpectralOperator(arr, None, bound, tuple(points), (arr.copy(), verdict, dec), clock)
+    return SpectralOperator(arr, None, bound, tuple(points), (verdict, dec), clock)
 
 
 def synth_operator(angles, stable, basis) -> SpectralOperator:
@@ -483,7 +482,7 @@ def _boundary_basis(op, values, exacts, mults):
     them, else within CLUSTER_TOL * max(1, |value|).  Three routes:
 
     - certificate: columns of S and rows of S^{-1};
-    - stored eigenbasis, for a raw operator whose eig (see _current_read)
+    - stored eigenbasis, for a raw operator whose eig (see _read_matrix)
       has cond_2(V) <= EIGENBASIS_COND_CAP and matches mults[v] eigenvalues
       to each values[v]: columns of V, and the rows of V^{-1} from one solve
       against the matching unit vectors;
@@ -495,7 +494,7 @@ def _boundary_basis(op, values, exacts, mults):
     bands = [CLUSTER_TOL * max(1.0, abs(v)) for v in values]
     cert = op.certificate
     if cert is None:
-        dec = op._current_read()[2]
+        dec = op._checked[1]
         if not dec.condition_estimate <= EIGENBASIS_COND_CAP:  # inf or NaN fall back too
             return _schur_basis(op.matrix, values, bands)
     eigenvalues = dec.values if cert is None else cert.eigenvalues

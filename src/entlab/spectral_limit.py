@@ -388,8 +388,14 @@ def resonant_tuples(
     are flagged fragile.  Each position's candidates are ranked once by key
     (exact value first, then position on the constraint circle; equal keys
     tie) and tuples are stably sorted by rank vector, so ties keep
-    block-by-block enumeration order.
+    block-by-block enumeration order.  A mitm_threshold that is not a
+    non-negative integer (numpy integers count, bools do not) raises
+    ValidationError.
     """
+    if (not isinstance(mitm_threshold, (int, np.integer)) or isinstance(mitm_threshold, bool)
+            or mitm_threshold < 0):
+        raise ValidationError(
+            f"mitm_threshold must be a non-negative integer, got {mitm_threshold!r}")
     part = alpha if isinstance(alpha, Partition) else make_partition(alpha)
     norm, index, residuals = _resonant_index(spectra, part, tol, additive, mitm_threshold)
     index = [col.tolist() for col in index]

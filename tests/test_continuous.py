@@ -447,6 +447,18 @@ def test_expm_horizon_overflow_propagates():
         continuous_entangled_average(sys_, 1.0e9, QuadratureSpec("midpoint", 8))
 
 
+def test_gauss_legendre_horizon_is_refused_before_its_nodes(monkeypatch):
+    # t bounds the last node, so the norm cap is checked at t before any node
+    def never(q):
+        raise AssertionError(f"_gauss_legendre({q}) called")
+
+    monkeypatch.setattr(continuous, "_gauss_legendre", never)
+    sg = semigroup_from_generator(np.array([[0.0, -np.pi], [np.pi, -0.5]]))
+    sys_ = make_continuous_system([1], [sg])
+    with pytest.raises(OverflowError):
+        continuous_entangled_average(sys_, 1.0e9, QuadratureSpec("gauss-legendre", 8000))
+
+
 # -------------------------------------------------------- midpoint orbits
 
 
@@ -739,6 +751,23 @@ def test_midpoint_spectral_route_keeps_its_digits_as_h_goes_to_zero(q):
     ref = _midpoint_reference(sys_, 1.0, q)
     got = continuous_entangled_average(sys_, 1.0, QuadratureSpec("midpoint", q), richardson=False)
     assert np.linalg.norm(got.value - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("strategy", ["spectral", "presum"])
+def test_midpoint_rule_stays_accurate_on_a_stiff_generator(strategy):
+    # gate 8's system with a stable eigenvalue at -900: at h = t/Q = 0.1 a
+    # half step e^{-hB/2} would scale rounding by e^{900 h/2} = e^{45}
+    sg1 = synth_semigroup(["1/2", "0"], [-900.0], OrthonormalBasis(301))
+    sg2 = synth_semigroup(["1/2", "0"], [-0.2 - 0.5j], OrthonormalBasis(302))
+    conn = linalg.haar_unitary(3, seed=303)
+    sys_ = make_continuous_system([1, 1], [sg1, sg2], [conn])
+    q = suggest_points(sys_, 40.0)
+    assert q == 400
+    exact = _exact_chain_integral(sg2, conn, sg1, 40.0)
+    got = continuous_entangled_average(sys_, 40.0, QuadratureSpec("midpoint", q),
+                                       strategy=strategy)
+    err = float(np.linalg.norm(got.value - exact))
+    assert err <= 1e-3 and err <= 5 * got.error_estimate, (err, got.error_estimate)
 
 
 @pytest.mark.parametrize("t", [0.1, 1 / 3])

@@ -6,12 +6,15 @@ Tolerances follow the documented contracts (1e-10 scaled algebra for the
 splitting, O(1/n) for Cesaro convergence).
 """
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from entlab import linalg, operators
+from entlab.continuous import semigroup_from_generator, synth_semigroup
+from entlab.entangle import entangled_average, make_system
 from entlab.errors import (
     BadAngleError,
     DimensionMismatchError,
@@ -132,6 +135,64 @@ def test_from_matrix_merges_repeated_eigenvalue_into_multiplicity():
 def test_as_operator_is_idempotent():
     op = synth_operator(["0"], [], OrthonormalBasis(seed=1))
     assert as_operator(op) is op
+
+
+# ------------------------------------------------------------ immutability
+
+CONSTRUCTORS = {
+    "synth_operator": lambda: synth_operator(["1/3"], [0.5, -0.2], RandomSimilarity(seed=5)),
+    "synth_semigroup": lambda: synth_semigroup(["1/2"], [-1.0], OrthonormalBasis(seed=6)),
+    "from_matrix": lambda: from_matrix(np.diag([1.0, 0.5j])),
+    "semigroup_from_generator": lambda: semigroup_from_generator(np.diag([0.0, -1.0])),
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
+def test_every_array_of_a_constructed_operator_is_read_only(build):
+    op = build()
+    arrays = [op.matrix]
+    if op.certificate is not None:
+        arrays += [op.certificate.basis, op.certificate.eigenvalues, op.certificate.basis_inv]
+    else:
+        arrays += [op._checked[1].values, op._checked[1].right_vectors]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_certified_matrix_cannot_drift_from_its_certificate():
+    # a write would move presum but not the certificate's spectral mean
+    op = synth_operator(["1/3"], [0.5, -0.2], OrthonormalBasis(1))
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] += 0.3
+    sys_ = make_system([1, 1], [op, op])
+    spectral, presum = (entangled_average(sys_, 64, s) for s in ("spectral", "presum"))
+    assert np.linalg.norm(spectral - presum) <= 1e-12 * np.linalg.norm(presum)
+
+
+@pytest.mark.parametrize("wrap, diagonal", [(from_matrix, 1.0), (semigroup_from_generator, 0.0)])
+def test_raw_operator_holds_its_own_copy_of_the_matrix(wrap, diagonal):
+    x = diagonal * np.eye(2, dtype=np.complex128)  # already complex128: no conversion copy
+    op = wrap(x)
+    assert not np.shares_memory(op.matrix, x)
+    x[0, 1] = 1.0  # a Jordan block on the boundary, had the operator kept x
+    assert x.flags.writeable
+    assert np.array_equal(op.matrix, diagonal * np.eye(2))
+    assert op.spectral_verdict == (True, None)
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
+def test_operator_attributes_cannot_be_reassigned(build):
+    op = build()
+    with pytest.raises(FrozenInstanceError):
+        op.matrix = np.zeros((2, 2))
+    with pytest.raises(FrozenInstanceError):
+        op.certificate = None
+
+
+def test_raw_operator_without_its_eig_is_refused():
+    with pytest.raises(ValidationError, match="from_matrix"):
+        operators.SpectralOperator(np.eye(2), None, 1.0, ())
 
 
 # ---------------------------------------------------- power-bound sweeping

@@ -504,6 +504,18 @@ def test_resonance_tolerance_must_be_positive_and_finite(tol, threshold):
         resonant_tuples([[1.0, -1.0], [1.0, -1.0]], [1, 1], tol, mitm_threshold=threshold)
 
 
+@pytest.mark.parametrize("threshold", ["x", float("nan"), -1, True, 2.5, np.int64(-3)])
+def test_mitm_threshold_must_be_a_non_negative_integer(threshold):
+    with pytest.raises(ValidationError, match="mitm_threshold"):
+        resonant_tuples([[1.0, -1.0], [1.0, -1.0]], [1, 1], mitm_threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [0, np.int64(0), np.int32(4), 10 ** 9])
+def test_mitm_threshold_takes_numpy_integers_and_zero(threshold):
+    got = resonant_tuples([[1.0, -1.0], [1.0, -1.0]], [1, 1], mitm_threshold=threshold)
+    assert [t.entries for t in got] == [(1.0, 1.0), (-1.0, -1.0)]
+
+
 def test_nan_tolerances_refused_before_resonance_turns_off():
     t = from_matrix(np.diag([1.0, -1.0]))
     assert np.allclose(limit_operator(make_system([1, 1], [t, t])), np.eye(2))
@@ -565,14 +577,13 @@ def test_limit_operator_empty_resonance_is_zero_and_averages_die():
 
 
 def test_limit_operator_requires_power_boundedness():
-    # build a system whose bookkeeping went stale: mutate the matrix after
-    # wrapping, so the verdict check inside limit_operator is what catches it
+    # an EntangledSystem made directly skips make_system's checks, so the
+    # verdict check inside limit_operator is what catches the Jordan block
     from entlab.entangle import EntangledSystem
 
     good = from_matrix(np.eye(2))
     sys_ = make_system([1, 1], [good, good])
-    defective = from_matrix(np.eye(2))
-    defective.matrix[0, 1] = 1.0  # now a Jordan block
+    defective = from_matrix([[1, 1], [0, 1]])
     broken = EntangledSystem(sys_.partition, (defective, good), sys_.connectors)
     with pytest.raises(NotPowerBoundedError):
         limit_operator(broken)
@@ -882,7 +893,7 @@ def test_well_conditioned_raw_operator_projects_in_its_stored_eigenbasis(continu
     monkeypatch.setattr(scipy.linalg, "schur", never)
     sys_, want, bases = _route_case(continuous, 1e3)
     for member in sys_.operators:
-        assert 1e2 < member._checked[2].condition_estimate <= operators.EIGENBASIS_COND_CAP
+        assert 1e2 < member._checked[1].condition_estimate <= operators.EIGENBASIS_COND_CAP
     assert np.linalg.norm(want) > 0.1
     got = (continuous_limit_operator if continuous else limit_operator)(sys_)
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
@@ -902,7 +913,7 @@ def test_defective_stable_raw_operator_falls_back_to_schur(continuous, schur_cal
     sys_, want, _ = _route_case(continuous, 10.0, jordan=True)
     for member in sys_.operators:
         assert member.spectral_verdict == (True, None)
-        assert member._checked[2].condition_estimate > operators.EIGENBASIS_COND_CAP
+        assert member._checked[1].condition_estimate > operators.EIGENBASIS_COND_CAP
     got = (continuous_limit_operator if continuous else limit_operator)(sys_)
     assert len(schur_calls) == 2
     assert np.linalg.norm(want) > 0.1
@@ -910,16 +921,24 @@ def test_defective_stable_raw_operator_falls_back_to_schur(continuous, schur_cal
 
 
 def test_matrix_changed_in_place_never_reuses_the_stale_eigenbasis():
+    # the operator's matrix cannot be changed, and the caller's array is not it
     boundary = [cmath.exp(2j * math.pi * float(Fraction(v))) for v in DISCRETE_VALUES[0]]
     values = boundary + STABLE[False] * 2
-    _, _, a = _similar(values, 10.0, 820)
-    s, s_inv, b = _similar(values, 10.0, 830)  # same spectrum, another eigenbasis
+    s, s_inv, a = _similar(values, 10.0, 820)
+    t, t_inv, b = _similar(values, 10.0, 830)  # same spectrum, another eigenbasis
     op = from_matrix(a)
-    stale = mean_ergodic_projection(op, "0")
-    op.matrix[...] = b
-    exact = s[:, [0]] @ s_inv[[0], :]
-    assert np.linalg.norm(stale - exact) > 0.1
-    for got in (mean_ergodic_projection(op, "0"), limit_operator(make_system([1], [op]))):
+
+    def reads():
+        return mean_ergodic_projection(op, "0"), limit_operator(make_system([1], [op]))
+
+    before = reads()
+    with pytest.raises(ValueError):
+        op.matrix[...] = b
+    a[...] = b
+    exact, other = s[:, [0]] @ s_inv[[0], :], t[:, [0]] @ t_inv[[0], :]
+    assert np.linalg.norm(other - exact) > 0.1
+    for got, was in zip(reads(), before):
+        assert np.array_equal(got, was)
         assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
