@@ -65,6 +65,7 @@ from .entangle import (
 from .spectral_limit import (
     KvnReport,
     ResonantTuple,
+    ResonantTuples,
     kvn_diagnostic,
     limit_operator,
     limit_operator_with_tuples,

@@ -470,15 +470,22 @@ def _run_converge(cfg: ExperimentConfig):
 
 
 def _serialize_tuples(tuples):
-    """Resonant tuples as JSON; CLI systems are synthesized, so every entry is an exact angle."""
+    """ResonantTuples as JSON, read off their arrays; CLI systems are synthesized, so every
+    entry is an exact angle."""
+    angles = [[f"{fr.numerator}/{fr.denominator}" for _, fr in cands]
+              for cands in tuples.candidates]
+    entries = zip(*([names[i] for i in col.tolist()]
+                    for names, col in zip(angles, tuples.columns)))
+    residuals = zip(*(r.tolist() for r in tuples.residuals))
     return [
-        {
-            "entries": [{"angle": f"{fr.numerator}/{fr.denominator}"} for fr in tup.exact],
-            "residuals": [float(r) for r in tup.residuals],
-            "fragile": tup.fragile,
-        }
-        for tup in tuples
+        {"entries": [{"angle": a} for a in row], "residuals": list(res), "fragile": fragile}
+        for row, res, fragile in zip(entries, residuals, tuples.fragile.tolist())
     ]
+
+
+def _worst_residuals(tuples) -> list[float]:
+    """Each resonant tuple's largest block residual."""
+    return np.max(tuples.residuals, axis=0).tolist()
 
 
 def _run_limit(cfg: ExperimentConfig):
@@ -486,7 +493,7 @@ def _run_limit(cfg: ExperimentConfig):
     t0 = time.perf_counter()
     limit, tuples = spectral_limit.limit_operator_with_tuples(system, cfg.tolerance)
     ms = 1e3 * (time.perf_counter() - t0)
-    worst = max((max(t.residuals) for t in tuples), default=0.0)
+    worst = max(_worst_residuals(tuples), default=0.0)
     records = [_record(cfg, len(tuples), worst, worst, ms)]
     summary = {
         "verifies": "Jacobs-Glicksberg-de Leeuw decomposition",
@@ -505,8 +512,8 @@ def _run_resonances(cfg: ExperimentConfig):
     ms = 1e3 * (time.perf_counter() - t0)
     # one enumeration yields every row, so each row carries an equal share
     records = [
-        _record(cfg, i + 1, max(t.residuals), max(t.residuals), ms / len(tuples))
-        for i, t in enumerate(tuples)
+        _record(cfg, i + 1, worst, worst, ms / len(tuples))
+        for i, worst in enumerate(_worst_residuals(tuples))
     ]
     summary = {
         "verifies": "resonant unimodular spectrum enumeration",

@@ -190,6 +190,28 @@ def _on_clock(members, clock: Clock):
     return members
 
 
+# A certificate must reproduce its matrix T: ||S diag(eigenvalues) S^-1 - T||_F may be at
+# most CERTIFICATE_RTOL * ||S||_F ||S^-1||_F * max|eigenvalue|.  ||S||_F ||S^-1||_F bounds
+# cond_2(S) from above, and about d * eps times the whole product bounds the rounding of
+# forming S diag(eigenvalues) S^-1 in floating point; 1e-10 leaves room for d up to
+# linalg.DIM_CAP and for a T multiplied out in another order.
+CERTIFICATE_RTOL = 1e-10
+
+
+def _check_certificate(matrix: np.ndarray, cert: Certificate) -> None:
+    """ValidationError unless cert's S diag(eigenvalues) S^-1 is matrix within CERTIFICATE_RTOL."""
+    s, eigs, s_inv = cert.basis, cert.eigenvalues, cert.basis_inv
+    if not s.shape == s_inv.shape == matrix.shape or eigs.shape != matrix.shape[:1]:
+        raise ValidationError(f"certificate of shapes {s.shape}, {eigs.shape}, {s_inv.shape} "
+                              f"does not fit a {matrix.shape} matrix")
+    residual = np.linalg.norm((s * eigs[np.newaxis, :]) @ s_inv - matrix)
+    bound = (CERTIFICATE_RTOL * np.linalg.norm(s) * np.linalg.norm(s_inv)
+             * np.max(np.abs(eigs)))
+    if not residual <= bound:
+        raise ValidationError(f"the certificate does not reproduce the matrix: "
+                              f"||S diag(eigenvalues) S^-1 - T||_F = {residual:.3e} > {bound:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralOperator:
     """Matrix plus spectral bookkeeping on its clock, an immutable value."""
@@ -202,11 +224,14 @@ class SpectralOperator:
     clock: Clock = DISCRETE
 
     def __post_init__(self):
-        """Refuse a raw operator without its eig, then make every array read-only."""
+        """Refuse a raw operator without its eig and a certificate that does not reproduce
+        the matrix (_check_certificate), then make every array read-only."""
         cert, dec = self.certificate, None if self._checked is None else self._checked[1]
         if cert is None and dec is None:
             raise ValidationError("a raw operator needs its eig: build it with from_matrix "
                                   "or semigroup_from_generator")
+        if cert is not None:
+            _check_certificate(self.matrix, cert)
         arrays = [self.matrix]
         arrays += [] if cert is None else [cert.basis, cert.eigenvalues, cert.basis_inv]
         arrays += [] if dec is None else [dec.values, dec.right_vectors]
@@ -236,8 +261,8 @@ class SpectralOperator:
     def spectral_verdict(self) -> tuple[bool, str | None]:
         """(ok, reason): spectrum in the closed stable region, boundary part semisimple.
 
-        A certificate passes by construction; a raw matrix answers from the
-        verdict its wrapping eig stored.
+        A certificate passes, since construction checked that it reproduces the
+        matrix; a raw matrix answers from the verdict its wrapping eig stored.
         """
         return (True, None) if self.certificate is not None else self._checked[0]
 

@@ -20,7 +20,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,6 +81,70 @@ class ResonantTuple:
     residuals: tuple[float, ...]
     fragile: bool
     index: tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ResonantTuples(Sequence):
+    """The resonant tuples of one enumeration, held as arrays: a read-only sequence.
+
+    candidates : per position, the normalized (entry, exact) pairs the
+        columns index.
+    columns : per position, an int array with the picked candidate of each
+        tuple (ResonantTuple.index, column by column).
+    residuals : per block, a float array with each tuple's residual.
+    fragile : bool array, True where a tuple's worst residual exceeds
+        FRAGILE_BAND.
+
+    Every array is read-only.  Indexing with an int and iteration build a
+    ResonantTuple only when asked, slicing gives another ResonantTuples, and
+    len, truth, order, == and hash are those of the plain tuple of
+    ResonantTuple objects.
+    """
+
+    candidates: tuple
+    columns: tuple
+    residuals: tuple
+    fragile: np.ndarray
+
+    def __post_init__(self):
+        for arr in (*self.columns, *self.residuals, self.fragile):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.fragile)
+
+    def _tuple(self, index, residuals, fragile) -> ResonantTuple:
+        picks = [cands[i] for cands, i in zip(self.candidates, index)]
+        return ResonantTuple(tuple(e for e, _ in picks), tuple(fr for _, fr in picks),
+                             residuals, fragile, index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ResonantTuples(self.candidates, tuple(col[i] for col in self.columns),
+                                  tuple(r[i] for r in self.residuals), self.fragile[i])
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"resonant tuple index {i} out of range for {len(self)} tuples")
+        return self._tuple(tuple(col[i].item() for col in self.columns),
+                           tuple(r[i].item() for r in self.residuals), self.fragile[i].item())
+
+    def __iter__(self):
+        rows = zip(zip(*(col.tolist() for col in self.columns)),
+                   zip(*(r.tolist() for r in self.residuals)), self.fragile.tolist())
+        return (self._tuple(*row) for row in rows)
+
+    def __eq__(self, other):
+        if isinstance(other, ResonantTuples):
+            other = tuple(other)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"ResonantTuples({tuple(self)!r})"
 
 
 def _normalize_entry(e, additive: bool):
@@ -350,7 +416,11 @@ def _resonant_index(spectra, part: Partition, tol, additive: bool, mitm_threshol
     if len(picks[0]) > 1:
         ranks = []
         for cands, col in zip(norm, index):
-            keys = [(0, fr) if fr is not None else (1, _angle_of(e, additive)) for e, fr in cands]
+            # exact values as integers over one common denominator: their order, without
+            # comparing Fractions
+            common = math.lcm(*(fr.denominator for _, fr in cands if fr is not None))
+            keys = [(0, fr.numerator * (common // fr.denominator)) if fr is not None
+                    else (1, _angle_of(e, additive)) for e, fr in cands]
             first = {key: r for r, key in reversed(list(enumerate(sorted(keys))))}  # ties share
             ranks.append(np.array([first[key] for key in keys])[col])
         order = np.lexsort(ranks[::-1])  # stable: equal rank vectors keep product order
@@ -366,8 +436,8 @@ def resonant_tuples(
     *,
     additive: bool = False,
     mitm_threshold: int = MITM_THRESHOLD,
-) -> tuple[ResonantTuple, ...]:
-    """Enumerate resonant tuples block by block.
+) -> ResonantTuples:
+    """Enumerate resonant tuples block by block, as a ResonantTuples sequence.
 
     spectra : one entry per chain position; a SpectralOperator (a generator
         in additive mode, else an operator; the other is refused), an iterable
@@ -398,15 +468,9 @@ def resonant_tuples(
             f"mitm_threshold must be a non-negative integer, got {mitm_threshold!r}")
     part = alpha if isinstance(alpha, Partition) else make_partition(alpha)
     norm, index, residuals = _resonant_index(spectra, part, tol, additive, mitm_threshold)
-    index = [col.tolist() for col in index]
-    entries, exacts = (zip(*([cands[i][f] for i in col] for cands, col in zip(norm, index)))
-                       for f in (0, 1))
     # every residual is at most tol, so fragile means one exceeds FRAGILE_BAND
-    return tuple(
-        ResonantTuple(e, x, res, max(res) > FRAGILE_BAND, idx)
-        for e, x, res, idx in zip(entries, exacts, zip(*(r.tolist() for r in residuals)),
-                                  zip(*index))
-    )
+    fragile = np.max(residuals, axis=0) > FRAGILE_BAND
+    return ResonantTuples(tuple(map(tuple, norm)), tuple(index), tuple(residuals), fragile)
 
 
 def _assemble_limit(system: EntangledSystem, norm, solutions) -> np.ndarray:
@@ -474,13 +538,13 @@ def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndar
 
 
 def limit_operator_with_tuples(system: EntangledSystem, tol: float = DEFAULT_TOL):
-    """(limit_operator(system, tol), the ResonantTuples it sums over), one solve per block."""
+    """(limit_operator(system, tol), the ResonantTuples it sums over), one solve per block:
+    the limit is assembled from the sequence's candidates and columns."""
     ops, part = _require_bounded(system.operators), system.partition
     tuples = resonant_tuples(ops, part, tol, additive=system.clock.additive)
-    index = np.array([t.index for t in tuples], dtype=np.intp).reshape(-1, part.m).T
-    blocks = [(positions, index[list(positions)], None) for positions in part.blocks.values()]
-    norm = _normalized(ops, system.clock.additive)
-    return _assemble_limit(system, norm, blocks if tuples else None), tuples
+    blocks = [(positions, [tuples.columns[j] for j in positions], None)
+              for positions in part.blocks.values()]
+    return _assemble_limit(system, tuples.candidates, blocks if tuples else None), tuples
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from entlab import continuous, entangle, operators, shiftlab, spectral_limit
+from entlab import cli, continuous, entangle, operators, shiftlab, spectral_limit
 from entlab.cli import (
     CSV_HEADER,
     emit_results,
@@ -362,6 +362,39 @@ def test_main_limit_reports_tuples_and_matrix(tmp_path, capsys):
         for t in summary["resonant_tuples"]
     }
     assert got == {("0/1", "0/1"), ("1/3", "2/3")}
+
+
+def _per_tuple_json(tuples):
+    """Resonant tuples as JSON, one ResonantTuple at a time."""
+    return [
+        {
+            "entries": [{"angle": f"{fr.numerator}/{fr.denominator}"} for fr in tup.exact],
+            "residuals": [float(r) for r in tup.residuals],
+            "fragile": tup.fragile,
+        }
+        for tup in tuples
+    ]
+
+
+@pytest.mark.parametrize("kind", ["limit", "resonances"])
+def test_tuples_json_from_the_arrays_matches_the_per_tuple_json(kind):
+    # alpha = [1, 2, 1, 2]: two blocks, so each tuple is a pick from each block's solutions
+    spectra = [["0", "1/3", "2/3", "1/2"], ["0", "1/2"], ["0", "1/3", "2/3"], ["1/2", "0", "1/4"]]
+    cfg = _converge_config(kind=kind, alpha=[1, 2, 1, 2], operators=[
+        {"angles": angles, "stable": [[0.4, 0.1 * j]] * (5 - len(angles)),
+         "basis": {"type": "orthonormal", "seed": 5 + j}}
+        for j, angles in enumerate(spectra)], connectors=[{"type": "haar", "seed": 2}] * 3)
+    del cfg["schedule"]
+    parsed = parse_config(json.dumps(cfg))
+    system = cli._build_system(parsed)
+    tuples = spectral_limit.resonant_tuples(system.operators, system.partition)
+    assert len(tuples) == 6
+    want = _per_tuple_json(tuples)
+    assert json.dumps(cli._serialize_tuples(tuples), indent=2) == json.dumps(want, indent=2)
+    records, summary = run_experiment(parsed)
+    assert summary["resonant_tuples"] == want
+    worst = [max(t.residuals) for t in tuples]
+    assert [r["error_fro"] for r in records] == ([max(worst)] if kind == "limit" else worst)
 
 
 def test_main_resonances_one_record_per_tuple(tmp_path, capsys):

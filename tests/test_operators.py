@@ -195,6 +195,56 @@ def test_raw_operator_without_its_eig_is_refused():
         operators.SpectralOperator(np.eye(2), None, 1.0, ())
 
 
+def test_certified_operator_whose_matrix_disagrees_with_its_certificate_is_refused():
+    # accepted before the check: its verdict read (True, None), and at alpha = [1, 1],
+    # N = 64 its spectral and presum means differed by 1.06e-2
+    op = synth_operator(["1/3"], [0.5, -0.2], OrthonormalBasis(1))
+    moved = op.matrix.copy()
+    moved[0, 0] += 0.3
+    with pytest.raises(ValidationError, match="does not reproduce the matrix"):
+        operators.SpectralOperator(moved, op.certificate, op.power_bound_estimate,
+                                   op.unimodular_spectrum)
+    with pytest.raises(ValidationError, match="does not fit"):
+        operators.SpectralOperator(np.eye(2), op.certificate, 1.0, op.unimodular_spectrum)
+
+
+BASES = {"orthonormal": OrthonormalBasis(3), "similarity": RandomSimilarity(3),
+         "similarity-1e3": RandomSimilarity(4, 1e3), "similarity-1e6": RandomSimilarity(5, 1e6)}
+
+
+@pytest.mark.parametrize("basis", BASES.values(), ids=BASES)
+@pytest.mark.parametrize("clock", ["discrete", "continuous"])
+def test_synthesized_operators_pass_their_certificate_check(basis, clock):
+    if clock == "discrete":
+        op = synth_operator(["0", "1/3", "1/2"], [0.9, -0.5j, 0.2, 0.0], basis)
+    else:
+        op = synth_semigroup(["0", "1/2", "-3/2"], [-0.5, -900.0, -2 + 3j, -1e-3], basis)
+    cert = op.certificate
+    # rebuilt directly, also with the matrix multiplied out in another order
+    for matrix in (op.matrix, cert.basis @ np.diag(cert.eigenvalues) @ cert.basis_inv):
+        again = operators.SpectralOperator(matrix.copy(), cert, op.power_bound_estimate,
+                                           op.unimodular_spectrum, clock=op.clock)
+        assert again.spectral_verdict == (True, None)
+
+
+def test_certificate_check_scales_with_the_basis_condition():
+    # cond_2(S) = 1e8: forming S diag(eigenvalues) S^-1 in another order moves entries
+    # by far more than eps, and stays under the bound; a change of 1e-3 does not
+    u, w = linalg.haar_unitary(6, seed=41), linalg.haar_unitary(6, seed=42)
+    s = (u * np.geomspace(1.0, 1e8, 6)) @ w
+    s_inv = np.linalg.inv(s)
+    eigs = np.array([1.0, -1.0, 0.5, 0.25j, -0.1, 0.0], dtype=np.complex128)
+    cert = operators.Certificate(s, eigs, s_inv, (Fraction(0), Fraction(1, 2)))
+    points = synth_operator(["0", "1/2"], [], OrthonormalBasis(1)).unimodular_spectrum
+    matrix = s @ (eigs[:, np.newaxis] * s_inv)
+    assert np.linalg.norm(matrix - (s * eigs) @ s_inv) > 1e3 * np.finfo(float).eps
+    operators.SpectralOperator(matrix, cert, 1e8, points)
+    matrix = matrix.copy()
+    matrix[0, 0] += 1e-3 * np.linalg.norm(matrix)
+    with pytest.raises(ValidationError, match="does not reproduce the matrix"):
+        operators.SpectralOperator(matrix, cert, 1e8, points)
+
+
 # ---------------------------------------------------- power-bound sweeping
 
 

@@ -9,6 +9,7 @@ the known eigenbasis; the meet-in-the-middle path against the brute path.
 import cmath
 import itertools
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import entangle, linalg, operators, spectral_limit
+from entlab import ResonantTuple, ResonantTuples, entangle, linalg, operators, spectral_limit
 from entlab.continuous import (
     CONTINUOUS,
     continuous_limit_operator,
@@ -495,6 +496,80 @@ def test_interleaved_blocks_order_float_ties_by_enumeration():
         assert all(FRAGILE_BAND < t.residuals[0] <= 1e-8 for t in tuples[::2])
         assert all(t.residuals[0] == 0.0 for t in tuples[1::2])
         assert [t.exact[1] is None for t in tuples] == [False] * 4 + [True] * 4
+
+
+# ------------------------------------------------- the ResonantTuples sequence
+
+
+def _interleaved_tuples():
+    """The eight tuples of test_interleaved_blocks_order_float_ties_by_enumeration: two
+    blocks, every other tuple fragile."""
+    near = complex(0.0, 1.0 + 5e-9)
+    return resonant_tuples([[near, 1j], ["1/2", -1.0], [-1j], [-1.0, "1/2"]], [1, 2, 1, 2])
+
+
+def test_resonant_tuples_index_and_iterate_like_their_tuple():
+    seq = _interleaved_tuples()
+    plain = tuple(seq)
+    assert isinstance(seq, ResonantTuples) and len(seq) == len(plain) == 8
+    assert all(isinstance(t, ResonantTuple) for t in plain)
+    assert list(seq) == list(plain)
+    for i in range(-len(seq), len(seq)):
+        assert seq[i] == plain[i]
+    assert seq[np.int64(2)] == plain[2]
+    for s in (slice(None), slice(2, 5), slice(None, None, -3), slice(6, 100), slice(5, 2)):
+        assert isinstance(seq[s], ResonantTuples) and seq[s] == plain[s]
+    assert seq[1:6][1:3] == plain[2:4]
+    for i in (8, -9, 10 ** 9):
+        with pytest.raises(IndexError):
+            seq[i]
+    with pytest.raises(TypeError):
+        seq[1.0]
+    assert plain[3] in seq and seq.index(plain[3]) == 3 and seq.count(plain[0]) == 1
+
+
+def test_resonant_tuples_compare_and_hash_as_their_tuple():
+    seq, again = _interleaved_tuples(), _interleaved_tuples()
+    plain = tuple(seq)
+    assert seq == plain and plain == seq and seq == again and again == seq
+    assert not seq != plain and not plain != seq
+    assert seq != plain[:-1] and plain[:-1] != seq and seq != seq[1:] and seq[1:] != seq
+    assert seq != plain[::-1] and plain[::-1] != seq
+    assert seq != list(plain)  # a tuple is not equal to a list either
+    assert hash(seq) == hash(plain) == hash(again)
+    assert {plain: "found"}[seq] == "found"
+
+
+def test_empty_resonant_tuples_equal_the_empty_tuple():
+    lam = np.exp(2j * np.pi * 0.1)
+    seq = resonant_tuples([[lam], [lam]], [1, 1])
+    assert seq == () and () == seq and not seq and len(seq) == 0 and list(seq) == []
+    assert hash(seq) == hash(())
+    assert seq.fragile.shape == (0,) and [c.shape for c in seq.columns] == [(0,), (0,)]
+    with pytest.raises(IndexError):
+        seq[0]
+
+
+def test_resonant_tuples_arrays_refuse_writes():
+    seq = _interleaved_tuples()
+    for arr in (*seq.columns, *seq.residuals, seq.fragile, *seq[2:5].columns, seq[::2].fragile):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    with pytest.raises(FrozenInstanceError):
+        seq.fragile = np.zeros(len(seq), dtype=bool)
+
+
+def test_resonant_tuples_arrays_are_the_tuples_columns():
+    seq = _interleaved_tuples()
+    want = [max(t.residuals) > FRAGILE_BAND for t in seq]
+    assert seq.fragile.dtype == bool and seq.fragile.tolist() == want == [True, False] * 4
+    assert [t.fragile for t in seq] == want
+    assert [c.tolist() for c in seq.columns] == [list(c) for c in zip(*(t.index for t in seq))]
+    assert [r.tolist() for r in seq.residuals] == [list(r) for r in
+                                                   zip(*(t.residuals for t in seq))]
+    assert [[cands[i] for i in col] for cands, col in zip(seq.candidates, seq.columns)] == [
+        list(zip(e, x)) for e, x in zip(zip(*(t.entries for t in seq)),
+                                        zip(*(t.exact for t in seq)))]
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
