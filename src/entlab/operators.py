@@ -201,9 +201,11 @@ CERTIFICATE_RTOL = 1e-10
 def _check_certificate(matrix: np.ndarray, cert: Certificate) -> None:
     """ValidationError unless cert's S diag(eigenvalues) S^-1 is matrix within CERTIFICATE_RTOL."""
     s, eigs, s_inv = cert.basis, cert.eigenvalues, cert.basis_inv
-    if not s.shape == s_inv.shape == matrix.shape or eigs.shape != matrix.shape[:1]:
+    if eigs.ndim != 1 or not s.shape == s_inv.shape == matrix.shape == 2 * eigs.shape:
         raise ValidationError(f"certificate of shapes {s.shape}, {eigs.shape}, {s_inv.shape} "
                               f"does not fit a {matrix.shape} matrix")
+    if eigs.size == 0:
+        raise ValidationError("a certified operator needs at least one eigenvalue")
     residual = np.linalg.norm((s * eigs[np.newaxis, :]) @ s_inv - matrix)
     bound = (CERTIFICATE_RTOL * np.linalg.norm(s) * np.linalg.norm(s_inv)
              * np.max(np.abs(eigs)))

@@ -95,10 +95,11 @@ class ResonantTuples(Sequence):
     fragile : bool array, True where a tuple's worst residual exceeds
         FRAGILE_BAND.
 
-    Every array is read-only.  Indexing with an int and iteration build a
-    ResonantTuple only when asked, slicing gives another ResonantTuples, and
-    len, truth, order, == and hash are those of the plain tuple of
-    ResonantTuple objects.
+    Every array is read-only.  Indexing with an int builds that one
+    ResonantTuple, slicing gives another ResonantTuples, and the first full
+    read (iteration, ==, hash, repr) builds every ResonantTuple, column by
+    column, and keeps them.  len, truth, order, == and hash are those of the
+    plain tuple of ResonantTuple objects.
     """
 
     candidates: tuple
@@ -113,10 +114,19 @@ class ResonantTuples(Sequence):
     def __len__(self) -> int:
         return len(self.fragile)
 
-    def _tuple(self, index, residuals, fragile) -> ResonantTuple:
-        picks = [cands[i] for cands, i in zip(self.candidates, index)]
-        return ResonantTuple(tuple(e for e, _ in picks), tuple(fr for _, fr in picks),
-                             residuals, fragile, index)
+    @functools.cached_property
+    def _items(self) -> tuple[ResonantTuple, ...]:
+        """Every ResonantTuple, in order."""
+        index = [col.tolist() for col in self.columns]
+        entries, exacts = (zip(*([cands[i][f] for i in col]
+                                 for cands, col in zip(self.candidates, index)))
+                           for f in (0, 1))
+        return tuple(
+            ResonantTuple(e, x, res, fragile, idx)
+            for e, x, res, fragile, idx in zip(entries, exacts,
+                                               zip(*(r.tolist() for r in self.residuals)),
+                                               self.fragile.tolist(), zip(*index))
+        )
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -125,26 +135,26 @@ class ResonantTuples(Sequence):
         i = operator.index(i)
         if not -len(self) <= i < len(self):
             raise IndexError(f"resonant tuple index {i} out of range for {len(self)} tuples")
-        return self._tuple(tuple(col[i].item() for col in self.columns),
-                           tuple(r[i].item() for r in self.residuals), self.fragile[i].item())
+        picks = [cands[col[i]] for cands, col in zip(self.candidates, self.columns)]
+        return ResonantTuple(tuple(e for e, _ in picks), tuple(x for _, x in picks),
+                             tuple(r[i].item() for r in self.residuals),
+                             self.fragile[i].item(), tuple(col[i].item() for col in self.columns))
 
     def __iter__(self):
-        rows = zip(zip(*(col.tolist() for col in self.columns)),
-                   zip(*(r.tolist() for r in self.residuals)), self.fragile.tolist())
-        return (self._tuple(*row) for row in rows)
+        return iter(self._items)
 
     def __eq__(self, other):
         if isinstance(other, ResonantTuples):
-            other = tuple(other)
+            other = other._items
         elif not isinstance(other, tuple):
             return NotImplemented
-        return len(self) == len(other) and tuple(self) == other
+        return self._items == other
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash(self._items)
 
     def __repr__(self) -> str:
-        return f"ResonantTuples({tuple(self)!r})"
+        return f"ResonantTuples({self._items!r})"
 
 
 def _normalize_entry(e, additive: bool):

@@ -206,6 +206,9 @@ def test_certified_operator_whose_matrix_disagrees_with_its_certificate_is_refus
                                    op.unimodular_spectrum)
     with pytest.raises(ValidationError, match="does not fit"):
         operators.SpectralOperator(np.eye(2), op.certificate, 1.0, op.unimodular_spectrum)
+    empty = np.zeros((0, 0), dtype=np.complex128)
+    with pytest.raises(ValidationError, match="at least one eigenvalue"):
+        operators.SpectralOperator(empty, operators.Certificate(empty, np.zeros(0), empty), 1.0, ())
 
 
 BASES = {"orthonormal": OrthonormalBasis(3), "similarity": RandomSimilarity(3),
