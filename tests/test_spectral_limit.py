@@ -514,6 +514,7 @@ def test_resonant_tuples_index_and_iterate_like_their_tuple():
     assert isinstance(seq, ResonantTuples) and len(seq) == len(plain) == 8
     assert all(isinstance(t, ResonantTuple) for t in plain)
     assert list(seq) == list(plain)
+    assert all(a is b for a, b in zip(seq, plain))  # the first full read is kept
     for i in range(-len(seq), len(seq)):
         assert seq[i] == plain[i]
     assert seq[np.int64(2)] == plain[2]
