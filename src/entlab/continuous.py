@@ -2,24 +2,18 @@
 
 A generator is a SpectralOperator on the CONTINUOUS clock (Semigroup names
 that class), and make_continuous_system builds an EntangledSystem of them
-(ContinuousSystem names that class).  Operators and systems of discrete time
-are refused here with ValidationError, as discrete time refuses generators.
+(ContinuousSystem names that class); discrete time is refused here with
+ValidationError, as discrete time refuses generators.
 
-The discrete lattice mean is replaced by (1/t^k) times an iterated integral
-over [0, t]^k, approximated on a shared one-dimensional quadrature grid: all
-positions driven by the same block read the semigroup at the same node.
-The midpoint rule is discrete time: with h = t/Q it is e^{hB_m/2} times
-the depth-Q Cesaro mean over the powers 0..Q-1 of the operators e^{hB_j}
-with connectors A_j e^{hB_j/2} (_midpoint_average).  A Gauss-Legendre rule
-(_gauss_legendre_average) with a certificate on every generator is one
-scalar weight per block, (1/t) sum_i w_i e^{mu s_i}, in the contraction of
-discrete time (entangle._spectral_mean); otherwise one batched expm over
-its nodes samples each generator.  Each rule refuses its grid, then runs
-it, in one function.  The limit is limit_operator's, with the unit
-circle traded for the imaginary axis: eigenvalues 2*pi*i*phi with real
-frequency phi, and the block constraint "product equals one" traded for
-"frequencies sum to zero exactly" (resonance for every t, not only t in a
-lattice).
+The lattice mean becomes (1/t^k) times an iterated integral over [0, t]^k on
+one shared quadrature grid, where the positions of a block read one node.
+The midpoint rule is discrete time (_midpoint_average).  Gauss-Legendre
+(_gauss_legendre_average) is one scalar weight per block in the discrete
+contraction when every generator has an eigenbasis record, else one batched
+expm over its nodes.  Each rule refuses its grid, then runs it, in one
+function.  The limit is limit_operator's on the imaginary axis: eigenvalues
+2*pi*i*phi, and blocks resonate when their frequencies sum to zero exactly
+(for every t, not only on a lattice).
 """
 
 from __future__ import annotations
@@ -38,10 +32,11 @@ from .entangle import (
     _estimate_cost,
     _evaluate_discrete,
     _per_matrix,
+    _record_mean,
     _refuse_beyond,
     _resonant_to_one,
+    _spectral_blocker,
     _spectral_bytes,
-    _spectral_mean,
     _stack_bytes,
     _state,
     _validate_system,
@@ -120,6 +115,9 @@ class _ContinuousClock(Clock):
         freq = float(exact) if exact is not None else value.imag / TWO_PI
         return FrequencyPoint(freq, multiplicity, exact)
 
+    def __reduce__(self):  # pickled by name: a copy is the module's one clock
+        return "CONTINUOUS"
+
 
 CONTINUOUS = _ContinuousClock()
 
@@ -143,7 +141,8 @@ def synth_semigroup(frequencies, stable, basis) -> SpectralOperator:
 def semigroup_from_generator(
     b, tol: float = 1e-9, axis_band: float = AXIS_BAND
 ) -> SpectralOperator:
-    """Wrap a raw generator; one eig call yields frequencies, bound and verdict."""
+    """Wrap a raw generator; one eig call yields frequencies, bound, verdict and, when
+    cond_2(V) allows, the float record both rules run spectral on (see from_matrix)."""
     return _read_matrix(linalg.as_matrix(b, square=True, name="generator"), tol, axis_band,
                         CONTINUOUS)
 
@@ -289,25 +288,25 @@ class ContinuousAverage:
 _CHUNK_CELLS = 1 << 14  # exponentials per chunk of the node sum: nodes times block-grid cells
 
 
-def _quadrature_weight(certificates, s_nodes, weights) -> np.ndarray:
+def _quadrature_weight(records, s_nodes, weights) -> np.ndarray:
     """g(mu) = sum_i weights_i e^{mu s_i} over one block's eigen-index grid.
 
-    Axis i runs over the eigenvalues of certificates[i] and mu is the sum of
-    one eigenvalue per axis; weights are the rule's w_i / t.  The node sum
-    runs in chunks of at most max(cells, _CHUNK_CELLS) exponentials, so its
-    memory follows the block grid, not Q.  A cell whose exact frequencies
-    sum to 0 gets exactly 1.
+    Axis i runs over the eigenvalues of records[i] and mu is the sum of one
+    eigenvalue per axis; weights are the rule's w_i / t.  The node sum runs
+    in chunks of at most max(cells, _CHUNK_CELLS) exponentials, so its
+    memory follows the block grid, not Q.  Resonant cells get exactly 1.
     """
     mu = np.zeros((), dtype=np.complex128)
-    for cert in certificates:
-        mu = np.add.outer(mu, cert.eigenvalues)
+    for rec in records:
+        mu = np.add.outer(mu, rec.eigenvalues)
     cells = mu.ravel()
     g = np.zeros(cells.shape, dtype=np.complex128)
     step = max(1, _CHUNK_CELLS // cells.size)
     for lo in range(0, len(s_nodes), step):
         chunk = np.multiply.outer(s_nodes[lo : lo + step], cells)
         g += weights[lo : lo + step] @ np.exp(chunk, out=chunk)
-    return _resonant_to_one(g.reshape(mu.shape), [c.angles for c in certificates], additive=True)
+    return _resonant_to_one(g.reshape(mu.shape), records, [rec.angles for rec in records],
+                            additive=True, generators=True)
 
 
 def _quadrature_bytes(part: Partition, d: int) -> float:
@@ -329,8 +328,8 @@ def _check_horizon(system, last: float):
 
 
 def _step_pair(sg, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{hB}, e^{hB/2}) of a generator: from its certificate, else one batched expm."""
-    c, steps = sg.certificate, (h, h / 2)
+    """(e^{hB}, e^{hB/2}) of a generator: from its eigenbasis record, else one batched expm."""
+    c, steps = sg.eigenbasis, (h, h / 2)
     return tuple(linalg.expm(sg.generator, np.array(steps)) if c is None
                  else [(c.basis * np.exp(c.eigenvalues * s)) @ c.basis_inv for s in steps])
 
@@ -350,16 +349,16 @@ def _midpoint_average(system, t, quad: QuadratureSpec, x, budget, strategy):
     mats, halves = zip(*(steps(j) for j in range(system.partition.m)))
     conns = [a @ half for a, half in zip(system.connectors, halves)]
     return halves[-1] @ _evaluate_discrete(list(mats), conns, system.partition, q, strategy, x,
-                                           budget, [sg.certificate for sg in system.semigroups], h)
+                                           budget, system.semigroups, h)
 
 
 def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy):
     """The Gauss-Legendre rule, refused before its nodes are computed, then run.
 
     Its nodes take about Q^2/2 recurrence steps per Newton pass, so grids of
-    more than GAUSS_LEGENDRE_MAX_POINTS nodes are refused first.  The rule
-    takes spectral when every generator carries a certificate and its grids
-    fit under entangle.MEMORY_CAP_BYTES, else presum.  Cost, in d x d products:
+    more than GAUSS_LEGENDRE_MAX_POINTS nodes are refused first.  spectral
+    runs as in _evaluate_discrete: without a blocker (_spectral_blocker), else
+    presum.  Cost, in d x d products:
 
     spectral : Q sum_blocks d^r / d^3 for the node sums over each block's
                d^r eigen-index grid, plus the discrete spectral contraction
@@ -374,10 +373,9 @@ def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy
             f"per Newton pass (cap Q={GAUSS_LEGENDRE_MAX_POINTS}); use the midpoint rule"
         )
     remedy = "raise the budget or lower Q"
-    certificates = [sg.certificate for sg in system.semigroups]
-    spectral = (strategy == "spectral" and all(c is not None for c in certificates)
-                and _quadrature_bytes(part, d) <= entangle.MEMORY_CAP_BYTES)
-    if spectral:
+    blocker = (_spectral_blocker(system.semigroups, lambda: _quadrature_bytes(part, d))
+               if strategy == "spectral" else "")
+    if blocker is None:
         cells = sum(float(d) ** len(positions) for positions in part.blocks.values())
         _refuse_beyond(
             q * cells / d**3 + _estimate_cost("spectral", q, part, d), budget, 0,
@@ -388,17 +386,14 @@ def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy
         _refuse_beyond(
             len({id(g) for g in generators}) * 20.0 * q + plan.cost(q, q), budget,
             _stack_bytes(generators, range(part.m), q),
+            f"strategy={f'spectral fell back to presum ({blocker})' if blocker else 'presum'}, "
             f"Q={q}, lattice axes={len(plan.crossing)}", remedy,
         )
     _check_horizon(system, t)  # t bounds the last node, which is not computed yet
     s_nodes, w_nodes = quad.nodes(t)
-    if spectral:
-        return _spectral_mean(
-            [c.basis for c in certificates], [c.basis_inv for c in certificates],
-            list(system.connectors), part,
-            lambda block: _quadrature_weight([certificates[j] for j in block], s_nodes, w_nodes / t),
-            x,
-        )
+    if blocker is None:
+        return _record_mean(system.semigroups, list(system.connectors), part,
+                            lambda recs: _quadrature_weight(recs, s_nodes, w_nodes / t), x)
     stack = _per_matrix(generators, lambda b: linalg.expm(b, s_nodes))
     return _contract(plan, part, list(system.connectors), stack,
                      lambda j: np.tensordot(w_nodes, stack(j), axes=1) / t, w_nodes / t, x)
@@ -423,14 +418,9 @@ def continuous_entangled_average(
     guards.  On the spectral route a cell whose exact frequencies alias
     (sum phi h an integer, sum phi = 0 among them) gets g_Q = 1, and the
     half steps give it its true value (-1)^{sum phi h}.  On a Gauss-Legendre
-    grid, ``spectral`` (default) turns the rule into one scalar weight per
-    block when every generator carries a certificate,
-    g(mu) = (1/t) sum_i w_i e^{mu s_i} with
-    mu the sum of the block's eigenvalues, contracted like the discrete mean
-    (entangle._spectral_mean): no matrix exponential and no Q^k lattice
-    walk, and exactly 1 where the exact frequencies cancel.  Uncertified
-    generators, or grids over the memory cap, fall back to ``presum``: one
-    batched expm per distinct generator, grid sums by entangle.plan_chain.
+    grid ``spectral`` (default) is one scalar weight (1/t) sum_i w_i e^{mu s_i}
+    per block when every generator carries an eigenbasis record and the grid
+    fits the memory cap, else ``presum``: one batched expm per generator.
 
     ``naive`` and unknown strategies are refused with ValidationError.  Q, t,
     costs and a last node past the exponential's norm cap (for Gauss-Legendre

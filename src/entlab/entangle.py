@@ -12,8 +12,9 @@ to factor into a product of one-variable means.
 
 Three evaluation strategies:
 
-* ``spectral`` the closed form, default.  When every T_j carries a
-  certificate T_j = S_j diag(lam_j) S_j^{-1}, the mean is
+* ``spectral`` the closed form, default.  When every T_j carries an
+  eigenbasis record T_j = S_j diag(lam_j) S_j^{-1} (exact for a synthesized
+  operator, float for a well-conditioned raw one), the mean is
   S_m (sum over inner eigen-indices of W * prod_j C_j) S_1^{-1} with cores
   C_j = S_{j+1}^{-1} A_j S_j.  W factorizes over the blocks of alpha; a
   block contributes g_n(z) = (1/n) sum_{k=1..n} z^k, z the product of its
@@ -21,9 +22,9 @@ Three evaluation strategies:
   the one contraction: the midpoint rule is this mean of the steps e^{hB}
   over the powers 0..Q-1 (times e^{hB/2} factors), Gauss-Legendre passes
   its node sum as the block weight, and both limits the 0/1 resonance
-  indicator over boundary eigen-indices.  Without a certificate on every
+  indicator over boundary eigen-indices.  Without a record on every
   position, or when the dense weight would exceed the memory cap, it falls
-  back to ``presum``.
+  back to ``presum``, and a refusal there names the reason.
 * ``naive``   recomputes every operator power per lattice tuple (binary
   powering, nothing cached).  Slow on purpose; it is the reference route.
 * ``presum``  the contraction planner.  A block whose positions are
@@ -37,13 +38,9 @@ Three evaluation strategies:
   blocks such as [1, 2, 1, 2] are left to the lattice walk.
 
 Every finite sum is a weighted mean with one (n,) weight vector shared by
-all blocks: 1/n per index in discrete time, w_i/t per quadrature node in
-continuous time.  A state x travels as one d x 1 column, the right-hand side
-of the chain.  The lattice walk vectorizes the innermost lattice axis through
-numpy batched matmuls and reduces it by one weighted sum; the remaining axes
-run as Python loops whose weighted slices are accumulated with Kahan
-compensation.  Costs are estimated before running and checked against a
-budget; see ``entangled_average`` for the formulas.
+all blocks (see ``lattice_chain_mean``), and a state x travels as one d x 1
+column, the right-hand side of the chain.  Costs are estimated before
+running and checked against a budget; see ``entangled_average``.
 """
 
 from __future__ import annotations
@@ -64,10 +61,12 @@ from .errors import (
     NotSurjectiveError,
     ValidationError,
 )
-from .operators import DISCRETE, SpectralOperator, _on_clock, _require_bounded, as_operator
+from .operators import (DISCRETE, EIGENBASIS_COND_CAP, SpectralOperator, _on_clock,
+                        _require_bounded, as_operator)
 
 MEMORY_CAP_BYTES = 2 << 30  # refuse power stacks beyond 2 GiB
 STRATEGIES = ("naive", "presum", "spectral")
+RESONANCE_TOL = 1e-8  # float records' boundary cells this near resonance weigh 1, as in limits
 
 
 @dataclass(frozen=True)
@@ -447,27 +446,22 @@ def _exact_sums(axes, common: int, additive: bool = False) -> np.ndarray:
     return total if additive else total % common
 
 
-def _cesaro_weight(certificates, n: int, h=None) -> np.ndarray:
+def _cesaro_weight(records, n: int, h=None) -> np.ndarray:
     """g_n(z) = (1/n) sum_{k=1..n} z^k over one block's eigen-index grid.
 
-    Axis i of the grid runs over the eigenvalues of certificates[i] and z is
-    the product of one eigenvalue per axis.  A cell whose eigen-indices all
-    fall in the certificates' boundary prefixes, and whose exact angles sum
-    to 0 mod 1, is resonant and gets g_n = 1 exactly: the float product of
-    its eigenvalues is 1 + O(eps), which n log z would turn into a phase.
-    Elsewhere g_n = z (1 - z^n) / (n (1 - z)), with z^n the product of the
-    eigenvalues' own n-th powers (exact angles n theta mod 1 on the
-    boundary), and for |1 - z| < 1/2 the cancellation-free
-    z expm1(n log z) / (n expm1(log z)).  Each branch is computed in place on
-    its own masked copies, so at most about four complex grids are alive at
-    once (see _spectral_bytes).
+    Axis i runs over the eigenvalues of records[i], z is the product of one
+    per axis, and resonant cells get exactly 1 (_resonant_to_one): n log z
+    would turn their float 1 + O(eps) into a phase.  Elsewhere
+    g_n = z (1 - z^n) / (n (1 - z)), z^n the product of the eigenvalues' n-th
+    powers (n theta mod 1 for exact angles), and for |1 - z| < 1/2
+    z expm1(n log z) / (n expm1(log z)); each branch runs in place on masked
+    copies, so about four complex grids are alive at once (_spectral_bytes).
 
-    With an exact step h the certificates are generators', read as e^{hB},
-    and the mean runs over k = 0..n-1, the midpoint rule's powers:
-    g = (1 - z^n) / (n (1 - z)), near z = 1 expm1(n log z) / (n expm1(log z)),
-    with angles phi h mod 1 (aliased frequencies are resonant) and log z the
-    sum of the exponents lam h on the principal branch, not the log of a
-    rounded e^{lam h}, which would lose |lam h| digits as h goes to 0.
+    With an exact step h the records are generators', read as e^{hB}, and k
+    runs over 0..n-1, the midpoint rule's powers: the same without the
+    leading z, with angles phi h mod 1 (aliased frequencies resonate) and
+    log z the sum of the exponents lam h on the principal branch, not the log
+    of a rounded e^{lam h}, which would lose |lam h| digits as h goes to 0.
     """
     z = np.ones((), dtype=np.complex128) if h is None else np.zeros((), dtype=np.complex128)
     z_n = np.ones((), dtype=np.complex128)
@@ -475,9 +469,10 @@ def _cesaro_weight(certificates, n: int, h=None) -> np.ndarray:
     # exponent for stable eigenvalues: beyond 2^64 each |lam|^n, |lam| <= 1 - 2^-53,
     # has underflowed to 0 already
     n_cap = float(min(n, 2**64))
-    angle_lists = [c.angles if h is None else [a * h % 1 for a in c.angles] for c in certificates]
-    for cert, angles in zip(certificates, angle_lists):
-        values, r = cert.eigenvalues, len(angles)
+    angle_lists = [() if not rec.exact else rec.angles if h is None
+                   else [a * h % 1 for a in rec.angles] for rec in records]
+    for rec, angles in zip(records, angle_lists):
+        values, r = rec.eigenvalues, len(angles)
         if h is not None:  # values are the exponents, the boundary ones from exact angles
             values = np.concatenate([2j * math.pi * np.array(angles, float), values[r:] * float(h)])
         powers = np.empty_like(values)
@@ -511,7 +506,7 @@ def _cesaro_weight(certificates, n: int, h=None) -> np.ndarray:
     zn = z[near]
     del z
     log_z = np.log(zn) if h is None else log_near
-    # |z| <= 1 for certified operators; a product of unit values can round past it
+    # |z| <= 1 for bounded operators; a product of unit values can round past it
     np.minimum(log_z.real, 0.0, out=log_z.real)
     num = np.multiply(n_cap, log_z)
     np.expm1(num, out=num)
@@ -521,22 +516,21 @@ def _cesaro_weight(certificates, n: int, h=None) -> np.ndarray:
     den = np.expm1(log_z, out=log_z)
     zn.fill(1.0)
     g[near] = np.divide(num, den, out=zn, where=den != 0)
-    return _resonant_to_one(g, angle_lists)
+    return _resonant_to_one(g, records, angle_lists, generators=h is not None)
 
 
-def _resonant_to_one(g, angle_lists, additive: bool = False) -> np.ndarray:
-    """g with exactly 1 on the block grid's resonant cells.
-
-    A cell is resonant when its eigen-indices all fall in the boundary
-    prefixes, whose exact values angle_lists[i] holds for axis i, and these
-    sum to 0 (mod 1 for angles, exactly in additive mode for frequencies).
-    Its float eigenvalues only resonate to O(eps), which a long horizon
-    would turn into a phase.
-    """
-    if all(angle_lists):
+def _resonant_to_one(g, records, angle_lists, additive=False, generators=False) -> np.ndarray:
+    """g with exactly 1 on its resonant cells, which lie in the records' boundary prefixes:
+    where the exact values angle_lists[i] of axis i sum to 0 (mod 1 unless additive), or,
+    with a float record, as the limit decides, within RESONANCE_TOL by |product - 1| or
+    the generators' |sum| (not their steps' exponents, which any small h makes small)."""
+    if all(rec.exact for rec in records):
         common = math.lcm(*(a.denominator for angles in angle_lists for a in angles))
-        prefix = g[tuple(slice(len(angles)) for angles in angle_lists)]
-        prefix[_exact_sums(angle_lists, common, additive) == 0] = 1.0
+        hit = _exact_sums(angle_lists, common, additive) == 0
+    else:
+        ends = np.ix_(*(rec.eigenvalues[:len(rec.angles)] for rec in records))
+        hit = np.abs(sum(ends) if generators else math.prod(ends) - 1.0) <= RESONANCE_TOL
+    g[tuple(slice(len(rec.angles)) for rec in records)][hit] = 1.0
     return g
 
 
@@ -568,6 +562,13 @@ def _spectral_mean(rights, lefts, connectors, part: Partition, block_weight, x=N
     return rights[m - 1] @ inner @ (lefts[0] if x is None else lefts[0] @ x)
 
 
+def _record_mean(members, connectors, part: Partition, block_weight, x=None):
+    """_spectral_mean in the members' eigenbasis records; block_weight takes a block's."""
+    recs = [member.eigenbasis for member in members]
+    return _spectral_mean([rec.basis for rec in recs], [rec.basis_inv for rec in recs], connectors,
+                          part, lambda block: block_weight([recs[j] for j in block]), x)
+
+
 def _spectral_bytes(part: Partition, d: int) -> float:
     """Peak bytes of the spectral route: the dense d^m weight and its temporaries.
 
@@ -580,26 +581,38 @@ def _spectral_bytes(part: Partition, d: int) -> float:
     return 16 * (float(d) ** part.m + part.m * d * d + np.getbufsize()) + 72 * grid
 
 
+def _spectral_blocker(members, nbytes) -> str | None:
+    """None, or why spectral cannot run: a member without a record, or nbytes() over the cap."""
+    if not members:
+        return "no eigenbasis records"
+    for j, member in enumerate(members, start=1):
+        if member.eigenbasis is None:  # bounded: its cond_2(V) is past the cap
+            return (f"position {j} has no eigenbasis: cond_2(V) = "
+                    f"{member.power_bound_estimate:.2e}, cap {EIGENBASIS_COND_CAP:.0e}")
+    if nbytes() > MEMORY_CAP_BYTES:
+        return f"the spectral weight needs {nbytes() / 2**30:.2f} GiB, above the memory cap"
+    return None
+
+
 def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget,
-                       certificates=(), h=None):
+                       members=(), h=None):
+    """The depth-n mean of the chain of mats; the spectral route reads the members' records."""
     m = part.m
     d = mats[0].shape[0]
     depth = "n" if h is None else "Q"  # a midpoint grid's depth is its Q
     remedy = f"raise the budget, lower {depth}, or switch strategy"
 
+    route = f"strategy={strategy}"
     if strategy == "spectral":
-        if (len(certificates) == m and all(c is not None for c in certificates)
-                and _spectral_bytes(part, d) <= MEMORY_CAP_BYTES):
+        blocker = _spectral_blocker(members, lambda: _spectral_bytes(part, d))
+        if blocker is None:
             _refuse_beyond(
                 _estimate_cost("spectral", n, part, d), budget, 0,
                 f"strategy=spectral, {depth}={n}, eigen-index tuples={d}^{m}", remedy,
             )
-            return _spectral_mean(
-                [cert.basis for cert in certificates], [cert.basis_inv for cert in certificates],
-                connectors, part,
-                lambda block: _cesaro_weight([certificates[j] for j in block], n, h), x,
-            )
-        strategy = "presum"
+            return _record_mean(members, connectors, part,
+                                lambda recs: _cesaro_weight(recs, n, h), x)
+        strategy, route = "presum", f"strategy=spectral fell back to presum ({blocker})"
 
     if strategy == "naive":
         _refuse_beyond(
@@ -619,7 +632,7 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
     plan = plan_chain(part)
     _refuse_beyond(
         _estimate_cost("presum", n, part), budget, _stack_bytes(mats, plan.stacked, n),
-        f"strategy=presum, {depth}={n}, lattice axes={len(plan.crossing)}", remedy,
+        f"{route}, {depth}={n}, lattice axes={len(plan.crossing)}", remedy,
     )
     if h is None:
         stack = _per_matrix(mats, lambda t: _power_stack(t, n))
@@ -669,10 +682,11 @@ def entangled_average(
     budget=None disables the cost check (the memory cap stays); a NaN
     budget raises ValidationError.
 
-    spectral runs when every operator carries a certificate and the dense
-    d^m eigen-index weight fits under the memory cap; otherwise it falls
-    back to presum, guards included.  It decides resonance from exact
-    angles, so it reaches n = 2^40 and beyond in one call.
+    spectral runs when every operator carries an eigenbasis record and the
+    dense d^m eigen-index weight fits under the memory cap, else presum,
+    whose refusals then name the reason.  Resonance is decided from exact
+    angles, or within RESONANCE_TOL on a float record, so it reaches
+    n = 2^40 and beyond in one call.
 
     With x given the chains act on x and a vector is returned; otherwise the
     operator mean itself.  The strategies agree to ~1e-10 relative; presum
@@ -682,7 +696,7 @@ def entangled_average(
     x = _state(x, system.dim)
     n = linalg._positive_int(n, "depth n")
     out = _evaluate_discrete(mats, list(system.connectors), system.partition, n, strategy,
-                             x, budget, [op.certificate for op in system.operators])
+                             x, budget, system.operators)
     return out if x is None else out[:, 0]
 
 
@@ -748,7 +762,7 @@ def stacked_average(
     embedded into block 1 first).  Summand-by-summand this matches the direct
     chain exactly, so the two routes agree to roundoff; the acceptance suite
     checks a 1e-12 relative residual.  The stacked matrices carry no
-    certificate, so strategy="spectral" runs presum here.
+    eigenbasis record, so strategy="spectral" runs presum here.
     """
     n = linalg._positive_int(n, "depth n")
     m, d = st.m, st.block_dim

@@ -1,23 +1,17 @@
 """Power-bounded operators with spectral bookkeeping, on either clock.
 
-A SpectralOperator is a square matrix on a Clock plus optional exact
-provenance: an operator T with boundary the unit circle on DISCRETE (the
-default), a generator B of e^{tB} with boundary the imaginary axis on
-continuous.CONTINUOUS; each clock's entry points refuse the other's with
-ValidationError (_on_clock).  When the matrix was synthesized as
-S diag(boundary, stable) S^{-1} the certificate stores S, the eigenvalues and
-S^{-1}, and every boundary eigenvalue carries an exact rational (an angle, a
-Fraction of a full turn, or a frequency).  Matrices wrapped raw get a
-floating-point boundary spectrum from the eigensolver and no certificate, and
-keep that eig (values, vectors V, cond_2(V)) with the verdict.  Operators are
-immutable: every array they hold is read-only, so their bookkeeping never goes stale.
+A SpectralOperator is a square matrix on a Clock: an operator T with
+boundary the unit circle on DISCRETE (the default), or a generator B of
+e^{tB} with boundary the imaginary axis on continuous.CONTINUOUS; each
+clock's entry points refuse the other's with ValidationError (_on_clock).
+It holds one eigenbasis record T = S diag(eigenvalues) S^{-1}, boundary
+eigenvalues first: a synthesized operator's certificate, with an exact
+rational (angle or frequency) per boundary eigenvalue, or a raw matrix's
+one float eig when cond_2(V) <= EIGENBASIS_COND_CAP.  Operators are immutable.
 
-Spectral projections take one of three routes (_boundary_basis): the
-certificate (exact diagonal bookkeeping, columns of S and rows of S^{-1}); a
-raw operator's stored eigenbasis, when cond_2(V) <= EIGENBASIS_COND_CAP
-(columns of V, rows of V^{-1} from one solve); otherwise a Schur form with
-Sylvester decoupling, the one route that loads SciPy.  Cesaro partial means
-are kept as an independent route, and tests compare them all.
+Spectral projections take one of two routes (_boundary_basis): the record,
+or a Schur form with Sylvester decoupling, the one route that loads SciPy.
+Cesaro partial means are kept as an independent route for the tests.
 """
 
 from __future__ import annotations
@@ -99,12 +93,13 @@ class SpectralPoint:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Exact diagonalization T = basis @ diag(eigenvalues) @ basis_inv."""
+    """Eigenbasis record T = basis @ diag(eigenvalues) @ basis_inv, boundary first."""
 
     basis: np.ndarray
     eigenvalues: np.ndarray
     basis_inv: np.ndarray
-    angles: tuple = ()  # exact values parallel to the boundary prefix of eigenvalues
+    angles: tuple = ()  # boundary eigenvalues' exact values; None each on a float record
+    exact = property(lambda self: not self.angles or self.angles[0] is not None)
 
 
 @dataclass(frozen=True)
@@ -168,6 +163,9 @@ class Clock:
     def on_boundary(self, z) -> bool:
         return abs(self.size(z) - self.edge) <= self.band
 
+    def __reduce__(self):  # pickled by name: a copy is the module's one clock
+        return "DISCRETE"
+
 
 DISCRETE = Clock()
 
@@ -216,29 +214,32 @@ def _check_certificate(matrix: np.ndarray, cert: Certificate) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SpectralOperator:
-    """Matrix plus spectral bookkeeping on its clock, an immutable value."""
+    """Matrix plus spectral bookkeeping on its clock, an immutable value; verdict is a
+    raw operator's (ok, reason), and a synthesized one's record is its certificate."""
 
     matrix: np.ndarray
-    certificate: Certificate | None
+    eigenbasis: Certificate | None
     power_bound_estimate: float
     unimodular_spectrum: tuple  # SpectralPoints; FrequencyPoints on the continuous clock
-    _checked: tuple | None = field(default=None, repr=False)  # raw: (verdict, EigDecomposition)
+    verdict: tuple | None = field(default=None, repr=False)
     clock: Clock = DISCRETE
 
     def __post_init__(self):
-        """Refuse a raw operator without its eig and a certificate that does not reproduce
-        the matrix (_check_certificate), then make every array read-only."""
-        cert, dec = self.certificate, None if self._checked is None else self._checked[1]
-        if cert is None and dec is None:
-            raise ValidationError("a raw operator needs its eig: build it with from_matrix "
+        """Refuse an operator with neither a record nor a verdict, and a record that does
+        not reproduce the matrix (_check_certificate); then make every array read-only."""
+        rec, arrays = self.eigenbasis, [self.matrix]
+        if rec is not None:
+            _check_certificate(self.matrix, rec)
+            arrays += [rec.basis, rec.eigenvalues, rec.basis_inv]
+        elif self.verdict is None:
+            raise ValidationError("a raw operator needs its verdict: build it with from_matrix "
                                   "or semigroup_from_generator")
-        if cert is not None:
-            _check_certificate(self.matrix, cert)
-        arrays = [self.matrix]
-        arrays += [] if cert is None else [cert.basis, cert.eigenvalues, cert.basis_inv]
-        arrays += [] if dec is None else [dec.values, dec.right_vectors]
         for arr in arrays:
             arr.flags.writeable = False
+
+    def __reduce__(self):  # through the constructor: read-only arrays, the record checked
+        return SpectralOperator, (self.matrix, self.eigenbasis, self.power_bound_estimate,
+                                  self.unimodular_spectrum, self.verdict, self.clock)
 
     @property
     def dim(self) -> int:
@@ -260,13 +261,14 @@ class SpectralOperator:
         return linalg.expm(self.matrix, t)
 
     @property
-    def spectral_verdict(self) -> tuple[bool, str | None]:
-        """(ok, reason): spectrum in the closed stable region, boundary part semisimple.
+    def certificate(self) -> Certificate | None:
+        """The exact record of a synthesized operator; None for a raw one."""
+        return self.eigenbasis if self.verdict is None else None
 
-        A certificate passes, since construction checked that it reproduces the
-        matrix; a raw matrix answers from the verdict its wrapping eig stored.
-        """
-        return (True, None) if self.certificate is not None else self._checked[0]
+    @property
+    def spectral_verdict(self) -> tuple[bool, str | None]:
+        """(ok, reason): closed stable spectrum, semisimple boundary; a certificate passes."""
+        return self.verdict or (True, None)
 
 
 def _basis_pair(spec, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,19 +327,20 @@ def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock) -> Spec
 
     Eigenvalues within CLUSTER_TOL of each other are merged; a cluster is a
     boundary point when its center lies within band of the boundary.  The
-    bound is cond_2 of the eigenvector matrix when the spectrum is in the
-    closed stable region, else inf.  The operator holds its own copy of arr and
-    the verdict and decomposition (values, vectors, cond_2 of the vectors) of it.
+    bound is cond_2(V) of the eigenvectors V, or inf beyond the boundary.
+    With a passing verdict and cond_2(V) <= EIGENBASIS_COND_CAP the eig is the
+    float record, boundary points first, V^{-1} from one inv; it passes
+    _check_certificate by 50x or more (d = 16).  arr is copied.
     """
     linalg._positive_finite(band, "boundary band")
     arr = arr.copy()
     dec = linalg.eig(arr, tol, on_boundary=clock.on_boundary)
-    points = [
-        clock.point(center, int(members.size), None)
-        for center, members in linalg.cluster_eigenvalues(dec.values, CLUSTER_TOL)
-        if abs(clock.size(center) - clock.edge) <= band
-    ]
-    points.sort(key=lambda p: p.key())
+    clusters = sorted(
+        ((clock.point(center, int(members.size), None), members.tolist())
+         for center, members in linalg.cluster_eigenvalues(dec.values, CLUSTER_TOL)
+         if abs(clock.size(center) - clock.edge) <= band),
+        key=lambda c: c[0].key(),
+    )
     worst = float(np.max(clock.size(dec.values)))
     bound, verdict = float(dec.condition_estimate), (True, None)
     if worst > clock.edge + clock.band:
@@ -345,7 +348,13 @@ def _read_matrix(arr: np.ndarray, tol: float, band: float, clock: Clock) -> Spec
         verdict = False, f"{clock.size_name} {worst:.6e} beyond {clock.boundary_name}"
     elif not dec.semisimple_boundary:
         verdict = False, f"defective eigenvalue cluster on {clock.boundary_name}"
-    return SpectralOperator(arr, None, bound, tuple(points), (verdict, dec), clock)
+    record = None
+    if verdict[0] and bound <= EIGENBASIS_COND_CAP:
+        boundary = [i for _, members in clusters for i in members]
+        order = boundary + [i for i in range(arr.shape[0]) if i not in boundary]
+        record = Certificate(dec.right_vectors[:, order], dec.values[order],
+                             np.linalg.inv(dec.right_vectors)[order], (None,) * len(boundary))
+    return SpectralOperator(arr, record, bound, tuple(p for p, _ in clusters), verdict, clock)
 
 
 def synth_operator(angles, stable, basis) -> SpectralOperator:
@@ -365,12 +374,10 @@ def from_matrix(a, tol: float = 1e-9) -> SpectralOperator:
     """Wrap a raw matrix; the unimodular spectrum is read off the eigensolver.
 
     One eig call yields the unimodular spectrum (clusters merged at
-    CLUSTER_TOL, centers within UNIMOD_BAND of the circle), the power bound
-    and the boundedness verdict, and the operator keeps its eigenvalues,
-    eigenvectors V and cond_2(V).  No certificate is attached, so exact-angle
-    arithmetic is unavailable; projections read V and rows of V^{-1} when
-    cond_2(V) <= EIGENBASIS_COND_CAP, and go through a Schur split otherwise
-    (see _boundary_basis).
+    CLUSTER_TOL, centers within UNIMOD_BAND of the circle), the power bound,
+    the boundedness verdict and, when cond_2(V) <= EIGENBASIS_COND_CAP, a
+    float eigenbasis record (no exact angles); without one, projections take
+    a Schur split (_boundary_basis) and means presum.
     """
     return _read_matrix(linalg.as_matrix(a, square=True), tol, UNIMOD_BAND, DISCRETE)
 
@@ -473,21 +480,17 @@ def jdl_split(op) -> JdlSplit:
     """
     op = as_operator(op)
     _require_bounded([op])
-    if op.certificate is not None:
-        mask = (np.abs(np.abs(op.certificate.eigenvalues) - 1.0) <= UNIMOD_BAND)
-        p_r = (op.certificate.basis * mask[np.newaxis, :]) @ op.certificate.basis_inv
-    elif not op.unimodular_spectrum:
-        p_r = np.zeros((op.dim, op.dim), dtype=np.complex128)
-    else:
-        points = op.unimodular_spectrum
-        right, left, _ = _boundary_basis(op, [p.value for p in points], [None] * len(points),
+    p_r = np.zeros((op.dim, op.dim), dtype=np.complex128)
+    points = op.unimodular_spectrum
+    if points:
+        right, left, _ = _boundary_basis(op, [p.value for p in points], [p.angle for p in points],
                                          [p.multiplicity for p in points])
         p_r = right @ left
     return JdlSplit(p_r, np.eye(op.dim, dtype=np.complex128) - p_r)
 
 
-# Largest cond_2(V) of a raw operator's stored eigenvectors V (unit columns)
-# at which _boundary_basis reads its projections off V and V^{-1}.  Swept at
+# Largest cond_2(V) of a raw operator's eigenvectors V (unit columns) at which
+# its eig becomes its float eigenbasis record (_read_matrix).  Swept at
 # d = 16 (boundary 1, i, -1 twice, -i; S = U diag(geomspace(1, c)) W with
 # Haar U, W; worst of 5 seeds) against the projection at -1 built from the
 # exact S: both routes err by about c^2 * eps up to c = 1e4 (this route
@@ -504,42 +507,30 @@ def _boundary_basis(op, values, exacts, mults):
 
     group, a nondecreasing list, gives the index in values of each of the r
     eigen-indices; the spectral projection at values[v] is right[:, idx] @
-    left[idx, :] over the idx with group[idx] == v.  An eigenvalue belongs to
-    a value by exact value when exacts gives one and the certificate lists
-    them, else within CLUSTER_TOL * max(1, |value|).  Three routes:
+    left[idx, :] over the idx with group[idx] == v.  Two routes:
 
-    - certificate: columns of S and rows of S^{-1};
-    - stored eigenbasis, for a raw operator whose eig (see _read_matrix)
-      has cond_2(V) <= EIGENBASIS_COND_CAP and matches mults[v] eigenvalues
-      to each values[v]: columns of V, and the rows of V^{-1} from one solve
-      against the matching unit vectors;
-    - Schur, for any other raw operator: one sorted Schur form puts all the
-      values' clusters first (see _schur_split), and for more than one value
-      the eig W diag(mu) W^{-1} of T11 splits them: right Z_1 W, left
-      W^{-1} [I, Y] Z^H.
+    - the record: columns of S and rows of S^{-1}, picked by exact value when
+      exacts gives one and the record is exact, else within
+      CLUSTER_TOL * max(1, |value|) and mults[v] of them, or Schur runs;
+    - Schur: one sorted Schur form puts all the values' clusters first (see
+      _schur_split), and for more than one value the eig W diag(mu) W^{-1}
+      of T11 splits them: right Z_1 W, left W^{-1} [I, Y] Z^H.
     """
     bands = [CLUSTER_TOL * max(1.0, abs(v)) for v in values]
-    cert = op.certificate
-    if cert is None:
-        dec = op._checked[1]
-        if not dec.condition_estimate <= EIGENBASIS_COND_CAP:  # inf or NaN fall back too
-            return _schur_basis(op.matrix, values, bands)
-    eigenvalues = dec.values if cert is None else cert.eigenvalues
+    rec = op.eigenbasis
+    if rec is None:
+        return _schur_basis(op.matrix, values, bands)
     idx, group = [], []
     for v, (value, exact, band) in enumerate(zip(values, exacts, bands)):
-        if exact is not None and cert is not None and cert.angles:
-            hits = [i for i, a in enumerate(cert.angles) if a == exact]
+        if exact is not None and rec.exact:
+            hits = [i for i, a in enumerate(rec.angles) if a == exact]
         else:
-            hits = np.flatnonzero(np.abs(eigenvalues - value) <= band).tolist()
-        if cert is None and len(hits) != mults[v]:
-            return _schur_basis(op.matrix, values, bands)
+            hits = np.flatnonzero(np.abs(rec.eigenvalues - value) <= band).tolist()
+            if len(hits) != mults[v]:
+                return _schur_basis(op.matrix, values, bands)
         idx += hits
         group += [v] * len(hits)
-    if cert is not None:
-        return cert.basis.take(idx, axis=1), cert.basis_inv.take(idx, axis=0), group
-    vecs = dec.right_vectors
-    unit = np.eye(op.dim, dtype=np.complex128)[:, idx]
-    return vecs[:, idx], np.linalg.solve(vecs.T, unit).T, group
+    return rec.basis.take(idx, axis=1), rec.basis_inv.take(idx, axis=0), group
 
 
 def _schur_basis(matrix, values, bands):
@@ -580,10 +571,8 @@ def mean_ergodic_projection(op, lam, mode: str = "spectral", n: int | None = Non
     """Projection onto ker(T - lambda) along ran(T - lambda).
 
     lam may be a complex number on the unit circle or an exact angle (Fraction,
-    'p/q' string, (p, q) tuple, int).  mode 'spectral' assembles the projection
-    from the certificate, from a raw operator's stored eigenbasis, or from a
-    Schur split when that basis is ill-conditioned (see _boundary_basis), and
-    is exact up to linear algebra;
+    'p/q' string, (p, q) tuple, int).  mode 'spectral' reads the eigenbasis
+    record or a Schur split (_boundary_basis), exact up to linear algebra;
     mode 'cesaro' returns the partial mean (1/n) sum_{j=1..n} (conj(lambda) T)^j,
     which converges to the same projection at rate O(1/n) and is kept as the
     independent route for tests.  Off-spectrum lam gives the zero matrix.

@@ -43,7 +43,7 @@ from .operators import (
     parse_angle,
 )
 
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = entangle.RESONANCE_TOL
 FRAGILE_BAND = 1e-10
 MITM_THRESHOLD = 100_000  # combinations per block above which the meet-in-the-middle runs
 
@@ -111,6 +111,9 @@ class ResonantTuples(Sequence):
         for arr in (*self.columns, *self.residuals, self.fragile):
             arr.flags.writeable = False
 
+    def __reduce__(self):  # through the constructor, so a copy's arrays are read-only too
+        return ResonantTuples, (self.candidates, self.columns, self.residuals, self.fragile)
+
     def __len__(self) -> int:
         return len(self.fragile)
 
@@ -166,7 +169,8 @@ def _normalize_entry(e, additive: bool):
         if fr is None:
             val = complex(e.value)
     elif isinstance(e, (Fraction, str)) or (isinstance(e, int) and not isinstance(e, bool)):
-        fr = Fraction(e) if additive else parse_angle(e)
+        fr = e if isinstance(e, Fraction) else Fraction(e) if additive else parse_angle(e)
+        fr = fr if additive or 0 <= fr < 1 else fr % 1  # a Fraction is not parsed again
     else:
         fr = None
         val = float(e) if additive else complex(e)

@@ -3,12 +3,12 @@
 Only the matrix exponential and the Schur split of a raw operator need
 scipy.linalg, and each imports it when called.  Each case runs in a fresh
 interpreter with src/ on the path and reports the scipy modules it loaded:
-importing the package, the certified runs, continuous ones included, and a
-limit of a well-conditioned raw operator (projected in its stored
-eigenbasis) must load none; a continuous run on a raw generator and a raw
-limit that needs the Schur split (a defective stable part) must still load
-scipy.linalg, which shows the import moved into the functions rather than
-went missing.
+importing the package, the certified runs, continuous ones included, and
+runs on well-conditioned raw operators and generators (which read their
+float eigenbasis records) must load none; a continuous run on a raw
+generator and a raw limit without a record (a defective stable part) must
+still load scipy.linalg, which shows the import moved into the functions
+rather than went missing.
 """
 
 import json
@@ -51,9 +51,23 @@ _RAW_CONTINUOUS = """
 import numpy as np
 from entlab import QuadratureSpec, continuous_entangled_average, make_continuous_system
 from entlab import semigroup_from_generator
+b = np.zeros((4, 4))
+b[:2, :2] = [[0.0, -np.pi], [np.pi, 0.0]]
+b[2:, 2:] = [[-0.5, 1.0], [0.0, -0.5]]  # a Jordan block in the stable part: no eigenbasis
+sg = semigroup_from_generator(b)
+system = make_continuous_system([1, 1], [sg, sg])
+assert continuous_entangled_average(system, 2.0, QuadratureSpec("midpoint", 16)).value.shape == (4, 4)
+"""
+
+_RAW_CONTINUOUS_RECORD = """
+import numpy as np
+from entlab import QuadratureSpec, continuous_entangled_average, make_continuous_system
+from entlab import semigroup_from_generator
 sg = semigroup_from_generator(np.array([[0.0, -np.pi], [np.pi, 0.0]]))
 system = make_continuous_system([1, 1], [sg, sg])
-assert continuous_entangled_average(system, 2.0, QuadratureSpec("midpoint", 16)).value.shape == (2, 2)
+for scheme in ("midpoint", "gauss-legendre"):
+    quad = QuadratureSpec(scheme, 16)
+    assert continuous_entangled_average(system, 2.0, quad).value.shape == (2, 2)
 """
 
 _REFUSED_EXPM = """
@@ -96,6 +110,7 @@ def _scipy_modules(code, cwd):
     pytest.param(_CERTIFIED_LIMIT, id="certified-limit"),
     pytest.param(_REFUSED_EXPM, id="refused-expm"),
     pytest.param(_RAW_LIMIT_D128, id="raw-limit-d128"),
+    pytest.param(_RAW_CONTINUOUS_RECORD, id="raw-continuous-record"),
 ])
 def test_run_leaves_scipy_unloaded(code, tmp_path):
     assert _scipy_modules(code, tmp_path) == []

@@ -519,12 +519,16 @@ def test_midpoint_grid_exponentiates_two_matrices_per_generator(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "expm", counting)
-    # raw generators: certified ones would take both steps from their certificates
+    # raw generators with a defective stable part: generators with an eigenbasis
+    # record would take both steps from it
+    jordan = np.array([[-0.5, 1.0], [0.0, -0.5]])
     sg1, sg2 = (
-        semigroup_from_generator(synth_semigroup(["1/2", "0"], [z], OrthonormalBasis(seed)).generator)
-        for z, seed in [(-0.3 + 0.9j, 301), (-0.2 - 0.5j, 302)]
+        semigroup_from_generator(np.block([[np.array([[0.0, -np.pi], [np.pi, 0.0]]) * f,
+                                            np.zeros((2, 2))], [np.zeros((2, 2)), jordan]]))
+        for f in (1.0, 2.0)
     )
-    conn = linalg.haar_unitary(3, seed=303)
+    assert sg1.eigenbasis is None and sg2.eigenbasis is None
+    conn = linalg.haar_unitary(4, seed=303)
     sys_ = make_continuous_system([1, 2, 2, 1], [sg1, sg2, sg2, sg1], [conn] * 3)
     out = continuous_entangled_average(
         sys_, 20.0, QuadratureSpec("midpoint", 400), strategy="presum"
@@ -587,16 +591,21 @@ def test_midpoint_fine_grid_is_refused_before_the_coarse_grid_runs(monkeypatch):
 
 
 def _route_system(alpha, basis):
-    """Certified generators of dimension 3, one per position, and Haar connectors."""
+    """Generators of dimension 3, one per position, and Haar connectors: certified,
+    or for basis "raw" the similarity ones' matrices wrapped with their float records."""
     make = {"orthonormal": OrthonormalBasis, "similarity": lambda seed: RandomSimilarity(seed, 1e3)}
-    sgs = [synth_semigroup([f"{j}/2", "0"], [-0.3 + 0.9j * (-1) ** j], make[basis](310 + j))
+    sgs = [synth_semigroup([f"{j}/2", "0"], [-0.3 + 0.9j * (-1) ** j],
+                           make["similarity" if basis == "raw" else basis](310 + j))
            for j in range(len(alpha))]
+    if basis == "raw":
+        sgs = [semigroup_from_generator(sg.generator) for sg in sgs]
+        assert all(sg.certificate is None and sg.eigenbasis is not None for sg in sgs)
     conns = [linalg.haar_unitary(3, seed=320 + j) for j in range(len(alpha) - 1)]
     return make_continuous_system(alpha, sgs, conns)
 
 
 @pytest.mark.parametrize("state", [False, True], ids=["operator", "state"])
-@pytest.mark.parametrize("basis", ["orthonormal", "similarity"])
+@pytest.mark.parametrize("basis", ["orthonormal", "similarity", "raw"])
 @pytest.mark.parametrize("scheme", ["midpoint", "gauss-legendre"])
 @pytest.mark.parametrize("alpha", [[1], [1, 1], [1, 2], [1, 2, 1], [1, 2, 1, 2], [1, 2, 2, 1]])
 def test_spectral_route_matches_presum(alpha, scheme, basis, state):
@@ -751,6 +760,17 @@ def test_midpoint_spectral_route_keeps_its_digits_as_h_goes_to_zero(q):
     ref = _midpoint_reference(sys_, 1.0, q)
     got = continuous_entangled_average(sys_, 1.0, QuadratureSpec("midpoint", q), richardson=False)
     assert np.linalg.norm(got.value - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_slow_frequency_of_a_raw_generator_is_not_resonant_at_a_small_step():
+    # at h = 1e-6 the step's exponent 2 pi i h / 1000 is 6e-9 from 0, within the
+    # resonance tolerance, but over t = 10 the frequency 1/1000 turns by 1/100
+    sg = synth_semigroup(["1/1000"], [-1.0], OrthonormalBasis(3))
+    quad = QuadratureSpec("midpoint", 10**7)
+    want, got = (continuous_entangled_average(make_continuous_system([1], [g]), 10.0, quad,
+                                              richardson=False).value
+                 for g in (sg, semigroup_from_generator(sg.generator)))
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("strategy", ["spectral", "presum"])

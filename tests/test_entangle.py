@@ -243,7 +243,7 @@ def test_bijective_alpha_factorizes_exactly():
 def test_budget_refusal_happens_before_work():
     sys_ = _unitary_system([1, 1], d=2, seed=60)
     with pytest.raises(BudgetExceededError, match="budget"):
-        entangled_average(sys_, 1000, budget=100)
+        entangled_average(sys_, 1000, strategy="presum", budget=100)
 
 
 def test_budget_none_disables_cost_check():

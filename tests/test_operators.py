@@ -6,6 +6,8 @@ Tolerances follow the documented contracts (1e-10 scaled algebra for the
 splitting, O(1/n) for Cesaro convergence).
 """
 
+import copy
+import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -150,14 +152,37 @@ CONSTRUCTORS = {
 @pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
 def test_every_array_of_a_constructed_operator_is_read_only(build):
     op = build()
-    arrays = [op.matrix]
-    if op.certificate is not None:
-        arrays += [op.certificate.basis, op.certificate.eigenvalues, op.certificate.basis_inv]
-    else:
-        arrays += [op._checked[1].values, op._checked[1].right_vectors]
-    for arr in arrays:
+    rec = op.eigenbasis
+    for arr in [op.matrix, rec.basis, rec.eigenvalues, rec.basis_inv]:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
+
+
+@pytest.mark.parametrize("copy_of", [lambda op: pickle.loads(pickle.dumps(op)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
+def test_a_copied_operator_is_rebuilt_read_only_and_checked_again(build, copy_of, monkeypatch):
+    # a copy used to come back with writeable arrays, and after a write to its
+    # matrix its verdict still read (True, None)
+    op = build()
+    checked = []
+    check = operators._check_certificate
+    monkeypatch.setattr(operators, "_check_certificate",
+                        lambda matrix, rec: checked.append(rec) or check(matrix, rec))
+    again = copy_of(op)
+    assert len(checked) == 1 and again is not op and again.clock is op.clock
+    assert (again.certificate is None) is (op.certificate is None)
+    assert again.spectral_verdict == op.spectral_verdict
+    assert again.unimodular_spectrum == op.unimodular_spectrum
+    rec = again.eigenbasis
+    for arr in [again.matrix, rec.basis, rec.eigenvalues, rec.basis_inv]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    rebuild, args = op.__reduce__()
+    moved = args[0].copy()
+    moved[0, 0] += 0.3
+    with pytest.raises(ValidationError, match="does not reproduce the matrix"):
+        rebuild(moved, *args[1:])
 
 
 def test_certified_matrix_cannot_drift_from_its_certificate():

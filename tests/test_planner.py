@@ -21,12 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import entangle, linalg
+from entlab import entangle, linalg, operators
 from entlab.cli import main
 from entlab.continuous import (
     QuadratureSpec,
     continuous_entangled_average,
     make_continuous_system,
+    semigroup_from_generator,
     synth_semigroup,
 )
 from entlab.entangle import (
@@ -42,7 +43,7 @@ from entlab.entangle import (
     stacked_system,
 )
 from entlab.errors import BudgetExceededError, ValidationError
-from entlab.operators import OrthonormalBasis, RandomSimilarity, synth_operator
+from entlab.operators import OrthonormalBasis, RandomSimilarity, from_matrix, synth_operator
 from entlab.rng import CounterRng
 from entlab.spectral_limit import limit_operator
 
@@ -52,8 +53,9 @@ CROSSING = [[1, 2, 1, 2], [1, 2, 1, 3, 3, 2], [3, 1, 2, 1, 2], [1, 2, 1, 2, 3]]
 BIJECTIVE = [[2, 3, 1]]
 
 
-def _random_system(alpha, d, seed, similarity):
-    """Operators with exact angles (denominators <= 6) and stable radius < 0.9."""
+def _random_system(alpha, d, seed, similarity, raw=False):
+    """Operators with exact angles (denominators <= 6) and stable radius < 0.9;
+    raw wraps each matrix by from_matrix, so that it carries a float record."""
     rng = CounterRng(seed)
     ops = []
     for j in range(len(alpha)):
@@ -64,7 +66,8 @@ def _random_system(alpha, d, seed, similarity):
         phase = np.exp(2j * np.pi * rng.uniform(d - n_unit))
         basis = (RandomSimilarity(seed + 31 * j, 5.0) if similarity
                  else OrthonormalBasis(seed + 31 * j))
-        ops.append(synth_operator(angles, list(radius * phase), basis))
+        op = synth_operator(angles, list(radius * phase), basis)
+        ops.append(from_matrix(op.matrix) if raw else op)
     conns = [rng.complex_normal((d, d)) / np.sqrt(d) for _ in range(len(alpha) - 1)]
     return make_system(alpha, ops, conns)
 
@@ -106,9 +109,10 @@ def test_plan_collapses_nested_blocks_and_keeps_crossing_ones(alpha, spans, cros
     n=st.integers(min_value=1, max_value=6),
     similarity=st.booleans(),
     vector=st.booleans(),
+    raw=st.booleans(),
 )
-def test_planner_matches_naive(seed, alpha, d, n, similarity, vector):
-    sys_ = _random_system(alpha, d, seed, similarity)
+def test_planner_matches_naive(seed, alpha, d, n, similarity, vector, raw):
+    sys_ = _random_system(alpha, d, seed, similarity, raw)
     x = None
     if vector:
         x = CounterRng(seed + 1).complex_normal((d,))
@@ -268,9 +272,11 @@ def test_grid_planner_matches_full_weighted_lattice(alpha, scheme):
     assert _rel(got, ref) <= 1e-12
 
 
-def _random_generators(alpha, d, seed, similarity):
+def _random_generators(alpha, d, seed, similarity, raw=False):
     """Generators with exact frequencies (denominators <= 6, some beyond 1 in
-    size) and stable eigenvalues in Re < -0.05, with Gaussian connectors."""
+    size) and stable eigenvalues in Re < -0.05, with Gaussian connectors; raw
+    wraps each matrix by semigroup_from_generator, so that it carries a float
+    record."""
     rng = CounterRng(seed)
     sgs = []
     for j in range(len(alpha)):
@@ -280,7 +286,8 @@ def _random_generators(alpha, d, seed, similarity):
         stable = -0.05 - rng.uniform(d - n_axis) + 2j * rng.uniform(d - n_axis) - 1j
         basis = (RandomSimilarity(seed + 31 * j, 5.0) if similarity
                  else OrthonormalBasis(seed + 31 * j))
-        sgs.append(synth_semigroup(freqs, list(stable), basis))
+        sg = synth_semigroup(freqs, list(stable), basis)
+        sgs.append(semigroup_from_generator(sg.generator) if raw else sg)
     conns = [rng.complex_normal((d, d)) / np.sqrt(d) for _ in range(len(alpha) - 1)]
     return make_continuous_system(alpha, sgs, conns)
 
@@ -295,12 +302,13 @@ def _random_generators(alpha, d, seed, similarity):
     t=st.one_of(st.sampled_from([0.1, 1 / 3, 2 / 3, 1.0]),
                 st.floats(min_value=0.05, max_value=4.0)),
     similarity=st.booleans(),
+    raw=st.booleans(),
 )
-def test_midpoint_routes_match_the_node_sum(seed, alpha, d, q, t, similarity):
+def test_midpoint_routes_match_the_node_sum(seed, alpha, d, q, t, similarity, raw):
     # the midpoint rule as discrete time on both routes, against the weighted
     # lattice over the nodes with T(s_i) from expm; non-dyadic t gives step
     # angles with denominators near 2^55 Q
-    sys_ = _random_generators(alpha, d, seed, similarity)
+    sys_ = _random_generators(alpha, d, seed, similarity, raw)
     s_nodes, w_nodes = QuadratureSpec("midpoint", q).nodes(t)
     factors = [("stack", a, sg.value(s_nodes)) for a, sg in zip(alpha, sys_.semigroups)]
     ref = lattice_chain_mean(factors, list(sys_.connectors), q, weights=w_nodes / t)
@@ -341,7 +349,7 @@ def test_crossing_alpha_at_depth_1e5_refused_before_work(monkeypatch):
     sys_ = _pair_system([1, 2, 1, 2])
     _forbid_work(monkeypatch)
     with pytest.raises(BudgetExceededError, match="lattice axes=2"):
-        entangled_average(sys_, 100_000)
+        entangled_average(sys_, 100_000, strategy="presum")
 
 
 @pytest.mark.parametrize("strategy, n", [("presum", 100_000), ("naive", 64)])
@@ -441,9 +449,70 @@ def test_spectral_falls_back_when_the_weight_fits_but_its_temporaries_do_not(mon
 
 
 @pytest.mark.parametrize("alpha", [[1, 2, 2, 1], [1, 2, 1, 2]])
-def test_uncertified_system_gets_the_presum_result_bit_for_bit(alpha):
+def test_raw_system_with_a_record_matches_presum(alpha):
     sys_ = _pair_system(alpha)
+    assert all(op.eigenbasis is not None and op.certificate is None for op in sys_.operators)
+    presum = entangled_average(sys_, 5, strategy="presum")
+    assert np.linalg.norm(entangled_average(sys_, 5) - presum) <= 1e-12 * np.linalg.norm(presum)
+
+
+def _recordless_system(alpha, delta):
+    """Raw operators U diag(e^{2 pi i j/3}, [[0.5, 1], [0, 0.5 + delta]]) U^H: delta = 0
+    is a defective stable part, and delta = 1e-9 puts cond_2(V) past the cap."""
+    ops = []
+    for j in range(len(alpha)):
+        u = linalg.haar_unitary(3, seed=700 + j)
+        block = np.array([[np.exp(2j * np.pi * j / 3), 0, 0], [0, 0.5, 1], [0, 0, 0.5 + delta]])
+        ops.append(from_matrix(u @ block @ u.conj().T))
+    conns = [linalg.haar_unitary(3, seed=710 + j) for j in range(len(alpha) - 1)]
+    return make_system(alpha, ops, conns)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-9], ids=["defective", "ill-conditioned"])
+@pytest.mark.parametrize("alpha", [[1, 2, 2, 1], [1, 2, 1, 2]])
+def test_raw_system_without_a_record_gets_the_presum_result_bit_for_bit(alpha, delta):
+    sys_ = _recordless_system(alpha, delta)
+    for op in sys_.operators:
+        assert op.spectral_verdict == (True, None)
+        assert op.eigenbasis is None and op.power_bound_estimate > operators.EIGENBASIS_COND_CAP
     assert np.array_equal(entangled_average(sys_, 5), entangled_average(sys_, 5, strategy="presum"))
+
+
+def test_spectral_fallback_names_its_reason_when_presum_refuses(monkeypatch):
+    sys_ = _recordless_system([1, 2, 1, 2], 1e-9)
+    _forbid_work(monkeypatch)
+    with pytest.raises(BudgetExceededError, match=r"fell back to presum \(position 1 has no "
+                                                  r"eigenbasis: cond_2\(V\) = .*, cap 1e\+06\)"):
+        entangled_average(sys_, 100_000)
+    monkeypatch.setattr(entangle, "MEMORY_CAP_BYTES", 1000)
+    with pytest.raises(BudgetExceededError, match=r"fell back to presum \(the spectral weight "
+                                                  r"needs .* GiB, above the memory cap"):
+        entangled_average(_certified_system([1, 2, 1, 2]), 100_000)
+
+
+def _raw_resonant_system():
+    """alpha = [1, 2, 1, 2], d = 6: raw operators with boundary angles {0, 1/3} or
+    {0, 2/3}, so each block resonates at (0, 0) and (1/3, 2/3), and cond_2(V) > 1."""
+    angles = [["0", "1/3"], ["0", "2/3"], ["0", "2/3"], ["0", "1/3"]]
+    ops = [from_matrix(synth_operator(a, [0.5, -0.4j, 0.3 + 0.3j, -0.6],
+                                      RandomSimilarity(720 + j, 20.0)).matrix)
+           for j, a in enumerate(angles)]
+    conns = [linalg.haar_unitary(6, seed=730 + j) for j in range(3)]
+    return make_system([1, 2, 1, 2], ops, conns)
+
+
+def test_raw_crossing_alpha_at_depth_1e5_runs_under_default_budget(monkeypatch):
+    sys_ = _raw_resonant_system()
+    assert all(op.certificate is None and op.power_bound_estimate > 1.5 for op in sys_.operators)
+    presum = entangled_average(sys_, 64, strategy="presum")
+    assert np.linalg.norm(entangled_average(sys_, 64) - presum) <= 1e-12 * np.linalg.norm(presum)
+    _forbid_work(monkeypatch)
+    lim = limit_operator(sys_)
+    assert np.linalg.norm(lim) > 0.1
+    assert _rel(entangled_average(sys_, 100_000), lim) <= 1e-4
+    # resonant float products are 1 + O(eps); without the snap to 1, N log z
+    # would turn them into a phase at this depth
+    assert np.linalg.norm(entangled_average(sys_, 2**40) - lim) <= 1e-10 * np.linalg.norm(lim)
 
 
 def _config(alpha, path, **over):

@@ -7,8 +7,10 @@ the known eigenbasis; the meet-in-the-middle path against the brute path.
 """
 
 import cmath
+import copy
 import itertools
 import math
+import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -560,6 +562,17 @@ def test_resonant_tuples_arrays_refuse_writes():
         seq.fragile = np.zeros(len(seq), dtype=bool)
 
 
+@pytest.mark.parametrize("copy_of", [lambda seq: pickle.loads(pickle.dumps(seq)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copy_of_resonant_tuples_is_rebuilt_read_only(copy_of):
+    seq = _interleaved_tuples()
+    again = copy_of(seq)
+    assert again == seq and again is not seq
+    for arr in (*again.columns, *again.residuals, again.fragile):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 def test_resonant_tuples_arrays_are_the_tuples_columns():
     seq = _interleaved_tuples()
     want = [max(t.residuals) > FRAGILE_BAND for t in seq]
@@ -969,7 +982,8 @@ def test_well_conditioned_raw_operator_projects_in_its_stored_eigenbasis(continu
     monkeypatch.setattr(scipy.linalg, "schur", never)
     sys_, want, bases = _route_case(continuous, 1e3)
     for member in sys_.operators:
-        assert 1e2 < member._checked[1].condition_estimate <= operators.EIGENBASIS_COND_CAP
+        assert 1e2 < member.power_bound_estimate <= operators.EIGENBASIS_COND_CAP
+        assert member.eigenbasis is not None
     assert np.linalg.norm(want) > 0.1
     got = (continuous_limit_operator if continuous else limit_operator)(sys_)
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
@@ -989,7 +1003,8 @@ def test_defective_stable_raw_operator_falls_back_to_schur(continuous, schur_cal
     sys_, want, _ = _route_case(continuous, 10.0, jordan=True)
     for member in sys_.operators:
         assert member.spectral_verdict == (True, None)
-        assert member._checked[1].condition_estimate > operators.EIGENBASIS_COND_CAP
+        assert member.power_bound_estimate > operators.EIGENBASIS_COND_CAP
+        assert member.eigenbasis is None
     got = (continuous_limit_operator if continuous else limit_operator)(sys_)
     assert len(schur_calls) == 2
     assert np.linalg.norm(want) > 0.1
