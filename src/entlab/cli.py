@@ -53,6 +53,16 @@ KINDS = (
     "stacking-test",
     "continuous",
 )
+_RUN = {"kind", "seed", "strategy", "tolerance", "budget", "format", "out"}
+_SYSTEM = _RUN | {"alpha", "connectors"}
+FIELDS = {  # the top-level fields each kind reads; every kind carries the run settings
+    "converge": _SYSTEM | {"operators", "state_seed", "schedule"},
+    "limit": _SYSTEM | {"operators"},
+    "resonances": _SYSTEM | {"operators"},
+    "counterexample": _RUN | {"checkpoints", "window"},
+    "stacking-test": _SYSTEM | {"operators", "state_seed", "schedule"},
+    "continuous": _SYSTEM | {"generators", "state_seed", "horizons", "quadrature", "richardson"},
+}
 CSV_HEADER = (
     "checkpoint",
     "error_fro",
@@ -245,6 +255,8 @@ def parse_config(text: str) -> ExperimentConfig:
     _expect(isinstance(raw, dict), "$", "top level must be a JSON object")
     kind = raw.get("kind")
     _expect(kind in KINDS, "$.kind", f"must be one of {list(KINDS)}, got {kind!r}")
+    extra = set(raw) - FIELDS[kind]
+    _expect(not extra, "$", f"unknown fields {sorted(extra)} for kind {kind!r}")
 
     data: dict = {"kind": kind}
     data["seed"] = _int(raw.get("seed", 0), "$.seed")
@@ -351,14 +363,6 @@ def parse_config(text: str) -> ExperimentConfig:
             f"must be true or false, got {richardson!r}",
         )
         data["richardson"] = richardson
-
-    known_top = {
-        "kind", "seed", "strategy", "tolerance", "budget", "format",
-        "out", "alpha", "operators", "generators", "connectors", "state_seed",
-        "schedule", "checkpoints", "window", "horizons", "quadrature", "richardson",
-    }
-    extra = set(raw) - known_top
-    _expect(not extra, "$", f"unknown fields {sorted(extra)}")
 
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return ExperimentConfig(

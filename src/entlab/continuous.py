@@ -71,6 +71,7 @@ class FrequencyPoint:
     frequency: float
     multiplicity: int
     exact: Fraction | None = None
+    value = property(lambda self: TWO_PI * 1j * self.frequency)  # as SpectralPoint names it
 
     def key(self):
         """Deterministic sort key: exact frequency when present, else the float."""
@@ -104,7 +105,7 @@ class _ContinuousClock(Clock):
         return self.entry_value(float(fr))
 
     def entry_value(self, entry) -> complex:
-        """resonant_tuples lists frequencies here."""
+        """Eigenvalue of a resonance entry: resonant_tuples lists frequencies here."""
         return TWO_PI * 1j * float(entry)
 
     def resonance_entry(self, point):

@@ -46,6 +46,7 @@ running and checked against a budget; see ``entangled_average``.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,7 +67,7 @@ from .operators import (DISCRETE, EIGENBASIS_COND_CAP, SpectralOperator, _on_clo
 
 MEMORY_CAP_BYTES = 2 << 30  # refuse power stacks beyond 2 GiB
 STRATEGIES = ("naive", "presum", "spectral")
-RESONANCE_TOL = 1e-8  # float records' boundary cells this near resonance weigh 1, as in limits
+RESONANCE_TOL = 1e-8  # limits' default tol, and the means' with a float record (_resonant_to_one)
 
 
 @dataclass(frozen=True)
@@ -446,6 +447,46 @@ def _exact_sums(axes, common: int, additive: bool = False) -> np.ndarray:
     return total if additive else total % common
 
 
+def _aggregate(values, additive: bool):
+    """Per cell of the broadcast values, math.fsum of one value per position, or their
+    product as (re, im): from 1 + 0j in position order, multiplied as CPython multiplies
+    complex numbers, (a c - b d) + (a d + b c) i, so that each cell equals
+    math.prod(values, start=1+0j) bit for bit (numpy's complex multiply need not).
+    No values give one cell: 0.0, or (1.0, 0.0)."""
+    if additive:
+        shape = np.broadcast_shapes(*map(np.shape, values))
+        cols = [np.broadcast_to(v, shape).ravel().tolist() for v in values]
+        cells = zip(*cols) if cols else [()]  # no values: shape () and one empty cell
+        return np.fromiter(map(math.fsum, cells), np.float64, math.prod(shape)).reshape(shape)
+    re, im = 1.0, 0.0
+    for v in values:
+        re, im = re * v.real - im * v.imag, re * v.imag + im * v.real
+    return np.asarray(re), np.asarray(im)
+
+
+def _score(values, exact, exact_hit, *, additive: bool, tol: float):
+    """(hit, residual) per cell of broadcast per-position arrays.
+
+    A cell whose picks are all exact (every mask in exact set) is decided by
+    exact_hit with residual 0, any other by its float residual <= tol:
+    |sum| or |prod - 1| (see _aggregate).  exact_hit is None when no cell
+    has only exact picks, and exact is then not read.
+    """
+    agg = _aggregate(values, additive)
+    res = np.abs(agg) if additive else np.hypot(agg[0] - 1.0, agg[1])
+    if exact_hit is None:
+        return res <= tol, res
+    all_exact = functools.reduce(np.logical_and, exact)
+    res[all_exact] = 0.0
+    return np.where(all_exact, exact_hit, res <= tol), res
+
+
+def _grid(arrays):
+    """Per-axis arrays reshaped to broadcast over their grid (C order)."""
+    k = len(arrays)
+    return [a.reshape([1] * i + [-1] + [1] * (k - 1 - i)) for i, a in enumerate(arrays)]
+
+
 def _cesaro_weight(records, n: int, h=None) -> np.ndarray:
     """g_n(z) = (1/n) sum_{k=1..n} z^k over one block's eigen-index grid.
 
@@ -521,15 +562,18 @@ def _cesaro_weight(records, n: int, h=None) -> np.ndarray:
 
 def _resonant_to_one(g, records, angle_lists, additive=False, generators=False) -> np.ndarray:
     """g with exactly 1 on its resonant cells, which lie in the records' boundary prefixes:
-    where the exact values angle_lists[i] of axis i sum to 0 (mod 1 unless additive), or,
-    with a float record, as the limit decides, within RESONANCE_TOL by |product - 1| or
-    the generators' |sum| (not their steps' exponents, which any small h makes small)."""
+    with every record exact, where the exact values angle_lists[i] sum to 0 (mod 1 unless
+    additive); else as the limit decides (_score at RESONANCE_TOL), on the entries
+    resonant_tuples takes: boundary eigenvalues, or for generators on either rule their
+    frequencies Im mu / 2 pi (not the steps' exponents, which any small h makes small)."""
     if all(rec.exact for rec in records):
         common = math.lcm(*(a.denominator for angles in angle_lists for a in angles))
         hit = _exact_sums(angle_lists, common, additive) == 0
     else:
-        ends = np.ix_(*(rec.eigenvalues[:len(rec.angles)] for rec in records))
-        hit = np.abs(sum(ends) if generators else math.prod(ends) - 1.0) <= RESONANCE_TOL
+        ends = [rec.eigenvalues[:len(rec.angles)] if not generators
+                else np.array(rec.angles, dtype=np.float64) if rec.exact
+                else rec.eigenvalues[:len(rec.angles)].imag / (2 * math.pi) for rec in records]
+        hit, _ = _score(_grid(ends), None, None, additive=generators, tol=RESONANCE_TOL)
     g[tuple(slice(len(rec.angles)) for rec in records)][hit] = 1.0
     return g
 
@@ -685,8 +729,8 @@ def entangled_average(
     spectral runs when every operator carries an eigenbasis record and the
     dense d^m eigen-index weight fits under the memory cap, else presum,
     whose refusals then name the reason.  Resonance is decided from exact
-    angles, or within RESONANCE_TOL on a float record, so it reaches
-    n = 2^40 and beyond in one call.
+    angles, or as limit_operator decides it with a float record in the
+    block, so it reaches n = 2^40 and beyond in one call.
 
     With x given the chains act on x and a vector is returned; otherwise the
     operator mean itself.  The strategies agree to ~1e-10 relative; presum

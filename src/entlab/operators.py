@@ -82,6 +82,7 @@ class SpectralPoint:
     value: complex
     multiplicity: int
     angle: Fraction | None = None
+    exact = property(lambda self: self.angle)  # as continuous.FrequencyPoint names it
 
     def key(self):
         """Deterministic sort key: exact angle when present, else phase."""
@@ -148,10 +149,6 @@ class Clock:
 
     def eigenvalue(self, fr: Fraction) -> complex:
         return angle_value(fr)
-
-    def entry_value(self, entry) -> complex:
-        """Eigenvalue of a resonance entry (resonant_tuples lists eigenvalues here)."""
-        return complex(entry)
 
     def resonance_entry(self, point):
         """What resonant_tuples takes for one boundary point: the point itself."""
@@ -483,8 +480,7 @@ def jdl_split(op) -> JdlSplit:
     p_r = np.zeros((op.dim, op.dim), dtype=np.complex128)
     points = op.unimodular_spectrum
     if points:
-        right, left, _ = _boundary_basis(op, [p.value for p in points], [p.angle for p in points],
-                                         [p.multiplicity for p in points])
+        right, left, _ = _boundary_basis(op, range(len(points)))
         p_r = right @ left
     return JdlSplit(p_r, np.eye(op.dim, dtype=np.complex128) - p_r)
 
@@ -502,56 +498,72 @@ def jdl_split(op) -> JdlSplit:
 EIGENBASIS_COND_CAP = 1e6
 
 
-def _boundary_basis(op, values, exacts, mults):
-    """(right, left, group): d x r and r x d boundary bases of op at the values.
+def _boundary_basis(op, picked):
+    """(right, left, group): d x r and r x d bases of op at the boundary points
+    op.unimodular_spectrum[p], p in picked, r their multiplicity in all.
 
-    group, a nondecreasing list, gives the index in values of each of the r
-    eigen-indices; the spectral projection at values[v] is right[:, idx] @
-    left[idx, :] over the idx with group[idx] == v.  Two routes:
+    group, nondecreasing, gives the index in picked of each eigen-index: the
+    projection at point picked[v] is right[:, idx] @ left[idx, :] over the
+    idx with group[idx] == v.  Two routes:
 
-    - the record: columns of S and rows of S^{-1}, picked by exact value when
-      exacts gives one and the record is exact, else within
-      CLUSTER_TOL * max(1, |value|) and mults[v] of them, or Schur runs;
-    - Schur: one sorted Schur form puts all the values' clusters first (see
-      _schur_split), and for more than one value the eig W diag(mu) W^{-1}
-      of T11 splits them: right Z_1 W, left W^{-1} [I, Y] Z^H.
+    - the record: S's columns and S^{-1}'s rows of each point's members, the
+      eigen-indices of its exact value, or on a float record its stretch of
+      the boundary prefix, which _read_matrix lists point by point;
+    - Schur: one sorted Schur form puts the eigenvalues within
+      CLUSTER_TOL * max(1, |value|) of the points first (_schur_split), and
+      for more than one the eig W diag(mu) W^{-1} of T11 splits them: right
+      Z_1 W, left W^{-1} [I, Y] Z^H.  A point that gets other than its
+      multiplicity (a cluster chained wider) raises SpectralFailureError.
     """
-    bands = [CLUSTER_TOL * max(1.0, abs(v)) for v in values]
-    rec = op.eigenbasis
+    points, rec = op.unimodular_spectrum, op.eigenbasis
     if rec is None:
-        return _schur_basis(op.matrix, values, bands)
-    idx, group = [], []
-    for v, (value, exact, band) in enumerate(zip(values, exacts, bands)):
-        if exact is not None and rec.exact:
-            hits = [i for i, a in enumerate(rec.angles) if a == exact]
-        else:
-            hits = np.flatnonzero(np.abs(rec.eigenvalues - value) <= band).tolist()
-            if len(hits) != mults[v]:
-                return _schur_basis(op.matrix, values, bands)
-        idx += hits
-        group += [v] * len(hits)
+        return _schur_basis(op.matrix, [points[p] for p in picked])
+    if rec.exact:
+        exacts = [p.exact for p in points]
+        owner = [exacts.index(a) for a in rec.angles]
+    else:
+        owner = [i for i, p in enumerate(points) for _ in range(p.multiplicity)]
+    idx = [i for p in picked for i, o in enumerate(owner) if o == p]
+    group = [v for v, p in enumerate(picked) for o in owner if o == p]
     return rec.basis.take(idx, axis=1), rec.basis_inv.take(idx, axis=0), group
 
 
-def _schur_basis(matrix, values, bands):
+def _schur_basis(matrix, points):
     """_boundary_basis's Schur route (see there)."""
+    values = [p.value for p in points]
+    bands = [CLUSTER_TOL * max(1.0, abs(v)) for v in values]
     t11, right, left = _schur_split(
         matrix, lambda e: any(abs(e - v) <= b for v, b in zip(values, bands))
     )
-    if len(values) == 1:
-        return right, left, [0] * t11.shape[0]
-    mu, vecs = np.linalg.eig(t11)
-    dist = np.abs(mu[:, None] - np.asarray(values)[None, :]) / np.asarray(bands)
-    group = np.argmin(dist, axis=1)
-    order = np.argsort(group, kind="stable")
-    vecs = vecs[:, order]
-    return right @ vecs, np.linalg.solve(vecs, left), group[order].tolist()
+    group = [0] * t11.shape[0]
+    if len(values) > 1:
+        mu, vecs = np.linalg.eig(t11)
+        dist = np.abs(mu[:, None] - np.asarray(values)[None, :]) / np.asarray(bands)
+        group = np.argmin(dist, axis=1)
+        order = np.argsort(group, kind="stable")
+        vecs = vecs[:, order]
+        right, left, group = right @ vecs, np.linalg.solve(vecs, left), group[order].tolist()
+    found, mults = [group.count(v) for v in range(len(points))], [p.multiplicity for p in points]
+    if found != mults:
+        raise SpectralFailureError(f"the Schur form has {found} eigenvalues at boundary points "
+                                   f"of multiplicity {mults}: a cluster wider than CLUSTER_TOL")
+    return right, left, group
 
 
-def _boundary_projection(op, value: complex, exact, mult: int):
-    """Spectral projection of op at one boundary value of multiplicity mult
-    (see _boundary_basis)."""
-    right, left, _ = _boundary_basis(op, [value], [exact], [mult])
+def _boundary_projection(op, value: complex, exact, mult: int | None = None):
+    """Spectral projection of op at its boundary points at value (_boundary_basis): of that
+    exact value on an exact record, else within CLUSTER_TOL * max(1, |value|); none gives
+    zero.  With mult, points of another multiplicity in all raise SpectralFailureError."""
+    points, rec, band = op.unimodular_spectrum, op.eigenbasis, CLUSTER_TOL * max(1.0, abs(value))
+    by_exact = exact is not None and rec is not None and rec.exact
+    picked = [i for i, p in enumerate(points)
+              if (p.exact == exact if by_exact else abs(p.value - value) <= band)]
+    found = sum(points[i].multiplicity for i in picked)
+    if mult not in (None, found):
+        raise SpectralFailureError(f"points at {value} have multiplicity {found}, not {mult}")
+    if not picked:
+        return np.zeros((op.dim, op.dim), dtype=np.complex128)
+    right, left, _ = _boundary_basis(op, picked)
     return right @ left
 
 
@@ -593,8 +605,4 @@ def mean_ergodic_projection(op, lam, mode: str = "spectral", n: int | None = Non
     if mode != "spectral":
         raise ValidationError(f"unknown mode {mode!r}")
 
-    mult = sum(p.multiplicity for p in op.unimodular_spectrum
-               if abs(p.value - value) <= CLUSTER_TOL)
-    if op.certificate is None and not mult:
-        return np.zeros((op.dim, op.dim), dtype=np.complex128)
-    return _boundary_projection(op, value, fr, mult)
+    return _boundary_projection(op, value, fr)

@@ -29,7 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import entangle, linalg
-from .entangle import EntangledSystem, Partition, make_partition
+from .entangle import (EntangledSystem, Partition, _aggregate, _exact_sums, _grid, _score,
+                       make_partition)
 from .errors import BudgetExceededError, EmptySequenceError, ValidationError
 from .operators import (
     DISCRETE,
@@ -190,84 +191,6 @@ def _angle_of(agg, additive: bool) -> float:
     return (cmath.phase(agg) / (2 * math.pi)) % 1.0
 
 
-def _fsum(terms) -> np.ndarray:
-    """math.fsum over the cells of broadcast term arrays, bit for bit.
-
-    CPython's algorithm: Shewchuk's nonoverlapping partials, summed from the
-    top until the sum turns inexact, then the half-even fix-up against the
-    next partial down.  Each term gets one partial slot; a zero partial,
-    which fsum would drop, passes through every step unchanged.
-    """
-    partials = []
-    for x in terms:
-        x = np.asarray(x, dtype=np.float64)
-        for j, y in enumerate(partials):
-            swap = np.abs(x) < np.abs(y)
-            x, y = np.where(swap, y, x), np.where(swap, x, y)
-            hi = x + y
-            partials[j] = y - (hi - x)
-            x = hi
-        partials.append(x)
-    hi = partials.pop() if partials else np.zeros(())
-    lo = below = np.zeros(hi.shape)
-    broke = seen = np.zeros(hi.shape, dtype=bool)
-    for y in reversed(partials):
-        take = broke & ~seen & (y != 0)  # the first nonzero partial below the break
-        below = np.where(take, y, below)
-        seen = seen | take
-        s = hi + y
-        go = ~broke
-        hi, lo = np.where(go, s, hi), np.where(go, y - (s - hi), lo)
-        broke = broke | (go & (lo != 0))
-    y = lo * 2.0
-    x = hi + y
-    fix = (((lo < 0) & (below < 0)) | ((lo > 0) & (below > 0))) & (x - hi == y)
-    hi = np.where(fix, x, hi)
-    if not np.isfinite(hi).all():
-        raise OverflowError("intermediate overflow in fsum")
-    return hi
-
-
-def _aggregate(values, additive: bool):
-    """Per cell, the left-to-right sum or product of one value per position.
-
-    values broadcast against each other.  Sums are exactly rounded (_fsum);
-    products start from 1 + 0j and multiply as CPython multiplies complex
-    numbers, (a c - b d) + (a d + b c) i, in separate real operations, so each
-    cell equals math.prod(values, start=1+0j) bit for bit (numpy's complex
-    multiply need not).  Returns the sum, or the product as (re, im).
-    """
-    if additive:
-        return _fsum(values)
-    re, im = 1.0, 0.0
-    for v in values:
-        re, im = re * v.real - im * v.imag, re * v.imag + im * v.real
-    return np.asarray(re), np.asarray(im)
-
-
-def _score(values, exact, exact_hit, *, additive: bool, tol: float):
-    """(hit, residual) per cell of broadcast per-position arrays.
-
-    A cell whose picks are all exact (every mask in exact set) is decided by
-    exact_hit with residual 0, any other by its float residual <= tol:
-    |sum| or |prod - 1| (see _aggregate).  exact_hit is None when no entry
-    is exact.
-    """
-    agg = _aggregate(values, additive)
-    res = np.abs(agg) if additive else np.hypot(agg[0] - 1.0, agg[1])
-    if exact_hit is None:
-        return res <= tol, res
-    all_exact = functools.reduce(np.logical_and, exact)
-    res[all_exact] = 0.0
-    return np.where(all_exact, exact_hit, res <= tol), res
-
-
-def _grid(arrays):
-    """Per-axis arrays reshaped to broadcast over their grid (C order)."""
-    k = len(arrays)
-    return [a.reshape([1] * i + [-1] + [1] * (k - 1 - i)) for i, a in enumerate(arrays)]
-
-
 def _unravel(flat, shape) -> list:
     """Per-axis indices of flat grid indices; a grid of no axes has one cell."""
     return list(np.unravel_index(flat, shape)) if shape else []
@@ -318,7 +241,7 @@ def _block_solutions(cands, *, additive, tol, mitm_threshold):
                   for c in cands]
 
     if math.prod(sizes) <= mitm_threshold:
-        exact_hit = entangle._exact_sums(fracs, common, additive) == 0 if has_exact else None
+        exact_hit = _exact_sums(fracs, common, additive) == 0 if has_exact else None
         if all_exact:
             hit = exact_hit
         else:
@@ -329,7 +252,7 @@ def _block_solutions(cands, *, additive, tol, mitm_threshold):
     half = len(cands) // 2
     shapes = (sizes[:half], sizes[half:])
     if has_exact:
-        left_sum, right_sum = (entangle._exact_sums(part, common, additive).ravel()
+        left_sum, right_sum = (_exact_sums(part, common, additive).ravel()
                                for part in (fracs[:half], fracs[half:]))
         if left_sum.dtype != right_sum.dtype:
             left_sum, right_sum = left_sum.astype(object), right_sum.astype(object)
@@ -487,20 +410,19 @@ def resonant_tuples(
     return ResonantTuples(tuple(map(tuple, norm)), tuple(index), tuple(residuals), fragile)
 
 
-def _assemble_limit(system: EntangledSystem, norm, solutions) -> np.ndarray:
+def _assemble_limit(system: EntangledSystem, solutions) -> np.ndarray:
     """Sum over resonant tuples of P_m A_{m-1} ... A_1 P_1, for either clock.
 
-    norm holds each position's normalized boundary points and solutions each
-    block's columns into them (see _solve_blocks).  The tuples are the
-    Cartesian product of the blocks' solutions, so the product is never
-    formed, and a block with no solution gives the zero matrix.  The points
-    of position j that its block picks get one boundary basis (R_j, L_j,
-    group_j), and each block's 0/1 indicator, expanded to eigen-indices by
-    group, is its weight in entangle._spectral_mean.  The dense weight is
-    refused beyond entangle.MEMORY_CAP_BYTES; both exits come before any
-    factorization.
+    solutions hold each block's columns into its positions' boundary points
+    (see _solve_blocks).  The tuples are the Cartesian product of the blocks'
+    solutions, so the product is never formed, and a block with no solution
+    gives the zero matrix.  The points of position j that its block picks
+    get one boundary basis (R_j, L_j, group_j), and each block's 0/1
+    indicator, expanded to eigen-indices by group, is its weight in
+    entangle._spectral_mean.  The dense weight is refused beyond
+    entangle.MEMORY_CAP_BYTES; both exits come before any factorization.
     """
-    ops, part, clock = system.operators, system.partition, system.clock
+    ops, part = system.operators, system.partition
     if solutions is None:
         return np.zeros(ops[0].matrix.shape, dtype=np.complex128)
     used, cells = [None] * part.m, {}
@@ -509,9 +431,8 @@ def _assemble_limit(system: EntangledSystem, norm, solutions) -> np.ndarray:
             used[j] = np.flatnonzero(np.bincount(col)).tolist()
         cells[positions] = tuple(np.searchsorted(used[j], col) for j, col in zip(positions, cols))
 
-    mults = [[op.unimodular_spectrum[i].multiplicity for i in picked]
+    ranks = [sum(op.unimodular_spectrum[i].multiplicity for i in picked)
              for op, picked in zip(ops, used)]
-    ranks = [sum(m) for m in mults]
     need = 16 * math.prod(ranks)
     if need > entangle.MEMORY_CAP_BYTES:
         per = ", ".join(f"position {j}: {r}" for j, r in enumerate(ranks, start=1))
@@ -520,11 +441,7 @@ def _assemble_limit(system: EntangledSystem, norm, solutions) -> np.ndarray:
             f"({per}), above the cap of {entangle.MEMORY_CAP_BYTES:,} bytes"
         )
 
-    rights, lefts, groups = zip(*(
-        _boundary_basis(op, [clock.entry_value(norm[j][i][0]) for i in picked],
-                        [norm[j][i][1] for i in picked], mults[j])
-        for j, (op, picked) in enumerate(zip(ops, used))
-    ))
+    rights, lefts, groups = zip(*(_boundary_basis(op, picked) for op, picked in zip(ops, used)))
 
     def indicator(positions):  # bool: a byte per cell, cast exactly to 0 or 1 in the product
         block = np.zeros([len(used[j]) for j in positions], dtype=bool)
@@ -548,7 +465,7 @@ def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndar
     linalg._positive_finite(tol, "tolerance")
     norm = _normalized(ops, additive)
     solutions = _solve_blocks(norm, system.partition, tol, additive, MITM_THRESHOLD)
-    return _assemble_limit(system, norm, solutions)
+    return _assemble_limit(system, solutions)
 
 
 def limit_operator_with_tuples(system: EntangledSystem, tol: float = DEFAULT_TOL):
@@ -558,7 +475,7 @@ def limit_operator_with_tuples(system: EntangledSystem, tol: float = DEFAULT_TOL
     tuples = resonant_tuples(ops, part, tol, additive=system.clock.additive)
     blocks = [(positions, [tuples.columns[j] for j in positions], None)
               for positions in part.blocks.values()]
-    return _assemble_limit(system, tuples.candidates, blocks if tuples else None), tuples
+    return _assemble_limit(system, blocks if tuples else None), tuples
 
 
 @dataclass(frozen=True)

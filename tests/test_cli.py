@@ -290,6 +290,45 @@ def test_parse_config_frequencies_are_signed():
     assert cfg.data["generators"][1]["frequencies"] == ["0/1", "-1/2"]
 
 
+def _kind_config(kind):
+    """A valid config of each kind."""
+    if kind == "counterexample":
+        return {"kind": kind, "checkpoints": [4]}
+    if kind == "continuous":
+        return _continuous_config()
+    cfg = _converge_config(kind=kind)
+    if kind in ("limit", "resonances"):
+        del cfg["schedule"]
+    return cfg
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_each_kind_reads_every_field_it_accepts(kind):
+    assert set(parse_config(json.dumps(_kind_config(kind))).data) <= cli.FIELDS[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [
+        ("counterexample", {"alpha": [1, "x"], "operators": "junk"}),
+        ("counterexample", {"connectors": [], "state_seed": 1}),
+        *(("converge", {field: value}) for field, value in [
+            ("horizons", [1.0]), ("quadrature", {}), ("window", 4), ("richardson", True),
+            ("checkpoints", [4]), ("generators", [])]),
+        ("stacking-test", {"horizons": [1.0]}),
+        ("limit", {"schedule": [4], "state_seed": 1}),
+        ("resonances", {"state_seed": 1}),
+        ("continuous", {"operators": [], "schedule": [4]}),
+    ],
+)
+def test_a_field_its_kind_never_reads_exits_2_naming_it(tmp_path, capsys, kind, extra):
+    cfg = {**_kind_config(kind), **extra}
+    rc = main([kind, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert f"unknown fields {sorted(extra)} for kind {kind!r}" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 # ----------------------------------------------------------------- emitting
 
 

@@ -37,6 +37,7 @@ from entlab.operators import (
     schur_spectral_projection,
     synth_operator,
 )
+from entlab.spectral_limit import limit_operator
 
 # ------------------------------------------------------------------- angles
 
@@ -414,6 +415,45 @@ def test_jdl_split_extremes():
 def test_jdl_split_requires_power_boundedness():
     with pytest.raises(NotPowerBoundedError):
         jdl_split(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def _chained_cluster(center=0.0, jordan=False):
+    """U diag(e^{i (k 0.9e-8 + center)}, k = 0..3; stable) U^H: single linkage chains the
+    four values into one point of multiplicity 4, two of them beyond CLUSTER_TOL of its
+    center.  With jordan the stable part is one Jordan block, so there is no record."""
+    u = linalg.haar_unitary(6, 5)
+    j = np.diag([np.exp(1j * (k * 0.9e-8 + center)) for k in range(4)] + [0.5, -0.3])
+    if jordan:
+        j[4, 4], j[4, 5] = -0.3, 1.0
+    return from_matrix(u @ j @ u.conj().T)
+
+
+def test_chained_boundary_cluster_projects_with_its_multiplicity():
+    op = _chained_cluster()
+    (point,) = op.unimodular_spectrum
+    assert point.multiplicity == 4 and op.eigenbasis is not None
+    p = mean_ergodic_projection(op, point.value)
+    assert np.trace(p).real == pytest.approx(4.0, abs=1e-12)
+    assert np.linalg.norm(p @ p - p) <= 1e-12
+    cesaro = mean_ergodic_projection(op, point.value, mode="cesaro", n=1000)
+    assert np.linalg.norm(p - cesaro) <= 2e-3
+    assert np.linalg.norm(jdl_split(op).p_r - p) <= 1e-12
+    centered = _chained_cluster(center=-1.35e-8)  # the point within tol of 1 resonates
+    (point,) = centered.unimodular_spectrum
+    lim = limit_operator(make_system([1], [centered]))
+    assert np.linalg.norm(lim - mean_ergodic_projection(centered, point.value)) <= 1e-12
+    assert np.trace(lim).real == pytest.approx(4.0, abs=1e-12)
+
+
+def test_chained_boundary_cluster_without_a_record_is_refused():
+    # the Schur split selects within CLUSTER_TOL of the center: 2 of the 4 values
+    op = _chained_cluster(jordan=True)
+    assert op.eigenbasis is None and op.unimodular_spectrum[0].multiplicity == 4
+    for run in (lambda: mean_ergodic_projection(op, op.unimodular_spectrum[0].value),
+                lambda: jdl_split(op),
+                lambda: limit_operator(make_system([1], [_chained_cluster(-1.35e-8, True)]))):
+        with pytest.raises(SpectralFailureError, match="multiplicity"):
+            run()
 
 
 # --------------------------------------------------- mean ergodic projection

@@ -20,9 +20,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import ResonantTuple, ResonantTuples, entangle, linalg, operators, spectral_limit
+from entlab import (ResonantTuple, ResonantTuples, continuous, entangle, linalg, operators,
+                    spectral_limit)
 from entlab.continuous import (
     CONTINUOUS,
+    QuadratureSpec,
     continuous_limit_operator,
     make_continuous_system,
     semigroup_from_generator,
@@ -239,6 +241,26 @@ def test_mitm_mixed_blocks():
     }
 
 
+def test_mitm_pairs_an_int64_half_with_a_python_int_half():
+    # common = 3 2^61 fits int64; one angle near 1 does too, but the right half's two
+    # angles near 1 sum past 2^63, so its sums are Python ints and the left's int64
+    q = 3 * 2**61
+    spectra = [
+        [Fraction(0), Fraction(1, 3), Fraction(1, q), Fraction(q - 5, q)],
+        [Fraction(0), Fraction(2, 3), Fraction(q - 1, q), Fraction(q - 2, q)],
+        [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(6, q), Fraction(q - 3, q)],
+    ]
+    assert entangle._exact_sums(spectra[:1], q).dtype == np.int64
+    assert entangle._exact_sums(spectra[1:], q).dtype == object
+    brute = resonant_tuples(spectra, [1, 1, 1], mitm_threshold=10 ** 9)
+    assert resonant_tuples(spectra, [1, 1, 1], mitm_threshold=0) == brute
+    assert {t.exact for t in brute} >= {
+        (Fraction(0), Fraction(0), Fraction(0)),
+        (Fraction(1, q), Fraction(q - 1, q), Fraction(0)),
+        (Fraction(q - 5, q), Fraction(q - 1, q), Fraction(6, q)),
+    }
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
@@ -377,7 +399,7 @@ def test_large_float_grid_residuals_match_math_prod(threshold):
 def test_fsum_rows_match_math_fsum(rows):
     width = max(map(len, rows))
     cols = [np.array([row[i] if i < len(row) else 0.0 for row in rows]) for i in range(width)]
-    got = spectral_limit._fsum(cols) if cols else np.zeros(len(rows))
+    got = spectral_limit._aggregate(cols, True)
     want = [math.fsum(row) for row in rows]
     assert [abs(g) for g in np.broadcast_to(got, (len(rows),)).tolist()] == [abs(w) for w in want]
 
@@ -793,6 +815,59 @@ def test_limit_kernel_matches_tuple_by_tuple_sum(alpha, kinds, continuous):
     assert any(fr is None for t in tuples for fr in t.exact) == (kinds != ["cert"] * len(kinds))
     assert np.linalg.norm(want) > 0.1
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _unit_raw(values, stable, seed, generator):
+    """U diag(boundary, stable) U^H for a Haar U: a raw member whose record has one
+    eigen-index per boundary point, in the order of its points.  values are turns
+    (an operator) or frequencies (a generator) as floats."""
+    u = linalg.haar_unitary(len(values) + len(stable), seed)
+    boundary = [(2j * math.pi * v) if generator else cmath.exp(2j * math.pi * v)
+                for v in values]
+    raw = u @ np.diag(boundary + stable) @ u.conj().T
+    return (semigroup_from_generator if generator else from_matrix)(raw)
+
+
+SNAP_CASES = {  # (discrete?, members): offsets from resonance inside and outside 1e-8
+    "float operators": (True, lambda: [
+        _unit_raw([0.0, 0.25 + 1e-9, 0.5 + 3e-9], [0.4], 801, False),
+        _unit_raw([0.75, 0.5 - 5e-10], [-0.5], 802, False),
+        _unit_raw([0.0, 0.25, 0.5 + 1e-10], [0.3j], 803, False)]),
+    "mixed operators": (True, lambda: [
+        synth_operator(["0", "1/4", "1/2"], [0.4], OrthonormalBasis(804)),
+        _unit_raw([1e-9, 0.75 - 1e-9, 0.5 + 2e-9], [-0.5], 805, False)]),
+    "generators 5e-9 apart": (False, lambda: [
+        _unit_raw([-0.25, 0.25], [-0.5], 806, True),
+        _unit_raw([-0.25 + 5e-9, 0.25 + 5e-9], [-1.0], 807, True)]),
+    "float generators": (False, lambda: [
+        _unit_raw([-0.5, 0.0, 0.25], [-0.5], 808, True),
+        _unit_raw([0.5 - 1.2e-8, 1e-9, -0.25 + 2e-9], [-1.0], 809, True)]),
+    "mixed generators": (False, lambda: [
+        synth_semigroup(["-1/2", "0", "1/4"], [-0.5], OrthonormalBasis(810)),
+        _unit_raw([0.5 - 1.2e-8, 1e-9, -0.25 + 2e-9], [-1.0], 811, True)]),
+}
+
+
+@pytest.mark.parametrize("case, rule", [
+    (case, rule) for case, (discrete, _) in SNAP_CASES.items()
+    for rule in (["cesaro"] if discrete else ["midpoint", "gauss-legendre"])])
+def test_means_snap_exactly_the_boundary_cells_the_limit_counts(case, rule):
+    discrete, build = SNAP_CASES[case]
+    members = build()
+    records = [member.eigenbasis for member in members]
+    assert all(rec is not None for rec in records)
+    assert any(not rec.exact for rec in records)
+    if rule == "gauss-legendre":
+        s_nodes, w_nodes = QuadratureSpec("gauss-legendre", 64).nodes(10.0)
+        weight = continuous._quadrature_weight(records, s_nodes, w_nodes / 10.0)
+    else:
+        weight = entangle._cesaro_weight(records, 1000, None if discrete else Fraction(1, 64))
+    tuples = resonant_tuples(members, [1] * len(members), additive=not discrete)
+    listed = set(zip(*(col.tolist() for col in tuples.columns)))
+    assert set(zip(*(i.tolist() for i in np.nonzero(weight == 1)))) == listed
+    assert listed and len(listed) < math.prod(len(m.unimodular_spectrum) for m in members)
+    if case == "generators 5e-9 apart":
+        assert len(listed) == 2
 
 
 @pytest.mark.parametrize("kind", ["cert", "raw"])
