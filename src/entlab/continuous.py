@@ -215,57 +215,57 @@ class QuadratureSpec:
         return (x + 1.0) * (t / 2.0), wx * (t / 2.0)
 
 
-# Larger rules are refused: their nodes take ~Q^2/2 recurrence steps per Newton
-# pass, about 0.7 s in all at Q = 2^14 on a 2-core Xeon VM.
+# Larger rules are refused: the rule is verified up to 2^14 nodes (tests/test_continuous.py).
 GAUSS_LEGENDRE_MAX_POINTS = 1 << 14
 _NEWTON_STEP_TOL = 4 * np.finfo(float).eps  # a Newton step this small is rounding
 _NEWTON_MAX_PASSES = 10
 
 
-def _legendre_pair(q: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_q(x), P_{q-1}(x)) by the three-term recurrence, one O(len(x)) pass per degree."""
-    p_prev, p, nxt = np.ones_like(x), x.copy(), np.empty_like(x)
-    for n in range(1, q):
-        # (n + 1) P_{n+1} = (2n + 1) x P_n - n P_{n-1}
-        np.multiply(x, p, out=nxt)
-        nxt *= (2 * n + 1) / (n + 1)
-        p_prev *= n / (n + 1)
-        nxt -= p_prev
-        p_prev, p, nxt = p, nxt, p_prev
-    return p, p_prev
-
-
 def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] in O(Q) memory.
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] in O(Q) time and memory.
 
-    Newton's method on P_Q over the nonnegative half of the symmetric rule,
-    from Tricomi's guesses cos(pi (4k - 1) / (4Q + 2)) (1 - (Q - 1) / (8Q^3));
-    for odd Q the node 0 is exact, since the recurrence gives P_Q(0) = 0.
-    Each step is one vectorized recurrence pass (_legendre_pair), and the
-    iteration stops once a step is at rounding level.  The weights are
-    2 / ((1 - x^2) P_Q'(x)^2), with the last pass's P_Q' carried to the final
-    nodes by one Taylor step, P_Q'' coming from Legendre's equation
-    (1 - x^2) P'' = 2x P' - Q(Q+1) P; no further pass is needed.
+    Newton's method over the nonnegative half, from Tricomi's guesses cos(pi (4k - 1) /
+    (4Q + 2)) (1 - (Q - 1) / (8Q^3)), in beta = pi/2 - theta, x = cos(theta) = sin(beta)
+    (its series nodes near 0 land within an ulp, as theta's cannot), on sqrt(sin theta) P_Q(x):
+    Legendre's equation in normal form has no first-order term, so its second derivative
+    vanishes at the nodes and the steps shrink cubically.  The weights are
+    2 / (dP_Q/dtheta)^2 from the last pass; for odd Q the middle node is 0.  P_Q comes from:
+    - near the edge, 2Q sin(theta) <= 80 (every node for Q up to ~40), the exact sum
+      sum_k a_k a_{Q-k} cos((Q - 2k) theta), a_k = C(2k, k) / 4^k > 0 summing to 1;
+    - elsewhere the Stieltjes series of Hale & Townsend (SIAM J. Sci. Comput. 35, 2013,
+      sec. 3), C_Q sum_{m<16} h_m cos((Q+m+1/2) theta - (m+1/2) pi/2) / (2 sin theta)^(m+1/2)
+      with h_m = h_{m-1} (m-1/2)^2 / (m (Q+m+1/2)): i^Q e^{-i (Q+1/2) beta} times one
+      Horner polynomial in e^{-i beta} / (2 cos beta) (last term < 2e-19), and C_Q =
+      (4/pi) prod_{j<=Q} (1 - 1/(2j+1)) summed as logs (np.prod errs by 1.2e-14 at 2^14).
     """
-    k = np.arange(1, q // 2 + 1)
-    x = np.cos(np.pi * (4 * k - 1) / (4 * q + 2)) * (1 - (q - 1) / (8 * q**3))
-    if q % 2:
-        x = np.append(x, 0.0)
+    k, n, m = np.arange(q // 2 + 1), np.arange(1, q + 1), np.arange(16.0)
+    x = np.cos(np.pi * (4 * k[1:] - 1) / (4 * q + 2)) * (1 - (q - 1) / (8 * q**3))
+    beta = np.append(np.arcsin(x), [0.0] * (q % 2))
+    edge = np.count_nonzero(2 * q * np.cos(beta) <= 80.0)  # a prefix: beta falls to 0
+    a = np.cumprod(np.append(1.0, 1 - 0.5 / n))
+    fold = a[k] * a[q - k] * (2 - (2 * k == q)) * np.stack([np.ones(k.size), q - 2 * k])
+    h = np.cumprod(np.append(1.0, (m[1:] - 0.5) ** 2 / (m[1:] * (q + m[1:] + 0.5))))
+    horner = (h * np.stack([np.ones(m.size), m + 0.5])).T[::-1]
+    c_q = 4 / np.pi * np.exp(np.log1p(-1 / (2 * n + 1)).sum()) * [1, 1j, -1, -1j][q % 4]
     for _ in range(_NEWTON_MAX_PASSES):
-        p, p_prev = _legendre_pair(q, x)
-        edge = (1 - x) * (1 + x)
-        dp = q * (p_prev - x * p) / edge
-        d2p = (2 * x * dp - q * (q + 1) * p) / edge
-        step = p / dp
-        x = x - step
+        s = np.exp(1j * np.outer(np.pi / 2 - beta[:edge], q - 2 * k)) @ fold.T
+        b, acc = beta[edge:], 0
+        u = (np.exp(-1j * b) / (2 * np.cos(b)))[:, None]
+        for row in horner:  # sum_m h_m u^m and sum_m h_m (m + 1/2) u^m
+            acc = acc * u + row
+        e = c_q * np.exp(-1j * (q + 0.5) * b) / np.sqrt(2 * np.cos(b))
+        p = np.concatenate([s[:, 0].real, (e * acc[:, 0]).real])
+        dp = np.concatenate([s[:, 1].imag,  # dP_Q/dbeta = -dP_Q/dtheta
+                             -(e * (1j * q * acc[:, 0] + (1j - np.tan(b)) * acc[:, 1])).real])
+        step = p / (dp - p * np.tan(beta) / 2)
+        beta = beta - step
         if np.abs(step).max() <= _NEWTON_STEP_TOL:
             break
     else:
         raise NonConvergenceError(f"Gauss-Legendre nodes for Q={q}: Newton did not converge")
-    dp -= step * d2p
-    w = 2 / ((1 - x) * (1 + x) * dp * dp)
-    mirror = slice(q % 2, None)
-    return np.concatenate([-x, x[::-1][mirror]]), np.concatenate([w, w[::-1][mirror]])
+    x, w = np.sin(beta), 2 / (dp * dp)
+    x[q // 2:] = 0.0  # the middle node of an odd rule, which the edge sum leaves at 1e-17
+    return np.concatenate([-x, x[::-1][q % 2:]]), np.concatenate([w, w[::-1][q % 2:]])
 
 
 def make_continuous_system(alpha, generators, connectors=None) -> EntangledSystem:
@@ -356,8 +356,7 @@ def _midpoint_average(system, t, quad: QuadratureSpec, x, budget, strategy):
 def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy):
     """The Gauss-Legendre rule, refused before its nodes are computed, then run.
 
-    Its nodes take about Q^2/2 recurrence steps per Newton pass, so grids of
-    more than GAUSS_LEGENDRE_MAX_POINTS nodes are refused first.  spectral
+    Grids past GAUSS_LEGENDRE_MAX_POINTS, the verified range, are refused first.  spectral
     runs as in _evaluate_discrete: without a blocker (_spectral_blocker), else
     presum.  Cost, in d x d products:
 
@@ -370,8 +369,8 @@ def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy
     part, d, q = system.partition, system.dim, quad.points
     if q > GAUSS_LEGENDRE_MAX_POINTS:
         raise BudgetExceededError(
-            f"Gauss-Legendre nodes for Q={q} take ~{q * q / 2:.2e} recurrence steps "
-            f"per Newton pass (cap Q={GAUSS_LEGENDRE_MAX_POINTS}); use the midpoint rule"
+            f"Gauss-Legendre rule of Q={q} nodes is past the verified range "
+            f"(cap Q={GAUSS_LEGENDRE_MAX_POINTS}); use the midpoint rule"
         )
     remedy = "raise the budget or lower Q"
     blocker = (_spectral_blocker(system.semigroups, lambda: _quadrature_bytes(part, d))

@@ -552,12 +552,17 @@ def _schur_basis(matrix, points):
 
 def _boundary_projection(op, value: complex, exact, mult: int | None = None):
     """Spectral projection of op at its boundary points at value (_boundary_basis): of that
-    exact value on an exact record, else within CLUSTER_TOL * max(1, |value|); none gives
-    zero.  With mult, points of another multiplicity in all raise SpectralFailureError."""
+    exact value on an exact record, else within CLUSTER_TOL * max(1, |value|) of the point
+    or, on a float record, of one of its members (a cluster chained wider than the band
+    has its center out of it); none gives zero.  With mult, points of another
+    multiplicity in all raise SpectralFailureError."""
     points, rec, band = op.unimodular_spectrum, op.eigenbasis, CLUSTER_TOL * max(1.0, abs(value))
     by_exact = exact is not None and rec is not None and rec.exact
-    picked = [i for i, p in enumerate(points)
-              if (p.exact == exact if by_exact else abs(p.value - value) <= band)]
+    near = {i for i, p in enumerate(points) if abs(p.value - value) <= band}
+    if rec is not None and not rec.exact:  # members: the point's stretch of the boundary prefix
+        owner = [i for i, p in enumerate(points) for _ in range(p.multiplicity)]
+        near |= {o for o, z in zip(owner, rec.eigenvalues) if abs(z - value) <= band}
+    picked = [i for i, p in enumerate(points) if (p.exact == exact if by_exact else i in near)]
     found = sum(points[i].multiplicity for i in picked)
     if mult not in (None, found):
         raise SpectralFailureError(f"points at {value} have multiplicity {found}, not {mult}")

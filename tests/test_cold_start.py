@@ -3,9 +3,10 @@
 Only the matrix exponential and the Schur split of a raw operator need
 scipy.linalg, and each imports it when called.  Each case runs in a fresh
 interpreter with src/ on the path and reports the scipy modules it loaded:
-importing the package, the certified runs, continuous ones included, and
-runs on well-conditioned raw operators and generators (which read their
-float eigenbasis records) must load none; a continuous run on a raw
+importing the package, the certified runs, continuous ones included (a
+Gauss-Legendre rule of 250 nodes, whose interior nodes take the asymptotic
+series, among them), and runs on well-conditioned raw operators and
+generators (which read their float eigenbasis records) must load none; a continuous run on a raw
 generator and a raw limit without a record (a defective stable part) must
 still load scipy.linalg, which shows the import moved into the functions
 rather than went missing.
@@ -70,6 +71,15 @@ for scheme in ("midpoint", "gauss-legendre"):
     assert continuous_entangled_average(system, 2.0, quad).value.shape == (2, 2)
 """
 
+_CERTIFIED_GAUSS_LEGENDRE = """
+from entlab import (OrthonormalBasis, QuadratureSpec, continuous_entangled_average,
+                    make_continuous_system, synth_semigroup)
+sgs = [synth_semigroup(["1/2"], [-1.0], OrthonormalBasis(seed)) for seed in (1, 2)]
+out = continuous_entangled_average(make_continuous_system([1, 1], sgs), 10.0,
+                                   QuadratureSpec("gauss-legendre", 250))
+assert out.value.shape == (2, 2) and out.error_estimate < 1e-12
+"""
+
 _REFUSED_EXPM = """
 import numpy as np
 from entlab import ValidationError, expm
@@ -111,6 +121,7 @@ def _scipy_modules(code, cwd):
     pytest.param(_REFUSED_EXPM, id="refused-expm"),
     pytest.param(_RAW_LIMIT_D128, id="raw-limit-d128"),
     pytest.param(_RAW_CONTINUOUS_RECORD, id="raw-continuous-record"),
+    pytest.param(_CERTIFIED_GAUSS_LEGENDRE, id="certified-gauss-legendre-q250"),
 ])
 def test_run_leaves_scipy_unloaded(code, tmp_path):
     assert _scipy_modules(code, tmp_path) == []

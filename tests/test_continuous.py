@@ -232,6 +232,47 @@ def test_gauss_legendre_rule_from_newton_on_the_recurrence(q):
         assert np.max(np.abs(x - reference)) <= 1e-14
 
 
+def _recurrence_half_rule(q: int) -> np.ndarray:
+    """Nonnegative Gauss-Legendre nodes (descending), the test oracle: Newton's method on
+    P_Q from Tricomi's guesses, with (P_Q, P_{Q-1}) from the three-term recurrence
+    (n + 1) P_{n+1} = (2n + 1) x P_n - n P_{n-1}, until a step is at rounding level."""
+    k = np.arange(1, q // 2 + 1)
+    x = np.cos(np.pi * (4 * k - 1) / (4 * q + 2)) * (1 - (q - 1) / (8 * q**3))
+    x = np.append(x, [0.0] * (q % 2))  # P_Q(0) = 0 exactly for odd Q
+    for _ in range(10):
+        p_prev, p = np.ones_like(x), x.copy()
+        for n in range(1, q):
+            p_prev, p = p, x * p * ((2 * n + 1) / (n + 1)) - p_prev * (n / (n + 1))
+        step = p / (q * (p_prev - x * p) / ((1 - x) * (1 + x)))
+        x = x - step
+        if np.abs(step).max() <= 4 * np.finfo(float).eps:
+            return x
+    raise AssertionError(f"the recurrence oracle did not converge at Q={q}")
+
+
+@pytest.mark.parametrize("q", [250, 251, 500, 1000])
+def test_gauss_legendre_nodes_match_newton_on_the_recurrence(q):
+    x, _ = continuous._gauss_legendre(q)
+    assert np.max(np.abs(x[q // 2:][::-1] - _recurrence_half_rule(q))) <= 5e-16
+
+
+@pytest.mark.parametrize("q", range(2, 131))
+def test_gauss_legendre_rule_at_every_small_size(q):
+    # the edge sum serves every node up to Q ~ 40, then the series takes the interior
+    test_gauss_legendre_rule_from_newton_on_the_recurrence(q)
+
+
+@pytest.mark.parametrize("q", [2048, 4096, 16384])
+def test_gauss_legendre_rule_up_to_the_node_cap(q):
+    assert q <= continuous.GAUSS_LEGENDRE_MAX_POINTS  # the cap is the range verified here
+    x, w = continuous._gauss_legendre(q)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(np.sum(w) - 2.0) <= 1e-14
+    omega = np.linspace(0.0, q / 2, 65)[1:]  # the rule's own remainder is far below rounding
+    got = np.exp(1j * np.outer(omega, x)) @ w
+    assert np.max(np.abs(got - 2 * np.sin(omega) / omega)) <= 3e-14
+
+
 def test_gauss_legendre_newton_that_never_reaches_rounding_is_an_error(monkeypatch):
     monkeypatch.setattr(continuous, "_NEWTON_STEP_TOL", -1.0)
     with pytest.raises(NonConvergenceError, match="Q=7"):

@@ -445,6 +445,16 @@ def test_chained_boundary_cluster_projects_with_its_multiplicity():
     assert np.trace(lim).real == pytest.approx(4.0, abs=1e-12)
 
 
+def test_chained_boundary_cluster_is_found_from_a_member_on_a_float_record():
+    # 1 is a member, while the center of the chained point lies 1.35e-8 from it
+    op = _chained_cluster()
+    assert abs(op.unimodular_spectrum[0].value - 1.0) > 1.3e-8
+    p = mean_ergodic_projection(op, 1.0)
+    assert np.trace(p).real == pytest.approx(4.0, abs=1e-12)
+    cesaro = mean_ergodic_projection(op, 1.0, mode="cesaro", n=1000)
+    assert np.max(np.abs(p - cesaro)) <= 1e-3
+
+
 def test_chained_boundary_cluster_without_a_record_is_refused():
     # the Schur split selects within CLUSTER_TOL of the center: 2 of the 4 values
     op = _chained_cluster(jordan=True)
