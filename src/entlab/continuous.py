@@ -24,24 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import entangle, linalg
-from .entangle import (
-    STRATEGIES,
-    EntangledSystem,
-    Partition,
-    _contract,
-    _estimate_cost,
-    _evaluate_discrete,
-    _per_matrix,
-    _record_mean,
-    _refuse_beyond,
-    _resonant_to_one,
-    _spectral_blocker,
-    _spectral_bytes,
-    _stack_bytes,
-    _state,
-    _validate_system,
-    plan_chain,
-)
+from .entangle import (STRATEGIES, EntangledSystem, Partition, _contract, _estimate_cost,
+                       _evaluate_discrete, _per_matrix, _record_mean, _refuse_beyond,
+                       _resonant_to_one, _spectral_blocker, _spectral_bytes, _stack_bytes, _state,
+                       _validate_system, plan_chain)
 from .errors import (
     BudgetExceededError,
     NonConvergenceError,
@@ -289,25 +275,24 @@ class ContinuousAverage:
 _CHUNK_CELLS = 1 << 14  # exponentials per chunk of the node sum: nodes times block-grid cells
 
 
-def _quadrature_weight(records, s_nodes, weights) -> np.ndarray:
+def _quadrature_weight(members, s_nodes, weights) -> np.ndarray:
     """g(mu) = sum_i weights_i e^{mu s_i} over one block's eigen-index grid.
 
-    Axis i runs over the eigenvalues of records[i] and mu is the sum of one
+    Axis i runs over the eigenvalues of members[i] and mu is the sum of one
     eigenvalue per axis; weights are the rule's w_i / t.  The node sum runs
     in chunks of at most max(cells, _CHUNK_CELLS) exponentials, so its
     memory follows the block grid, not Q.  Resonant cells get exactly 1.
     """
     mu = np.zeros((), dtype=np.complex128)
-    for rec in records:
-        mu = np.add.outer(mu, rec.eigenvalues)
+    for member in members:
+        mu = np.add.outer(mu, member.eigenbasis.eigenvalues)
     cells = mu.ravel()
     g = np.zeros(cells.shape, dtype=np.complex128)
     step = max(1, _CHUNK_CELLS // cells.size)
     for lo in range(0, len(s_nodes), step):
         chunk = np.multiply.outer(s_nodes[lo : lo + step], cells)
         g += weights[lo : lo + step] @ np.exp(chunk, out=chunk)
-    return _resonant_to_one(g.reshape(mu.shape), records, [rec.angles for rec in records],
-                            additive=True, generators=True)
+    return _resonant_to_one(g.reshape(mu.shape), members)
 
 
 def _quadrature_bytes(part: Partition, d: int) -> float:
@@ -393,7 +378,7 @@ def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy
     s_nodes, w_nodes = quad.nodes(t)
     if blocker is None:
         return _record_mean(system.semigroups, list(system.connectors), part,
-                            lambda recs: _quadrature_weight(recs, s_nodes, w_nodes / t), x)
+                            lambda block: _quadrature_weight(block, s_nodes, w_nodes / t), x)
     stack = _per_matrix(generators, lambda b: linalg.expm(b, s_nodes))
     return _contract(plan, part, list(system.connectors), stack,
                      lambda j: np.tensordot(w_nodes, stack(j), axes=1) / t, w_nodes / t, x)

@@ -22,9 +22,11 @@ Three evaluation strategies:
   the one contraction: the midpoint rule is this mean of the steps e^{hB}
   over the powers 0..Q-1 (times e^{hB/2} factors), Gauss-Legendre passes
   its node sum as the block weight, and both limits the 0/1 resonance
-  indicator over boundary eigen-indices.  Without a record on every
-  position, or when the dense weight would exceed the memory cap, it falls
-  back to ``presum``, and a refusal there names the reason.
+  indicator over boundary eigen-indices.  A mean's resonant cells get 1,
+  per boundary point, from the limit's block solver (_block_solutions).
+  Without a record on every position, or when the dense weight would
+  exceed the memory cap, it falls back to ``presum``, and a refusal there
+  names the reason.
 * ``naive``   recomputes every operator power per lattice tuple (binary
   powering, nothing cached).  Slow on purpose; it is the reference route.
 * ``presum``  the contraction planner.  A block whose positions are
@@ -49,7 +51,10 @@ import cmath
 import functools
 import itertools
 import math
+import sys
+import weakref
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -62,12 +67,13 @@ from .errors import (
     NotSurjectiveError,
     ValidationError,
 )
-from .operators import (DISCRETE, EIGENBASIS_COND_CAP, SpectralOperator, _on_clock,
-                        _require_bounded, as_operator)
+from .operators import (DISCRETE, EIGENBASIS_COND_CAP, SpectralOperator, SpectralPoint,
+                        _exact_literal, _on_clock, _parse_exact, _require_bounded, angle_value,
+                        as_operator, parse_angle)
 
 MEMORY_CAP_BYTES = 2 << 30  # refuse power stacks beyond 2 GiB
 STRATEGIES = ("naive", "presum", "spectral")
-RESONANCE_TOL = 1e-8  # limits' default tol, and the means' with a float record (_resonant_to_one)
+RESONANCE_TOL = 1e-8  # limits' default tol, and the tol of the means' snap (_resonant_to_one)
 
 
 @dataclass(frozen=True)
@@ -487,10 +493,155 @@ def _grid(arrays):
     return [a.reshape([1] * i + [-1] + [1] * (k - 1 - i)) for i, a in enumerate(arrays)]
 
 
-def _cesaro_weight(records, n: int, h=None) -> np.ndarray:
+def _normalize_entry(e, additive: bool):
+    """Return (float_entry, exact_fraction_or_none); non-finite floats are refused."""
+    if isinstance(e, SpectralPoint):
+        if additive:  # an angle is a turn of the circle, not a frequency
+            raise ValidationError("additive mode needs real frequencies, not unit-circle points")
+        fr = e.angle
+        if fr is None:
+            val = complex(e.value)
+    elif _exact_literal(e):  # a Fraction is not parsed again
+        fr = (e if isinstance(e, Fraction) else parse_angle(e) if not additive
+              else _parse_exact(e, "frequency", ValidationError))
+        fr = fr if additive or 0 <= fr < 1 else fr % 1
+    else:
+        fr = None
+        val = float(e) if additive else complex(e)
+    if fr is not None:
+        return (float(fr) if additive else angle_value(fr)), fr
+    if not cmath.isfinite(val):
+        raise ValidationError(f"entry {e!r} is not finite")
+    if not additive and abs(abs(val) - 1.0) > 1e-6:
+        raise ValidationError(f"entry {e!r} is far from the unit circle")
+    return val, None
+
+
+def _normalized(spectra, additive: bool) -> list:
+    """Each position's entries as _normalize_entry returns them; a SpectralOperator's are its
+    boundary points as its clock lists them, refused unless additive matches the clock."""
+    for sp in spectra:
+        if isinstance(sp, SpectralOperator) and sp.clock.additive != additive:
+            raise ValidationError(f"{sp.clock.noun} given with additive={additive}")
+    return [[_normalize_entry(e, additive) for e in
+             ([sp.clock.resonance_entry(p) for p in sp.unimodular_spectrum]
+              if isinstance(sp, SpectralOperator) else sp)]
+            for sp in spectra]
+
+
+def _unravel(flat, shape) -> list:
+    """Per-axis indices of flat grid indices; a grid of no axes has one cell."""
+    return list(np.unravel_index(flat, shape)) if shape else []
+
+
+def _pairs(left_keys, right_keys):
+    """(left, right) flat indices with equal keys: by left, then by right index."""
+    order = np.argsort(right_keys, kind="stable")
+    ranked = right_keys[order]
+    lo = np.searchsorted(ranked, left_keys, "left")
+    count = np.searchsorted(ranked, left_keys, "right") - lo
+    left = np.repeat(np.arange(len(left_keys)), count)
+    start = np.repeat(lo - np.cumsum(count) + count, count)
+    return left, order[start + np.arange(len(left))]
+
+
+def _block_solutions(cands, *, additive, tol, mitm_threshold):
+    """Solve one block: (columns, residuals) of its resonant combinations.
+
+    cands : list (one per block position) of lists of (entry, exact) pairs.
+    Returns one index array into cands per position and the residuals, in
+    lexicographic order of the combinations.  A combination whose picks are
+    all exact is decided in integers: the exact values as numerators over
+    one common denominator, summed (mod it in discrete time;
+    _exact_sums), with residual 0.  Any other is decided by its
+    float residual, |prod - 1| or |sum| of its entries taken in position
+    order (_aggregate), against tol.
+
+    Up to mitm_threshold combinations the whole grid is decided at once.
+    Above it the block splits into a left and a right half, and each half's
+    grid is placed on the constraint line or circle: by its exact sum when
+    the whole block is exact, so that equal keys are hits, and otherwise by
+    the float cell of width tol (or the rounding of a half-sum, if wider).
+    Right keys are sorted once, each left half's complement (in float mode
+    also its +-2 neighbouring cells, wrapping at 1) is looked up with
+    searchsorted, and the pairs found are decided as above.  Memory stays at
+    the size of the halves and the pairs.
+    """
+    sizes = [len(c) for c in cands]
+    fracs = [[0 if fr is None else fr for _, fr in c] for c in cands]
+    common = math.lcm(*(fr.denominator for axis in fracs for fr in axis))
+    exact = [[fr is not None for _, fr in c] for c in cands]
+    all_exact = all(map(all, exact))
+    has_exact = all_exact or any(map(any, exact))  # all_exact also when every axis is empty
+    if not all_exact:
+        exact = [np.array(e, dtype=bool) for e in exact]
+        values = [np.array([e for e, _ in c], dtype=np.float64 if additive else np.complex128)
+                  for c in cands]
+
+    if math.prod(sizes) <= mitm_threshold:
+        exact_hit = _exact_sums(fracs, common, additive) == 0 if has_exact else None
+        if all_exact:
+            hit = exact_hit
+        else:
+            hit, res = _score(_grid(values), _grid(exact), exact_hit, additive=additive, tol=tol)
+        cols = np.nonzero(hit)
+        return cols, np.zeros(len(cols[0])) if all_exact else res[cols]
+
+    half = len(cands) // 2
+    shapes = (sizes[:half], sizes[half:])
+    if has_exact:
+        left_sum, right_sum = (_exact_sums(part, common, additive).ravel()
+                               for part in (fracs[:half], fracs[half:]))
+        if left_sum.dtype != right_sum.dtype:
+            left_sum, right_sum = left_sum.astype(object), right_sum.astype(object)
+        complement = -left_sum if additive else -left_sum % common
+    if all_exact:
+        right_keys, keys = right_sum, [complement]
+    else:
+        # |e^{2 pi i theta} - 1| <= tol forces |theta| <~ tol / (2 pi); be generous
+        scale = sum(max((abs(e) for e, _ in c), default=0.0) for c in cands) if additive else 1.0
+        width = max(tol, 1e-15, 4 * sys.float_info.epsilon * scale)
+        n_cells = math.ceil(1.0 / width)
+
+        def place(arrays, shape):
+            """Where each half-tuple of the grid sits on the constraint line or circle."""
+            agg = _aggregate(_grid(arrays), additive)
+            if not additive:
+                agg = np.arctan2(agg[1], agg[0]) / (2 * math.pi) % 1.0
+            return np.broadcast_to(agg, shape).ravel()
+
+        v = place(values[:half], shapes[0])
+        cells = [np.floor(x / width).astype(np.int64)
+                 for x in (place(values[half:], shapes[1]), -v if additive else -v % 1)]
+        if additive:
+            right_keys, keys = cells[0], [cells[1] + off for off in (-2, -1, 0, 1, 2)]
+        else:
+            # wrap at 1: the first and last cells are neighbours, and theta
+            # right below 1 can round to 1.0 exactly; a cell is looked up once
+            right_keys, keys = cells[0] % n_cells, []
+            for off in (-2, -1, 0, 1, 2):
+                key = (cells[1] + off) % n_cells
+                keys.append(np.where(np.any([key == k for k in keys], axis=0), -1, key))
+    found = [_pairs(key, right_keys) for key in keys]
+    li = np.concatenate([lo for lo, _ in found])
+    ri = np.concatenate([r for _, r in found])
+    if not all_exact:
+        digits = _unravel(li, shapes[0]) + _unravel(ri, shapes[1])
+        exact_hit = right_sum[ri] == complement[li] if has_exact else None
+        hit, res = _score([a[d] for a, d in zip(values, digits)],
+                          [e[d] for e, d in zip(exact, digits)],
+                          exact_hit, additive=additive, tol=tol)
+        li, ri, res = li[hit], ri[hit], res[hit]
+    order = np.lexsort((ri, li))
+    li, ri = li[order], ri[order]
+    cols = _unravel(li, shapes[0]) + _unravel(ri, shapes[1])
+    return cols, np.zeros(len(li)) if all_exact else res[order]
+
+
+def _cesaro_weight(members, n: int, h=None) -> np.ndarray:
     """g_n(z) = (1/n) sum_{k=1..n} z^k over one block's eigen-index grid.
 
-    Axis i runs over the eigenvalues of records[i], z is the product of one
+    Axis i runs over the eigenvalues of members[i], z is the product of one
     per axis, and resonant cells get exactly 1 (_resonant_to_one): n log z
     would turn their float 1 + O(eps) into a phase.  Elsewhere
     g_n = z (1 - z^n) / (n (1 - z)), z^n the product of the eigenvalues' n-th
@@ -498,7 +649,7 @@ def _cesaro_weight(records, n: int, h=None) -> np.ndarray:
     z expm1(n log z) / (n expm1(log z)); each branch runs in place on masked
     copies, so about four complex grids are alive at once (_spectral_bytes).
 
-    With an exact step h the records are generators', read as e^{hB}, and k
+    With an exact step h the members are generators, read as e^{hB}, and k
     runs over 0..n-1, the midpoint rule's powers: the same without the
     leading z, with angles phi h mod 1 (aliased frequencies resonate) and
     log z the sum of the exponents lam h on the principal branch, not the log
@@ -510,6 +661,7 @@ def _cesaro_weight(records, n: int, h=None) -> np.ndarray:
     # exponent for stable eigenvalues: beyond 2^64 each |lam|^n, |lam| <= 1 - 2^-53,
     # has underflowed to 0 already
     n_cap = float(min(n, 2**64))
+    records = [member.eigenbasis for member in members]
     angle_lists = [() if not rec.exact else rec.angles if h is None
                    else [a * h % 1 for a in rec.angles] for rec in records]
     for rec, angles in zip(records, angle_lists):
@@ -557,24 +709,31 @@ def _cesaro_weight(records, n: int, h=None) -> np.ndarray:
     den = np.expm1(log_z, out=log_z)
     zn.fill(1.0)
     g[near] = np.divide(num, den, out=zn, where=den != 0)
-    return _resonant_to_one(g, records, angle_lists, generators=h is not None)
+    return _resonant_to_one(g, members, h)
 
 
-def _resonant_to_one(g, records, angle_lists, additive=False, generators=False) -> np.ndarray:
-    """g with exactly 1 on its resonant cells, which lie in the records' boundary prefixes:
-    with every record exact, where the exact values angle_lists[i] sum to 0 (mod 1 unless
-    additive); else as the limit decides (_score at RESONANCE_TOL), on the entries
-    resonant_tuples takes: boundary eigenvalues, or for generators on either rule their
-    frequencies Im mu / 2 pi (not the steps' exponents, which any small h makes small)."""
-    if all(rec.exact for rec in records):
-        common = math.lcm(*(a.denominator for angles in angle_lists for a in angles))
-        hit = _exact_sums(angle_lists, common, additive) == 0
-    else:
-        ends = [rec.eigenvalues[:len(rec.angles)] if not generators
-                else np.array(rec.angles, dtype=np.float64) if rec.exact
-                else rec.eigenvalues[:len(rec.angles)].imag / (2 * math.pi) for rec in records]
-        hit, _ = _score(_grid(ends), None, None, additive=generators, tol=RESONANCE_TOL)
-    g[tuple(slice(len(rec.angles)) for rec in records)][hit] = 1.0
+def _resonant_to_one(g, members, h=None) -> np.ndarray:
+    """g with exactly 1 on the resonant cells of the members' boundary prefixes.
+
+    Each eigen-index reads as its boundary point (SpectralOperator._owners), and
+    the limit's block decision (_block_solutions over the whole grid at
+    RESONANCE_TOL) decides the points, so a cluster resonates whole.  Generators
+    are decided on their frequencies, which no small h makes small; a midpoint
+    step h with every record exact on the aliased angles phi h mod 1.  A block
+    is decided once per h and kept by its first member (SpectralOperator._decided).
+    """
+    decided, key = members[0]._decided, (tuple(map(weakref.ref, members[1:])), h)
+    if key not in decided:
+        if len(decided) >= 64:  # keys whose members are gone must not pile up
+            decided.clear()
+        aliased = h is not None and all(member.eigenbasis.exact for member in members)
+        additive = members[0].clock.additive and not aliased
+        points = ([[(None, p.exact * h % 1) for p in member.unimodular_spectrum]
+                   for member in members] if aliased else _normalized(members, additive))
+        cands = [[pts[o] for o in member._owners] for pts, member in zip(points, members)]
+        decided[key], _ = _block_solutions(cands, additive=additive, tol=RESONANCE_TOL,
+                                           mitm_threshold=math.inf)
+    g[decided[key]] = 1.0
     return g
 
 
@@ -607,10 +766,10 @@ def _spectral_mean(rights, lefts, connectors, part: Partition, block_weight, x=N
 
 
 def _record_mean(members, connectors, part: Partition, block_weight, x=None):
-    """_spectral_mean in the members' eigenbasis records; block_weight takes a block's."""
+    """_spectral_mean in the members' eigenbasis records; block_weight takes a block's members."""
     recs = [member.eigenbasis for member in members]
     return _spectral_mean([rec.basis for rec in recs], [rec.basis_inv for rec in recs], connectors,
-                          part, lambda block: block_weight([recs[j] for j in block]), x)
+                          part, lambda block: block_weight([members[j] for j in block]), x)
 
 
 def _spectral_bytes(part: Partition, d: int) -> float:
@@ -655,7 +814,7 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
                 f"strategy=spectral, {depth}={n}, eigen-index tuples={d}^{m}", remedy,
             )
             return _record_mean(members, connectors, part,
-                                lambda recs: _cesaro_weight(recs, n, h), x)
+                                lambda block: _cesaro_weight(block, n, h), x)
         strategy, route = "presum", f"strategy=spectral fell back to presum ({blocker})"
 
     if strategy == "naive":

@@ -17,6 +17,7 @@ Cesaro partial means are kept as an independent route for the tests.
 from __future__ import annotations
 
 import cmath
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,8 +39,13 @@ UNIMOD_BAND = 1e-8   # distance from the unit circle that still counts as on it
 CLUSTER_TOL = 1e-8   # eigenvalue matching tolerance for float spectra
 
 
+def _exact_literal(x) -> bool:
+    """A Fraction, string, int or NumPy integer (no bool) or tuple: what _parse_exact reads."""
+    return isinstance(x, (Fraction, str, int, np.integer, tuple)) and not isinstance(x, bool)
+
+
 def _parse_exact(x, noun: str = "angle", error=BadAngleError) -> Fraction:
-    """Exact rational from a Fraction, an int, an (int, int) pair or a 'p/q' string.
+    """Exact rational from a Fraction, an integer, an (integer, integer) pair or a 'p/q' string.
 
     Floats are rejected: a value that is not exactly rational has no place in
     the resonance arithmetic, and silently rationalizing one would hide that.
@@ -48,14 +54,13 @@ def _parse_exact(x, noun: str = "angle", error=BadAngleError) -> Fraction:
     if isinstance(x, float):
         raise error(f"float {noun} {x!r} rejected; pass an exact rational like '1/3'")
     try:
-        if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
-            return Fraction(x)
         if isinstance(x, str):
             return Fraction(x.strip())
         if isinstance(x, tuple) and len(x) == 2 and all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in x
-        ):
+                isinstance(v, (int, np.integer)) and _exact_literal(v) for v in x):
             return Fraction(int(x[0]), int(x[1]))
+        if _exact_literal(x) and not isinstance(x, tuple):  # a Fraction or an integer
+            return Fraction(x if isinstance(x, Fraction) else int(x))
     except (ValueError, ZeroDivisionError) as exc:
         raise error(f"cannot parse {noun} {x!r}") from exc
     raise error(f"cannot parse {noun} {x!r}")
@@ -256,6 +261,19 @@ class SpectralOperator:
         if self.clock is DISCRETE:
             raise ValidationError("value(t) = exp(tB) needs a generator, not an operator")
         return linalg.expm(self.matrix, t)
+
+    @functools.cached_property
+    def _owners(self) -> tuple[int, ...]:
+        """Per boundary eigen-index of the record, the index of its point: of its exact value,
+        or on a float record of its stretch, which _read_matrix lists point by point."""
+        points, rec = self.unimodular_spectrum, self.eigenbasis
+        if rec.exact:
+            exacts = [p.exact for p in points]
+            return tuple(exacts.index(a) for a in rec.angles)
+        return tuple(i for i, p in enumerate(points) for _ in range(p.multiplicity))
+
+    # resonant cells of the means' blocks this operator leads (entangle._resonant_to_one)
+    _decided = functools.cached_property(lambda self: {})
 
     @property
     def certificate(self) -> Certificate | None:
@@ -507,24 +525,18 @@ def _boundary_basis(op, picked):
     idx with group[idx] == v.  Two routes:
 
     - the record: S's columns and S^{-1}'s rows of each point's members, the
-      eigen-indices of its exact value, or on a float record its stretch of
-      the boundary prefix, which _read_matrix lists point by point;
+      eigen-indices that SpectralOperator._owners gives the point;
     - Schur: one sorted Schur form puts the eigenvalues within
       CLUSTER_TOL * max(1, |value|) of the points first (_schur_split), and
       for more than one the eig W diag(mu) W^{-1} of T11 splits them: right
       Z_1 W, left W^{-1} [I, Y] Z^H.  A point that gets other than its
       multiplicity (a cluster chained wider) raises SpectralFailureError.
     """
-    points, rec = op.unimodular_spectrum, op.eigenbasis
+    rec = op.eigenbasis
     if rec is None:
-        return _schur_basis(op.matrix, [points[p] for p in picked])
-    if rec.exact:
-        exacts = [p.exact for p in points]
-        owner = [exacts.index(a) for a in rec.angles]
-    else:
-        owner = [i for i, p in enumerate(points) for _ in range(p.multiplicity)]
-    idx = [i for p in picked for i, o in enumerate(owner) if o == p]
-    group = [v for v, p in enumerate(picked) for o in owner if o == p]
+        return _schur_basis(op.matrix, [op.unimodular_spectrum[p] for p in picked])
+    idx = [i for p in picked for i, o in enumerate(op._owners) if o == p]
+    group = [v for v, p in enumerate(picked) for o in op._owners if o == p]
     return rec.basis.take(idx, axis=1), rec.basis_inv.take(idx, axis=0), group
 
 
@@ -560,8 +572,7 @@ def _boundary_projection(op, value: complex, exact, mult: int | None = None):
     by_exact = exact is not None and rec is not None and rec.exact
     near = {i for i, p in enumerate(points) if abs(p.value - value) <= band}
     if rec is not None and not rec.exact:  # members: the point's stretch of the boundary prefix
-        owner = [i for i, p in enumerate(points) for _ in range(p.multiplicity)]
-        near |= {o for o, z in zip(owner, rec.eigenvalues) if abs(z - value) <= band}
+        near |= {o for o, z in zip(op._owners, rec.eigenvalues) if abs(z - value) <= band}
     picked = [i for i, p in enumerate(points) if (p.exact == exact if by_exact else i in near)]
     found = sum(points[i].multiplicity for i in picked)
     if mult not in (None, found):
@@ -573,9 +584,7 @@ def _boundary_projection(op, value: complex, exact, mult: int | None = None):
 
 
 def _parse_target(lam) -> tuple[complex, Fraction | None]:
-    if isinstance(lam, (Fraction, str)) or (
-        isinstance(lam, tuple) and len(lam) == 2
-    ) or isinstance(lam, int):
+    if _exact_literal(lam):
         fr = parse_angle(lam)
         return angle_value(fr), fr
     val = complex(lam)

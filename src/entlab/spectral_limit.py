@@ -9,6 +9,8 @@ and a fragility flag otherwise.  Each contributes P_m A_{m-1} ... A_1 P_1;
 with P_j = R_j[:, idx] L_j[idx, :] for boundary bases R_j, L_j, the sum is
 the spectral mean's contraction (entangle._spectral_mean) with each block's
 0/1 resonance indicator where the mean has g_n: its n -> infinity case.
+The block solver lives in entangle, where the means' resonance snap calls it
+too, per boundary point; this module imports it by name.
 
 The Koopman-von Neumann diagnostic at the end is the scalar companion: it
 inspects a nonnegative sequence for Cesaro smallness and proposes a density-
@@ -21,28 +23,16 @@ import cmath
 import functools
 import math
 import operator
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import entangle, linalg
-from .entangle import (EntangledSystem, Partition, _aggregate, _exact_sums, _grid, _score,
-                       make_partition)
+from .entangle import EntangledSystem, Partition, _block_solutions, _normalized, make_partition
 from .errors import BudgetExceededError, EmptySequenceError, ValidationError
-from .operators import (
-    DISCRETE,
-    SpectralOperator,
-    SpectralPoint,
-    _boundary_basis,
-    _read_matrix,
-    _require_bounded,
-    angle_value,
-    as_operator,
-    parse_angle,
-)
+from .operators import (DISCRETE, SpectralOperator, SpectralPoint, _boundary_basis, _read_matrix,
+                        _require_bounded, as_operator)
 
 DEFAULT_TOL = entangle.RESONANCE_TOL
 FRAGILE_BAND = 1e-10
@@ -161,143 +151,11 @@ class ResonantTuples(Sequence):
         return f"ResonantTuples({self._items!r})"
 
 
-def _normalize_entry(e, additive: bool):
-    """Return (float_entry, exact_fraction_or_none); non-finite floats are refused."""
-    if isinstance(e, SpectralPoint):
-        if additive:  # an angle is a turn of the circle, not a frequency
-            raise ValidationError("additive mode needs real frequencies, not unit-circle points")
-        fr = e.angle
-        if fr is None:
-            val = complex(e.value)
-    elif isinstance(e, (Fraction, str)) or (isinstance(e, int) and not isinstance(e, bool)):
-        fr = e if isinstance(e, Fraction) else Fraction(e) if additive else parse_angle(e)
-        fr = fr if additive or 0 <= fr < 1 else fr % 1  # a Fraction is not parsed again
-    else:
-        fr = None
-        val = float(e) if additive else complex(e)
-    if fr is not None:
-        return (float(fr) if additive else angle_value(fr)), fr
-    if not cmath.isfinite(val):
-        raise ValidationError(f"entry {e!r} is not finite")
-    if not additive and abs(abs(val) - 1.0) > 1e-6:
-        raise ValidationError(f"entry {e!r} is far from the unit circle")
-    return val, None
-
-
 def _angle_of(agg, additive: bool) -> float:
     """Position of the aggregate on its constraint circle, in turns."""
     if additive:
         return float(agg)
     return (cmath.phase(agg) / (2 * math.pi)) % 1.0
-
-
-def _unravel(flat, shape) -> list:
-    """Per-axis indices of flat grid indices; a grid of no axes has one cell."""
-    return list(np.unravel_index(flat, shape)) if shape else []
-
-
-def _pairs(left_keys, right_keys):
-    """(left, right) flat indices with equal keys: by left, then by right index."""
-    order = np.argsort(right_keys, kind="stable")
-    ranked = right_keys[order]
-    lo = np.searchsorted(ranked, left_keys, "left")
-    count = np.searchsorted(ranked, left_keys, "right") - lo
-    left = np.repeat(np.arange(len(left_keys)), count)
-    start = np.repeat(lo - np.cumsum(count) + count, count)
-    return left, order[start + np.arange(len(left))]
-
-
-def _block_solutions(cands, *, additive, tol, mitm_threshold):
-    """Solve one block: (columns, residuals) of its resonant combinations.
-
-    cands : list (one per block position) of lists of (entry, exact) pairs.
-    Returns one index array into cands per position and the residuals, in
-    lexicographic order of the combinations.  A combination whose picks are
-    all exact is decided in integers: the exact values as numerators over
-    one common denominator, summed (mod it in discrete time;
-    entangle._exact_sums), with residual 0.  Any other is decided by its
-    float residual, |prod - 1| or |sum| of its entries taken in position
-    order (_aggregate), against tol.
-
-    Up to mitm_threshold combinations the whole grid is decided at once.
-    Above it the block splits into a left and a right half, and each half's
-    grid is placed on the constraint line or circle: by its exact sum when
-    the whole block is exact, so that equal keys are hits, and otherwise by
-    the float cell of width tol (or the rounding of a half-sum, if wider).
-    Right keys are sorted once, each left half's complement (in float mode
-    also its +-2 neighbouring cells, wrapping at 1) is looked up with
-    searchsorted, and the pairs found are decided as above.  Memory stays at
-    the size of the halves and the pairs.
-    """
-    sizes = [len(c) for c in cands]
-    fracs = [[0 if fr is None else fr for _, fr in c] for c in cands]
-    common = math.lcm(*(fr.denominator for axis in fracs for fr in axis))
-    exact = [[fr is not None for _, fr in c] for c in cands]
-    has_exact = any(map(any, exact))
-    all_exact = all(map(all, exact))
-    if not all_exact:
-        exact = [np.array(e, dtype=bool) for e in exact]
-        values = [np.array([e for e, _ in c], dtype=np.float64 if additive else np.complex128)
-                  for c in cands]
-
-    if math.prod(sizes) <= mitm_threshold:
-        exact_hit = _exact_sums(fracs, common, additive) == 0 if has_exact else None
-        if all_exact:
-            hit = exact_hit
-        else:
-            hit, res = _score(_grid(values), _grid(exact), exact_hit, additive=additive, tol=tol)
-        cols = np.nonzero(hit)
-        return cols, np.zeros(len(cols[0])) if all_exact else res[cols]
-
-    half = len(cands) // 2
-    shapes = (sizes[:half], sizes[half:])
-    if has_exact:
-        left_sum, right_sum = (_exact_sums(part, common, additive).ravel()
-                               for part in (fracs[:half], fracs[half:]))
-        if left_sum.dtype != right_sum.dtype:
-            left_sum, right_sum = left_sum.astype(object), right_sum.astype(object)
-        complement = -left_sum if additive else -left_sum % common
-    if all_exact:
-        right_keys, keys = right_sum, [complement]
-    else:
-        # |e^{2 pi i theta} - 1| <= tol forces |theta| <~ tol / (2 pi); be generous
-        scale = sum(max((abs(e) for e, _ in c), default=0.0) for c in cands) if additive else 1.0
-        width = max(tol, 1e-15, 4 * sys.float_info.epsilon * scale)
-        n_cells = math.ceil(1.0 / width)
-
-        def place(arrays, shape):
-            """Where each half-tuple of the grid sits on the constraint line or circle."""
-            agg = _aggregate(_grid(arrays), additive)
-            if not additive:
-                agg = np.arctan2(agg[1], agg[0]) / (2 * math.pi) % 1.0
-            return np.broadcast_to(agg, shape).ravel()
-
-        v = place(values[:half], shapes[0])
-        cells = [np.floor(x / width).astype(np.int64)
-                 for x in (place(values[half:], shapes[1]), -v if additive else -v % 1)]
-        if additive:
-            right_keys, keys = cells[0], [cells[1] + off for off in (-2, -1, 0, 1, 2)]
-        else:
-            # wrap at 1: the first and last cells are neighbours, and theta
-            # right below 1 can round to 1.0 exactly; a cell is looked up once
-            right_keys, keys = cells[0] % n_cells, []
-            for off in (-2, -1, 0, 1, 2):
-                key = (cells[1] + off) % n_cells
-                keys.append(np.where(np.any([key == k for k in keys], axis=0), -1, key))
-    found = [_pairs(key, right_keys) for key in keys]
-    li = np.concatenate([lo for lo, _ in found])
-    ri = np.concatenate([r for _, r in found])
-    if not all_exact:
-        digits = _unravel(li, shapes[0]) + _unravel(ri, shapes[1])
-        exact_hit = right_sum[ri] == complement[li] if has_exact else None
-        hit, res = _score([a[d] for a, d in zip(values, digits)],
-                          [e[d] for e, d in zip(exact, digits)],
-                          exact_hit, additive=additive, tol=tol)
-        li, ri, res = li[hit], ri[hit], res[hit]
-    order = np.lexsort((ri, li))
-    li, ri = li[order], ri[order]
-    cols = _unravel(li, shapes[0]) + _unravel(ri, shapes[1])
-    return cols, np.zeros(len(li)) if all_exact else res[order]
 
 
 def _solve_blocks(norm, part: Partition, tol, additive: bool, mitm_threshold: int):
@@ -311,18 +169,6 @@ def _solve_blocks(norm, part: Partition, tol, additive: bool, mitm_threshold: in
             return None
         solutions.append((positions, cols, res))
     return solutions
-
-
-def _normalized(spectra, additive: bool) -> list:
-    """Each position's entries as _normalize_entry returns them; a SpectralOperator's are its
-    boundary points as its clock lists them, refused unless additive matches the clock."""
-    for sp in spectra:
-        if isinstance(sp, SpectralOperator) and sp.clock.additive != additive:
-            raise ValidationError(f"{sp.clock.noun} given with additive={additive}")
-    return [[_normalize_entry(e, additive) for e in
-             ([sp.clock.resonance_entry(p) for p in sp.unimodular_spectrum]
-              if isinstance(sp, SpectralOperator) else sp)]
-            for sp in spectra]
 
 
 def _resonant_index(spectra, part: Partition, tol, additive: bool, mitm_threshold: int):

@@ -213,7 +213,7 @@ def _gauss_legendre_remainder(q: int, omega: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 64, 250, 251, 500, 1000])
-def test_gauss_legendre_rule_from_newton_on_the_recurrence(q):
+def test_gauss_legendre_rule_is_symmetric_sums_to_two_and_meets_its_remainder(q):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         x, w = continuous._gauss_legendre(q)
@@ -259,7 +259,7 @@ def test_gauss_legendre_nodes_match_newton_on_the_recurrence(q):
 @pytest.mark.parametrize("q", range(2, 131))
 def test_gauss_legendre_rule_at_every_small_size(q):
     # the edge sum serves every node up to Q ~ 40, then the series takes the interior
-    test_gauss_legendre_rule_from_newton_on_the_recurrence(q)
+    test_gauss_legendre_rule_is_symmetric_sums_to_two_and_meets_its_remainder(q)
 
 
 @pytest.mark.parametrize("q", [2048, 4096, 16384])
@@ -690,7 +690,7 @@ def test_resonant_cell_weight_is_exactly_one():
     certs = [sg.certificate for sg in sgs]
     assert certs[0].eigenvalues[0] + certs[1].eigenvalues[0] + certs[2].eigenvalues[0] != 0
     s_nodes, w_nodes = QuadratureSpec("midpoint", 4000).nodes(1.0e4)
-    g = continuous._quadrature_weight(certs, s_nodes, w_nodes / 1.0e4)
+    g = continuous._quadrature_weight(sgs, s_nodes, w_nodes / 1.0e4)
     assert g[0, 0, 0] == 1.0
     mu = certs[0].eigenvalues[1] + certs[1].eigenvalues[0] + certs[2].eigenvalues[0]
     assert abs(g[1, 0, 0] - np.sum(w_nodes * np.exp(mu * s_nodes)) / 1.0e4) <= 1e-12
@@ -784,7 +784,7 @@ def test_aliased_midpoint_cell_is_resonant_and_keeps_its_sign(freqs, strategy):
     # 10/11 the float exponents sum to 2 pi i + 9e-16 i, not to 2 pi i
     sgs = [synth_semigroup([f], [-0.5], OrthonormalBasis(350 + j)) for j, f in enumerate(freqs)]
     sys_ = make_continuous_system([1, 1], sgs, [linalg.haar_unitary(2, seed=352)])
-    weight = entangle._cesaro_weight([sg.certificate for sg in sgs], 16, Fraction(1))
+    weight = entangle._cesaro_weight(sgs, 16, Fraction(1))
     assert weight[0, 0] == 1.0
     ref = _node_sum(sys_, 16.0, 16)
     got = continuous_entangled_average(

@@ -25,10 +25,11 @@ from entlab.operators import (
     OrthonormalBasis,
     RandomSimilarity,
     from_matrix,
+    mean_ergodic_projection,
     parse_angle,
     synth_operator,
 )
-from entlab.spectral_limit import limit_operator
+from entlab.spectral_limit import limit_operator, resonant_tuples
 from entlab.rng import CounterRng
 
 
@@ -114,3 +115,21 @@ def test_angles_and_frequencies_share_the_pair_rules(raw):
     with pytest.raises(ValidationError):
         synth_semigroup([raw], [], OrthonormalBasis(seed=0))
 
+
+EXACT_READERS = {  # entry points that read an exact angle or frequency
+    "parse_angle": parse_angle,
+    "synth_operator": lambda v: synth_operator([v], [0.5], OrthonormalBasis(0)).unimodular_spectrum,
+    "synth_semigroup": lambda v: synth_semigroup([v], [-0.5], OrthonormalBasis(0)).frequency_points,
+    "resonant_tuples": lambda v: resonant_tuples([[v], [0]], [1, 1]),
+    "resonant_tuples additive": lambda v: resonant_tuples([[v], [-v]], [1, 1], additive=True),
+    "mean_ergodic_projection": lambda v: mean_ergodic_projection(
+        synth_operator(["0"], [0.5], OrthonormalBasis(0)), v).tolist(),
+}
+
+
+@pytest.mark.parametrize("reader", EXACT_READERS)
+@pytest.mark.parametrize("value", [2, 3])
+def test_numpy_integers_are_the_exact_values_they_hold(reader, value):
+    read = EXACT_READERS[reader]
+    want, got = read(value), read(np.int64(value))
+    assert got == want and repr(got) == repr(want)  # no numpy integer inside a Fraction

@@ -30,7 +30,7 @@ from entlab.continuous import (
     semigroup_from_generator,
     synth_semigroup,
 )
-from entlab.entangle import entangled_average, make_partition, make_system
+from entlab.entangle import _normalize_entry, entangled_average, make_partition, make_system
 from entlab.errors import (
     BudgetExceededError,
     EmptySequenceError,
@@ -49,7 +49,6 @@ from entlab.operators import (
 )
 from entlab.spectral_limit import (
     FRAGILE_BAND,
-    _normalize_entry,
     kvn_diagnostic,
     limit_operator,
     limit_operator_with_tuples,
@@ -399,7 +398,7 @@ def test_large_float_grid_residuals_match_math_prod(threshold):
 def test_fsum_rows_match_math_fsum(rows):
     width = max(map(len, rows))
     cols = [np.array([row[i] if i < len(row) else 0.0 for row in rows]) for i in range(width)]
-    got = spectral_limit._aggregate(cols, True)
+    got = entangle._aggregate(cols, True)
     want = [math.fsum(row) for row in rows]
     assert [abs(g) for g in np.broadcast_to(got, (len(rows),)).tolist()] == [abs(w) for w in want]
 
@@ -411,7 +410,7 @@ def test_product_rows_match_math_prod(rows):
     width = max(map(len, rows))
     cols = [np.array([row[i] if i < len(row) else 1.0 for row in rows], dtype=np.complex128)
             for i in range(width)]
-    re, im = spectral_limit._aggregate(cols, False)
+    re, im = entangle._aggregate(cols, False)
     want = [math.prod(row + [1.0] * (width - len(row)), start=1 + 0j) for row in rows]
     assert re.tolist() == [w.real for w in want] and im.tolist() == [w.imag for w in want]
 
@@ -859,15 +858,37 @@ def test_means_snap_exactly_the_boundary_cells_the_limit_counts(case, rule):
     assert any(not rec.exact for rec in records)
     if rule == "gauss-legendre":
         s_nodes, w_nodes = QuadratureSpec("gauss-legendre", 64).nodes(10.0)
-        weight = continuous._quadrature_weight(records, s_nodes, w_nodes / 10.0)
+        weight = continuous._quadrature_weight(members, s_nodes, w_nodes / 10.0)
     else:
-        weight = entangle._cesaro_weight(records, 1000, None if discrete else Fraction(1, 64))
+        weight = entangle._cesaro_weight(members, 1000, None if discrete else Fraction(1, 64))
     tuples = resonant_tuples(members, [1] * len(members), additive=not discrete)
     listed = set(zip(*(col.tolist() for col in tuples.columns)))
     assert set(zip(*(i.tolist() for i in np.nonzero(weight == 1)))) == listed
     assert listed and len(listed) < math.prod(len(m.unimodular_spectrum) for m in members)
     if case == "generators 5e-9 apart":
         assert len(listed) == 2
+
+
+@pytest.mark.parametrize("alpha", [[1], [1, 1], [1, 2, 1]])
+def test_mean_snaps_a_chained_cluster_whole_as_the_limit_counts_it(alpha):
+    # one point of multiplicity 4 centered on 1, two of its members beyond 1e-8 of it:
+    # the mean decides per point, as the limit does, not per member
+    u = linalg.haar_unitary(6, 5)
+    chained = [cmath.exp(1j * (k * 0.9e-8 - 1.35e-8)) for k in range(4)]
+    matrix = u @ np.diag(chained + [0.5, -0.3]) @ u.conj().T
+    ops = [from_matrix(matrix)] * (len(alpha) - 1) + [from_matrix(matrix.conj())]
+    assert [p.multiplicity for p in ops[-1].unimodular_spectrum] == [4]
+    system = make_system(alpha, ops)
+    assert np.linalg.norm(entangled_average(system, 2**40) - limit_operator(system)) <= 1e-11
+
+
+def test_limit_of_members_without_boundary_points_is_zero():
+    ops = [synth_operator([], [0.5, -0.2j], OrthonormalBasis(850)),
+           from_matrix(np.diag([0.4, 0.3j]))]
+    for alpha in ([1], [1, 1]):
+        system = make_system(alpha, ops[:len(alpha)])
+        assert not np.any(limit_operator(system))
+        assert np.linalg.norm(entangled_average(system, 2**40)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["cert", "raw"])
