@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -45,24 +46,6 @@ from .errors import (
 )
 from .rng import CounterRng
 
-KINDS = (
-    "converge",
-    "limit",
-    "resonances",
-    "counterexample",
-    "stacking-test",
-    "continuous",
-)
-_RUN = {"kind", "seed", "strategy", "tolerance", "budget", "format", "out"}
-_SYSTEM = _RUN | {"alpha", "connectors"}
-FIELDS = {  # the top-level fields each kind reads; every kind carries the run settings
-    "converge": _SYSTEM | {"operators", "state_seed", "schedule"},
-    "limit": _SYSTEM | {"operators"},
-    "resonances": _SYSTEM | {"operators"},
-    "counterexample": _RUN | {"checkpoints", "window"},
-    "stacking-test": _SYSTEM | {"operators", "state_seed", "schedule"},
-    "continuous": _SYSTEM | {"generators", "state_seed", "horizons", "quadrature", "richardson"},
-}
 CSV_HEADER = (
     "checkpoint",
     "error_fro",
@@ -105,87 +88,134 @@ def _expect(cond: bool, path: str, msg: str):
         _fail(path, msg)
 
 
-def _int(raw, path: str) -> int:
-    _expect(
-        isinstance(raw, int) and not isinstance(raw, bool),
-        path,
-        f"must be an integer, got {raw!r}",
-    )
-    return raw
+# Readers: (value, path) -> normalized value, refusing a bad value with its JSON path.
 
 
-def _number(raw, path: str) -> float:
-    _expect(
-        isinstance(raw, (int, float)) and not isinstance(raw, bool)
-        and math.isfinite(raw),
-        path,
-        f"must be a finite number, got {raw!r}",
-    )
+def _check(test, says: str, read=None):
+    """A reader refusing a value that fails test, once read (if given) has normalized it."""
+    def checked(raw, path: str):
+        value = raw if read is None else read(raw, path)
+        _expect(test(value), path, f"{says}, got {raw!r}")
+        return value
+    return checked
+
+
+def _integer(low=None, high=None, says: str = "must be an integer"):
+    return _check(lambda n: isinstance(n, int) and not isinstance(n, bool)
+                  and (low is None or n >= low) and (high is None or n <= high), says)
+
+
+def _one_of(*choices):
+    return _check(lambda v: v in choices, f"must be {'|'.join(choices)}")
+
+
+_bool = _check(lambda v: isinstance(v, bool), "must be true or false")
+
+
+def _real(raw, path: str) -> float:
+    try:  # math.isfinite refuses non-numbers and integers past the float range
+        finite = not isinstance(raw, bool) and math.isfinite(raw)
+    except (TypeError, OverflowError):
+        finite = False
+    _expect(finite, path, f"must be a finite number, got {raw!r}")
     return float(raw)
 
 
-def _positive_ints(raw, key: str, noun: str) -> list[int]:
-    """Nonempty list of positive integers at $.key, sorted and deduplicated;
-    a refusal calls the entries noun."""
-    values = raw.get(key)
-    _expect(isinstance(values, list) and values, f"$.{key}", "must be a nonempty list")
-    for i, n in enumerate(values):
-        _expect(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-            f"$.{key}[{i}]",
-            f"{noun} are positive integers, got {n!r}",
-        )
-    return sorted(set(values))
-
-
-def _norm_exact(raw, path: str, clock) -> str:
-    """Canonical 'p/q' of an angle or frequency; warns when reduce moved the value."""
-    try:
-        literal = clock.literal(tuple(raw) if isinstance(raw, list) else raw)
-    except clock.exact_error as exc:
-        _fail(path, str(exc))
-    fr = clock.reduce(literal)
-    canon = f"{fr.numerator}/{fr.denominator}"
-    # warn only when the mod-1 wrap moved the value, not on respellings
-    if literal != fr:
-        warnings.warn(
-            f"{path}: {clock.exact_noun} {raw!r} normalized to {canon!r}", stacklevel=2
-        )
-    return canon
-
-
-def _norm_complex(raw, path: str) -> list[float]:
+def _complex(raw, path: str) -> list[float]:
+    """A number, an [re, im] pair or an {re, im} object, as [re, im]."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return [_number(raw, path), 0.0]
+        return [_real(raw, path), 0.0]
     if isinstance(raw, list) and len(raw) == 2:
-        return [_number(raw[0], f"{path}[0]"), _number(raw[1], f"{path}[1]")]
+        return [_real(raw[0], f"{path}[0]"), _real(raw[1], f"{path}[1]")]
     if isinstance(raw, dict) and set(raw) <= {"re", "im"}:
-        return [
-            _number(raw.get("re", 0.0), f"{path}.re"),
-            _number(raw.get("im", 0.0), f"{path}.im"),
-        ]
+        return [_real(raw.get("re", 0.0), f"{path}.re"), _real(raw.get("im", 0.0), f"{path}.im")]
     _fail(path, f"expected a number, [re, im] pair or {{re, im}}, got {raw!r}")
 
 
-def _norm_basis(raw, path: str) -> dict:
-    if raw is None:
-        return {"type": "orthonormal", "seed": 0}
-    _expect(isinstance(raw, dict), path, "basis must be an object")
-    btype = raw.get("type", "orthonormal")
-    _expect(
-        btype in ("orthonormal", "similarity"),
-        path,
-        f"basis type must be 'orthonormal' or 'similarity', got {btype!r}",
-    )
-    out = {"type": btype, "seed": _int(raw.get("seed", 0), f"{path}.seed")}
-    if btype == "similarity":
-        out["condition_cap"] = _number(
-            raw.get("condition_cap", 50.0), f"{path}.condition_cap"
-        )
-        _expect(out["condition_cap"] >= 1.0, path, "condition_cap must be >= 1")
-    extra = set(raw) - {"type", "seed", "condition_cap"}
-    _expect(not extra, path, f"unknown basis fields {sorted(extra)}")
-    return out
+def _either(literal, read):
+    """The literal itself, or what read makes of any other value."""
+    return lambda raw, path: raw if raw == literal else read(raw, path)
+
+
+def _list(read, as_set: bool = False):
+    """A list of read entries; as_set: a nonempty list, sorted and deduplicated."""
+    def read_list(raw, path: str) -> list:
+        _expect(isinstance(raw, list) and (raw or not as_set), path,
+                f"must be a {'nonempty ' * as_set}list")
+        values = [read(v, f"{path}[{i}]") for i, v in enumerate(raw)]
+        return sorted(set(values)) if as_set else values
+    return read_list
+
+
+def _exact(clock):
+    """Canonical 'p/q' of an angle or frequency; warns when reduce moved the value."""
+    def read(raw, path: str) -> str:
+        try:
+            literal = clock.literal(tuple(raw) if isinstance(raw, list) else raw)
+        except clock.exact_error as exc:
+            _fail(path, str(exc))
+        fr = clock.reduce(literal)
+        canon = f"{fr.numerator}/{fr.denominator}"
+        # warn only when the mod-1 wrap moved the value, not on respellings
+        if literal != fr:
+            warnings.warn(f"{path}: {clock.exact_noun} {raw!r} normalized to {canon!r}",
+                          stacklevel=2)
+        return canon
+    return read
+
+
+def _alpha(raw, path: str) -> list[int]:
+    _expect(isinstance(raw, list) and raw, path, "must be a nonempty list")
+    try:
+        entangle.make_partition(raw)
+    except (NotSurjectiveError, EmptyAlphaError) as exc:
+        _fail(path, str(exc))
+    return [int(v) for v in raw]
+
+
+# A field table maps each field of an object to (default, reader).  A field
+# whose default is _OPTIONAL is left out when it is absent or null.
+_OPTIONAL = object()
+
+
+def _fields(raw: dict, table: dict, path: str, of: str = "") -> dict:
+    extra = set(raw) - set(table)
+    _expect(not extra, path, f"unknown fields {sorted(extra)}{of}")
+    return {name: read(raw.get(name, default), f"{path}.{name}")
+            for name, (default, read) in table.items()
+            if not (default is _OPTIONAL and raw.get(name) is None)}
+
+
+def _object(table: dict):
+    def read(raw, path: str) -> dict:
+        _expect(isinstance(raw, dict), path, "must be an object")
+        return _fields(raw, table, path)
+    return read
+
+
+def _typed(key: str, tables: dict, noun: str, default=None):
+    """An object whose key field picks the table of its other fields; null reads as {}."""
+    def read(raw, path: str) -> dict:
+        raw = {} if raw is None else raw
+        _expect(isinstance(raw, dict), path, "must be an object")
+        choice = raw.get(key, default)
+        _expect(isinstance(choice, str) and choice in tables, f"{path}.{key}",
+                f"{noun} {key} must be one of {list(tables)}, got {choice!r}")
+        rest = {k: v for k, v in raw.items() if k != key}
+        return {key: choice, **_fields(rest, tables[choice], path, f" for {key} {choice!r}")}
+    return read
+
+
+_BASIS = _typed("type", {
+    "orthonormal": {"seed": (0, _integer())},
+    "similarity": {"seed": (0, _integer()),
+                   "condition_cap": (50.0, _check(lambda c: c >= 1, "must be >= 1", _real))},
+}, "basis", default="orthonormal")
+_CONNECTOR = _typed("type", {
+    "identity": {},
+    "haar": {"seed": (0, _integer())},
+    "gaussian": {"seed": (0, _integer()), "scale": (1.0, _real)},
+}, "connector", default="identity")
 
 
 def _system_spec(kind: str):
@@ -195,56 +225,72 @@ def _system_spec(kind: str):
     return "operators", "angles", operators.DISCRETE
 
 
-def _norm_operator(raw, path: str, keyword: str, clock) -> dict:
-    _expect(isinstance(raw, dict), path, "operator spec must be an object")
-    known = {keyword, "stable", "basis"}
-    extra = set(raw) - known
-    _expect(not extra, path, f"unknown fields {sorted(extra)}; expected {sorted(known)}")
-    exacts = raw.get(keyword, [])
-    _expect(isinstance(exacts, list), f"{path}.{keyword}", "must be a list")
-    norm_exact = [
-        _norm_exact(a, f"{path}.{keyword}[{i}]", clock) for i, a in enumerate(exacts)
-    ]
-    stable = raw.get("stable", [])
-    _expect(isinstance(stable, list), f"{path}.stable", "must be a list")
-    norm_stable = [
-        _norm_complex(s, f"{path}.stable[{i}]") for i, s in enumerate(stable)
-    ]
-    _expect(
-        len(norm_exact) + len(norm_stable) > 0, path, "needs at least one eigenvalue"
-    )
+def _system(kind: str) -> dict:
+    """The fields of a kind's system: alpha, its members and the connectors between them."""
+    key, keyword, clock = _system_spec(kind)
+    member = _object({keyword: ([], _list(_exact(clock))), "stable": ([], _list(_complex)),
+                      "basis": (None, _BASIS)})
     return {
-        keyword: norm_exact,
-        "stable": norm_stable,
-        "basis": _norm_basis(raw.get("basis"), f"{path}.basis"),
+        "alpha": (None, _alpha),
+        key: (None, _list(_check(lambda spec: spec[keyword] or spec["stable"],
+                                 "needs at least one eigenvalue", member))),
+        "connectors": (_OPTIONAL, _list(_CONNECTOR)),
     }
 
 
-def _norm_connector(raw, path: str) -> dict:
-    if raw is None:
-        return {"type": "identity"}
-    _expect(isinstance(raw, dict), path, "connector must be an object")
-    ctype = raw.get("type", "identity")
-    if ctype == "identity":
-        _expect(set(raw) <= {"type"}, path, "identity takes no other fields")
-        return {"type": "identity"}
-    fields = {"haar": {"type", "seed"}, "gaussian": {"type", "seed", "scale"}}
-    _expect(ctype in fields, path, f"unknown connector type {ctype!r}")
-    extra = set(raw) - fields[ctype]
-    _expect(not extra, path, f"unknown {ctype} fields {sorted(extra)}")
-    out = {"type": ctype, "seed": _int(raw.get("seed", 0), f"{path}.seed")}
-    if ctype == "gaussian":
-        out["scale"] = _number(raw.get("scale", 1.0), f"{path}.scale")
-    return out
+_RUN = {
+    "seed": (0, _integer()),
+    "strategy": ("spectral", _one_of(*entangle.STRATEGIES)),
+    "tolerance": (1e-8, _check(lambda t: t > 0, "must be positive", _real)),
+    "budget": (1e8, _either(None, _real)),
+    "format": ("csv", _one_of("csv", "json")),  # format and out are not hashed
+    "out": (None, _either(None, _check(lambda v: isinstance(v, str), "must be a string path"))),
+}
+_DISCRETE = _system("converge")
+_STATE = {"state_seed": (_OPTIONAL, _integer())}
+_DEPTHS = _list(_integer(1, says="depths are positive integers"), as_set=True)
+_WINDOW_CAP = (linalg.DIM_CAP - 1) // 2  # the widest finite section, 2w+1 <= DIM_CAP
+_TABLES = {
+    "converge": {**_RUN, **_DISCRETE, **_STATE, "schedule": (None, _DEPTHS)},
+    "limit": {**_RUN, **_DISCRETE},
+    "resonances": {**_RUN, **_DISCRETE},
+    "counterexample": {
+        **_RUN,
+        "checkpoints": (None, _list(_integer(1, says="checkpoints are positive integers"),
+                                    as_set=True)),
+        "window": (64, _integer(0, _WINDOW_CAP, f"must be an integer in 0..{_WINDOW_CAP}")),
+    },
+    "stacking-test": {**_RUN, **_DISCRETE, **_STATE, "schedule": (None, _DEPTHS)},
+    "continuous": {
+        **_RUN,
+        "strategy": ("spectral", _check(
+            lambda s: s != "naive", "continuous time has no naive route; use spectral or presum",
+            _one_of(*entangle.STRATEGIES))),
+        **_system("continuous"),
+        **_STATE,
+        "horizons": (None, _list(_check(lambda t: t > 0, "horizons are positive", _real),
+                                 as_set=True)),
+        "quadrature": ({}, _object({
+            "scheme": ("midpoint", _one_of("midpoint", "gauss-legendre")),
+            "points": ("auto", _either("auto", _integer(
+                2, says="must be 'auto' or an integer >= 2"))),
+        })),
+        "richardson": (True, _bool),
+    },
+}
+_CONFIG = _typed("kind", _TABLES, "config")
+KINDS = tuple(_TABLES)
+FIELDS = {kind: {"kind", *table} for kind, table in _TABLES.items()}  # the fields each kind reads
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse, validate and normalize a JSON experiment configuration.
 
-    Angles and frequencies are reduced to canonical 'p/q' strings before the
-    config is hashed, so equivalent spellings ('2/4' vs '1/2') and key order
-    produce the same FNV-1a hash.  The hash covers the fields that change
-    results; out and format are left out of it.
+    The kind's field table (_TABLES) reads every field.  Angles and
+    frequencies are reduced to canonical 'p/q' strings before the config is
+    hashed, so equivalent spellings ('2/4' vs '1/2') and key order produce
+    the same FNV-1a hash.  The hash covers the fields that change results;
+    out and format are left out of it.
     """
     try:
         raw = json.loads(text)
@@ -252,129 +298,21 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ParseError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
-    _expect(isinstance(raw, dict), "$", "top level must be a JSON object")
-    kind = raw.get("kind")
-    _expect(kind in KINDS, "$.kind", f"must be one of {list(KINDS)}, got {kind!r}")
-    extra = set(raw) - FIELDS[kind]
-    _expect(not extra, "$", f"unknown fields {sorted(extra)} for kind {kind!r}")
-
-    data: dict = {"kind": kind}
-    data["seed"] = _int(raw.get("seed", 0), "$.seed")
-    strategy = raw.get("strategy", "spectral")
-    _expect(
-        strategy in entangle.STRATEGIES,
-        "$.strategy",
-        f"must be {'|'.join(entangle.STRATEGIES)}, got {strategy!r}",
-    )
-    _expect(
-        not (kind == "continuous" and strategy == "naive"),
-        "$.strategy",
-        "continuous time has no naive route; use spectral or presum",
-    )
-    data["strategy"] = strategy
-    data["tolerance"] = _number(raw.get("tolerance", 1e-8), "$.tolerance")
-    _expect(data["tolerance"] > 0, "$.tolerance", "must be positive")
-    budget = raw.get("budget", 1e8)
-    data["budget"] = None if budget is None else _number(budget, "$.budget")
-    fmt = raw.get("format", "csv")
-    _expect(fmt in ("csv", "json"), "$.format", f"must be csv|json, got {fmt!r}")
-    out = raw.get("out")
-    _expect(out is None or isinstance(out, str), "$.out", "must be a string path")
-
-    if kind != "counterexample":  # every other kind runs on a system, of either clock
-        alpha = raw.get("alpha")
-        _expect(isinstance(alpha, list) and alpha, "$.alpha", "must be a nonempty list")
-        try:
-            part = entangle.make_partition(alpha)
-        except (NotSurjectiveError, EmptyAlphaError) as exc:
-            _fail("$.alpha", str(exc))
-        data["alpha"] = [int(v) for v in alpha]
-        key, keyword, clock = _system_spec(kind)
-        ops = raw.get(key)
-        _expect(isinstance(ops, list), f"$.{key}", "must be a list")
-        _expect(
-            len(ops) == part.m,
-            f"$.{key}",
-            f"alpha has m={part.m} positions, got {len(ops)} entries",
-        )
-        data[key] = [
-            _norm_operator(o, f"$.{key}[{i}]", keyword, clock)
-            for i, o in enumerate(ops)
-        ]
-        conns = raw.get("connectors")
-        if conns is not None:
-            _expect(isinstance(conns, list), "$.connectors", "must be a list")
-            _expect(
-                len(conns) == part.m - 1,
-                "$.connectors",
-                f"need m-1={part.m - 1} connectors, got {len(conns)}",
-            )
-            data["connectors"] = [
-                _norm_connector(c, f"$.connectors[{i}]") for i, c in enumerate(conns)
-            ]
-        if "state_seed" in raw and raw["state_seed"] is not None:
-            data["state_seed"] = _int(raw["state_seed"], "$.state_seed")
-
-    if kind in ("converge", "stacking-test"):
-        data["schedule"] = _positive_ints(raw, "schedule", "depths")
-
-    if kind == "counterexample":
-        data["checkpoints"] = _positive_ints(raw, "checkpoints", "checkpoints")
-        window = raw.get("window", 64)
-        _expect(
-            isinstance(window, int) and not isinstance(window, bool) and window >= 0,
-            "$.window",
-            f"must be a nonnegative integer, got {window!r}",
-        )
-        data["window"] = window
-
-    if kind == "continuous":
-        horizons = raw.get("horizons")
-        _expect(
-            isinstance(horizons, list) and horizons,
-            "$.horizons",
-            "must be a nonempty list of times",
-        )
-        hs = []
-        for i, t in enumerate(horizons):
-            hs.append(_number(t, f"$.horizons[{i}]"))
-            _expect(hs[-1] > 0, f"$.horizons[{i}]", f"horizons are positive, got {t!r}")
-        data["horizons"] = sorted(set(hs))
-        quad = raw.get("quadrature", {})
-        _expect(isinstance(quad, dict), "$.quadrature", "must be an object")
-        scheme = quad.get("scheme", "midpoint")
-        _expect(
-            scheme in ("midpoint", "gauss-legendre"),
-            "$.quadrature.scheme",
-            f"must be midpoint|gauss-legendre, got {scheme!r}",
-        )
-        points = quad.get("points", "auto")
-        if points != "auto":
-            _expect(
-                isinstance(points, int) and not isinstance(points, bool) and points >= 2,
-                "$.quadrature.points",
-                f"must be 'auto' or an integer >= 2, got {points!r}",
-            )
-        data["quadrature"] = {"scheme": scheme, "points": points}
-        richardson = raw.get("richardson", True)
-        _expect(
-            isinstance(richardson, bool),
-            "$.richardson",
-            f"must be true or false, got {richardson!r}",
-        )
-        data["richardson"] = richardson
-
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(f"config is not valid JSON: {exc}") from exc
+    data = _CONFIG(raw, "$")
+    out, fmt = data.pop("out"), data.pop("format")
+    if "alpha" in data:  # a system: alpha's m positions size its members and connectors
+        m = len(data["alpha"])
+        for key, want in ((_system_spec(data["kind"])[0], m), ("connectors", m - 1)):
+            got = len(data.get(key, [None] * want))
+            _expect(got == want, f"$.{key}",
+                    f"needs {want} entries for alpha's m={m} positions, got {got}")
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return ExperimentConfig(
-        kind=kind,
-        seed=data["seed"],
-        strategy=data["strategy"],
-        tolerance=data["tolerance"],
-        budget=data["budget"],
-        out=out,
-        format=fmt,
-        data=data,
-        config_hash=fnv1a64(canonical.encode("utf-8")),
+        kind=data["kind"], seed=data["seed"], strategy=data["strategy"],
+        tolerance=data["tolerance"], budget=data["budget"], out=out, format=fmt,
+        data=data, config_hash=fnv1a64(canonical.encode("utf-8")),
     )
 
 
@@ -634,19 +572,23 @@ def emit_results(records, fmt: str, path: str):
             fh.write("\n")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built once per process."""
     parser = argparse.ArgumentParser(
         prog="entlab",
         description="entangled ergodic average laboratory",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind)
-        p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--out", default=None, help="records file (default entlab-<kind>.<format>)")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
-        p.add_argument("--budget", default=None, type=float, help="cost budget override")
-    args = parser.parse_args(argv)
+    parser.add_argument("kind", choices=KINDS, help="the experiment; must match the config's kind")
+    parser.add_argument("--config", required=True, help="path to a JSON config")
+    parser.add_argument("--out", default=None, help="records file (default entlab-<kind>.<format>)")
+    parser.add_argument("--format", default=None, choices=("csv", "json"))
+    parser.add_argument("--budget", default=None, type=float, help="cost budget override")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -662,7 +604,7 @@ def main(argv=None) -> int:
                 f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}"
             )
         if args.budget is not None:
-            _number(args.budget, "--budget")  # argparse gave a float; refuse nan and inf
+            _real(args.budget, "--budget")  # argparse gave a float; refuse nan and inf
         cfg = replace(cfg, **{k: getattr(args, k) for k in ("budget", "format", "out")
                               if getattr(args, k) is not None})
         records, summary = run_experiment(cfg)

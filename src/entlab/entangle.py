@@ -960,9 +960,11 @@ def stacked_average(
 ):
     """Entangled average evaluated on the stacked space, then compressed.
 
-    Runs the same lattice walker on script_t / script_s / script_a and returns
-    the (m, 1) block of the result (or the block-m component when x is given,
-    embedded into block 1 first).  Summand-by-summand this matches the direct
+    Runs _evaluate_discrete, the evaluator of entangled_average, on script_t /
+    script_s / script_a: its presum planner collapses nested blocks and walks
+    the lattice only over crossing ones.  Returns the (m, 1) block of the
+    result (or the block-m component when x is given, embedded into block 1
+    first).  Summand-by-summand this matches the direct
     chain exactly, so the two routes agree to roundoff; the acceptance suite
     checks a 1e-12 relative residual.  The stacked matrices carry no
     eigenbasis record, so strategy="spectral" runs presum here.

@@ -25,6 +25,7 @@ from .errors import (
     EmptySequenceError,
     ValidationError,
 )
+from .linalg import DIM_CAP
 
 
 class SparseZVector:
@@ -230,12 +231,16 @@ def finite_section(apply_fn, window: int) -> np.ndarray:
     apply_fn maps SparseZVector -> SparseZVector linearly; the returned
     (2w+1) x (2w+1) complex matrix has columns indexed b = -w..w and rows
     likewise, entries <A e_b, e_r>.  Image mass outside the window is
-    dropped, which is the point of a finite section.
+    dropped, which is the point of a finite section.  A window whose 2w+1
+    exceeds linalg.DIM_CAP raises DimensionMismatchError before allocating.
     """
     if not isinstance(window, (int, np.integer)) or isinstance(window, bool) or window < 0:
         raise DimensionMismatchError(f"window must be a nonnegative integer, got {window!r}")
     w = int(window)
     size = 2 * w + 1
+    if size > DIM_CAP:
+        raise DimensionMismatchError(
+            f"window {w} needs a {size}x{size} section, past cap {DIM_CAP}")
     out = np.zeros((size, size), dtype=np.complex128)
     for col, b in enumerate(range(-w, w + 1)):
         image = apply_fn(SparseZVector.basis(b))

@@ -5,6 +5,7 @@ emission, every experiment kind through main(), and exit codes, including a
 malformed value anywhere in a config.  FNV-1a reference digests are the published test vectors.
 """
 
+import argparse
 import csv
 import json
 import re
@@ -815,6 +816,19 @@ def _set_basis_seed(c):
         (_converge_config, lambda c: c.update(strategy="cached"), "$.strategy"),
         (_converge_config, lambda c: c["operators"][1].update(stable=[{"re": 0.1, "phase": 2.0}]),
          "$.operators[1].stable[0]"),
+        (_converge_config, lambda c: c.update(connectors=[{"type": []}]), "$.connectors[0]"),
+        (_converge_config, lambda c: c.update(tolerance=10**400), "$.tolerance"),
+        (_continuous_config, lambda c: c.update(horizons=[10**400]), "$.horizons[0]"),
+        (_converge_config, lambda c: c["operators"][0].update(stable=[[10**400, 0.0]]),
+         "$.operators[0].stable[0][0]"),
+        (_continuous_config, lambda c: c.update(quadrature={"scheme": "midpoint", "pionts": 3}),
+         "$.quadrature"),
+        (lambda: {"kind": "counterexample", "checkpoints": [4]}, lambda c: c.update(window=256),
+         "$.window"),
+        (lambda: {"kind": "counterexample", "checkpoints": [4]},
+         lambda c: c.update(window=1000000), "$.window"),
+        (_converge_config, lambda c: c["operators"][0]["basis"].update(condition_cap=10.0),
+         "$.operators[0].basis"),
     ],
 )
 def test_main_malformed_value_exits_2_with_its_path(tmp_path, capsys, make, mutate, path):
@@ -827,6 +841,35 @@ def test_main_malformed_value_exits_2_with_its_path(tmp_path, capsys, make, muta
     assert path in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_main_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads refuses an integer literal this long on interpreters that cap
+    # int-string conversion, and _real refuses it as a float on the others
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_converge_config(tolerance=0)).replace(
+        '"tolerance": 0', '"tolerance": 1' + "0" * 5000))
+    rc = main(["converge", "--config", str(p), "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    argv = ["converge", "--config", _write(tmp_path, _converge_config(schedule=[8])),
+            "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    built = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(argparse, "ArgumentParser", Counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_main_rejects_non_finite_budget_flag(tmp_path, capsys):

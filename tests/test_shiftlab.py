@@ -208,6 +208,8 @@ def test_finite_section_rejects_bad_window():
         finite_section(counterexample_A, window=-1)
     with pytest.raises(DimensionMismatchError):
         finite_section(counterexample_A, window=2.5)
+    with pytest.raises(DimensionMismatchError):
+        finite_section(counterexample_A, window=256)
 
 
 # -------------------------------------------------------- divergence record
