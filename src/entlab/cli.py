@@ -552,10 +552,13 @@ def run_experiment(cfg: ExperimentConfig):
     return records, summary
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _require_finite(value, path: str):
+    """Refuse nan or inf anywhere in value, naming where: strict JSON holds neither."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise FloatingPointError(f"non-finite value at {path}")
+    if isinstance(value, (dict, list)):
+        for key, item in (value if isinstance(value, dict) else dict(enumerate(value))).items():
+            _require_finite(item, f"{path}.{key}")
 
 
 def emit_results(records, fmt: str, path: str):
@@ -565,7 +568,7 @@ def emit_results(records, fmt: str, path: str):
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             for rec in records:
-                writer.writerow([_format_cell(rec[k]) for k in CSV_HEADER])
+                writer.writerow([rec[k] for k in CSV_HEADER])  # floats as repr
     else:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(records, fh, indent=2)
@@ -608,6 +611,9 @@ def main(argv=None) -> int:
         cfg = replace(cfg, **{k: getattr(args, k) for k in ("budget", "format", "out")
                               if getattr(args, k) is not None})
         records, summary = run_experiment(cfg)
+        for rec in records:
+            _require_finite(rec, f"checkpoint {rec['checkpoint']}")
+        _require_finite(summary, "summary")
         out_path = cfg.out or f"entlab-{cfg.kind}.{cfg.format}"
         emit_results(records, cfg.format, out_path)
         summary["out"] = out_path

@@ -117,12 +117,11 @@ def make_partition(alpha) -> Partition:
             raise NotSurjectiveError(f"block ids must be integers, got {v!r}")
         if v < 1:
             raise NotSurjectiveError(f"block ids are 1-based, got {v}")
-    k = max(vals)
-    missing = set(range(1, k + 1)) - set(int(v) for v in vals)
-    if missing:
-        raise NotSurjectiveError(
-            f"alpha skips blocks {sorted(missing)}; range must be 1..{k}"
-        )
+    ids = set(int(v) for v in vals)
+    k = max(ids)
+    if len(ids) < k:  # the first three missing ids are at most len(ids) + 3
+        missing = [b for b in range(1, min(k, len(ids) + 4)) if b not in ids][:3]
+        raise NotSurjectiveError(f"alpha skips {k - len(ids)} of blocks 1..{k}, first {missing}")
     return Partition(tuple(int(v) for v in vals))
 
 
@@ -638,6 +637,16 @@ def _block_solutions(cands, *, additive, tol, mitm_threshold):
     return cols, np.zeros(len(li)) if all_exact else res[order]
 
 
+def _exact_phases(angles, n: int, h=None) -> tuple[list, list]:
+    """a h mod 1 and n a h mod 1 as floats for exact angles a (h = 1 when None).
+
+    Each is an integer pair (a.numerator p mod a.denominator q, a.denominator q),
+    h = p / q, divided once: correctly rounded, as float(Fraction) is, but cheaper."""
+    p, q = (1, 1) if h is None else (h.numerator, h.denominator)
+    pairs = [(a.numerator * p % (a.denominator * q), a.denominator * q) for a in angles]
+    return [u / v for u, v in pairs], [n * u % v / v for u, v in pairs]
+
+
 def _cesaro_weight(members, n: int, h=None) -> np.ndarray:
     """g_n(z) = (1/n) sum_{k=1..n} z^k over one block's eigen-index grid.
 
@@ -645,9 +654,9 @@ def _cesaro_weight(members, n: int, h=None) -> np.ndarray:
     per axis, and resonant cells get exactly 1 (_resonant_to_one): n log z
     would turn their float 1 + O(eps) into a phase.  Elsewhere
     g_n = z (1 - z^n) / (n (1 - z)), z^n the product of the eigenvalues' n-th
-    powers (n theta mod 1 for exact angles), and for |1 - z| < 1/2
-    z expm1(n log z) / (n expm1(log z)); each branch runs in place on masked
-    copies, so about four complex grids are alive at once (_spectral_bytes).
+    powers (n theta mod 1 for exact angles, in integers: _exact_phases), and for
+    |1 - z| < 1/2 z expm1(n log z) / (n expm1(log z)); each branch runs in place
+    on masked copies, so about four complex grids are alive at once (_spectral_bytes).
 
     With an exact step h the members are generators, read as e^{hB}, and k
     runs over 0..n-1, the midpoint rule's powers: the same without the
@@ -661,15 +670,13 @@ def _cesaro_weight(members, n: int, h=None) -> np.ndarray:
     # exponent for stable eigenvalues: beyond 2^64 each |lam|^n, |lam| <= 1 - 2^-53,
     # has underflowed to 0 already
     n_cap = float(min(n, 2**64))
-    records = [member.eigenbasis for member in members]
-    angle_lists = [() if not rec.exact else rec.angles if h is None
-                   else [a * h % 1 for a in rec.angles] for rec in records]
-    for rec, angles in zip(records, angle_lists):
-        values, r = rec.eigenvalues, len(angles)
+    for rec in (member.eigenbasis for member in members):
+        phi, n_phi = _exact_phases(rec.angles if rec.exact else (), n, h)
+        values, r = rec.eigenvalues, len(phi)
         if h is not None:  # values are the exponents, the boundary ones from exact angles
-            values = np.concatenate([2j * math.pi * np.array(angles, float), values[r:] * float(h)])
+            values = np.concatenate([2j * math.pi * np.array(phi, float), values[r:] * float(h)])
         powers = np.empty_like(values)
-        powers[:r] = [cmath.exp(2j * math.pi * float(n * a % 1)) for a in angles]
+        powers[:r] = [cmath.exp(2j * math.pi * p) for p in n_phi]
         powers[r:] = values[r:] ** n_cap if h is None else np.exp(values[r:] * n_cap)
         z = np.multiply.outer(z, values) if h is None else np.add.outer(z, values)
         z_n = np.multiply.outer(z_n, powers)

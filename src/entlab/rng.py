@@ -14,9 +14,10 @@ Normals come from Box-Muller on pairs of uniforms; complex Gaussians are
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -50,21 +51,21 @@ class CounterRng:
 
     def standard_normal(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller (pairs; odd n drops one)."""
+        return self._normals(1, n)[0]
+
+    def _normals(self, rows: int, n: int) -> np.ndarray:
+        """rows x n normals, row i as the i-th of rows standard_normal(n) calls would draw."""
         m = (n + 1) // 2
-        u1 = self.uniform(m)
-        u2 = self.uniform(m)
+        u1, u2 = self.uniform(2 * rows * m).reshape(rows, 2, m).transpose(1, 0, 2)
         # guard log(0); 2^-53 keeps the value finite and the stream deterministic
         u1 = np.where(u1 == 0.0, 2.0 ** -53, u1)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-        return out[:n]
+        return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)[:, :n]
 
     def complex_normal(self, shape: tuple[int, ...]) -> np.ndarray:
         """Array of complex numbers with independent N(0,1) real/imag parts."""
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        re = self.standard_normal(n)
-        im = self.standard_normal(n)
+        re, im = self._normals(2, math.prod(shape))
         return (re + 1j * im).reshape(shape)
 
     def integers(self, n: int, high: int) -> np.ndarray:

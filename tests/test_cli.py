@@ -751,6 +751,31 @@ def test_exit_4_on_numerical_overflow(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_exit_4_on_a_non_finite_result_with_nothing_on_stdout(tmp_path, capsys):
+    # entries ~ 1e308 / sqrt(3): the chain's norms overflow to inf, which strict
+    # JSON cannot print; the run fails naming the checkpoint, and writes nothing
+    cfg = _converge_config(connectors=[{"type": "gaussian", "seed": 2, "scale": 1e308}],
+                           schedule=[4, 16])
+    out_path = tmp_path / "r.csv"
+    with np.errstate(over="ignore"):
+        rc = main(["converge", "--config", _write(tmp_path, cfg), "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert "numerical failure: non-finite value at checkpoint 4.error_fro" in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("top", [2_000_000, 10**18])
+def test_exit_2_on_an_alpha_with_a_huge_block_id(tmp_path, capsys, top):
+    cfg = _converge_config(alpha=[1, top])
+    rc = main(["converge", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"$.alpha: alpha skips {top - 2} of blocks 1..{top}, first [2, 3, 4]" in err
+    assert len(err) < 200
+
+
 def test_exit_3_on_auto_grid_beyond_the_float_range(tmp_path, capsys):
     # per_period * t * f_max overflows to inf: refused like any oversized grid
     cfg_path = _write(tmp_path, _continuous_config(horizons=[1e307]))

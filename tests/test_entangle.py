@@ -8,13 +8,15 @@ two is a genuine cross-check, not a tautology.
 """
 
 import itertools
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import linalg
+from entlab import entangle, linalg
 from entlab.entangle import (
     entangled_average,
     generalized_power_average,
@@ -91,6 +93,23 @@ def test_make_partition_blocks_and_flags():
 def test_make_partition_rejections(alpha, err):
     with pytest.raises(err):
         make_partition(alpha)
+
+
+def test_make_partition_names_the_skipped_block():
+    with pytest.raises(NotSurjectiveError, match=r"skips 1 of blocks 1\.\.3, first \[2\]"):
+        make_partition([1, 3])
+
+
+@pytest.mark.parametrize("top", [2_000_000, 10**18])
+def test_make_partition_refuses_a_huge_block_id_at_once(top):
+    # surjectivity is read off the distinct ids, never off the range 1..top
+    t0 = time.perf_counter()
+    with pytest.raises(NotSurjectiveError) as info:
+        make_partition([1, top])
+    assert time.perf_counter() - t0 < 1.0
+    message = str(info.value)
+    assert len(message) < 120
+    assert f"skips {top - 2} of blocks 1..{top}, first [2, 3, 4]" in message
 
 
 # -------------------------------------------------------------- make_system
@@ -398,3 +417,22 @@ def test_generalized_power_average_weight_count_checked():
     u = linalg.haar_unitary(2, seed=99)
     with pytest.raises(DimensionMismatchError):
         generalized_power_average(u, [np.eye(2)], [1, 2, 1], 4)
+
+
+# ------------------------------------------------------ spectral Cesaro weight
+
+
+_ANGLE = st.builds(Fraction, st.integers(-(10**7), 10**7), st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles=st.lists(_ANGLE, max_size=4), n=st.integers(1, 2**80), t=st.floats(1e-3, 1e4),
+       q=st.integers(2, 10**4), step=st.booleans())
+def test_exact_phases_are_the_fraction_phases_bit_for_bit(angles, n, t, q, step):
+    # the weight's only exact inputs: integer pairs and Fractions are correctly
+    # rounded divisions of the same rationals; h = t / Q is the midpoint rule's step
+    h = Fraction(t) / q if step else None
+    ah = [a if h is None else a * h for a in angles]
+    phi, n_phi = entangle._exact_phases(angles, n, h)
+    assert [x.hex() for x in phi] == [float(x % 1).hex() for x in ah]
+    assert [x.hex() for x in n_phi] == [float(n * x % 1).hex() for x in ah]

@@ -103,6 +103,28 @@ def test_standard_normal_odd_length_prefix():
     assert np.array_equal(a, b[:7])
 
 
+def test_standard_normal_is_box_muller_on_two_uniform_draws():
+    # the reference: ceil(n/2) uniforms for the radii, then as many for the angles
+    a, b = CounterRng(21), CounterRng(21)
+    u1, u2 = b.uniform(5), b.uniform(5)
+    r, theta = np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * u2
+    want = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:9]
+    assert a.standard_normal(9).tobytes() == want.tobytes()
+    assert a.uniform(2).tobytes() == b.uniform(2).tobytes()  # the counters agree after
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (7,), (3, 3), (2, 4)])
+def test_complex_normal_is_two_standard_normal_draws(shape):
+    # one raw draw serves both parts: the same words, in the same order, as two calls
+    n = int(np.prod(shape))
+    a, b = CounterRng(31), CounterRng(31)
+    got = a.complex_normal(shape)
+    re, im = b.standard_normal(n), b.standard_normal(n)
+    assert got.shape == shape
+    assert got.tobytes() == (re + 1j * im).reshape(shape).tobytes()
+    assert a.uniform(2).tobytes() == b.uniform(2).tobytes()
+
+
 def test_complex_normal_shape_and_moments():
     z = CounterRng(13).complex_normal((300, 300))
     assert z.shape == (300, 300)
