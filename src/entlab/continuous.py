@@ -27,7 +27,7 @@ from . import entangle, linalg
 from .entangle import (STRATEGIES, EntangledSystem, Partition, _contract, _estimate_cost,
                        _evaluate_discrete, _per_matrix, _record_mean, _refuse_beyond,
                        _resonant_to_one, _spectral_blocker, _spectral_bytes, _stack_bytes, _state,
-                       _validate_system, plan_chain)
+                       _validate_system)
 from .errors import (
     BudgetExceededError,
     NonConvergenceError,
@@ -367,7 +367,7 @@ def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy
             f"strategy=spectral, Q={q}, eigen-index tuples={d}^{part.m}", remedy,
         )
     else:
-        plan, generators = plan_chain(part), [sg.generator for sg in system.semigroups]
+        plan, generators = part.plan, [sg.generator for sg in system.semigroups]
         _refuse_beyond(
             len({id(g) for g in generators}) * 20.0 * q + plan.cost(q, q), budget,
             _stack_bytes(generators, range(part.m), q),
@@ -380,7 +380,7 @@ def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy
         return _record_mean(system.semigroups, list(system.connectors), part,
                             lambda block: _quadrature_weight(block, s_nodes, w_nodes / t), x)
     stack = _per_matrix(generators, lambda b: linalg.expm(b, s_nodes))
-    return _contract(plan, part, list(system.connectors), stack,
+    return _contract(part, list(system.connectors), stack,
                      lambda j: np.tensordot(w_nodes, stack(j), axes=1) / t, w_nodes / t, x)
 
 

@@ -16,17 +16,11 @@ Three evaluation strategies:
   eigenbasis record T_j = S_j diag(lam_j) S_j^{-1} (exact for a synthesized
   operator, float for a well-conditioned raw one), the mean is
   S_m (sum over inner eigen-indices of W * prod_j C_j) S_1^{-1} with cores
-  C_j = S_{j+1}^{-1} A_j S_j.  W factorizes over the blocks of alpha; a
-  block contributes g_n(z) = (1/n) sum_{k=1..n} z^k, z the product of its
-  eigenvalues, so the cost does not depend on n.  ``_spectral_mean`` is
-  the one contraction: the midpoint rule is this mean of the steps e^{hB}
-  over the powers 0..Q-1 (times e^{hB/2} factors), Gauss-Legendre passes
-  its node sum as the block weight, and both limits the 0/1 resonance
-  indicator over boundary eigen-indices.  A mean's resonant cells get 1,
-  per boundary point, from the limit's block solver (_block_solutions).
-  Without a record on every position, or when the dense weight would
-  exceed the memory cap, it falls back to ``presum``, and a refusal there
-  names the reason.
+  C_j = S_{j+1}^{-1} A_j S_j, and W has one weight per block of alpha,
+  g_n(z) = (1/n) sum_{k=1..n} z^k of the product z of its eigenvalues (1 on
+  resonant cells), at a cost free of n.  ``_spectral_mean``, the contraction
+  of both means and both limits, follows presum's plan.  Without a record on
+  every position, or past the memory cap, it falls back to ``presum``.
 * ``naive``   recomputes every operator power per lattice tuple (binary
   powering, nothing cached).  Slow on purpose; it is the reference route.
 * ``presum``  the contraction planner.  A block whose positions are
@@ -68,8 +62,8 @@ from .errors import (
     ValidationError,
 )
 from .operators import (DISCRETE, EIGENBASIS_COND_CAP, SpectralOperator, SpectralPoint,
-                        _exact_literal, _on_clock, _parse_exact, _require_bounded, angle_value,
-                        as_operator, parse_angle)
+                        _block_diagonal, _exact_literal, _on_clock, _parse_exact,
+                        _require_bounded, angle_value, as_operator, parse_angle)
 
 MEMORY_CAP_BYTES = 2 << 30  # refuse power stacks beyond 2 GiB
 STRATEGIES = ("naive", "presum", "spectral")
@@ -105,6 +99,8 @@ class Partition:
     @property
     def bijective(self) -> bool:
         return self.k == self.m
+
+    plan = functools.cached_property(lambda self: plan_chain(self))  # computed once
 
 
 def make_partition(alpha) -> Partition:
@@ -291,6 +287,7 @@ class Plan:
     crossing: tuple[int, ...]
     stacked: tuple[int, ...]
     remaining: int  # positions left to the lattice walk
+    widest: int  # positions of the largest block
 
     def cost(self, n: int, single: float) -> float:
         """Chain-step products: n (2r - 1) per collapsed r-position block,
@@ -299,6 +296,10 @@ class Plan:
         if self.crossing:
             total += float(n) ** len(self.crossing) * (2 * self.remaining - 1)
         return total
+
+    def grids(self, d: int) -> tuple[float, float]:
+        """(largest block grid, crossing remainder's grid or 0) at d eigen-indices a position."""
+        return float(d) ** self.widest, float(d) ** self.remaining if self.crossing else 0.0
 
 
 def plan_chain(part: Partition) -> Plan:
@@ -318,43 +319,22 @@ def plan_chain(part: Partition) -> Plan:
                 pending.remove(a)
                 progress = True
     stacked = tuple(j for j in range(part.m) if len(blocks[part.alpha[j]]) > 1)
-    return Plan(tuple(spans), tuple(pending), stacked, len(live))
+    return Plan(tuple(spans), tuple(pending), stacked, len(live), max(map(len, blocks.values())))
 
 
-def _contract(plan: Plan, part: Partition, connectors, stack, single, weights, x=None):
-    """Evaluate the weighted mean of a chain by its plan.
-
-    stack(j) gives the (n, d, d) samples T_j^1..T_j^n (or T_j at quadrature
-    nodes) of position j, single(j) the weighted mean of position j alone;
-    weights is the (n,) weight vector shared by every block.  A collapsed
-    block at positions p_1 < ... < p_r becomes one fixed matrix, the weighted
-    sum over n of T_(p_r)^n G_(r-1) ... G_1 T_(p_1)^n with G_i the fixed
-    products between its positions, and is merged with its fixed neighbours.
-    A state x, given as a d x 1 column, is the rightmost fixed factor of the
-    chain and is merged like any other.  What is left, if anything, goes to
-    lattice_chain_mean: a fixed factor on its right is applied once, to the
-    first stack when it holds the state and to the mean otherwise.
-    """
-
-    def locate(j):
-        return next(i for i, e in enumerate(chain) if isinstance(e, int) and e == j)
-
-    # rightmost factor first: x, T_1, A_1, T_2, ..., T_m; ints are positions
-    chain: list = [0] if x is None else [x, 0]
+def _walk(part: Partition, connectors, collapse, remainder, x=None):
+    """The chain x (a d x 1 state, or None), T_1, A_1, ..., T_m, rightmost first, walked by
+    plan for presum (_contract) and spectral (_spectral_mean): each span's entries p_1, G_1,
+    ..., p_r (G_i the fixed products between them) become collapse(entries), merged with its
+    fixed neighbours; the rest is remainder(chain, right), right the fixed factor on its right
+    (holding the state when x is given) or None, with one on its left applied after."""
+    chain: list = [0] if x is None else [x, 0]  # ints are positions
     for j in range(1, part.m):
         chain += [connectors[j - 1], j]
-    for span in plan.spans:
-        lo, hi = locate(span[0]), locate(span[-1])
-        entries = chain[lo : hi + 1]  # p_1, G_1, p_2, ..., G_(r-1), p_r
-        if len(entries) == 1:
-            fixed = single(entries[0])
-        else:
-            cur = stack(entries[0])
-            half, full = np.empty_like(cur), np.empty_like(cur)  # working buffers
-            for g, j in zip(entries[1::2], entries[2::2]):
-                np.matmul(g, cur, out=half)
-                cur = np.matmul(stack(j), half, out=full)
-            fixed = np.tensordot(weights, cur, axes=1)
+    for span in part.plan.spans:
+        lo, hi = (next(i for i, e in enumerate(chain) if isinstance(e, int) and e == j)
+                  for j in (span[0], span[-1]))
+        fixed = collapse(chain[lo : hi + 1])
         # positions alternate with fixed factors, so both neighbours are fixed
         if hi + 1 < len(chain):
             hi += 1
@@ -368,14 +348,35 @@ def _contract(plan: Plan, part: Partition, connectors, stack, single, weights, x
         return chain[0]
     right = chain.pop(0) if not isinstance(chain[0], int) else None
     left = chain.pop() if not isinstance(chain[-1], int) else None
-    factors = [("stack", part.alpha[j], stack(j)) for j in chain[::2]]
-    if x is not None:  # right holds the state
-        factors[0] = factors[0][:2] + (factors[0][2] @ right,)
-        right = None
-    out = lattice_chain_mean(factors, chain[1::2], len(weights), weights)
-    if right is not None:
-        out = out @ right
+    out = remainder(chain, right)
     return out if left is None else left @ out
+
+
+def _contract(part: Partition, connectors, stack, single, weights, x=None):
+    """The weighted mean of a chain by its plan (_walk), over (n, d, d) samples stack(j)
+    (T_j^1..T_j^n, or T_j at quadrature nodes) with single(j) their weighted mean and
+    weights the (n,) weights of every block: a collapsed block p_1 < ... < p_r is the
+    weighted sum of T_(p_r)^n G_(r-1) ... G_1 T_(p_1)^n, the rest a lattice_chain_mean."""
+
+    def collapse(entries):  # p_1, G_1, p_2, ..., G_(r-1), p_r
+        if len(entries) == 1:
+            return single(entries[0])
+        cur = stack(entries[0])
+        half, full = np.empty_like(cur), np.empty_like(cur)  # working buffers
+        for g, j in zip(entries[1::2], entries[2::2]):
+            np.matmul(g, cur, out=half)
+            cur = np.matmul(stack(j), half, out=full)
+        return np.tensordot(weights, cur, axes=1)
+
+    def remainder(chain, right):
+        factors = [("stack", part.alpha[j], stack(j)) for j in chain[::2]]
+        if x is not None:  # right holds the state
+            factors[0] = factors[0][:2] + (factors[0][2] @ right,)
+            right = None
+        out = lattice_chain_mean(factors, chain[1::2], len(weights), weights)
+        return out if right is None else out @ right
+
+    return _walk(part, connectors, collapse, remainder, x)
 
 
 def _estimate_cost(strategy: str, n: int, part: Partition, d: int = 1) -> float:
@@ -383,16 +384,15 @@ def _estimate_cost(strategy: str, n: int, part: Partition, d: int = 1) -> float:
 
     naive    : n^k * (2m - 1 + m * ceil(log2 n))
     presum   : the plan's cost, with 3 bit_length(n) products per singleton
-    spectral : m + 1 products for the cores and the two basis changes, plus
-               d^m (m + k) / d^3 for the weight's k block factors and m - 1
-               core factors over d^m eigen-index tuples
+    spectral : m + 1 products for cores and bases, plus (G + X) (m + k) / d^3
+               over the largest block grid G and crossing remainder's X (Plan.grids)
     """
     m, k = part.m, part.k
     if strategy == "naive":
         return float(n) ** k * (2 * m - 1 + m * max(1, int(np.ceil(np.log2(max(n, 2))))))
     if strategy == "spectral":
-        return m + 1 + float(d) ** (m - 3) * (m + k)
-    return plan_chain(part).cost(n, 3 * n.bit_length())
+        return m + 1 + sum(part.plan.grids(d)) * (m + k) / d**3
+    return part.plan.cost(n, 3 * n.bit_length())
 
 
 def _refuse_beyond(cost, budget, stack_bytes, detail: str, remedy: str):
@@ -533,13 +533,14 @@ def _unravel(flat, shape) -> list:
     return list(np.unravel_index(flat, shape)) if shape else []
 
 
-def _pairs(left_keys, right_keys):
-    """(left, right) flat indices with equal keys: by left, then by right index."""
+def _pairs(keys, right_keys):
+    """(left, right) flat indices with equal keys, keys in turn, by left then right index."""
     order = np.argsort(right_keys, kind="stable")
     ranked = right_keys[order]
+    left_keys = np.concatenate(keys)
     lo = np.searchsorted(ranked, left_keys, "left")
     count = np.searchsorted(ranked, left_keys, "right") - lo
-    left = np.repeat(np.arange(len(left_keys)), count)
+    left = np.repeat(np.tile(np.arange(len(keys[0])), len(keys)), count)
     start = np.repeat(lo - np.cumsum(count) + count, count)
     return left, order[start + np.arange(len(left))]
 
@@ -621,9 +622,7 @@ def _block_solutions(cands, *, additive, tol, mitm_threshold):
             for off in (-2, -1, 0, 1, 2):
                 key = (cells[1] + off) % n_cells
                 keys.append(np.where(np.any([key == k for k in keys], axis=0), -1, key))
-    found = [_pairs(key, right_keys) for key in keys]
-    li = np.concatenate([lo for lo, _ in found])
-    ri = np.concatenate([r for _, r in found])
+    li, ri = _pairs(keys, right_keys)
     if not all_exact:
         digits = _unravel(li, shapes[0]) + _unravel(ri, shapes[1])
         exact_hit = right_sum[ri] == complement[li] if has_exact else None
@@ -745,31 +744,42 @@ def _resonant_to_one(g, members, h=None) -> np.ndarray:
 
 
 def _spectral_mean(rights, lefts, connectors, part: Partition, block_weight, x=None):
-    """R_m (sum over the inner eigen-indices of W * prod_j C_j) L_1.
+    """R_m (sum over the inner eigen-indices of W * prod_j C_j) L_1, by the plan (_walk).
 
     lefts[j] (r_j x d) inverts rights[j] (d x r_j), an eigenbasis of position
-    j or its boundary part, on its range.  W, with one axis of length r_j per
-    position, is the product over the blocks of alpha of
-    block_weight(positions), the block's weight over its positions' axes: g_n
-    for the discrete mean, the quadrature's node sum for the continuous one,
-    the 0/1 resonance indicator for both limits.  The cores
-    C_j = L_{j+1} A_j R_j multiply W in place and the inner axes are summed.
-    A state x, one column, gives the mean applied to x through L_1 x.
+    j or its boundary part, on its range.  W is the product over the blocks
+    of block_weight(positions) on its positions' axes: g_n, the node sum, or
+    the limits' 0/1 resonance indicator.  A collapsed block p_1 < ... < p_r
+    multiplies its own weight in place by the cores C_i = L_(p_(i+1)) G_i
+    R_(p_i), sums its inner axes to F and becomes R_(p_r) F L_(p_1), at
+    O(d^r); only the crossing remainder gets one weight over all its axes.
     """
-    m = part.m
-    weight = np.ones([right.shape[1] for right in rights], dtype=np.complex128)
-    for positions in part.blocks.values():
-        view = [1] * m
-        for j in positions:
-            view[j] = weight.shape[j]
-        weight *= block_weight(positions).reshape(view)
-    for j in range(m - 1):
-        core = lefts[j + 1] @ connectors[j] @ rights[j]
-        view = [1] * m
-        view[j], view[j + 1] = core.shape[::-1]
-        weight *= core.T.reshape(view)
-    inner = np.diag(weight) if m == 1 else weight.sum(axis=tuple(range(1, m - 1))).T
-    return rights[m - 1] @ inner @ (lefts[0] if x is None else lefts[0] @ x)
+
+    def reduce(weight, chain):  # chain: positions and the fixed factors between them
+        positions = chain[::2]
+        for i, g in enumerate(chain[1::2]):
+            core = lefts[positions[i + 1]] @ g @ rights[positions[i]]
+            view = [1] * len(positions)
+            view[i], view[i + 1] = core.shape[::-1]
+            weight *= core.T.reshape(view)
+        right = rights[positions[-1]]  # a singleton's R diag(w) is R scaled by columns
+        right = right * weight if len(positions) == 1 else right @ weight.sum(
+            axis=tuple(range(1, len(positions) - 1))).T
+        return right @ lefts[positions[0]]
+
+    def collapse(entries):  # a weight of another dtype (the limit's bool) is copied
+        return reduce(np.asarray(block_weight(tuple(entries[::2])), dtype=np.complex128), entries)
+
+    def remainder(chain, right):
+        positions, blocks = chain[::2], part.blocks
+        weight = np.ones([rights[j].shape[1] for j in positions], dtype=np.complex128)
+        for a in part.plan.crossing:
+            view = [rights[j].shape[1] if j in blocks[a] else 1 for j in positions]
+            weight *= block_weight(blocks[a]).reshape(view)
+        out = reduce(weight, chain)
+        return out if right is None else out @ right
+
+    return _walk(part, connectors, collapse, remainder, x)
 
 
 def _record_mean(members, connectors, part: Partition, block_weight, x=None):
@@ -780,15 +790,13 @@ def _record_mean(members, connectors, part: Partition, block_weight, x=None):
 
 
 def _spectral_bytes(part: Partition, d: int) -> float:
-    """Peak bytes of the spectral route: the dense d^m weight and its temporaries.
-
-    Over one block's eigen-index grid _cesaro_weight keeps at most four
-    complex arrays and two masks alive (z, z^n and g, and the masked copies
-    of one branch), 66 bytes per cell, counted as 72; the broadcast products
-    take one numpy buffer, and the bases and cores m d x d matrices.
-    """
-    grid = max(float(d) ** len(positions) for positions in part.blocks.values())
-    return 16 * (float(d) ** part.m + part.m * d * d + np.getbufsize()) + 72 * grid
+    """Peak bytes of the spectral route (_spectral_mean).  Over one block's grid at a time
+    _cesaro_weight keeps at most four complex arrays and two masks alive (z, z^n and g, and
+    the masked copies of one branch), 66 bytes per cell, counted as 72; the crossing
+    remainder's weight, 16 per cell, outlives its blocks'; a broadcast takes one numpy
+    buffer, and cores and fixed factors m d x d matrices."""
+    largest, crossing = part.plan.grids(d)
+    return 16 * (crossing + part.m * d * d + np.getbufsize()) + 72 * largest
 
 
 def _spectral_blocker(members, nbytes) -> str | None:
@@ -839,10 +847,9 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
 
     if strategy != "presum":
         raise ValidationError(f"unknown strategy {strategy!r}, expected {'|'.join(STRATEGIES)}")
-    plan = plan_chain(part)
     _refuse_beyond(
-        _estimate_cost("presum", n, part), budget, _stack_bytes(mats, plan.stacked, n),
-        f"{route}, {depth}={n}, lattice axes={len(plan.crossing)}", remedy,
+        _estimate_cost("presum", n, part), budget, _stack_bytes(mats, part.plan.stacked, n),
+        f"{route}, {depth}={n}, lattice axes={len(part.plan.crossing)}", remedy,
     )
     if h is None:
         stack = _per_matrix(mats, lambda t: _power_stack(t, n))
@@ -850,7 +857,7 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
     else:  # a midpoint grid's mean runs over P^0 .. P^(Q-1)
         stack = _per_matrix(mats, lambda t: _power_stack(t, n, first=0))
         single = _per_matrix(mats, lambda t: (np.eye(d) + _power_sum(t, n - 1)) / n)
-    return _contract(plan, part, connectors, stack, single, np.broadcast_to(1 / n, (n,)), x)
+    return _contract(part, connectors, stack, single, np.broadcast_to(1 / n, (n,)), x)
 
 
 def _state(x, d: int):
@@ -883,18 +890,19 @@ def entangled_average(
         presum   : sum over collapsed blocks of n (2r - 1)   (r positions, r >= 2)
                    + 3 bit_length(n) per singleton block
                    + n^k_cross * (2 m_cross - 1)
-        spectral : m + 1 + d^m (m + k) / d^3, independent of n
+        spectral : m + 1 + (G + X) (m + k) / d^3, independent of n
 
-    with k_cross the blocks that cross (no nesting order collapses them) and
-    m_cross their positions; for nested alpha the presum cost is linear in n.
+    with k_cross the blocks that cross (no nesting order collapses them),
+    m_cross their positions, G = d^r for the largest block and X = d^m_cross
+    (or 0); for nested alpha the presum cost is linear in n.
     Estimates above `budget` raise BudgetExceededError before any work
     happens, as do power stacks (plus two working buffers) beyond 2 GiB.
     budget=None disables the cost check (the memory cap stays); a NaN
     budget raises ValidationError.
 
-    spectral runs when every operator carries an eigenbasis record and the
-    dense d^m eigen-index weight fits under the memory cap, else presum,
-    whose refusals then name the reason.  Resonance is decided from exact
+    spectral runs when every operator carries an eigenbasis record and its
+    grids fit under the memory cap (_spectral_bytes), else presum, whose
+    refusals then name the reason.  Resonance is decided from exact
     angles, or as limit_operator decides it with a float record in the
     block, so it reaches n = 2^40 and beyond in one call.
 
@@ -920,7 +928,8 @@ class StackedSystem:
 
     A chain started in block 1 is walked up one block per connector
     application, so the (m, 1) compression of the stacked chain reproduces
-    the original chain exactly, summand by summand.
+    the original chain exactly, summand by summand.  records: script_t and
+    script_s as certified operators (see stacked_system), or ().
     """
 
     partition: Partition
@@ -928,6 +937,7 @@ class StackedSystem:
     script_s: np.ndarray
     script_a: np.ndarray
     block_dim: int
+    records: tuple[SpectralOperator, ...] = ()
 
     @property
     def m(self) -> int:
@@ -935,8 +945,9 @@ class StackedSystem:
 
 
 def stacked_system(system: EntangledSystem) -> StackedSystem:
-    """Build the block companion form of an entangled system of discrete time."""
-    _on_clock(system.operators, DISCRETE)
+    """The block companion form of an entangled system of discrete time; when every operator
+    carries a certificate, script_t and script_s get block-diagonal ones (_block_diagonal)."""
+    ops = _on_clock(system.operators, DISCRETE)
     m, d = system.partition.m, system.dim
     big = m * d
     if big > linalg.DIM_CAP:
@@ -955,7 +966,10 @@ def stacked_system(system: EntangledSystem) -> StackedSystem:
         rows = slice(a * d, (a + 1) * d)
         cols = slice((a - 1) * d, a * d)
         script_a[rows, cols] = system.connectors[a - 1]
-    return StackedSystem(system.partition, script_t, script_s, script_a, d)
+    records = () if any(op.certificate is None for op in ops) else (
+        _block_diagonal(script_t, ops[:-1] + (None,), d),
+        _block_diagonal(script_s, (None,) * (m - 1) + ops[-1:], d))
+    return StackedSystem(system.partition, script_t, script_s, script_a, d, records)
 
 
 def stacked_average(
@@ -973,19 +987,20 @@ def stacked_average(
     result (or the block-m component when x is given, embedded into block 1
     first).  Summand-by-summand this matches the direct
     chain exactly, so the two routes agree to roundoff; the acceptance suite
-    checks a 1e-12 relative residual.  The stacked matrices carry no
-    eigenbasis record, so strategy="spectral" runs presum here.
+    checks a 1e-12 relative residual.  With st.records, strategy="spectral"
+    runs on them as on any certified operators, independent of n; without
+    (a member with no certificate) it runs presum.
     """
     n = linalg._positive_int(n, "depth n")
     m, d = st.m, st.block_dim
-    part = st.partition
     mats = [st.script_t] * (m - 1) + [st.script_s]
+    members = [st.records[0]] * (m - 1) + [st.records[1]] if st.records else ()
     conns = [st.script_a] * (m - 1)
     x = _state(x, d)
     if x is not None:  # embedded into block 1
         x = np.concatenate([x, np.zeros(((m - 1) * d, 1), dtype=np.complex128)])
-    out = _evaluate_discrete(mats, conns, part, n, strategy, x, budget)[(m - 1) * d :, :d]
-    return out if x is None else out[:, 0]
+    out = _evaluate_discrete(mats, conns, st.partition, n, strategy, x, budget, members)
+    return out[(m - 1) * d :, :d] if x is None else out[(m - 1) * d :, 0]
 
 
 def multiple_ergodic_average(

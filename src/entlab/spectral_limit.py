@@ -264,9 +264,10 @@ def _assemble_limit(system: EntangledSystem, solutions) -> np.ndarray:
     solutions, so the product is never formed, and a block with no solution
     gives the zero matrix.  The points of position j that its block picks
     get one boundary basis (R_j, L_j, group_j), and each block's 0/1
-    indicator, expanded to eigen-indices by group, is its weight in
-    entangle._spectral_mean.  The dense weight is refused beyond
-    entangle.MEMORY_CAP_BYTES; both exits come before any factorization.
+    indicator, expanded by group on the axes whose points repeat, is its
+    weight in entangle._spectral_mean.  Its largest block grid plus crossing
+    remainder's grid (entangle.Plan.grids) beyond entangle.MEMORY_CAP_BYTES is
+    refused; both exits come before any factorization.
     """
     ops, part = system.operators, system.partition
     if solutions is None:
@@ -279,7 +280,9 @@ def _assemble_limit(system: EntangledSystem, solutions) -> np.ndarray:
 
     ranks = [sum(op.unimodular_spectrum[i].multiplicity for i in picked)
              for op, picked in zip(ops, used)]
-    need = 16 * math.prod(ranks)
+    crossing = [r for r, a in zip(ranks, part.alpha) if a in part.plan.crossing]
+    need = 16 * (max(math.prod(ranks[j] for j in block) for block in part.blocks.values())
+                 + (math.prod(crossing) if crossing else 0))
     if need > entangle.MEMORY_CAP_BYTES:
         per = ", ".join(f"position {j}: {r}" for j, r in enumerate(ranks, start=1))
         raise BudgetExceededError(
@@ -292,7 +295,10 @@ def _assemble_limit(system: EntangledSystem, solutions) -> np.ndarray:
     def indicator(positions):  # bool: a byte per cell, cast exactly to 0 or 1 in the product
         block = np.zeros([len(used[j]) for j in positions], dtype=bool)
         block[cells[positions]] = True
-        return block[np.ix_(*(groups[j] for j in positions))]
+        for axis, j in enumerate(positions):
+            if len(groups[j]) > len(used[j]):  # a picked point of multiplicity 2 or more
+                block = block.take(groups[j], axis=axis)
+        return block
 
     return entangle._spectral_mean(rights, lefts, system.connectors, part, indicator)
 

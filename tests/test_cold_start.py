@@ -3,7 +3,7 @@
 Only the matrix exponential and the Schur split of a raw operator need
 scipy.linalg, and each imports it when called.  Each case runs in a fresh
 interpreter with src/ on the path and reports the scipy modules it loaded:
-importing the package, the certified runs, continuous ones included (a
+importing the package, the certified runs, a stacked one and continuous ones included (a
 Gauss-Legendre rule of 250 nodes, whose interior nodes take the asymptotic
 series, among them), and runs on well-conditioned raw operators and
 generators (which read their float eigenbasis records) must load none; a continuous run on a raw
@@ -80,6 +80,14 @@ out = continuous_entangled_average(make_continuous_system([1, 1], sgs), 10.0,
 assert out.value.shape == (2, 2) and out.error_estimate < 1e-12
 """
 
+_CERTIFIED_STACKED = """
+from entlab import OrthonormalBasis, make_system, stacked_average, stacked_system, synth_operator
+ops = [synth_operator(["0", "1/3"], [0.4], OrthonormalBasis(5)),
+       synth_operator(["0", "2/3"], [0.3], OrthonormalBasis(6))]
+st = stacked_system(make_system([1, 1], ops))
+assert st.records and stacked_average(st, 10**6).shape == (3, 3)
+"""
+
 _REFUSED_EXPM = """
 import numpy as np
 from entlab import ValidationError, expm
@@ -118,6 +126,7 @@ def _scipy_modules(code, cwd):
     pytest.param(_cli("counterexample"), id="cli-counterexample"),
     pytest.param(_cli("continuous"), id="cli-continuous"),
     pytest.param(_CERTIFIED_LIMIT, id="certified-limit"),
+    pytest.param(_CERTIFIED_STACKED, id="certified-stacked"),
     pytest.param(_REFUSED_EXPM, id="refused-expm"),
     pytest.param(_RAW_LIMIT_D128, id="raw-limit-d128"),
     pytest.param(_RAW_CONTINUOUS_RECORD, id="raw-continuous-record"),

@@ -421,7 +421,10 @@ def test_spectral_peak_memory_stays_under_the_counted_bytes(alpha):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 16 * d ** len(alpha) < peak <= entangle._spectral_bytes(sys_.partition, d)
+    # one block allocates its dense d^4 grid; four singleton blocks only d x d matrices
+    # at once: the merged fixed factor, and a singleton's R diag(w) and its product with L
+    lower = 16 * d ** len(alpha) if len(set(alpha)) == 1 else 3 * 16 * d * d
+    assert lower < peak <= entangle._spectral_bytes(sys_.partition, d)
 
 
 def test_spectral_peak_for_one_wide_block_stays_under_six_weights():
@@ -568,3 +571,86 @@ def test_nested_cost_estimate_is_linear_in_depth(alpha):
     assert costs[2] <= 2 * len(alpha) * 1_000_000
     crossing = _estimate_cost("presum", 1_000, make_partition([1, 2, 1, 2]))
     assert crossing >= 1_000**2
+
+
+# ------------------------------------------- spectral means by the plan; stacked records
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_stacked_presum_matches_the_direct_mean_on_the_pinned_systems(n):
+    # the summand-by-summand stacked route, which the default (spectral) no longer takes
+    from test_acceptance import _pinned_systems
+
+    for i, system in enumerate(_pinned_systems(), start=1):
+        direct = entangled_average(system, n)
+        block = stacked_average(stacked_system(system), n, strategy="presum")
+        assert np.linalg.norm(block - direct) <= 1e-12 * np.linalg.norm(direct), i
+
+
+@pytest.mark.parametrize("state", [False, True], ids=["operator", "state"])
+def test_certified_stacked_average_runs_spectral_at_depth_1e6(monkeypatch, state):
+    from test_acceptance import _pinned_systems
+
+    system = _pinned_systems()[-1]  # alpha = [1, 2, 2, 1], one similarity basis
+    st_ = stacked_system(system)
+    assert st_.records[0].matrix is st_.script_t and st_.records[1].matrix is st_.script_s
+    x = CounterRng(17).complex_normal((system.dim,)) if state else None
+    direct = entangled_average(system, 10**6, x=x)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the stacked mean ran presum")
+
+    monkeypatch.setattr(entangle, "_power_stack", never)
+    monkeypatch.setattr(entangle, "_power_sum", never)
+    block = stacked_average(st_, 10**6, x=x)
+    assert np.linalg.norm(block - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def test_stacked_system_without_certificates_has_no_records():
+    sys_ = _pair_system([1, 2, 2, 1])  # raw operators: float records, no certificates
+    st_ = stacked_system(sys_)
+    assert st_.records == ()
+    direct = entangled_average(sys_, 6, strategy="presum")
+    assert np.linalg.norm(stacked_average(st_, 6) - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def _bijective_m8_system():
+    """alpha = [1..8] at d = 12, each operator with 11 eigenvalues at angle 0 and one 0.5."""
+    ops = [synth_operator(["0"] * 11, [0.5], OrthonormalBasis(800 + j)) for j in range(8)]
+    conns = [linalg.haar_unitary(12, seed=820 + j) for j in range(7)]
+    return make_system(list(range(1, 9)), ops, conns)
+
+
+def test_bijective_limit_at_m8_is_the_product_of_the_projections_at_one():
+    # one dense weight over the eight positions would need 16 * 11^8 bytes
+    sys_ = _bijective_m8_system()
+    want = operators.mean_ergodic_projection(sys_.operators[0], "0")
+    for a, op in zip(sys_.connectors, sys_.operators[1:]):
+        want = operators.mean_ergodic_projection(op, "0") @ a @ want
+    got = limit_operator(sys_)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_bijective_mean_at_m8_is_the_product_of_one_variable_means(monkeypatch):
+    sys_ = _bijective_m8_system()
+    n = 2**20
+    # each one-variable mean in closed form: g_n(1) = 1 and g_n(1/2) = (1 - 2^-n) / n
+    g = np.array([1.0] * 11 + [(1 - 0.5**n) / n])
+    means = [(op.certificate.basis * g) @ op.certificate.basis_inv for op in sys_.operators]
+    want = means[0]
+    for a, mean in zip(sys_.connectors, means[1:]):
+        want = mean @ a @ want
+
+    def never(*args, **kwargs):
+        raise AssertionError("the mean ran presum")
+
+    monkeypatch.setattr(entangle, "_power_sum", never)
+    got = entangled_average(sys_, n)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_spectral_matches_presum_on_three_nested_blocks_at_d12(n):
+    sys_ = _certified_system([1, 2, 3, 3, 2, 1], d=12)
+    presum = entangled_average(sys_, n, strategy="presum")
+    assert np.linalg.norm(entangled_average(sys_, n) - presum) <= 1e-12 * np.linalg.norm(presum)
