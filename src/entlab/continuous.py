@@ -25,7 +25,7 @@ import numpy as np
 
 from . import entangle, linalg
 from .entangle import (STRATEGIES, EntangledSystem, Partition, _contract, _estimate_cost,
-                       _evaluate_discrete, _per_matrix, _record_mean, _refuse_beyond,
+                       _evaluate_discrete, _grid_detail, _per_matrix, _record_mean, _refuse_beyond,
                        _resonant_to_one, _spectral_blocker, _spectral_bytes, _stack_bytes, _state,
                        _validate_system)
 from .errors import (
@@ -364,7 +364,7 @@ def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy
         cells = sum(float(d) ** len(positions) for positions in part.blocks.values())
         _refuse_beyond(
             q * cells / d**3 + _estimate_cost("spectral", q, part, d), budget, 0,
-            f"strategy=spectral, Q={q}, eigen-index tuples={d}^{part.m}", remedy,
+            f"strategy=spectral, Q={q}, {_grid_detail(part.plan, d)}", remedy,
         )
     else:
         plan, generators = part.plan, [sg.generator for sg in system.semigroups]

@@ -302,6 +302,12 @@ class Plan:
         return float(d) ** self.widest, float(d) ** self.remaining if self.crossing else 0.0
 
 
+def _grid_detail(plan: Plan, d: int) -> str:
+    """The eigen-index grids the planned spectral route forms, as refusals name them."""
+    crossing = f", crossing grid={d}^{plan.remaining}" if plan.crossing else ""
+    return f"largest block grid={d}^{plan.widest}{crossing}"
+
+
 def plan_chain(part: Partition) -> Plan:
     """Collapse order and crossing remainder of a partition (no numerics)."""
     blocks = part.blocks
@@ -503,12 +509,12 @@ def _normalize_entry(e, additive: bool):
     elif _exact_literal(e):  # a Fraction is not parsed again
         fr = (e if isinstance(e, Fraction) else parse_angle(e) if not additive
               else _parse_exact(e, "frequency", ValidationError))
-        fr = fr if additive or 0 <= fr < 1 else fr % 1
+        fr = fr if additive or 0 <= fr.numerator < fr.denominator else fr % 1
     else:
         fr = None
         val = float(e) if additive else complex(e)
     if fr is not None:
-        return (float(fr) if additive else angle_value(fr)), fr
+        return (fr.numerator / fr.denominator if additive else angle_value(fr)), fr
     if not cmath.isfinite(val):
         raise ValidationError(f"entry {e!r} is not finite")
     if not additive and abs(abs(val) - 1.0) > 1e-6:
@@ -815,7 +821,6 @@ def _spectral_blocker(members, nbytes) -> str | None:
 def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget,
                        members=(), h=None):
     """The depth-n mean of the chain of mats; the spectral route reads the members' records."""
-    m = part.m
     d = mats[0].shape[0]
     depth = "n" if h is None else "Q"  # a midpoint grid's depth is its Q
     remedy = f"raise the budget, lower {depth}, or switch strategy"
@@ -826,7 +831,7 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
         if blocker is None:
             _refuse_beyond(
                 _estimate_cost("spectral", n, part, d), budget, 0,
-                f"strategy=spectral, {depth}={n}, eigen-index tuples={d}^{m}", remedy,
+                f"strategy=spectral, {depth}={n}, {_grid_detail(part.plan, d)}", remedy,
             )
             return _record_mean(members, connectors, part,
                                 lambda block: _cesaro_weight(block, n, h), x)
@@ -907,8 +912,11 @@ def entangled_average(
     block, so it reaches n = 2^40 and beyond in one call.
 
     With x given the chains act on x and a vector is returned; otherwise the
-    operator mean itself.  The strategies agree to ~1e-10 relative; presum
-    is exact at every n, not just convergent, since it reorders finite sums.
+    operator mean itself.  presum reorders the same finite sums, but its
+    singleton means (_power_sum's doubling) drift linearly in n on
+    unimodular eigenvalues: about 3e-13 relative at n = 2^10, 3e-10 at
+    2^20 and 3e-7 at 2^30 (d = 12).  spectral's singleton mean is the
+    closed form S diag(g_n) S^-1 and is the reference for them.
     """
     mats = [op.matrix for op in _on_clock(system.operators, DISCRETE)]
     x = _state(x, system.dim)

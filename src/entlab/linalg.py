@@ -198,8 +198,9 @@ def expm(b, t=1.0) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value (LAPACK SVD)."""
-    return float(np.linalg.norm(as_matrix(a), 2))
+    """Largest singular value (LAPACK SVD, the real routine for real input)."""
+    arr = as_matrix(a)
+    return float(np.linalg.svd(arr if arr.imag.any() else arr.real, compute_uv=False)[0])
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:

@@ -77,7 +77,7 @@ def parse_angle(x) -> Fraction:
 
 def angle_value(fr: Fraction) -> complex:
     """Unit-circle value e^{2 pi i fr}."""
-    return cmath.exp(2j * cmath.pi * float(fr))
+    return cmath.exp(2j * cmath.pi * (fr.numerator / fr.denominator))
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,9 @@ def finite_section(apply_fn, window: int) -> np.ndarray:
     likewise, entries <A e_b, e_r>.  Image mass outside the window is
     dropped, which is the point of a finite section.  A window whose 2w+1
     exceeds linalg.DIM_CAP raises DimensionMismatchError before allocating.
+
+    counterexample_A is read off its index rule in one array pass (each e_b
+    has one target); any other apply_fn is applied column by column.
     """
     if not isinstance(window, (int, np.integer)) or isinstance(window, bool) or window < 0:
         raise DimensionMismatchError(f"window must be a nonnegative integer, got {window!r}")
@@ -242,6 +245,12 @@ def finite_section(apply_fn, window: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"window {w} needs a {size}x{size} section, past cap {DIM_CAP}")
     out = np.zeros((size, size), dtype=np.complex128)
+    if apply_fn is counterexample_A:
+        b = np.arange(-w, w + 1, dtype=np.int64)  # f(-b) is not read where b >= 0
+        row = _companion_target(b, _f_values(BLOCK_SEQUENCE, np.maximum(-b, 1))) + w
+        cols = np.flatnonzero(row < size)  # targets are never negative
+        out[row[cols], cols] = 1.0
+        return out
     for col, b in enumerate(range(-w, w + 1)):
         image = apply_fn(SparseZVector.basis(b))
         for idx, coef in image.items():

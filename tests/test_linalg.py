@@ -256,6 +256,40 @@ def test_spectral_norm_property_vs_svd(seed):
     assert abs(linalg.spectral_norm(a) - ref) <= 1e-7 * max(1.0, ref)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(-150, 150),
+       st.integers(0, 10_000), st.booleans())
+def test_spectral_norm_of_real_input_matches_the_complex_svd(rows, cols, exponent, seed,
+                                                             as_complex):
+    # standard_normal drops one value of an odd count, so draw twice as many
+    a = CounterRng(seed).standard_normal(2 * rows * cols)[: rows * cols].reshape(rows, cols)
+    a = a * 10.0**exponent
+    ref = np.linalg.norm(np.asarray(a, complex), 2)
+    got = linalg.spectral_norm(a.astype(complex) if as_complex else a)
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("imag, routine", [(None, np.float64), (0.0, np.float64),
+                                           (1e-3, np.complex128)])
+def test_spectral_norm_takes_the_complex_svd_only_for_imaginary_parts(monkeypatch, imag,
+                                                                      routine):
+    a = CounterRng(9).standard_normal(30).reshape(5, 6)
+    if imag is not None:
+        a = a.astype(complex)
+        a[2, 3] += 1j * imag
+    ref = np.linalg.norm(np.asarray(a, complex), 2)
+    svd, seen = np.linalg.svd, []
+
+    def spy(arr, *args, **kwargs):
+        seen.append(arr.dtype)
+        return svd(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    got = linalg.spectral_norm(a)
+    assert seen == [routine]
+    assert abs(got - ref) <= 1e-13 * ref
+
+
 # ------------------------------------------------------------- haar_unitary
 
 

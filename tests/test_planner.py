@@ -631,6 +631,19 @@ def test_bijective_limit_at_m8_is_the_product_of_the_projections_at_one():
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("system, grids", [
+    (_bijective_m8_system, "largest block grid=12^1"),
+    (lambda: _pair_system([1, 2, 1, 2, 3, 3], d=3),
+     "largest block grid=3^2, crossing grid=3^4"),
+])
+def test_spectral_refusal_names_the_grids_the_plan_forms(system, grids):
+    with pytest.raises(BudgetExceededError) as info:
+        entangled_average(system(), 10, budget=1)
+    message = str(info.value)
+    assert f"(strategy=spectral, n=10, {grids})" in message
+    assert "tuples" not in message
+
+
 def test_bijective_mean_at_m8_is_the_product_of_one_variable_means(monkeypatch):
     sys_ = _bijective_m8_system()
     n = 2**20

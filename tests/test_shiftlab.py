@@ -212,6 +212,22 @@ def test_finite_section_rejects_bad_window():
         finite_section(counterexample_A, window=256)
 
 
+def test_finite_section_array_route_matches_per_column_route():
+    # a wrapper is not counterexample_A itself, so it takes the per-column route
+    def per_column(v):
+        return counterexample_A(v)
+
+    for w in range(256):
+        assert np.array_equal(finite_section(counterexample_A, w), finite_section(per_column, w))
+    for bad in (-1, 2.5, True, 256):
+        raised = []
+        for apply_fn in (counterexample_A, per_column):
+            with pytest.raises(DimensionMismatchError) as info:
+                finite_section(apply_fn, bad)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+
+
 # -------------------------------------------------------- divergence record
 
 

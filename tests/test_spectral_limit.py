@@ -321,6 +321,14 @@ def test_mitm_and_brute_force_give_identical_tuples(alpha, additive, kind, tol, 
             assert _normalize_entry(sp[t.index[j]], additive) == (t.entries[j], t.exact[j])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**18, 10**18), st.integers(1, 10**18), st.booleans())
+def test_normalize_entry_of_a_fraction_is_its_float_form(num, den, additive):
+    fr = Fraction(num, den)
+    want = (float(fr), fr) if additive else (cmath.exp(2j * math.pi * float(fr % 1)), fr % 1)
+    assert _normalize_entry(fr, additive) == want
+
+
 def _per_tuple_reference(spectra, alpha, tol, additive):
     """{index: residuals} from one combination at a time: Fraction sums when
     every pick is exact, else math.fsum or math.prod(start=1+0j) residuals."""
