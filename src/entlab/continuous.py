@@ -10,8 +10,8 @@ one shared quadrature grid, where the positions of a block read one node.
 The midpoint rule is discrete time (_midpoint_average).  Gauss-Legendre
 (_gauss_legendre_average) is one scalar weight per block in the discrete
 contraction when every generator has an eigenbasis record, else one batched
-expm over its nodes.  Each rule refuses its grid, then runs it, in one
-function.  The limit is limit_operator's on the imaginary axis: eigenvalues
+expm over its nodes.  entangle._route decides, prices and refuses each rule's route.
+The limit is limit_operator's on the imaginary axis: eigenvalues
 2*pi*i*phi, and blocks resonate when their frequencies sum to zero exactly
 (for every t, not only on a lattice).
 """
@@ -23,11 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import entangle, linalg
-from .entangle import (STRATEGIES, EntangledSystem, Partition, _contract, _estimate_cost,
-                       _evaluate_discrete, _grid_detail, _per_matrix, _record_mean, _refuse_beyond,
-                       _resonant_to_one, _spectral_blocker, _spectral_bytes, _stack_bytes, _state,
-                       _validate_system)
+from . import linalg
+from .entangle import (EntangledSystem, Partition, _contract, _estimate_cost, _evaluate_discrete,
+                       _per_matrix, _record_mean, _resonant_to_one, _route, _spectral_bytes,
+                       _stack_bytes, _state, _validate_system)
 from .errors import (
     BudgetExceededError,
     NonConvergenceError,
@@ -341,9 +340,9 @@ def _midpoint_average(system, t, quad: QuadratureSpec, x, budget, strategy):
 def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy):
     """The Gauss-Legendre rule, refused before its nodes are computed, then run.
 
-    Grids past GAUSS_LEGENDRE_MAX_POINTS, the verified range, are refused first.  spectral
-    runs as in _evaluate_discrete: without a blocker (_spectral_blocker), else
-    presum.  Cost, in d x d products:
+    Grids past GAUSS_LEGENDRE_MAX_POINTS, the verified range, are refused first, then
+    entangle._route decides, prices and refuses the route as for every finite mean.
+    Cost, in d x d products:
 
     spectral : Q sum_blocks d^r / d^3 for the node sums over each block's
                d^r eigen-index grid, plus the discrete spectral contraction
@@ -357,26 +356,19 @@ def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy
             f"Gauss-Legendre rule of Q={q} nodes is past the verified range "
             f"(cap Q={GAUSS_LEGENDRE_MAX_POINTS}); use the midpoint rule"
         )
-    remedy = "raise the budget or lower Q"
-    blocker = (_spectral_blocker(system.semigroups, lambda: _quadrature_bytes(part, d))
-               if strategy == "spectral" else "")
-    if blocker is None:
-        cells = sum(float(d) ** len(positions) for positions in part.blocks.values())
-        _refuse_beyond(
-            q * cells / d**3 + _estimate_cost("spectral", q, part, d), budget, 0,
-            f"strategy=spectral, Q={q}, {_grid_detail(part.plan, d)}", remedy,
-        )
-    else:
-        plan, generators = part.plan, [sg.generator for sg in system.semigroups]
-        _refuse_beyond(
-            len({id(g) for g in generators}) * 20.0 * q + plan.cost(q, q), budget,
-            _stack_bytes(generators, range(part.m), q),
-            f"strategy={f'spectral fell back to presum ({blocker})' if blocker else 'presum'}, "
-            f"Q={q}, lattice axes={len(plan.crossing)}", remedy,
-        )
+    generators = [sg.generator for sg in system.semigroups]
+
+    def price(route):
+        if route == "spectral":
+            cells = sum(float(d) ** len(positions) for positions in part.blocks.values())
+            return q * cells / d**3 + _estimate_cost(route, q, part, d), _quadrature_bytes(part, d)
+        return (len({id(g) for g in generators}) * 20.0 * q + part.plan.cost(q, q),
+                _stack_bytes(generators, range(part.m), q))
+
+    route = _route(strategy, budget, system.semigroups, part, d, q, "Q", price)
     _check_horizon(system, t)  # t bounds the last node, which is not computed yet
     s_nodes, w_nodes = quad.nodes(t)
-    if blocker is None:
+    if route == "spectral":
         return _record_mean(system.semigroups, list(system.connectors), part,
                             lambda block: _quadrature_weight(block, s_nodes, w_nodes / t), x)
     stack = _per_matrix(generators, lambda b: linalg.expm(b, s_nodes))
@@ -421,10 +413,10 @@ def continuous_entangled_average(
     _require_bounded(_on_clock(system.operators, CONTINUOUS))
     x = _state(x, system.dim)
     quad._size(t)  # Q and t are refused before the doubled grid runs
-    if strategy == "naive":
-        raise ValidationError("continuous time has no naive route; use spectral or presum")
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"unknown strategy {strategy!r}, expected spectral|presum")
+    if strategy not in ("spectral", "presum"):  # before the midpoint rule's steps
+        raise ValidationError("continuous time has no naive route; use spectral or presum"
+                              if strategy == "naive" else
+                              f"unknown strategy {strategy!r}, expected spectral|presum")
     average = _midpoint_average if quad.scheme == "midpoint" else _gauss_legendre_average
     grids = [QuadratureSpec(quad.scheme, 2 * quad.points), quad] if richardson else [quad]
     *finer, value = [average(system, float(t), grid, x, budget, strategy) for grid in grids]

@@ -35,8 +35,8 @@ Three evaluation strategies:
 
 Every finite sum is a weighted mean with one (n,) weight vector shared by
 all blocks (see ``lattice_chain_mean``), and a state x travels as one d x 1
-column, the right-hand side of the chain.  Costs are estimated before
-running and checked against a budget; see ``entangled_average``.
+column, the right-hand side of the chain.  ``_route`` decides, prices and
+refuses every finite mean's route before any work; see ``entangled_average``.
 """
 
 from __future__ import annotations
@@ -302,12 +302,6 @@ class Plan:
         return float(d) ** self.widest, float(d) ** self.remaining if self.crossing else 0.0
 
 
-def _grid_detail(plan: Plan, d: int) -> str:
-    """The eigen-index grids the planned spectral route forms, as refusals name them."""
-    crossing = f", crossing grid={d}^{plan.remaining}" if plan.crossing else ""
-    return f"largest block grid={d}^{plan.widest}{crossing}"
-
-
 def plan_chain(part: Partition) -> Plan:
     """Collapse order and crossing remainder of a partition (no numerics)."""
     blocks = part.blocks
@@ -399,21 +393,6 @@ def _estimate_cost(strategy: str, n: int, part: Partition, d: int = 1) -> float:
     if strategy == "spectral":
         return m + 1 + sum(part.plan.grids(d)) * (m + k) / d**3
     return part.plan.cost(n, 3 * n.bit_length())
-
-
-def _refuse_beyond(cost, budget, stack_bytes, detail: str, remedy: str):
-    """BudgetExceededError before any work if cost or stack memory is too large."""
-    if budget is not None and np.isnan(budget):
-        raise ValidationError("budget must be a number or None, got nan")
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(
-            f"estimated cost {cost:.3e} exceeds budget {budget:.3e} ({detail}); {remedy}"
-        )
-    if stack_bytes > MEMORY_CAP_BYTES:
-        raise BudgetExceededError(
-            f"power stacks would need {stack_bytes / 2**30:.2f} GiB "
-            f"(cap {MEMORY_CAP_BYTES / 2**30:.0f} GiB, {detail}); {remedy}"
-        )
 
 
 def _stack_bytes(mats, positions, n: int) -> int:
@@ -643,13 +622,13 @@ def _block_solutions(cands, *, additive, tol, mitm_threshold):
 
 
 def _exact_phases(angles, n: int, h=None) -> tuple[list, list]:
-    """a h mod 1 and n a h mod 1 as floats for exact angles a (h = 1 when None).
-
-    Each is an integer pair (a.numerator p mod a.denominator q, a.denominator q),
-    h = p / q, divided once: correctly rounded, as float(Fraction) is, but cheaper."""
+    """a h mod 1, centered in (-1/2, 1/2], and n a h mod 1 as floats for exact angles a (h = 1
+    when None).  Each is an integer pair (a.numerator p mod a.denominator q, a.denominator q),
+    h = p / q, the first shifted by a turn in integers, divided once: correctly rounded, as
+    float(Fraction) is, but cheaper, and a small negative a h keeps its digits."""
     p, q = (1, 1) if h is None else (h.numerator, h.denominator)
     pairs = [(a.numerator * p % (a.denominator * q), a.denominator * q) for a in angles]
-    return [u / v for u, v in pairs], [n * u % v / v for u, v in pairs]
+    return [(u - v if 2 * u > v else u) / v for u, v in pairs], [n * u % v / v for u, v in pairs]
 
 
 def _cesaro_weight(members, n: int, h=None) -> np.ndarray:
@@ -665,7 +644,7 @@ def _cesaro_weight(members, n: int, h=None) -> np.ndarray:
 
     With an exact step h the members are generators, read as e^{hB}, and k
     runs over 0..n-1, the midpoint rule's powers: the same without the
-    leading z, with angles phi h mod 1 (aliased frequencies resonate) and
+    leading z, with angles phi h mod 1 in (-1/2, 1/2] (aliased ones resonate),
     log z the sum of the exponents lam h on the principal branch, not the log
     of a rounded e^{lam h}, which would lose |lam h| digits as h goes to 0.
     """
@@ -673,8 +652,8 @@ def _cesaro_weight(members, n: int, h=None) -> np.ndarray:
     z_n = np.ones((), dtype=np.complex128)
     inv_n = 1 / n  # float for any int n
     # exponent for stable eigenvalues: beyond 2^64 each |lam|^n, |lam| <= 1 - 2^-53,
-    # has underflowed to 0 already
-    n_cap = float(min(n, 2**64))
+    # has underflowed to 0 already; a midpoint exponent lam h n = lam t is never capped
+    n_cap = float(min(n, 2**64) if h is None else n)
     for rec in (member.eigenbasis for member in members):
         phi, n_phi = _exact_phases(rec.angles if rec.exact else (), n, h)
         values, r = rec.eigenvalues, len(phi)
@@ -805,43 +784,61 @@ def _spectral_bytes(part: Partition, d: int) -> float:
     return 16 * (crossing + part.m * d * d + np.getbufsize()) + 72 * largest
 
 
-def _spectral_blocker(members, nbytes) -> str | None:
-    """None, or why spectral cannot run: a member without a record, or nbytes() over the cap."""
-    if not members:
-        return "no eigenbasis records"
-    for j, member in enumerate(members, start=1):
-        if member.eigenbasis is None:  # bounded: its cond_2(V) is past the cap
-            return (f"position {j} has no eigenbasis: cond_2(V) = "
-                    f"{member.power_bound_estimate:.2e}, cap {EIGENBASIS_COND_CAP:.0e}")
-    if nbytes() > MEMORY_CAP_BYTES:
-        return f"the spectral weight needs {nbytes() / 2**30:.2f} GiB, above the memory cap"
-    return None
+def _route(strategy, budget, members, part: Partition, d: int, n: int, depth: str, price) -> str:
+    """Decide, price and refuse the route of one finite mean, before any work.
+
+    spectral runs when every member has an eigenbasis record and the bytes
+    price("spectral") counts fit MEMORY_CAP_BYTES, else presum, whose refusals
+    name the reason.  price(route) is the caller's (cost, bytes), bytes being
+    presum's power stacks; depth names n in refusals ("n", or a rule's "Q").
+    """
+    if strategy not in STRATEGIES:
+        raise ValidationError(f"unknown strategy {strategy!r}, expected {'|'.join(STRATEGIES)}")
+    if budget is not None and np.isnan(budget):
+        raise ValidationError("budget must be a number or None, got nan")
+    route, fallback = strategy, None
+    cost, nbytes = price(route)
+    if route == "spectral":
+        bare = [j for j, member in enumerate(members, start=1) if member.eigenbasis is None]
+        fallback = (  # a bounded member without a record has its cond_2(V) past the cap
+            f"position {bare[0]} has no eigenbasis: cond_2(V) = "
+            f"{members[bare[0] - 1].power_bound_estimate:.2e}, cap {EIGENBASIS_COND_CAP:.0e}"
+            if bare else "no eigenbasis records" if not members
+            else f"the spectral weight needs {nbytes / 2**30:.2f} GiB, above the memory cap"
+            if nbytes > MEMORY_CAP_BYTES else None)
+        if fallback:
+            route, (cost, nbytes) = "presum", price("presum")
+    over_budget = budget is not None and cost > budget
+    if over_budget or (route == "presum" and nbytes > MEMORY_CAP_BYTES):
+        if route == "spectral":  # the grids the planned route forms
+            crossing = f", crossing grid={d}^{part.plan.remaining}" if part.plan.crossing else ""
+            grids = f"largest block grid={d}^{part.plan.widest}{crossing}"
+        else:
+            grids = f"lattice axes={part.k if route == 'naive' else len(part.plan.crossing)}"
+        asked = f"spectral fell back to presum ({fallback})" if fallback else route
+        detail = f"strategy={asked}, {depth}={n}, {grids}"
+        remedy = f"raise the budget, lower {depth}, or switch strategy"
+        raise BudgetExceededError(
+            f"estimated cost {cost:.3e} exceeds budget {budget:.3e} ({detail}); {remedy}"
+            if over_budget else f"power stacks would need {nbytes / 2**30:.2f} GiB "
+            f"(cap {MEMORY_CAP_BYTES / 2**30:.0f} GiB, {detail}); {remedy}"
+        )
+    return route
 
 
 def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget,
                        members=(), h=None):
     """The depth-n mean of the chain of mats; the spectral route reads the members' records."""
     d = mats[0].shape[0]
-    depth = "n" if h is None else "Q"  # a midpoint grid's depth is its Q
-    remedy = f"raise the budget, lower {depth}, or switch strategy"
 
-    route = f"strategy={strategy}"
-    if strategy == "spectral":
-        blocker = _spectral_blocker(members, lambda: _spectral_bytes(part, d))
-        if blocker is None:
-            _refuse_beyond(
-                _estimate_cost("spectral", n, part, d), budget, 0,
-                f"strategy=spectral, {depth}={n}, {_grid_detail(part.plan, d)}", remedy,
-            )
-            return _record_mean(members, connectors, part,
-                                lambda block: _cesaro_weight(block, n, h), x)
-        strategy, route = "presum", f"strategy=spectral fell back to presum ({blocker})"
+    def price(route):  # bytes: the spectral route's grids, else presum's power stacks
+        return _estimate_cost(route, n, part, d), (_spectral_bytes(part, d) if route == "spectral"
+                                                   else _stack_bytes(mats, part.plan.stacked, n))
 
-    if strategy == "naive":
-        _refuse_beyond(
-            _estimate_cost("naive", n, part), budget, 0,
-            f"strategy=naive, {depth}={n}, lattice axes={part.k}", remedy,
-        )
+    route = _route(strategy, budget, members, part, d, n, "n" if h is None else "Q", price)
+    if route == "spectral":
+        return _record_mean(members, connectors, part, lambda block: _cesaro_weight(block, n, h), x)
+    if route == "naive":
         total = _Kahan()
         for combo in itertools.product(range(1, n + 1), repeat=part.k):
             powers = [np.linalg.matrix_power(t, combo[a - 1]) for t, a in zip(mats, part.alpha)]
@@ -849,19 +846,10 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
                 powers[0] = powers[0] @ x
             total.add(_chain(powers, connectors))
         return total.s / float(n) ** part.k
-
-    if strategy != "presum":
-        raise ValidationError(f"unknown strategy {strategy!r}, expected {'|'.join(STRATEGIES)}")
-    _refuse_beyond(
-        _estimate_cost("presum", n, part), budget, _stack_bytes(mats, part.plan.stacked, n),
-        f"{route}, {depth}={n}, lattice axes={len(part.plan.crossing)}", remedy,
-    )
-    if h is None:
-        stack = _per_matrix(mats, lambda t: _power_stack(t, n))
-        single = _per_matrix(mats, lambda t: _power_sum(t, n) / n)
-    else:  # a midpoint grid's mean runs over P^0 .. P^(Q-1)
-        stack = _per_matrix(mats, lambda t: _power_stack(t, n, first=0))
-        single = _per_matrix(mats, lambda t: (np.eye(d) + _power_sum(t, n - 1)) / n)
+    first = 1 if h is None else 0  # a midpoint grid's mean runs over P^0 .. P^(Q-1)
+    stack = _per_matrix(mats, lambda t: _power_stack(t, n, first))
+    single = _per_matrix(mats, lambda t: (_power_sum(t, n) if first
+                                          else np.eye(d) + _power_sum(t, n - 1)) / n)
     return _contract(part, connectors, stack, single, np.broadcast_to(1 / n, (n,)), x)
 
 

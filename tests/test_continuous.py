@@ -866,6 +866,35 @@ def test_midpoint_at_a_billion_nodes_builds_nothing_of_length_q():
     assert got.error_estimate <= 1e-13
 
 
+@pytest.mark.parametrize("e", [63, 64, 70, 200])
+@pytest.mark.parametrize("which", ["single", "gate 8"])
+def test_midpoint_closed_form_holds_at_any_q(which, e):
+    # the stable exponent lam h Q is lam t at every Q; a cap at 2^64, where a
+    # discrete |lam|^n has underflowed, read it as lam t 2^64 / Q (0.62 off at 2^200)
+    if which == "single":
+        sg = synth_semigroup(["0"], [-0.5], OrthonormalBasis(3))
+        sys_, t, want = make_continuous_system([1], [sg]), 1.0, _exact_mean(sg, 1.0)
+    else:
+        sys_, t = _gate8_system(), 2.0
+        sg1, sg2 = sys_.semigroups
+        want = _exact_chain_integral(sg2, sys_.connectors[0], sg1, t)
+    got = continuous_entangled_average(sys_, t, QuadratureSpec("midpoint", 2**e))
+    assert np.linalg.norm(got.value - want) <= 1e-14 * np.linalg.norm(want)
+    assert got.error_estimate < 1e-14
+
+
+@pytest.mark.parametrize("e", [30, 40, 50, 70, 200])
+def test_midpoint_negative_frequency_keeps_its_digits_as_h_goes_to_zero(e):
+    # -1/2 h mod 1 read in [0, 1) sits just below 1, and the float shift by a turn
+    # lost the small angle's digits: 1e-6 off at Q = 2^40, with an estimate of 3e-16
+    sg1 = synth_semigroup(["0", "1/2"], [-0.5], OrthonormalBasis(7))
+    sg2 = synth_semigroup(["0", "-1/2"], [-1.0], OrthonormalBasis(8))
+    want = _exact_chain_integral(sg2, np.eye(3), sg1, 8.0)
+    got = continuous_entangled_average(make_continuous_system([1, 1], [sg1, sg2]), 8.0,
+                                       QuadratureSpec("midpoint", 2**e))
+    assert np.linalg.norm(got.value - want) <= 1e-14 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("alpha", [[1, 1, 1], [1, 1, 1, 1]])
 def test_midpoint_peak_memory_stays_under_the_discrete_count(alpha):
     # the step weight keeps log z on the near cells instead of z: no grid more

@@ -35,6 +35,7 @@ from entlab.errors import (
     NotSurjectiveError,
     ValidationError,
 )
+from entlab.operators import OrthonormalBasis, synth_operator
 from entlab.rng import CounterRng
 
 
@@ -422,6 +423,19 @@ def test_generalized_power_average_weight_count_checked():
 # ------------------------------------------------------ spectral Cesaro weight
 
 
+def test_resonance_decisions_held_by_an_operator_are_cleared_at_64():
+    lead = synth_operator(["0", "1/2"], [0.5], OrthonormalBasis(40))
+    others = [synth_operator(["0", "1/2"], [0.3j], OrthonormalBasis(41 + j)) for j in range(70)]
+    sizes = []
+    for op in others:  # one block decision per (lead, op) pair
+        entangled_average(make_system([1, 1], [lead, op]), 50)
+        sizes.append(len(lead._decided))
+    assert max(sizes) == 64 and sizes[-1] < 64  # cleared once, then filled again
+    sys_ = make_system([1, 1], [lead, others[-1]])
+    want = entangled_average(sys_, 50, strategy="presum")
+    assert np.linalg.norm(entangled_average(sys_, 50) - want) <= 1e-12 * np.linalg.norm(want)
+
+
 _ANGLE = st.builds(Fraction, st.integers(-(10**7), 10**7), st.integers(1, 10**6))
 
 
@@ -434,5 +448,5 @@ def test_exact_phases_are_the_fraction_phases_bit_for_bit(angles, n, t, q, step)
     h = Fraction(t) / q if step else None
     ah = [a if h is None else a * h for a in angles]
     phi, n_phi = entangle._exact_phases(angles, n, h)
-    assert [x.hex() for x in phi] == [float(x % 1).hex() for x in ah]
+    assert [x.hex() for x in phi] == [float(x % 1 - (x % 1 > Fraction(1, 2))).hex() for x in ah]
     assert [x.hex() for x in n_phi] == [float(n * x % 1).hex() for x in ah]

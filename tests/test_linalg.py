@@ -433,3 +433,18 @@ def test_cluster_eigenvalues_mostly_singletons_match_loop_bytes(seed):
     for (c, g), (wc, wg) in zip(got, want):
         assert c == wc and type(c) is complex
         assert g.dtype == wg.dtype and g.shape == wg.shape and g.tobytes() == wg.tobytes()
+
+
+def test_expm_refuses_a_two_dimensional_time_array():
+    with pytest.raises(DimensionMismatchError, match="1-D"):
+        linalg.expm(np.eye(2), np.ones((2, 2)))
+
+
+def test_expm_of_no_times_is_an_empty_stack():
+    out = linalg.expm(np.eye(3), np.array([]))
+    assert out.shape == (0, 3, 3) and out.dtype == np.complex128
+
+
+def test_haar_unitary_past_the_dimension_cap_is_refused():
+    with pytest.raises(DimensionMismatchError, match="exceeds cap 512"):
+        linalg.haar_unitary(linalg.DIM_CAP + 1, 0)

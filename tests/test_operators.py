@@ -542,3 +542,24 @@ def test_projection_schur_route_without_certificate():
     assert np.allclose(p @ p, p, atol=1e-10)
     # normal matrix: projection is orthogonal, norm 1
     assert linalg.spectral_norm(p) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_synth_operator_past_the_dimension_cap_is_refused():
+    with pytest.raises(DimensionMismatchError, match="dimension 513 exceeds cap 512"):
+        synth_operator([], [0.5] * (linalg.DIM_CAP + 1), OrthonormalBasis(1))
+
+
+def test_synth_operator_refuses_an_unknown_basis_spec():
+    with pytest.raises(ValidationError, match="unknown basis spec"):
+        synth_operator(["0"], [0.5], "orthonormal")
+
+
+def test_similarity_whose_condition_cap_cannot_be_met_is_refused():
+    # cond_2(S) >= 1 for every S, so no rescaling meets a cap of 0.5
+    with pytest.raises(ValidationError, match="condition cap"):
+        synth_operator(["0"], [0.5], RandomSimilarity(3, condition_cap=0.5))
+
+
+def test_exact_point_sorts_by_its_angle():
+    point = operators.SpectralPoint(operators.angle_value(Fraction(1, 3)), 1, Fraction(1, 3))
+    assert point.key() == (0, Fraction(1, 3))

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import entangle, linalg, operators
+from entlab import continuous, entangle, linalg, operators
 from entlab.cli import main
 from entlab.continuous import (
     QuadratureSpec,
@@ -667,3 +667,62 @@ def test_spectral_matches_presum_on_three_nested_blocks_at_d12(n):
     sys_ = _certified_system([1, 2, 3, 3, 2, 1], d=12)
     presum = entangled_average(sys_, n, strategy="presum")
     assert np.linalg.norm(entangled_average(sys_, n) - presum) <= 1e-12 * np.linalg.norm(presum)
+
+
+# ---------------------------------------------- one route decision for every finite mean
+
+
+def _semigroup_system(raw):
+    """alpha = [1, 2, 1] generators of dimension 3 and 4: certified, or raw with a
+    defective stable part, which carries no eigenbasis record."""
+    if raw:
+        rot = np.array([[0.0, -np.pi], [np.pi, 0.0]])
+        jordan = np.array([[-0.5, 1.0], [0.0, -0.5]])
+        sgs = [semigroup_from_generator(np.block([[jordan, np.zeros((2, 2))],
+                                                  [np.zeros((2, 2)), rot]]))] * 3
+    else:
+        sgs = [synth_semigroup(["1/2", "0"], [-0.3 + 0.9j], OrthonormalBasis(900 + j))
+               for j in range(3)]
+    conns = [linalg.haar_unitary(sgs[0].dim, seed=910 + j) for j in range(2)]
+    return make_continuous_system([1, 2, 1], sgs, conns)
+
+
+# each finite mean: (depth name, system builder, call); the continuous means' Richardson
+# grid at Q = 20 is decided first
+_MEANS = {
+    "entangled": ("n", lambda raw: _recordless_system([1, 2, 1], 1e-9) if raw
+                  else _certified_system([1, 2, 1]),
+                  lambda s, **kw: entangled_average(s, 10, **kw)),
+    "stacked": ("n", lambda raw: stacked_system(_recordless_system([1, 2, 1], 1e-9) if raw
+                                                else _certified_system([1, 2, 1])),
+                lambda s, **kw: stacked_average(s, 10, **kw)),
+    "midpoint": ("Q", _semigroup_system, lambda s, **kw: continuous_entangled_average(
+        s, 2.0, QuadratureSpec("midpoint", 10), **kw)),
+    "gauss-legendre": ("Q", _semigroup_system, lambda s, **kw: continuous_entangled_average(
+        s, 2.0, QuadratureSpec("gauss-legendre", 10), **kw)),
+}
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["certified", "raw"])
+@pytest.mark.parametrize("mean", list(_MEANS))
+def test_every_finite_mean_refuses_with_one_wording_and_one_remedy(mean, raw):
+    depth, build, call = _MEANS[mean]
+    route = (r"strategy=spectral fell back to presum \(.+\), {0}=\d+, lattice axes=\d+" if raw
+             else r"strategy=spectral, {0}=\d+, largest block grid=\d+\^2").format(depth)
+    with pytest.raises(BudgetExceededError, match=rf"^estimated cost .* exceeds budget "
+                       rf"1\.000e\+00 \({route}\); raise the budget, lower {depth}, "
+                       rf"or switch strategy$"):
+        call(build(raw), budget=1)
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["certified", "raw"])
+@pytest.mark.parametrize("mean", list(_MEANS))
+def test_unknown_strategy_is_refused_before_any_work(monkeypatch, mean, raw):
+    _, build, call = _MEANS[mean]
+    system = build(raw)
+    for module, name in [(entangle, "_power_stack"), (entangle, "_power_sum"),
+                         (entangle, "_cesaro_weight"), (linalg, "expm"),
+                         (continuous, "_step_pair"), (continuous, "_quadrature_weight")]:
+        monkeypatch.setattr(module, name, _never)
+    with pytest.raises(ValidationError, match="unknown strategy 'turbo'"):
+        call(system, strategy="turbo")

@@ -333,3 +333,13 @@ def test_divergence_refuses_a_sequence_with_non_integer_values():
 
     with pytest.raises(ValidationError, match="integer values"):
         divergence_experiment([3], f=Half())
+
+
+def test_sparse_vector_repr_lists_its_support_in_order():
+    assert repr(SparseZVector({2: 1, -1: Fraction(1, 2)})) == \
+        "SparseZVector({-1: Fraction(1, 2), 2: 1})"
+
+
+def test_shift_power_must_be_an_integer():
+    with pytest.raises(ValidationError, match="shift power must be an integer"):
+        shift_apply(SparseZVector.basis(0), 1.5)
