@@ -263,9 +263,6 @@ _TABLES = {
     "stacking-test": {**_RUN, **_DISCRETE, **_STATE, "schedule": (None, _DEPTHS)},
     "continuous": {
         **_RUN,
-        "strategy": ("spectral", _check(
-            lambda s: s != "naive", "continuous time has no naive route; use spectral or presum",
-            _one_of(*entangle.STRATEGIES))),
         **_system("continuous"),
         **_STATE,
         "horizons": (None, _list(_check(lambda t: t > 0, "horizons are positive", _real),

@@ -18,15 +18,16 @@ The limit is limit_operator's on the imaginary axis: eigenvalues
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .entangle import (EntangledSystem, Partition, _contract, _estimate_cost, _evaluate_discrete,
-                       _per_matrix, _record_mean, _resonant_to_one, _route, _spectral_bytes,
-                       _stack_bytes, _state, _validate_system)
+from .entangle import (EntangledSystem, Partition, _check_strategy, _contract, _estimate_cost,
+                       _evaluate_discrete, _per_matrix, _record_mean, _resonant_to_one, _route,
+                       _spectral_bytes, _stack_bytes, _state, _validate_system)
 from .errors import (
     BudgetExceededError,
     NonConvergenceError,
@@ -326,10 +327,13 @@ def _midpoint_average(system, t, quad: QuadratureSpec, x, budget, strategy):
     connectors A_j E_j, refused or run by entangle._evaluate_discrete with
     the exact step h for the spectral weight.  E, not e^{-hB/2}, which would
     amplify rounding by e^{|Re lam| h/2} on a stiff generator.  The norm cap
-    is checked at t - h/2, not on nodes."""
+    is checked at t - h/2, not on nodes.  Q and h must be normal floats."""
     q = quad._size(t)
     h = Fraction(t) / q
-    _check_horizon(system, t - t / (2 * q))
+    if q > sys.float_info.max or float(h) < sys.float_info.min:  # int > float is exact
+        raise BudgetExceededError(f"midpoint grid of Q >= 2^{q.bit_length() - 1} points over "
+                                  f"t={t:g} leaves the normal float range; lower Q")
+    _check_horizon(system, t - float(h) / 2)
     steps = _per_matrix(system.semigroups, lambda sg: _step_pair(sg, float(h)))
     mats, halves = zip(*(steps(j) for j in range(system.partition.m)))
     conns = [a @ half for a, half in zip(system.connectors, halves)]
@@ -399,13 +403,13 @@ def continuous_entangled_average(
     per block when every generator carries an eigenbasis record and the grid
     fits the memory cap, else ``presum``: one batched expm per generator.
 
-    ``naive`` and unknown strategies are refused with ValidationError.  Q, t,
-    costs and a last node past the exponential's norm cap (for Gauss-Legendre
-    the horizon t, which bounds it) are refused before any work, each rule's
-    in the function that runs it; with richardson=True the doubled grid,
-    whose difference from the requested one is the error estimate (at about
-    3x the cost), runs first, and since cost and memory only grow with Q its
-    refusals cover the requested grid's.
+    An unknown strategy is refused with ValidationError.  Q, t, costs and a
+    last node past the exponential's norm cap (for Gauss-Legendre the horizon
+    t, which bounds it) are refused before any work, each rule's in the
+    function that runs it; with richardson=True the doubled grid, whose
+    difference from the requested one is the error estimate (at about 3x the
+    cost), runs first, and since cost and memory only grow with Q its refusals
+    cover the requested grid's.
 
     Sampling well below the fastest frequency aliases the oscillation; keep
     Q at 20 or more points per period (see suggest_points).
@@ -413,10 +417,7 @@ def continuous_entangled_average(
     _require_bounded(_on_clock(system.operators, CONTINUOUS))
     x = _state(x, system.dim)
     quad._size(t)  # Q and t are refused before the doubled grid runs
-    if strategy not in ("spectral", "presum"):  # before the midpoint rule's steps
-        raise ValidationError("continuous time has no naive route; use spectral or presum"
-                              if strategy == "naive" else
-                              f"unknown strategy {strategy!r}, expected spectral|presum")
+    _check_strategy(strategy)  # before the midpoint rule's steps
     average = _midpoint_average if quad.scheme == "midpoint" else _gauss_legendre_average
     grids = [QuadratureSpec(quad.scheme, 2 * quad.points), quad] if richardson else [quad]
     *finer, value = [average(system, float(t), grid, x, budget, strategy) for grid in grids]

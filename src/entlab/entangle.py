@@ -10,7 +10,7 @@ connecting operators.  Positions sharing a block are entangled: they are
 driven by the same lattice variable, which is what makes the average refuse
 to factor into a product of one-variable means.
 
-Three evaluation strategies:
+Two evaluation strategies:
 
 * ``spectral`` the closed form, default.  When every T_j carries an
   eigenbasis record T_j = S_j diag(lam_j) S_j^{-1} (exact for a synthesized
@@ -21,8 +21,6 @@ Three evaluation strategies:
   resonant cells), at a cost free of n.  ``_spectral_mean``, the contraction
   of both means and both limits, follows presum's plan.  Without a record on
   every position, or past the memory cap, it falls back to ``presum``.
-* ``naive``   recomputes every operator power per lattice tuple (binary
-  powering, nothing cached).  Slow on purpose; it is the reference route.
 * ``presum``  the contraction planner.  A block whose positions are
   adjacent once the blocks nested inside it are collapsed reduces exactly to
   one fixed matrix: a singleton block to the power mean (1/n) sum T^j, built
@@ -66,7 +64,7 @@ from .operators import (DISCRETE, EIGENBASIS_COND_CAP, SpectralOperator, Spectra
                         _require_bounded, angle_value, as_operator, parse_angle)
 
 MEMORY_CAP_BYTES = 2 << 30  # refuse power stacks beyond 2 GiB
-STRATEGIES = ("naive", "presum", "spectral")
+STRATEGIES = ("presum", "spectral")
 RESONANCE_TOL = 1e-8  # limits' default tol, and the tol of the means' snap (_resonant_to_one)
 
 
@@ -293,8 +291,8 @@ class Plan:
         """Chain-step products: n (2r - 1) per collapsed r-position block,
         `single` per singleton block, n^k_cross (2 m_cross - 1) for the rest."""
         total = sum(n * (2 * len(s) - 1) if len(s) > 1 else single for s in self.spans)
-        if self.crossing:
-            total += float(n) ** len(self.crossing) * (2 * self.remaining - 1)
+        if self.crossing:  # a product of floats reads inf past their range, where ** raises
+            total += math.prod([float(n)] * len(self.crossing)) * (2 * self.remaining - 1)
         return total
 
     def grids(self, d: int) -> tuple[float, float]:
@@ -382,16 +380,12 @@ def _contract(part: Partition, connectors, stack, single, weights, x=None):
 def _estimate_cost(strategy: str, n: int, part: Partition, d: int = 1) -> float:
     """Documented cost model, in units of one chain-step product (d^3 flops).
 
-    naive    : n^k * (2m - 1 + m * ceil(log2 n))
     presum   : the plan's cost, with 3 bit_length(n) products per singleton
     spectral : m + 1 products for cores and bases, plus (G + X) (m + k) / d^3
                over the largest block grid G and crossing remainder's X (Plan.grids)
     """
-    m, k = part.m, part.k
-    if strategy == "naive":
-        return float(n) ** k * (2 * m - 1 + m * max(1, int(np.ceil(np.log2(max(n, 2))))))
     if strategy == "spectral":
-        return m + 1 + sum(part.plan.grids(d)) * (m + k) / d**3
+        return part.m + 1 + sum(part.plan.grids(d)) * (part.m + part.k) / d**3
     return part.plan.cost(n, 3 * n.bit_length())
 
 
@@ -784,6 +778,12 @@ def _spectral_bytes(part: Partition, d: int) -> float:
     return 16 * (crossing + part.m * d * d + np.getbufsize()) + 72 * largest
 
 
+def _check_strategy(strategy) -> None:
+    """ValidationError unless strategy is one of STRATEGIES: every mean's one refusal of it."""
+    if strategy not in STRATEGIES:
+        raise ValidationError(f"unknown strategy {strategy!r}, expected {'|'.join(STRATEGIES)}")
+
+
 def _route(strategy, budget, members, part: Partition, d: int, n: int, depth: str, price) -> str:
     """Decide, price and refuse the route of one finite mean, before any work.
 
@@ -792,8 +792,7 @@ def _route(strategy, budget, members, part: Partition, d: int, n: int, depth: st
     name the reason.  price(route) is the caller's (cost, bytes), bytes being
     presum's power stacks; depth names n in refusals ("n", or a rule's "Q").
     """
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"unknown strategy {strategy!r}, expected {'|'.join(STRATEGIES)}")
+    _check_strategy(strategy)
     if budget is not None and np.isnan(budget):
         raise ValidationError("budget must be a number or None, got nan")
     route, fallback = strategy, None
@@ -814,7 +813,7 @@ def _route(strategy, budget, members, part: Partition, d: int, n: int, depth: st
             crossing = f", crossing grid={d}^{part.plan.remaining}" if part.plan.crossing else ""
             grids = f"largest block grid={d}^{part.plan.widest}{crossing}"
         else:
-            grids = f"lattice axes={part.k if route == 'naive' else len(part.plan.crossing)}"
+            grids = f"lattice axes={len(part.plan.crossing)}"
         asked = f"spectral fell back to presum ({fallback})" if fallback else route
         detail = f"strategy={asked}, {depth}={n}, {grids}"
         remedy = f"raise the budget, lower {depth}, or switch strategy"
@@ -838,14 +837,6 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
     route = _route(strategy, budget, members, part, d, n, "n" if h is None else "Q", price)
     if route == "spectral":
         return _record_mean(members, connectors, part, lambda block: _cesaro_weight(block, n, h), x)
-    if route == "naive":
-        total = _Kahan()
-        for combo in itertools.product(range(1, n + 1), repeat=part.k):
-            powers = [np.linalg.matrix_power(t, combo[a - 1]) for t, a in zip(mats, part.alpha)]
-            if x is not None:
-                powers[0] = powers[0] @ x
-            total.add(_chain(powers, connectors))
-        return total.s / float(n) ** part.k
     first = 1 if h is None else 0  # a midpoint grid's mean runs over P^0 .. P^(Q-1)
     stack = _per_matrix(mats, lambda t: _power_stack(t, n, first))
     single = _per_matrix(mats, lambda t: (_power_sum(t, n) if first
@@ -879,7 +870,6 @@ def entangled_average(
     Cost is estimated up front in units of one d x d chain-step product
     (one batched matmul row, or one matvec when x is given):
 
-        naive    : n^k * (2m - 1 + m ceil(log2 n))
         presum   : sum over collapsed blocks of n (2r - 1)   (r positions, r >= 2)
                    + 3 bit_length(n) per singleton block
                    + n^k_cross * (2 m_cross - 1)

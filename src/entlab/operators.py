@@ -11,7 +11,6 @@ one float eig when cond_2(V) <= EIGENBASIS_COND_CAP.  Operators are immutable.
 
 Spectral projections take one of two routes (_boundary_basis): the record,
 or a Schur form with Sylvester decoupling, the one route that loads SciPy.
-Cesaro partial means are kept as an independent route for the tests.
 """
 
 from __future__ import annotations
@@ -612,30 +611,13 @@ def _parse_target(lam) -> tuple[complex, Fraction | None]:
     return val, None
 
 
-def mean_ergodic_projection(op, lam, mode: str = "spectral", n: int | None = None):
+def mean_ergodic_projection(op, lam):
     """Projection onto ker(T - lambda) along ran(T - lambda).
 
     lam may be a complex number on the unit circle or an exact angle (Fraction,
-    'p/q' string, (p, q) tuple, int).  mode 'spectral' reads the eigenbasis
-    record or a Schur split (_boundary_basis), exact up to linear algebra;
-    mode 'cesaro' returns the partial mean (1/n) sum_{j=1..n} (conj(lambda) T)^j,
-    which converges to the same projection at rate O(1/n) and is kept as the
-    independent route for tests.  Off-spectrum lam gives the zero matrix.
+    'p/q' string, (p, q) tuple, int).  It reads the eigenbasis record or a Schur
+    split (_boundary_basis), exact up to linear algebra; the Cesaro mean
+    (1/n) sum_{j=1..n} (conj(lambda) T)^j converges to it at rate O(1/n).
+    Off-spectrum lam gives the zero matrix.
     """
-    op = as_operator(op)
-    value, fr = _parse_target(lam)
-
-    if mode == "cesaro":
-        n = linalg._positive_int(n, "cesaro depth n")
-        _require_bounded([op])
-        m = np.conj(value) * op.matrix
-        # Horner form of sum_{j=1..n} M^j without storing powers
-        g = m.copy()
-        eye = np.eye(op.dim, dtype=np.complex128)
-        for _ in range(n - 1):
-            g = m @ (g + eye)
-        return g / n
-    if mode != "spectral":
-        raise ValidationError(f"unknown mode {mode!r}")
-
-    return _boundary_projection(op, value, fr)
+    return _boundary_projection(as_operator(op), *_parse_target(lam))

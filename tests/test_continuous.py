@@ -9,6 +9,7 @@ code, so agreement is a real test of the grid evaluator.
 """
 
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -728,10 +729,11 @@ def test_spectral_cost_counts_q_node_sums_per_grid_cell():
         )
 
 
-@pytest.mark.parametrize("strategy, match", [("naive", "no naive route"), ("turbo", "unknown")])
+@pytest.mark.parametrize("strategy, match", [("naive", "unknown"), ("turbo", "unknown")])
 def test_strategy_without_a_continuous_route_is_refused(strategy, match):
-    with pytest.raises(ValidationError, match=match):
+    with pytest.raises(ValidationError, match=match) as refusal:
         continuous_entangled_average(_one_frequency_system(), 1.0, strategy=strategy)
+    assert str(refusal.value).endswith("expected presum|spectral")
 
 
 @pytest.mark.parametrize("alpha, q", [([1, 1, 1], 400), ([1, 1, 1, 1], 4)])
@@ -881,6 +883,41 @@ def test_midpoint_closed_form_holds_at_any_q(which, e):
     got = continuous_entangled_average(sys_, t, QuadratureSpec("midpoint", 2**e))
     assert np.linalg.norm(got.value - want) <= 1e-14 * np.linalg.norm(want)
     assert got.error_estimate < 1e-14
+
+
+@pytest.mark.parametrize("richardson", [False, True], ids=["plain", "richardson"])
+@pytest.mark.parametrize("t, e", [(1.0, 1022), (1.0, 1023), (1.0, 1100), (4.0, 1023),
+                                  (4.0, 1024)])
+def test_midpoint_past_the_float_range_runs_or_is_refused_by_name(monkeypatch, t, e, richardson):
+    # t - t / (2Q) raised a bare OverflowError from Q = 2^1022 with Richardson on, and a
+    # step t/Q below the normal range made the weight NaN: Q and h must be normal floats
+    sg = synth_semigroup(["0"], [-0.5], OrthonormalBasis(3))
+    sys_, quad = make_continuous_system([1], [sg]), QuadratureSpec("midpoint", 2**e)
+    q = 2 ** (e + richardson)  # the grid that runs first
+    if q <= sys.float_info.max and t / q >= sys.float_info.min:
+        got = continuous_entangled_average(sys_, t, quad, richardson=richardson)
+        want = _exact_mean(sg, t)
+        assert np.linalg.norm(got.value - want) <= 1e-14 * np.linalg.norm(want)
+        return
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(continuous, "_step_pair", never)
+    with pytest.raises(BudgetExceededError, match="leaves the normal float range"):
+        continuous_entangled_average(sys_, t, quad, richardson=richardson)
+
+
+@pytest.mark.parametrize("e", [600, 1022])
+def test_presum_midpoint_past_the_float_range_is_refused_by_name(e):
+    # the crossing cost Q^2 overflowed float's ** with a bare OverflowError
+    sgs = [synth_semigroup(["0"], [-0.5], OrthonormalBasis(j)) for j in range(4)]
+    conns = [linalg.haar_unitary(2, seed=400 + j) for j in range(3)]
+    sys_ = make_continuous_system([1, 2, 1, 2], sgs, conns)
+    for budget, match in [(1e8, "estimated cost inf"), (None, "power stacks")]:
+        with pytest.raises(BudgetExceededError, match=match):
+            continuous_entangled_average(sys_, 1.0, QuadratureSpec("midpoint", 2**e),
+                                         budget=budget, richardson=False, strategy="presum")
 
 
 @pytest.mark.parametrize("e", [30, 40, 50, 70, 200])

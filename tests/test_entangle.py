@@ -1,10 +1,10 @@
 """Tests for the entangled-average evaluator and its stacked twin.
 
-The reference implementation used throughout is `_brute_average` below: a
-literal nested loop over the index lattice that re-raises every operator
-power from scratch.  It shares no code with the production evaluator (no
-stacking, no compensated sums, no pre-averaging), so agreement between the
-two is a genuine cross-check, not a tautology.
+The reference used throughout is `oracle.brute_average`: a literal loop over
+the index lattice that re-raises every operator power from scratch.  It
+shares no code with the production evaluator (no plan, no power stacks, no
+spectral weights), so agreement between the two is a genuine cross-check,
+not a tautology.
 """
 
 import itertools
@@ -37,26 +37,7 @@ from entlab.errors import (
 )
 from entlab.operators import OrthonormalBasis, synth_operator
 from entlab.rng import CounterRng
-
-
-def _brute_average(system, n):
-    """Nested-loop reference: mean over the full lattice, powers recomputed."""
-    part, d = system.partition, system.dim
-    total = np.zeros((d, d), dtype=np.complex128)
-    for combo in itertools.product(range(1, n + 1), repeat=part.k):
-        prod = np.linalg.matrix_power(
-            system.operators[0].matrix, combo[part.alpha[0] - 1]
-        )
-        for j in range(1, part.m):
-            prod = system.connectors[j - 1] @ prod
-            prod = (
-                np.linalg.matrix_power(
-                    system.operators[j].matrix, combo[part.alpha[j] - 1]
-                )
-                @ prod
-            )
-        total = total + prod
-    return total / float(n) ** part.k
+from oracle import brute_average
 
 
 def _unitary_system(alpha, d, seed, connectors="haar"):
@@ -179,8 +160,8 @@ def test_state_shape_validation():
 def test_all_strategies_match_brute_reference(alpha):
     sys_ = _unitary_system(alpha, d=3, seed=40 + len(alpha))
     n = 5
-    ref = _brute_average(sys_, n)
-    for strategy in ("naive", "presum"):
+    ref = brute_average(sys_, n)
+    for strategy in entangle.STRATEGIES:
         got = entangled_average(sys_, n, strategy=strategy)
         assert np.linalg.norm(got - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
 
@@ -194,8 +175,8 @@ def test_strategies_agree_with_nonnormal_operators():
     ]
     conns = [CounterRng(9).complex_normal((3, 3)) / 3.0]
     sys_ = make_system([1, 1], ops, conns)
-    ref = _brute_average(sys_, 6)
-    for strategy in ("naive", "presum"):
+    ref = brute_average(sys_, 6)
+    for strategy in entangle.STRATEGIES:
         got = entangled_average(sys_, 6, strategy=strategy)
         assert np.linalg.norm(got - ref) <= 1e-10
 
@@ -214,7 +195,7 @@ def test_unknown_strategy_rejected():
 )
 def test_strategy_agreement_property(seed, alpha, n):
     sys_ = _unitary_system(alpha, d=2, seed=seed, connectors="haar")
-    a = entangled_average(sys_, n, strategy="naive")
+    a = brute_average(sys_, n)
     b = entangled_average(sys_, n, strategy="presum")
     assert np.linalg.norm(a - b) <= 1e-10
 
@@ -227,8 +208,7 @@ def test_vector_mode_matches_operator_mode():
     x = CounterRng(5).complex_normal((4,))
     x = x / np.linalg.norm(x)
     full = entangled_average(sys_, 6)
-    for strategy in ("naive", "presum"):
-        vec = entangled_average(sys_, 6, x=x, strategy=strategy)
+    for vec in (brute_average(sys_, 6, x), entangled_average(sys_, 6, x=x, strategy="presum")):
         assert vec.shape == (4,)
         assert np.linalg.norm(vec - full @ x) <= 1e-12
 
@@ -252,8 +232,7 @@ def test_bijective_alpha_factorizes_exactly():
         return acc / n
 
     factored = power_mean(t2) @ a1 @ power_mean(t1)
-    for strategy in ("naive", "presum"):
-        got = entangled_average(sys_, n, strategy=strategy)
+    for got in (brute_average(sys_, n), entangled_average(sys_, n, strategy="presum")):
         assert np.linalg.norm(got - factored) <= 1e-12
 
 
@@ -278,12 +257,9 @@ def test_memory_cap_refusal_mentions_footprint():
         entangled_average(sys_, 10_000_000, strategy="presum", budget=None)
 
 
-def test_naive_strategy_costs_more_than_presum():
+def test_presum_singleton_cost_is_logarithmic():
     from entlab.entangle import _estimate_cost
 
-    part = make_partition([1, 2, 1])
-    assert _estimate_cost("naive", 100, part) > _estimate_cost("presum", 100, part)
-    # presum on singleton blocks costs O(log n)
     assert _estimate_cost("presum", 10_000, make_partition([1, 2])) < 1e5
 
 

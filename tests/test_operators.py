@@ -1,7 +1,8 @@
 """Tests for spectral operators, projections and the reversible/stable split.
 
 Dual routes are exercised wherever two exist: certificate masks against
-Schur projections, spectral projections against Cesaro partial means.
+Schur projections, spectral projections against Cesaro partial means from
+the test oracle (oracle.brute_average at alpha = [1]).
 Tolerances follow the documented contracts (1e-10 scaled algebra for the
 splitting, O(1/n) for Cesaro convergence).
 """
@@ -38,6 +39,7 @@ from entlab.operators import (
     synth_operator,
 )
 from entlab.spectral_limit import limit_operator
+from oracle import brute_average
 
 # ------------------------------------------------------------------- angles
 
@@ -417,6 +419,11 @@ def test_jdl_split_requires_power_boundedness():
         jdl_split(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def _cesaro_mean(op, lam, n):
+    """(1/n) sum_{j=1..n} (conj(lam) T)^j: the oracle's mean at alpha = [1] on conj(lam) T."""
+    return brute_average(make_system([1], [np.conj(lam) * op.matrix]), n)
+
+
 def _chained_cluster(center=0.0, jordan=False):
     """U diag(e^{i (k 0.9e-8 + center)}, k = 0..3; stable) U^H: single linkage chains the
     four values into one point of multiplicity 4, two of them beyond CLUSTER_TOL of its
@@ -435,7 +442,7 @@ def test_chained_boundary_cluster_projects_with_its_multiplicity():
     p = mean_ergodic_projection(op, point.value)
     assert np.trace(p).real == pytest.approx(4.0, abs=1e-12)
     assert np.linalg.norm(p @ p - p) <= 1e-12
-    cesaro = mean_ergodic_projection(op, point.value, mode="cesaro", n=1000)
+    cesaro = _cesaro_mean(op, point.value, 1000)
     assert np.linalg.norm(p - cesaro) <= 2e-3
     assert np.linalg.norm(jdl_split(op).p_r - p) <= 1e-12
     centered = _chained_cluster(center=-1.35e-8)  # the point within tol of 1 resonates
@@ -451,7 +458,7 @@ def test_chained_boundary_cluster_is_found_from_a_member_on_a_float_record():
     assert abs(op.unimodular_spectrum[0].value - 1.0) > 1.3e-8
     p = mean_ergodic_projection(op, 1.0)
     assert np.trace(p).real == pytest.approx(4.0, abs=1e-12)
-    cesaro = mean_ergodic_projection(op, 1.0, mode="cesaro", n=1000)
+    cesaro = _cesaro_mean(op, 1.0, 1000)
     assert np.max(np.abs(p - cesaro)) <= 1e-3
 
 
@@ -500,7 +507,7 @@ def test_projection_cesaro_route_converges_at_one_over_n():
     exact = mean_ergodic_projection(op, "0")
     errs = {}
     for n in (128, 512, 2048):
-        approx = mean_ergodic_projection(op, "0", mode="cesaro", n=n)
+        approx = _cesaro_mean(op, operators.angle_value(Fraction(0)), n)
         errs[n] = np.linalg.norm(approx - exact)
     # |1 - e^{2pi i/3}| = sqrt(3) dominates: err <= 2/(n sqrt(3)) + stable tail
     assert errs[2048] <= 2.0 / (2048 * np.sqrt(3.0)) + 1.0 / 2048
@@ -511,27 +518,16 @@ def test_projection_cesaro_route_converges_at_one_over_n():
 def test_projection_cesaro_route_at_nontrivial_angle():
     op = synth_operator(["1/4", "0"], [0.3], OrthonormalBasis(seed=19))
     exact = mean_ergodic_projection(op, "1/4")
-    approx = mean_ergodic_projection(op, "1/4", mode="cesaro", n=4096)
+    approx = _cesaro_mean(op, operators.angle_value(Fraction(1, 4)), 4096)
     assert np.linalg.norm(approx - exact) <= 1e-3
-
-
-def test_projection_cesaro_needs_depth_and_boundedness():
-    op = synth_operator(["0"], [], OrthonormalBasis(seed=20))
-    for bad in (None, 0, -3, 2.5, True, "8"):
-        with pytest.raises(ValidationError):
-            mean_ergodic_projection(op, "0", mode="cesaro", n=bad)
-    with pytest.raises(NotPowerBoundedError):
-        mean_ergodic_projection(
-            np.array([[1.0, 1.0], [0.0, 1.0]]), "0", mode="cesaro", n=8
-        )
 
 
 def test_projection_rejects_nonunimodular_target_and_bad_mode():
     op = synth_operator(["0"], [], OrthonormalBasis(seed=22))
     with pytest.raises(NotUnimodularError):
         mean_ergodic_projection(op, 0.5 + 0.0j)
-    with pytest.raises(ValidationError):
-        mean_ergodic_projection(op, "0", mode="banana")
+    with pytest.raises(TypeError):  # the signature is (op, lam): no mode, Cesaro or other
+        mean_ergodic_projection(op, "0", mode="cesaro")
 
 
 def test_projection_schur_route_without_certificate():

@@ -2,9 +2,9 @@
 and the closed form behind strategy="spectral".
 
 The planner reorders the finite lattice sum, so it must agree with the
-`naive` strategy (every lattice tuple, powers recomputed by repeated
-squaring) to roundoff at every depth, on nested, crossing and bijective
-index maps alike; so must the closed form, which sums the same lattice in
+test oracle `oracle.brute_average` (every lattice tuple, powers recomputed
+by `matrix_power`) to roundoff at every depth, on nested, crossing and
+bijective index maps alike; so must the closed form, which sums the same lattice in
 the certificates' eigenbases.  The closed form is also checked where its
 weight is hard to evaluate: at N = 2^40 against the limit operator, and at
 an eigenvalue 1e-12 from 1.  The stacked form, the doubled power stacks and
@@ -14,6 +14,7 @@ runs as discrete time, against the full weighted lattice over the nodes.
 """
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,7 @@ from entlab.errors import BudgetExceededError, ValidationError
 from entlab.operators import OrthonormalBasis, RandomSimilarity, from_matrix, synth_operator
 from entlab.rng import CounterRng
 from entlab.spectral_limit import limit_operator
+from oracle import brute_average
 
 NESTED = [[1, 2, 2, 1], [1, 2, 3, 3, 2, 1], [2, 1, 2, 2]]
 # a singleton block at either end leaves a fixed factor right or left of the walk
@@ -98,7 +100,7 @@ def test_plan_collapses_nested_blocks_and_keeps_crossing_ones(alpha, spans, cros
     assert plan.remaining == remaining
 
 
-# ------------------------------------------------------ planner vs naive
+# ----------------------------------------------------- planner vs oracle
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,7 +119,7 @@ def test_planner_matches_naive(seed, alpha, d, n, similarity, vector, raw):
     if vector:
         x = CounterRng(seed + 1).complex_normal((d,))
         x = x / np.linalg.norm(x)
-    ref = entangled_average(sys_, n, strategy="naive", x=x, budget=None)
+    ref = brute_average(sys_, n, x)
     for strategy in ("presum", "spectral"):
         got = entangled_average(sys_, n, strategy=strategy, x=x)
         assert got.shape == ref.shape
@@ -133,7 +135,7 @@ def test_walk_with_fixed_factors_matches_naive(alpha, n, vector):
     d = 3
     sys_ = _random_system(alpha, d, 17, True)
     x = CounterRng(18).complex_normal((d,)) if vector else None
-    ref = entangled_average(sys_, n, strategy="naive", x=x, budget=None)
+    ref = brute_average(sys_, n, x)
     got = entangled_average(sys_, n, strategy="presum", x=x)
     assert got.shape == ref.shape
     assert _rel(got, ref) <= 1e-12
@@ -352,11 +354,13 @@ def test_crossing_alpha_at_depth_1e5_refused_before_work(monkeypatch):
         entangled_average(sys_, 100_000, strategy="presum")
 
 
-@pytest.mark.parametrize("strategy, n", [("presum", 100_000), ("naive", 64)])
+@pytest.mark.parametrize("strategy, n", [("presum", 100_000), ("spectral", 64)])
 def test_nan_budget_refused_before_work(monkeypatch, strategy, n):
     # NaN compares False with every cost, so it used to pass the budget check
     sys_ = _pair_system([1, 2, 1, 2])
     _forbid_work(monkeypatch)
+    for name in ("_cesaro_weight", "_spectral_mean"):
+        monkeypatch.setattr(entangle, name, _never)
     with pytest.raises(ValidationError, match="budget"):
         entangled_average(sys_, n, strategy=strategy, budget=float("nan"))
     with pytest.raises(ValidationError, match="budget"):
@@ -724,5 +728,7 @@ def test_unknown_strategy_is_refused_before_any_work(monkeypatch, mean, raw):
                          (entangle, "_cesaro_weight"), (linalg, "expm"),
                          (continuous, "_step_pair"), (continuous, "_quadrature_weight")]:
         monkeypatch.setattr(module, name, _never)
-    with pytest.raises(ValidationError, match="unknown strategy 'turbo'"):
-        call(system, strategy="turbo")
+    for strategy in ("turbo", "naive"):  # the brute-force mean is the tests' oracle.py
+        with pytest.raises(ValidationError, match=re.escape(
+                f"unknown strategy '{strategy}', expected presum|spectral")):
+            call(system, strategy=strategy)
