@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .entangle import (EntangledSystem, Partition, _check_strategy, _contract, _estimate_cost,
                        _evaluate_discrete, _per_matrix, _record_mean, _resonant_to_one, _route,
-                       _spectral_bytes, _stack_bytes, _state, _validate_system)
+                       _spectral_bytes, _stack_bytes, _state, _step, _validate_system)
 from .errors import (
     BudgetExceededError,
     NonConvergenceError,
@@ -93,6 +93,10 @@ class _ContinuousClock(Clock):
     def entry_value(self, entry) -> complex:
         """Eigenvalue of a resonance entry: resonant_tuples lists frequencies here."""
         return TWO_PI * 1j * float(entry)
+
+    def exponents(self, rec) -> np.ndarray:
+        """The eigenvalues mu themselves: a step e^{hB} has the eigenvalues e^{mu h}."""
+        return rec.eigenvalues
 
     def resonance_entry(self, point):
         """A point's exact frequency when known, else its float frequency."""
@@ -313,32 +317,25 @@ def _check_horizon(system, last: float):
         linalg.check_expm_horizon(sg.generator, last)
 
 
-def _step_pair(sg, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{hB}, e^{hB/2}) of a generator: from its eigenbasis record, else one batched expm."""
-    c, steps = sg.eigenbasis, (h, h / 2)
-    return tuple(linalg.expm(sg.generator, np.array(steps)) if c is None
-                 else [(c.basis * np.exp(c.eigenvalues * s)) @ c.basis_inv for s in steps])
-
-
 def _midpoint_average(system, t, quad: QuadratureSpec, x, budget, strategy):
     """The midpoint rule as discrete time: with h = t/Q, T(s_i) = E P^i at
     s_i = (i + 1/2) h for P = e^{hB} and E = e^{hB/2}, so the rule is E_m
     times the depth-Q mean over k = 0..Q-1 of the operators P_j with
     connectors A_j E_j, refused or run by entangle._evaluate_discrete with
-    the exact step h for the spectral weight.  E, not e^{-hB/2}, which would
-    amplify rounding by e^{|Re lam| h/2} on a stiff generator.  The norm cap
-    is checked at t - h/2, not on nodes.  Q and h must be normal floats."""
+    the exact step h for the spectral weight (only presum builds P).  E, not
+    e^{-hB/2}, which would amplify rounding by e^{|Re lam| h/2} on a stiff
+    generator.  The norm cap is checked at t - h/2.  Q and h must be normal floats."""
     q = quad._size(t)
     h = Fraction(t) / q
     if q > sys.float_info.max or float(h) < sys.float_info.min:  # int > float is exact
         raise BudgetExceededError(f"midpoint grid of Q >= 2^{q.bit_length() - 1} points over "
                                   f"t={t:g} leaves the normal float range; lower Q")
     _check_horizon(system, t - float(h) / 2)
-    steps = _per_matrix(system.semigroups, lambda sg: _step_pair(sg, float(h)))
-    mats, halves = zip(*(steps(j) for j in range(system.partition.m)))
-    conns = [a @ half for a, half in zip(system.connectors, halves)]
-    return halves[-1] @ _evaluate_discrete(list(mats), conns, system.partition, q, strategy, x,
-                                           budget, system.semigroups, h)
+    halves = _per_matrix(system.semigroups, lambda sg: _step(sg, float(h) / 2))
+    conns = [a @ halves(j) for j, a in enumerate(system.connectors)]
+    return halves(-1) @ _evaluate_discrete([sg.generator for sg in system.semigroups], conns,
+                                           system.partition, q, strategy, x, budget,
+                                           system.semigroups, h)
 
 
 def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy):

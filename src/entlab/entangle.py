@@ -55,12 +55,13 @@ from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
     EmptyAlphaError,
+    NonConvergenceError,
     NotInvertibleError,
     NotSurjectiveError,
     ValidationError,
 )
 from .operators import (DISCRETE, EIGENBASIS_COND_CAP, SpectralOperator, SpectralPoint,
-                        _block_diagonal, _exact_literal, _on_clock, _parse_exact,
+                        _block_diagonal, _exact_literal, _exact_phases, _on_clock, _parse_exact,
                         _require_bounded, angle_value, as_operator, parse_angle)
 
 MEMORY_CAP_BYTES = 2 << 30  # refuse power stacks beyond 2 GiB
@@ -268,6 +269,10 @@ def lattice_chain_mean(factors, connectors, n: int, weights):
     return total.s
 
 
+def _as_float(n: int) -> float:  # inf past the float range, where float(n) raises
+    return float(n) if n <= sys.float_info.max else math.inf
+
+
 @dataclass(frozen=True)
 class Plan:
     """How a chain is contracted: nested blocks collapse, crossing ones do not.
@@ -289,10 +294,12 @@ class Plan:
 
     def cost(self, n: int, single: float) -> float:
         """Chain-step products: n (2r - 1) per collapsed r-position block,
-        `single` per singleton block, n^k_cross (2 m_cross - 1) for the rest."""
-        total = sum(n * (2 * len(s) - 1) if len(s) > 1 else single for s in self.spans)
+        `single` per singleton block, n^k_cross (2 m_cross - 1) for the rest;
+        a float, inf past the float range."""
+        nf = _as_float(n)
+        total = sum(nf * (2 * len(s) - 1) if len(s) > 1 else single for s in self.spans)
         if self.crossing:  # a product of floats reads inf past their range, where ** raises
-            total += math.prod([float(n)] * len(self.crossing)) * (2 * self.remaining - 1)
+            total += math.prod([nf] * len(self.crossing)) * (2 * self.remaining - 1)
         return total
 
     def grids(self, d: int) -> tuple[float, float]:
@@ -353,8 +360,9 @@ def _walk(part: Partition, connectors, collapse, remainder, x=None):
 def _contract(part: Partition, connectors, stack, single, weights, x=None):
     """The weighted mean of a chain by its plan (_walk), over (n, d, d) samples stack(j)
     (T_j^1..T_j^n, or T_j at quadrature nodes) with single(j) their weighted mean and
-    weights the (n,) weights of every block: a collapsed block p_1 < ... < p_r is the
-    weighted sum of T_(p_r)^n G_(r-1) ... G_1 T_(p_1)^n, the rest a lattice_chain_mean."""
+    weights the (n,) weights of every block (None when every block is a singleton): a
+    collapsed block p_1 < ... < p_r is the weighted sum of T_(p_r)^n G_(r-1) ... G_1
+    T_(p_1)^n, the rest a lattice_chain_mean."""
 
     def collapse(entries):  # p_1, G_1, p_2, ..., G_(r-1), p_r
         if len(entries) == 1:
@@ -389,16 +397,16 @@ def _estimate_cost(strategy: str, n: int, part: Partition, d: int = 1) -> float:
     return part.plan.cost(n, 3 * n.bit_length())
 
 
-def _stack_bytes(mats, positions, n: int) -> int:
+def _stack_bytes(mats, positions, n: int) -> float:
     """One (n, d, d) complex stack per distinct matrix, plus two working buffers.
 
     A collapsed block's batched product alternates between two (n, d, d)
-    arrays, and identical matrix objects share one stack.
+    arrays, and identical matrix objects share one stack; inf past the float range.
     """
     if not positions:
         return 0
     d = mats[0].shape[0]
-    return (len({id(mats[j]) for j in positions}) + 2) * n * d * d * 16
+    return (len({id(mats[j]) for j in positions}) + 2) * d * d * 16 * _as_float(n)
 
 
 def _per_matrix(mats, build):
@@ -615,85 +623,39 @@ def _block_solutions(cands, *, additive, tol, mitm_threshold):
     return cols, np.zeros(len(li)) if all_exact else res[order]
 
 
-def _exact_phases(angles, n: int, h=None) -> tuple[list, list]:
-    """a h mod 1, centered in (-1/2, 1/2], and n a h mod 1 as floats for exact angles a (h = 1
-    when None).  Each is an integer pair (a.numerator p mod a.denominator q, a.denominator q),
-    h = p / q, the first shifted by a turn in integers, divided once: correctly rounded, as
-    float(Fraction) is, but cheaper, and a small negative a h keeps its digits."""
-    p, q = (1, 1) if h is None else (h.numerator, h.denominator)
-    pairs = [(a.numerator * p % (a.denominator * q), a.denominator * q) for a in angles]
-    return [(u - v if 2 * u > v else u) / v for u, v in pairs], [n * u % v / v for u, v in pairs]
-
-
 def _cesaro_weight(members, n: int, h=None) -> np.ndarray:
-    """g_n(z) = (1/n) sum_{k=1..n} z^k over one block's eigen-index grid.
+    """g_n(z) = (1/n) sum_{k=1..n} z^k over one block's eigen-index grid, in log space.
 
-    Axis i runs over the eigenvalues of members[i], z is the product of one
-    per axis, and resonant cells get exactly 1 (_resonant_to_one): n log z
-    would turn their float 1 + O(eps) into a phase.  Elsewhere
-    g_n = z (1 - z^n) / (n (1 - z)), z^n the product of the eigenvalues' n-th
-    powers (n theta mod 1 for exact angles, in integers: _exact_phases), and for
-    |1 - z| < 1/2 z expm1(n log z) / (n expm1(log z)); each branch runs in place
-    on masked copies, so about four complex grids are alive at once (_spectral_bytes).
+    Axis i runs over the exponents of members[i] (SpectralOperator.exponents), L = log z
+    is the sum of one per axis with Im L in (-pi, pi], and every cell reads
+    g_n = e^L expm1(n L) / (n expm1(L)), 1 where expm1(L) == 0: no cancellation near
+    z = 1, and no growth where a float record's |z| rounds past 1 (Re eps <= 0).  Every
+    axis takes n L from the one reduced L; at large n a phase error in e^{nL} moves only
+    terms of size <= 2 / (n |1 - z|).  Resonant cells get exactly 1 (_resonant_to_one).
 
-    With an exact step h the members are generators, read as e^{hB}, and k
-    runs over 0..n-1, the midpoint rule's powers: the same without the
-    leading z, with angles phi h mod 1 in (-1/2, 1/2] (aliased ones resonate),
-    log z the sum of the exponents lam h on the principal branch, not the log
-    of a rounded e^{lam h}, which would lose |lam h| digits as h goes to 0.
+    With an exact step h the members are generators, read as e^{hB}, and k runs over
+    0..n-1, the midpoint rule's powers: the same without the leading e^L, from the
+    exponents mu h and exact angles phi h mod 1 (_exact_phases; aliased ones resonate),
+    not from the log of a rounded e^{mu h}, which would lose |mu h| digits as h -> 0.
     """
-    z = np.ones((), dtype=np.complex128) if h is None else np.zeros((), dtype=np.complex128)
-    z_n = np.ones((), dtype=np.complex128)
-    inv_n = 1 / n  # float for any int n
-    # exponent for stable eigenvalues: beyond 2^64 each |lam|^n, |lam| <= 1 - 2^-53,
-    # has underflowed to 0 already; a midpoint exponent lam h n = lam t is never capped
-    n_cap = float(min(n, 2**64) if h is None else n)
-    for rec in (member.eigenbasis for member in members):
-        phi, n_phi = _exact_phases(rec.angles if rec.exact else (), n, h)
-        values, r = rec.eigenvalues, len(phi)
-        if h is not None:  # values are the exponents, the boundary ones from exact angles
-            values = np.concatenate([2j * math.pi * np.array(phi, float), values[r:] * float(h)])
-        powers = np.empty_like(values)
-        powers[:r] = [cmath.exp(2j * math.pi * p) for p in n_phi]
-        powers[r:] = values[r:] ** n_cap if h is None else np.exp(values[r:] * n_cap)
-        z = np.multiply.outer(z, values) if h is None else np.add.outer(z, values)
-        z_n = np.multiply.outer(z_n, powers)
-
+    log_z = np.zeros((), dtype=np.complex128)
+    for member in members:
+        eps = member.exponents
+        if h is not None:  # exact indices from their angles, in integers
+            phi = _exact_phases(member.eigenbasis.angles if member.eigenbasis.exact else (), h)
+            eps = np.concatenate([2j * math.pi * np.array(phi), eps[len(phi):] * float(h)])
+        log_z = np.add.outer(log_z, eps)
+    log_z.imag -= 2 * math.pi * np.round(log_z.imag / (2 * math.pi))
+    # past 2^64 every stable e^{n eps} is 0.0 already; a midpoint's n mu h = mu t is not capped
+    g = np.multiply(log_z, float(min(n, 2**64) if h is None else n))
+    np.expm1(g, out=g)
+    den = np.expm1(log_z)
     if h is None:
-        near = np.abs(1.0 - z) < 0.5
-    else:  # z holds log z: take the principal branch, keep it where near, then exponentiate
-        z.imag -= 2 * math.pi * np.round(z.imag / (2 * math.pi))
-        near = np.abs(np.expm1(z)) < 0.5
-        log_near = z[near]
-        np.exp(z, out=z)
-    far = ~near
-    g = np.empty(z.shape, dtype=np.complex128)
-    # far: z (1 - z^n) / (1 - z) / n, no leading z with h; z^n is needed nowhere else
-    num = z_n[far]
-    del z_n
-    zf = z[far]
-    np.subtract(1.0, num, out=num)
-    if h is None:
-        np.multiply(zf, num, out=num)
-    np.subtract(1.0, zf, out=zf)
-    np.divide(num, zf, out=num)
-    np.multiply(num, inv_n, out=num)
-    g[far] = num
-    del num, zf
-    # near: z expm1(n log z) / (n expm1(log z)), no leading z with h; g = 1 at z == 1.0
-    zn = z[near]
-    del z
-    log_z = np.log(zn) if h is None else log_near
-    # |z| <= 1 for bounded operators; a product of unit values can round past it
-    np.minimum(log_z.real, 0.0, out=log_z.real)
-    num = np.multiply(n_cap, log_z)
-    np.expm1(num, out=num)
-    if h is None:
-        np.multiply(zn, num, out=num)
-    np.multiply(num, inv_n, out=num)
-    den = np.expm1(log_z, out=log_z)
-    zn.fill(1.0)
-    g[near] = np.divide(num, den, out=zn, where=den != 0)
+        g *= np.exp(log_z, out=log_z)
+    g *= 1 / n  # a float for any int n, where n times a float overflows past 2^1024
+    one = den == 0
+    den[one] = g[one] = 1.0
+    g /= den
     return _resonant_to_one(g, members, h)
 
 
@@ -770,10 +732,10 @@ def _record_mean(members, connectors, part: Partition, block_weight, x=None):
 
 def _spectral_bytes(part: Partition, d: int) -> float:
     """Peak bytes of the spectral route (_spectral_mean).  Over one block's grid at a time
-    _cesaro_weight keeps at most four complex arrays and two masks alive (z, z^n and g, and
-    the masked copies of one branch), 66 bytes per cell, counted as 72; the crossing
-    remainder's weight, 16 per cell, outlives its blocks'; a broadcast takes one numpy
-    buffer, and cores and fixed factors m d x d matrices."""
+    _cesaro_weight keeps three complex arrays and one mask alive (L, n L and expm1(L)),
+    49 bytes per cell, counted as 72; the crossing remainder's weight, 16 per cell,
+    outlives its blocks'; a broadcast takes one numpy buffer, and cores and fixed factors
+    m d x d matrices."""
     largest, crossing = part.plan.grids(d)
     return 16 * (crossing + part.m * d * d + np.getbufsize()) + 72 * largest
 
@@ -825,23 +787,39 @@ def _route(strategy, budget, members, part: Partition, d: int, n: int, depth: st
     return route
 
 
+def _step(member, s: float) -> np.ndarray:
+    """e^{sB} of a generator: from its eigenbasis record, else linalg.expm."""
+    rec = member.eigenbasis
+    return (linalg.expm(member.matrix, s) if rec is None
+            else (rec.basis * np.exp(rec.eigenvalues * s)) @ rec.basis_inv)
+
+
 def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget,
                        members=(), h=None):
-    """The depth-n mean of the chain of mats; the spectral route reads the members' records."""
-    d = mats[0].shape[0]
+    """The depth-n mean of the chain of mats; the spectral route reads the members' records.
+    On a midpoint grid (step h) mats are generators, whose steps e^{hB} only presum builds;
+    a presum mean that is not finite (power sums overflow) raises NonConvergenceError."""
+    d, depth = mats[0].shape[0], "n" if h is None else "Q"
 
     def price(route):  # bytes: the spectral route's grids, else presum's power stacks
         return _estimate_cost(route, n, part, d), (_spectral_bytes(part, d) if route == "spectral"
                                                    else _stack_bytes(mats, part.plan.stacked, n))
 
-    route = _route(strategy, budget, members, part, d, n, "n" if h is None else "Q", price)
+    route = _route(strategy, budget, members, part, d, n, depth, price)
     if route == "spectral":
         return _record_mean(members, connectors, part, lambda block: _cesaro_weight(block, n, h), x)
     first = 1 if h is None else 0  # a midpoint grid's mean runs over P^0 .. P^(Q-1)
+    if h is not None:  # one step per distinct generator, shared as its stack is
+        step = _per_matrix(members, lambda sg: _step(sg, float(h)))
+        mats = [step(j) for j in range(part.m)]
     stack = _per_matrix(mats, lambda t: _power_stack(t, n, first))
     single = _per_matrix(mats, lambda t: (_power_sum(t, n) if first
-                                          else np.eye(d) + _power_sum(t, n - 1)) / n)
-    return _contract(part, connectors, stack, single, np.broadcast_to(1 / n, (n,)), x)
+                                          else np.eye(d) + _power_sum(t, n - 1)) / _as_float(n))
+    weights = np.broadcast_to(1 / n, (n,)) if part.plan.stacked else None  # a block walks
+    out = _contract(part, connectors, stack, single, weights, x)
+    if not np.isfinite(out).all():
+        raise NonConvergenceError(f"the presum mean is not finite at {depth}={n}")
+    return out
 
 
 def _state(x, d: int):
@@ -887,14 +865,15 @@ def entangled_average(
     grids fit under the memory cap (_spectral_bytes), else presum, whose
     refusals then name the reason.  Resonance is decided from exact
     angles, or as limit_operator decides it with a float record in the
-    block, so it reaches n = 2^40 and beyond in one call.
+    block, and weights are formed in log space from the operators' exponents
+    (_cesaro_weight), where |lam| = 1 + O(eps) cannot grow: n = 2^1100 is one call.
 
     With x given the chains act on x and a vector is returned; otherwise the
     operator mean itself.  presum reorders the same finite sums, but its
     singleton means (_power_sum's doubling) drift linearly in n on
     unimodular eigenvalues: about 3e-13 relative at n = 2^10, 3e-10 at
-    2^20 and 3e-7 at 2^30 (d = 12).  spectral's singleton mean is the
-    closed form S diag(g_n) S^-1 and is the reference for them.
+    2^20 and 3e-7 at 2^30 (d = 12), and overflow by 2^62 (NonConvergenceError).
+    spectral's singleton mean is the closed form S diag(g_n) S^-1.
     """
     mats = [op.matrix for op in _on_clock(system.operators, DISCRETE)]
     x = _state(x, system.dim)

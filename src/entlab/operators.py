@@ -79,6 +79,15 @@ def angle_value(fr: Fraction) -> complex:
     return cmath.exp(2j * cmath.pi * (fr.numerator / fr.denominator))
 
 
+def _exact_phases(angles, h=None) -> list:
+    """a h mod 1 centered in (-1/2, 1/2] for exact angles a (h = 1 when None): integer pairs
+    (a.numerator p mod a.denominator q, a.denominator q), h = p / q, shifted by a turn and
+    divided once, correctly rounded (as float(Fraction)); a small negative a h keeps its digits."""
+    p, q = (1, 1) if h is None else (h.numerator, h.denominator)
+    pairs = [(a.numerator * p % (a.denominator * q), a.denominator * q) for a in angles]
+    return [(u - v if 2 * u > v else u) / v for u, v in pairs]
+
+
 @dataclass(frozen=True)
 class SpectralPoint:
     """One unimodular eigenvalue: float value, multiplicity, optional exact angle."""
@@ -161,6 +170,18 @@ class Clock:
     def point(self, value: complex, multiplicity: int, exact: Fraction | None):
         return SpectralPoint(value, multiplicity, exact)
 
+    def exponents(self, rec: Certificate) -> np.ndarray:
+        """One exponent eps per eigen-index of rec, e^eps its eigenvalue: 2 pi i theta at an
+        exact angle theta centered in (-1/2, 1/2], else log lam on the principal branch with
+        Re eps <= 0, so that a float record's boundary modulus 1 + O(eps) cannot grow as
+        n eps; an eigenvalue 0 gets -800 (e^-800 is 0.0), so that n eps stays finite."""
+        lam = np.asarray(rec.eigenvalues, np.complex128)  # an identity's may be real
+        eps = np.log(lam, out=np.full(lam.shape, -800.0 + 0j), where=lam != 0)
+        np.minimum(eps.real, 0.0, out=eps.real)
+        if rec.exact:
+            eps[: len(rec.angles)] = 2j * np.pi * np.array(_exact_phases(rec.angles))
+        return eps
+
     def on_boundary(self, z) -> bool:
         return abs(self.size(z) - self.edge) <= self.band
 
@@ -224,14 +245,17 @@ class SpectralOperator:
     unimodular_spectrum: tuple  # SpectralPoints; FrequencyPoints on the continuous clock
     verdict: tuple | None = field(default=None, repr=False)
     clock: Clock = DISCRETE
+    exponents: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         """Refuse an operator with neither a record nor a verdict, and a record that does
-        not reproduce the matrix (_check_certificate); then make every array read-only."""
+        not reproduce the matrix (_check_certificate); give a record's eigen-indices their
+        exponents (Clock.exponents), once; then make every array read-only."""
         rec, arrays = self.eigenbasis, [self.matrix]
         if rec is not None:
             _check_certificate(self.matrix, rec)
-            arrays += [rec.basis, rec.eigenvalues, rec.basis_inv]
+            object.__setattr__(self, "exponents", self.clock.exponents(rec))
+            arrays += [rec.basis, rec.eigenvalues, rec.basis_inv, self.exponents]
         elif self.verdict is None:
             raise ValidationError("a raw operator needs its verdict: build it with from_matrix "
                                   "or semigroup_from_generator")

@@ -778,6 +778,22 @@ def _midpoint_reference(system, t, q):
     return c2.basis @ (core * w) @ c1.basis_inv
 
 
+@pytest.mark.parametrize("raw", [False, True], ids=["certified", "raw"])
+def test_spectral_midpoint_builds_only_the_half_steps(monkeypatch, raw):
+    # the spectral route reads E = e^{hB/2}; the full step P = e^{hB} is presum's
+    sgs = [synth_semigroup(["0", "1/3"], [-0.5], OrthonormalBasis(360 + j)) for j in range(2)]
+    if raw:
+        sgs = [semigroup_from_generator(np.array(sg.generator)) for sg in sgs]
+    sys_ = make_continuous_system([1, 1], sgs, [linalg.haar_unitary(3, seed=362)])
+    quad = QuadratureSpec("midpoint", 16)
+    want = continuous_entangled_average(sys_, 2.0, quad, strategy="presum")
+    calls = []
+    monkeypatch.setattr(entangle, "_step", lambda *args: calls.append(args))
+    got = continuous_entangled_average(sys_, 2.0, quad)
+    assert calls == []
+    assert np.linalg.norm(got.value - want.value) <= 1e-12 * np.linalg.norm(want.value)
+
+
 @pytest.mark.parametrize("strategy", ["spectral", "presum"])
 @pytest.mark.parametrize("freqs", [("1/2", "1/2"), ("1/11", "10/11")])
 def test_aliased_midpoint_cell_is_resonant_and_keeps_its_sign(freqs, strategy):
@@ -903,7 +919,7 @@ def test_midpoint_past_the_float_range_runs_or_is_refused_by_name(monkeypatch, t
     def never(*args, **kwargs):
         raise AssertionError("work started before the refusal")
 
-    monkeypatch.setattr(continuous, "_step_pair", never)
+    monkeypatch.setattr(continuous, "_step", never)
     with pytest.raises(BudgetExceededError, match="leaves the normal float range"):
         continuous_entangled_average(sys_, t, quad, richardson=richardson)
 

@@ -8,6 +8,7 @@ not a tautology.
 """
 
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -30,12 +31,13 @@ from entlab.errors import (
     BudgetExceededError,
     DimensionMismatchError,
     EmptyAlphaError,
+    NonConvergenceError,
     NotInvertibleError,
     NotPowerBoundedError,
     NotSurjectiveError,
     ValidationError,
 )
-from entlab.operators import OrthonormalBasis, synth_operator
+from entlab.operators import OrthonormalBasis, RandomSimilarity, from_matrix, synth_operator
 from entlab.rng import CounterRng
 from oracle import brute_average
 
@@ -263,6 +265,27 @@ def test_presum_singleton_cost_is_logarithmic():
     assert _estimate_cost("presum", 10_000, make_partition([1, 2])) < 1e5
 
 
+@pytest.mark.parametrize("e", [1023, 1024, 1100])
+def test_presum_cost_past_the_float_range_is_refused_by_name(e):
+    # an int cost n (2r - 1) past 2^1024 raised a bare OverflowError when the
+    # refusal formatted it; the cost and the stack bytes now read inf
+    sys_ = make_system([1, 1], [synth_operator(["0", "1/3"], [0.4], OrthonormalBasis(5)),
+                                synth_operator(["0", "2/3"], [0.3j], OrthonormalBasis(6))])
+    for budget, match in [(1e8, "estimated cost inf exceeds"), (None, "need inf GiB")]:
+        with pytest.raises(BudgetExceededError, match=match):
+            entangled_average(sys_, 2**e, strategy="presum", budget=budget)
+
+
+@pytest.mark.parametrize("e", [62, 63, 100, 1100])
+def test_presum_mean_that_overflows_is_refused_naming_n(e):
+    # a singleton-only mean built (n,) weights it never read (a bare ValueError
+    # from n = 2^60), and its power sums overflow to NaN on a unitary by 2^62
+    sys_ = make_system([1], [linalg.haar_unitary(2, seed=0)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergenceError, match=f"not finite at n={2**e}$"):
+            entangled_average(sys_, 2**e, strategy="presum")
+
+
 # ---------------------------------------------------------------- stacking
 
 
@@ -306,6 +329,20 @@ def test_stacked_average_vector_mode():
     direct = entangled_average(sys_, 8, x=x)
     via_stack = stacked_average(stacked_system(sys_), 8, x=x)
     assert np.linalg.norm(via_stack - direct) <= 1e-12
+
+
+def test_stacked_record_exponents_are_their_members_exponents():
+    # a block-diagonal record takes its exponents from its own eigenvalues and
+    # angles; each eigen-index reads the value it has in its member (identity: 0)
+    ops = [synth_operator(["0", "1/3"], [0.4], OrthonormalBasis(87)),
+           synth_operator(["3/4"], [0.3j, -0.5], RandomSimilarity(88))]
+    st_ = stacked_system(make_system([1, 2], ops))
+    for rec, members in zip(st_.records, [(ops[0], None), (None, ops[1])]):
+        own = [(np.zeros(3, complex), 3) if op is None else
+               (op.exponents, len(op.eigenbasis.angles)) for op in members]
+        want = np.concatenate([e[:r] for e, r in own] + [e[r:] for e, r in own])
+        assert np.array_equal(rec.exponents, want)
+        assert not rec.exponents.flags.writeable
 
 
 def test_stacked_system_dimension_cap():
@@ -416,13 +453,76 @@ _ANGLE = st.builds(Fraction, st.integers(-(10**7), 10**7), st.integers(1, 10**6)
 
 
 @settings(max_examples=200, deadline=None)
-@given(angles=st.lists(_ANGLE, max_size=4), n=st.integers(1, 2**80), t=st.floats(1e-3, 1e4),
+@given(angles=st.lists(_ANGLE, max_size=4), t=st.floats(1e-3, 1e4),
        q=st.integers(2, 10**4), step=st.booleans())
-def test_exact_phases_are_the_fraction_phases_bit_for_bit(angles, n, t, q, step):
+def test_exact_phases_are_the_fraction_phases_bit_for_bit(angles, t, q, step):
     # the weight's only exact inputs: integer pairs and Fractions are correctly
     # rounded divisions of the same rationals; h = t / Q is the midpoint rule's step
     h = Fraction(t) / q if step else None
     ah = [a if h is None else a * h for a in angles]
-    phi, n_phi = entangle._exact_phases(angles, n, h)
+    phi = entangle._exact_phases(angles, h)
     assert [x.hex() for x in phi] == [float(x % 1 - (x % 1 > Fraction(1, 2))).hex() for x in ah]
-    assert [x.hex() for x in n_phi] == [float(n * x % 1).hex() for x in ah]
+
+
+@pytest.mark.parametrize("e", [40, 56, 60, 64, 70, 1100])
+def test_float_record_mean_stays_small_at_large_n(e):
+    # raising a float record's boundary eigenvalues, of modulus 1 + O(eps), to
+    # the n-th power gave 2e-8 at n = 2^56, 2e134 at 2^60 and NaN from 2^64:
+    # with Re eps clamped to <= 0 the non-resonant mean decays like 1/n
+    sys_ = make_system([1, 1], [linalg.haar_unitary(2, seed=0), linalg.haar_unitary(2, seed=1)])
+    assert all(op.eigenbasis is not None and not op.eigenbasis.exact for op in sys_.operators)
+    out = entangled_average(sys_, 2**e)
+    assert np.all(np.isfinite(out)) and np.linalg.norm(out) <= 1e-11
+
+
+def _fsum_mean(z: complex, n: int, start: int = 1) -> complex:
+    """(1/n) sum_{k=start..start+n-1} z^k, each part summed with math.fsum."""
+    terms = [z**k / n for k in range(start, start + n)]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def _weight_block(kind):
+    """Two operators whose block grid has resonant cells (angles 0 + 0, 1/3 + 2/3), a
+    non-resonant cell 1e-12 from z = 1 (angle 0 times 1 - 1e-12) and stable cells."""
+    second = synth_operator(["0", "2/3"], [1 - 1e-12, 0.3j], OrthonormalBasis(71))
+    if kind == "float":
+        s = np.eye(3) + 0.3 * linalg.haar_unitary(3, seed=72)
+        first = from_matrix(s @ np.diag([1.0, np.exp(2j * np.pi / 3), 0.5]) @ np.linalg.inv(s))
+    else:
+        basis = OrthonormalBasis(70) if kind == "exact" else RandomSimilarity(70)
+        first = synth_operator(["0", "1/3"], [0.5], basis)
+    return [first, second]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("kind", ["exact", "similarity", "float"])
+def test_cesaro_weight_matches_the_compensated_power_sum(kind, n):
+    members = _weight_block(kind)
+    assert members[0].eigenbasis.exact == (kind != "float")
+    lam = [member.eigenbasis.eigenvalues for member in members]
+    z = np.multiply.outer(*lam)
+    weight = entangle._cesaro_weight(members, n)
+    near = np.abs(z - 1) < 1e-11
+    resonant = weight == 1.0
+    assert near.sum() == 3 and resonant.sum() == 2  # 1e-12 off 1, and two exact hits
+    assert np.count_nonzero(near & ~resonant) == 1 and np.any(np.abs(z) < 0.5)  # stable cells
+    for idx in np.ndindex(z.shape):
+        want = 1.0 if resonant[idx] else _fsum_mean(complex(z[idx]), n)
+        assert abs(weight[idx] - want) <= 1e-13, (idx, weight[idx], want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_cesaro_weight_of_an_aliased_midpoint_step_on_a_raw_generator(n):
+    # mu h = 2 pi i: e^{mu h} aliases to 1 (float, not exact, so no snap), and the
+    # weight must read n L from the reduced L, not from mu h n
+    from entlab.continuous import semigroup_from_generator
+
+    s = np.eye(2) + 0.3 * linalg.haar_unitary(2, seed=73)
+    sg = semigroup_from_generator(s @ np.diag([2j * np.pi, -0.5]) @ np.linalg.inv(s))
+    assert sg.eigenbasis is not None and not sg.eigenbasis.exact
+    weight = entangle._cesaro_weight([sg, sg], n, Fraction(1))
+    mu = sg.eigenbasis.eigenvalues
+    for idx in np.ndindex(weight.shape):
+        want = _fsum_mean(complex(np.exp(mu[idx[0]] + mu[idx[1]])), n, start=0)
+        assert abs(weight[idx] - want) <= 1e-12, (idx, weight[idx], want)
+    assert abs(weight[0, 0] - 1) <= 1e-12

@@ -726,7 +726,8 @@ def test_unknown_strategy_is_refused_before_any_work(monkeypatch, mean, raw):
     system = build(raw)
     for module, name in [(entangle, "_power_stack"), (entangle, "_power_sum"),
                          (entangle, "_cesaro_weight"), (linalg, "expm"),
-                         (continuous, "_step_pair"), (continuous, "_quadrature_weight")]:
+                         (entangle, "_step"), (continuous, "_step"),
+                         (continuous, "_quadrature_weight")]:
         monkeypatch.setattr(module, name, _never)
     for strategy in ("turbo", "naive"):  # the brute-force mean is the tests' oracle.py
         with pytest.raises(ValidationError, match=re.escape(
