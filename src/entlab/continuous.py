@@ -209,6 +209,7 @@ class QuadratureSpec:
 GAUSS_LEGENDRE_MAX_POINTS = 1 << 14
 _NEWTON_STEP_TOL = 4 * np.finfo(float).eps  # a Newton step this small is rounding
 _NEWTON_MAX_PASSES = 10
+_BETA_FORM_BELOW = np.pi / 4  # edge nodes below this beta take the edge sum in beta
 
 
 def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +222,9 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     vanishes at the nodes and the steps shrink cubically.  The weights are
     2 / (dP_Q/dtheta)^2 from the last pass; for odd Q the middle node is 0.  P_Q comes from:
     - near the edge, 2Q sin(theta) <= 80 (every node for Q up to ~40), the exact sum
-      sum_k a_k a_{Q-k} cos((Q - 2k) theta), a_k = C(2k, k) / 4^k > 0 summing to 1;
+      sum_k a_k a_{Q-k} cos((Q - 2k) theta), a_k = C(2k, k) / 4^k > 0 summing to 1, and for
+      beta < pi/4 (only below Q = 57, as cos beta <= 40/Q) the same sum in beta,
+      Re i^Q sum_k (-1)^k a_k a_{Q-k} e^{-i (Q - 2k) beta}, which keeps beta's digits;
     - elsewhere the Stieltjes series of Hale & Townsend (SIAM J. Sci. Comput. 35, 2013,
       sec. 3), C_Q sum_{m<16} h_m cos((Q+m+1/2) theta - (m+1/2) pi/2) / (2 sin theta)^(m+1/2)
       with h_m = h_{m-1} (m-1/2)^2 / (m (Q+m+1/2)): i^Q e^{-i (Q+1/2) beta} times one
@@ -238,7 +241,10 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     horner = (h * np.stack([np.ones(m.size), m + 0.5])).T[::-1]
     c_q = 4 / np.pi * np.exp(np.log1p(-1 / (2 * n + 1)).sum()) * [1, 1j, -1, -1j][q % 4]
     for _ in range(_NEWTON_MAX_PASSES):
-        s = np.exp(1j * np.outer(np.pi / 2 - beta[:edge], q - 2 * k)) @ fold.T
+        low = beta[:edge] < _BETA_FORM_BELOW  # in beta: pi/2 - beta would round beta's digits off
+        s = np.exp(1j * np.outer(np.where(low, -beta[:edge], np.pi / 2 - beta[:edge]), q - 2 * k))
+        s[low] *= [1, 1j, -1, -1j][q % 4] * (1 - 2 * (k % 2))  # i^Q (-1)^k, exact
+        s = s @ fold.T
         b, acc = beta[edge:], 0
         u = (np.exp(-1j * b) / (2 * np.cos(b)))[:, None]
         for row in horner:  # sum_m h_m u^m and sum_m h_m (m + 1/2) u^m
@@ -279,16 +285,17 @@ class ContinuousAverage:
 _CHUNK_CELLS = 1 << 14  # exponentials per chunk of the node sum: nodes times block-grid cells
 
 
-def _quadrature_weight(members, s_nodes, weights) -> np.ndarray:
+def _quadrature_weight(block, s_nodes, weights) -> np.ndarray:
     """g(mu) = sum_i weights_i e^{mu s_i} over one block's eigen-index grid.
 
-    Axis i runs over the eigenvalues of members[i] and mu is the sum of one
-    eigenvalue per axis; weights are the rule's w_i / t.  The node sum runs
-    in chunks of at most max(cells, _CHUNK_CELLS) exponentials, so its
-    memory follows the block grid, not Q.  Resonant cells get exactly 1.
+    block is the system's (entangle._block_table).  Axis i runs over the
+    eigenvalues of its members[i] and mu is the sum of one eigenvalue per
+    axis; weights are the rule's w_i / t.  The node sum runs in chunks of at
+    most max(cells, _CHUNK_CELLS) exponentials, so its memory follows the
+    block grid, not Q.  Resonant cells, the table's decision, get exactly 1.
     """
     mu = np.zeros((), dtype=np.complex128)
-    for member in members:
+    for member in block.members:
         mu = np.add.outer(mu, member.eigenbasis.eigenvalues)
     cells = mu.ravel()
     g = np.zeros(cells.shape, dtype=np.complex128)
@@ -296,14 +303,15 @@ def _quadrature_weight(members, s_nodes, weights) -> np.ndarray:
     for lo in range(0, len(s_nodes), step):
         chunk = np.multiply.outer(s_nodes[lo : lo + step], cells)
         g += weights[lo : lo + step] @ np.exp(chunk, out=chunk)
-    return _resonant_to_one(g.reshape(mu.shape), members)
+    return _resonant_to_one(g.reshape(mu.shape), block)
 
 
 def _quadrature_bytes(part: Partition, d: int) -> float:
     """Peak bytes of the spectral route: the discrete count plus the node sum's.
 
-    _spectral_bytes counts 72 bytes per block-grid cell, and mu, g and two
-    one-node chunks take 64.  Chunks of several nodes hold at most
+    _spectral_bytes counts 74 + 2r bytes per cell of the largest block grid
+    (r positions), and mu, g and two one-node chunks take 64, a continuous
+    table 9 + 2r.  Chunks of several nodes hold at most
     _CHUNK_CELLS exponentials each, and two are alive across one step of
     the loop; the broadcast product that fills one iterates through two
     numpy buffers.
@@ -335,7 +343,7 @@ def _midpoint_average(system, t, quad: QuadratureSpec, x, budget, strategy):
     conns = [a @ halves(j) for j, a in enumerate(system.connectors)]
     return halves(-1) @ _evaluate_discrete([sg.generator for sg in system.semigroups], conns,
                                            system.partition, q, strategy, x, budget,
-                                           system.semigroups, h)
+                                           system.semigroups, system.blocks, h)
 
 
 def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy):
@@ -370,8 +378,8 @@ def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy
     _check_horizon(system, t)  # t bounds the last node, which is not computed yet
     s_nodes, w_nodes = quad.nodes(t)
     if route == "spectral":
-        return _record_mean(system.semigroups, list(system.connectors), part,
-                            lambda block: _quadrature_weight(block, s_nodes, w_nodes / t), x)
+        return _record_mean(system.semigroups, list(system.connectors), part, lambda positions:
+                            _quadrature_weight(system.blocks[positions], s_nodes, w_nodes / t), x)
     stack = _per_matrix(generators, lambda b: linalg.expm(b, s_nodes))
     return _contract(part, list(system.connectors), stack,
                      lambda j: np.tensordot(w_nodes, stack(j), axes=1) / t, w_nodes / t, x)

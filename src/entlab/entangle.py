@@ -44,7 +44,6 @@ import functools
 import itertools
 import math
 import sys
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,6 +66,7 @@ from .operators import (DISCRETE, EIGENBASIS_COND_CAP, SpectralOperator, Spectra
 MEMORY_CAP_BYTES = 2 << 30  # refuse power stacks beyond 2 GiB
 STRATEGIES = ("presum", "spectral")
 RESONANCE_TOL = 1e-8  # limits' default tol, and the tol of the means' snap (_resonant_to_one)
+MITM_THRESHOLD = 100_000  # combinations per block above which the meet-in-the-middle runs
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,8 @@ class EntangledSystem:
 
     clock = property(lambda self: self.operators[0].clock)
     semigroups = property(lambda self: self.operators)  # the members' continuous-time name
+    # the block table (_block_table): built on first use, freed with the system
+    blocks = functools.cached_property(lambda self: _block_table(self.operators, self.partition))
 
 
 def _validate_system(alpha, members, connectors) -> EntangledSystem:
@@ -623,64 +625,112 @@ def _block_solutions(cands, *, additive, tol, mitm_threshold):
     return cols, np.zeros(len(li)) if all_exact else res[order]
 
 
-def _cesaro_weight(members, n: int, h=None) -> np.ndarray:
-    """g_n(z) = (1/n) sum_{k=1..n} z^k over one block's eigen-index grid, in log space.
+class _Block:
+    """One block of a system's table (_block_table): its members and, built on first use and
+    kept, what depends on them alone.  hits: the columns of one _block_solutions call over
+    their boundary points at RESONANCE_TOL, as limit_operator decides (uint16: at most
+    linalg.DIM_CAP points a position); resonant: hits over the boundary prefix of the
+    eigen-index grid (SpectralOperator._owners), so that a cluster resonates whole; sums: with
+    every record exact, its exact sums S over common there (_aliased), else None; grid: on the
+    discrete clock, _cesaro_weight's N-independent arrays (_weight_grid)."""
 
-    Axis i runs over the exponents of members[i] (SpectralOperator.exponents), L = log z
-    is the sum of one per axis with Im L in (-pi, pi], and every cell reads
-    g_n = e^L expm1(n L) / (n expm1(L)), 1 where expm1(L) == 0: no cancellation near
-    z = 1, and no growth where a float record's |z| rounds past 1 (Re eps <= 0).  Every
-    axis takes n L from the one reduced L; at large n a phase error in e^{nL} moves only
-    terms of size <= 2 / (n |1 - z|).  Resonant cells get exactly 1 (_resonant_to_one).
+    def __init__(self, members, additive: bool):
+        self.members, self.additive = tuple(members), additive
 
-    With an exact step h the members are generators, read as e^{hB}, and k runs over
-    0..n-1, the midpoint rule's powers: the same without the leading e^L, from the
-    exponents mu h and exact angles phi h mod 1 (_exact_phases; aliased ones resonate),
-    not from the log of a rounded e^{mu h}, which would lose |mu h| digits as h -> 0.
+    @functools.cached_property
+    def hits(self) -> tuple:
+        cols, _ = _block_solutions(_normalized(self.members, self.additive), additive=self.additive,
+                                   tol=RESONANCE_TOL, mitm_threshold=MITM_THRESHOLD)
+        return tuple(col.astype(np.uint16) for col in cols)
+
+    @functools.cached_property
+    def resonant(self) -> np.ndarray:
+        points = np.zeros([len(member.unimodular_spectrum) for member in self.members], dtype=bool)
+        points[self.hits] = True
+        return points[np.ix_(*(member._owners for member in self.members))]
+
+    @functools.cached_property
+    def sums(self):
+        recs = [member.eigenbasis for member in self.members]
+        if not all(rec.exact for rec in recs):
+            return None
+        common = math.lcm(*(a.denominator for rec in recs for a in rec.angles))
+        return _exact_sums([rec.angles for rec in recs], common, additive=True), common
+
+    grid = functools.cached_property(lambda self: _weight_grid(self))
+
+
+def _block_table(members, part: Partition) -> dict:
+    """positions -> _Block of the members at them, for every block of part: a system's table,
+    which the means, the Gauss-Legendre weights and limit_operator (at RESONANCE_TOL) read, so
+    that a block is decided once per system."""
+    additive = members[0].clock.additive
+    return {positions: _Block([members[j] for j in positions], additive)
+            for positions in part.blocks.values()}
+
+
+def _aliased(sums, h: Fraction) -> np.ndarray:
+    """Cells whose exact frequencies alias at step h: (sum phi) h an integer, with sum phi = S /
+    common and h = p / q in lowest terms, that is S a multiple of common q / gcd(common, p)."""
+    s, common = sums
+    mod = common * h.denominator // math.gcd(common, h.numerator)
+    return s % mod == 0 if s.dtype == object or mod < 2**63 else s == 0
+
+
+def _resonant_to_one(g, block: _Block, h=None) -> np.ndarray:
+    """g with 1 on the block's resonant cells, which lie in the boundary prefix of its grid: the
+    table's decision (_Block.resonant), where generators are decided on their frequencies, which
+    no small h makes small; at a midpoint step h with every record exact, the aliased cells."""
+    cells = block.resonant if h is None or block.sums is None else _aliased(block.sums, h)
+    g[tuple(map(slice, cells.shape))][cells] = 1
+    return g
+
+
+def _weight_grid(block: _Block, h=None) -> tuple:
+    """(L, e^L, expm1(L), fixed) over the block's eigen-index grid, what _cesaro_weight reads.
+
+    Axis i runs over the exponents of members[i] (SpectralOperator.exponents), and L = log z is
+    the sum of one per axis with Im L in (-pi, pi].  fixed marks the cells whose weight is 1 at
+    every n: expm1(L) == 0, and the resonant cells (_resonant_to_one); expm1(L) reads 1 there.
+    A midpoint step h takes the exponents mu h and exact angles phi h mod 1 (_exact_phases), not
+    the log of a rounded e^{mu h}, which would lose |mu h| digits as h -> 0, and no e^L (None).
     """
     log_z = np.zeros((), dtype=np.complex128)
-    for member in members:
+    for member in block.members:
         eps = member.exponents
         if h is not None:  # exact indices from their angles, in integers
             phi = _exact_phases(member.eigenbasis.angles if member.eigenbasis.exact else (), h)
             eps = np.concatenate([2j * math.pi * np.array(phi), eps[len(phi):] * float(h)])
         log_z = np.add.outer(log_z, eps)
     log_z.imag -= 2 * math.pi * np.round(log_z.imag / (2 * math.pi))
+    den = np.expm1(log_z)
+    fixed = _resonant_to_one(den == 0, block, h)
+    den[fixed] = 1.0
+    return log_z, None if h is not None else np.exp(log_z), den, fixed
+
+
+def _cesaro_weight(block: _Block, n: int, h=None) -> np.ndarray:
+    """g_n(z) = (1/n) sum_{k=1..n} z^k over one block's eigen-index grid, in log space.
+
+    Every cell reads g_n = e^L expm1(n L) / (n expm1(L)) from the block's N-independent grid
+    (_Block.grid, _weight_grid), and 1 on its fixed cells: no cancellation near z = 1, and no
+    growth where a float record's |z| rounds past 1 (Re eps <= 0).  Every axis takes n L from
+    the one reduced L; at large n a phase error in e^{nL} moves only terms of size
+    <= 2 / (n |1 - z|).  Only this arithmetic depends on n.
+
+    With an exact step h the members are generators, read as e^{hB}, and k runs over 0..n-1,
+    the midpoint rule's powers: the same without the leading e^L, on a grid built per step,
+    whose aliased cells resonate.
+    """
+    log_z, e_l, den, fixed = block.grid if h is None else _weight_grid(block, h)
     # past 2^64 every stable e^{n eps} is 0.0 already; a midpoint's n mu h = mu t is not capped
     g = np.multiply(log_z, float(min(n, 2**64) if h is None else n))
     np.expm1(g, out=g)
-    den = np.expm1(log_z)
-    if h is None:
-        g *= np.exp(log_z, out=log_z)
+    if e_l is not None:
+        g *= e_l
     g *= 1 / n  # a float for any int n, where n times a float overflows past 2^1024
-    one = den == 0
-    den[one] = g[one] = 1.0
     g /= den
-    return _resonant_to_one(g, members, h)
-
-
-def _resonant_to_one(g, members, h=None) -> np.ndarray:
-    """g with exactly 1 on the resonant cells of the members' boundary prefixes.
-
-    Each eigen-index reads as its boundary point (SpectralOperator._owners), and
-    the limit's block decision (_block_solutions over the whole grid at
-    RESONANCE_TOL) decides the points, so a cluster resonates whole.  Generators
-    are decided on their frequencies, which no small h makes small; a midpoint
-    step h with every record exact on the aliased angles phi h mod 1.  A block
-    is decided once per h and kept by its first member (SpectralOperator._decided).
-    """
-    decided, key = members[0]._decided, (tuple(map(weakref.ref, members[1:])), h)
-    if key not in decided:
-        if len(decided) >= 64:  # keys whose members are gone must not pile up
-            decided.clear()
-        aliased = h is not None and all(member.eigenbasis.exact for member in members)
-        additive = members[0].clock.additive and not aliased
-        points = ([[(None, p.exact * h % 1) for p in member.unimodular_spectrum]
-                   for member in members] if aliased else _normalized(members, additive))
-        cands = [[pts[o] for o in member._owners] for pts, member in zip(points, members)]
-        decided[key], _ = _block_solutions(cands, additive=additive, tol=RESONANCE_TOL,
-                                           mitm_threshold=math.inf)
-    g[decided[key]] = 1.0
+    g[fixed] = 1.0
     return g
 
 
@@ -724,20 +774,26 @@ def _spectral_mean(rights, lefts, connectors, part: Partition, block_weight, x=N
 
 
 def _record_mean(members, connectors, part: Partition, block_weight, x=None):
-    """_spectral_mean in the members' eigenbasis records; block_weight takes a block's members."""
+    """_spectral_mean in the members' eigenbasis records; block_weight takes a block's positions."""
     recs = [member.eigenbasis for member in members]
     return _spectral_mean([rec.basis for rec in recs], [rec.basis_inv for rec in recs], connectors,
-                          part, lambda block: block_weight([members[j] for j in block]), x)
+                          part, block_weight, x)
 
 
 def _spectral_bytes(part: Partition, d: int) -> float:
-    """Peak bytes of the spectral route (_spectral_mean).  Over one block's grid at a time
-    _cesaro_weight keeps three complex arrays and one mask alive (L, n L and expm1(L)),
-    49 bytes per cell, counted as 72; the crossing remainder's weight, 16 per cell,
-    outlives its blocks'; a broadcast takes one numpy buffer, and cores and fixed factors
-    m d x d matrices."""
+    """Peak bytes of the spectral route (_spectral_mean), the system's block table included.
+
+    The table (_Block) keeps per cell of every block grid of r positions at most 50 bytes
+    (the discrete clock's L, e^L, expm1(L) and two masks; the continuous clock's mask and
+    int64 sums take 9) and 2 r for the hits, at most one per cell.  One call adds 24 per cell
+    of the largest grid: g, 16, or on a midpoint step its own grid, 49 over a table of 9; the
+    crossing remainder's weight, 16 per cell, outlives its blocks'; a broadcast takes one numpy
+    buffer, and cores and fixed factors m d x d matrices, as do a midpoint's half steps and
+    connectors.
+    """
     largest, crossing = part.plan.grids(d)
-    return 16 * (crossing + part.m * d * d + np.getbufsize()) + 72 * largest
+    table = sum((50 + 2 * len(block)) * float(d) ** len(block) for block in part.blocks.values())
+    return table + 24 * largest + 16 * (crossing + 2 * part.m * d * d + np.getbufsize())
 
 
 def _check_strategy(strategy) -> None:
@@ -795,10 +851,11 @@ def _step(member, s: float) -> np.ndarray:
 
 
 def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget,
-                       members=(), h=None):
-    """The depth-n mean of the chain of mats; the spectral route reads the members' records.
-    On a midpoint grid (step h) mats are generators, whose steps e^{hB} only presum builds;
-    a presum mean that is not finite (power sums overflow) raises NonConvergenceError."""
+                       members=(), blocks=None, h=None):
+    """The depth-n mean of the chain of mats; the spectral route reads the members' records and
+    their block table (_block_table).  On a midpoint grid (step h) mats are generators, whose
+    steps e^{hB} only presum builds; a presum mean that is not finite or exceeds its power
+    bound (entangled_average) raises NonConvergenceError."""
     d, depth = mats[0].shape[0], "n" if h is None else "Q"
 
     def price(route):  # bytes: the spectral route's grids, else presum's power stacks
@@ -807,7 +864,8 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
 
     route = _route(strategy, budget, members, part, d, n, depth, price)
     if route == "spectral":
-        return _record_mean(members, connectors, part, lambda block: _cesaro_weight(block, n, h), x)
+        return _record_mean(members, connectors, part,
+                            lambda positions: _cesaro_weight(blocks[positions], n, h), x)
     first = 1 if h is None else 0  # a midpoint grid's mean runs over P^0 .. P^(Q-1)
     if h is not None:  # one step per distinct generator, shared as its stack is
         step = _per_matrix(members, lambda sg: _step(sg, float(h)))
@@ -819,6 +877,13 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
     out = _contract(part, connectors, stack, single, weights, x)
     if not np.isfinite(out).all():
         raise NonConvergenceError(f"the presum mean is not finite at {depth}={n}")
+    # a stacked system without records has no K_j; 1e-9 covers rounding in K_j and the norms
+    norms = [np.linalg.norm(a) for a in [*connectors, 1.0 if x is None else x]]
+    bound = math.sqrt(d) * math.prod([member.power_bound_estimate for member in members] + norms)
+    if members and np.linalg.norm(out) > bound * (1 + 1e-9):
+        raise NonConvergenceError(
+            f"the presum mean's norm {np.linalg.norm(out):.3e} at {depth}={n} exceeds {bound:.3e}"
+            f", the bound sqrt(d) prod K_j prod ||A_j||_F of power-bounded factors")
     return out
 
 
@@ -867,19 +932,23 @@ def entangled_average(
     angles, or as limit_operator decides it with a float record in the
     block, and weights are formed in log space from the operators' exponents
     (_cesaro_weight), where |lam| = 1 + O(eps) cannot grow: n = 2^1100 is one call.
+    The decisions and n-independent grids are kept in the system's block table
+    (_block_table), so a later mean does only the n-dependent arithmetic.
 
     With x given the chains act on x and a vector is returned; otherwise the
     operator mean itself.  presum reorders the same finite sums, but its
     singleton means (_power_sum's doubling) drift linearly in n on
     unimodular eigenvalues: about 3e-13 relative at n = 2^10, 3e-10 at
-    2^20 and 3e-7 at 2^30 (d = 12), and overflow by 2^62 (NonConvergenceError).
-    spectral's singleton mean is the closed form S diag(g_n) S^-1.
+    2^20 and 3e-7 at 2^30 (d = 12).  A presum mean that is not finite, or whose
+    norm passes sqrt(d) prod K_j prod ||A_j||_F (K_j the power_bound_estimate,
+    times ||x|| with a state), raises NonConvergenceError: a 2 x 2 Haar
+    unitary's read 4.7e9 at n = 2^58.  spectral's singleton mean is S diag(g_n) S^-1.
     """
     mats = [op.matrix for op in _on_clock(system.operators, DISCRETE)]
     x = _state(x, system.dim)
     n = linalg._positive_int(n, "depth n")
     out = _evaluate_discrete(mats, list(system.connectors), system.partition, n, strategy,
-                             x, budget, system.operators)
+                             x, budget, system.operators, system.blocks)
     return out if x is None else out[:, 0]
 
 
@@ -907,6 +976,10 @@ class StackedSystem:
     @property
     def m(self) -> int:
         return self.partition.m
+
+    # per position the record of script_t, then script_s's; () without records
+    members = property(lambda self: self.records[:1] * (self.m - 1) + self.records[1:])
+    blocks = functools.cached_property(lambda self: _block_table(self.members, self.partition))
 
 
 def stacked_system(system: EntangledSystem) -> StackedSystem:
@@ -959,12 +1032,12 @@ def stacked_average(
     n = linalg._positive_int(n, "depth n")
     m, d = st.m, st.block_dim
     mats = [st.script_t] * (m - 1) + [st.script_s]
-    members = [st.records[0]] * (m - 1) + [st.records[1]] if st.records else ()
     conns = [st.script_a] * (m - 1)
     x = _state(x, d)
     if x is not None:  # embedded into block 1
         x = np.concatenate([x, np.zeros(((m - 1) * d, 1), dtype=np.complex128)])
-    out = _evaluate_discrete(mats, conns, st.partition, n, strategy, x, budget, members)
+    out = _evaluate_discrete(mats, conns, st.partition, n, strategy, x, budget, st.members,
+                             st.blocks if st.records else None)
     return out[(m - 1) * d :, :d] if x is None else out[(m - 1) * d :, 0]
 
 

@@ -295,9 +295,6 @@ class SpectralOperator:
             return tuple(exacts.index(a) for a in rec.angles)
         return tuple(i for i, p in enumerate(points) for _ in range(p.multiplicity))
 
-    # resonant cells of the means' blocks this operator leads (entangle._resonant_to_one)
-    _decided = functools.cached_property(lambda self: {})
-
     @property
     def certificate(self) -> Certificate | None:
         """The exact record of a synthesized operator; None for a raw one."""

@@ -9,8 +9,9 @@ and a fragility flag otherwise.  Each contributes P_m A_{m-1} ... A_1 P_1;
 with P_j = R_j[:, idx] L_j[idx, :] for boundary bases R_j, L_j, the sum is
 the spectral mean's contraction (entangle._spectral_mean) with each block's
 0/1 resonance indicator where the mean has g_n: its n -> infinity case.
-The block solver lives in entangle, where the means' resonance snap calls it
-too, per boundary point; this module imports it by name.
+The block solver lives in entangle, whose block table (entangle._block_table)
+holds each block's decision at the default tol for the means and the limit;
+this module imports it by name.
 
 The Koopman-von Neumann diagnostic at the end is the scalar companion: it
 inspects a nonnegative sequence for Cesaro smallness and proposes a density-
@@ -29,14 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entangle, linalg
-from .entangle import EntangledSystem, Partition, _block_solutions, _normalized, make_partition
+from .entangle import (MITM_THRESHOLD, EntangledSystem, Partition, _block_solutions, _normalized,
+                       make_partition)
 from .errors import BudgetExceededError, EmptySequenceError, ValidationError
 from .operators import (DISCRETE, SpectralOperator, SpectralPoint, _boundary_basis, _read_matrix,
                         _require_bounded, as_operator)
 
 DEFAULT_TOL = entangle.RESONANCE_TOL
 FRAGILE_BAND = 1e-10
-MITM_THRESHOLD = 100_000  # combinations per block above which the meet-in-the-middle runs
 
 
 def unimodular_spectrum(t, tol: float = DEFAULT_TOL) -> tuple[SpectralPoint, ...]:
@@ -158,14 +159,13 @@ def _angle_of(agg, additive: bool) -> float:
     return (cmath.phase(agg) / (2 * math.pi)) % 1.0
 
 
-def _solve_blocks(norm, part: Partition, tol, additive: bool, mitm_threshold: int):
-    """[(positions, columns, residuals)] of each block in block-id order, from one
-    _block_solutions each; None once a block has none, since then nothing resonates."""
+def _solve_blocks(part: Partition, solve):
+    """[(positions, columns, residuals)] of each block in block-id order, from solve(positions);
+    None once a block has none, since then nothing resonates."""
     solutions = []
     for _, positions in sorted(part.blocks.items()):
-        cols, res = _block_solutions([norm[j] for j in positions], additive=additive, tol=tol,
-                                     mitm_threshold=mitm_threshold)
-        if not len(res):
+        cols, res = solve(positions)
+        if not len(cols[0]):
             return None
         solutions.append((positions, cols, res))
     return solutions
@@ -183,7 +183,8 @@ def _resonant_index(spectra, part: Partition, tol, additive: bool, mitm_threshol
     if len(spectra) != part.m:
         raise ValidationError(f"got {len(spectra)} spectra for m={part.m} positions")
     norm = _normalized(spectra, additive)
-    solutions = _solve_blocks(norm, part, tol, additive, mitm_threshold)
+    solutions = _solve_blocks(part, lambda positions: _block_solutions(
+        [norm[j] for j in positions], additive=additive, tol=tol, mitm_threshold=mitm_threshold))
     if solutions is None:
         return norm, [np.zeros(0, dtype=np.intp)] * part.m, [np.zeros(0)] * part.k
 
@@ -311,12 +312,21 @@ def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndar
     with P_j the mean ergodic projection of T_j at lam_j, evaluated as one
     contraction over boundary eigen-indices (see _assemble_limit).  Requires
     every T_j to live on one clock and pass its boundedness certificate; an
-    empty resonance set gives the zero matrix (the averages die in norm).
+    empty resonance set gives the zero matrix (the averages die in norm).  At
+    the default tol each block's decision is the one the means read from the
+    system's block table (entangle._block_table), made once per system; any
+    other tol decides every block anew and leaves the table alone.
     """
     ops, additive = _require_bounded(system.operators), system.clock.additive
     linalg._positive_finite(tol, "tolerance")
-    norm = _normalized(ops, additive)
-    solutions = _solve_blocks(norm, system.partition, tol, additive, MITM_THRESHOLD)
+    if tol == entangle.RESONANCE_TOL:  # the means' decision, made once per system
+        solutions = _solve_blocks(system.partition,
+                                  lambda positions: (system.blocks[positions].hits, None))
+    else:
+        norm = _normalized(ops, additive)
+        solutions = _solve_blocks(system.partition, lambda positions: _block_solutions(
+            [norm[j] for j in positions], additive=additive, tol=tol,
+            mitm_threshold=MITM_THRESHOLD))
     return _assemble_limit(system, solutions)
 
 

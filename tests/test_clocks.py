@@ -169,8 +169,8 @@ def test_limit_with_tuples_solves_each_block_once(continuous, monkeypatch):
     assert len(calls) == system.partition.k
     assert np.array_equal(limit, want_limit) and tuples == want_tuples
     calls.clear()
-    limit_operator(system)
-    assert len(calls) == system.partition.k
+    limit_operator(system)  # reads the block table that want_limit's call filled
+    assert not calls
 
 
 def test_limit_with_tuples_without_resonance_is_zero_and_empty():

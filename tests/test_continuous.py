@@ -251,10 +251,22 @@ def _recurrence_half_rule(q: int) -> np.ndarray:
     raise AssertionError(f"the recurrence oracle did not converge at Q={q}")
 
 
-@pytest.mark.parametrize("q", [250, 251, 500, 1000])
+@pytest.mark.parametrize("q", [*range(2, 57), 250, 251, 500, 1000])
 def test_gauss_legendre_nodes_match_newton_on_the_recurrence(q):
+    # below Q = 57 the edge nodes with beta < pi/4 take the edge sum in beta; in theta =
+    # pi/2 - beta they were off by up to 3.3e-16 (Q = 28 and 40)
     x, _ = continuous._gauss_legendre(q)
-    assert np.max(np.abs(x[q // 2:][::-1] - _recurrence_half_rule(q))) <= 5e-16
+    assert np.max(np.abs(x[q // 2:][::-1] - _recurrence_half_rule(q))) <= 1.2e-16
+
+
+@pytest.mark.parametrize("q", [57, 250, 500])
+def test_gauss_legendre_rule_from_57_nodes_never_takes_the_beta_form(q, monkeypatch):
+    # no edge node has beta < pi/4 from Q = 57 on (cos beta <= 40/Q), so the rules the
+    # benchmark runs are those of the theta form bit for bit
+    x, w = continuous._gauss_legendre(q)
+    monkeypatch.setattr(continuous, "_BETA_FORM_BELOW", -1.0)
+    theta_x, theta_w = continuous._gauss_legendre(q)
+    assert x.tobytes() == theta_x.tobytes() and w.tobytes() == theta_w.tobytes()
 
 
 @pytest.mark.parametrize("q", range(2, 131))
@@ -691,7 +703,7 @@ def test_resonant_cell_weight_is_exactly_one():
     certs = [sg.certificate for sg in sgs]
     assert certs[0].eigenvalues[0] + certs[1].eigenvalues[0] + certs[2].eigenvalues[0] != 0
     s_nodes, w_nodes = QuadratureSpec("midpoint", 4000).nodes(1.0e4)
-    g = continuous._quadrature_weight(sgs, s_nodes, w_nodes / 1.0e4)
+    g = continuous._quadrature_weight(entangle._Block(sgs, True), s_nodes, w_nodes / 1.0e4)
     assert g[0, 0, 0] == 1.0
     mu = certs[0].eigenvalues[1] + certs[1].eigenvalues[0] + certs[2].eigenvalues[0]
     assert abs(g[1, 0, 0] - np.sum(w_nodes * np.exp(mu * s_nodes)) / 1.0e4) <= 1e-12
@@ -802,7 +814,7 @@ def test_aliased_midpoint_cell_is_resonant_and_keeps_its_sign(freqs, strategy):
     # 10/11 the float exponents sum to 2 pi i + 9e-16 i, not to 2 pi i
     sgs = [synth_semigroup([f], [-0.5], OrthonormalBasis(350 + j)) for j, f in enumerate(freqs)]
     sys_ = make_continuous_system([1, 1], sgs, [linalg.haar_unitary(2, seed=352)])
-    weight = entangle._cesaro_weight(sgs, 16, Fraction(1))
+    weight = entangle._cesaro_weight(entangle._Block(sgs, True), 16, Fraction(1))
     assert weight[0, 0] == 1.0
     ref = _node_sum(sys_, 16.0, 16)
     got = continuous_entangled_average(

@@ -7,9 +7,12 @@ spectral weights), so agreement between the two is a genuine cross-check,
 not a tautology.
 """
 
+import dataclasses
+import gc
 import itertools
 import math
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import entangle, linalg
+from entlab import entangle, linalg, spectral_limit
+from entlab.continuous import (
+    QuadratureSpec,
+    continuous_entangled_average,
+    continuous_limit_operator,
+    make_continuous_system,
+    semigroup_from_generator,
+    synth_semigroup,
+)
 from entlab.entangle import (
     entangled_average,
     generalized_power_average,
@@ -436,17 +447,104 @@ def test_generalized_power_average_weight_count_checked():
 # ------------------------------------------------------ spectral Cesaro weight
 
 
-def test_resonance_decisions_held_by_an_operator_are_cleared_at_64():
+def test_block_table_is_freed_with_its_system_and_not_shared():
     lead = synth_operator(["0", "1/2"], [0.5], OrthonormalBasis(40))
-    others = [synth_operator(["0", "1/2"], [0.3j], OrthonormalBasis(41 + j)) for j in range(70)]
-    sizes = []
-    for op in others:  # one block decision per (lead, op) pair
-        entangled_average(make_system([1, 1], [lead, op]), 50)
-        sizes.append(len(lead._decided))
-    assert max(sizes) == 64 and sizes[-1] < 64  # cleared once, then filled again
-    sys_ = make_system([1, 1], [lead, others[-1]])
-    want = entangled_average(sys_, 50, strategy="presum")
-    assert np.linalg.norm(entangled_average(sys_, 50) - want) <= 1e-12 * np.linalg.norm(want)
+    others = [synth_operator(["0", "1/2"], [0.3j], OrthonormalBasis(41 + j)) for j in range(2)]
+    systems = [make_system([1, 1], [lead, op]) for op in others]
+    for sys_ in systems:
+        want = entangled_average(sys_, 50, strategy="presum")
+        assert np.linalg.norm(entangled_average(sys_, 50) - want) <= 1e-12 * np.linalg.norm(want)
+    assert systems[0].blocks is not systems[1].blocks  # one table per system, not per operator
+    fields = {f.name for f in dataclasses.fields(lead)}
+    assert set(vars(lead)) - fields <= {"_owners"}  # no block data on an operator
+    (block,) = systems[0].blocks.values()
+    refs = [weakref.ref(systems[0]), weakref.ref(block)]
+    del block
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del systems[0]  # reference counting alone frees the system and its table
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _counting_block_solutions(monkeypatch) -> list:
+    """Count _block_solutions calls, as entangle and spectral_limit bind it."""
+    calls, original = [], entangle._block_solutions
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (entangle, spectral_limit):
+        monkeypatch.setattr(module, "_block_solutions", counting)
+    return calls
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["exact", "float"])
+def test_each_block_is_decided_once_per_system(raw, monkeypatch):
+    ops = [synth_operator(["0", angle], [0.5], OrthonormalBasis(45 + j))
+           for j, angle in enumerate(["1/3", "1/4", "2/3", "3/4"])]
+    if raw:
+        ops = [from_matrix(op.matrix) for op in ops]
+    conns = [linalg.haar_unitary(3, seed=49 + j) for j in range(3)]
+    sys_ = make_system([1, 2, 1, 2], ops, conns)
+    calls = _counting_block_solutions(monkeypatch)
+    for n in (16, 1000, 2**20, 2**40):
+        entangled_average(sys_, n)
+    entangled_average(sys_, 100, x=np.arange(3.0))
+    limit = spectral_limit.limit_operator(sys_)
+    assert len(calls) == sys_.partition.k and np.linalg.norm(limit) > 0.1
+
+    sgs = [synth_semigroup(["0", freq], [-0.5], OrthonormalBasis(50 + j))
+           for j, freq in enumerate(["1/2", "1/3", "-1/2"])]
+    if raw:
+        sgs = [semigroup_from_generator(sg.generator) for sg in sgs]
+    cs = make_continuous_system([1, 2, 1], sgs, conns[:2])
+    calls.clear()
+    for q in (16, 40):
+        continuous_entangled_average(cs, 8.0, QuadratureSpec("midpoint", q))
+    continuous_entangled_average(cs, 8.0, QuadratureSpec("gauss-legendre", 30))
+    limit = continuous_limit_operator(cs)
+    assert len(calls) == cs.partition.k and np.linalg.norm(limit) > 0.1
+
+
+def test_limit_at_another_tol_neither_reads_nor_fills_the_table(monkeypatch):
+    ops = [synth_operator(["0", "1/2"], [0.5], OrthonormalBasis(55 + j)) for j in range(2)]
+    sys_ = make_system([1, 1], ops, [linalg.haar_unitary(3, seed=57)])
+    want = spectral_limit.limit_operator(make_system([1, 1], ops, sys_.connectors), tol=1e-6)
+    got = spectral_limit.limit_operator(sys_, tol=1e-6)
+    assert "blocks" not in vars(sys_) and np.array_equal(got, want)  # not filled
+
+    def never(self):
+        raise AssertionError("the block table was read")
+
+    monkeypatch.setattr(entangle.EntangledSystem, "blocks", property(never))
+    assert np.array_equal(spectral_limit.limit_operator(sys_, tol=1e-6), want)
+    with pytest.raises(AssertionError, match="table was read"):
+        spectral_limit.limit_operator(sys_)  # the default tol reads it
+
+
+_FREQ = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 10**19 + 3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(freqs=st.lists(st.lists(_FREQ, min_size=1, max_size=3), min_size=1, max_size=3),
+       h=st.one_of(st.builds(Fraction, st.integers(1, 24), st.sampled_from([1, 2, 3, 5, 8])),
+                   st.builds(lambda t, q: Fraction(t) / q, st.floats(1e-3, 1e4),
+                             st.integers(2, 10**6))))
+def test_aliased_cells_from_the_integer_sums_are_the_per_step_decision(freqs, h):
+    # the table reads (sum phi) h in Z off its sums; the decision it replaces solved the block
+    # on the angles phi h mod 1 at every step
+    sgs = [synth_semigroup(f, [-0.5], OrthonormalBasis(60 + j)) for j, f in enumerate(freqs)]
+    block = entangle._Block(sgs, True)
+    points = [[(None, a * h % 1) for a in sg.eigenbasis.angles] for sg in sgs]
+    want, _ = entangle._block_solutions(points, additive=False, tol=entangle.RESONANCE_TOL,
+                                        mitm_threshold=math.inf)
+    got = np.nonzero(entangle._aliased(block.sums, h))
+    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 _ANGLE = st.builds(Fraction, st.integers(-(10**7), 10**7), st.integers(1, 10**6))
@@ -462,6 +560,30 @@ def test_exact_phases_are_the_fraction_phases_bit_for_bit(angles, t, q, step):
     ah = [a if h is None else a * h for a in angles]
     phi = entangle._exact_phases(angles, h)
     assert [x.hex() for x in phi] == [float(x % 1 - (x % 1 > Fraction(1, 2))).hex() for x in ah]
+
+
+_BLOWUPS = {  # presum means whose power sums drift past any power-bounded value
+    "haar": (lambda: make_system([1], [linalg.haar_unitary(2, seed=0)]), (58, 60)),
+    "synthesized": (lambda: make_system([1], [synth_operator(["0", "1/2"], [],
+                                                              OrthonormalBasis(6))]), (56, 58)),
+}
+
+
+@pytest.mark.parametrize("case, e", [(case, e) for case, (_, es) in _BLOWUPS.items() for e in es])
+def test_presum_mean_above_its_power_bound_is_refused_by_name(case, e):
+    # the haar mean read 4.7e9 at n = 2^58 and 3.1e90 at 2^60, the synthesized one 16.6 at
+    # 2^56 and 1.9e6 at 2^58, against sqrt(2) prod K_j = 1.41; spectral reads them right
+    sys_ = _BLOWUPS[case][0]()
+    with pytest.raises(NonConvergenceError, match=r"norm .* exceeds 1\.414e\+00, the bound"):
+        entangled_average(sys_, 2**e, strategy="presum")
+    assert np.linalg.norm(entangled_average(sys_, 2**e)) <= 1.0 + 1e-12
+
+
+def test_presum_drift_inside_the_power_bound_is_not_refused():
+    # README's documented drift: 0.75 against the true 1.0 at n = 2^50, inside sqrt(3) K
+    sys_ = make_system([1], [synth_operator(["0", "1/3"], [0.4], OrthonormalBasis(5))])
+    got = np.linalg.norm(entangled_average(sys_, 2**50, strategy="presum"))
+    assert abs(got - 1.0) > 0.01 and got <= math.sqrt(3)
 
 
 @pytest.mark.parametrize("e", [40, 56, 60, 64, 70, 1100])
@@ -501,7 +623,7 @@ def test_cesaro_weight_matches_the_compensated_power_sum(kind, n):
     assert members[0].eigenbasis.exact == (kind != "float")
     lam = [member.eigenbasis.eigenvalues for member in members]
     z = np.multiply.outer(*lam)
-    weight = entangle._cesaro_weight(members, n)
+    weight = entangle._cesaro_weight(entangle._Block(members, False), n)
     near = np.abs(z - 1) < 1e-11
     resonant = weight == 1.0
     assert near.sum() == 3 and resonant.sum() == 2  # 1e-12 off 1, and two exact hits
@@ -520,7 +642,7 @@ def test_cesaro_weight_of_an_aliased_midpoint_step_on_a_raw_generator(n):
     s = np.eye(2) + 0.3 * linalg.haar_unitary(2, seed=73)
     sg = semigroup_from_generator(s @ np.diag([2j * np.pi, -0.5]) @ np.linalg.inv(s))
     assert sg.eigenbasis is not None and not sg.eigenbasis.exact
-    weight = entangle._cesaro_weight([sg, sg], n, Fraction(1))
+    weight = entangle._cesaro_weight(entangle._Block([sg, sg], True), n, Fraction(1))
     mu = sg.eigenbasis.eigenvalues
     for idx in np.ndindex(weight.shape):
         want = _fsum_mean(complex(np.exp(mu[idx[0]] + mu[idx[1]])), n, start=0)

@@ -14,6 +14,7 @@ runs as discrete time, against the full weighted lattice over the nodes.
 """
 
 import json
+import math
 import re
 import tracemalloc
 
@@ -321,6 +322,33 @@ def test_midpoint_routes_match_the_node_sum(seed, alpha, d, q, t, similarity, ra
         assert _rel(got, ref) <= 1e-10, strategy
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    alpha=st.sampled_from(NESTED + CROSSING + BIJECTIVE),
+    d=st.integers(min_value=2, max_value=4),
+    similarity=st.booleans(),
+    raw=st.booleans(),
+    generators=st.booleans(),
+)
+def test_block_table_decides_as_the_owner_expanded_grid(seed, alpha, d, similarity, raw,
+                                                         generators):
+    # the table decides each block's points once (meet-in-the-middle past its threshold) and
+    # expands them by owner; the means used to decide the owner-expanded grid whole
+    build = _random_generators if generators else _random_system
+    sys_ = build(alpha, d, seed, similarity, raw)
+    additive = sys_.clock.additive
+    for block in sys_.blocks.values():
+        if any(member.eigenbasis is None for member in block.members):
+            continue  # no eigen-index grid without a record
+        points = entangle._normalized(block.members, additive)
+        cands = [[pts[o] for o in member._owners] for pts, member in zip(points, block.members)]
+        want, _ = entangle._block_solutions(cands, additive=additive, tol=entangle.RESONANCE_TOL,
+                                            mitm_threshold=math.inf)
+        got = np.nonzero(block.resonant)
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 # --------------------------------------------------------------- budgets
 
 
@@ -444,6 +472,34 @@ def test_spectral_peak_for_one_wide_block_stays_under_six_weights():
     finally:
         tracemalloc.stop()
     assert peak <= entangle._spectral_bytes(sys_.partition, d) < 6 * 16 * d ** len(alpha)
+
+
+@pytest.mark.parametrize("alpha, d", [([1, 1, 1, 1], 12), ([1, 2, 1, 2], 10)])
+@pytest.mark.parametrize("rule", ["cesaro", "midpoint"])
+def test_first_call_peak_with_the_table_build_stays_under_the_counted_bytes(alpha, d, rule):
+    # the first call decides each block and, in discrete time, builds the grids that the
+    # system keeps (its block table): the count holds the table and one call's temporaries
+    def build(seed):
+        if rule == "cesaro":
+            return _certified_system(alpha, d)
+        sgs = [synth_semigroup([f"{k}/7" for k in range(d - 2)], [-0.5, -0.3 + 1j],
+                               OrthonormalBasis(seed + j)) for j in range(len(alpha))]
+        return make_continuous_system(alpha, sgs)
+
+    def run(sys_):
+        if rule == "cesaro":
+            return entangled_average(sys_, 1000)
+        return continuous_entangled_average(sys_, 16.0, QuadratureSpec("midpoint", 400))
+
+    run(build(380))  # numpy's one-time allocations happen here
+    sys_ = build(390)
+    tracemalloc.start()
+    try:
+        run(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * d ** len(alpha) < peak <= entangle._spectral_bytes(sys_.partition, d)
 
 
 def test_spectral_falls_back_when_the_weight_fits_but_its_temporaries_do_not(monkeypatch):

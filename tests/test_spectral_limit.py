@@ -864,11 +864,12 @@ def test_means_snap_exactly_the_boundary_cells_the_limit_counts(case, rule):
     records = [member.eigenbasis for member in members]
     assert all(rec is not None for rec in records)
     assert any(not rec.exact for rec in records)
+    block = entangle._Block(members, not discrete)
     if rule == "gauss-legendre":
         s_nodes, w_nodes = QuadratureSpec("gauss-legendre", 64).nodes(10.0)
-        weight = continuous._quadrature_weight(members, s_nodes, w_nodes / 10.0)
+        weight = continuous._quadrature_weight(block, s_nodes, w_nodes / 10.0)
     else:
-        weight = entangle._cesaro_weight(members, 1000, None if discrete else Fraction(1, 64))
+        weight = entangle._cesaro_weight(block, 1000, None if discrete else Fraction(1, 64))
     tuples = resonant_tuples(members, [1] * len(members), additive=not discrete)
     listed = set(zip(*(col.tolist() for col in tuples.columns)))
     assert set(zip(*(i.tolist() for i in np.nonzero(weight == 1)))) == listed
