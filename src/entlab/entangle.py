@@ -437,7 +437,7 @@ def _exact_sums(axes, common: int, additive: bool = False) -> np.ndarray:
     dtype = np.int64 if fits else object
     total = np.zeros((), dtype=dtype)
     for col in cols:
-        total = np.add.outer(total, np.array(col, dtype=dtype))
+        total = total[..., np.newaxis] + np.array(col, dtype=dtype)
     return total if additive else total % common
 
 
@@ -523,8 +523,9 @@ def _unravel(flat, shape) -> list:
 
 
 def _pairs(keys, right_keys):
-    """(left, right) flat indices with equal keys, keys in turn, by left then right index."""
-    order = np.argsort(right_keys, kind="stable")
+    """(left, right) flat indices with equal keys, keys in turn: for each key array, by left
+    index, and equal right keys in no particular order (the caller sorts the pairs)."""
+    order = np.argsort(right_keys)
     ranked = right_keys[order]
     left_keys = np.concatenate(keys)
     lo = np.searchsorted(ranked, left_keys, "left")
@@ -553,8 +554,9 @@ def _block_solutions(cands, *, additive, tol, mitm_threshold):
     the float cell of width tol (or the rounding of a half-sum, if wider).
     Right keys are sorted once, each left half's complement (in float mode
     also its +-2 neighbouring cells, wrapping at 1) is looked up with
-    searchsorted, and the pairs found are decided as above.  Memory stays at
-    the size of the halves and the pairs.
+    searchsorted, and the pairs found are decided as above, then put in
+    lexicographic order by a stable lexsort of their flat half-grid indices.
+    Memory stays at the size of the halves and the pairs.
     """
     sizes = [len(c) for c in cands]
     fracs = [[0 if fr is None else fr for _, fr in c] for c in cands]
@@ -619,7 +621,9 @@ def _block_solutions(cands, *, additive, tol, mitm_threshold):
                           [e[d] for e, d in zip(exact, digits)],
                           exact_hit, additive=additive, tol=tol)
         li, ri, res = li[hit], ri[hit], res[hit]
-    order = np.lexsort((ri, li))
+    # flat indices in the narrowest unsigned type: at most 16 bits sort by radix
+    order = np.lexsort(tuple(i.astype(np.min_scalar_type(math.prod(shape)))
+                             for i, shape in zip((ri, li), shapes[::-1])))
     li, ri = li[order], ri[order]
     cols = _unravel(li, shapes[0]) + _unravel(ri, shapes[1])
     return cols, np.zeros(len(li)) if all_exact else res[order]
@@ -851,11 +855,12 @@ def _step(member, s: float) -> np.ndarray:
 
 
 def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget,
-                       members=(), blocks=None, h=None):
+                       members=(), blocks=None, h=None, bounds=None):
     """The depth-n mean of the chain of mats; the spectral route reads the members' records and
     their block table (_block_table).  On a midpoint grid (step h) mats are generators, whose
     steps e^{hB} only presum builds; a presum mean that is not finite or exceeds its power
-    bound (entangled_average) raises NonConvergenceError."""
+    bound (entangled_average) raises NonConvergenceError.  bounds: per position K_j, by
+    default the members' power_bound_estimate."""
     d, depth = mats[0].shape[0], "n" if h is None else "Q"
 
     def price(route):  # bytes: the spectral route's grids, else presum's power stacks
@@ -877,10 +882,12 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
     out = _contract(part, connectors, stack, single, weights, x)
     if not np.isfinite(out).all():
         raise NonConvergenceError(f"the presum mean is not finite at {depth}={n}")
-    # a stacked system without records has no K_j; 1e-9 covers rounding in K_j and the norms
+    # 1e-9 covers rounding in K_j and the norms
+    if bounds is None:
+        bounds = [member.power_bound_estimate for member in members]
     norms = [np.linalg.norm(a) for a in [*connectors, 1.0 if x is None else x]]
-    bound = math.sqrt(d) * math.prod([member.power_bound_estimate for member in members] + norms)
-    if members and np.linalg.norm(out) > bound * (1 + 1e-9):
+    bound = math.sqrt(d) * math.prod([*bounds, *norms])
+    if bounds and np.linalg.norm(out) > bound * (1 + 1e-9):
         raise NonConvergenceError(
             f"the presum mean's norm {np.linalg.norm(out):.3e} at {depth}={n} exceeds {bound:.3e}"
             f", the bound sqrt(d) prod K_j prod ||A_j||_F of power-bounded factors")
@@ -962,8 +969,10 @@ class StackedSystem:
 
     A chain started in block 1 is walked up one block per connector
     application, so the (m, 1) compression of the stacked chain reproduces
-    the original chain exactly, summand by summand.  records: script_t and
-    script_s as certified operators (see stacked_system), or ().
+    the original chain exactly, summand by summand.  power_bounds: those of
+    script_t and script_s, each the largest of its members' (1 for I), with or
+    without certificates.  records: script_t and script_s as certified
+    operators (see stacked_system), or ().
     """
 
     partition: Partition
@@ -971,14 +980,18 @@ class StackedSystem:
     script_s: np.ndarray
     script_a: np.ndarray
     block_dim: int
+    power_bounds: tuple[float, float]
     records: tuple[SpectralOperator, ...] = ()
 
     @property
     def m(self) -> int:
         return self.partition.m
 
-    # per position the record of script_t, then script_s's; () without records
-    members = property(lambda self: self.records[:1] * (self.m - 1) + self.records[1:])
+    def _per_position(self, pair: tuple) -> tuple:
+        """script_t's entry of pair at positions 1..m-1, then script_s's; () from ()."""
+        return pair[:1] * (self.m - 1) + pair[1:]
+
+    members = property(lambda self: self._per_position(self.records))
     blocks = functools.cached_property(lambda self: _block_table(self.members, self.partition))
 
 
@@ -1004,10 +1017,12 @@ def stacked_system(system: EntangledSystem) -> StackedSystem:
         rows = slice(a * d, (a + 1) * d)
         cols = slice((a - 1) * d, a * d)
         script_a[rows, cols] = system.connectors[a - 1]
+    bounds = tuple(max([1.0] + [op.power_bound_estimate for op in group])
+                   for group in (ops[:-1], ops[-1:]))
     records = () if any(op.certificate is None for op in ops) else (
-        _block_diagonal(script_t, ops[:-1] + (None,), d),
-        _block_diagonal(script_s, (None,) * (m - 1) + ops[-1:], d))
-    return StackedSystem(system.partition, script_t, script_s, script_a, d, records)
+        _block_diagonal(script_t, ops[:-1] + (None,), d, bounds[0]),
+        _block_diagonal(script_s, (None,) * (m - 1) + ops[-1:], d, bounds[1]))
+    return StackedSystem(system.partition, script_t, script_s, script_a, d, bounds, records)
 
 
 def stacked_average(
@@ -1027,7 +1042,8 @@ def stacked_average(
     chain exactly, so the two routes agree to roundoff; the acceptance suite
     checks a 1e-12 relative residual.  With st.records, strategy="spectral"
     runs on them as on any certified operators, independent of n; without
-    (a member with no certificate) it runs presum.
+    (a member with no certificate) it runs presum, whose mean is refused above
+    its power bound (st.power_bounds) as entangled_average's is.
     """
     n = linalg._positive_int(n, "depth n")
     m, d = st.m, st.block_dim
@@ -1037,7 +1053,8 @@ def stacked_average(
     if x is not None:  # embedded into block 1
         x = np.concatenate([x, np.zeros(((m - 1) * d, 1), dtype=np.complex128)])
     out = _evaluate_discrete(mats, conns, st.partition, n, strategy, x, budget, st.members,
-                             st.blocks if st.records else None)
+                             st.blocks if st.records else None,
+                             bounds=st._per_position(st.power_bounds))
     return out[(m - 1) * d :, :d] if x is None else out[(m - 1) * d :, 0]
 
 

@@ -357,10 +357,11 @@ def _synthesize(exact_values, stable, basis, clock: Clock) -> SpectralOperator:
     return SpectralOperator(matrix, cert, float(np.linalg.cond(s)), points, clock=clock)
 
 
-def _block_diagonal(matrix, members, d: int) -> SpectralOperator:
+def _block_diagonal(matrix, members, d: int, bound: float) -> SpectralOperator:
     """matrix = blockdiag of the members' matrices (None: an identity, eigenvalues 1 at exact
     angle 0) on DISCRETE, certified by blockdiag S and S^{-1} of their certificates: every
-    block's boundary eigen-indices first, in block order; the bound is the members' largest."""
+    block's boundary eigen-indices first, in block order; bound is the caller's, the members'
+    largest."""
     ident = Certificate(np.eye(d), np.ones(d), np.eye(d), (Fraction(0),) * d)
     recs = [ident if member is None else member.certificate for member in members]
     basis, basis_inv = np.zeros((2, len(recs) * d, len(recs) * d), np.complex128)
@@ -372,7 +373,6 @@ def _block_diagonal(matrix, members, d: int) -> SpectralOperator:
     eigs = np.concatenate([rec.eigenvalues for rec in recs])
     cert = Certificate(basis[:, order], eigs[order], basis_inv[order], angles)
     points = tuple(SpectralPoint(angle_value(a), k, a) for a, k in sorted(Counter(angles).items()))
-    bound = max([1.0] + [member.power_bound_estimate for member in members if member])
     return SpectralOperator(matrix, cert, bound, points)
 
 

@@ -206,8 +206,10 @@ def _resonant_index(spectra, part: Partition, tol, additive: bool, mitm_threshol
             keys = [(0, fr.numerator * (common // fr.denominator)) if fr is not None
                     else (1, _angle_of(e, additive)) for e, fr in cands]
             first = {key: r for r, key in reversed(list(enumerate(sorted(keys))))}  # ties share
-            ranks.append(np.array([first[key] for key in keys])[col])
-        order = np.lexsort(ranks[::-1])  # stable: equal rank vectors keep product order
+            ranks.append(np.array([first[key] for key in keys],
+                                  dtype=np.min_scalar_type(len(keys)))[col])
+        # stable: equal rank vectors keep product order; ranks of at most 16 bits sort by radix
+        order = np.lexsort(ranks[::-1])
         index = [col[order] for col in index]
         residuals = [res[order] for res in residuals]
     return norm, index, residuals

@@ -11,6 +11,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import re
 import time
 import weakref
 from fractions import Fraction
@@ -584,6 +585,32 @@ def test_presum_drift_inside_the_power_bound_is_not_refused():
     sys_ = make_system([1], [synth_operator(["0", "1/3"], [0.4], OrthonormalBasis(5))])
     got = np.linalg.norm(entangled_average(sys_, 2**50, strategy="presum"))
     assert abs(got - 1.0) > 0.01 and got <= math.sqrt(3)
+
+
+def test_stacked_presum_mean_without_records_is_refused_above_its_power_bound():
+    # raw operators, so no stacked records: the presum mean read 8.4e18 at n = 2^58 with no
+    # error while the direct mean was refused; the stacked space keeps its members' bounds
+    u = linalg.haar_unitary(2, seed=0)
+    sys_ = make_system([1, 2], [u, u])
+    st_ = stacked_system(sys_)
+    assert st_.records == ()
+    assert st_.power_bounds == tuple(max(1.0, op.power_bound_estimate) for op in sys_.operators)
+    bound = 2 * math.prod(st_.power_bounds) * np.linalg.norm(st_.script_a)  # sqrt(m d) = 2
+    with pytest.raises(NonConvergenceError, match=rf"norm .* exceeds {re.escape(f'{bound:.3e}')}, "):
+        stacked_average(st_, 2**58, strategy="presum", budget=None)
+    with pytest.raises(NonConvergenceError, match=r"exceeds .*, the bound"):
+        entangled_average(sys_, 2**58, strategy="presum", budget=None)
+    assert np.linalg.norm(stacked_average(st_, 2**56, strategy="presum", budget=None)) < 1e-12
+
+
+def test_stacked_power_bounds_are_those_of_its_records():
+    ops = [synth_operator(["0", "1/3"], [0.4], RandomSimilarity(87)),
+           synth_operator(["3/4"], [0.3j, -0.5], RandomSimilarity(88)),
+           synth_operator(["1/2"], [0.2, -0.1], RandomSimilarity(89))]
+    st_ = stacked_system(make_system([1, 2, 1], ops))
+    assert st_.power_bounds == tuple(rec.power_bound_estimate for rec in st_.records)
+    assert st_.power_bounds == (max(ops[0].power_bound_estimate, ops[1].power_bound_estimate),
+                                ops[2].power_bound_estimate)
 
 
 @pytest.mark.parametrize("e", [40, 56, 60, 64, 70, 1100])

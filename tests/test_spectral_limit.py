@@ -260,6 +260,19 @@ def test_mitm_pairs_an_int64_half_with_a_python_int_half():
     }
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
+                         max_size=4), min_size=1, max_size=3),
+       st.booleans(), st.booleans())
+def test_exact_sums_are_the_python_sums_over_the_grid(axes, additive, wide):
+    common = math.lcm(*(fr.denominator for axis in axes for fr in axis)) << (63 if wide else 0)
+    got = entangle._exact_sums(axes, common, additive)
+    want = [sum(fr * common for fr in cell) for cell in itertools.product(*axes)]
+    assert got.shape == tuple(map(len, axes))
+    assert got.dtype == (object if wide else np.int64)
+    assert got.ravel().tolist() == (want if additive else [w % common for w in want])
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
@@ -527,6 +540,99 @@ def test_interleaved_blocks_order_float_ties_by_enumeration():
         assert all(FRAGILE_BAND < t.residuals[0] <= 1e-8 for t in tuples[::2])
         assert all(t.residuals[0] == 0.0 for t in tuples[1::2])
         assert [t.exact[1] is None for t in tuples] == [False] * 4 + [True] * 4
+
+
+def _python_order(spectra, alpha, additive, found):
+    """The index tuples in found, in the order resonant_tuples promises, by Python alone:
+    the blocks' combinations in itertools.product order (block 1 outermost, each block's
+    positions lexicographically), stably sorted by rank vector, where a candidate's rank
+    counts its position's candidates of smaller key (exact value first, then position on
+    the constraint line or circle)."""
+    part = make_partition(alpha)
+    blocks = [positions for _, positions in sorted(part.blocks.items())]
+
+    def key(entry, fr):
+        if fr is not None:
+            return 0, fr
+        return 1, entry if additive else cmath.phase(entry) / (2 * math.pi) % 1.0
+
+    ranks = []
+    for sp in spectra:
+        keys = [key(*_normalize_entry(e, additive)) for e in sp]
+        ranks.append([sum(other < k for other in keys) for k in keys])
+    combos = []
+    for picks in itertools.product(*(itertools.product(*(range(len(spectra[j])) for j in block))
+                                     for block in blocks)):
+        index = [None] * part.m
+        for block, pick in zip(blocks, picks):
+            for j, i in zip(block, pick):
+                index[j] = i
+        if tuple(index) in found:
+            combos.append(tuple(index))
+    assert len(combos) == len(found)
+    return sorted(combos, key=lambda index: [ranks[j][i] for j, i in enumerate(index)])
+
+
+def _assert_python_order(spectra, alpha, additive=False, tol=spectral_limit.DEFAULT_TOL,
+                         thresholds=(0, entangle.MITM_THRESHOLD)):
+    """At each mitm_threshold, resonant_tuples' order is _python_order's; returns the last."""
+    for threshold in thresholds:
+        tuples = resonant_tuples(spectra, alpha, tol, additive=additive,
+                                 mitm_threshold=threshold)
+        got = [t.index for t in tuples]
+        assert got == _python_order(spectra, alpha, additive, set(got))
+    return tuples
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([[1, 1], [1, 1, 1], [1, 2, 1], [1, 2, 2, 1], [1, 2, 1, 2], [1, 2, 3, 1, 3]]),
+    st.booleans(),
+    st.sampled_from(["exact", "float", "mixed"]),
+    st.data(),
+)
+def test_tuples_follow_a_python_sort_of_rank_vectors(alpha, additive, kind, data):
+    # nested [1, 2, 2, 1] and crossing [1, 2, 1, 2] alpha; values drawn from a few so
+    # that ties, exact and float, are common
+    lo, hi = (-1, 1) if additive else (0, 1)
+    entry = st.tuples(
+        st.fractions(min_value=lo, max_value=hi, max_denominator=3),
+        st.sampled_from(["exact", "float"]) if kind == "mixed" else st.just(kind),
+        st.sampled_from([0.0, 0.0, 0.0, 1e-9]),
+    )
+    spectra = [
+        [_entry(fr, k, additive, jitter) for fr, k, jitter in
+         data.draw(st.lists(entry, min_size=1, max_size=5))]
+        for _ in alpha
+    ]
+    _assert_python_order(spectra, alpha, additive)
+
+
+def test_tuples_order_300_candidates_at_one_position():
+    # 300 candidates: ranks 290 and 299 are past a byte, and taken mod 256 they would sort
+    # before rank 150; "1/30" twice gives tied rank vectors
+    rng = np.random.default_rng(11)
+    first = [Fraction(int(a), 300) for a in rng.permutation(300)]
+    second = ["0", "1/30", "1/2", "1/300", "1/30"]
+    tuples = _assert_python_order([first, second], [1, 1])
+    assert [t.exact[0] for t in tuples] == [Fraction(0), Fraction(1, 2), Fraction(29, 30),
+                                            Fraction(29, 30), Fraction(299, 300)]
+    assert [t.index[1] for t in tuples[2:4]] == [1, 4]
+    floats = [[cmath.exp(2j * math.pi * float(fr)) for fr in first], second]
+    assert len(_assert_python_order(floats, [1, 1])) == 5
+
+
+def test_tuples_order_with_a_right_half_grid_past_65535():
+    # 3 x 260 x 260 combinations: the meet-in-the-middle's right half has 67,600 cells,
+    # so its flat indices need more than 16 bits; every angle j/130 appears twice at each
+    # right position, so each resonant value tuple has four index tuples of one rank
+    # vector, whose order is the meet-in-the-middle's
+    rng = np.random.default_rng(12)
+    right = [[Fraction(int(a) % 130, 130) for a in rng.permutation(260)] for _ in range(2)]
+    spectra = [["0", "1/2", "1/5"], *right]
+    tuples = _assert_python_order(spectra, [1, 1, 1], thresholds=(0, 10 ** 9))
+    assert len(tuples) == 3 * 130 * 4
+    assert tuples == resonant_tuples(spectra, [1, 1, 1])
 
 
 # ------------------------------------------------- the ResonantTuples sequence
