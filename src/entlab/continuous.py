@@ -319,12 +319,6 @@ def _quadrature_bytes(part: Partition, d: int) -> float:
     return _spectral_bytes(part, d) + 32 * (_CHUNK_CELLS + np.getbufsize())
 
 
-def _check_horizon(system, last: float):
-    """Every generator within the exponential's norm cap at the last node, before any work."""
-    for sg in system.semigroups:
-        linalg.check_expm_horizon(sg.generator, last)
-
-
 def _midpoint_average(system, t, quad: QuadratureSpec, x, budget, strategy):
     """The midpoint rule as discrete time: with h = t/Q, T(s_i) = E P^i at
     s_i = (i + 1/2) h for P = e^{hB} and E = e^{hB/2}, so the rule is E_m
@@ -332,13 +326,13 @@ def _midpoint_average(system, t, quad: QuadratureSpec, x, budget, strategy):
     connectors A_j E_j, refused or run by entangle._evaluate_discrete with
     the exact step h for the spectral weight (only presum builds P).  E, not
     e^{-hB/2}, which would amplify rounding by e^{|Re lam| h/2} on a stiff
-    generator.  The norm cap is checked at t - h/2.  Q and h must be normal floats."""
+    generator.  Q and h must be normal floats.  Only a step without a record comes from
+    linalg.expm, whose norm cap refuses a large h before any power stack."""
     q = quad._size(t)
     h = Fraction(t) / q
     if q > sys.float_info.max or float(h) < sys.float_info.min:  # int > float is exact
         raise BudgetExceededError(f"midpoint grid of Q >= 2^{q.bit_length() - 1} points over "
                                   f"t={t:g} leaves the normal float range; lower Q")
-    _check_horizon(system, t - float(h) / 2)
     halves = _per_matrix(system.semigroups, lambda sg: _step(sg, float(h) / 2))
     conns = [a @ halves(j) for j, a in enumerate(system.connectors)]
     return halves(-1) @ _evaluate_discrete([sg.generator for sg in system.semigroups], conns,
@@ -375,7 +369,6 @@ def _gauss_legendre_average(system, t, quad: QuadratureSpec, x, budget, strategy
                 _stack_bytes(generators, range(part.m), q))
 
     route = _route(strategy, budget, system.semigroups, part, d, q, "Q", price)
-    _check_horizon(system, t)  # t bounds the last node, which is not computed yet
     s_nodes, w_nodes = quad.nodes(t)
     if route == "spectral":
         return _record_mean(system.semigroups, list(system.connectors), part, lambda positions:
@@ -408,13 +401,14 @@ def continuous_entangled_average(
     per block when every generator carries an eigenbasis record and the grid
     fits the memory cap, else ``presum``: one batched expm per generator.
 
-    An unknown strategy is refused with ValidationError.  Q, t, costs and a
-    last node past the exponential's norm cap (for Gauss-Legendre the horizon
-    t, which bounds it) are refused before any work, each rule's in the
-    function that runs it; with richardson=True the doubled grid, whose
-    difference from the requested one is the error estimate (at about 3x the
-    cost), runs first, and since cost and memory only grow with Q its refusals
-    cover the requested grid's.
+    An unknown strategy is refused with ValidationError.  Q, t and costs are
+    refused before any work, each rule's in the function that runs it; with
+    richardson=True the doubled grid, whose difference from the requested one
+    is the error estimate (at about 3x the cost), runs first, and since cost
+    and memory only grow with Q its refusals cover the requested grid's.
+    Only a formed exponential meets linalg.expm's norm cap (OverflowError):
+    a step without a record, or presum's Gauss-Legendre nodes; records run at
+    any horizon t.
 
     Sampling well below the fastest frequency aliases the oscillation; keep
     Q at 20 or more points per period (see suggest_points).

@@ -847,6 +847,12 @@ def _route(strategy, budget, members, part: Partition, d: int, n: int, depth: st
     return route
 
 
+def _frobenius(a) -> float:
+    """||a||_F of finite entries, scaled by the largest |entry| so that no square overflows."""
+    big = float(np.max(np.abs(a), initial=0.0))
+    return big * float(np.linalg.norm(a / big)) if big else 0.0
+
+
 def _step(member, s: float) -> np.ndarray:
     """e^{sB} of a generator: from its eigenbasis record, else linalg.expm."""
     rec = member.eigenbasis
@@ -885,11 +891,11 @@ def _evaluate_discrete(mats, connectors, part: Partition, n, strategy, x, budget
     # 1e-9 covers rounding in K_j and the norms
     if bounds is None:
         bounds = [member.power_bound_estimate for member in members]
-    norms = [np.linalg.norm(a) for a in [*connectors, 1.0 if x is None else x]]
-    bound = math.sqrt(d) * math.prod([*bounds, *norms])
-    if bounds and np.linalg.norm(out) > bound * (1 + 1e-9):
+    norms = [_frobenius(a) for a in [*connectors, 1.0 if x is None else x]]
+    bound, norm = math.sqrt(d) * math.prod([*bounds, *norms]), _frobenius(out)
+    if bounds and norm > bound * (1 + 1e-9):
         raise NonConvergenceError(
-            f"the presum mean's norm {np.linalg.norm(out):.3e} at {depth}={n} exceeds {bound:.3e}"
+            f"the presum mean's norm {norm:.3e} at {depth}={n} exceeds {bound:.3e}"
             f", the bound sqrt(d) prod K_j prod ||A_j||_F of power-bounded factors")
     return out
 

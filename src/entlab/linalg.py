@@ -20,9 +20,10 @@ from .rng import CounterRng
 # laboratory; everything in the package validates against it.
 DIM_CAP = 512
 
-# Refuse matrix exponentials whose scaled 1-norm would push Pade scaling and
+# expm refuses exponentials whose scaled 1-norm would push Pade scaling and
 # squaring past ~17 squarings of headroom; exp overflows double range anyway
-# near ||tB|| ~ 700 for non-normal B, so the cap is generous.
+# near ||tB|| ~ 700 for non-normal B, so the cap is generous.  Routes that
+# exponentiate only eigenvalues never form such a matrix and never reach it.
 EXPM_NORM_CAP = 1.0e5
 
 
@@ -162,18 +163,6 @@ def eig(a, tol: float = 1e-9, *, on_boundary=_on_unit_circle) -> EigDecompositio
     return EigDecomposition(values, vectors, cond, semisimple)
 
 
-def check_expm_horizon(arr: np.ndarray, t_max: float) -> None:
-    """OverflowError when t_max * ||B||_1 exceeds EXPM_NORM_CAP.
-
-    arr is an already validated square matrix.  expm runs this on its
-    largest |t|; callers that build exp(tB) from products of shorter steps
-    run it on their largest t before the first product.
-    """
-    norm = t_max * float(np.linalg.norm(arr, 1))
-    if not norm <= EXPM_NORM_CAP:  # a NaN norm fails this too
-        raise OverflowError(f"||t*B||_1 = {norm:.3e} exceeds cap {EXPM_NORM_CAP:.1e}")
-
-
 def expm(b, t=1.0) -> np.ndarray:
     """exp(t*B) by SciPy's Pade scaling-and-squaring.
 
@@ -181,6 +170,8 @@ def expm(b, t=1.0) -> np.ndarray:
     (len(t), d, d) stack evaluated in one batched call.  A NaN or infinite
     time raises ValidationError; inputs whose scaled 1-norm max|t| * ||B||_1
     exceeds EXPM_NORM_CAP raise OverflowError, both before SciPy is loaded.
+    This is the package's one horizon check, so it guards exactly the
+    exponentials that are formed.
     """
     arr = as_matrix(b, square=True)
     ts = np.asarray(t, dtype=np.float64)
@@ -188,7 +179,9 @@ def expm(b, t=1.0) -> np.ndarray:
         raise DimensionMismatchError("t must be a scalar or 1-D array")
     if not np.all(np.isfinite(ts)):
         raise ValidationError("expm times must be finite")
-    check_expm_horizon(arr, float(np.max(np.abs(ts))) if ts.size else 0.0)
+    norm = float(np.max(np.abs(ts), initial=0.0)) * float(np.linalg.norm(arr, 1))
+    if not norm <= EXPM_NORM_CAP:  # a NaN norm fails this too
+        raise OverflowError(f"||t*B||_1 = {norm:.3e} exceeds cap {EXPM_NORM_CAP:.1e}")
     import scipy.linalg as sla
     if ts.ndim == 0:
         return sla.expm(float(ts) * arr)

@@ -741,14 +741,19 @@ def test_exit_3_on_counterexample_checkpoint_from_2_pow_53(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_exit_4_on_numerical_overflow(tmp_path, capsys):
-    cfg = _continuous_config(
-        horizons=[1.0e9], quadrature={"scheme": "midpoint", "points": 8}
-    )
-    cfg_path = _write(tmp_path, cfg)
-    rc = main(["continuous", "--config", cfg_path, "--out", str(tmp_path / "r.csv")])
-    assert rc == 4
-    assert "numerical failure" in capsys.readouterr().err
+def test_continuous_runs_at_horizons_up_to_1e9(tmp_path, capsys):
+    # CLI generators are synthesized, so their means read eigenbasis records and form no
+    # exponential for expm's norm cap to refuse; this config exited 4 from t = 1e5 while
+    # every generator's ||t B||_1 was checked.  The distance to the limit falls as 1/t:
+    # t x error_fro reads 1.94 at every horizon
+    cfg = _continuous_config(horizons=[1.0e5, 1.0e6, 1.0e9])
+    out_path = tmp_path / "r.csv"
+    rc = main(["continuous", "--config", _write(tmp_path, cfg), "--out", str(out_path)])
+    assert rc == 0
+    capsys.readouterr()
+    with open(out_path, newline="") as fh:
+        scaled = [float(r["checkpoint"]) * float(r["error_fro"]) for r in csv.DictReader(fh)]
+    assert len(scaled) == 3 and max(scaled) <= 1.01 * min(scaled) and max(scaled) < 2.0
 
 
 def test_exit_4_on_a_non_finite_result_with_nothing_on_stdout(tmp_path, capsys):

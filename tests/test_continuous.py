@@ -494,23 +494,45 @@ def test_average_requires_bounded_semigroups():
         continuous_limit_operator(sys_)
 
 
+def _never_expm(*args, **kwargs):
+    raise AssertionError("linalg.expm called")
+
+
+def _defective_generator(seed=28):
+    """U [[0, 0, 0], [0, -1/2, 1], [0, 0, -1/2]] U^H: bounded, its stable part a Jordan
+    block, so it has no eigenbasis record and its exponentials come from linalg.expm."""
+    u = linalg.haar_unitary(3, seed=seed)
+    jordan = np.array([[0.0, 0.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, -0.5]])
+    sg = semigroup_from_generator(u @ jordan @ u.conj().T)
+    assert sg.eigenbasis is None
+    return sg
+
+
 def test_expm_horizon_overflow_propagates():
-    sg = synth_semigroup(["1/2"], [-1.0], OrthonormalBasis(seed=28))
-    sys_ = make_continuous_system([1], [sg])
-    with pytest.raises(OverflowError):
+    # the half step h/2 = t/32 (Richardson's doubled grid runs first) of a generator
+    # without a record meets expm's cap
+    sys_ = make_continuous_system([1], [_defective_generator()])
+    with pytest.raises(OverflowError, match="exceeds cap"):
         continuous_entangled_average(sys_, 1.0e9, QuadratureSpec("midpoint", 8))
 
 
-def test_gauss_legendre_horizon_is_refused_before_its_nodes(monkeypatch):
-    # t bounds the last node, so the norm cap is checked at t before any node
-    def never(q):
-        raise AssertionError(f"_gauss_legendre({q}) called")
-
-    monkeypatch.setattr(continuous, "_gauss_legendre", never)
-    sg = semigroup_from_generator(np.array([[0.0, -np.pi], [np.pi, -0.5]]))
-    sys_ = make_continuous_system([1], [sg])
-    with pytest.raises(OverflowError):
-        continuous_entangled_average(sys_, 1.0e9, QuadratureSpec("gauss-legendre", 8000))
+def test_gauss_legendre_past_the_cap_runs_on_a_record_and_is_refused_without_one(monkeypatch):
+    # the cap guards only the batched expm over the nodes: a float record forms none
+    nodes = []
+    original = continuous._gauss_legendre
+    monkeypatch.setattr(continuous, "_gauss_legendre", lambda q: nodes.append(q) or original(q))
+    quad = QuadratureSpec("gauss-legendre", 250)
+    recorded = semigroup_from_generator(np.array([[0.0, -np.pi], [np.pi, -0.5]]))
+    assert recorded.eigenbasis is not None
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "expm", _never_expm)
+        got = continuous_entangled_average(make_continuous_system([1], [recorded]), 1.0e9, quad)
+    assert np.isfinite(got.value).all()
+    nodes.clear()
+    with pytest.raises(OverflowError, match="exceeds cap"):
+        continuous_entangled_average(make_continuous_system([1], [_defective_generator()]),
+                                     1.0e9, quad)
+    assert nodes == [500]  # Richardson's doubled grid, refused after its nodes
 
 
 # -------------------------------------------------------- midpoint orbits
@@ -599,13 +621,12 @@ def test_midpoint_horizon_is_checked_before_any_stack(monkeypatch):
     monkeypatch.setattr(entangle, "_power_stack", never)
     monkeypatch.setattr(continuous, "_evaluate_discrete", never)
     monkeypatch.setattr(scipy.linalg, "expm", never)
-    sg = synth_semigroup(["1/2"], [-1.0], OrthonormalBasis(seed=28))
-    sys_ = make_continuous_system([1], [sg])
-    # pi <= ||B||_1 <= sqrt(2) pi, so the cap 1e5 is passed at the largest of
-    # 8 nodes of t = 4e4 (t - h/2 = 3.75e4) but not at the step h = 5e3
-    with pytest.raises(OverflowError):
+    sys_ = make_continuous_system([1], [_defective_generator()])
+    # the half step h/2 = 6.25e7 exceeds the cap 1e5 (||B||_1 >= 1/2), and linalg.expm
+    # refuses it before SciPy and before the first power stack
+    with pytest.raises(OverflowError, match="exceeds cap"):
         continuous_entangled_average(
-            sys_, 4.0e4, QuadratureSpec("midpoint", 8), richardson=False
+            sys_, 1.0e9, QuadratureSpec("midpoint", 8), richardson=False
         )
 
 
@@ -710,7 +731,9 @@ def test_resonant_cell_weight_is_exactly_one():
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda s: continuous_entangled_average(s, 1.0e9, QuadratureSpec("midpoint", 8)),
+    (lambda s: continuous_entangled_average(  # position 1 has no record: presum's step
+        make_continuous_system([1, 2, 1], [_defective_generator(), *s.semigroups[1:]],
+                               s.connectors), 1.0e9, QuadratureSpec("midpoint", 8)),
      OverflowError, "exceeds cap"),
     (lambda s: continuous_entangled_average(s, 1.0, QuadratureSpec("gauss-legendre", 4000),
                                             budget=1e3),
@@ -976,6 +999,55 @@ def test_midpoint_peak_memory_stays_under_the_discrete_count(alpha):
     finally:
         tracemalloc.stop()
     assert 16 * d ** len(alpha) < peak <= entangle._spectral_bytes(sys_.partition, d)
+
+
+# ------------------------------------------------------------ long horizons
+
+
+def _long_horizon_system(kind):
+    """configs/continuous.json's system (frequencies 0, 1/2 and 0, -1/2; stable parts -1/2
+    and -1 on orthonormal bases 7 and 8; Haar connector 9); on cap-1e3 similarity bases; or
+    with the first stable part stiff at -1e4."""
+    basis = {"similarity": lambda seed: RandomSimilarity(seed, 1e3)}.get(kind, OrthonormalBasis)
+    sg1 = synth_semigroup(["0", "1/2"], [-1.0e4 if kind == "stiff" else -0.5], basis(7))
+    sg2 = synth_semigroup(["0", "-1/2"], [-1.0], basis(8))
+    return make_continuous_system([1, 1], [sg1, sg2], [linalg.haar_unitary(3, seed=9)])
+
+
+def _gauss_legendre_reference(system, t, q):
+    """The Gauss-Legendre rule on a [1, 1] system in the eigenbases: a cell with exponent
+    mu weighs (1/t) sum_i w_i e^{mu s_i}."""
+    s_nodes, w_nodes = QuadratureSpec("gauss-legendre", q).nodes(t)
+    c1, c2 = (sg.certificate for sg in system.semigroups)
+    mu = np.add.outer(c2.eigenvalues, c1.eigenvalues)
+    w = np.tensordot(w_nodes / t, np.exp(np.multiply.outer(s_nodes, mu)), axes=1)
+    core = c2.basis_inv @ system.connectors[0] @ c1.basis
+    return c2.basis @ (core * w) @ c1.basis_inv
+
+
+@pytest.mark.parametrize("t", [1.0e5, 1.0e6, 1.0e9])
+@pytest.mark.parametrize("scheme", ["midpoint", "gauss-legendre"])
+@pytest.mark.parametrize("kind", ["orthonormal", "similarity", "stiff"])
+def test_certified_means_run_at_any_horizon_without_an_exponential(monkeypatch, kind, scheme, t):
+    # a record exponentiates eigenvalues times a node or step, never t B: the cap on
+    # ||t B||_1 refused these means from t ~ 2.5e4 (t ~ 8 when stiff) although no expm ran
+    monkeypatch.setattr(linalg, "expm", _never_expm)
+    monkeypatch.setattr(scipy.linalg, "expm", _never_expm)
+    sys_ = _long_horizon_system(kind)
+    sg1, sg2 = sys_.semigroups
+    if scheme == "gauss-legendre":
+        got = continuous_entangled_average(sys_, t, QuadratureSpec(scheme, 250))
+        want = _gauss_legendre_reference(sys_, t, 250)
+        assert np.linalg.norm(got.value - want) <= 1e-12 * np.linalg.norm(want)
+        return
+    # the closed form weighs a cell expm1(mu t) / (mu t); the rule's error on the
+    # oscillating cells is bounded in s, so at suggest_points it falls as 1/t
+    # (1.28e-8 x 1e5 / t relative on the shipped config, 1.41e-8 on similarity bases)
+    got = continuous_entangled_average(sys_, t, QuadratureSpec(scheme, suggest_points(sys_, t)))
+    want = _exact_chain_integral(sg2, sys_.connectors[0], sg1, t)
+    err = float(np.linalg.norm(got.value - want))
+    assert err <= 2e-8 * (1.0e5 / t) * np.linalg.norm(want)
+    assert err <= 2 * got.error_estimate, (err, got.error_estimate)
 
 
 # ------------------------------------------------------------ limit operator

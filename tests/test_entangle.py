@@ -603,6 +603,18 @@ def test_stacked_presum_mean_without_records_is_refused_above_its_power_bound():
     assert np.linalg.norm(stacked_average(st_, 2**56, strategy="presum", budget=None)) < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stacked", [False, True], ids=["direct", "stacked"])
+def test_presum_mean_whose_squares_overflow_is_refused_by_name(stacked):
+    # at n = 2^60 the finite entries reach ~1e180, whose squares overflow: the norm's
+    # dot product raised "overflow encountered in dot" instead of the refusal
+    u = linalg.haar_unitary(2, seed=0)
+    sys_ = make_system([1, 2], [u, u])
+    mean, of = (stacked_average, stacked_system(sys_)) if stacked else (entangled_average, sys_)
+    with pytest.raises(NonConvergenceError, match=r"norm \d\.\d{3}e\+1\d\d at n=\d+ exceeds "):
+        mean(of, 2**60, strategy="presum", budget=None)
+
+
 def test_stacked_power_bounds_are_those_of_its_records():
     ops = [synth_operator(["0", "1/3"], [0.4], RandomSimilarity(87)),
            synth_operator(["3/4"], [0.3j, -0.5], RandomSimilarity(88)),
