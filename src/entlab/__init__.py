@@ -15,7 +15,6 @@ from .errors import (
     EmptyAlphaError,
     EmptySequenceError,
     EntlabError,
-    IllConditionedError,
     NonConvergenceError,
     NotBoundedSemigroupError,
     NotInvertibleError,

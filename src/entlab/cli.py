@@ -6,11 +6,11 @@ checkpoint schedule), limit (assemble the limit operator), resonances
 shift lattice), stacking-test (direct vs block-companion evaluation),
 continuous (semigroup averages vs the continuous limit).
 
-Every run hashes the normalized fields of its config that change results
-(FNV-1a 64) and stamps the hash into each record, so result files are
-traceable to the exact configuration that produced them; where the records
-go (out, format) is not hashed.  A one-object JSON summary goes to stdout;
-records go to --out in the chosen --format.
+Each kind accepts exactly the fields its runner reads, and every run stamps
+into each record a hash (FNV-1a 64) of the normalized ones that change
+results, so result files are traceable to the exact configuration that made
+them; out, format and budget (which admits or refuses a run) are not hashed.
+A one-object JSON summary goes to stdout; records go to --out in --format.
 
 Exit codes: 0 success, 2 config validation, 3 budget refusal, 4 numerical
 failure, 1 anything else (IO, unexpected).
@@ -68,15 +68,16 @@ def fnv1a64(data: bytes) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
-    seed: int
-    strategy: str
-    tolerance: float
+    """A parsed config: data holds the hashed fields, kind included; budget (None where no
+    mean runs), out and format, which change no result, are kept beside it."""
+
+    data: dict
     budget: float | None
     out: str | None
     format: str
-    data: dict
     config_hash: str
+
+    kind = property(lambda self: self.data["kind"])
 
 
 def _fail(path: str, msg: str):
@@ -226,11 +227,13 @@ def _system_spec(kind: str):
 
 
 def _system(kind: str) -> dict:
-    """The fields of a kind's system: alpha, its members and the connectors between them."""
+    """The fields of a kind's system: alpha, its members, the connectors between them and the
+    seed that the connectors' seeds are XORed with."""
     key, keyword, clock = _system_spec(kind)
     member = _object({keyword: ([], _list(_exact(clock))), "stable": ([], _list(_complex)),
                       "basis": (None, _BASIS)})
     return {
+        "seed": (0, _integer()),
         "alpha": (None, _alpha),
         key: (None, _list(_check(lambda spec: spec[keyword] or spec["stable"],
                                  "needs at least one eigenvalue", member))),
@@ -238,33 +241,34 @@ def _system(kind: str) -> dict:
     }
 
 
-_RUN = {
-    "seed": (0, _integer()),
-    "strategy": ("spectral", _one_of(*entangle.STRATEGIES)),
-    "tolerance": (1e-8, _check(lambda t: t > 0, "must be positive", _real)),
-    "budget": (1e8, _either(None, _real)),
-    "format": ("csv", _one_of("csv", "json")),  # format and out are not hashed
+_UNHASHED = ("budget", "format", "out")  # they change no result: out of data and the hash
+_OUTPUT = {
+    "format": ("csv", _one_of("csv", "json")),
     "out": (None, _either(None, _check(lambda v: isinstance(v, str), "must be a string path"))),
 }
+_MEAN = {  # what a finite mean runs with
+    "strategy": ("spectral", _one_of(*entangle.STRATEGIES)),
+    "budget": (1e8, _either(None, _real)),
+    "state_seed": (_OPTIONAL, _integer()),
+}
 _DISCRETE = _system("converge")
-_STATE = {"state_seed": (_OPTIONAL, _integer())}
 _DEPTHS = _list(_integer(1, says="depths are positive integers"), as_set=True)
 _WINDOW_CAP = (linalg.DIM_CAP - 1) // 2  # the widest finite section, 2w+1 <= DIM_CAP
 _TABLES = {
-    "converge": {**_RUN, **_DISCRETE, **_STATE, "schedule": (None, _DEPTHS)},
-    "limit": {**_RUN, **_DISCRETE},
-    "resonances": {**_RUN, **_DISCRETE},
+    "converge": {**_OUTPUT, **_DISCRETE, **_MEAN, "schedule": (None, _DEPTHS)},
+    "limit": {**_OUTPUT, **_DISCRETE},
+    "resonances": {**_OUTPUT, **_DISCRETE},
     "counterexample": {
-        **_RUN,
+        **_OUTPUT,
         "checkpoints": (None, _list(_integer(1, says="checkpoints are positive integers"),
                                     as_set=True)),
         "window": (64, _integer(0, _WINDOW_CAP, f"must be an integer in 0..{_WINDOW_CAP}")),
     },
-    "stacking-test": {**_RUN, **_DISCRETE, **_STATE, "schedule": (None, _DEPTHS)},
+    "stacking-test": {**_OUTPUT, **_DISCRETE, **_MEAN, "schedule": (None, _DEPTHS)},
     "continuous": {
-        **_RUN,
+        **_OUTPUT,
         **_system("continuous"),
-        **_STATE,
+        **_MEAN,
         "horizons": (None, _list(_check(lambda t: t > 0, "horizons are positive", _real),
                                  as_set=True)),
         "quadrature": ({}, _object({
@@ -277,17 +281,18 @@ _TABLES = {
 }
 _CONFIG = _typed("kind", _TABLES, "config")
 KINDS = tuple(_TABLES)
-FIELDS = {kind: {"kind", *table} for kind, table in _TABLES.items()}  # the fields each kind reads
+FIELDS = {kind: {"kind", *table} for kind, table in _TABLES.items()}  # what each kind reads
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse, validate and normalize a JSON experiment configuration.
 
-    The kind's field table (_TABLES) reads every field.  Angles and
-    frequencies are reduced to canonical 'p/q' strings before the config is
-    hashed, so equivalent spellings ('2/4' vs '1/2') and key order produce
-    the same FNV-1a hash.  The hash covers the fields that change results;
-    out and format are left out of it.
+    The kind's field table (_TABLES) reads every field, and refuses any
+    field its runner does not read.  Angles and frequencies are reduced to
+    canonical 'p/q' strings before the config is hashed, so equivalent
+    spellings ('2/4' vs '1/2') and key order produce the same FNV-1a hash.
+    The hash covers the fields that change results, which data holds; out,
+    format and budget are taken out of it.
     """
     try:
         raw = json.loads(text)
@@ -298,7 +303,7 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     data = _CONFIG(raw, "$")
-    out, fmt = data.pop("out"), data.pop("format")
+    budget, fmt, out = (data.pop(key, None) for key in _UNHASHED)
     if "alpha" in data:  # a system: alpha's m positions size its members and connectors
         m = len(data["alpha"])
         for key, want in ((_system_spec(data["kind"])[0], m), ("connectors", m - 1)):
@@ -306,11 +311,7 @@ def parse_config(text: str) -> ExperimentConfig:
             _expect(got == want, f"$.{key}",
                     f"needs {want} entries for alpha's m={m} positions, got {got}")
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return ExperimentConfig(
-        kind=data["kind"], seed=data["seed"], strategy=data["strategy"],
-        tolerance=data["tolerance"], budget=data["budget"], out=out, format=fmt,
-        data=data, config_hash=fnv1a64(canonical.encode("utf-8")),
-    )
+    return ExperimentConfig(data, budget, out, fmt, fnv1a64(canonical.encode("utf-8")))
 
 
 def _build_basis(spec: dict):
@@ -345,7 +346,7 @@ def _build_system(cfg: ExperimentConfig):
     conn_specs = cfg.data.get(
         "connectors", [{"type": "identity"}] * (len(members) - 1)
     )
-    conns = _build_connectors(conn_specs, members[0].dim, cfg.seed)
+    conns = _build_connectors(conn_specs, members[0].dim, cfg.data["seed"])
     make = cont.make_continuous_system if continuous else entangle.make_system
     return make(cfg.data["alpha"], members, conns)
 
@@ -358,14 +359,15 @@ def _state(cfg: ExperimentConfig, d: int):
 
 
 def _record(cfg: ExperimentConfig, checkpoint, err_f, err_o, ms, strategy="") -> dict:
-    """One output row; strategy is left empty where no evaluator strategy ran."""
+    """One output row; strategy is left empty where no evaluator strategy ran, and seed is None
+    (an empty CSV cell, JSON null) where the kind has none."""
     return {
         "checkpoint": checkpoint,
         "error_fro": float(err_f),
         "error_op": float(err_o),
         "runtime_ms": float(ms),
         "strategy": strategy,
-        "seed": cfg.seed,
+        "seed": cfg.data.get("seed"),
         "config_hash": cfg.config_hash,
     }
 
@@ -377,30 +379,30 @@ def _norms(diff) -> tuple[float, float]:
     return float(np.linalg.norm(diff)), linalg.spectral_norm(diff)
 
 
-def _sweep(cfg: ExperimentConfig, points, diff, strategy: str = "") -> list[dict]:
-    """One record per checkpoint p, timing diff(p), the result minus its reference."""
+def _sweep(cfg: ExperimentConfig, points, diff) -> list[dict]:
+    """One record per checkpoint p, timing diff(p), the mean minus its reference."""
     records = []
     for p in points:
         t0 = time.perf_counter()
         err_f, err_o = _norms(diff(p))
         ms = 1e3 * (time.perf_counter() - t0)
-        records.append(_record(cfg, p, err_f, err_o, ms, strategy))
+        records.append(_record(cfg, p, err_f, err_o, ms, cfg.data["strategy"]))
     return records
 
 
 def _run_converge(cfg: ExperimentConfig):
     system = _build_system(cfg)
     x = _state(cfg, system.dim)
-    limit = spectral_limit.limit_operator(system, cfg.tolerance)
+    limit = spectral_limit.limit_operator(system)
     reference = limit if x is None else limit @ x
 
     def diff(n: int):
         avg = entangle.entangled_average(
-            system, n, strategy=cfg.strategy, x=x, budget=cfg.budget
+            system, n, strategy=cfg.data["strategy"], x=x, budget=cfg.budget
         )
         return avg - reference
 
-    records = _sweep(cfg, cfg.data["schedule"], diff, cfg.strategy)
+    records = _sweep(cfg, cfg.data["schedule"], diff)
     summary = {
         "verifies": "mean ergodic convergence of entangled Cesaro averages",
         "limit_frobenius_norm": float(np.linalg.norm(limit)),
@@ -430,7 +432,7 @@ def _worst_residuals(tuples) -> list[float]:
 def _run_limit(cfg: ExperimentConfig):
     system = _build_system(cfg)
     t0 = time.perf_counter()
-    limit, tuples = spectral_limit.limit_operator_with_tuples(system, cfg.tolerance)
+    limit, tuples = spectral_limit.limit_operator_with_tuples(system)
     ms = 1e3 * (time.perf_counter() - t0)
     worst = max(_worst_residuals(tuples), default=0.0)
     records = [_record(cfg, len(tuples), worst, worst, ms)]
@@ -445,9 +447,7 @@ def _run_limit(cfg: ExperimentConfig):
 def _run_resonances(cfg: ExperimentConfig):
     system = _build_system(cfg)
     t0 = time.perf_counter()
-    tuples = spectral_limit.resonant_tuples(
-        system.operators, system.partition, cfg.tolerance
-    )
+    tuples = spectral_limit.resonant_tuples(system.operators, system.partition)
     ms = 1e3 * (time.perf_counter() - t0)
     # one enumeration yields every row, so each row carries an equal share
     records = [
@@ -491,10 +491,10 @@ def _run_stacking(cfg: ExperimentConfig):
     x = _state(cfg, system.dim)
 
     def diff(n: int):
-        kw = dict(strategy=cfg.strategy, x=x, budget=cfg.budget)
+        kw = dict(strategy=cfg.data["strategy"], x=x, budget=cfg.budget)
         return entangle.entangled_average(system, n, **kw) - entangle.stacked_average(st, n, **kw)
 
-    records = _sweep(cfg, cfg.data["schedule"], diff, cfg.strategy)
+    records = _sweep(cfg, cfg.data["schedule"], diff)
     summary = {"verifies": "block companion dilation identity"}
     return records, summary
 
@@ -502,7 +502,7 @@ def _run_stacking(cfg: ExperimentConfig):
 def _run_continuous(cfg: ExperimentConfig):
     system = _build_system(cfg)
     x = _state(cfg, system.dim)
-    limit = cont.continuous_limit_operator(system, cfg.tolerance)
+    limit = cont.continuous_limit_operator(system)
     reference = limit if x is None else limit @ x
     quad_cfg = cfg.data["quadrature"]
     estimates = {}
@@ -513,12 +513,12 @@ def _run_continuous(cfg: ExperimentConfig):
             points = cont.suggest_points(system, t)
         avg = cont.continuous_entangled_average(
             system, t, cont.QuadratureSpec(quad_cfg["scheme"], points), x=x,
-            budget=cfg.budget, richardson=cfg.data["richardson"], strategy=cfg.strategy,
+            budget=cfg.budget, richardson=cfg.data["richardson"], strategy=cfg.data["strategy"],
         )
         estimates[t] = {"points": avg.points, "richardson": avg.error_estimate}
         return avg.value - reference
 
-    records = _sweep(cfg, cfg.data["horizons"], diff, cfg.strategy)
+    records = _sweep(cfg, cfg.data["horizons"], diff)
     summary = {
         "verifies": "continuous-time mean ergodic convergence",
         "limit_frobenius_norm": float(np.linalg.norm(limit)),
@@ -583,7 +583,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=None, help="records file (default entlab-<kind>.<format>)")
     parser.add_argument("--format", default=None, choices=("csv", "json"))
-    parser.add_argument("--budget", default=None, type=float, help="cost budget override")
+    parser.add_argument("--budget", default=None, type=float,
+                        help="cost budget override, for the kinds that run a mean")
     return parser
 
 
@@ -604,8 +605,9 @@ def main(argv=None) -> int:
                 f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}"
             )
         if args.budget is not None:
+            _expect("budget" in FIELDS[cfg.kind], "--budget", f"kind {cfg.kind!r} runs no mean")
             _real(args.budget, "--budget")  # argparse gave a float; refuse nan and inf
-        cfg = replace(cfg, **{k: getattr(args, k) for k in ("budget", "format", "out")
+        cfg = replace(cfg, **{k: getattr(args, k) for k in _UNHASHED
                               if getattr(args, k) is not None})
         records, summary = run_experiment(cfg)
         for rec in records:

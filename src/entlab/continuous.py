@@ -164,11 +164,13 @@ def certify_bounded_semigroup(sg, t_probe=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0)) -> Po
 def frequency_spectrum(sg, tol: float = AXIS_BAND) -> tuple[FrequencyPoint, ...]:
     """Imaginary-axis frequencies of the generator, exact when synthesized.
 
-    tol widens the band around the axis when reading a raw generator; a
-    generator answers from its stored bookkeeping, and an operator of
-    discrete time is refused.  Fails the bounded-semigroup certificate loudly
-    instead of reporting frequencies of a blowing-up semigroup.
+    tol widens the band around the axis when reading a raw generator, and is
+    refused for any input unless positive and finite; a generator answers
+    from its stored bookkeeping, and an operator of discrete time is refused.
+    Fails the bounded-semigroup certificate loudly instead of reporting
+    frequencies of a blowing-up semigroup.
     """
+    linalg._positive_finite(tol, "boundary band")
     if not isinstance(sg, SpectralOperator):
         sg = semigroup_from_generator(sg, axis_band=tol)
     return _require_bounded(_on_clock([sg], CONTINUOUS))[0].frequency_points
@@ -444,7 +446,7 @@ def suggest_points(system: EntangledSystem, t: float, per_period: float = 20.0) 
     return max(2, int(np.ceil(points)))
 
 
-def continuous_limit_operator(system: EntangledSystem, tol: float = 1e-8) -> np.ndarray:
+def continuous_limit_operator(system: EntangledSystem) -> np.ndarray:
     """t -> infinity limit of the continuous entangled averages.
 
     limit_operator for a system of generators: the sum over additively
@@ -453,4 +455,4 @@ def continuous_limit_operator(system: EntangledSystem, tol: float = 1e-8) -> np.
     2*pi*i*phi_j.  A system of discrete time is refused.
     """
     _on_clock(system.operators, CONTINUOUS)
-    return limit_operator(system, tol)
+    return limit_operator(system)

@@ -65,7 +65,7 @@ from .operators import (DISCRETE, EIGENBASIS_COND_CAP, SpectralOperator, Spectra
 
 MEMORY_CAP_BYTES = 2 << 30  # refuse power stacks beyond 2 GiB
 STRATEGIES = ("presum", "spectral")
-RESONANCE_TOL = 1e-8  # limits' default tol, and the tol of the means' snap (_resonant_to_one)
+RESONANCE_TOL = 1e-8  # the one tol of every block decision the means and the limit read (_Block)
 MITM_THRESHOLD = 100_000  # combinations per block above which the meet-in-the-middle runs
 
 
@@ -632,7 +632,7 @@ def _block_solutions(cands, *, additive, tol, mitm_threshold):
 class _Block:
     """One block of a system's table (_block_table): its members and, built on first use and
     kept, what depends on them alone.  hits: the columns of one _block_solutions call over
-    their boundary points at RESONANCE_TOL, as limit_operator decides (uint16: at most
+    their boundary points at RESONANCE_TOL, which limit_operator sums over (uint16: at most
     linalg.DIM_CAP points a position); resonant: hits over the boundary prefix of the
     eigen-index grid (SpectralOperator._owners), so that a cluster resonates whole; sums: with
     every record exact, its exact sums S over common there (_aliased), else None; grid: on the
@@ -666,7 +666,7 @@ class _Block:
 
 def _block_table(members, part: Partition) -> dict:
     """positions -> _Block of the members at them, for every block of part: a system's table,
-    which the means, the Gauss-Legendre weights and limit_operator (at RESONANCE_TOL) read, so
+    which the means, the Gauss-Legendre weights and limit_operator read, so
     that a block is decided once per system."""
     additive = members[0].clock.additive
     return {positions: _Block([members[j] for j in positions], additive)

@@ -18,10 +18,6 @@ class NonConvergenceError(EntlabError):
     """An iterative or backend solver failed to converge."""
 
 
-class IllConditionedError(EntlabError):
-    """A requested quantity is numerically meaningless for this input."""
-
-
 class BadAngleError(EntlabError, ValueError):
     """An angle is not an exact rational number of turns."""
 

@@ -10,7 +10,7 @@ with P_j = R_j[:, idx] L_j[idx, :] for boundary bases R_j, L_j, the sum is
 the spectral mean's contraction (entangle._spectral_mean) with each block's
 0/1 resonance indicator where the mean has g_n: its n -> infinity case.
 The block solver lives in entangle, whose block table (entangle._block_table)
-holds each block's decision at the default tol for the means and the limit;
+holds each block's decision at RESONANCE_TOL for the means and the limit;
 this module imports it by name.
 
 The Koopman-von Neumann diagnostic at the end is the scalar companion: it
@@ -46,7 +46,9 @@ def unimodular_spectrum(t, tol: float = DEFAULT_TOL) -> tuple[SpectralPoint, ...
     SpectralOperators answer from their stored bookkeeping (exact angles when
     synthesized), generators are refused.  Raw matrices go through the
     eigensolver; a cluster counts as unimodular when its center is within tol.
+    A tol that is not positive and finite is refused for either input.
     """
+    linalg._positive_finite(tol, "boundary band")
     if isinstance(t, SpectralOperator):
         return as_operator(t).unimodular_spectrum
     return _read_matrix(linalg.as_matrix(t, square=True), 1e-9, tol, DISCRETE).unimodular_spectrum
@@ -306,7 +308,7 @@ def _assemble_limit(system: EntangledSystem, solutions) -> np.ndarray:
     return entangle._spectral_mean(rights, lefts, system.connectors, part, indicator)
 
 
-def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
+def limit_operator(system: EntangledSystem) -> np.ndarray:
     """The norm limit of the entangled averages, on the system's clock.
 
     Sum over resonant tuples of
@@ -314,29 +316,21 @@ def limit_operator(system: EntangledSystem, tol: float = DEFAULT_TOL) -> np.ndar
     with P_j the mean ergodic projection of T_j at lam_j, evaluated as one
     contraction over boundary eigen-indices (see _assemble_limit).  Requires
     every T_j to live on one clock and pass its boundedness certificate; an
-    empty resonance set gives the zero matrix (the averages die in norm).  At
-    the default tol each block's decision is the one the means read from the
-    system's block table (entangle._block_table), made once per system; any
-    other tol decides every block anew and leaves the table alone.
+    empty resonance set gives the zero matrix (the averages die in norm).
+    Each block's decision is the one the means read from the system's block
+    table (entangle._block_table), made once per system at RESONANCE_TOL, so
+    the limit is the operator the means converge to.
     """
-    ops, additive = _require_bounded(system.operators), system.clock.additive
-    linalg._positive_finite(tol, "tolerance")
-    if tol == entangle.RESONANCE_TOL:  # the means' decision, made once per system
-        solutions = _solve_blocks(system.partition,
-                                  lambda positions: (system.blocks[positions].hits, None))
-    else:
-        norm = _normalized(ops, additive)
-        solutions = _solve_blocks(system.partition, lambda positions: _block_solutions(
-            [norm[j] for j in positions], additive=additive, tol=tol,
-            mitm_threshold=MITM_THRESHOLD))
-    return _assemble_limit(system, solutions)
+    _require_bounded(system.operators)
+    return _assemble_limit(system, _solve_blocks(
+        system.partition, lambda positions: (system.blocks[positions].hits, None)))
 
 
-def limit_operator_with_tuples(system: EntangledSystem, tol: float = DEFAULT_TOL):
-    """(limit_operator(system, tol), the ResonantTuples it sums over), one solve per block:
-    the limit is assembled from the sequence's candidates and columns."""
+def limit_operator_with_tuples(system: EntangledSystem):
+    """(limit_operator(system), the ResonantTuples it sums over), one solve per block at
+    DEFAULT_TOL: the limit is assembled from the sequence's candidates and columns."""
     ops, part = _require_bounded(system.operators), system.partition
-    tuples = resonant_tuples(ops, part, tol, additive=system.clock.additive)
+    tuples = resonant_tuples(ops, part, additive=system.clock.additive)
     blocks = [(positions, [tuples.columns[j] for j in positions], None)
               for positions in part.blocks.values()]
     return _assemble_limit(system, blocks if tuples else None), tuples

@@ -84,6 +84,10 @@ def _write(tmp_path, cfg, name="cfg.json"):
     return str(p)
 
 
+def _set_condition_cap(cap):
+    return lambda c: c["operators"][0].update(basis={"type": "similarity", "condition_cap": cap})
+
+
 # ------------------------------------------------------------------ hashing
 
 
@@ -156,9 +160,9 @@ def test_config_hash_changes_with_content():
 
 def test_parse_config_defaults():
     cfg = parse_config(json.dumps(_converge_config()))
-    assert cfg.kind == "converge"
-    assert cfg.strategy == "spectral"
-    assert cfg.tolerance == 1e-8
+    assert cfg.kind == cfg.data["kind"] == "converge"
+    assert cfg.data["strategy"] == "spectral"
+    assert "tolerance" not in cfg.data and "budget" not in cfg.data
     assert cfg.budget == 1e8
     assert cfg.format == "csv"
     assert cfg.out is None
@@ -176,7 +180,8 @@ def test_parse_config_invalid_json_reports_position():
 
 
 def test_strategy_field_accepts_spectral_and_names_every_strategy():
-    assert parse_config(json.dumps(_converge_config(strategy="spectral"))).strategy == "spectral"
+    cfg = parse_config(json.dumps(_converge_config(strategy="spectral")))
+    assert cfg.data["strategy"] == "spectral"
     with pytest.raises(ValidationError, match=re.escape("must be presum|spectral")):
         parse_config(json.dumps(_converge_config(strategy="turbo")))
 
@@ -199,7 +204,7 @@ def test_cli_spectral_converge_reaches_depth_2_pow_40(tmp_path, capsys):
     [
         (lambda c: c.update(kind="warp"), "$.kind"),
         (lambda c: c.update(strategy="turbo"), "$.strategy"),
-        (lambda c: c.update(tolerance=-1.0), "$.tolerance"),
+        (_set_condition_cap(-1.0), "$.operators[0].basis.condition_cap"),
         (lambda c: c.update(format="xml"), "$.format"),
         (lambda c: c.update(alpha=[1, 3]), "$.alpha"),
         (lambda c: c.update(alpha=[]), "$.alpha"),
@@ -303,9 +308,42 @@ def _kind_config(kind):
     return cfg
 
 
+class _Recording(dict):
+    """A config's data that notes the name of every field its reader looks up."""
+
+    def __init__(self, data, seen: set):
+        super().__init__(data)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.seen.add(key)
+        return super().__contains__(key)
+
+
 @pytest.mark.parametrize("kind", cli.KINDS)
 def test_each_kind_reads_every_field_it_accepts(kind):
-    assert set(parse_config(json.dumps(_kind_config(kind))).data) <= cli.FIELDS[kind]
+    cfg = parse_config(json.dumps(_kind_config(kind)))
+    assert set(cfg.data) <= cli.FIELDS[kind]
+    seen = set()
+
+    class Watched(cli.ExperimentConfig):  # budget is kept beside data, and read off cfg
+        def __getattribute__(self, name):
+            if name == "budget":
+                seen.add(name)
+            return super().__getattribute__(name)
+
+    cli.run_experiment(Watched(_Recording(cfg.data, seen), cfg.budget, cfg.out, cfg.format,
+                               cfg.config_hash))
+    # out and format are read by main, which writes the records
+    assert cli.FIELDS[kind] - {"kind", "out", "format"} <= seen
 
 
 @pytest.mark.parametrize(
@@ -320,6 +358,12 @@ def test_each_kind_reads_every_field_it_accepts(kind):
         ("limit", {"schedule": [4], "state_seed": 1}),
         ("resonances", {"state_seed": 1}),
         ("continuous", {"operators": [], "schedule": [4]}),
+        ("counterexample", {"strategy": "presum"}),
+        ("counterexample", {"seed": 1, "budget": 1e8}),
+        ("limit", {"budget": 1e8}),
+        ("resonances", {"strategy": "spectral"}),
+        ("converge", {"tolerance": 1e-8}),
+        ("continuous", {"tolerance": 1e-3}),
     ],
 )
 def test_a_field_its_kind_never_reads_exits_2_naming_it(tmp_path, capsys, kind, extra):
@@ -328,6 +372,31 @@ def test_a_field_its_kind_never_reads_exits_2_naming_it(tmp_path, capsys, kind, 
     assert rc == 2
     assert f"unknown fields {sorted(extra)} for kind {kind!r}" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["counterexample", "limit", "resonances"])
+def test_budget_flag_where_no_mean_runs_exits_2(tmp_path, capsys, kind):
+    out_path = tmp_path / "r.csv"
+    rc = main([kind, "--config", _write(tmp_path, _kind_config(kind)), "--budget", "5",
+               "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config error: --budget: kind {kind!r} runs no mean" in err
+    assert "Traceback" not in err and not out_path.exists()
+
+
+def test_budget_leaves_the_config_hash_alone(tmp_path, capsys):
+    # the budget admits or refuses a run and changes none of its numbers
+    hashes, errors = set(), set()
+    for budget, flag in ((1e8, []), (1e12, []), (1e8, ["--budget", "1e12"])):
+        out_path = str(tmp_path / "r.csv")
+        cfg_path = _write(tmp_path, _converge_config(budget=budget))
+        assert main(["converge", "--config", cfg_path, "--out", out_path, *flag]) == 0
+        hashes.add(json.loads(capsys.readouterr().out)["config_hash"])
+        rows = _rows(out_path)
+        hashes.update(r["config_hash"] for r in rows)
+        errors.add(tuple(r["error_fro"] for r in rows))
+    assert len(hashes) == 1 and len(errors) == 1
 
 
 # ----------------------------------------------------------------- emitting
@@ -820,9 +889,8 @@ def _set_basis_seed(c):
          "$.operators[0].angles[0]"),
         (_converge_config, lambda c: c.update(seed="abc"), "$.seed"),
         (_converge_config, lambda c: c.update(seed=1.5), "$.seed"),
-        (_converge_config, lambda c: c.update(tolerance="abc"), "$.tolerance"),
-        (_converge_config, lambda c: c.update(tolerance=float("nan")), "$.tolerance"),
-        (_converge_config, lambda c: c.update(tolerance=float("inf")), "$.tolerance"),
+        *((_converge_config, _set_condition_cap(cap), "$.operators[0].basis.condition_cap")
+          for cap in ("abc", float("nan"), float("inf"))),
         (_converge_config, _set_basis_seed, "$.operators[0].basis.seed"),
         (_converge_config, lambda c: c.update(budget="abc"), "$.budget"),
         (_converge_config, lambda c: c.update(budget=float("nan")), "$.budget"),
@@ -849,7 +917,7 @@ def _set_basis_seed(c):
         (_converge_config, lambda c: c["operators"][1].update(stable=[{"re": 0.1, "phase": 2.0}]),
          "$.operators[1].stable[0]"),
         (_converge_config, lambda c: c.update(connectors=[{"type": []}]), "$.connectors[0]"),
-        (_converge_config, lambda c: c.update(tolerance=10**400), "$.tolerance"),
+        (_converge_config, lambda c: c.update(budget=10**400), "$.budget"),
         (_continuous_config, lambda c: c.update(horizons=[10**400]), "$.horizons[0]"),
         (_converge_config, lambda c: c["operators"][0].update(stable=[[10**400, 0.0]]),
          "$.operators[0].stable[0][0]"),
@@ -879,8 +947,8 @@ def test_main_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
     # json.loads refuses an integer literal this long on interpreters that cap
     # int-string conversion, and _real refuses it as a float on the others
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(_converge_config(tolerance=0)).replace(
-        '"tolerance": 0', '"tolerance": 1' + "0" * 5000))
+    p.write_text(json.dumps(_converge_config(budget=0)).replace(
+        '"budget": 0', '"budget": 1' + "0" * 5000))
     rc = main(["converge", "--config", str(p), "--out", str(tmp_path / "r.csv")])
     err = capsys.readouterr().err
     assert rc == 2

@@ -512,22 +512,6 @@ def test_each_block_is_decided_once_per_system(raw, monkeypatch):
     assert len(calls) == cs.partition.k and np.linalg.norm(limit) > 0.1
 
 
-def test_limit_at_another_tol_neither_reads_nor_fills_the_table(monkeypatch):
-    ops = [synth_operator(["0", "1/2"], [0.5], OrthonormalBasis(55 + j)) for j in range(2)]
-    sys_ = make_system([1, 1], ops, [linalg.haar_unitary(3, seed=57)])
-    want = spectral_limit.limit_operator(make_system([1, 1], ops, sys_.connectors), tol=1e-6)
-    got = spectral_limit.limit_operator(sys_, tol=1e-6)
-    assert "blocks" not in vars(sys_) and np.array_equal(got, want)  # not filled
-
-    def never(self):
-        raise AssertionError("the block table was read")
-
-    monkeypatch.setattr(entangle.EntangledSystem, "blocks", property(never))
-    assert np.array_equal(spectral_limit.limit_operator(sys_, tol=1e-6), want)
-    with pytest.raises(AssertionError, match="table was read"):
-        spectral_limit.limit_operator(sys_)  # the default tol reads it
-
-
 _FREQ = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 10**19 + 3]))
 
 

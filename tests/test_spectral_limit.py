@@ -743,10 +743,14 @@ def test_mitm_threshold_takes_numpy_integers_and_zero(threshold):
 def test_nan_tolerances_refused_before_resonance_turns_off():
     t = from_matrix(np.diag([1.0, -1.0]))
     assert np.allclose(limit_operator(make_system([1, 1], [t, t])), np.eye(2))
-    with pytest.raises(ValidationError, match="tolerance"):
-        limit_operator(make_system([1, 1], [t, t]), tol=float("nan"))
     with pytest.raises(ValidationError, match="band"):
         unimodular_spectrum(np.diag([1.0, -1.0, 0.5]), tol=float("nan"))
+    # an operator or generator answers from its bookkeeping, after the same check
+    with pytest.raises(ValidationError, match="band"):
+        unimodular_spectrum(t, tol=float("nan"))
+    sg = synth_semigroup(["0", "1/2"], [-0.5], OrthonormalBasis(seed=3))
+    with pytest.raises(ValidationError, match="band"):
+        continuous.frequency_spectrum(sg, tol=float("nan"))
 
 
 # ------------------------------------------------------------ limit operator
@@ -789,6 +793,25 @@ def test_limit_operator_agrees_with_long_average():
     for n, bound in ((256, 0.05), (2048, 0.007)):
         avg = entangled_average(sys_, n)
         assert np.linalg.norm(avg - lim, 2) <= bound
+
+
+def test_limit_is_the_means_limit_on_a_near_resonant_float_tuple():
+    # (1/3 + 1.6e-8, 2/3) misses resonance by |e^{2 pi i 1.6e-8} - 1| = 1.0e-7: inside a
+    # tol of 1e-6, outside the one tol every block decision reads, so the means' terms at
+    # that tuple die as 1/(n 1e-7), and the limit leaves the tuple out as they do
+    def float_operator(seed, eigenvalues):
+        u = linalg.haar_unitary(3, seed)
+        return from_matrix(u @ np.diag(eigenvalues) @ u.conj().T)
+
+    t1 = float_operator(1, [1, np.exp(2j * np.pi * (1 / 3 + 1.6e-8)), 0.5])
+    t2 = float_operator(2, [1, np.exp(2j * np.pi * 2 / 3), -0.4])
+    sys_ = make_system([1, 1], [t1, t2], [linalg.haar_unitary(3, 3)])
+    lim = limit_operator(sys_)
+    assert np.linalg.norm(entangled_average(sys_, 2**40) - lim) < 1e-4  # 8.5e-6
+    assert np.linalg.norm(entangled_average(sys_, 2**60) - lim) < 1e-10  # 1.4e-11
+    assert len(resonant_tuples([t1, t2], [1, 1], 1e-6)) == 2
+    with_tuples, tuples = limit_operator_with_tuples(sys_)
+    assert len(tuples) == 1 and np.array_equal(with_tuples, lim)
 
 
 def test_limit_operator_empty_resonance_is_zero_and_averages_die():
